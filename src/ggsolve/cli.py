@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 = solvable/true, 1 = unsolvable (certified), 2 = unknown or
-limits exceeded, 3 = parse error, 4 = other error.  ``--format machine``
-prints line-oriented key=value output.
+limits exceeded, 3 = parse error, 4 = other error (including a failed
+internal check).  ``bench`` exits 4 when a file's exit code differs from its
+``# expect-exit`` line.  ``--format machine`` prints line-oriented key=value
+output.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .errors import FormatError, GgError, LimitsExceeded, ResourceExceeded
+from .errors import FormatError, GgError, InternalError, LimitsExceeded, ResourceExceeded
 from .formats import build_equation, build_ka, build_oracle, parse_instance
 from .semilinear import format_semilinear
 
@@ -141,9 +143,9 @@ def cmd_bound(args, out: Output) -> int:
     expansion_cap, _ = _default_caps(args)
     inst = parse_instance(args.file.read(), expansion_cap)
     e = build_equation(inst, expansion_cap)
-    from .solver.equations import bound_report_string
+    from .solver.equations import bound_report_string, preprocess
 
-    out.kv("bound", bound_report_string(e))
+    out.kv("bound", bound_report_string(preprocess(e)))
     return EXIT_SOLVABLE
 
 
@@ -230,10 +232,12 @@ def cmd_bench(args, out: Output) -> int:
     for path in sorted(glob.glob(pattern)):
         started = time.monotonic()
         code = None
+        expected = None
         try:
             with open(path) as fh:
                 text = fh.read()
             inst = parse_instance(text)
+            expected = inst.expect_exit
             mode = inst.mode_hint or args.mode
             sub = argparse.Namespace(
                 file=_StringFile(text), mode=mode, cap=args.cap, assign=None
@@ -256,11 +260,15 @@ def cmd_bench(args, out: Output) -> int:
         except GgError as exc:
             code = EXIT_PARSE if isinstance(exc, FormatError) else EXIT_ERROR
         elapsed = time.monotonic() - started
-        results.append((os.path.basename(path), code, elapsed))
-    worst = EXIT_SOLVABLE
-    for name, code, elapsed in results:
-        out.kv(name, f"exit={code} time={elapsed:.3f}s")
-    return EXIT_SOLVABLE
+        results.append((os.path.basename(path), code, expected, elapsed))
+    mismatches = 0
+    for name, code, expected, elapsed in results:
+        line = f"exit={code} time={elapsed:.3f}s"
+        if expected is not None and code != expected:
+            mismatches += 1
+            line += f" expected={expected}"
+        out.kv(name, line)
+    return EXIT_ERROR if mismatches else EXIT_SOLVABLE
 
 
 class _StringFile:
@@ -345,6 +353,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (LimitsExceeded, ResourceExceeded) as exc:
         print(f"limits: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except GgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -49,6 +49,10 @@ class StructureError(GgError, ValueError):
     """Structurally invalid input (cyclic SLP, inconsistent table, ...)."""
 
 
+class InternalError(GgError):
+    """An internal consistency check failed: the program, not the input, is at fault."""
+
+
 class FormatError(GgError, ValueError):
     """Instance file could not be parsed.  Carries line information."""
 

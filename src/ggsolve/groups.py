@@ -5,15 +5,17 @@ the same piling technique as trace normal forms, with one column per base
 letter and signed entries; a letter cancels the most recent surviving
 occurrence of its inverse exactly when that occurrence is on top of its
 column.  Entries carry position tags so that multiplication can report the
-cancelled middle trace of the unique boundary factorization.
+cancelled middle trace of the unique boundary factorization.  ``SignedPile``
+is the one free-reduction loop; products of many items stream through a
+single pile without building intermediate normal forms.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Sequence, Tuple
+from itertools import chain, repeat
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import AlphabetMismatchError, ResourceExceeded, TraceError
+from .errors import AlphabetMismatchError, InternalError, ResourceExceeded, TraceError
 from .traces import (
     IndependenceAlphabet,
     Trace,
@@ -33,10 +35,6 @@ def inverse_letter(letter: str) -> str:
 
 def base_letter(letter: str) -> str:
     return letter[:-1] if letter.endswith(INVERSE_MARK) else letter
-
-
-def is_inverse_letter(letter: str) -> bool:
-    return letter.endswith(INVERSE_MARK)
 
 
 class DoubledAlphabet(IndependenceAlphabet):
@@ -136,52 +134,136 @@ def invert(value):
     return invert_word(value)
 
 
+class SignedPile:
+    """Free reduction of a stream of letters by signed piling.
+
+    Letters are coded as their rank in the doubled alphabet, ``2 * base rank``
+    plus 1 for an inverse, so ``code ^ 1`` is the inverse letter.  Column b
+    holds, bottom first, one entry per surviving letter that depends on base
+    letter b: ``tag << shift | code`` on the letter's own column, the marker
+    ``mask`` on the others, where the tag is the letter's position in the
+    stream.  ``mask`` exceeds every code, so a marker never reads as a letter;
+    one sits at the bottom of every column so that the top always exists.
+    A pushed letter cancels the top of its own column exactly when that entry
+    is its inverse.
+
+    ``count`` is the length of the reduced word so far and ``pushed`` the
+    number of letters streamed.  With ``track_pairs`` the cancellations are
+    collected in ``pairs`` as (earlier tag, later tag).
+    """
+
+    __slots__ = ("alphabet", "count", "pushed", "pairs", "_cols", "_others", "_mask", "_shift")
+
+    def __init__(self, alphabet: DoubledAlphabet, track_pairs: bool = False):
+        base = alphabet.base
+        n_base = len(base.letters)
+        self._shift = (2 * n_base).bit_length()
+        self._mask = (1 << self._shift) - 1
+        self._cols = [[self._mask] for _ in range(n_base)]
+        self._others = tuple(
+            tuple(j for j in deps if j != b) for b, deps in enumerate(base._dep_incl_ranks)
+        )
+        self.alphabet = alphabet
+        self.count = 0
+        self.pushed = 0
+        self.pairs: Optional[list] = [] if track_pairs else None
+
+    def push(self, codes: Iterable[int]) -> None:
+        """Stream letter codes through the pile, cancelling where the piling allows."""
+        cols = self._cols
+        others = self._others
+        mask = self._mask
+        shift = self._shift
+        pairs = self.pairs
+        tag = self.pushed
+        count = self.count
+        for code in codes:
+            b = code >> 1
+            col = cols[b]
+            top = col[-1]
+            if top & mask == code ^ 1:
+                col.pop()
+                for j in others[b]:
+                    cols[j].pop()
+                if pairs is not None:
+                    pairs.append((top >> shift, tag))
+                count -= 1
+            else:
+                col.append(tag << shift | code)
+                for j in others[b]:
+                    cols[j].append(mask)
+                count += 1
+            tag += 1
+        self.pushed = tag
+        self.count = count
+
+    def push_word(self, word: Sequence[str]) -> None:
+        rank = self.alphabet._rank
+        self.push([rank[a] for a in word])
+
+    def push_power(self, g: GroupElement, k: int, cap: int) -> None:
+        """Stream g^k as p, then w k times, then p^-1, where (p, w) = cyclic_reduce(g).
+
+        Raises ResourceExceeded, before anything is streamed, when
+        2|p| + k|w| exceeds ``cap``.
+        """
+        conj = _conjugate_power(g, k, cap)
+        if conj is None:
+            return
+        p, w = conj
+        rank = self.alphabet._rank
+        p_codes = [rank[a] for a in p.word]
+        w_codes = [rank[a] for a in w.word]
+        self.push(p_codes)
+        self.push(chain.from_iterable(repeat(w_codes, k)))
+        self.push([c ^ 1 for c in reversed(p_codes)])
+
+    def depile(self) -> List[int]:
+        """Codes of the surviving letters, in lex-least order (a < a' < b < ...).
+
+        Ends the pile: nothing may be pushed afterwards.
+        """
+        cols = self._cols
+        others = self._others
+        mask = self._mask
+        n_base = len(cols)
+        heads = [1] * n_base
+        for col in cols:
+            col.append(mask)  # top sentinel: a marker, never a letter
+        codes = []
+        remaining = self.count
+        while remaining:
+            for b in range(n_base):
+                entry = cols[b][heads[b]]
+                if entry != mask:
+                    codes.append(entry & mask)
+                    heads[b] += 1
+                    for j in others[b]:
+                        heads[j] += 1
+                    remaining -= 1
+                    break
+            else:  # pragma: no cover
+                raise InternalError("group piling depile stuck")
+        return codes
+
+    def element(self) -> GroupElement:
+        """The reduced product of everything pushed, as a normal form (ends the pile)."""
+        codes = self.depile()
+        letters = self.alphabet.letters
+        word = tuple(letters[c] for c in codes)
+        return GroupElement(Trace._from_canonical(self.alphabet, word))
+
+
 def _reduce_tagged(alphabet: DoubledAlphabet, word: Sequence[str]):
     """Free reduction via signed piling.
 
     Returns (canonical reduced word, cancelled pairs as (tag_i, tag_j) with
-    tag_i < tag_j, surviving tags in canonical-word order).
+    tag_i < tag_j), where the tag of a letter is its position in ``word``.
     """
-    n_base = len(alphabet.base.letters)
-    base_dep_incl = alphabet.base._dep_incl_ranks
-    base_rank = alphabet._base_rank
-    sign_of = alphabet._letter_sign
-    # pile entries: (sign, tag) for real entries, None markers for dependents
-    piles = [deque() for _ in range(n_base)]
-    pairs = []
-    count = 0
-    for tag, letter in enumerate(word):
-        b = base_rank[letter]
-        s = sign_of[letter]
-        pile = piles[b]
-        if pile and pile[-1] is not None and pile[-1][0] == -s:
-            partner = pile[-1][1]
-            pairs.append((partner, tag))
-            for j in base_dep_incl[b]:
-                piles[j].pop()
-            count -= 1
-        else:
-            for j in base_dep_incl[b]:
-                piles[j].append((s, tag) if j == b else None)
-            count += 1
-    # depile: lex-least linearization over the doubled order (a < a' < b < ...)
-    base_letters = alphabet.base.letters
-    out = []
-    tags = []
-    while count:
-        for b in range(n_base):
-            pile = piles[b]
-            if pile and pile[0] is not None:
-                s, tag = pile[0]
-                out.append(base_letters[b] if s > 0 else base_letters[b] + INVERSE_MARK)
-                tags.append(tag)
-                for j in base_dep_incl[b]:
-                    piles[j].popleft()
-                count -= 1
-                break
-        else:  # pragma: no cover
-            raise AssertionError("group piling depile stuck")
-    return tuple(out), pairs, tags
+    pile = SignedPile(alphabet, track_pairs=True)
+    pile.push_word(word)
+    letters = alphabet.letters
+    return tuple(letters[c] for c in pile.depile()), pile.pairs
 
 
 def free_reduce(alphabet: DoubledAlphabet, word) -> GroupElement:
@@ -192,7 +274,7 @@ def free_reduce(alphabet: DoubledAlphabet, word) -> GroupElement:
         word = word.word
     else:
         alphabet.check_word(word)
-    reduced, _, _ = _reduce_tagged(alphabet, tuple(word))
+    reduced, _ = _reduce_tagged(alphabet, tuple(word))
     return GroupElement(Trace._from_canonical(alphabet, reduced))
 
 
@@ -214,38 +296,35 @@ def mult(g: GroupElement, h: GroupElement) -> Tuple[GroupElement, Trace]:
 
     There are unique factorizations g = u p and h = p^{-1} v with uv irreducible;
     returns (uv, p).  Every cancellation pairs a letter of g with a letter of
-    h (both operands are irreducible), which is asserted.
+    h (both operands are irreducible), which is checked.  When the operands
+    have at most ``_VERIFY_MULT_LIMIT`` letters together, the factorization is
+    checked too: u and v are recomputed as trace quotients and uv compared
+    with the product.  A failed check raises InternalError.
     """
     if g.alphabet != h.alphabet:
         raise AlphabetMismatchError("mult over mixed alphabets")
     alphabet = g.alphabet
     gw, hw = g.word, h.word
     cut = len(gw)
-    reduced, pairs, _ = _reduce_tagged(alphabet, gw + hw)
+    reduced, pairs = _reduce_tagged(alphabet, gw + hw)
     cancelled_in_g = []
     for i, j in pairs:
         if not (i < cut <= j):
-            raise AssertionError(
-                "internal cancellation between irreducible operands"
-            )  # pragma: no cover
+            raise InternalError("internal cancellation between irreducible operands")
         cancelled_in_g.append(i)
     cancelled_in_g.sort()
     p = Trace(alphabet, [gw[i] for i in cancelled_in_g])
     product = GroupElement(Trace._from_canonical(alphabet, reduced))
     if len(gw) + len(hw) <= _VERIFY_MULT_LIMIT:
         u = right_quotient(g.trace, p)
-        assert u is not None, "cancelled part is not a suffix of g"
+        if u is None:
+            raise InternalError("cancelled part is not a suffix of g")
         v = left_quotient(h.trace, Trace(alphabet, invert_word(p.word)))
-        assert v is not None, "inverse of cancelled part is not a prefix of h"
-        assert (u * v) == product.trace, "u*v differs from the reduced product"
+        if v is None:
+            raise InternalError("inverse of cancelled part is not a prefix of h")
+        if u * v != product.trace:
+            raise InternalError("u*v differs from the reduced product")
     return product, p
-
-
-def mult_all(alphabet: DoubledAlphabet, elements: Sequence[GroupElement]) -> GroupElement:
-    acc = identity(alphabet)
-    for e in elements:
-        acc, _ = mult(acc, e)
-    return acc
 
 
 def cyclic_reduce(g: GroupElement) -> Tuple[GroupElement, GroupElement]:
@@ -273,9 +352,20 @@ def cyclic_reduce(g: GroupElement) -> Tuple[GroupElement, GroupElement]:
     return p, GroupElement(w)
 
 
-def is_cyclically_reduced(g: GroupElement) -> bool:
-    p, _ = cyclic_reduce(g)
-    return p.is_identity()
+def _conjugate_power(g: GroupElement, k: int, cap: int):
+    """(p, w) = cyclic_reduce(g) for g^k = p w^k p^{-1}, or None when k == 0.
+
+    Raises ResourceExceeded when 2|p| + k|w| exceeds ``cap``.
+    """
+    if k < 0:
+        raise ValueError("power_nf takes natural exponents")
+    if k == 0:
+        return None
+    p, w = cyclic_reduce(g)
+    required = 2 * len(p) + k * len(w)
+    if required > cap:
+        raise ResourceExceeded(required, cap)
+    return p, w
 
 
 def power_nf(g: GroupElement, k: int, cap: int) -> GroupElement:
@@ -285,26 +375,13 @@ def power_nf(g: GroupElement, k: int, cap: int) -> GroupElement:
     exactly 2|p| + k|w| for k >= 1; raises ResourceExceeded when that exceeds
     ``cap`` (without materializing anything).
     """
-    if k < 0:
-        raise ValueError("power_nf takes natural exponents")
     alphabet = g.alphabet
-    if k == 0:
+    conj = _conjugate_power(g, k, cap)
+    if conj is None:
         return identity(alphabet)
-    p, w = cyclic_reduce(g)
-    required = 2 * len(p) + k * len(w)
-    if required > cap:
-        raise ResourceExceeded(required, cap)
+    p, w = conj
     word = p.word + w.word * k + invert_word(p.word)
-    reduced, pairs, _ = _reduce_tagged(alphabet, word)
-    assert not pairs, "p w^k p^-1 unexpectedly reducible"
+    reduced, pairs = _reduce_tagged(alphabet, word)
+    if pairs:
+        raise InternalError("p w^k p^-1 unexpectedly reducible")
     return GroupElement(Trace._from_canonical(alphabet, reduced))
-
-
-def conjugate_power_word(g: GroupElement, k: int) -> tuple:
-    """Raw word p w^k p^{-1} (unreduced spelling of g^k); cheap for symbolic use."""
-    if k < 0:
-        raise ValueError("natural exponents only")
-    if k == 0:
-        return ()
-    p, w = cyclic_reduce(g)
-    return p.word + w.word * k + invert_word(p.word)

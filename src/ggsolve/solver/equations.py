@@ -12,10 +12,12 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from ..errors import AlphabetMismatchError, ResourceExceeded, StructureError
+from ..errors import AlphabetMismatchError, InternalError, ResourceExceeded, StructureError
 from ..groups import (
+    _VERIFY_MULT_LIMIT,
     DoubledAlphabet,
     GroupElement,
+    SignedPile,
     cyclic_reduce,
     free_reduce,
     identity,
@@ -108,7 +110,35 @@ def equation(alphabet: DoubledAlphabet, *specs, variables=None) -> ExponentEquat
 
 
 def evaluate(e: ExponentEquation, sigma: Assignment, cap: int = 10**6) -> GroupElement:
-    """The group element denoted by the equation's left-hand side under sigma."""
+    """The group element denoted by the equation's left-hand side under sigma.
+
+    One pass: the letters of every item, in order, go onto one signed pile
+    (a constant as its word, a power u^k as p, then w k times, then p^-1,
+    with (p, w) = cyclic_reduce(u)), and only the surviving letters are
+    depiled.  The cost is linear in the letters streamed.  Raises
+    ResourceExceeded when a power would stream more than ``cap`` letters or
+    the reduced product of the items so far is longer than ``cap``.
+
+    A product of at most ``_VERIFY_MULT_LIMIT`` streamed letters is also
+    computed item by item with ``power_nf`` and the self-checked ``mult``; a
+    difference raises InternalError.
+    """
+    pile = SignedPile(e.alphabet)
+    for item in e.items:
+        if isinstance(item, Const):
+            pile.push_word(item.value.word)
+        else:
+            pile.push_power(item.base, sigma[item.var], cap)
+        if pile.count > cap:
+            raise ResourceExceeded(pile.count, cap)
+    value = pile.element()
+    if pile.pushed <= _VERIFY_MULT_LIMIT and value != _evaluate_by_mult(e, sigma, cap):
+        raise InternalError("streamed product differs from the mult chain")
+    return value
+
+
+def _evaluate_by_mult(e: ExponentEquation, sigma: Assignment, cap: int) -> GroupElement:
+    """``evaluate`` item by item: one normal form per prefix of the items."""
     acc = identity(e.alphabet)
     for item in e.items:
         if isinstance(item, Const):
@@ -122,11 +152,12 @@ def evaluate(e: ExponentEquation, sigma: Assignment, cap: int = 10**6) -> GroupE
 
 
 def verify(e: ExponentEquation, sigma: Assignment, cap: int = 10**6) -> bool:
-    """Substitute and reduce left-to-right; True iff the product is the identity.
+    """Substitute and evaluate in one streamed pass; True iff the product is the identity.
 
-    Uses the conjugate-power normal form, so huge exponents only pay for the
-    letters they actually contribute; raises ResourceExceeded when an
-    intermediate normal form would exceed ``cap``.
+    Powers are streamed in their conjugate-power form, so huge exponents only
+    pay for the letters they actually contribute; raises ResourceExceeded when
+    a power or the reduced product of a prefix of the items would exceed
+    ``cap`` letters (see ``evaluate``).
     """
     for v in e.vars:
         if v not in sigma:
@@ -238,15 +269,15 @@ def solution_bound(e: ExponentEquation) -> int:
     """The headline exponent bound with all O-constants set to 1.
 
     HEURISTIC: a reporting aid only; exact answers come from solve_exact.
-    Evaluated on the preprocessed equation.
+    The bound is stated for preprocessed equations and ``e`` is read as it
+    stands, so pass ``preprocess(...)`` of the equation.
     """
-    pp = preprocess(e)
-    n = len(pp.powers())
+    n = len(e.powers())
     alphabet = e.alphabet.base
     size_a = max(1, len(alphabet.letters))
     alpha = max(1, alphabet.max_independent_size())
     lam = 1
-    for item in pp.items:
+    for item in e.items:
         value = item.value if isinstance(item, Const) else item.base
         lam = max(lam, len(value))
     if n == 0:
@@ -262,6 +293,7 @@ def solution_bound(e: ExponentEquation) -> int:
 
 
 def bound_report_string(e: ExponentEquation) -> str:
+    """``solution_bound`` of the preprocessed equation ``e``, as a report line."""
     value = solution_bound(e)
     if value.bit_length() > 256:
         shown = f"~2^{value.bit_length() - 1}"
@@ -277,11 +309,12 @@ def solve_search(e: ExponentEquation, cap: int = 15) -> SolveReport:
     relaxation certificate; otherwise Unknown(cap).
     """
     t0 = time.monotonic()
+    bound_report = bound_report_string(preprocess(e))
     relax = abelian_relaxation(e)
     if diophantine_solve(relax) is None:
         return SolveReport(
             status="unsolvable",
-            bound_report=bound_report_string(e),
+            bound_report=bound_report,
             note="abelian relaxation has no solution",
             timings={"total": time.monotonic() - t0},
         )
@@ -309,7 +342,7 @@ def solve_search(e: ExponentEquation, cap: int = 15) -> SolveReport:
         return SolveReport(
             status="solvable" if ok else "unsolvable",
             witness={} if ok else None,
-            bound_report=bound_report_string(e),
+            bound_report=bound_report,
             note="" if ok else "constant product differs from the identity",
             timings={"total": time.monotonic() - t0},
         )
@@ -319,16 +352,17 @@ def solve_search(e: ExponentEquation, cap: int = 15) -> SolveReport:
                 continue
             if eval_values(values):
                 sigma = dict(zip(e.vars, values))
-                assert verify(e, sigma, 10**9)
+                if not verify(e, sigma, 10**9):
+                    raise InternalError(f"search witness {sigma} fails verification")
                 return SolveReport(
                     status="solvable",
                     witness=sigma,
-                    bound_report=bound_report_string(e),
+                    bound_report=bound_report,
                     timings={"total": time.monotonic() - t0},
                 )
     return SolveReport(
         status="unknown",
-        bound_report=bound_report_string(e),
+        bound_report=bound_report,
         note=f"no witness with exponents <= {cap}",
         timings={"total": time.monotonic() - t0},
         exhaustive=False,

@@ -163,7 +163,7 @@ def solve_exact(e: ExponentEquation, limits: Optional[Limits] = None) -> SolveRe
     powers = pp.powers()
     n = len(powers)
     k = len(e.vars)
-    bound_report = bound_report_string(e)
+    bound_report = bound_report_string(pp)
 
     def report(solset: SemilinearSet) -> SolveReport:
         if solset.is_empty():

@@ -15,7 +15,7 @@ import itertools
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
-from .errors import AlphabetMismatchError, TraceError, UnknownLetterError
+from .errors import AlphabetMismatchError, InternalError, TraceError, UnknownLetterError
 
 
 class IndependenceAlphabet:
@@ -126,33 +126,51 @@ class IndependenceAlphabet:
                 raise UnknownLetterError(letter, pos)
 
 
+def _pile(alphabet: IndependenceAlphabet, word: Sequence[str]) -> list:
+    """The heap of ``word``: column j lists the ranks of its letters that depend on j.
+
+    Columns are bottom first.  A letter r is minimal in the trace exactly
+    when the bottom entry of its own column is r, and maximal exactly when
+    the top entry is r; removing it removes one entry from that end of every
+    column in its dependence set.  Entries are only ever compared on their
+    own column, so which entry of another column is removed does not matter.
+    """
+    rank = alphabet._rank
+    dep_incl = alphabet._dep_incl_ranks
+    cols = [[] for _ in alphabet.letters]
+    for letter in word:
+        r = rank[letter]
+        for j in dep_incl[r]:
+            cols[j].append(r)
+    return cols
+
+
+def _depile(alphabet: IndependenceAlphabet, cols: list, heads: list, remaining: int) -> tuple:
+    """Lex-least linearization of the ``remaining`` pieces of ``cols`` above ``heads``."""
+    letters = alphabet.letters
+    dep_incl = alphabet._dep_incl_ranks
+    n_cols = len(letters)
+    for col in cols:
+        col.append(-1)  # top sentinel: never a rank
+    out = []
+    while remaining:
+        for r in range(n_cols):
+            if cols[r][heads[r]] == r:
+                out.append(letters[r])
+                for j in dep_incl[r]:
+                    heads[j] += 1
+                remaining -= 1
+                break
+        else:  # pragma: no cover - piling always exposes a minimal piece
+            raise InternalError("piling depile stuck")
+    return tuple(out)
+
+
 def _canonical_word(alphabet: IndependenceAlphabet, word: Sequence[str]) -> tuple:
     """Lex-least linearization of the trace of ``word`` via piling."""
     if not word:
         return ()
-    rank = alphabet._rank
-    dep_incl = alphabet._dep_incl_ranks
-    letters = alphabet.letters
-    n_cols = len(letters)
-    piles = [deque() for _ in range(n_cols)]
-    for letter in word:
-        r = rank[letter]
-        for j in dep_incl[r]:
-            piles[j].append(r)
-    out = []
-    remaining = len(word)
-    while remaining:
-        for r in range(n_cols):
-            pile = piles[r]
-            if pile and pile[0] == r:
-                out.append(letters[r])
-                for j in dep_incl[r]:
-                    piles[j].popleft()
-                remaining -= 1
-                break
-        else:  # pragma: no cover - piling always exposes a minimal piece
-            raise AssertionError("piling depile stuck")
-    return tuple(out)
+    return _depile(alphabet, _pile(alphabet, word), [0] * len(alphabet.letters), len(word))
 
 
 class Trace:
@@ -256,53 +274,39 @@ def left_quotient(t: Trace, p: Trace) -> Optional[Trace]:
     """The trace ``s`` with ``t = p * s``, or None if ``p`` is not a prefix of ``t``."""
     if t.alphabet != p.alphabet:
         raise AlphabetMismatchError("quotient over mixed alphabets")
-    word = list(t.word)
     alphabet = t.alphabet
-    consumed = [False] * len(word)
-    for target in p.word:
-        ok = False
-        for i, letter in enumerate(word):
-            if consumed[i]:
-                continue
-            if letter == target:
-                consumed[i] = True
-                ok = True
-                break
-            if alphabet.dependent(letter, target):
-                break
-        if not ok:
+    rank = alphabet._rank
+    dep_incl = alphabet._dep_incl_ranks
+    cols = _pile(alphabet, t.word)
+    heads = [0] * len(cols)
+    for letter in p.word:
+        r = rank[letter]
+        col = cols[r]
+        if heads[r] >= len(col) or col[heads[r]] != r:
             return None
-    rest = [letter for i, letter in enumerate(word) if not consumed[i]]
-    return Trace(t.alphabet, rest)
+        for j in dep_incl[r]:
+            heads[j] += 1
+    rest = _depile(alphabet, cols, heads, len(t.word) - len(p.word))
+    return Trace._from_canonical(alphabet, rest)
 
 
 def right_quotient(t: Trace, s: Trace) -> Optional[Trace]:
     """The trace ``p`` with ``t = p * s``, or None if ``s`` is not a suffix of ``t``."""
     if t.alphabet != s.alphabet:
         raise AlphabetMismatchError("quotient over mixed alphabets")
-    word = list(t.word)
     alphabet = t.alphabet
-    consumed = [False] * len(word)
-    for target in reversed(s.word):
-        ok = False
-        for i in range(len(word) - 1, -1, -1):
-            if consumed[i]:
-                continue
-            letter = word[i]
-            if letter == target:
-                consumed[i] = True
-                ok = True
-                break
-            if alphabet.dependent(letter, target):
-                break
-        if not ok:
+    rank = alphabet._rank
+    dep_incl = alphabet._dep_incl_ranks
+    cols = _pile(alphabet, t.word)
+    for letter in reversed(s.word):
+        r = rank[letter]
+        col = cols[r]
+        if not col or col[-1] != r:
             return None
-    rest = [letter for i, letter in enumerate(word) if not consumed[i]]
-    return Trace(t.alphabet, rest)
-
-
-def is_prefix(p: Trace, t: Trace) -> bool:
-    return left_quotient(t, p) is not None
+        for j in dep_incl[r]:
+            cols[j].pop()
+    rest = _depile(alphabet, cols, [0] * len(cols), len(t.word) - len(s.word))
+    return Trace._from_canonical(alphabet, rest)
 
 
 def power(t: Trace, k: int) -> Trace:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from typing import Optional
 
+from ggsolve.errors import AlphabetMismatchError
 from ggsolve.traces import IndependenceAlphabet, Trace
 from ggsolve.groups import (
     DoubledAlphabet,
@@ -98,3 +100,56 @@ def canonical_traces_up_to(alphabet: IndependenceAlphabet, max_len: int):
         if t.word not in seen:
             seen.add(t.word)
             yield t
+
+
+# Slow oracles for ggsolve.traces.left_quotient / right_quotient: one rescan
+# of the word per removed letter, then a fresh canonicalization of the rest.
+
+
+def scanning_left_quotient(t: Trace, p: Trace) -> Optional[Trace]:
+    """The trace ``s`` with ``t = p * s``, or None if ``p`` is not a prefix of ``t``."""
+    if t.alphabet != p.alphabet:
+        raise AlphabetMismatchError("quotient over mixed alphabets")
+    word = list(t.word)
+    alphabet = t.alphabet
+    consumed = [False] * len(word)
+    for target in p.word:
+        ok = False
+        for i, letter in enumerate(word):
+            if consumed[i]:
+                continue
+            if letter == target:
+                consumed[i] = True
+                ok = True
+                break
+            if alphabet.dependent(letter, target):
+                break
+        if not ok:
+            return None
+    rest = [letter for i, letter in enumerate(word) if not consumed[i]]
+    return Trace(t.alphabet, rest)
+
+
+def scanning_right_quotient(t: Trace, s: Trace) -> Optional[Trace]:
+    """The trace ``p`` with ``t = p * s``, or None if ``s`` is not a suffix of ``t``."""
+    if t.alphabet != s.alphabet:
+        raise AlphabetMismatchError("quotient over mixed alphabets")
+    word = list(t.word)
+    alphabet = t.alphabet
+    consumed = [False] * len(word)
+    for target in reversed(s.word):
+        ok = False
+        for i in range(len(word) - 1, -1, -1):
+            if consumed[i]:
+                continue
+            letter = word[i]
+            if letter == target:
+                consumed[i] = True
+                ok = True
+                break
+            if alphabet.dependent(letter, target):
+                break
+        if not ok:
+            return None
+    rest = [letter for i, letter in enumerate(word) if not consumed[i]]
+    return Trace(t.alphabet, rest)

@@ -3,12 +3,16 @@
 import glob
 import io
 import os
+import shutil
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
 from ggsolve.cli import main
 from ggsolve.errors import FormatError
+from ggsolve.groups import SignedPile
 from ggsolve.formats import (
     build_equation,
     dump_automaton,
@@ -20,7 +24,8 @@ from ggsolve.traces import IndependenceAlphabet
 from ggsolve.automata import prefix_nfa
 from ggsolve.traces import normal_form
 
-CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+CORPUS = os.path.join(ROOT, "corpus")
 
 
 def run_cli(argv):
@@ -137,6 +142,44 @@ class TestVerifyCommand:
         assert code == 2
 
 
+class TestFailClosed:
+    def test_dropped_letter_exits_4(self, tmp_path, monkeypatch):
+        push = SignedPile.push
+
+        def drop_last(pile, codes):
+            push(pile, list(codes)[:-1])
+
+        monkeypatch.setattr(SignedPile, "push", drop_last)
+        path = write(tmp_path, "gens a b c\nindep a c\neq\npow a b a' x\nconst a b' b' a'\n")
+        code, _ = run_cli(["--format", "machine", "verify", "--assign", "x=2", path])
+        assert code == 4
+
+
+class TestOptimizedInterpreter:
+    def test_checks_hold_under_O(self):
+        """The internal checks raise explicitly, so they survive ``python -O``."""
+        tests = [
+            "tests/test_cli.py::TestFailClosed",
+            "tests/test_groups.py::TestMult",
+            "tests/test_solver.py::TestVerify::test_simple",
+            "tests/test_solver.py::TestVerify::test_resource_exceeded",
+            "tests/test_solver.py::TestVerify::test_compressed_analogue",
+        ]
+        env = dict(os.environ)
+        src = os.path.join(ROOT, "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert " passed" in proc.stdout and "failed" not in proc.stdout
+
+
 class TestBoundCommand:
     def test_heuristic_label(self, tmp_path):
         path = write(tmp_path, "gens a\neq\npow a x\nconst a'\n")
@@ -228,6 +271,16 @@ class TestGoldenCorpus:
         code, out = run_cli(["--format", "machine", "bench", CORPUS])
         assert code == 0
         assert out.count("exit=") == 20
+
+    def test_bench_gates_on_expect_exit(self, tmp_path):
+        text = open(os.path.join(CORPUS, "01_z_double.gg")).read()
+        assert text.startswith("# expect-exit 0\n")
+        write(tmp_path, text.replace("# expect-exit 0", "# expect-exit 1", 1), "01.gg")
+        shutil.copy(os.path.join(CORPUS, "02_z_singleton.gg"), tmp_path / "02.gg")
+        code, out = run_cli(["--format", "machine", "bench", str(tmp_path)])
+        assert code == 4
+        assert "01.gg=exit=0 " in out and "expected=1" in out
+        assert out.count("expected=") == 1
 
 
 class TestRoundTrip:
