@@ -16,7 +16,7 @@ import time
 from typing import List, Optional
 
 from .errors import FormatError, GgError, InternalError, LimitsExceeded, ResourceExceeded
-from .formats import build_equation, build_ka, build_oracle, parse_instance
+from .formats import build_equation, build_ka, build_oracle, parse_instance, scan_directives
 from .semilinear import format_semilinear
 
 EXIT_SOLVABLE = 0
@@ -224,43 +224,54 @@ def cmd_amalgam(args, out: Output) -> int:
     return EXIT_SOLVABLE if solvable else EXIT_UNSOLVABLE
 
 
+def _run_instance(text: str, mode: str, cap: Optional[int], out: Output) -> int:
+    """Run an instance file with the command its problem block calls for."""
+    sub = argparse.Namespace(file=_StringFile(text), mode=mode, cap=cap, assign=None)
+    expansion_cap, _ = _default_caps(sub)
+    kind = parse_instance(text, expansion_cap).problem["kind"]
+    if kind in ("eq", "knapsack", "ka"):
+        return cmd_solve(sub, out)
+    if kind == "extension":
+        return cmd_finite_ext(sub, out)
+    if kind == "hnn":
+        return cmd_hnn(sub, out)
+    return cmd_amalgam(sub, out)
+
+
 def cmd_bench(args, out: Output) -> int:
+    """Run every ``*.gg`` file of a directory; exit 4 on any ``# expect-exit`` mismatch.
+
+    Each file goes through the same error-to-exit mapping as a direct call,
+    so a file that fails to parse or exceeds a cap gets the code that the
+    command itself would return.  A file whose directives cannot be read
+    counts as a mismatch.
+    """
     import glob
+    import io
+    from contextlib import redirect_stdout
 
     pattern = os.path.join(args.dir, "*.gg")
     results = []
     for path in sorted(glob.glob(pattern)):
+        name = os.path.basename(path)
         started = time.monotonic()
-        code = None
-        expected = None
+        with open(path) as fh:
+            text = fh.read()
         try:
-            with open(path) as fh:
-                text = fh.read()
-            inst = parse_instance(text)
-            expected = inst.expect_exit
-            mode = inst.mode_hint or args.mode
-            sub = argparse.Namespace(
-                file=_StringFile(text), mode=mode, cap=args.cap, assign=None
+            expected, mode_hint = scan_directives(text)
+        except FormatError:
+            expected, mode_hint = "unreadable", None
+        with redirect_stdout(io.StringIO()):
+            code = run_reporting(
+                _run_instance,
+                text,
+                mode_hint or args.mode,
+                args.cap,
+                Output(machine=True),
+                label=f"{name}: ",
             )
-            kind = inst.problem["kind"]
-            quiet = Output(machine=True)
-            import io
-            from contextlib import redirect_stdout
-
-            buf = io.StringIO()
-            with redirect_stdout(buf):
-                if kind in ("eq", "knapsack", "ka"):
-                    code = cmd_solve(sub, quiet)
-                elif kind == "extension":
-                    code = cmd_finite_ext(sub, quiet)
-                elif kind == "hnn":
-                    code = cmd_hnn(sub, quiet)
-                elif kind == "amalgam":
-                    code = cmd_amalgam(sub, quiet)
-        except GgError as exc:
-            code = EXIT_PARSE if isinstance(exc, FormatError) else EXIT_ERROR
         elapsed = time.monotonic() - started
-        results.append((os.path.basename(path), code, expected, elapsed))
+        results.append((name, code, expected, elapsed))
     mismatches = 0
     for name, code, expected, elapsed in results:
         line = f"exit={code} time={elapsed:.3f}s"
@@ -331,6 +342,25 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_reporting(command, *args, label: str = "") -> int:
+    """Call a command and return its exit code; a library error becomes its exit code.
+
+    The error is reported on stderr, prefixed with ``label``.
+    """
+    try:
+        return command(*args)
+    except FormatError as exc:
+        print(f"{label}parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (LimitsExceeded, ResourceExceeded) as exc:
+        print(f"{label}limits: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
+    except GgError as exc:
+        kind = "internal error" if isinstance(exc, InternalError) else "error"
+        print(f"{label}{kind}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -345,20 +375,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench": cmd_bench,
         "gen-mihailova": cmd_gen_mihailova,
     }
-    try:
-        return handlers[args.command](args, out)
-    except FormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (LimitsExceeded, ResourceExceeded) as exc:
-        print(f"limits: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except GgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    return run_reporting(handlers[args.command], args, out)
 
 
 if __name__ == "__main__":

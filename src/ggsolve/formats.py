@@ -80,6 +80,29 @@ def _slp_word(inst: Instance, name: str, cap: int, line: int) -> tuple:
     return expand_capped(inst.slps[name], cap)
 
 
+def scan_directives(text: str) -> Tuple[Optional[int], Optional[str]]:
+    """The ``# expect-exit N`` and ``# mode M`` comments of an instance file.
+
+    Reads comments only, so it succeeds on files whose body does not parse;
+    the last occurrence of each directive wins.  A directive without its
+    argument, or a non-integer exit code, raises FormatError.
+    """
+    expect_exit: Optional[int] = None
+    mode_hint: Optional[str] = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "#" not in raw:
+            continue
+        comment = raw.split("#", 1)[1].strip()
+        words = comment.split()
+        if comment.startswith("expect-exit"):
+            if len(words) < 2 or not words[1].isdigit():
+                raise FormatError("expect-exit takes an exit code", lineno)
+            expect_exit = int(words[1])
+        if comment.startswith("mode "):
+            mode_hint = words[1]
+    return expect_exit, mode_hint
+
+
 def parse_instance(text: str, expansion_cap: int = 10**6) -> Instance:
     inst = Instance()
     gens: List[str] = []
@@ -98,14 +121,10 @@ def parse_instance(text: str, expansion_cap: int = 10**6) -> Instance:
             inst.alphabet = DoubledAlphabet(inst.base_alphabet)
         return inst.alphabet
 
+    inst.expect_exit, inst.mode_hint = scan_directives(text)
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
         if "#" in raw:
-            comment = raw.split("#", 1)[1].strip()
-            if comment.startswith("expect-exit"):
-                inst.expect_exit = int(comment.split()[1])
-            if comment.startswith("mode "):
-                inst.mode_hint = comment.split()[1]
             raw = raw.split("#", 1)[0]
         tokens = raw.split()
         if not tokens:

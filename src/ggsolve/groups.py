@@ -40,7 +40,7 @@ def base_letter(letter: str) -> str:
 class DoubledAlphabet(IndependenceAlphabet):
     """Base letters plus formal inverses; independence lifted sign-blind."""
 
-    __slots__ = ("base", "_base_rank", "_letter_sign")
+    __slots__ = ("base",)
 
     def __init__(self, base: IndependenceAlphabet):
         for name in base.letters:
@@ -58,19 +58,6 @@ class DoubledAlphabet(IndependenceAlphabet):
                     pairs.append((x, y))
         super().__init__(letters, pairs)
         self.base = base
-        self._base_rank = {}
-        self._letter_sign = {}
-        for i, a in enumerate(base.letters):
-            self._base_rank[a] = i
-            self._base_rank[a + INVERSE_MARK] = i
-            self._letter_sign[a] = 1
-            self._letter_sign[a + INVERSE_MARK] = -1
-
-    def base_rank(self, letter: str) -> int:
-        return self._base_rank[letter]
-
-    def sign(self, letter: str) -> int:
-        return self._letter_sign[letter]
 
 
 def doubled(base: IndependenceAlphabet) -> DoubledAlphabet:
@@ -205,12 +192,15 @@ class SignedPile:
         """Stream g^k as p, then w k times, then p^-1, where (p, w) = cyclic_reduce(g).
 
         Raises ResourceExceeded, before anything is streamed, when
-        2|p| + k|w| exceeds ``cap``.
+        2|p| + k|w| exceeds ``cap``.  The cost is linear in 2|p| + k|w|, not
+        in k: a power of the identity streams nothing.
         """
         conj = _conjugate_power(g, k, cap)
         if conj is None:
             return
         p, w = conj
+        if w.is_identity():  # then p is empty too: g is the identity
+            return
         rank = self.alphabet._rank
         p_codes = [rank[a] for a in p.word]
         w_codes = [rank[a] for a in w.word]

@@ -142,6 +142,24 @@ class TestVerifyCommand:
         assert code == 2
 
 
+    def test_verify_identity_base_huge_exponent(self, tmp_path):
+        """A power of the identity streams nothing, whatever its exponent."""
+        path = write(tmp_path, "gens a b\neq\npow a a' x\npow b y\nconst b'\n")
+        env = dict(os.environ)
+        src = os.path.join(ROOT, "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ggsolve.cli", "--format", "machine", "verify",
+             "--assign", f"x={10**15},y=1", path],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "verified=true" in proc.stdout
+
+
 class TestFailClosed:
     def test_dropped_letter_exits_4(self, tmp_path, monkeypatch):
         push = SignedPile.push
@@ -281,6 +299,26 @@ class TestGoldenCorpus:
         assert code == 4
         assert "01.gg=exit=0 " in out and "expected=1" in out
         assert out.count("expected=") == 1
+
+    def test_bench_counts_parse_failures(self, tmp_path):
+        write(tmp_path, "# expect-exit 0\ngens a\nnonsense\n", "bad.gg")
+        write(tmp_path, "# expect-exit\ngens a\neq\npow a x\nconst a'\n", "nocode.gg")
+        write(tmp_path, "# expect-exit 3\ngens a\nnonsense\n", "ok.gg")
+        code, out = run_cli(["--format", "machine", "bench", str(tmp_path)])
+        assert code == 4
+        assert "bad.gg=exit=3 " in out and "expected=0" in out
+        assert "nocode.gg=exit=3 " in out and "expected=unreadable" in out
+        assert out.count("expected=") == 2
+
+    def test_bench_maps_cap_like_main(self, tmp_path):
+        """A cap that stops a file exits 2 in bench exactly as in solve."""
+        text = open(os.path.join(CORPUS, "11_compressed_const.gg")).read()
+        path = write(tmp_path, text.replace("# expect-exit 0", "# expect-exit 2", 1), "11.gg")
+        code, _ = run_cli(["solve", "--cap", "3", path])
+        assert code == 2
+        code, out = run_cli(["--format", "machine", "bench", "--cap", "3", str(tmp_path)])
+        assert code == 0
+        assert "11.gg=exit=2 " in out and "expected=" not in out
 
 
 class TestRoundTrip:
