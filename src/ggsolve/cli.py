@@ -1,10 +1,16 @@
 """Command-line front end.
 
+``run`` answers a parsed instance: it dispatches once on the type of the
+problem block and returns a SolveReport, which ``Output.report`` prints.
+``solve``, ``finite-ext``, ``hnn`` and ``amalgam`` each run a file whose
+block they answer; ``bench`` runs every file of a directory.
+
 Exit codes: 0 = solvable/true, 1 = unsolvable (certified), 2 = unknown or
-limits exceeded, 3 = parse error, 4 = other error (including a failed
-internal check).  ``bench`` exits 4 when a file's exit code differs from its
-``# expect-exit`` line.  ``--format machine`` prints line-oriented key=value
-output.
+limits exceeded, 3 = parse error (also a block the command does not answer,
+a malformed ``--assign`` and an unknown ``# mode``), 4 = other error
+(including a failed internal check).  ``bench`` exits 4 when a file's exit
+code differs from its ``# expect-exit`` line.  ``--format machine`` prints
+line-oriented key=value output.
 """
 
 from __future__ import annotations
@@ -13,11 +19,26 @@ import argparse
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .errors import FormatError, GgError, InternalError, LimitsExceeded, ResourceExceeded
-from .formats import build_equation, build_ka, build_oracle, parse_instance, scan_directives
+from .formats import (
+    AmalgamProblem,
+    ExtensionProblem,
+    HnnProblem,
+    Instance,
+    KaProblem,
+    MODES,
+    build_amalgam,
+    build_equation,
+    build_extension,
+    build_hnn,
+    build_ka,
+    parse_instance,
+    scan_directives,
+)
 from .semilinear import format_semilinear
+from .transfer import GraphGroupOracle, amalgam_knapsack, finite_ext_reduce, hnn_knapsack
 
 EXIT_SOLVABLE = 0
 EXIT_UNSOLVABLE = 1
@@ -36,18 +57,24 @@ class Output:
         else:
             print(f"{key}: {value}")
 
-    def solset(self, solset):
-        if solset is None:
-            return
-        text = format_semilinear(solset)
-        if not text:
-            self.kv("solset", "empty")
-            return
-        for line in text.splitlines():
-            if self.machine:
-                print(f"solset={line}")
-            else:
-                print(f"solset: {line}")
+    def report(self, report) -> int:
+        """Print a SolveReport's status, witness, solution set, bound and note.
+
+        Returns the report's exit code.
+        """
+        self.kv("status", report.status)
+        if report.witness is not None:
+            witness = ";".join(f"{k}={v}" for k, v in sorted(report.witness.items()))
+            self.kv("witness", witness if witness else "trivial")
+        if report.solution_set is not None:
+            text = format_semilinear(report.solution_set)
+            for line in text.splitlines() if text else ["empty"]:
+                self.kv("solset", line)
+        if report.bound_report:
+            self.kv("bound", report.bound_report)
+        if report.note:
+            self.kv("note", report.note)
+        return _status_exit(report.status)
 
 
 def _status_exit(status: str) -> int:
@@ -65,67 +92,83 @@ def _default_caps(args) -> tuple:
     return expansion, search
 
 
-def cmd_solve(args, out: Output) -> int:
-    expansion_cap, search_cap = _default_caps(args)
-    inst = parse_instance(args.file.read(), expansion_cap)
-    problem = inst.problem
-    if problem["kind"] == "ka":
-        from .transfer.oracles import GraphGroupOracle
+def _solve_equation(e, mode: str, search_cap: int):
+    from .semilinear import diophantine_solve
+    from .solver import SolveReport, abelian_relaxation, solve_exact, solve_search
 
+    if mode == "relax":
+        solvable = diophantine_solve(abelian_relaxation(e)) is not None
+        if solvable:
+            return SolveReport("unknown", note="abelian relaxation only")
+        return SolveReport("unsolvable", note="relaxation certificate")
+    if mode == "search":
+        return solve_search(e, cap=search_cap)
+    rep = solve_exact(e)
+    # fall back to the relaxation certificate for a definite negative
+    if rep.status == "unknown" and diophantine_solve(abelian_relaxation(e)) is None:
+        return SolveReport("unsolvable", note="beyond exact limits; relaxation certificate")
+    return rep
+
+
+def run(inst: Instance, mode: str, caps: Tuple[int, int]):
+    """Answer the problem block of a parsed instance; returns a SolveReport.
+
+    ``mode`` (exact, search or relax) applies to eq and knapsack blocks;
+    ``caps`` is the pair (expansion cap, search cap).
+    """
+    from .solver import SolveReport
+
+    expansion_cap, search_cap = caps
+    problem = inst.problem
+    if isinstance(problem, KaProblem):
         ka, target = build_ka(inst)
         oracle = GraphGroupOracle(inst.require_alphabet(), search_cap)
         try:
-            member = oracle.ka_membership(ka.nfa, target)
+            solvable = oracle.ka_membership(ka.nfa, target)
         except LimitsExceeded as exc:
-            out.kv("status", "unknown")
-            out.kv("note", str(exc))
-            return EXIT_UNKNOWN
-        out.kv("status", "solvable" if member else "unsolvable")
-        return EXIT_SOLVABLE if member else EXIT_UNSOLVABLE
-
-    e = build_equation(inst, expansion_cap)
-    from .semilinear import diophantine_solve
-    from .solver import abelian_relaxation, solve_exact, solve_search
-    from .solver.equations import bound_report_string
-
-    if args.mode == "relax":
-        solvable = diophantine_solve(abelian_relaxation(e)) is not None
-        out.kv("status", "unknown" if solvable else "unsolvable")
-        out.kv("note", "abelian relaxation only" if solvable else "relaxation certificate")
-        return EXIT_UNKNOWN if solvable else EXIT_UNSOLVABLE
-    if args.mode == "search":
-        rep = solve_search(e, cap=search_cap)
+            return SolveReport("unknown", note=str(exc))
+    elif isinstance(problem, ExtensionProblem):
+        fe, v_words, u_words = build_extension(inst)
+        solvable = finite_ext_reduce(fe, v_words, u_words, fe.g_oracle)
+    elif isinstance(problem, HnnProblem):
+        solvable = hnn_knapsack(build_hnn(inst), problem.items, problem.target)
+    elif isinstance(problem, AmalgamProblem):
+        solvable = amalgam_knapsack(build_amalgam(inst), problem.items, problem.target)
     else:
-        rep = solve_exact(e)
-        if rep.status == "unknown" and args.mode == "exact":
-            # fall back to the relaxation certificate for a definite negative
-            if diophantine_solve(abelian_relaxation(e)) is None:
-                out.kv("status", "unsolvable")
-                out.kv("note", "beyond exact limits; relaxation certificate")
-                return EXIT_UNSOLVABLE
-    out.kv("status", rep.status)
-    if rep.witness is not None:
-        witness = ";".join(f"{k}={v}" for k, v in sorted(rep.witness.items()))
-        out.kv("witness", witness if witness else "trivial")
-    out.solset(rep.solution_set)
-    if rep.bound_report:
-        out.kv("bound", rep.bound_report)
-    if rep.note:
-        out.kv("note", rep.note)
-    return _status_exit(rep.status)
+        return _solve_equation(build_equation(inst, expansion_cap), mode, search_cap)
+    return SolveReport("solvable" if solvable else "unsolvable")
+
+
+def cmd_run(args, out: Output) -> int:
+    """solve, finite-ext, hnn and amalgam: run a file whose block the command answers."""
+    caps = _default_caps(args)
+    inst = parse_instance(args.file.read(), caps[0])
+    if inst.problem.command != args.command:
+        raise FormatError(
+            f"{args.command} does not answer {inst.problem.kind} blocks; "
+            f"use {inst.problem.command}"
+        )
+    return out.report(run(inst, getattr(args, "mode", "exact"), caps))
+
+
+def _parse_assign(text: str) -> dict:
+    """``x=1,y=2`` as a dict; anything but name=natural pairs raises FormatError."""
+    sigma = {}
+    for piece in text.split(","):
+        if not piece:
+            continue
+        name, sep, value = (part.strip() for part in piece.partition("="))
+        if not (sep and name and value.isdecimal()):
+            raise FormatError(f"--assign takes name=natural pairs, not {piece!r}")
+        sigma[name] = int(value)
+    return sigma
 
 
 def cmd_verify(args, out: Output) -> int:
     expansion_cap, _ = _default_caps(args)
     inst = parse_instance(args.file.read(), expansion_cap)
     e = build_equation(inst, expansion_cap)
-    sigma = {}
-    if args.assign:
-        for piece in args.assign.split(","):
-            if not piece:
-                continue
-            name, _, value = piece.partition("=")
-            sigma[name.strip()] = int(value)
+    sigma = _parse_assign(args.assign)
     from .solver import verify
 
     try:
@@ -149,110 +192,19 @@ def cmd_bound(args, out: Output) -> int:
     return EXIT_SOLVABLE
 
 
-def cmd_finite_ext(args, out: Output) -> int:
-    expansion_cap, _ = _default_caps(args)
-    inst = parse_instance(args.file.read(), expansion_cap)
-    problem = inst.problem
-    if problem["kind"] != "extension":
-        raise FormatError("finite-ext needs an extension block")
-    g_oracle = build_oracle(inst, problem["base"])
-    from .transfer import FiniteExtension, finite_ext_reduce
-
-    ext_letters = sorted({b for (_, b) in problem["table"]})
-    ext_letters = tuple(
-        dict.fromkeys(b[:-1] if b.endswith("'") else b for b in ext_letters)
-    )
-    fe = FiniteExtension(
-        g_oracle, ext_letters, problem["cosets"], problem["one"], problem["table"]
-    )
-    v_words: List[tuple] = []
-    u_words: List[tuple] = []
-    pending: tuple = ()
-    for spec in problem["items"]:
-        if spec[0] == "const":
-            pending = pending + tuple(spec[1])
-        else:
-            v_words.append(pending)
-            pending = ()
-            u_words.append(tuple(spec[1]))
-    v_words.append(pending)
-    solvable = finite_ext_reduce(fe, v_words, u_words, g_oracle)
-    out.kv("status", "solvable" if solvable else "unsolvable")
-    return EXIT_SOLVABLE if solvable else EXIT_UNSOLVABLE
-
-
-def cmd_hnn(args, out: Output) -> int:
-    expansion_cap, _ = _default_caps(args)
-    inst = parse_instance(args.file.read(), expansion_cap)
-    problem = inst.problem
-    if problem["kind"] != "hnn":
-        raise FormatError("hnn needs an hnn block")
-    base = build_oracle(inst, problem["base"])
-    from .transfer import HnnPresentation, hnn_knapsack
-
-    h = HnnPresentation(
-        base, problem["assoc+"], problem["assoc-"], problem["phi"], problem["stable"]
-    )
-    solvable = hnn_knapsack(h, problem["items"], problem["target"])
-    out.kv("status", "solvable" if solvable else "unsolvable")
-    return EXIT_SOLVABLE if solvable else EXIT_UNSOLVABLE
-
-
-def cmd_amalgam(args, out: Output) -> int:
-    expansion_cap, _ = _default_caps(args)
-    inst = parse_instance(args.file.read(), expansion_cap)
-    problem = inst.problem
-    if problem["kind"] != "amalgam":
-        raise FormatError("amalgam needs an amalgam block")
-    left = build_oracle(inst, problem["left"])
-    right = build_oracle(inst, problem["right"])
-    from .transfer import AmalgamPresentation, amalgam_knapsack
-
-    embed_left = {f: w[0] for f, w in problem["fmap"].items()}
-    embed_right = {f: w[1] for f, w in problem["fmap"].items()}
-    am = AmalgamPresentation(
-        left,
-        right,
-        problem["felems"],
-        problem["ftable"],
-        problem["fid"],
-        embed_left,
-        embed_right,
-    )
-    solvable = amalgam_knapsack(am, problem["items"], problem["target"])
-    out.kv("status", "solvable" if solvable else "unsolvable")
-    return EXIT_SOLVABLE if solvable else EXIT_UNSOLVABLE
-
-
-def _run_instance(text: str, mode: str, cap: Optional[int], out: Output) -> int:
-    """Run an instance file with the command its problem block calls for."""
-    sub = argparse.Namespace(file=_StringFile(text), mode=mode, cap=cap, assign=None)
-    expansion_cap, _ = _default_caps(sub)
-    kind = parse_instance(text, expansion_cap).problem["kind"]
-    if kind in ("eq", "knapsack", "ka"):
-        return cmd_solve(sub, out)
-    if kind == "extension":
-        return cmd_finite_ext(sub, out)
-    if kind == "hnn":
-        return cmd_hnn(sub, out)
-    return cmd_amalgam(sub, out)
-
-
 def cmd_bench(args, out: Output) -> int:
     """Run every ``*.gg`` file of a directory; exit 4 on any ``# expect-exit`` mismatch.
 
-    Each file goes through the same error-to-exit mapping as a direct call,
-    so a file that fails to parse or exceeds a cap gets the code that the
-    command itself would return.  A file whose directives cannot be read
-    counts as a mismatch.
+    Each file is parsed once and answered by ``run``, with the same
+    error-to-exit mapping as a direct call, so a file that fails to parse or
+    exceeds a cap gets the code that the command itself would return.  A
+    file whose directives cannot be read counts as a mismatch.
     """
     import glob
-    import io
-    from contextlib import redirect_stdout
 
-    pattern = os.path.join(args.dir, "*.gg")
+    caps = _default_caps(args)
     results = []
-    for path in sorted(glob.glob(pattern)):
+    for path in sorted(glob.glob(os.path.join(args.dir, "*.gg"))):
         name = os.path.basename(path)
         started = time.monotonic()
         with open(path) as fh:
@@ -261,15 +213,11 @@ def cmd_bench(args, out: Output) -> int:
             expected, mode_hint = scan_directives(text)
         except FormatError:
             expected, mode_hint = "unreadable", None
-        with redirect_stdout(io.StringIO()):
-            code = run_reporting(
-                _run_instance,
-                text,
-                mode_hint or args.mode,
-                args.cap,
-                Output(machine=True),
-                label=f"{name}: ",
-            )
+        mode = mode_hint or args.mode
+        code = run_reporting(
+            lambda: _status_exit(run(parse_instance(text, caps[0]), mode, caps).status),
+            label=f"{name}: ",
+        )
         elapsed = time.monotonic() - started
         results.append((name, code, expected, elapsed))
     mismatches = 0
@@ -280,14 +228,6 @@ def cmd_bench(args, out: Output) -> int:
             line += f" expected={expected}"
         out.kv(name, line)
     return EXIT_ERROR if mismatches else EXIT_SOLVABLE
-
-
-class _StringFile:
-    def __init__(self, text):
-        self._text = text
-
-    def read(self):
-        return self._text
 
 
 def cmd_gen_mihailova(args, out: Output) -> int:
@@ -317,7 +257,7 @@ def make_parser() -> argparse.ArgumentParser:
             )
 
     p_solve = sub.add_parser("solve", help="solve an equation/knapsack/ka instance")
-    p_solve.add_argument("--mode", choices=("exact", "search", "relax"), default="exact")
+    p_solve.add_argument("--mode", choices=MODES, default="exact")
     add_common(p_solve)
     p_verify = sub.add_parser("verify", help="verify an assignment")
     p_verify.add_argument("--assign", default="", help="x=1,y=2")
@@ -331,7 +271,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_am = sub.add_parser("amalgam", help="amalgamated-product transfer instance")
     add_common(p_am)
     p_bench = sub.add_parser("bench", help="run a directory of instances")
-    p_bench.add_argument("--mode", choices=("exact", "search", "relax"), default="exact")
+    p_bench.add_argument("--mode", choices=MODES, default="exact")
     p_bench.add_argument("--cap", type=int, default=None)
     p_bench.add_argument("dir")
     p_gen = sub.add_parser("gen-mihailova", help="emit a Mihailova-style instance")
@@ -366,12 +306,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     out = Output(machine=args.format == "machine")
     handlers = {
-        "solve": cmd_solve,
+        "solve": cmd_run,
         "verify": cmd_verify,
         "bound": cmd_bound,
-        "finite-ext": cmd_finite_ext,
-        "hnn": cmd_hnn,
-        "amalgam": cmd_amalgam,
+        "finite-ext": cmd_run,
+        "hnn": cmd_run,
+        "amalgam": cmd_run,
         "bench": cmd_bench,
         "gen-mihailova": cmd_gen_mihailova,
     }

@@ -31,12 +31,22 @@ block, optional SLP blocks and oracle definitions, and exactly one problem:
   fmap <f> left <word> right <word>     amalgam data + embedded knapsack
 
 Words are whitespace-separated letter tokens; inverses end in an apostrophe;
-``_`` spells the empty word.
+``_`` spells the empty word.  Two comments are directives: ``# expect-exit N``
+and ``# mode exact|search|relax``.
+
+``parse_instance`` returns an ``Instance`` whose ``problem`` is one of six
+dataclasses, one per block: ``EqProblem``, ``KnapsackProblem``, ``KaProblem``,
+``ExtensionProblem``, ``HnnProblem`` and ``AmalgamProblem``.  Each names the
+CLI command that answers it (``command``).  Line numbers are kept for error
+messages but take no part in equality, so ``parse_instance(format_instance(i))
+== i``.  The ``build_*`` functions turn a problem block into the objects the
+solver and the transfer algorithms take.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from .automata import EPS, Nfa
 from .errors import FormatError
@@ -44,6 +54,8 @@ from .groups import DoubledAlphabet, free_reduce
 from .slp import Slp, expand_capped
 from .traces import IndependenceAlphabet
 from .transfer.kauto import plain_alphabet
+
+MODES = ("exact", "search", "relax")
 
 
 def parse_word(tokens: Sequence[str]) -> tuple:
@@ -56,17 +68,192 @@ def format_word(word: Sequence[str]) -> str:
     return " ".join(word) if word else "_"
 
 
+def _word_lines(head: str, words: Sequence[Sequence[str]]) -> List[str]:
+    return [f"{head} {format_word(word)}" for word in words]
+
+
+def _line():
+    """A line number: reported in errors, ignored by ``==``."""
+    return field(default=None, compare=False)
+
+
+@dataclass
+class EqItem:
+    """An item of an ``eq`` or ``eqH`` block.
+
+    The constant ``word``, or the power ``word^var`` when ``var`` is set.  In
+    a compressed item (``constS``, ``powS``) ``slp`` names the SLP that spells
+    the word.
+    """
+
+    word: tuple = ()
+    var: Optional[str] = None
+    slp: Optional[str] = None
+    line: Optional[int] = _line()
+
+    def text(self) -> str:
+        if self.slp is not None:
+            return f"constS {self.slp}" if self.var is None else f"powS {self.slp} {self.var}"
+        if self.var is None:
+            return "const " + format_word(self.word)
+        return f"pow {format_word(self.word)} {self.var}"
+
+
+@dataclass
+class OracleSpec:
+    """``oracle <name> <kind> <args...>``: a base group of a transfer problem."""
+
+    kind: str
+    args: Tuple[str, ...] = ()
+    line: Optional[int] = _line()
+
+
+@dataclass
+class EqProblem:
+    """``eq``: the exponent equation v0 u1^x1 v1 ... un^xn vn = 1."""
+
+    kind: ClassVar[str] = "eq"
+    command: ClassVar[str] = "solve"
+    items: List[EqItem] = field(default_factory=list)
+    line: Optional[int] = _line()
+
+    def lines(self) -> List[str]:
+        return ["eq"] + [item.text() for item in self.items]
+
+
+@dataclass
+class KnapsackProblem:
+    """``knapsack``: is the target in u1^* ... un^*?"""
+
+    kind: ClassVar[str] = "knapsack"
+    command: ClassVar[str] = "solve"
+    items: List[tuple] = field(default_factory=list)
+    target: tuple = ()
+    line: Optional[int] = _line()
+
+    def lines(self) -> List[str]:
+        return ["knapsack"] + _word_lines("item", self.items) + _word_lines("target", [self.target])
+
+
+@dataclass
+class KaProblem:
+    """``ka``: is the target in the language of a knapsack automaton?"""
+
+    kind: ClassVar[str] = "ka"
+    command: ClassVar[str] = "solve"
+    states: List[str] = field(default_factory=list)
+    edges: List[Tuple[str, Optional[str], str]] = field(default_factory=list)
+    initial: Optional[str] = None
+    finals: List[str] = field(default_factory=list)
+    target: tuple = ()
+    line: Optional[int] = _line()
+
+    def lines(self) -> List[str]:
+        lines = ["ka"]
+        for state in self.states:
+            bits = [f"state {state}"]
+            if state == self.initial:
+                bits.append("initial")
+            if state in self.finals:
+                bits.append("final")
+            lines.append(" ".join(bits))
+        for src, label, dst in self.edges:
+            lines.append(f"edge {src} {'eps' if label is None else label} {dst}")
+        return lines + _word_lines("target", [self.target])
+
+
+@dataclass
+class ExtensionProblem:
+    """``extension``: an exponent equation over a finite extension of a base group."""
+
+    kind: ClassVar[str] = "extension"
+    command: ClassVar[str] = "finite-ext"
+    base: str = ""
+    cosets: List[str] = field(default_factory=list)
+    one: Optional[str] = None
+    table: Dict[Tuple[str, str], Tuple[tuple, str]] = field(default_factory=dict)
+    items: List[EqItem] = field(default_factory=list)
+    line: Optional[int] = _line()
+
+    def lines(self) -> List[str]:
+        lines = [f"extension base {self.base}", "cosets " + " ".join(self.cosets)]
+        lines.append(f"onecoset {self.one}")
+        for (c, b), (gword, c2) in sorted(self.table.items()):
+            middle = (" ".join(gword) + " ") if gword else ""
+            lines.append(f"coset {c} gen {b} -> {middle}{c2}")
+        return lines + ["eqH"] + [item.text() for item in self.items]
+
+
+@dataclass
+class HnnProblem:
+    """``hnn``: knapsack over an HNN-extension of a base group."""
+
+    kind: ClassVar[str] = "hnn"
+    command: ClassVar[str] = "hnn"
+    base: str = ""
+    stable: str = "t"
+    assoc_pos: List[tuple] = field(default_factory=list)
+    assoc_neg: List[tuple] = field(default_factory=list)
+    phi: List[Tuple[tuple, tuple]] = field(default_factory=list)
+    items: List[tuple] = field(default_factory=list)
+    target: tuple = ()
+    line: Optional[int] = _line()
+
+    def lines(self) -> List[str]:
+        return [
+            f"hnn base {self.base} stable {self.stable}",
+            *_word_lines("assoc +", self.assoc_pos),
+            *_word_lines("assoc -", self.assoc_neg),
+            *(f"phi {format_word(wp)} -> {format_word(wn)}" for wp, wn in self.phi),
+            *_word_lines("item", self.items),
+            *_word_lines("target", [self.target]),
+        ]
+
+
+@dataclass
+class AmalgamProblem:
+    """``amalgam``: knapsack over an amalgamated product over a finite group F."""
+
+    kind: ClassVar[str] = "amalgam"
+    command: ClassVar[str] = "amalgam"
+    left: str = ""
+    right: str = ""
+    felems: List[str] = field(default_factory=list)
+    ftable: Dict[Tuple[str, str], str] = field(default_factory=dict)
+    fid: Optional[str] = None
+    fmap: Dict[str, Tuple[tuple, tuple]] = field(default_factory=dict)
+    items: List[tuple] = field(default_factory=list)
+    target: tuple = ()
+    line: Optional[int] = _line()
+
+    def lines(self) -> List[str]:
+        lines = [f"amalgam left {self.left} right {self.right}", "felem " + " ".join(self.felems)]
+        lines.append(f"fid {self.fid}")
+        for (f, g), h in sorted(self.ftable.items()):
+            lines.append(f"ftable {f} {g} -> {h}")
+        for f, (lw, rw) in sorted(self.fmap.items()):
+            lines.append(f"fmap {f} left {format_word(lw)} right {format_word(rw)}")
+        return lines + _word_lines("item", self.items) + _word_lines("target", [self.target])
+
+
+Problem = Union[EqProblem, KnapsackProblem, KaProblem, ExtensionProblem, HnnProblem, AmalgamProblem]
+
+
+@dataclass
 class Instance:
     """Parsed instance file."""
 
-    def __init__(self):
-        self.base_alphabet: Optional[IndependenceAlphabet] = None
-        self.alphabet: Optional[DoubledAlphabet] = None
-        self.slps: Dict[str, Slp] = {}
-        self.oracles: Dict[str, dict] = {}
-        self.problem: Optional[dict] = None
-        self.expect_exit: Optional[int] = None
-        self.mode_hint: Optional[str] = None
+    problem: Problem
+    base_alphabet: Optional[IndependenceAlphabet] = None
+    slps: Dict[str, Slp] = field(default_factory=dict)
+    oracles: Dict[str, OracleSpec] = field(default_factory=dict)
+    expect_exit: Optional[int] = None
+    mode_hint: Optional[str] = None
+    alphabet: Optional[DoubledAlphabet] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        base = self.base_alphabet
+        self.alphabet = None if base is None else DoubledAlphabet(base)
 
     def require_alphabet(self) -> DoubledAlphabet:
         if self.alphabet is None:
@@ -74,18 +261,13 @@ class Instance:
         return self.alphabet
 
 
-def _slp_word(inst: Instance, name: str, cap: int, line: int) -> tuple:
-    if name not in inst.slps:
-        raise FormatError(f"unknown SLP {name!r}", line)
-    return expand_capped(inst.slps[name], cap)
-
-
 def scan_directives(text: str) -> Tuple[Optional[int], Optional[str]]:
     """The ``# expect-exit N`` and ``# mode M`` comments of an instance file.
 
     Reads comments only, so it succeeds on files whose body does not parse;
     the last occurrence of each directive wins.  A directive without its
-    argument, or a non-integer exit code, raises FormatError.
+    argument, a non-integer exit code, or a mode other than exact, search
+    and relax raises FormatError.
     """
     expect_exit: Optional[int] = None
     mode_hint: Optional[str] = None
@@ -99,34 +281,24 @@ def scan_directives(text: str) -> Tuple[Optional[int], Optional[str]]:
                 raise FormatError("expect-exit takes an exit code", lineno)
             expect_exit = int(words[1])
         if comment.startswith("mode "):
+            if words[1] not in MODES:
+                raise FormatError(f"mode takes one of {', '.join(MODES)}", lineno)
             mode_hint = words[1]
     return expect_exit, mode_hint
 
 
 def parse_instance(text: str, expansion_cap: int = 10**6) -> Instance:
-    inst = Instance()
     gens: List[str] = []
     indep: List[Tuple[str, str]] = []
     current_slp: Optional[str] = None
     slp_rules: Dict[str, Dict[str, tuple]] = {}
-    slp_starts: Dict[str, str] = {}
-    problem: Optional[dict] = None
+    oracles: Dict[str, OracleSpec] = {}
+    problem = None
     section: Optional[str] = None
 
-    def alphabet_ready():
-        if inst.alphabet is None:
-            if not gens:
-                raise FormatError("gens line must precede the problem block")
-            inst.base_alphabet = IndependenceAlphabet(tuple(gens), indep)
-            inst.alphabet = DoubledAlphabet(inst.base_alphabet)
-        return inst.alphabet
-
-    inst.expect_exit, inst.mode_hint = scan_directives(text)
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
-        tokens = raw.split()
+    expect_exit, mode_hint = scan_directives(text)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
         head, rest = tokens[0], tokens[1:]
@@ -141,7 +313,6 @@ def parse_instance(text: str, expansion_cap: int = 10**6) -> Instance:
                 if len(rest) != 1:
                     raise FormatError("slp takes the start variable", lineno)
                 current_slp = rest[0]
-                slp_starts[current_slp] = rest[0]
                 slp_rules.setdefault(current_slp, {})
                 section = "slp"
             elif head == "rule":
@@ -152,71 +323,55 @@ def parse_instance(text: str, expansion_cap: int = 10**6) -> Instance:
                 body = parse_word(rest[2:]) if rest[2:] else ()
                 slp_rules[current_slp][rest[0]] = body
             elif head == "eq":
-                problem = {"kind": "eq", "items": [], "line": lineno}
+                problem = EqProblem(line=lineno)
                 section = "eq"
-            elif head == "const" and section == "eq":
-                problem["items"].append(("const", parse_word(rest)))
-            elif head == "pow" and section == "eq":
+            elif head == "const" and section in ("eq", "extension-eq"):
+                problem.items.append(EqItem(parse_word(rest), line=lineno))
+            elif head == "pow" and section in ("eq", "extension-eq"):
                 if len(rest) < 2:
                     raise FormatError("pow takes a word and a variable", lineno)
-                problem["items"].append(("pow", parse_word(rest[:-1]), rest[-1]))
+                problem.items.append(EqItem(parse_word(rest[:-1]), rest[-1], line=lineno))
             elif head == "constS" and section == "eq":
-                problem["items"].append(("constS", rest[0], lineno))
+                problem.items.append(EqItem(slp=rest[0], line=lineno))
             elif head == "powS" and section == "eq":
                 if len(rest) != 2:
                     raise FormatError("powS takes an SLP name and a variable", lineno)
-                problem["items"].append(("powS", rest[0], rest[1], lineno))
+                problem.items.append(EqItem(var=rest[1], slp=rest[0], line=lineno))
             elif head == "knapsack":
-                problem = {"kind": "knapsack", "items": [], "target": (), "line": lineno}
+                problem = KnapsackProblem(line=lineno)
                 section = "knapsack"
-            elif head == "item" and section == "knapsack":
-                problem["items"].append(parse_word(rest))
+            elif head == "item" and section in ("knapsack", "hnn", "amalgam"):
+                problem.items.append(parse_word(rest))
+            elif head == "target" and section in ("knapsack", "ka", "hnn", "amalgam"):
+                problem.target = parse_word(rest)
             elif head == "ka":
-                problem = {
-                    "kind": "ka",
-                    "states": [],
-                    "edges": [],
-                    "initial": None,
-                    "finals": [],
-                    "target": (),
-                    "line": lineno,
-                }
+                problem = KaProblem(line=lineno)
                 section = "ka"
             elif head == "state" and section == "ka":
                 name = rest[0]
-                problem["states"].append(name)
+                problem.states.append(name)
                 if "initial" in rest[1:]:
-                    problem["initial"] = name
+                    problem.initial = name
                 if "final" in rest[1:]:
-                    problem["finals"].append(name)
+                    problem.finals.append(name)
             elif head == "edge" and section == "ka":
                 if len(rest) != 3:
                     raise FormatError("edge syntax: edge from letter to", lineno)
                 label = None if rest[1] == "eps" else rest[1]
-                problem["edges"].append((rest[0], label, rest[2]))
-            elif head == "target" and section in ("knapsack", "ka"):
-                problem["target"] = parse_word(rest)
+                problem.edges.append((rest[0], label, rest[2]))
             elif head == "oracle":
                 if len(rest) < 2:
                     raise FormatError("oracle syntax: oracle name kind ...", lineno)
-                inst.oracles[rest[0]] = {"kind": rest[1], "args": rest[2:], "line": lineno}
+                oracles[rest[0]] = OracleSpec(rest[1], tuple(rest[2:]), lineno)
             elif head == "extension":
                 if len(rest) != 2 or rest[0] != "base":
                     raise FormatError("extension syntax: extension base <oracle>", lineno)
-                problem = {
-                    "kind": "extension",
-                    "base": rest[1],
-                    "cosets": [],
-                    "one": None,
-                    "table": {},
-                    "items": [],
-                    "line": lineno,
-                }
+                problem = ExtensionProblem(base=rest[1], line=lineno)
                 section = "extension"
             elif head == "cosets" and section == "extension":
-                problem["cosets"].extend(rest)
+                problem.cosets.extend(rest)
             elif head == "onecoset" and section == "extension":
-                problem["one"] = rest[0]
+                problem.one = rest[0]
             elif head == "coset" and section == "extension":
                 # coset <c> gen <b> -> <gword...> <c'>
                 if len(rest) < 5 or rest[1] != "gen" or rest[3] != "->":
@@ -224,70 +379,42 @@ def parse_instance(text: str, expansion_cap: int = 10**6) -> Instance:
                         "coset syntax: coset c gen b -> gword c'", lineno
                     )
                 gword = parse_word(rest[4:-1]) if rest[4:-1] else ()
-                problem["table"][(rest[0], rest[2])] = (gword, rest[-1])
+                problem.table[(rest[0], rest[2])] = (gword, rest[-1])
             elif head == "eqH" and section == "extension":
-                problem["items"] = []
+                problem.items = []
                 section = "extension-eq"
-            elif head == "const" and section == "extension-eq":
-                problem["items"].append(("const", parse_word(rest)))
-            elif head == "pow" and section == "extension-eq":
-                problem["items"].append(("pow", parse_word(rest[:-1]), rest[-1]))
             elif head == "hnn":
                 if len(rest) != 4 or rest[0] != "base" or rest[2] != "stable":
                     raise FormatError("hnn syntax: hnn base <oracle> stable <t>", lineno)
-                problem = {
-                    "kind": "hnn",
-                    "base": rest[1],
-                    "stable": rest[3],
-                    "assoc+": [],
-                    "assoc-": [],
-                    "phi": [],
-                    "items": [],
-                    "target": (),
-                    "line": lineno,
-                }
+                problem = HnnProblem(base=rest[1], stable=rest[3], line=lineno)
                 section = "hnn"
             elif head == "assoc" and section == "hnn":
                 if rest[0] not in ("+", "-"):
                     raise FormatError("assoc takes + or -", lineno)
-                problem["assoc" + rest[0]].append(parse_word(rest[1:]))
+                assoc = problem.assoc_pos if rest[0] == "+" else problem.assoc_neg
+                assoc.append(parse_word(rest[1:]))
             elif head == "phi" and section == "hnn":
                 if "->" not in rest:
                     raise FormatError("phi syntax: phi word -> word", lineno)
                 arrow = rest.index("->")
-                problem["phi"].append(
+                problem.phi.append(
                     (parse_word(rest[:arrow]), parse_word(rest[arrow + 1 :]))
                 )
-            elif head == "item" and section == "hnn":
-                problem["items"].append(parse_word(rest))
-            elif head == "target" and section == "hnn":
-                problem["target"] = parse_word(rest)
             elif head == "amalgam":
                 if len(rest) != 4 or rest[0] != "left" or rest[2] != "right":
                     raise FormatError(
                         "amalgam syntax: amalgam left <oracle> right <oracle>", lineno
                     )
-                problem = {
-                    "kind": "amalgam",
-                    "left": rest[1],
-                    "right": rest[3],
-                    "felems": [],
-                    "ftable": {},
-                    "fid": None,
-                    "fmap": {},
-                    "items": [],
-                    "target": (),
-                    "line": lineno,
-                }
+                problem = AmalgamProblem(left=rest[1], right=rest[3], line=lineno)
                 section = "amalgam"
             elif head == "felem" and section == "amalgam":
-                problem["felems"].extend(rest)
+                problem.felems.extend(rest)
             elif head == "fid" and section == "amalgam":
-                problem["fid"] = rest[0]
+                problem.fid = rest[0]
             elif head == "ftable" and section == "amalgam":
                 if len(rest) != 4 or rest[2] != "->":
                     raise FormatError("ftable syntax: ftable f g -> h", lineno)
-                problem["ftable"][(rest[0], rest[1])] = rest[3]
+                problem.ftable[(rest[0], rest[1])] = rest[3]
             elif head == "fmap" and section == "amalgam":
                 if "left" not in rest or "right" not in rest:
                     raise FormatError(
@@ -295,14 +422,10 @@ def parse_instance(text: str, expansion_cap: int = 10**6) -> Instance:
                     )
                 li = rest.index("left")
                 ri = rest.index("right")
-                problem["fmap"][rest[0]] = (
+                problem.fmap[rest[0]] = (
                     parse_word(rest[li + 1 : ri]),
                     parse_word(rest[ri + 1 :]),
                 )
-            elif head == "item" and section == "amalgam":
-                problem["items"].append(parse_word(rest))
-            elif head == "target" and section == "amalgam":
-                problem["target"] = parse_word(rest)
             else:
                 raise FormatError(f"unrecognized directive {head!r}", lineno)
         except FormatError:
@@ -310,46 +433,38 @@ def parse_instance(text: str, expansion_cap: int = 10**6) -> Instance:
         except (IndexError, ValueError) as exc:
             raise FormatError(str(exc), lineno) from exc
 
+    slps: Dict[str, Slp] = {}
     for name, rules in slp_rules.items():
         try:
-            inst.slps[name] = Slp(rules, slp_starts[name])
+            slps[name] = Slp(rules, name)
         except Exception as exc:
             raise FormatError(f"bad SLP {name!r}: {exc}") from exc
     if problem is None:
         raise FormatError("no problem block found")
-    inst.problem = problem
-    if problem["kind"] in ("eq", "knapsack", "ka"):
-        alphabet_ready()
-    elif gens:
-        alphabet_ready()
-    return inst
+    base_alphabet = IndependenceAlphabet(tuple(gens), indep) if gens else None
+    return Instance(problem, base_alphabet, slps, oracles, expect_exit, mode_hint)
 
 
 def build_equation(inst: Instance, expansion_cap: int = 10**6):
     """ExponentEquation from an eq/knapsack problem block."""
-    from .solver.equations import Const, ExponentEquation, Power
+    from .solver.equations import Const, ExponentEquation, Power, knapsack_to_equation
 
-    alphabet = inst.require_alphabet()
     problem = inst.problem
+    if not isinstance(problem, (EqProblem, KnapsackProblem)):
+        raise FormatError(f"problem kind {problem.kind} is not an equation")
+    alphabet = inst.require_alphabet()
+    if isinstance(problem, KnapsackProblem):
+        return knapsack_to_equation(alphabet, problem.items, problem.target)
     items = []
-    if problem["kind"] == "eq":
-        for spec in problem["items"]:
-            if spec[0] == "const":
-                items.append(Const(free_reduce(alphabet, spec[1])))
-            elif spec[0] == "pow":
-                items.append(Power(free_reduce(alphabet, spec[1]), spec[2]))
-            elif spec[0] == "constS":
-                word = _slp_word(inst, spec[1], expansion_cap, spec[2])
-                items.append(Const(free_reduce(alphabet, word)))
-            elif spec[0] == "powS":
-                word = _slp_word(inst, spec[1], expansion_cap, spec[3])
-                items.append(Power(free_reduce(alphabet, word), spec[2]))
-        return ExponentEquation(alphabet, items)
-    if problem["kind"] == "knapsack":
-        from .solver.equations import knapsack_to_equation
-
-        return knapsack_to_equation(alphabet, problem["items"], problem["target"])
-    raise FormatError(f"problem kind {problem['kind']} is not an equation")
+    for item in problem.items:
+        word = item.word
+        if item.slp is not None:
+            if item.slp not in inst.slps:
+                raise FormatError(f"unknown SLP {item.slp!r}", item.line)
+            word = expand_capped(inst.slps[item.slp], expansion_cap)
+        word = free_reduce(alphabet, word)
+        items.append(Const(word) if item.var is None else Power(word, item.var))
+    return ExponentEquation(alphabet, items)
 
 
 def build_ka(inst: Instance):
@@ -358,17 +473,62 @@ def build_ka(inst: Instance):
 
     alphabet = inst.require_alphabet()
     problem = inst.problem
-    if problem["initial"] is None:
-        raise FormatError("ka block needs an initial state", problem["line"])
+    if problem.initial is None:
+        raise FormatError("ka block needs an initial state", problem.line)
     label_alphabet = plain_alphabet(alphabet.letters)
-    nfa = Nfa(
-        label_alphabet,
-        problem["states"],
-        problem["edges"],
-        problem["initial"],
-        problem["finals"],
+    nfa = Nfa(label_alphabet, problem.states, problem.edges, problem.initial, problem.finals)
+    return KnapsackAutomaton(nfa), problem.target
+
+
+def build_extension(inst: Instance):
+    """FiniteExtension and the words v0..vn, u1..un of an extension block.
+
+    The ``eqH`` items spell v0 u1^x1 v1 ... un^xn vn = 1: consecutive
+    constants merge into one v word, and the extension letters are the
+    coset table's generators without their inverses.
+    """
+    from .transfer import FiniteExtension
+
+    problem = inst.problem
+    ext_letters = sorted({b for (_, b) in problem.table})
+    ext_letters = tuple(
+        dict.fromkeys(b[:-1] if b.endswith("'") else b for b in ext_letters)
     )
-    return KnapsackAutomaton(nfa), problem["target"]
+    fe = FiniteExtension(
+        build_oracle(inst, problem.base), ext_letters, problem.cosets, problem.one, problem.table
+    )
+    v_words: List[tuple] = []
+    u_words: List[tuple] = []
+    pending: tuple = ()
+    for item in problem.items:
+        if item.var is None:
+            pending = pending + item.word
+        else:
+            v_words.append(pending)
+            pending = ()
+            u_words.append(item.word)
+    v_words.append(pending)
+    return fe, v_words, u_words
+
+
+def build_hnn(inst: Instance):
+    """HnnPresentation of an hnn block."""
+    from .transfer import HnnPresentation
+
+    p = inst.problem
+    return HnnPresentation(build_oracle(inst, p.base), p.assoc_pos, p.assoc_neg, p.phi, p.stable)
+
+
+def build_amalgam(inst: Instance):
+    """AmalgamPresentation of an amalgam block; ``fmap`` gives both embeddings of F."""
+    from .transfer import AmalgamPresentation
+
+    p = inst.problem
+    left = build_oracle(inst, p.left)
+    right = build_oracle(inst, p.right)
+    embed_left = {f: w[0] for f, w in p.fmap.items()}
+    embed_right = {f: w[1] for f, w in p.fmap.items()}
+    return AmalgamPresentation(left, right, p.felems, p.ftable, p.fid, embed_left, embed_right)
 
 
 def build_oracle(inst: Instance, name: str):
@@ -383,18 +543,18 @@ def build_oracle(inst: Instance, name: str):
     if name not in inst.oracles:
         raise FormatError(f"unknown oracle {name!r}")
     spec = inst.oracles[name]
-    kind, args = spec["kind"], spec["args"]
+    kind, args = spec.kind, spec.args
     if kind == "z":
         return ZOracle(args[0] if args else "a")
     if kind == "free":
-        return FreeGroupOracle(tuple(args))
+        return FreeGroupOracle(args)
     if kind == "finite-cyclic":
         return FiniteGroupOracle.cyclic(int(args[0]), args[1] if len(args) > 1 else "g")
     if kind == "product":
         return FreeProductOracle(build_oracle(inst, args[0]), build_oracle(inst, args[1]))
     if kind == "graph":
         return GraphGroupOracle(inst.require_alphabet())
-    raise FormatError(f"unknown oracle kind {kind!r}", spec["line"])
+    raise FormatError(f"unknown oracle kind {kind!r}", spec.line)
 
 
 def dump_automaton(nfa: Nfa) -> str:
@@ -468,95 +628,6 @@ def format_instance(inst: Instance) -> str:
         for var, body in slp.rhs.items():
             lines.append(f"rule {var} -> {format_word(body)}")
     for name, spec in sorted(inst.oracles.items()):
-        lines.append(f"oracle {name} {spec['kind']} " + " ".join(spec["args"]))
-    p = inst.problem
-    kind = p["kind"]
-    if kind == "eq":
-        lines.append("eq")
-        for item in p["items"]:
-            if item[0] == "const":
-                lines.append("const " + format_word(item[1]))
-            elif item[0] == "pow":
-                lines.append(f"pow {format_word(item[1])} {item[2]}")
-            elif item[0] == "constS":
-                lines.append(f"constS {item[1]}")
-            elif item[0] == "powS":
-                lines.append(f"powS {item[1]} {item[2]}")
-    elif kind == "knapsack":
-        lines.append("knapsack")
-        for word in p["items"]:
-            lines.append("item " + format_word(word))
-        lines.append("target " + format_word(p["target"]))
-    elif kind == "ka":
-        lines.append("ka")
-        for state in p["states"]:
-            bits = [f"state {state}"]
-            if state == p["initial"]:
-                bits.append("initial")
-            if state in p["finals"]:
-                bits.append("final")
-            lines.append(" ".join(bits))
-        for src, label, dst in p["edges"]:
-            lines.append(f"edge {src} {'eps' if label is None else label} {dst}")
-        lines.append("target " + format_word(p["target"]))
-    elif kind == "extension":
-        lines.append(f"extension base {p['base']}")
-        lines.append("cosets " + " ".join(p["cosets"]))
-        lines.append(f"onecoset {p['one']}")
-        for (c, b), (gword, c2) in sorted(p["table"].items()):
-            middle = (" ".join(gword) + " ") if gword else ""
-            lines.append(f"coset {c} gen {b} -> {middle}{c2}")
-        lines.append("eqH")
-        for item in p["items"]:
-            if item[0] == "const":
-                lines.append("const " + format_word(item[1]))
-            else:
-                lines.append(f"pow {format_word(item[1])} {item[2]}")
-    elif kind == "hnn":
-        lines.append(f"hnn base {p['base']} stable {p['stable']}")
-        for w in p["assoc+"]:
-            lines.append("assoc + " + format_word(w))
-        for w in p["assoc-"]:
-            lines.append("assoc - " + format_word(w))
-        for wp, wn in p["phi"]:
-            lines.append(f"phi {format_word(wp)} -> {format_word(wn)}")
-        for word in p["items"]:
-            lines.append("item " + format_word(word))
-        lines.append("target " + format_word(p["target"]))
-    elif kind == "amalgam":
-        lines.append(f"amalgam left {p['left']} right {p['right']}")
-        lines.append("felem " + " ".join(p["felems"]))
-        lines.append(f"fid {p['fid']}")
-        for (f, g), h in sorted(p["ftable"].items()):
-            lines.append(f"ftable {f} {g} -> {h}")
-        for f, (lw, rw) in sorted(p["fmap"].items()):
-            lines.append(f"fmap {f} left {format_word(lw)} right {format_word(rw)}")
-        for word in p["items"]:
-            lines.append("item " + format_word(word))
-        lines.append("target " + format_word(p["target"]))
+        lines.append(f"oracle {name} {spec.kind} " + " ".join(spec.args))
+    lines.extend(inst.problem.lines())
     return "\n".join(lines) + "\n"
-
-
-def instances_structurally_equal(a: Instance, b: Instance) -> bool:
-    def problem_key(inst):
-        p = dict(inst.problem)
-        p.pop("line", None)
-        if p.get("kind") == "eq":
-            # strip the line numbers kept for compressed-item error reporting
-            p["items"] = [
-                item[:2] if item[0] == "constS" else
-                item[:3] if item[0] == "powS" else item
-                for item in p["items"]
-            ]
-        return p
-
-    return (
-        a.base_alphabet == b.base_alphabet
-        and {n: (s.rhs, s.start) for n, s in a.slps.items()}
-        == {n: (s.rhs, s.start) for n, s in b.slps.items()}
-        and {
-            n: (o["kind"], tuple(o["args"])) for n, o in a.oracles.items()
-        }
-        == {n: (o["kind"], tuple(o["args"])) for n, o in b.oracles.items()}
-        and problem_key(a) == problem_key(b)
-    )

@@ -395,7 +395,6 @@ def identify_variables(s: SemilinearSet, f: Dict[int, int]) -> SemilinearSet:
         if f[f[i]] != f[i]:
             raise StructureError("representatives must map to themselves")
     reps = sorted(set(f[i] for i in range(n)))
-    rep_index = {r: k for k, r in enumerate(reps)}
     out = []
     for comp in s.components:
         m = len(comp.periods)

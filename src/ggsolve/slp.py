@@ -66,6 +66,9 @@ class Slp:
     def size(self) -> int:
         return sum(len(body) for body in self.rhs.values())
 
+    def __eq__(self, other):
+        return isinstance(other, Slp) and (self.start, self.rhs) == (other.start, other.rhs)
+
     def __repr__(self):
         return f"Slp(start={self.start}, size={self.size()}, vars={len(self.rhs)})"
 
@@ -79,15 +82,6 @@ def val_length(g: Slp) -> int:
             total += lengths[token] if is_variable_token(token) else 1
         lengths[var] = total
     return lengths[g.start]
-
-
-def var_lengths(g: Slp) -> Dict[str, int]:
-    lengths: Dict[str, int] = {}
-    for var in g._order:
-        lengths[var] = sum(
-            lengths[t] if is_variable_token(t) else 1 for t in g.rhs[var]
-        )
-    return lengths
 
 
 def expand_capped(g: Slp, cap: int) -> tuple:

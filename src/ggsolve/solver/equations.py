@@ -199,13 +199,15 @@ def preprocess(e: ExponentEquation) -> ExponentEquation:
     return ExponentEquation(alphabet, items, e.vars)
 
 
-def brute_oracle(e: ExponentEquation, cap: int) -> Set[tuple]:
-    """Exhaustive grid search over [0,cap]^k; assignments as tuples over e.vars."""
-    k = len(e.vars)
+def _memo_holds(e: ExponentEquation):
+    """A test of value tuples over ``e.vars``: does the product evaluate to 1?
+
+    Multiplies item by item with checked ``mult``; each power ``u^k`` is
+    computed once and kept for the later tuples.
+    """
     power_tables: Dict[Tuple[GroupElement, int], GroupElement] = {}
-    solutions: Set[tuple] = set()
-    big = 10**9
-    for values in iproduct(range(cap + 1), repeat=k):
+
+    def holds(values) -> bool:
         sigma = dict(zip(e.vars, values))
         acc = identity(e.alphabet)
         for item in e.items:
@@ -215,12 +217,17 @@ def brute_oracle(e: ExponentEquation, cap: int) -> Set[tuple]:
                 key = (item.base, sigma[item.var])
                 step = power_tables.get(key)
                 if step is None:
-                    step = power_nf(item.base, sigma[item.var], big)
-                    power_tables[key] = step
+                    step = power_tables[key] = power_nf(item.base, key[1], 10**9)
             acc, _ = mult(acc, step)
-        if acc.is_identity():
-            solutions.add(values)
-    return solutions
+        return acc.is_identity()
+
+    return holds
+
+
+def brute_oracle(e: ExponentEquation, cap: int) -> Set[tuple]:
+    """Exhaustive grid search over [0,cap]^k; assignments as tuples over e.vars."""
+    holds = _memo_holds(e)
+    return {values for values in iproduct(range(cap + 1), repeat=len(e.vars)) if holds(values)}
 
 
 def _letter_balance(g: GroupElement, base: str) -> int:
@@ -319,24 +326,7 @@ def solve_search(e: ExponentEquation, cap: int = 15) -> SolveReport:
             timings={"total": time.monotonic() - t0},
         )
     k = len(e.vars)
-    big = 10**9
-    power_tables: Dict[Tuple[GroupElement, int], GroupElement] = {}
-
-    def eval_values(values) -> bool:
-        sigma = dict(zip(e.vars, values))
-        acc = identity(e.alphabet)
-        for item in e.items:
-            if isinstance(item, Const):
-                step = item.value
-            else:
-                key = (item.base, sigma[item.var])
-                step = power_tables.get(key)
-                if step is None:
-                    step = power_nf(item.base, sigma[item.var], big)
-                    power_tables[key] = step
-            acc, _ = mult(acc, step)
-        return acc.is_identity()
-
+    eval_values = _memo_holds(e)
     if k == 0:
         ok = eval_values(())
         return SolveReport(

@@ -12,17 +12,9 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from ..automata import EPS, Nfa
-from ..errors import StructureError
 from .kauto import KnapsackAutomaton, ShapeInfo, _Builder, plain_alphabet
 from .hnn import _surgery
 from .oracles import FreeProductOracle, GroupOracle
-
-
-def _factor_sets(left: GroupOracle, right: GroupOracle):
-    ls, rs = set(left.letters), set(right.letters)
-    if ls & rs:
-        raise StructureError("free-product factors must use disjoint letters")
-    return ls, rs
 
 
 def free_product_normalize(

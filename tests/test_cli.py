@@ -14,6 +14,7 @@ from ggsolve.cli import main
 from ggsolve.errors import FormatError
 from ggsolve.groups import SignedPile
 from ggsolve.formats import (
+    EqProblem,
     build_equation,
     dump_automaton,
     parse_automaton,
@@ -142,6 +143,13 @@ class TestVerifyCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize("assign", ["x=abc", "x", "x=-1"])
+    def test_malformed_assign_exits_3(self, tmp_path, assign):
+        path = write(tmp_path, "gens a\neq\npow a x\nconst a'\n")
+        code, out = run_cli(["--format", "machine", "verify", "--assign", assign, path])
+        assert code == 3
+        assert out == ""
+
     def test_verify_identity_base_huge_exponent(self, tmp_path):
         """A power of the identity streams nothing, whatever its exponent."""
         path = write(tmp_path, "gens a b\neq\npow a a' x\npow b y\nconst b'\n")
@@ -178,6 +186,7 @@ class TestOptimizedInterpreter:
         """The internal checks raise explicitly, so they survive ``python -O``."""
         tests = [
             "tests/test_cli.py::TestFailClosed",
+            "tests/test_cli.py::TestVerifyCommand::test_malformed_assign_exits_3",
             "tests/test_groups.py::TestMult",
             "tests/test_solver.py::TestVerify::test_simple",
             "tests/test_solver.py::TestVerify::test_resource_exceeded",
@@ -257,7 +266,7 @@ class TestMihailova:
         )
         assert code == 0
         inst = parse_instance(out)
-        assert inst.problem["kind"] == "eq"
+        assert isinstance(inst.problem, EqProblem)
 
     def test_roundtrip_parse(self):
         text = gen_mihailova(("a", "b"), [("a", "b", "a'", "b'")], ("a",), 2)
@@ -272,18 +281,54 @@ class TestGoldenCorpus:
         assert len(paths) == 20
         for path in paths:
             inst = parse_instance(open(path).read())
-            mode = inst.mode_hint or "exact"
-            kind = inst.problem["kind"]
-            if kind in ("eq", "knapsack", "ka"):
-                argv = ["solve", "--mode", mode, path]
-            elif kind == "extension":
-                argv = ["finite-ext", path]
-            elif kind == "hnn":
-                argv = ["hnn", path]
-            else:
-                argv = ["amalgam", path]
+            mode = ["--mode", inst.mode_hint] if inst.mode_hint else []
+            argv = [inst.problem.command, *mode, path]
             code, _ = run_cli(["--format", "machine"] + argv)
             assert code == inst.expect_exit, path
+
+    # exit codes per command: solve, verify (no --assign), bound, finite-ext, hnn, amalgam
+    MATRIX = {
+        "01_z_double.gg": (0, 4, 0, 3, 3, 3),
+        "13_knapsack_block.gg": (0, 4, 0, 3, 3, 3),
+        "15_ka_member.gg": (0, 3, 3, 3, 3, 3),
+        "17_extension_dinf.gg": (3, 3, 3, 0, 3, 3),
+        "18_hnn_z2z.gg": (3, 3, 3, 3, 0, 3),
+        "19_amalgam_z4.gg": (3, 3, 3, 3, 3, 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MATRIX))
+    def test_command_matrix(self, name):
+        """A block answers only its own command; others exit 3 (verify needs --assign)."""
+        path = os.path.join(CORPUS, name)
+        commands = ("solve", "verify", "bound", "finite-ext", "hnn", "amalgam")
+        codes = tuple(run_cli(["--format", "machine", c, path])[0] for c in commands)
+        assert codes == self.MATRIX[name]
+
+    def test_bench_parses_each_file_once(self, monkeypatch):
+        import ggsolve.cli as cli
+
+        calls = []
+        parse = cli.parse_instance
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_instance", counting)
+        code, _ = run_cli(["--format", "machine", "bench", CORPUS])
+        assert code == 0
+        assert len(calls) == 20
+
+    def test_unknown_mode_is_a_parse_error(self, tmp_path):
+        body = "gens a b\neq\npow a x\npow b y\npow a z\nconst b\n"
+        path = write(tmp_path, "# expect-exit 1\n# mode exact\n" + body, "exact.gg")
+        assert run_cli(["solve", path])[0] == 1
+        path = write(tmp_path, "# expect-exit 1\n# mode bogus\n" + body, "bogus.gg")
+        assert run_cli(["solve", path])[0] == 3
+        os.remove(tmp_path / "exact.gg")
+        code, out = run_cli(["--format", "machine", "bench", str(tmp_path)])
+        assert code == 4
+        assert "bogus.gg=exit=3 " in out and "expected=unreadable" in out
 
     def test_bench_runs(self):
         code, out = run_cli(["--format", "machine", "bench", CORPUS])
@@ -323,8 +368,8 @@ class TestGoldenCorpus:
 
 class TestRoundTrip:
     def test_parse_print_parse_corpus(self):
-        """parse(print(instance)) is structurally the instance, corpus-wide."""
-        from ggsolve.formats import format_instance, instances_structurally_equal
+        """parse(print(instance)) is the instance, corpus-wide."""
+        from ggsolve.formats import format_instance
 
         paths = sorted(glob.glob(os.path.join(CORPUS, "*.gg")))
         assert len(paths) == 20
@@ -332,6 +377,6 @@ class TestRoundTrip:
             inst = parse_instance(open(path).read())
             text = format_instance(inst)
             inst2 = parse_instance(text)
-            assert instances_structurally_equal(inst, inst2), path
+            assert inst2 == inst, path
             # printing is idempotent
             assert format_instance(inst2) == text, path
