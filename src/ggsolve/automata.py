@@ -46,7 +46,6 @@ class Nfa:
         "i_diamond",
         "memorizing",
         "_out",
-        "_eps_closure",
     )
 
     def __init__(
@@ -83,7 +82,6 @@ class Nfa:
         self.i_diamond = bool(i_diamond)
         self.memorizing = dict(memorizing) if memorizing is not None else None
         self._out = None
-        self._eps_closure = None
         if validate:
             if self.i_diamond:
                 self.validate_i_diamond()
@@ -106,8 +104,6 @@ class Nfa:
         return any(a is EPS for _, a, _ in self.transitions)
 
     def eps_closure(self, states: Iterable) -> FrozenSet:
-        if self._eps_closure is None:
-            self._eps_closure = {}
         result = set()
         stack = list(states)
         while stack:
@@ -184,6 +180,25 @@ class Nfa:
             raise CertificateError("alpha map must be total")
 
 
+def reachable(starts: Iterable, adj: Dict) -> set:
+    """Every state reachable from ``starts`` (included) along ``adj``.
+
+    ``adj`` maps a state to its successors; a missing key means none.  The
+    states are added depth first, in the order the successors are listed.
+    """
+    seen: set = set()
+    stack: List = []
+    nxt = starts
+    while True:
+        for s in nxt:
+            if s not in seen:
+                seen.add(s)
+                stack.append(s)
+        if not stack:
+            return seen
+        nxt = adj.get(stack.pop(), ())
+
+
 def trim(nfa: Nfa) -> Nfa:
     """Restrict to accessible and co-accessible states (language preserved).
 
@@ -196,21 +211,7 @@ def trim(nfa: Nfa) -> Nfa:
     for p, _, q in nfa.transitions:
         fwd[p].add(q)
         bwd[q].add(p)
-
-    def reach(starts, adj):
-        seen = set(starts)
-        stack = list(starts)
-        while stack:
-            s = stack.pop()
-            for t in adj[s]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
-
-    acc = reach([nfa.initial], fwd)
-    coacc = reach(list(nfa.finals), bwd)
-    keep = acc & coacc
+    keep = reachable([nfa.initial], fwd) & reachable(nfa.finals, bwd)
     if nfa.initial not in keep:
         # empty language: single dead initial state
         return Nfa(nfa.alphabet, [nfa.initial], [], nfa.initial, [])
@@ -616,18 +617,7 @@ def benois_saturate(a: Nfa) -> Nfa:
         for p, x, q in trans:
             if x is EPS:
                 adj[p].add(q)
-        closure = {}
-        for s in a.states:
-            seen = {s}
-            stack = [s]
-            while stack:
-                t = stack.pop()
-                for r in adj[t]:
-                    if r not in seen:
-                        seen.add(r)
-                        stack.append(r)
-            closure[s] = seen
-        return closure
+        return {s: reachable([s], adj) for s in a.states}
 
     changed = True
     while changed:

@@ -7,8 +7,9 @@ block they answer; ``bench`` runs every file of a directory.
 
 Exit codes: 0 = solvable/true, 1 = unsolvable (certified), 2 = unknown or
 limits exceeded, 3 = parse error (also a block the command does not answer,
-a malformed ``--assign`` and an unknown ``# mode``), 4 = other error
-(including a failed internal check).  ``bench`` exits 4 when a file's exit
+a malformed ``--assign`` or ``oracle`` line, a letter outside the alphabet
+and an unknown ``# mode``), 4 = other error (including a failed internal
+check and any unexpected exception).  ``bench`` exits 4 when a file's exit
 code differs from its ``# expect-exit`` line.  ``--format machine`` prints
 line-oriented key=value output.
 """
@@ -142,7 +143,7 @@ def run(inst: Instance, mode: str, caps: Tuple[int, int]):
 def cmd_run(args, out: Output) -> int:
     """solve, finite-ext, hnn and amalgam: run a file whose block the command answers."""
     caps = _default_caps(args)
-    inst = parse_instance(args.file.read(), caps[0])
+    inst = parse_instance(args.file.read())
     if inst.problem.command != args.command:
         raise FormatError(
             f"{args.command} does not answer {inst.problem.kind} blocks; "
@@ -166,8 +167,7 @@ def _parse_assign(text: str) -> dict:
 
 def cmd_verify(args, out: Output) -> int:
     expansion_cap, _ = _default_caps(args)
-    inst = parse_instance(args.file.read(), expansion_cap)
-    e = build_equation(inst, expansion_cap)
+    e = build_equation(parse_instance(args.file.read()), expansion_cap)
     sigma = _parse_assign(args.assign)
     from .solver import verify
 
@@ -184,8 +184,7 @@ def cmd_verify(args, out: Output) -> int:
 
 def cmd_bound(args, out: Output) -> int:
     expansion_cap, _ = _default_caps(args)
-    inst = parse_instance(args.file.read(), expansion_cap)
-    e = build_equation(inst, expansion_cap)
+    e = build_equation(parse_instance(args.file.read()), expansion_cap)
     from .solver.equations import bound_report_string, preprocess
 
     out.kv("bound", bound_report_string(preprocess(e)))
@@ -215,7 +214,7 @@ def cmd_bench(args, out: Output) -> int:
             expected, mode_hint = "unreadable", None
         mode = mode_hint or args.mode
         code = run_reporting(
-            lambda: _status_exit(run(parse_instance(text, caps[0]), mode, caps).status),
+            lambda: _status_exit(run(parse_instance(text), mode, caps).status),
             label=f"{name}: ",
         )
         elapsed = time.monotonic() - started
@@ -283,9 +282,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def run_reporting(command, *args, label: str = "") -> int:
-    """Call a command and return its exit code; a library error becomes its exit code.
+    """Call a command and return its exit code; an error becomes its exit code.
 
-    The error is reported on stderr, prefixed with ``label``.
+    The error is reported on stderr, prefixed with ``label``.  An exception
+    that is not a library error is a fault of the program: exit 4 with its
+    traceback, never the exit 1 of an uncaught exception, which would read
+    as "certified unsolvable".
     """
     try:
         return command(*args)
@@ -298,6 +300,12 @@ def run_reporting(command, *args, label: str = "") -> int:
     except GgError as exc:
         kind = "internal error" if isinstance(exc, InternalError) else "error"
         print(f"{label}{kind}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        print(f"{label}internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

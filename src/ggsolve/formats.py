@@ -50,8 +50,8 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from .automata import EPS, Nfa
 from .errors import FormatError
-from .groups import DoubledAlphabet, free_reduce
-from .slp import Slp, expand_capped
+from .groups import DoubledAlphabet, free_reduce, inverse_letter
+from .slp import Slp, expand_capped, is_variable_token
 from .traces import IndependenceAlphabet
 from .transfer.kauto import plain_alphabet
 
@@ -287,7 +287,7 @@ def scan_directives(text: str) -> Tuple[Optional[int], Optional[str]]:
     return expect_exit, mode_hint
 
 
-def parse_instance(text: str, expansion_cap: int = 10**6) -> Instance:
+def parse_instance(text: str) -> Instance:
     gens: List[str] = []
     indep: List[Tuple[str, str]] = []
     current_slp: Optional[str] = None
@@ -445,6 +445,19 @@ def parse_instance(text: str, expansion_cap: int = 10**6) -> Instance:
     return Instance(problem, base_alphabet, slps, oracles, expect_exit, mode_hint)
 
 
+def _check_letters(letters, words, line, where: str) -> None:
+    """FormatError for the first letter of ``words`` outside ``letters``.
+
+    ``line`` is the line of the word, or of its block when the block keeps
+    no line per word; ``where`` says which.
+    """
+    for word in words:
+        for a in word:
+            if a not in letters:
+                message = f"{where}: letter {a!r} of {format_word(word)!r} is not in the alphabet"
+                raise FormatError(message, line)
+
+
 def build_equation(inst: Instance, expansion_cap: int = 10**6):
     """ExponentEquation from an eq/knapsack problem block."""
     from .solver.equations import Const, ExponentEquation, Power, knapsack_to_equation
@@ -453,7 +466,9 @@ def build_equation(inst: Instance, expansion_cap: int = 10**6):
     if not isinstance(problem, (EqProblem, KnapsackProblem)):
         raise FormatError(f"problem kind {problem.kind} is not an equation")
     alphabet = inst.require_alphabet()
+    letters = set(alphabet.letters)
     if isinstance(problem, KnapsackProblem):
+        _check_letters(letters, problem.items + [problem.target], problem.line, "knapsack block")
         return knapsack_to_equation(alphabet, problem.items, problem.target)
     items = []
     for item in problem.items:
@@ -461,7 +476,12 @@ def build_equation(inst: Instance, expansion_cap: int = 10**6):
         if item.slp is not None:
             if item.slp not in inst.slps:
                 raise FormatError(f"unknown SLP {item.slp!r}", item.line)
-            word = expand_capped(inst.slps[item.slp], expansion_cap)
+            slp = inst.slps[item.slp]
+            terminals = [[t for t in body if not is_variable_token(t)] for body in slp.rhs.values()]
+            _check_letters(letters, terminals, item.line, f"SLP {item.slp!r}")
+            word = expand_capped(slp, expansion_cap)
+        else:
+            _check_letters(letters, [word], item.line, "eq item")
         word = free_reduce(alphabet, word)
         items.append(Const(word) if item.var is None else Power(word, item.var))
     return ExponentEquation(alphabet, items)
@@ -475,6 +495,8 @@ def build_ka(inst: Instance):
     problem = inst.problem
     if problem.initial is None:
         raise FormatError("ka block needs an initial state", problem.line)
+    labels = [(a,) for _, a, _ in problem.edges if a is not EPS]
+    _check_letters(set(alphabet.letters), labels + [problem.target], problem.line, "ka block")
     label_alphabet = plain_alphabet(alphabet.letters)
     nfa = Nfa(label_alphabet, problem.states, problem.edges, problem.initial, problem.finals)
     return KnapsackAutomaton(nfa), problem.target
@@ -516,7 +538,12 @@ def build_hnn(inst: Instance):
     from .transfer import HnnPresentation
 
     p = inst.problem
-    return HnnPresentation(build_oracle(inst, p.base), p.assoc_pos, p.assoc_neg, p.phi, p.stable)
+    base = build_oracle(inst, p.base)
+    subgroup_words = p.assoc_pos + p.assoc_neg + [w for pair in p.phi for w in pair]
+    _check_letters(set(base.letters), subgroup_words, p.line, "hnn block, base-group word")
+    letters = {*base.letters, p.stable, inverse_letter(p.stable)}
+    _check_letters(letters, p.items + [p.target], p.line, "hnn block")
+    return HnnPresentation(base, p.assoc_pos, p.assoc_neg, p.phi, p.stable)
 
 
 def build_amalgam(inst: Instance):
@@ -528,6 +555,9 @@ def build_amalgam(inst: Instance):
     right = build_oracle(inst, p.right)
     embed_left = {f: w[0] for f, w in p.fmap.items()}
     embed_right = {f: w[1] for f, w in p.fmap.items()}
+    _check_letters(set(left.letters), embed_left.values(), p.line, "amalgam block, left fmap")
+    _check_letters(set(right.letters), embed_right.values(), p.line, "amalgam block, right fmap")
+    _check_letters({*left.letters, *right.letters}, p.items + [p.target], p.line, "amalgam block")
     return AmalgamPresentation(left, right, p.felems, p.ftable, p.fid, embed_left, embed_right)
 
 
@@ -549,8 +579,12 @@ def build_oracle(inst: Instance, name: str):
     if kind == "free":
         return FreeGroupOracle(args)
     if kind == "finite-cyclic":
+        if not args or not args[0].isdecimal() or int(args[0]) < 1:
+            raise FormatError("finite-cyclic takes an order of at least 1", spec.line)
         return FiniteGroupOracle.cyclic(int(args[0]), args[1] if len(args) > 1 else "g")
     if kind == "product":
+        if len(args) != 2:
+            raise FormatError("product takes exactly two factor oracles", spec.line)
         return FreeProductOracle(build_oracle(inst, args[0]), build_oracle(inst, args[1]))
     if kind == "graph":
         return GraphGroupOracle(inst.require_alphabet())

@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..errors import InternalError
 from ..groups import GroupElement, identity, invert_word, mult, power_nf
 from ..semilinear import (
     LinearSet,
@@ -40,6 +41,7 @@ from .equations import (
     SolveReport,
     bound_report_string,
     preprocess,
+    verify,
 )
 
 _BIG = 10**9
@@ -174,8 +176,9 @@ def solve_exact(e: ExponentEquation, limits: Optional[Limits] = None) -> SolveRe
                 note="exhaustive pipeline produced the empty set",
                 timings={"total": time.monotonic() - t0},
             )
-        witness_vec = solset.components[0].base
-        witness = dict(zip(e.vars, witness_vec))
+        witness = dict(zip(e.vars, solset.components[0].base))
+        if not verify(e, witness):
+            raise InternalError(f"exact witness {witness} does not solve the equation")
         return SolveReport(
             status="solvable",
             witness=witness,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import StructureError
+from ..errors import InternalError, StructureError
 from ..groups import inverse_letter
 from .kauto import equation_chain_ka
 from .oracles import GroupOracle
@@ -106,7 +106,7 @@ def _orbit_parameters(f: Dict[str, str], m: int) -> Tuple[Dict[str, str], int]:
         cur = {c: f[cur[c]] for c in cur}
         if cur == fm:
             return fm, k
-    raise AssertionError("coset map has no period")  # pragma: no cover
+    raise InternalError("coset map has no period")  # pragma: no cover
 
 
 def finite_ext_reduce(
@@ -170,11 +170,10 @@ def finite_ext_reduce(
                     break
                 # bracketed pieces rewritten into G
                 a_word, c_after = fe.rewrite(ds[i], tuple(us[i]) * m)
-                assert c_after == e_i
                 b_word, c_loop = fe.rewrite(e_i, tuple(us[i]) * k_i)
-                assert c_loop == e_i
                 tail_word, c_tail = fe.rewrite(e_i, tuple(us[i]) * r_i + tuple(vs[i + 1]))
-                assert c_tail == ds[i + 1]
+                if (c_after, c_loop, c_tail) != (e_i, e_i, ds[i + 1]):
+                    raise InternalError("bracketed pieces end in the wrong cosets")
                 g_vs.append(tuple(head) + a_word)
                 g_bases.append(b_word)
                 head = tail_word

@@ -9,27 +9,22 @@ cycles, and every edge entering a cycle is an epsilon edge.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
-from ..automata import EPS, Nfa
-from .kauto import KnapsackAutomaton, ShapeInfo, _Builder, plain_alphabet
-from .hnn import _surgery
+from ..automata import EPS, reachable
+from .kauto import KnapsackAutomaton, ShapeInfo, _Builder
 from .oracles import FreeProductOracle, GroupOracle
 
 
-def free_product_normalize(
-    left: GroupOracle, right: GroupOracle, ka: KnapsackAutomaton
-) -> KnapsackAutomaton:
+def free_product_normalize(ka: KnapsackAutomaton) -> KnapsackAutomaton:
     """Enforce the three invariants with epsilon splitting."""
-    letters = tuple(left.letters) + tuple(right.letters)
-    alphabet = plain_alphabet(letters)
     b = _Builder.from_nfa(ka.nfa)
     changed = True
     while changed:
         changed = False
-        shape = ShapeInfo(b.to_nfa(alphabet))
+        shape = ShapeInfo(b.to_nfa())
         if shape.on_cycle(b.initial):
-            fresh = b.fresh_nonclashing("i")
+            fresh = b.fresh("i")
             b.edge(fresh, EPS, b.initial)
             if b.initial in b.finals:
                 b.finals.add(fresh)
@@ -39,7 +34,7 @@ def free_product_normalize(
         cyc_finals = [f for f in b.finals if shape.on_cycle(f)]
         if cyc_finals:
             f = cyc_finals[0]
-            fresh = b.fresh_nonclashing("f")
+            fresh = b.fresh("f")
             b.edge(f, EPS, fresh)
             b.finals.discard(f)
             b.finals.add(fresh)
@@ -52,31 +47,20 @@ def free_product_normalize(
                 continue  # the cycle's own edge
             if a is EPS and not shape.on_cycle(p):
                 continue  # already a conforming entry edge
-            fresh = b.fresh_nonclashing("m")
+            fresh = b.fresh("m")
             b.edges.discard((p, a, q))
             b.edge(p, a, fresh)
             b.edge(fresh, EPS, q)
             changed = True
             break
-    return KnapsackAutomaton(b.to_nfa(alphabet))
+    return KnapsackAutomaton(b.to_nfa())
 
 
-def _cycle_letter_count(shape: ShapeInfo) -> int:
-    total = 0
-    for cid, comp in enumerate(shape.components):
-        if not shape.is_cycle[cid]:
-            continue
-        for s in comp:
-            a, _ = shape.cycle_next[s]
-            if a is not EPS:
-                total += 1
-    return total
+def _find_cycle_reduction(oracle: FreeProductOracle, shape: ShapeInfo):
+    """A one-factor identity path on a cycle whose cycle has other-factor letters.
 
-
-def _find_cycle_reduction(
-    oracle: FreeProductOracle, b: _Builder, shape: ShapeInfo, alphabet
-):
-    """A one-factor identity path on a cycle whose cycle has other-factor letters."""
+    Returns (p, q, edges, ()): the shortcut is an epsilon edge.
+    """
     for cid, comp in enumerate(shape.components):
         if not shape.is_cycle[cid]:
             continue
@@ -101,7 +85,7 @@ def _find_cycle_reduction(
                         word.append(a)
                     cur = nxt
                     if word and oracle.factor(i).is_identity(word):
-                        return p, cur, list(edges)
+                        return p, cur, edges, ()
     return None
 
 
@@ -110,56 +94,27 @@ def free_product_saturate(
 ) -> bool:
     """Does the automaton accept a word representing 1 in the free product?"""
     oracle = FreeProductOracle(left, right)
-    letters = oracle.letters
-    alphabet = plain_alphabet(letters)
-    ka = free_product_normalize(left, right, ka)
-    b = _Builder.from_nfa(ka.nfa)
-
-    # Phase 1: cycles
-    while True:
-        shape = ShapeInfo(b.to_nfa(alphabet))
-        before = _cycle_letter_count(shape)
-        hit = _find_cycle_reduction(oracle, b, shape, alphabet)
-        if hit is None:
-            break
-        p, q, edges = hit
-        _surgery(None, b, p, q, edges, (), eps_into_cycle=True)
-        shape2 = ShapeInfo(b.to_nfa(alphabet))  # revalidate the certificate
-        after = _cycle_letter_count(shape2)
-        assert after < before, "phase-1 surgery must remove letters from cycles"
+    b = _Builder.from_nfa(free_product_normalize(ka).nfa)
+    b.saturate_cycles(
+        lambda shape: _find_cycle_reduction(oracle, shape), set(oracle.letters), eps_into_cycle=True
+    )
 
     # Phase 2: cross-component reduction paths get epsilon shortcuts
     added: Set[tuple] = set()
     while True:
-        shape = ShapeInfo(b.to_nfa(alphabet))
+        shape = ShapeInfo(b.to_nfa())
         grew = False
         states = list(b.states)
-        for i in (0, 1):
-            factor_letters = {a for a in letters if oracle.factor_of(a) == i}
-            sub_edges = [
-                (p, a, q)
-                for (p, a, q) in b.edges
-                if a is EPS or a in factor_letters
-            ]
-            adj: Dict = {}
-            for (p, a, q) in sub_edges:
-                adj.setdefault(p, set()).add(q)
+        for factor in (left, right):
+            part = b.restrict(factor.letters)
             for p in states:
-                reach = set()
-                stack = [p]
-                while stack:
-                    s = stack.pop()
-                    for d in adj.get(s, ()):
-                        if d not in reach:
-                            reach.add(d)
-                            stack.append(d)
-                for q in reach:
+                # states at the end of a nonempty path from p
+                for q in reachable(part.adj.get(p, ()), part.adj):
                     if p == q or shape.comp_of[p] == shape.comp_of[q]:
                         continue
                     if (p, q) in added or (p, EPS, q) in b.edges:
                         continue
-                    sub = Nfa(alphabet, b.states, sub_edges, p, [q])
-                    if oracle.factor(i).ka_membership(sub, ()):
+                    if factor.ka_membership(part.cut(p, [q]), ()):
                         added.add((p, q))
                         b.edge(p, EPS, q)
                         grew = True
@@ -167,12 +122,7 @@ def free_product_saturate(
             break
 
     # Final: some factor restriction accepts a word representing 1
-    for i in (0, 1):
-        factor_letters = {a for a in letters if oracle.factor_of(a) == i}
-        sub_edges = [
-            (p, a, q) for (p, a, q) in b.edges if a is EPS or a in factor_letters
-        ]
-        sub = Nfa(alphabet, b.states, sub_edges, b.initial, b.finals)
-        if oracle.factor(i).ka_membership(sub, ()):
+    for factor in (left, right):
+        if factor.ka_membership(b.restrict(factor.letters).cut(b.initial, b.finals), ()):
             return True
     return False

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..automata import EPS, Nfa
+from ..automata import EPS, reachable
 from ..errors import StructureError
 from ..groups import inverse_letter, invert_word
-from .kauto import KnapsackAutomaton, ShapeInfo, _Builder, hnn_normalize, plain_alphabet
+from .kauto import KnapsackAutomaton, ShapeInfo, _Builder, hnn_normalize
 from .oracles import GroupOracle
 
 
@@ -108,21 +108,8 @@ class HnnPresentation:
         return self.assoc[1][inv[index]]
 
 
-def _cycle_t_letters(shape: ShapeInfo, stable: str) -> int:
-    tset = {stable, inverse_letter(stable)}
-    total = 0
-    for cid, comp in enumerate(shape.components):
-        if not shape.is_cycle[cid]:
-            continue
-        for s in comp:
-            a, _ = shape.cycle_next[s]
-            if a in tset:
-                total += 1
-    return total
-
-
-def _find_cycle_reduction(h: HnnPresentation, b: _Builder, shape: ShapeInfo):
-    """A reduction path along some cycle: (p, alpha, elem_index, q, edges)."""
+def _find_cycle_reduction(h: HnnPresentation, shape: ShapeInfo):
+    """A reduction path along some cycle and its shortcut: (p, q, edges, phi word)."""
     t, ti = h.stable, inverse_letter(h.stable)
     for cid, comp in enumerate(shape.components):
         if not shape.is_cycle[cid]:
@@ -155,129 +142,21 @@ def _find_cycle_reduction(h: HnnPresentation, b: _Builder, shape: ShapeInfo):
                 continue
             idx = h.element_index(alpha, tuple(word))
             if idx is not None:
-                return p, alpha, idx, ok, edges
+                return p, ok, edges, h.phi_image(alpha, idx)
     return None
-
-
-def _surgery(
-    h: HnnPresentation, b: _Builder, p, q, edges, label_word, eps_into_cycle=False
-) -> None:
-    """Replace the reduction path with a shortcut; graft the three bypass families.
-
-    Path: p = r_0 -labels[0]-> r_1 ... -labels[n-1]-> r_n = q.  The interior
-    r_1..r_{n-1} is removed.  With ``eps_into_cycle`` the arriving bypasses
-    end in an extra epsilon edge (free-product invariant iii).
-    """
-    path_states = [p] + [e[2] for e in edges]
-    interior_set = set(path_states[1:-1])
-    pos = {s: i for i, s in enumerate(path_states[:-1]) if i > 0}
-    path_edge_set = set(edges)
-    arriving = []  # (s, v, i): outside edge into interior r_i
-    leaving = []  # (i, v, s): edge from interior r_i to the outside
-    for (src, a, dst) in list(b.edges):
-        if (src, a, dst) in path_edge_set:
-            continue
-        if dst in interior_set and src not in interior_set:
-            arriving.append((src, a, pos[dst]))
-        if src in interior_set and dst not in interior_set:
-            leaving.append((pos[src], a, dst))
-    n = len(edges)
-    labels = [e[1] for e in edges]
-    # remove path edges and the interior with every incident edge
-    for e in edges:
-        b.edges.discard(e)
-    b.edges = {
-        (src, a, dst)
-        for (src, a, dst) in b.edges
-        if src not in interior_set and dst not in interior_set
-    }
-    b.states = [s for s in b.states if s not in interior_set]
-    b_word_path(b, p, label_word, q)
-
-    def chain(start, letters, end, entry=None):
-        """start -entry-> . -letters...-> end (fresh states in between)."""
-        seq = ([entry] if entry is not None else []) + list(letters)
-        cur = start
-        for a in seq[:-1]:
-            nxt = b.fresh_nonclashing("y")
-            b.edge(cur, a, nxt)
-            cur = nxt
-        b.edge(cur, seq[-1], end)
-
-    # arriving: s -v-> . -labels[i..n-1]-> q
-    for (s, v, i) in arriving:
-        if eps_into_cycle:
-            chain(s, labels[i:] + [EPS], q, entry=v)
-        else:
-            chain(s, labels[i:], q, entry=v)
-    # leaving: p -labels[0..i-1]-> . -v-> s
-    for (i, v, s) in leaving:
-        chain(p, labels[:i] + [v], s)
-    # pairs: s -v-> . -labels[i..j-1]-> . -v'-> s'   for i < j
-    for (s, v, i) in arriving:
-        for (j, v2, s2) in leaving:
-            if i < j:
-                chain(s, labels[i:j] + [v2], s2, entry=v)
-
-
-def b_word_path(b: _Builder, p, word, q):
-    word = tuple(word)
-    if not word:
-        b.edge(p, EPS, q)
-        return
-    cur = p
-    for a in word[:-1]:
-        nxt = b.fresh_nonclashing("c")
-        b.edge(cur, a, nxt)
-        cur = nxt
-    b.edge(cur, word[-1], q)
 
 
 def hnn_saturate(h: HnnPresentation, ka: KnapsackAutomaton) -> bool:
     """Does the automaton accept a word representing 1 in the HNN-extension?"""
     t, ti = h.stable, inverse_letter(h.stable)
-    ka = hnn_normalize(ka)
-    b = _Builder.from_nfa(ka.nfa)
-    alphabet = plain_alphabet(h.letters)
-
-    # Phase 1: saturate the cycles
-    while True:
-        nfa = b.to_nfa(alphabet)
-        shape = ShapeInfo(nfa)
-        before = _cycle_t_letters(shape, t)
-        hit = _find_cycle_reduction(h, b, shape)
-        if hit is None:
-            break
-        p, alpha, idx, q, edges = hit
-        _surgery(h, b, p, q, edges, h.phi_image(alpha, idx))
-        nfa2 = b.to_nfa(alphabet)
-        shape2 = ShapeInfo(nfa2)  # revalidates the knapsack certificate
-        after = _cycle_t_letters(shape2, t)
-        assert after < before, "phase-1 surgery must remove stable letters from cycles"
+    b = _Builder.from_nfa(hnn_normalize(ka).nfa)
+    b.saturate_cycles(lambda shape: _find_cycle_reduction(h, shape), {t, ti})
 
     # Phase 2: shortcut reduction paths across components
     added: Set[tuple] = set()
     while True:
-        nfa = b.to_nfa(alphabet)
-        shape = ShapeInfo(nfa)
-        base_edges = [
-            (p, a, q) for (p, a, q) in b.edges if a not in (t, ti)
-        ]
-        base_adj: Dict = {}
-        for (p, a, q) in base_edges:
-            base_adj.setdefault(p, set()).add(q)
-
-        def base_reach(src) -> Set:
-            seen = {src}
-            stack = [src]
-            while stack:
-                s = stack.pop()
-                for d in base_adj.get(s, ()):
-                    if d not in seen:
-                        seen.add(d)
-                        stack.append(d)
-            return seen
-
+        shape = ShapeInfo(b.to_nfa())
+        base = b.restrict(h.base.letters)
         t_in = {}  # alpha -> list of (p, p') reading t^{-alpha}
         t_out = {}  # alpha -> list of (q', q) reading t^{alpha}
         t_in[1] = [(p, q) for (p, a, q) in b.edges if a == ti]
@@ -287,34 +166,26 @@ def hnn_saturate(h: HnnPresentation, ka: KnapsackAutomaton) -> bool:
         grew = False
         for alpha in (1, -1):
             for (p, p2) in t_in[alpha]:
-                reach = base_reach(p2)
+                reach = reachable([p2], base.adj)
                 for (q2, q) in t_out[alpha]:
                     if q2 not in reach:
                         continue
                     if shape.comp_of.get(p) == shape.comp_of.get(q):
                         continue
+                    sub = base.cut(p2, [q2])
                     for idx, rep in enumerate(h.assoc[alpha]):
                         key = (p, q, alpha, idx)
                         if key in added:
                             continue
-                        sub = Nfa(
-                            alphabet,
-                            b.states,
-                            base_edges,
-                            p2,
-                            [q2],
-                        )
                         if h.base.ka_membership(sub, rep):
                             added.add(key)
-                            b_word_path(b, p, h.phi_image(alpha, idx), q)
+                            b.path(p, h.phi_image(alpha, idx), q, "c")
                             grew = True
         if not grew:
             break
 
     # Final: drop the stable-letter edges and ask the base oracle about 1
-    final_edges = [(p, a, q) for (p, a, q) in b.edges if a not in (t, ti)]
-    final = Nfa(alphabet, b.states, final_edges, b.initial, b.finals)
-    return h.base.ka_membership(final, ())
+    return h.base.ka_membership(b.restrict(h.base.letters).cut(b.initial, b.finals), ())
 
 
 def hnn_knapsack(

@@ -1,4 +1,5 @@
-"""Knapsack automata: shape certificate, chain constructions, skeletons, normalization.
+"""Knapsack automata: shape certificate, chain constructions, skeletons, normalization,
+and the automaton toolkit (``_Builder``) both saturations run on.
 
 A knapsack automaton is an NFA whose strongly connected components are
 singletons or induced cycles; epsilon edges count as edges for the SCC
@@ -12,7 +13,7 @@ import itertools
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..automata import EPS, Nfa
-from ..errors import CertificateError, StructureError
+from ..errors import CertificateError, InternalError, StructureError
 from ..traces import IndependenceAlphabet
 
 
@@ -133,6 +134,10 @@ class ShapeInfo:
     def on_cycle(self, state) -> bool:
         return self.is_cycle[self.comp_of[state]]
 
+    def cycle_letters(self, counted) -> int:
+        """Number of cycle edges labelled in ``counted``."""
+        return sum(a in counted for a, _ in self.cycle_next.values())
+
     def cycle_states(self, state) -> Set:
         return self.components[self.comp_of[state]]
 
@@ -176,67 +181,140 @@ class KnapsackAutomaton:
 
 
 class _Builder:
-    """Mutable automaton builder used by the chain constructions and saturation."""
+    """Mutable automaton builder: the toolkit of the chain constructions and saturations.
 
-    def __init__(self, letters: Sequence[str]):
-        self.letters = tuple(dict.fromkeys(letters))
-        self.states: List = []
+    ``states`` keeps the states in creation order (a dict used as an ordered
+    set); ``fresh`` names a new state by hint and counter, skipping names in
+    use.  The label alphabet travels with the builder into ``to_nfa``.
+    """
+
+    def __init__(self, alphabet: IndependenceAlphabet):
+        self.alphabet = alphabet
+        self.states: Dict = {}
         self.edges: Set[tuple] = set()
         self.initial = None
         self.finals: Set = set()
         self._counter = itertools.count()
 
-    def fresh(self, hint: str = "s"):
-        name = f"{hint}{next(self._counter)}"
-        self.states.append(name)
-        return name
-
-    def add_state(self, name):
-        if name not in self.states:
-            self.states.append(name)
-        return name
-
-    def edge(self, p, a, q):
-        self.edges.add((p, a, q))
-
-    def word_path(self, p, word: Sequence[str], q, hint: str = "w"):
-        """Edges spelling ``word`` from p to q; fresh chain states in between.
-
-        An empty word becomes a single epsilon edge (p == q allowed).
-        """
-        word = tuple(word)
-        if not word:
-            if p != q:
-                self.edge(p, EPS, q)
-            return
-        cur = p
-        for a in word[:-1]:
-            nxt = self.fresh(hint)
-            self.edge(cur, a, nxt)
-            cur = nxt
-        self.edge(cur, word[-1], q)
-
-    def to_nfa(self, alphabet: IndependenceAlphabet) -> Nfa:
-        return Nfa(
-            alphabet, self.states, self.edges, self.initial, self.finals
-        )
-
     @classmethod
     def from_nfa(cls, nfa: Nfa) -> "_Builder":
-        b = cls(nfa.alphabet.letters)
-        b.states = list(nfa.states)
+        b = cls(nfa.alphabet)
+        b.states = dict.fromkeys(nfa.states)
         b.edges = set(nfa.transitions)
         b.initial = nfa.initial
         b.finals = set(nfa.finals)
         return b
 
-    def fresh_nonclashing(self, hint="n"):
-        existing = set(self.states)
+    def to_nfa(self) -> Nfa:
+        return Nfa(self.alphabet, self.states, self.edges, self.initial, self.finals)
+
+    def fresh(self, hint: str = "s"):
         while True:
             name = f"{hint}{next(self._counter)}"
-            if name not in existing:
-                self.states.append(name)
+            if name not in self.states:
+                self.states[name] = None
                 return name
+
+    def edge(self, p, a, q):
+        self.edges.add((p, a, q))
+
+    def path(self, p, word: Sequence, q=None, hint: str = "s"):
+        """Edges spelling ``word`` from p to q through fresh states; returns q.
+
+        With q None the path ends in a fresh state, named after the inner
+        ones.  An empty word is a single epsilon edge.
+        """
+        *inner, last = tuple(word) or (EPS,)
+        for a in inner:
+            nxt = self.fresh(hint)
+            self.edge(p, a, nxt)
+            p = nxt
+        if q is None:
+            q = self.fresh(hint)
+        self.edge(p, last, q)
+        return q
+
+    def restrict(self, letters) -> "Restriction":
+        """The edges labelled epsilon or in ``letters``, to cut sub-automata from."""
+        return Restriction(self, letters)
+
+    def surgery(self, p, q, edges, word, eps_into_cycle: bool = False) -> None:
+        """Replace a reduction path by a shortcut; graft the three bypass families.
+
+        Path: p = r_0 -labels[0]-> r_1 ... -labels[n-1]-> r_n = q.  The
+        interior r_1..r_{n-1} goes with every incident edge, and p -word-> q
+        takes its place.  With ``eps_into_cycle`` the arriving bypasses end
+        in an extra epsilon edge (free-product invariant iii).
+        """
+        path_states = [p] + [e[2] for e in edges]
+        interior = set(path_states[1:-1])
+        pos = {s: i for i, s in enumerate(path_states[:-1]) if i > 0}
+        path_edges = set(edges)
+        arriving = []  # (s, [v], i): outside edge into interior r_i ([] for v = EPS)
+        leaving = []  # (i, v, s): edge from interior r_i to the outside
+        for (src, a, dst) in self.edges:
+            if (src, a, dst) in path_edges:
+                continue
+            if dst in interior and src not in interior:
+                arriving.append((src, [] if a is EPS else [a], pos[dst]))
+            if src in interior and dst not in interior:
+                leaving.append((pos[src], a, dst))
+        labels = [e[1] for e in edges]
+        self.edges = {
+            (src, a, dst)
+            for (src, a, dst) in self.edges
+            if (src, a, dst) not in path_edges and src not in interior and dst not in interior
+        }
+        for s in interior:
+            del self.states[s]
+        self.path(p, word, q, "c")
+        tail = [EPS] if eps_into_cycle else []
+        # arriving: s -v-> . -labels[i..n-1]-> q
+        for (s, v, i) in arriving:
+            self.path(s, v + labels[i:] + tail, q, "y")
+        # leaving: p -labels[0..i-1]-> . -v-> s
+        for (i, v, s) in leaving:
+            self.path(p, labels[:i] + [v], s, "y")
+        # pairs: s -v-> . -labels[i..j-1]-> . -v'-> s'   for i < j
+        for (s, v, i) in arriving:
+            for (j, v2, s2) in leaving:
+                if i < j:
+                    self.path(s, v + labels[i:j] + [v2], s2, "y")
+
+    def saturate_cycles(self, find_reduction, counted, eps_into_cycle: bool = False) -> None:
+        """Phase 1 of both saturations: cut reductions out of cycles until none is left.
+
+        ``find_reduction(shape)`` returns ``(p, q, edges, word)`` -- a
+        reduction path along a cycle and the word of its shortcut -- or None.
+        Every surgery must lower the number of cycle edges labelled in
+        ``counted``; that is what makes the loop end.
+        """
+        before = None
+        while True:
+            shape = ShapeInfo(self.to_nfa())  # revalidates the knapsack certificate
+            count = shape.cycle_letters(counted)
+            if before is not None and count >= before:
+                raise InternalError("phase-1 surgery must remove letters from cycles")
+            hit = find_reduction(shape)
+            if hit is None:
+                return
+            before = count
+            self.surgery(*hit, eps_into_cycle)
+
+
+class Restriction:
+    """A builder's edges labelled epsilon or in ``letters``, taken when it is made."""
+
+    def __init__(self, b: _Builder, letters):
+        self.builder = b
+        self.edges = [(p, a, q) for (p, a, q) in b.edges if a is EPS or a in letters]
+        self.adj: Dict = {}
+        for (p, _, q) in self.edges:
+            self.adj.setdefault(p, set()).add(q)
+
+    def cut(self, initial, finals) -> Nfa:
+        """The sub-automaton over these edges from ``initial`` to ``finals``."""
+        return Nfa(self.builder.alphabet, self.builder.states, self.edges, initial, finals)
 
 
 def equation_chain_ka(
@@ -252,7 +330,7 @@ def equation_chain_ka(
     """
     if len(v_words) != len(u_words) + 1:
         raise StructureError("need n+1 constants around n powers")
-    b = _Builder(letters)
+    b = _Builder(plain_alphabet(letters))
     start = b.fresh("c")
     b.initial = start
     endpoints = [start]
@@ -288,7 +366,7 @@ def equation_chain_ka(
         read_star(u)
         read_constant(v)
     b.finals = set(endpoints)
-    return KnapsackAutomaton(b.to_nfa(plain_alphabet(letters)))
+    return KnapsackAutomaton(b.to_nfa())
 
 
 def knapsack_to_ka(
@@ -306,12 +384,8 @@ def prepend_word(ka: KnapsackAutomaton, word: Sequence[str]) -> KnapsackAutomato
     if not word:
         return ka
     b = _Builder.from_nfa(ka.nfa)
-    cur = b.fresh_nonclashing("p")
-    start = cur
-    for a in word:
-        nxt = b.fresh_nonclashing("p")
-        b.edge(cur, a, nxt)
-        cur = nxt
+    start = b.fresh("p")
+    cur = b.path(start, word, hint="p")
     # no epsilon edge: the last chain state copies the old initial's out-edges
     old_init = b.initial
     for p, a, q in list(b.edges):
@@ -320,7 +394,7 @@ def prepend_word(ka: KnapsackAutomaton, word: Sequence[str]) -> KnapsackAutomato
     if old_init in b.finals:
         b.finals.add(cur)
     b.initial = start
-    return KnapsackAutomaton(b.to_nfa(ka.nfa.alphabet))
+    return KnapsackAutomaton(b.to_nfa())
 
 
 def skeletons(ka: KnapsackAutomaton, prepend: Sequence[str] = ()):
@@ -390,12 +464,11 @@ def hnn_normalize(ka: KnapsackAutomaton) -> KnapsackAutomaton:
     changed = True
     while changed:
         changed = False
-        nfa = b.to_nfa(plain_alphabet(b.letters))
-        shape = ShapeInfo(nfa)
+        shape = ShapeInfo(b.to_nfa())
         # (ii) initial off cycles
         if shape.on_cycle(b.initial):
             old = b.initial
-            fresh = b.fresh_nonclashing("i")
+            fresh = b.fresh("i")
             for p, a, q in list(b.edges):
                 if p == old:
                     b.edge(fresh, a, q)
@@ -408,7 +481,7 @@ def hnn_normalize(ka: KnapsackAutomaton) -> KnapsackAutomaton:
         cyc_finals = [f for f in b.finals if shape.on_cycle(f)]
         if cyc_finals:
             f = cyc_finals[0]
-            fresh = b.fresh_nonclashing("f")
+            fresh = b.fresh("f")
             for p, a, q in list(b.edges):
                 if q == f:
                     b.edge(p, a, fresh)
@@ -423,7 +496,7 @@ def hnn_normalize(ka: KnapsackAutomaton) -> KnapsackAutomaton:
                 and shape.on_cycle(q)
                 and shape.comp_of[p] != shape.comp_of[q]
             ):
-                fresh = b.fresh_nonclashing("m")
+                fresh = b.fresh("m")
                 b.edges.discard((p, a, q))
                 b.edge(p, a, fresh)
                 for p2, a2, q2 in list(b.edges):
@@ -433,4 +506,4 @@ def hnn_normalize(ka: KnapsackAutomaton) -> KnapsackAutomaton:
                     b.finals.add(fresh)
                 changed = True
                 break
-    return KnapsackAutomaton(b.to_nfa(plain_alphabet(b.letters)))
+    return KnapsackAutomaton(b.to_nfa())

@@ -22,11 +22,13 @@ from .kauto import KnapsackAutomaton, plain_alphabet, skeletons
 class GroupOracle:
     """Contract: a named generator alphabet plus two decision procedures.
 
-    ``ka_membership`` trims the automaton to its useful part and memoizes;
+    ``ka_membership`` homes the automaton on the oracle's label ``alphabet``
+    (built once per oracle), trims it to its useful part and memoizes;
     implementations override ``_member_impl``.
     """
 
     letters: Tuple[str, ...]
+    alphabet: IndependenceAlphabet
 
     def is_identity(self, word: Sequence[str]) -> bool:
         raise NotImplementedError
@@ -42,7 +44,7 @@ class GroupOracle:
         if cache is None:
             cache = {}
             self._member_cache = cache
-        trimmed = trim(self._rehome(nfa))
+        trimmed = trim(Nfa(self.alphabet, nfa.states, nfa.transitions, nfa.initial, nfa.finals))
         key = (
             trimmed.transitions,
             trimmed.initial,
@@ -54,11 +56,6 @@ class GroupOracle:
             hit = self._member_impl(trimmed, tuple(target_word))
             cache[key] = hit
         return hit
-
-    def _rehome(self, nfa: Nfa) -> Nfa:
-        """Rebuild the automaton over this oracle's own label alphabet."""
-        alphabet = plain_alphabet(self.letters)
-        return Nfa(alphabet, nfa.states, nfa.transitions, nfa.initial, nfa.finals)
 
 
 class FiniteGroupOracle(GroupOracle):
@@ -92,6 +89,7 @@ class FiniteGroupOracle(GroupOracle):
         for letter, elem in list(gen_map.items()):
             self.gen_map[inverse_letter(letter)] = self.inverse[elem]
         self.letters = tuple(self.gen_map)
+        self.alphabet = plain_alphabet(self.letters)
 
     @classmethod
     def cyclic(cls, n: int, letter: str = "g") -> "FiniteGroupOracle":
@@ -138,6 +136,7 @@ class ZOracle(GroupOracle):
     def __init__(self, letter: str = "a"):
         self.letter = letter
         self.letters = (letter, inverse_letter(letter))
+        self.alphabet = plain_alphabet(self.letters)
 
     def _weight(self, a: str) -> int:
         if a == self.letter:
@@ -175,8 +174,7 @@ class FreeGroupOracle(GroupOracle):
         return free_reduce(self.alphabet, word).is_identity()
 
     def _member_impl(self, nfa: Nfa, target_word) -> bool:
-        homed = Nfa(self.alphabet, nfa.states, nfa.transitions, nfa.initial, nfa.finals)
-        return benois_member(homed, tuple(target_word))
+        return benois_member(nfa, tuple(target_word))
 
 
 class GraphGroupOracle(GroupOracle):
@@ -195,8 +193,7 @@ class GraphGroupOracle(GroupOracle):
         from ..solver import solve_exact, solve_search
         from .kauto import skeleton_equations
 
-        homed = Nfa(self.alphabet, nfa.states, nfa.transitions, nfa.initial, nfa.finals)
-        ka = KnapsackAutomaton(homed)
+        ka = KnapsackAutomaton(nfa)
         prepend = invert_word(tuple(target_word))
         unknown = False
         for eq in skeleton_equations(ka, prepend, self.alphabet):
@@ -221,6 +218,7 @@ class FreeProductOracle(GroupOracle):
         self.left = left
         self.right = right
         self.letters = tuple(left.letters) + tuple(right.letters)
+        self.alphabet = plain_alphabet(self.letters)
         self._left_set = set(left.letters)
         self._right_set = set(right.letters)
 

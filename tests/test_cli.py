@@ -181,11 +181,75 @@ class TestFailClosed:
         assert code == 4
 
 
+HNN_Z2 = "oracle B finite-cyclic 2 g\nhnn base B stable t\nassoc + _\nassoc - _\nphi _ -> _\n"
+AMALGAM_Z4 = (
+    "oracle L finite-cyclic 4 g\noracle R finite-cyclic 4 h\namalgam left L right R\n"
+    "felem 1 z\nfid 1\nftable 1 1 -> 1\nftable 1 z -> z\nftable z 1 -> z\nftable z z -> 1\n"
+    "fmap 1 left _ right _\n"
+)
+
+
+class TestMalformedInput:
+    """Malformed files are parse errors (exit 3); no crash exits 1."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            HNN_Z2.replace("finite-cyclic 2 g", "finite-cyclic x g") + "item g\ntarget g\n",
+            "oracle A finite-cyclic 2 g\noracle P product A\n"
+            + HNN_Z2.replace("base B", "base P") + "item g\ntarget g\n",
+            HNN_Z2 + "assoc + z\nitem g\ntarget g\n",
+        ],
+        ids=["finite-cyclic-order", "product-one-factor", "assoc-letter"],
+    )
+    def test_malformed_oracle_or_subgroup_exits_3(self, tmp_path, text):
+        assert run_cli(["hnn", write(tmp_path, text)])[0] == 3
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("solve", "gens a\neq\npow a b x\n"),
+            ("solve", "gens a\nknapsack\nitem a\ntarget b\n"),
+            ("solve", "gens a b\nka\nstate s initial final\nedge s z s\ntarget _\n"),
+            ("hnn", HNN_Z2 + "item t h\ntarget _\n"),
+            ("amalgam", AMALGAM_Z4 + "fmap z left g g right h h\nitem q\ntarget _\n"),
+            ("amalgam", AMALGAM_Z4 + "fmap z left h h right g g\nitem g\ntarget _\n"),
+        ],
+        ids=["eq", "knapsack", "ka", "hnn", "amalgam", "amalgam-fmap"],
+    )
+    def test_unknown_letter_exits_3(self, tmp_path, command, text):
+        assert run_cli([command, write(tmp_path, text)])[0] == 3
+
+    def test_unexpected_exception_exits_4(self, tmp_path, monkeypatch, capsys):
+        import ggsolve.cli as cli
+
+        def broken(*args):
+            raise ValueError("broken runner")
+
+        monkeypatch.setattr(cli, "run", broken)
+        path = write(tmp_path, "gens a\neq\npow a x\nconst a'\n")
+        assert run_cli(["solve", path])[0] == 4
+        assert "internal error: ValueError: broken runner" in capsys.readouterr().err
+
+    def test_wrong_exact_witness_exits_4(self, tmp_path, monkeypatch):
+        """solve_exact verifies its witness before it reports solvable."""
+        from ggsolve.semilinear import LinearSet, SemilinearSet
+        from ggsolve.solver import exact
+
+        monkeypatch.setattr(
+            exact, "two_power_solutions", lambda *a: SemilinearSet(2, [LinearSet((5, 0))])
+        )
+        path = write(tmp_path, "gens a b\neq\npow a x\npow b y\nconst b' a'\n")
+        assert run_cli(["solve", path])[0] == 4
+
+
 class TestOptimizedInterpreter:
     def test_checks_hold_under_O(self):
         """The internal checks raise explicitly, so they survive ``python -O``."""
         tests = [
             "tests/test_cli.py::TestFailClosed",
+            "tests/test_saturation.py::TestHnnSaturate",
+            "tests/test_saturation.py::TestFailClosed",
             "tests/test_cli.py::TestVerifyCommand::test_malformed_assign_exits_3",
             "tests/test_groups.py::TestMult",
             "tests/test_solver.py::TestVerify::test_simple",

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ggsolve.automata import Nfa, benois_member
-from ggsolve.errors import StructureError
+from ggsolve.errors import InternalError, StructureError
 from ggsolve.groups import doubled, invert_word
 from ggsolve.traces import IndependenceAlphabet
 from ggsolve.transfer import (
@@ -227,14 +227,33 @@ class TestFreeProductSaturate:
                 assert not brute, (bases, target)
 
 
+class TestFailClosed:
+    @pytest.mark.parametrize("kind", ["hnn", "free-product"])
+    def test_surgery_that_keeps_cycle_letters_raises(self, kind, monkeypatch):
+        """Phase 1 checks that each surgery shrinks the cycles, also under ``python -O``."""
+        from ggsolve.transfer.kauto import _Builder
+
+        monkeypatch.setattr(_Builder, "surgery", lambda b, *args: None)
+        if kind == "hnn":
+            h = z2_z_presentation()
+            ka, _ = knapsack_to_ka(h.letters, [("t'", "g", "g", "t")], ())
+            run = lambda: hnn_saturate(h, ka)
+        else:
+            z2 = FiniteGroupOracle.cyclic(2, "g")
+            z3 = FiniteGroupOracle.cyclic(3, "h")
+            ka, _ = knapsack_to_ka(z2.letters + z3.letters, [("g", "g", "h")], ())
+            run = lambda: free_product_saturate(z2, z3, ka)
+        with pytest.raises(InternalError):
+            run()
+
+
 class TestStepwisePreservation:
     def test_phase1_surgery_preserves_membership(self):
         """Each phase-1 surgery step preserves membership answers (BFS oracle)."""
-        from ggsolve.transfer.hnn import _find_cycle_reduction, _surgery
+        from ggsolve.transfer.hnn import _find_cycle_reduction
         from ggsolve.transfer.kauto import ShapeInfo, _Builder, hnn_normalize
 
         h = z2_z_presentation()
-        alphabet = plain_alphabet(h.letters)
         rng = random.Random(55)
         checked_steps = 0
         for _ in range(20):
@@ -247,15 +266,14 @@ class TestStepwisePreservation:
             ka = hnn_normalize(ka)
             b = _Builder.from_nfa(ka.nfa)
             while True:
-                nfa = b.to_nfa(alphabet)
+                nfa = b.to_nfa()
                 shape = ShapeInfo(nfa)
-                hit = _find_cycle_reduction(h, b, shape)
+                hit = _find_cycle_reduction(h, shape)
                 if hit is None:
                     break
                 before = nfa_accepts_identity_bfs(nfa, z2z_reduce, max_len=10)
-                p, alpha, idx, q, edges = hit
-                _surgery(h, b, p, q, edges, h.phi_image(alpha, idx))
-                after_nfa = b.to_nfa(alphabet)
+                b.surgery(*hit)
+                after_nfa = b.to_nfa()
                 ShapeInfo(after_nfa)  # shape certificate revalidates
                 after = nfa_accepts_identity_bfs(after_nfa, z2z_reduce, max_len=10)
                 assert before == after
