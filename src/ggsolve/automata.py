@@ -13,7 +13,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import AlphabetMismatchError, CertificateError, StructureError, TraceError
+from .errors import (
+    AlphabetMismatchError,
+    CertificateError,
+    InternalError,
+    StructureError,
+    TraceError,
+)
 from .groups import inverse_letter
 from .traces import (
     IndependenceAlphabet,
@@ -154,7 +160,8 @@ class Nfa:
 
     def validate_memorizing(self) -> None:
         """Fixpoint alphabet propagation from the initial state."""
-        assert self.memorizing is not None
+        if self.memorizing is None:
+            raise InternalError("no memorizing map to validate")
         computed = {self.initial: frozenset()}
         queue = deque([self.initial])
         while queue:
@@ -212,21 +219,48 @@ def trim(nfa: Nfa) -> Nfa:
         fwd[p].add(q)
         bwd[q].add(p)
     keep = reachable([nfa.initial], fwd) & reachable(nfa.finals, bwd)
-    if nfa.initial not in keep:
-        # empty language: single dead initial state
-        return Nfa(nfa.alphabet, [nfa.initial], [], nfa.initial, [])
-    states = [s for s in nfa.states if s in keep]
-    transitions = [(p, a, q) for p, a, q in nfa.transitions if p in keep and q in keep]
-    memorizing = None
-    if nfa.memorizing is not None:
-        memorizing = {s: nfa.memorizing[s] for s in states}
-    return Nfa(
+    return useful_part(
         nfa.alphabet,
-        states,
-        transitions,
+        nfa.states,
+        nfa.transitions,
         nfa.initial,
-        [f for f in nfa.finals if f in keep],
+        nfa.finals,
+        keep,
         i_diamond=nfa.i_diamond,
+        memorizing=nfa.memorizing,
+    )
+
+
+def useful_part(
+    alphabet: IndependenceAlphabet,
+    states: Iterable,
+    transitions: Iterable[tuple],
+    initial,
+    finals: Iterable,
+    keep: set,
+    *,
+    i_diamond: bool = False,
+    memorizing: Optional[Dict] = None,
+) -> Nfa:
+    """The automaton on ``keep``, the states on a path from ``initial`` to ``finals``.
+
+    States keep the order of ``states``; only transitions with both ends in
+    ``keep`` survive.  An empty language (``initial`` not in ``keep``) gives a
+    single dead initial state.  The certificates are carried over without
+    re-validation: a language-preserving restriction keeps them.
+    """
+    if initial not in keep:
+        return Nfa(alphabet, [initial], [], initial, [])
+    states = [s for s in states if s in keep]
+    if memorizing is not None:
+        memorizing = {s: memorizing[s] for s in states}
+    return Nfa(
+        alphabet,
+        states,
+        [(p, a, q) for p, a, q in transitions if p in keep and q in keep],
+        initial,
+        [f for f in finals if f in keep],
+        i_diamond=i_diamond,
         memorizing=memorizing,
         validate=False,
     )
@@ -584,7 +618,8 @@ def unary_progressions(u: Nfa) -> FrozenSet:
     for n in range(tail + 2 * period + 1):
         direct = accepting[n] if n < len(sequence) else accepting[tail + (n - tail) % period]
         decomposed = any(n in p for p in progs)
-        assert direct == decomposed, "progression decomposition mismatch"
+        if direct != decomposed:
+            raise InternalError("progression decomposition mismatch")
     return progs
 
 

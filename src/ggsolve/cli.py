@@ -17,6 +17,7 @@ line-oriented key=value output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -93,6 +94,14 @@ def _default_caps(args) -> tuple:
     return expansion, search
 
 
+def _read(fh) -> str:
+    """The text of an instance file opened by argparse; closes it (not stdin)."""
+    if fh is sys.stdin:
+        return fh.read()
+    with fh:
+        return fh.read()
+
+
 def _solve_equation(e, mode: str, search_cap: int):
     from .semilinear import diophantine_solve
     from .solver import SolveReport, abelian_relaxation, solve_exact, solve_search
@@ -142,8 +151,9 @@ def run(inst: Instance, mode: str, caps: Tuple[int, int]):
 
 def cmd_run(args, out: Output) -> int:
     """solve, finite-ext, hnn and amalgam: run a file whose block the command answers."""
+    text = _read(args.file)
     caps = _default_caps(args)
-    inst = parse_instance(args.file.read())
+    inst = parse_instance(text)
     if inst.problem.command != args.command:
         raise FormatError(
             f"{args.command} does not answer {inst.problem.kind} blocks; "
@@ -166,8 +176,9 @@ def _parse_assign(text: str) -> dict:
 
 
 def cmd_verify(args, out: Output) -> int:
+    text = _read(args.file)
     expansion_cap, _ = _default_caps(args)
-    e = build_equation(parse_instance(args.file.read()), expansion_cap)
+    e = build_equation(parse_instance(text), expansion_cap)
     sigma = _parse_assign(args.assign)
     from .solver import verify
 
@@ -183,8 +194,9 @@ def cmd_verify(args, out: Output) -> int:
 
 
 def cmd_bound(args, out: Output) -> int:
+    text = _read(args.file)
     expansion_cap, _ = _default_caps(args)
-    e = build_equation(parse_instance(args.file.read()), expansion_cap)
+    e = build_equation(parse_instance(text), expansion_cap)
     from .solver.equations import bound_report_string, preprocess
 
     out.kv("bound", bound_report_string(preprocess(e)))
@@ -240,7 +252,13 @@ def cmd_gen_mihailova(args, out: Output) -> int:
     return EXIT_SOLVABLE
 
 
+@functools.lru_cache(maxsize=None)
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process.
+
+    ``parse_args`` keeps no state between calls: each returns a fresh
+    namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="ggsolve",
         description="Knapsack and exponent equations over graph groups.",

@@ -13,7 +13,7 @@ import itertools
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import StructureError, TraceError
+from .errors import InternalError, StructureError, TraceError
 from .traces import Trace, is_connected
 from . import automata
 
@@ -294,8 +294,8 @@ def two_power_solutions(
     Pipeline: closure automata for [p u* s]_I and [q v* t]_I, intersect,
     project to lengths, decompose into progressions, map each progression
     (b,c) to the linear set {((b-|ps|)/|u| + (c/|u|)z, (b-|qt|)/|v| + (c/|v|)z)}.
-    The divisibility conditions are asserted; a violation would be a
-    construction bug, not an input error.
+    The divisibility conditions are checked; a violation is a construction
+    bug, not an input error, and raises InternalError.
     """
     for base_trace, name in ((u, "u"), (v, "v")):
         if base_trace.is_empty():
@@ -312,9 +312,12 @@ def two_power_solutions(
     components = []
     for prog in sorted(progs, key=lambda pr: (pr.offset, pr.period)):
         b, c = prog.offset, prog.period
-        assert b >= len_ps and b >= len_qt, "offset below the affix lengths"
-        assert (b - len_ps) % len_u == 0 and c % len_u == 0, "u-divisibility violated"
-        assert (b - len_qt) % len_v == 0 and c % len_v == 0, "v-divisibility violated"
+        if b < len_ps or b < len_qt:
+            raise InternalError("offset below the affix lengths")
+        if (b - len_ps) % len_u or c % len_u:
+            raise InternalError("u-divisibility violated")
+        if (b - len_qt) % len_v or c % len_v:
+            raise InternalError("v-divisibility violated")
         base = ((b - len_ps) // len_u, (b - len_qt) // len_v)
         periods = [(c // len_u, c // len_v)] if c else []
         components.append(LinearSet(base, periods))

@@ -70,7 +70,8 @@ def _stabilize_left(c: GroupElement, u: GroupElement) -> Tuple[GroupElement, int
             return w, d
         w = nxt
         d += 1
-        assert d <= cap, "left absorption did not stabilize"
+        if d > cap:
+            raise InternalError("left absorption did not stabilize")
 
 
 def _strip_power_prefix(t: Trace, u: Trace) -> Tuple[int, Trace]:
@@ -103,16 +104,19 @@ def _left_form(
     total, cancelled = mult(body, v1)
     # Levi-split the cancelled suffix-part against (lam0, u1^k0)
     survivor = right_quotient(body.trace, cancelled)
-    assert survivor is not None
+    if survivor is None:
+        raise InternalError("cancelled part is not a suffix of the left body")
     split = levi_split_pair(
         body.trace, survivor, cancelled, [lam0.trace, power(u1.trace, k0)]
     )
-    assert split is not None
+    if split is None:
+        raise InternalError("no Levi split of the cancelled part")
     (d_a, d_b), _ = split
     # D = d_a * d_b, with d_b = u1^l * stail
     l, stail = _strip_power_prefix(d_b, u1.trace)
     e_part = left_quotient(v1.trace, Trace(alphabet, invert_word(cancelled.word)))
-    assert e_part is not None
+    if e_part is None:
+        raise InternalError("cancelled part is not a prefix of the right constant")
     big_l = d_a
     big_s = stail * e_part
     dx = probe - l
@@ -121,7 +125,8 @@ def _left_form(
         x = probe + extra
         direct = _nf_three(v0, u1, x, v1)
         shaped = big_l * power(u1.trace, x - dx) * big_s
-        assert direct.trace == shaped, "parametric left form failed verification"
+        if direct.trace != shaped:
+            raise InternalError("parametric left form failed verification")
     return big_l, big_s, dx, probe
 
 
@@ -139,7 +144,8 @@ def _right_form(v2: GroupElement, u2: GroupElement) -> Tuple[Trace, int, int]:
         y = dy + extra
         direct, _ = mult(v2.inverse(), power_nf(u2i, y, _BIG))
         shaped = z.trace * power(u2i.trace, y - dy)
-        assert direct.trace == shaped, "parametric right form failed verification"
+        if direct.trace != shaped:
+            raise InternalError("parametric right form failed verification")
     return z.trace, dy, dy
 
 
@@ -207,7 +213,7 @@ def solve_exact(e: ExponentEquation, limits: Optional[Limits] = None) -> SolveRe
     def lift(core: SemilinearSet) -> SemilinearSet:
         """Embed a solution set over active_vars into the full variable space."""
         if core.dimension != len(active_vars):
-            raise AssertionError("dimension mismatch in lift")
+            raise InternalError("dimension mismatch in lift")
         pos = {v: i for i, v in enumerate(e.vars)}
         comps = []
         for comp in core.components:
@@ -313,8 +319,6 @@ def solve_exact(e: ExponentEquation, limits: Optional[Limits] = None) -> SolveRe
     else:
         core = raw
     # active_vars order must match the projection order
-    if var1 == var2:
-        assert active_vars == (var1,)
-    else:
-        assert active_vars == (var1, var2)
+    if active_vars != ((var1,) if var1 == var2 else (var1, var2)):
+        raise InternalError("active variables do not match the projection order")
     return report(lift(core))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from ..automata import EPS, reachable
+from ..automata import EPS
 from .kauto import KnapsackAutomaton, ShapeInfo, _Builder
 from .oracles import FreeProductOracle, GroupOracle
 
@@ -108,8 +108,7 @@ def free_product_saturate(
         for factor in (left, right):
             part = b.restrict(factor.letters)
             for p in states:
-                # states at the end of a nonempty path from p
-                for q in reachable(part.adj.get(p, ()), part.adj):
+                for q in part.forward(p):
                     if p == q or shape.comp_of[p] == shape.comp_of[q]:
                         continue
                     if (p, q) in added or (p, EPS, q) in b.edges:

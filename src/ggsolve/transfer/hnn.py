@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..automata import EPS, reachable
+from ..automata import EPS
 from ..errors import StructureError
 from ..groups import inverse_letter, invert_word
 from .kauto import KnapsackAutomaton, ShapeInfo, _Builder, hnn_normalize
@@ -166,7 +166,7 @@ def hnn_saturate(h: HnnPresentation, ka: KnapsackAutomaton) -> bool:
         grew = False
         for alpha in (1, -1):
             for (p, p2) in t_in[alpha]:
-                reach = reachable([p2], base.adj)
+                reach = base.forward(p2)
                 for (q2, q) in t_out[alpha]:
                     if q2 not in reach:
                         continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Sequence, Set, Tuple
 
-from ..automata import EPS, Nfa
+from ..automata import EPS, Nfa, reachable, useful_part
 from ..errors import CertificateError, InternalError, StructureError
 from ..traces import IndependenceAlphabet
 
@@ -303,18 +303,53 @@ class _Builder:
 
 
 class Restriction:
-    """A builder's edges labelled epsilon or in ``letters``, taken when it is made."""
+    """A builder's edges labelled epsilon or in ``letters``, taken when it is made.
+
+    Being a snapshot, it builds its adjacency once and memoizes the forward
+    reach of each initial state and the backward reach of each set of finals.
+    """
 
     def __init__(self, b: _Builder, letters):
         self.builder = b
-        self.edges = [(p, a, q) for (p, a, q) in b.edges if a is EPS or a in letters]
-        self.adj: Dict = {}
-        for (p, _, q) in self.edges:
-            self.adj.setdefault(p, set()).add(q)
+        self._out: Dict = {}  # p -> [(a, q)]
+        self._fwd: Dict = {}  # p -> {q}
+        self._bwd: Dict = {}  # q -> {p}
+        for (p, a, q) in b.edges:
+            if a is EPS or a in letters:
+                self._out.setdefault(p, []).append((a, q))
+                self._fwd.setdefault(p, set()).add(q)
+                self._bwd.setdefault(q, set()).add(p)
+        self._forward: Dict = {}
+        self._backward: Dict = {}
+
+    def forward(self, initial) -> set:
+        """Every state on a path from ``initial`` (included)."""
+        reach = self._forward.get(initial)
+        if reach is None:
+            reach = self._forward[initial] = reachable([initial], self._fwd)
+        return reach
+
+    def backward(self, finals) -> set:
+        """Every state on a path into ``finals`` (included)."""
+        finals = frozenset(finals)
+        reach = self._backward.get(finals)
+        if reach is None:
+            reach = self._backward[finals] = reachable(finals, self._bwd)
+        return reach
 
     def cut(self, initial, finals) -> Nfa:
-        """The sub-automaton over these edges from ``initial`` to ``finals``."""
-        return Nfa(self.builder.alphabet, self.builder.states, self.edges, initial, finals)
+        """The useful part of the sub-automaton over these edges from ``initial`` to ``finals``.
+
+        This is ``automata.trim`` of the cut over all of the builder's
+        states: the states on a path from ``initial`` to ``finals``, in
+        creation order, and the edges between them; a single dead initial
+        state when no final is reachable.  Both go through
+        ``automata.useful_part``.
+        """
+        keep = self.forward(initial) & self.backward(finals)
+        edges = ((p, a, q) for p in keep for (a, q) in self._out.get(p, ()))
+        b = self.builder
+        return useful_part(b.alphabet, b.states, edges, initial, finals, keep)
 
 
 def equation_chain_ka(

@@ -22,9 +22,8 @@ from .kauto import KnapsackAutomaton, plain_alphabet, skeletons
 class GroupOracle:
     """Contract: a named generator alphabet plus two decision procedures.
 
-    ``ka_membership`` homes the automaton on the oracle's label ``alphabet``
-    (built once per oracle), trims it to its useful part and memoizes;
-    implementations override ``_member_impl``.
+    ``ka_membership`` memoizes on the trimmed automaton; implementations
+    override ``_member_impl``.
     """
 
     letters: Tuple[str, ...]
@@ -37,24 +36,30 @@ class GroupOracle:
         raise NotImplementedError
 
     def ka_membership(self, nfa: Nfa, target_word: Sequence[str]) -> bool:
-        """Does the automaton accept some word equal to ``target_word`` in the group?"""
+        """Does the automaton accept some word equal to ``target_word`` in the group?
+
+        The memo is read twice.  First with the automaton as given: a hit
+        means these very transitions, initial and finals were stored as a
+        trimmed automaton, whose labels passed this oracle's alphabet check.
+        Only on a miss is the automaton homed on the oracle's ``alphabet``
+        (built once per oracle) and trimmed, and the memo read with the
+        trimmed key.  The memo grows by one entry per ``_member_impl`` call.
+        """
         from ..automata import trim
 
         cache = getattr(self, "_member_cache", None)
         if cache is None:
-            cache = {}
-            self._member_cache = cache
-        trimmed = trim(Nfa(self.alphabet, nfa.states, nfa.transitions, nfa.initial, nfa.finals))
-        key = (
-            trimmed.transitions,
-            trimmed.initial,
-            trimmed.finals,
-            tuple(target_word),
-        )
-        hit = cache.get(key)
+            cache = self._member_cache = {}
+        target = tuple(target_word)
+        hit = cache.get((nfa.transitions, nfa.initial, nfa.finals, target))
         if hit is None:
-            hit = self._member_impl(trimmed, tuple(target_word))
-            cache[key] = hit
+            trimmed = trim(
+                Nfa(self.alphabet, nfa.states, nfa.transitions, nfa.initial, nfa.finals)
+            )
+            key = (trimmed.transitions, trimmed.initial, trimmed.finals, target)
+            hit = cache.get(key)
+            if hit is None:
+                hit = cache[key] = self._member_impl(trimmed, target)
         return hit
 
 

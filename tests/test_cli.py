@@ -42,6 +42,14 @@ def write(tmp_path, text, name="inst.gg"):
     return str(path)
 
 
+def cli_env():
+    """The environment for a subprocess that imports ggsolve from this checkout."""
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestParsing:
     def test_eq_roundtrip(self, tmp_path):
         text = "gens a b\nindep a b\neq\npow a x\nconst b\n"
@@ -153,13 +161,10 @@ class TestVerifyCommand:
     def test_verify_identity_base_huge_exponent(self, tmp_path):
         """A power of the identity streams nothing, whatever its exponent."""
         path = write(tmp_path, "gens a b\neq\npow a a' x\npow b y\nconst b'\n")
-        env = dict(os.environ)
-        src = os.path.join(ROOT, "src")
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "ggsolve.cli", "--format", "machine", "verify",
              "--assign", f"x={10**15},y=1", path],
-            env=env,
+            env=cli_env(),
             capture_output=True,
             text=True,
             timeout=60,
@@ -255,14 +260,15 @@ class TestOptimizedInterpreter:
             "tests/test_solver.py::TestVerify::test_simple",
             "tests/test_solver.py::TestVerify::test_resource_exceeded",
             "tests/test_solver.py::TestVerify::test_compressed_analogue",
+            "tests/test_exact.py::TestInternalChecks",
+            "tests/test_exact.py::TestTwoPowers::test_free_knapsack",
+            "tests/test_semilinear.py::TestTwoPower::test_double_speed",
+            "tests/test_automata.py::TestUnaryProgressions::test_odd",
         ]
-        env = dict(os.environ)
-        src = os.path.join(ROOT, "src")
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
             cwd=ROOT,
-            env=env,
+            env=cli_env(),
             capture_output=True,
             text=True,
             timeout=300,
@@ -285,6 +291,74 @@ class TestEnvCap:
         path = write(tmp_path, "gens a\neq\npow a x\nconst a' a' a' a' a' a'\n")
         code, _ = run_cli(["solve", "--mode", "search", path])
         assert code == 2  # witness x=6 beyond the env cap
+
+
+class TestProcess:
+    CALLS = [
+        ["solve", os.path.join(CORPUS, "01_z_double.gg")],
+        ["--format", "machine", "hnn", os.path.join(CORPUS, "18_hnn_z2z.gg")],
+        ["solve", "--bogus", os.path.join(CORPUS, "01_z_double.gg")],
+        ["--format", "machine", "amalgam", os.path.join(CORPUS, "19_amalgam_z4.gg")],
+        ["bound", os.path.join(CORPUS, "13_knapsack_block.gg")],
+        ["--format", "machine", "verify", "--assign", "x=0,y=0",
+         os.path.join(CORPUS, "01_z_double.gg")],
+        ["solve", os.path.join(CORPUS, "no-such-file.gg")],
+        ["--format", "machine", "solve", "--mode", "search",
+         os.path.join(CORPUS, "02_z_singleton.gg")],
+    ]
+
+    def test_main_called_again_prints_what_fresh_calls_print(self):
+        """One process, one parser: later calls print what fresh processes print."""
+        import contextlib
+
+        import ggsolve.cli as cli
+
+        assert cli.make_parser() is cli.make_parser()
+        for argv in self.CALLS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            fresh = subprocess.run(
+                [sys.executable, "-m", "ggsolve.cli", *argv],
+                cwd=ROOT, env=cli_env(), capture_output=True, text=True, timeout=60,
+            )
+            assert (code, out.getvalue()) == (fresh.returncode, fresh.stdout), argv
+            if code == 2 and not out.getvalue():  # an argparse error
+                assert err.getvalue() == fresh.stderr
+
+    def test_stdin_stays_open(self, monkeypatch):
+        """``-`` reads standard input, which is not closed after the call."""
+        text = open(os.path.join(CORPUS, "01_z_double.gg")).read()
+        for _ in range(2):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert run_cli(["solve", "-"])[0] == 0
+            assert not sys.stdin.closed
+
+    def test_instance_files_are_closed(self):
+        """No command leaves its instance file open (``-X dev`` reports it)."""
+        script = (
+            "import sys\n"
+            "from ggsolve.cli import main\n"
+            "calls = [\n"
+            "    ['solve', 'corpus/01_z_double.gg'],\n"
+            "    ['verify', '--assign', 'x=0,y=0', 'corpus/01_z_double.gg'],\n"
+            "    ['bound', 'corpus/13_knapsack_block.gg'],\n"
+            "    ['hnn', 'corpus/18_hnn_z2z.gg'],\n"
+            "    ['amalgam', 'corpus/19_amalgam_z4.gg'],\n"
+            "    ['hnn', 'corpus/19_amalgam_z4.gg'],\n"
+            "]\n"
+            "print([main(argv) for argv in calls], file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script],
+            cwd=ROOT, env=cli_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr
+        assert proc.stderr.rstrip().endswith("[0, 0, 0, 0, 0, 3]"), proc.stderr
 
 
 class TestMihailova:

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from ggsolve.groups import doubled
+from ggsolve.errors import InternalError
+from ggsolve.groups import doubled, free_reduce, identity
 from ggsolve.semilinear import enumerate_members, member
 from ggsolve.solver import Limits, brute_oracle, equation, solve_exact
 from ggsolve.traces import IndependenceAlphabet
@@ -200,3 +201,66 @@ class TestRandomAgreement:
             for pvec in comp.periods:
                 v = tuple(b + p for b, p in zip(comp.base, pvec))
                 assert member(rep.solution_set, v)
+
+
+class TestInternalChecks:
+    """The checks on the exact path raise InternalError, also under ``python -O``."""
+
+    KNAPSACK = equation(FREE2, ("a", "x"), ("b", "y"), ("b'", "a'"))
+
+    @pytest.mark.parametrize("name", ["right_quotient", "levi_split_pair", "left_quotient"])
+    def test_left_form_steps(self, name, monkeypatch):
+        import ggsolve.solver.exact as exact
+
+        monkeypatch.setattr(exact, name, lambda *args: None)
+        with pytest.raises(InternalError):
+            solve_exact(self.KNAPSACK)
+
+    def test_left_form_verification(self, monkeypatch):
+        import ggsolve.solver.exact as exact
+
+        monkeypatch.setattr(exact, "_nf_three", lambda *args: identity(FREE2))
+        with pytest.raises(InternalError, match="parametric left form"):
+            solve_exact(self.KNAPSACK)
+
+    def test_right_form_verification(self, monkeypatch):
+        import ggsolve.solver.exact as exact
+
+        monkeypatch.setattr(exact, "power_nf", lambda *args: identity(FREE2))
+        with pytest.raises(InternalError, match="parametric right form"):
+            exact._right_form(free_reduce(FREE2, ("a",)), free_reduce(FREE2, ("b",)))
+
+    def test_stabilization_bound(self, monkeypatch):
+        import ggsolve.solver.exact as exact
+
+        monkeypatch.setattr(exact, "mult", lambda g, h: (g, h.trace))
+        with pytest.raises(InternalError, match="did not stabilize"):
+            exact._stabilize_left(free_reduce(FREE2, ("a",)), free_reduce(FREE2, ("b",)))
+
+    @pytest.mark.parametrize(
+        "prog, u, v, message",
+        [((0, 0), "a", "aa", "offset"), ((3, 0), "a", "aa", "v-div"), ((4, 0), "aa", "a", "u-div")],
+    )
+    def test_two_power_decomposition(self, prog, u, v, message, monkeypatch):
+        import ggsolve.automata as automata
+        from ggsolve.semilinear import two_power_solutions
+        from ggsolve.traces import normal_form
+
+        monkeypatch.setattr(automata, "unary_progressions", lambda _: {automata.Progression(*prog)})
+        a1 = IndependenceAlphabet("a")
+        e = normal_form(a1, "")
+        with pytest.raises(InternalError, match=message):
+            two_power_solutions(normal_form(a1, "a"), normal_form(a1, u), e, e, normal_form(a1, v), e)
+
+    def test_progression_decomposition(self, monkeypatch):
+        import ggsolve.automata as automata
+
+        monkeypatch.setattr(automata, "_normalize_progressions", lambda progs: set())
+        with pytest.raises(InternalError, match="progression decomposition mismatch"):
+            solve_exact(self.KNAPSACK)
+
+    def test_memorizing_validation_needs_a_map(self):
+        from ggsolve.automata import UNARY_ALPHABET, Nfa
+
+        with pytest.raises(InternalError):
+            Nfa(UNARY_ALPHABET, [0], [], 0, [0]).validate_memorizing()

@@ -279,3 +279,104 @@ class TestStepwisePreservation:
                 assert before == after
                 checked_steps += 1
         assert checked_steps >= 1
+
+
+def _fields(nfa):
+    return nfa.states, nfa.transitions, nfa.initial, nfa.finals
+
+
+class TestRestrictionCut:
+    def test_cut_is_trim_of_the_full_cut(self):
+        """``cut`` equals ``trim`` of the cut over all builder states, also for
+        states added after the restriction was taken."""
+        from ggsolve.automata import EPS, trim
+        from ggsolve.transfer.kauto import _Builder
+
+        rng = random.Random(61)
+        letters = ("g", "g'", "h", "h'")
+        kept = {"g", "g'"}
+        empty = 0
+        for _ in range(200):
+            b = _Builder(plain_alphabet(letters))
+            states = [b.fresh() for _ in range(rng.randint(1, 8))]
+            for _ in range(rng.randint(0, 14)):
+                b.edge(rng.choice(states), rng.choice(letters + (EPS,)), rng.choice(states))
+            snapshot = [(p, a, q) for (p, a, q) in b.edges if a is EPS or a in kept]
+            r = b.restrict(kept)
+            for _ in range(rng.randint(0, 2)):  # as hnn phase 2 does
+                b.path(rng.choice(states), [rng.choice(letters)], rng.choice(states), "c")
+            for _ in range(3):
+                initial = rng.choice(states)
+                finals = rng.sample(states, rng.randint(0, len(states)))
+                got = r.cut(initial, finals)
+                want = trim(Nfa(b.alphabet, b.states, snapshot, initial, finals))
+                assert _fields(got) == _fields(want)
+                empty += not got.finals
+        assert empty >= 20
+
+
+def _logged(fn, log):
+    """``fn`` wrapped to append the arguments of every call to ``log``."""
+
+    def call(*args):
+        log.append(args)
+        return fn(*args)
+
+    return call
+
+
+class TestOracleMemo:
+    def test_untrimmed_and_trimmed_copy_ask_once(self, monkeypatch):
+        """The memo serves an automaton and its trimmed copy with one question;
+        a trimmed automaton asked again is not trimmed again."""
+        import ggsolve.automata as automata
+
+        impls, trims = [], []
+        trim = automata.trim
+        monkeypatch.setattr(
+            FiniteGroupOracle, "_member_impl", _logged(FiniteGroupOracle._member_impl, impls)
+        )
+        monkeypatch.setattr(automata, "trim", _logged(trim, trims))
+        alphabet = plain_alphabet(("g", "g'"))
+        edges = [("a", "g", "b"), ("b", "g", "a"), ("a", "g'", "dead"), ("lost", "g", "a")]
+        untrimmed = Nfa(alphabet, ["a", "b", "dead", "lost"], edges, "a", ["b"])
+        trimmed = trim(untrimmed)
+        assert trimmed.transitions != untrimmed.transitions
+        for first, second in ((untrimmed, trimmed), (trimmed, untrimmed)):
+            oracle = FiniteGroupOracle.cyclic(4, "g")
+            impls.clear()
+            assert oracle.ka_membership(first, ("g",))
+            assert oracle.ka_membership(second, ("g",))
+            assert len(impls) == 1
+            assert len(oracle._member_cache) == 1
+        trims.clear()
+        assert oracle.ka_membership(trimmed, ("g",))
+        assert not trims
+
+
+class TestTrimmedQuestions:
+    def test_saturations_ask_only_trimmed_automata(self, monkeypatch):
+        """On the Z/4 amalgam every automaton the saturations ask about is
+        already trimmed, so each question either hits the memo at once or
+        is trimmed exactly once, just before ``_member_impl``."""
+        import os
+
+        import ggsolve.automata as automata
+        from ggsolve.formats import build_amalgam, parse_instance
+        from ggsolve.transfer import amalgam_knapsack
+        from ggsolve.transfer.oracles import FreeProductOracle, GroupOracle
+
+        asked, trims, impls = [], [], []
+        trim = automata.trim
+        monkeypatch.setattr(GroupOracle, "ka_membership", _logged(GroupOracle.ka_membership, asked))
+        monkeypatch.setattr(automata, "trim", _logged(trim, trims))
+        for cls in (FiniteGroupOracle, FreeProductOracle):
+            monkeypatch.setattr(cls, "_member_impl", _logged(cls._member_impl, impls))
+        path = os.path.join(os.path.dirname(__file__), "..", "corpus", "19_amalgam_z4.gg")
+        with open(path) as fh:
+            inst = parse_instance(fh.read())
+        assert amalgam_knapsack(build_amalgam(inst), inst.problem.items, inst.problem.target)
+        assert asked and len(impls) < len(asked)
+        for _, nfa, _ in asked:
+            assert _fields(trim(nfa)) == _fields(nfa)
+        assert len(trims) == len(impls)
