@@ -88,10 +88,19 @@ def _status_exit(status: str) -> int:
 
 
 def _default_caps(args) -> tuple:
-    env = os.environ.get("GG_KNAPSACK_CAP")
-    expansion = args.cap if args.cap is not None else (int(env) if env else 10**6)
-    search = args.cap if args.cap is not None else (int(env) if env else 15)
-    return expansion, search
+    """(expansion cap, search cap): ``--cap``, else ``GG_KNAPSACK_CAP``, else the defaults.
+
+    A cap that is not a natural number raises FormatError naming its source.
+    """
+    if args.cap is not None:
+        source, text = "--cap", args.cap
+    else:
+        source, text = "GG_KNAPSACK_CAP", os.environ.get("GG_KNAPSACK_CAP")
+        if not text:
+            return 10**6, 15
+    if not text.strip().isdecimal():
+        raise FormatError(f"{source} takes a natural number, not {text!r}")
+    return int(text), int(text)
 
 
 def _read(fh) -> str:
@@ -267,7 +276,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_file=True):
-        p.add_argument("--cap", type=int, default=None, help="expansion/search cap")
+        p.add_argument("--cap", default=None, help="expansion/search cap")
         if with_file:
             p.add_argument(
                 "file", type=argparse.FileType("r"), help="instance file"
@@ -289,7 +298,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_common(p_am)
     p_bench = sub.add_parser("bench", help="run a directory of instances")
     p_bench.add_argument("--mode", choices=MODES, default="exact")
-    p_bench.add_argument("--cap", type=int, default=None)
+    p_bench.add_argument("--cap", default=None)
     p_bench.add_argument("dir")
     p_gen = sub.add_parser("gen-mihailova", help="emit a Mihailova-style instance")
     p_gen.add_argument("--sigma", required=True, help="comma-separated generators")

@@ -1,23 +1,24 @@
 """Graph-group elements as irreducible traces over a doubled alphabet.
 
-Inverse letters are spelled with a trailing apostrophe.  Free reduction uses
-the same piling technique as trace normal forms, with one column per base
-letter and signed entries; a letter cancels the most recent surviving
-occurrence of its inverse exactly when that occurrence is on top of its
-column.  Entries carry position tags so that multiplication can report the
-cancelled middle trace of the unique boundary factorization.  ``SignedPile``
-is the one free-reduction loop; products of many items stream through a
-single pile without building intermediate normal forms.
+Inverse letters are spelled with a trailing apostrophe.  Free reduction runs
+on the same pile as trace normal forms (``traces.Pile``), with cancellation
+on: a and a' share one column, and a letter cancels the most recent
+surviving occurrence of its inverse exactly when that occurrence is on top
+of the column.  Entries carry position tags so that multiplication can
+report the cancelled middle trace of the unique boundary factorization.
+``SignedPile`` is the group coding of the pile; products of many items
+stream through a single pile without building intermediate normal forms.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import AlphabetMismatchError, InternalError, ResourceExceeded, TraceError
 from .traces import (
     IndependenceAlphabet,
+    Pile,
     Trace,
     empty_trace,
     left_quotient,
@@ -58,6 +59,11 @@ class DoubledAlphabet(IndependenceAlphabet):
                     pairs.append((x, y))
         super().__init__(letters, pairs)
         self.base = base
+
+    def _pile_layout(self, n: int):
+        # a (code 2i) and a' (2i + 1) share column i: they depend on the same
+        # letters and on each other.
+        return tuple(code >> 1 for code in range(n)), tuple(code ^ 1 for code in range(n))
 
 
 def doubled(base: IndependenceAlphabet) -> DoubledAlphabet:
@@ -121,72 +127,21 @@ def invert(value):
     return invert_word(value)
 
 
-class SignedPile:
-    """Free reduction of a stream of letters by signed piling.
+class SignedPile(Pile):
+    """The group coding of ``traces.Pile``: free reduction of a stream of letters.
 
-    Letters are coded as their rank in the doubled alphabet, ``2 * base rank``
-    plus 1 for an inverse, so ``code ^ 1`` is the inverse letter.  Column b
-    holds, bottom first, one entry per surviving letter that depends on base
-    letter b: ``tag << shift | code`` on the letter's own column, the marker
-    ``mask`` on the others, where the tag is the letter's position in the
-    stream.  ``mask`` exceeds every code, so a marker never reads as a letter;
-    one sits at the bottom of every column so that the top always exists.
-    A pushed letter cancels the top of its own column exactly when that entry
-    is its inverse.
-
-    ``count`` is the length of the reduced word so far and ``pushed`` the
-    number of letters streamed.  With ``track_pairs`` the cancellations are
-    collected in ``pairs`` as (earlier tag, later tag).
+    Codes are doubled-alphabet ranks, ``2 * base rank`` plus 1 for an
+    inverse: a and a' share their base letter's column, and a pushed letter
+    cancels the top of that column when it is its inverse (``code ^ 1``).
+    ``count`` is then the length of the reduced word so far.
     """
 
-    __slots__ = ("alphabet", "count", "pushed", "pairs", "_cols", "_others", "_mask", "_shift")
+    __slots__ = ()
 
     def __init__(self, alphabet: DoubledAlphabet, track_pairs: bool = False):
-        base = alphabet.base
-        n_base = len(base.letters)
-        self._shift = (2 * n_base).bit_length()
-        self._mask = (1 << self._shift) - 1
-        self._cols = [[self._mask] for _ in range(n_base)]
-        self._others = tuple(
-            tuple(j for j in deps if j != b) for b, deps in enumerate(base._dep_incl_ranks)
-        )
-        self.alphabet = alphabet
-        self.count = 0
-        self.pushed = 0
-        self.pairs: Optional[list] = [] if track_pairs else None
-
-    def push(self, codes: Iterable[int]) -> None:
-        """Stream letter codes through the pile, cancelling where the piling allows."""
-        cols = self._cols
-        others = self._others
-        mask = self._mask
-        shift = self._shift
-        pairs = self.pairs
-        tag = self.pushed
-        count = self.count
-        for code in codes:
-            b = code >> 1
-            col = cols[b]
-            top = col[-1]
-            if top & mask == code ^ 1:
-                col.pop()
-                for j in others[b]:
-                    cols[j].pop()
-                if pairs is not None:
-                    pairs.append((top >> shift, tag))
-                count -= 1
-            else:
-                col.append(tag << shift | code)
-                for j in others[b]:
-                    cols[j].append(mask)
-                count += 1
-            tag += 1
-        self.pushed = tag
-        self.count = count
-
-    def push_word(self, word: Sequence[str]) -> None:
-        rank = self.alphabet._rank
-        self.push([rank[a] for a in word])
+        if not isinstance(alphabet, DoubledAlphabet):  # a plain alphabet has no inverses
+            raise AlphabetMismatchError("free reduction needs a doubled alphabet")
+        super().__init__(alphabet, cancel=True, track_pairs=track_pairs)
 
     def push_power(self, g: GroupElement, k: int, cap: int) -> None:
         """Stream g^k as p, then w k times, then p^-1, where (p, w) = cyclic_reduce(g).
@@ -208,40 +163,9 @@ class SignedPile:
         self.push(chain.from_iterable(repeat(w_codes, k)))
         self.push([c ^ 1 for c in reversed(p_codes)])
 
-    def depile(self) -> List[int]:
-        """Codes of the surviving letters, in lex-least order (a < a' < b < ...).
-
-        Ends the pile: nothing may be pushed afterwards.
-        """
-        cols = self._cols
-        others = self._others
-        mask = self._mask
-        n_base = len(cols)
-        heads = [1] * n_base
-        for col in cols:
-            col.append(mask)  # top sentinel: a marker, never a letter
-        codes = []
-        remaining = self.count
-        while remaining:
-            for b in range(n_base):
-                entry = cols[b][heads[b]]
-                if entry != mask:
-                    codes.append(entry & mask)
-                    heads[b] += 1
-                    for j in others[b]:
-                        heads[j] += 1
-                    remaining -= 1
-                    break
-            else:  # pragma: no cover
-                raise InternalError("group piling depile stuck")
-        return codes
-
     def element(self) -> GroupElement:
         """The reduced product of everything pushed, as a normal form (ends the pile)."""
-        codes = self.depile()
-        letters = self.alphabet.letters
-        word = tuple(letters[c] for c in codes)
-        return GroupElement(Trace._from_canonical(self.alphabet, word))
+        return GroupElement(Trace._from_canonical(self.alphabet, self.depile()))
 
 
 def _reduce_tagged(alphabet: DoubledAlphabet, word: Sequence[str]):
@@ -252,8 +176,7 @@ def _reduce_tagged(alphabet: DoubledAlphabet, word: Sequence[str]):
     """
     pile = SignedPile(alphabet, track_pairs=True)
     pile.push_word(word)
-    letters = alphabet.letters
-    return tuple(letters[c] for c in pile.depile()), pile.pairs
+    return pile.depile(), pile.pairs
 
 
 def free_reduce(alphabet: DoubledAlphabet, word) -> GroupElement:
@@ -318,28 +241,29 @@ def mult(g: GroupElement, h: GroupElement) -> Tuple[GroupElement, Trace]:
 
 
 def cyclic_reduce(g: GroupElement) -> Tuple[GroupElement, GroupElement]:
-    """Unique (p, w) with g = p w p^{-1} and w cyclically reduced; |g| = |w| + 2|p|."""
+    """Unique (p, w) with g = p w p^{-1} and w cyclically reduced; |g| = |w| + 2|p|.
+
+    One piling of g: while two pieces are left, peel the least letter x that
+    is minimal while x' is maximal (x at the bottom of its column and x' on
+    top), then depile the core.
+    """
     alphabet = g.alphabet
-    w = g.trace
+    inverse = alphabet._inverse
+    pile = Pile(alphabet)
+    pile.push_word(g.word)
     peeled = []
-    changed = True
-    while changed and len(w) >= 2:
-        changed = False
-        for letter in sorted(w.alph(), key=alphabet.rank):
-            single = Trace._from_canonical(alphabet, (letter,))
-            rest = left_quotient(w, single)
-            if rest is None:
-                continue
-            inv = Trace._from_canonical(alphabet, (inverse_letter(letter),))
-            core = right_quotient(rest, inv)
-            if core is None:
-                continue
-            peeled.append(letter)
-            w = core
-            changed = True
+    while pile.count >= 2:
+        for c in range(alphabet._n_cols):
+            x = pile.bottom(c)
+            if x >= 0 and pile.top(c) == inverse[x]:
+                pile.pop_bottom(x)
+                pile.pop_top(inverse[x])
+                peeled.append(alphabet.letters[x])
+                break
+        else:
             break
-    p = GroupElement(Trace(alphabet, peeled))
-    return p, GroupElement(w)
+    w = Trace._from_canonical(alphabet, pile.depile())
+    return GroupElement(Trace(alphabet, peeled)), GroupElement(w)
 
 
 def _conjugate_power(g: GroupElement, k: int, cap: int):

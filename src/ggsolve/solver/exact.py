@@ -34,7 +34,7 @@ from ..semilinear import (
     identify_variables,
     two_power_solutions,
 )
-from ..traces import Trace, left_quotient, levi_split_pair, power, right_quotient
+from ..traces import Trace, empty_trace, left_quotient, levi_split_pair, power, right_quotient
 from .equations import (
     Const,
     ExponentEquation,
@@ -272,14 +272,7 @@ def solve_exact(e: ExponentEquation, limits: Optional[Limits] = None) -> SolveRe
     u2i_trace = u2.inverse().trace
 
     pair_components: List[LinearSet] = []
-    two = two_power_solutions(
-        Trace(alphabet, big_l.word),
-        u1.trace,
-        Trace(alphabet, big_s.word),
-        Trace(alphabet, big_z.word),
-        u2i_trace,
-        Trace(alphabet, ()),
-    )
+    two = two_power_solutions(big_l, u1.trace, big_s, big_z, u2i_trace, empty_trace(alphabet))
     for comp in two.components:
         base = (comp.base[0] + dx, comp.base[1] + dy)
         pair_components.append(LinearSet(base, comp.periods))

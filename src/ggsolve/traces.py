@@ -6,7 +6,8 @@ class (with respect to the alphabet's fixed symbol order).  Normal forms are
 computed with the piling ("heaps of pieces") technique: every letter is a piece
 that covers its own column and the columns of all letters it depends on, and
 the lex-least linearization is read off by repeatedly removing the least
-minimal piece.
+minimal piece.  ``Pile`` is the one piling loop: trace normal forms and
+quotients use it without cancellation, free reduction in ``groups`` with it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ class IndependenceAlphabet:
     """Finite ordered set of letters plus an irreflexive symmetric independence relation.
 
     The symbol order (the order of ``letters``) is fixed at construction and
-    drives all lexicographic normal forms.
+    drives all lexicographic normal forms.  The constructor also builds the
+    tables every ``Pile`` over the alphabet reads: letters are coded by rank,
+    ``_col[code]`` is the code's column, ``_others[code]`` the other columns
+    it covers (those of the letters it depends on), ``_inverse[code]`` the
+    code of its inverse letter and ``_no_inverse`` all -1 (no inverse).
     """
 
     __slots__ = (
@@ -30,8 +35,14 @@ class IndependenceAlphabet:
         "independence",
         "_rank",
         "_indep_matrix",
-        "_dep_incl_ranks",
         "_hash",
+        "_col",
+        "_n_cols",
+        "_others",
+        "_inverse",
+        "_no_inverse",
+        "_shift",
+        "_mask",
     )
 
     def __init__(self, letters: Sequence[str], independence: Iterable = ()):
@@ -62,11 +73,22 @@ class IndependenceAlphabet:
             i, j = rank[a], rank[b]
             indep[i][j] = indep[j][i] = True
         self._indep_matrix = tuple(tuple(row) for row in indep)
-        # Per letter: the ranks of all letters it depends on, including itself.
-        self._dep_incl_ranks = tuple(
-            tuple(j for j in range(n) if j == i or not indep[i][j]) for i in range(n)
-        )
         self._hash = hash((letters, self.independence))
+        col, self._inverse = self._pile_layout(n)
+        self._col = col
+        self._n_cols = col[-1] + 1 if n else 0
+        self._others = tuple(
+            tuple(sorted({col[j] for j in range(n) if not indep[i][j]} - {col[i]}))
+            for i in range(n)
+        )
+        self._no_inverse = (-1,) * n
+        # A pile entry is ``tag << _shift | code``; ``_mask`` exceeds every code.
+        self._shift = n.bit_length()
+        self._mask = (1 << self._shift) - 1
+
+    def _pile_layout(self, n: int):
+        """Column of each letter code (numbered in code order) and its inverse code (-1: none)."""
+        return tuple(range(n)), (-1,) * n
 
     def __eq__(self, other):
         return (
@@ -126,51 +148,131 @@ class IndependenceAlphabet:
                 raise UnknownLetterError(letter, pos)
 
 
-def _pile(alphabet: IndependenceAlphabet, word: Sequence[str]) -> list:
-    """The heap of ``word``: column j lists the ranks of its letters that depend on j.
+class Pile:
+    """The heap of a stream of letter codes, on its alphabet's tables.
 
-    Columns are bottom first.  A letter r is minimal in the trace exactly
-    when the bottom entry of its own column is r, and maximal exactly when
-    the top entry is r; removing it removes one entry from that end of every
-    column in its dependence set.  Entries are only ever compared on their
-    own column, so which entry of another column is removed does not matter.
+    Column c lists, bottom first, one entry per live piece covering it:
+    ``tag << shift | code`` on the piece's own column (the tag is its
+    position in the stream) and the marker ``mask``, above every code, on
+    the other columns it covers.  A marker sits below every column.  A letter
+    is minimal (maximal) exactly when the lowest live (top) entry of its
+    column is its own; removing it removes one entry from that end of every
+    column it covers.  Entries are read only on their own column, so which
+    marker goes does not matter.
+
+    With ``cancel`` a pushed letter cancels the top of its column when that
+    is its inverse; without, nothing cancels.  ``count`` is the number of
+    live pieces, ``pushed`` of letters streamed; with ``track_pairs`` the
+    cancellations go to ``pairs`` as (earlier tag, later tag).  Pieces leave
+    from the bottom only after the last push.
     """
-    rank = alphabet._rank
-    dep_incl = alphabet._dep_incl_ranks
-    cols = [[] for _ in alphabet.letters]
-    for letter in word:
-        r = rank[letter]
-        for j in dep_incl[r]:
-            cols[j].append(r)
-    return cols
 
+    __slots__ = ("alphabet", "count", "pushed", "pairs", "_cols", "_heads", "_inverse")
 
-def _depile(alphabet: IndependenceAlphabet, cols: list, heads: list, remaining: int) -> tuple:
-    """Lex-least linearization of the ``remaining`` pieces of ``cols`` above ``heads``."""
-    letters = alphabet.letters
-    dep_incl = alphabet._dep_incl_ranks
-    n_cols = len(letters)
-    for col in cols:
-        col.append(-1)  # top sentinel: never a rank
-    out = []
-    while remaining:
-        for r in range(n_cols):
-            if cols[r][heads[r]] == r:
-                out.append(letters[r])
-                for j in dep_incl[r]:
+    def __init__(self, alphabet: IndependenceAlphabet, cancel=False, track_pairs=False):
+        self.alphabet = alphabet
+        self.count = self.pushed = 0
+        self.pairs: Optional[list] = [] if track_pairs else None
+        self._cols = [[alphabet._mask] for _ in range(alphabet._n_cols)]
+        self._heads = [1] * alphabet._n_cols
+        self._inverse = alphabet._inverse if cancel else alphabet._no_inverse
+
+    def push(self, codes: Iterable[int]) -> None:
+        """Stream letter codes onto the pile, cancelling where the piling allows."""
+        alphabet = self.alphabet
+        col_of, others = alphabet._col, alphabet._others
+        mask, shift = alphabet._mask, alphabet._shift
+        inverse, cols, pairs = self._inverse, self._cols, self.pairs
+        tag, count = self.pushed, self.count
+        for code in codes:
+            col = cols[col_of[code]]
+            top = col[-1]
+            if top & mask == inverse[code]:
+                col.pop()
+                for j in others[code]:
+                    cols[j].pop()
+                if pairs is not None:
+                    pairs.append((top >> shift, tag))
+                count -= 1
+            else:
+                col.append(tag << shift | code)
+                for j in others[code]:
+                    cols[j].append(mask)
+                count += 1
+            tag += 1
+        self.pushed, self.count = tag, count
+
+    def push_word(self, word: Sequence[str]) -> None:
+        rank = self.alphabet._rank
+        self.push([rank[a] for a in word])
+
+    def bottom(self, c: int) -> int:
+        """Code of the lowest live entry of column c; -1 for a marker or none."""
+        col, head, mask = self._cols[c], self._heads[c], self.alphabet._mask
+        return -1 if head == len(col) or col[head] == mask else col[head] & mask
+
+    def top(self, c: int) -> int:
+        """Code of the top live entry of column c; -1 for a marker or none."""
+        col, head, mask = self._cols[c], self._heads[c], self.alphabet._mask
+        return -1 if head == len(col) or col[-1] == mask else col[-1] & mask
+
+    def pop_bottom(self, code: int) -> bool:
+        """Remove the minimal piece ``code``; False, removing nothing, if it is not minimal."""
+        c = self.alphabet._col[code]
+        if self.bottom(c) != code:
+            return False
+        for j in (c,) + self.alphabet._others[code]:
+            self._heads[j] += 1
+        self.count -= 1
+        return True
+
+    def pop_top(self, code: int) -> bool:
+        """Remove the maximal piece ``code``; False, removing nothing, if it is not maximal."""
+        c = self.alphabet._col[code]
+        if self.top(c) != code:
+            return False
+        for j in (c,) + self.alphabet._others[code]:
+            self._cols[j].pop()
+        self.count -= 1
+        return True
+
+    def depile(self) -> tuple:
+        """The live pieces' letters in lex-least order; ends the pile.
+
+        A removal exposes only the columns its piece covers, so the scan for
+        the least exposed column resumes at the least of those.
+        """
+        alphabet = self.alphabet
+        letters, others, mask = alphabet.letters, alphabet._others, alphabet._mask
+        cols, heads = self._cols, self._heads
+        for col in cols:
+            col.append(mask)  # top sentinel
+        out = []
+        c = 0
+        try:
+            for _ in range(self.count):
+                while cols[c][heads[c]] == mask:
+                    c += 1
+                code = cols[c][heads[c]] & mask
+                out.append(letters[code])
+                heads[c] += 1
+                covered = others[code]
+                for j in covered:
                     heads[j] += 1
-                remaining -= 1
-                break
-        else:  # pragma: no cover - piling always exposes a minimal piece
-            raise InternalError("piling depile stuck")
-    return tuple(out)
+                if covered and covered[0] < c:
+                    c = covered[0]
+        except IndexError:  # pragma: no cover - piling always exposes a minimal piece
+            raise InternalError("piling depile stuck") from None
+        return tuple(out)
 
 
 def _canonical_word(alphabet: IndependenceAlphabet, word: Sequence[str]) -> tuple:
     """Lex-least linearization of the trace of ``word`` via piling."""
     if not word:
         return ()
-    return _depile(alphabet, _pile(alphabet, word), [0] * len(alphabet.letters), len(word))
+    pile = Pile(alphabet)
+    pile.push_word(word)
+    return pile.depile()
 
 
 class Trace:
@@ -255,19 +357,11 @@ def trace_equal(s: Trace, t: Trace) -> bool:
 
 
 def min_letters(t: Trace) -> tuple:
-    """Letters that can start a linearization of ``t`` (first occurrence unblocked)."""
-    alphabet = t.alphabet
-    seen: list = []
-    found = []
-    found_set = set()
-    for letter in t.word:
-        if letter not in found_set:
-            if all(alphabet.independent(prev, letter) for prev in seen):
-                found.append(letter)
-                found_set.add(letter)
-        if letter not in seen:
-            seen.append(letter)
-    return tuple(found)
+    """Letters that can start a linearization of ``t`` (the minimal pieces), in symbol order."""
+    pile = Pile(t.alphabet)
+    pile.push_word(t.word)
+    letters = t.alphabet.letters
+    return tuple(letters[x] for x in map(pile.bottom, range(t.alphabet._n_cols)) if x >= 0)
 
 
 def left_quotient(t: Trace, p: Trace) -> Optional[Trace]:
@@ -276,18 +370,12 @@ def left_quotient(t: Trace, p: Trace) -> Optional[Trace]:
         raise AlphabetMismatchError("quotient over mixed alphabets")
     alphabet = t.alphabet
     rank = alphabet._rank
-    dep_incl = alphabet._dep_incl_ranks
-    cols = _pile(alphabet, t.word)
-    heads = [0] * len(cols)
+    pile = Pile(alphabet)
+    pile.push_word(t.word)
     for letter in p.word:
-        r = rank[letter]
-        col = cols[r]
-        if heads[r] >= len(col) or col[heads[r]] != r:
+        if not pile.pop_bottom(rank[letter]):
             return None
-        for j in dep_incl[r]:
-            heads[j] += 1
-    rest = _depile(alphabet, cols, heads, len(t.word) - len(p.word))
-    return Trace._from_canonical(alphabet, rest)
+    return Trace._from_canonical(alphabet, pile.depile())
 
 
 def right_quotient(t: Trace, s: Trace) -> Optional[Trace]:
@@ -296,17 +384,12 @@ def right_quotient(t: Trace, s: Trace) -> Optional[Trace]:
         raise AlphabetMismatchError("quotient over mixed alphabets")
     alphabet = t.alphabet
     rank = alphabet._rank
-    dep_incl = alphabet._dep_incl_ranks
-    cols = _pile(alphabet, t.word)
+    pile = Pile(alphabet)
+    pile.push_word(t.word)
     for letter in reversed(s.word):
-        r = rank[letter]
-        col = cols[r]
-        if not col or col[-1] != r:
+        if not pile.pop_top(rank[letter]):
             return None
-        for j in dep_incl[r]:
-            cols[j].pop()
-    rest = _depile(alphabet, cols, [0] * len(cols), len(t.word) - len(s.word))
-    return Trace._from_canonical(alphabet, rest)
+    return Trace._from_canonical(alphabet, pile.depile())
 
 
 def power(t: Trace, k: int) -> Trace:
@@ -406,18 +489,11 @@ class LeviGrid:
         m, n = len(self.us), len(self.vs)
         if not self.us or not self.vs:
             raise TraceError("LeviGrid needs at least one row and column")
-        alphabet = self.us[0].alphabet
         for i in range(m):
-            col = empty_trace(alphabet)
-            for j in range(n):
-                col = col * self.cells[i][j]
-            if col != self.us[i]:
+            if concat(*self.cells[i]) != self.us[i]:
                 raise TraceError(f"column {i} does not compose to u_{i}")
         for j in range(n):
-            row = empty_trace(alphabet)
-            for i in range(m):
-                row = row * self.cells[i][j]
-            if row != self.vs[j]:
+            if concat(*(self.cells[i][j] for i in range(m))) != self.vs[j]:
                 raise TraceError(f"row {j} does not compose to v_{j}")
         for i in range(m):
             for k in range(i + 1, m):
@@ -479,19 +555,14 @@ def levi_decompose(us: Sequence[Trace], vs: Sequence[Trace]) -> Optional[LeviGri
     if not us or not vs:
         raise TraceError("levi_decompose needs nonempty factor lists")
     alphabet = us[0].alphabet
-    total = empty_trace(alphabet)
-    for u in us:
-        total = total * u
-    check = empty_trace(alphabet)
-    for v in vs:
-        check = check * v
-    if total != check:
+    total = concat(*us)
+    if total != concat(*vs):
         return None
     word = total.word
     col = _embed_parts(word, us, alphabet)
     row = _embed_parts(word, vs, alphabet)
     if col is None or row is None:  # pragma: no cover - equal products always embed
-        raise AssertionError("greedy embedding failed on equal products")
+        raise InternalError("greedy embedding failed on equal products")
     cells = [
         [
             Trace(

@@ -8,7 +8,7 @@ from collections import deque
 from typing import Optional
 
 from ggsolve.errors import AlphabetMismatchError
-from ggsolve.traces import IndependenceAlphabet, Trace
+from ggsolve.traces import IndependenceAlphabet, Trace, left_quotient, right_quotient
 from ggsolve.groups import (
     DoubledAlphabet,
     GroupElement,
@@ -153,3 +153,29 @@ def scanning_right_quotient(t: Trace, s: Trace) -> Optional[Trace]:
             return None
     rest = [letter for i, letter in enumerate(word) if not consumed[i]]
     return Trace(t.alphabet, rest)
+
+
+def quotient_cyclic_reduce(g: GroupElement):
+    """Slow oracle for ggsolve.groups.cyclic_reduce: one left and one right
+    quotient per tried letter, each piling the whole trace again."""
+    alphabet = g.alphabet
+    w = g.trace
+    peeled = []
+    changed = True
+    while changed and len(w) >= 2:
+        changed = False
+        for letter in sorted(w.alph(), key=alphabet.rank):
+            single = Trace._from_canonical(alphabet, (letter,))
+            rest = left_quotient(w, single)
+            if rest is None:
+                continue
+            inv = Trace._from_canonical(alphabet, (inverse_letter(letter),))
+            core = right_quotient(rest, inv)
+            if core is None:
+                continue
+            peeled.append(letter)
+            w = core
+            changed = True
+            break
+    p = GroupElement(Trace(alphabet, peeled))
+    return p, GroupElement(w)

@@ -292,6 +292,20 @@ class TestEnvCap:
         code, _ = run_cli(["solve", "--mode", "search", path])
         assert code == 2  # witness x=6 beyond the env cap
 
+    @pytest.mark.parametrize("value", ["abc", "-1", "1e3"])
+    def test_malformed_env_cap_is_a_parse_error(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("GG_KNAPSACK_CAP", value)
+        code, _ = run_cli(["solve", os.path.join(CORPUS, "01_z_double.gg")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "GG_KNAPSACK_CAP" in err and "Traceback" not in err
+
+    def test_negative_cap_flag_is_a_parse_error(self, capsys):
+        code, _ = run_cli(["solve", "--cap", "-1", os.path.join(CORPUS, "01_z_double.gg")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "--cap" in err and "Traceback" not in err
+
 
 class TestProcess:
     CALLS = [

@@ -216,6 +216,13 @@ class TestInternalChecks:
         with pytest.raises(InternalError):
             solve_exact(self.KNAPSACK)
 
+    def test_levi_embedding(self, monkeypatch):
+        import ggsolve.traces as traces
+
+        monkeypatch.setattr(traces, "_embed_parts", lambda *args: None)
+        with pytest.raises(InternalError, match="greedy embedding failed"):
+            solve_exact(self.KNAPSACK)
+
     def test_left_form_verification(self, monkeypatch):
         import ggsolve.solver.exact as exact
 

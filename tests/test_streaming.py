@@ -2,19 +2,33 @@
 
 The streamed ``evaluate`` is compared with the item-by-item ``power_nf`` /
 ``mult`` chain, and the piling trace quotients with the scanning ones kept
-in ``helpers`` as the slow oracle.
+in ``helpers`` as the slow oracle.  Canonical forms and cyclic reduction,
+which share the one pile, are compared with exhaustive enumeration and with
+the peel-by-quotients reduction in ``helpers``.
 """
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ggsolve.errors import ResourceExceeded
-from ggsolve.groups import SignedPile, doubled, free_reduce
+from ggsolve.errors import AlphabetMismatchError, ResourceExceeded
+from ggsolve.groups import SignedPile, cyclic_reduce, doubled, free_reduce
 from ggsolve.solver.equations import Const, ExponentEquation, Power, _evaluate_by_mult, evaluate
-from ggsolve.traces import IndependenceAlphabet, Trace, left_quotient, right_quotient
+from ggsolve.traces import (
+    IndependenceAlphabet,
+    Trace,
+    _canonical_word,
+    left_quotient,
+    right_quotient,
+)
 
-from helpers import scanning_left_quotient, scanning_right_quotient
+from helpers import (
+    quotient_cyclic_reduce,
+    scanning_left_quotient,
+    scanning_right_quotient,
+    slow_normal_form,
+)
 
 
 @st.composite
@@ -77,6 +91,12 @@ def test_signed_pile_pairs(data):
         assert i < j and dbl.rank(word[i]) == dbl.rank(word[j]) ^ 1
 
 
+def test_signed_pile_needs_doubled_alphabet():
+    # equal to the doubled alphabet of "a" as a set of letters, but without inverses
+    with pytest.raises(AlphabetMismatchError):
+        SignedPile(IndependenceAlphabet(("a", "a'")))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_piling_quotients_match_scanning(data):
@@ -89,3 +109,21 @@ def test_piling_quotients_match_scanning(data):
         left = right = Trace(alphabet, data.draw(words(alphabet, 12)))
     assert left_quotient(left, part) == scanning_left_quotient(left, part)
     assert right_quotient(right, part) == scanning_right_quotient(right, part)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_word_matches_enumeration(data):
+    alphabet = data.draw(alphabets(1, 5))
+    if data.draw(st.booleans()):
+        alphabet = doubled(alphabet)
+    word = data.draw(words(alphabet, 8))
+    assert _canonical_word(alphabet, word) == slow_normal_form(alphabet, word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cyclic_reduce_matches_quotient_peeling(data):
+    dbl = doubled(data.draw(alphabets(1, 5)))
+    g = free_reduce(dbl, data.draw(words(dbl, 16)))
+    assert cyclic_reduce(g) == quotient_cyclic_reduce(g)
