@@ -484,26 +484,31 @@ def power_closure_nfa(p: Trace, u: Trace, s: Trace) -> Nfa:
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:
-    """Plain product automaton (k*l states); inputs must be epsilon-free."""
+    """Product automaton on the pairs reachable from the pair of initial states.
+
+    The pairs are built on the fly, breadth first; inputs must be epsilon-free.
+    """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("intersect over mixed alphabets")
     if a.has_eps() or b.has_eps():
         raise StructureError("intersect requires epsilon-free automata")
-    states = [(p, q) for p in a.states for q in b.states]
+    start = (a.initial, b.initial)
+    states = [start]
+    seen = {start}
     transitions = []
-    for p in a.states:
-        out_a = a.out(p)
-        for q in b.states:
-            out_b = b.out(q)
-            for letter, dests_a in out_a.items():
-                dests_b = out_b.get(letter)
-                if not dests_b:
-                    continue
-                for pa in dests_a:
-                    for qb in dests_b:
-                        transitions.append(((p, q), letter, (pa, qb)))
-    finals = [(p, q) for p in a.finals for q in b.finals]
-    return Nfa(a.alphabet, states, transitions, (a.initial, b.initial), finals)
+    for pair in states:  # grows while it is read
+        out_b = b.out(pair[1])
+        for letter, dests_a in a.out(pair[0]).items():
+            dests_b = out_b.get(letter, ())
+            for pa in dests_a:
+                for qb in dests_b:
+                    nxt = (pa, qb)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        states.append(nxt)
+                    transitions.append((pair, letter, nxt))
+    finals = [(p, q) for (p, q) in states if p in a.finals and q in b.finals]
+    return Nfa(a.alphabet, states, transitions, start, finals)
 
 
 def length_automaton(a: Nfa) -> Nfa:
@@ -741,38 +746,3 @@ def enumerate_accepted(nfa: Nfa, max_len: int, canonical_only: bool = False) -> 
             nf = advance(fstate, letter) if canonical_only else fstate
             stack.append((word + (letter,), nxt, nf))
     return accepted
-
-
-def relabel(nfa: Nfa) -> Tuple[Nfa, Dict]:
-    """Deterministically rename states to q0..qN (BFS order); returns (nfa, old->new)."""
-    order = []
-    seen = set()
-    queue = deque([nfa.initial])
-    seen.add(nfa.initial)
-    while queue:
-        s = queue.popleft()
-        order.append(s)
-        for a in sorted(nfa.out(s), key=lambda x: "" if x is EPS else x):
-            for t in sorted(nfa.out(s)[a], key=repr):
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-    for s in nfa.states:
-        if s not in seen:
-            seen.add(s)
-            order.append(s)
-    mapping = {s: f"q{i}" for i, s in enumerate(order)}
-    memorizing = None
-    if nfa.memorizing is not None:
-        memorizing = {mapping[s]: alpha for s, alpha in nfa.memorizing.items()}
-    out = Nfa(
-        nfa.alphabet,
-        [mapping[s] for s in nfa.states],
-        [(mapping[p], a, mapping[q]) for p, a, q in nfa.transitions],
-        mapping[nfa.initial],
-        [mapping[f] for f in nfa.finals],
-        i_diamond=nfa.i_diamond,
-        memorizing=memorizing,
-        validate=False,
-    )
-    return out, mapping

@@ -7,11 +7,11 @@ block they answer; ``bench`` runs every file of a directory.
 
 Exit codes: 0 = solvable/true, 1 = unsolvable (certified), 2 = unknown or
 limits exceeded, 3 = parse error (also a block the command does not answer,
-a malformed ``--assign`` or ``oracle`` line, a letter outside the alphabet
-and an unknown ``# mode``), 4 = other error (including a failed internal
-check and any unexpected exception).  ``bench`` exits 4 when a file's exit
-code differs from its ``# expect-exit`` line.  ``--format machine`` prints
-line-oriented key=value output.
+a malformed ``--assign`` or ``oracle`` line, a letter outside the alphabet,
+an unknown ``# mode`` and a usage error on the command line), 4 = other
+error (including a failed internal check and any unexpected exception).
+``bench`` exits 4 when a file's exit code differs from its ``# expect-exit``
+line.  ``--format machine`` prints line-oriented key=value output.
 """
 
 from __future__ import annotations
@@ -261,6 +261,14 @@ def cmd_gen_mihailova(args, out: Output) -> int:
     return EXIT_SOLVABLE
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 3, since its own exit 2 means unknown here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 @functools.lru_cache(maxsize=None)
 def make_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process.
@@ -268,7 +276,7 @@ def make_parser() -> argparse.ArgumentParser:
     ``parse_args`` keeps no state between calls: each returns a fresh
     namespace.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ggsolve",
         description="Knapsack and exponent equations over graph groups.",
     )

@@ -591,61 +591,6 @@ def build_oracle(inst: Instance, name: str):
     raise FormatError(f"unknown oracle kind {kind!r}", spec.line)
 
 
-def dump_automaton(nfa: Nfa) -> str:
-    """Debug/golden format: sorted state and edge lines."""
-    lines = []
-    alpha = nfa.memorizing or {}
-    for state in sorted(nfa.states, key=str):
-        bits = [f"state {state}"]
-        if state == nfa.initial:
-            bits.append("initial")
-        if state in nfa.finals:
-            bits.append("final")
-        if state in alpha:
-            letters = ",".join(sorted(alpha[state]))
-            bits.append(f"alpha={letters}")
-        lines.append(" ".join(bits))
-    for p, a, q in sorted(nfa.transitions, key=lambda e: (str(e[0]), str(e[1]), str(e[2]))):
-        label = "eps" if a is EPS else a
-        lines.append(f"edge {p} {label} {q}")
-    return "\n".join(lines)
-
-
-def parse_automaton(text: str, alphabet: IndependenceAlphabet) -> Nfa:
-    states: List[str] = []
-    edges = []
-    initial = None
-    finals = []
-    alpha: Dict[str, frozenset] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if tokens[0] == "state":
-            states.append(tokens[1])
-            for extra in tokens[2:]:
-                if extra == "initial":
-                    initial = tokens[1]
-                elif extra == "final":
-                    finals.append(tokens[1])
-                elif extra.startswith("alpha="):
-                    letters = extra[len("alpha=") :]
-                    alpha[tokens[1]] = frozenset(
-                        x for x in letters.split(",") if x
-                    )
-                else:
-                    raise FormatError(f"bad state attribute {extra!r}", lineno)
-        elif tokens[0] == "edge":
-            label = None if tokens[2] == "eps" else tokens[2]
-            edges.append((tokens[1], label, tokens[3]))
-        else:
-            raise FormatError(f"bad automaton line {tokens[0]!r}", lineno)
-    if initial is None:
-        raise FormatError("automaton has no initial state")
-    memorizing = alpha if len(alpha) == len(states) and states else None
-    return Nfa(alphabet, states, edges, initial, finals, memorizing=memorizing)
-
-
 def format_instance(inst: Instance) -> str:
     """Canonical text for a parsed instance; parse(format(inst)) == inst."""
     lines: List[str] = []

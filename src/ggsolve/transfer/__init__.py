@@ -2,8 +2,7 @@
 
 from .kauto import (
     KnapsackAutomaton,
-    equation_chain_ka,
-    hnn_normalize,
+    equation_chain,
     knapsack_to_ka,
     prepend_word,
     skeleton_equations,
@@ -19,7 +18,7 @@ from .oracles import (
 )
 from .finite_extension import FiniteExtension, finite_ext_reduce
 from .hnn import HnnPresentation, hnn_knapsack, hnn_saturate
-from .freeprod import free_product_normalize, free_product_saturate
+from .freeprod import free_product_saturate
 from .amalgam import (
     AmalgamPresentation,
     amalgam_knapsack,
@@ -40,12 +39,10 @@ __all__ = [
     "ZOracle",
     "amalgam_knapsack",
     "amalgam_to_hnn",
-    "equation_chain_ka",
+    "equation_chain",
     "finite_ext_reduce",
-    "free_product_normalize",
     "free_product_saturate",
     "hnn_knapsack",
-    "hnn_normalize",
     "hnn_saturate",
     "knapsack_to_ka",
     "phi_transform",

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import InternalError, StructureError
 from ..groups import inverse_letter
-from .kauto import equation_chain_ka
+from .kauto import equation_chain
 from .oracles import GroupOracle
 
 
@@ -181,8 +181,7 @@ def finite_ext_reduce(
                 continue
             g_vs.append(tuple(head))
             # instance v'0 B1^{y1} v'1 ... Bn^{yn} v'n = 1 over G
-            ka = equation_chain_ka(g_oracle.letters, g_vs, g_bases)
-            if g_oracle.ka_membership(ka.nfa, ()):
+            if g_oracle.ka_membership(equation_chain(g_oracle.letters, g_vs, g_bases), ()):
                 return True
         return False
 

@@ -3,8 +3,9 @@
 Reduction paths here are nonempty one-factor paths representing the factor's
 identity; on a cycle they additionally require the cycle to contain a letter
 of the other factor (so the surgery shrinks the cycle's letter count).  The
-maintained invariants: no edge between distinct cycles, initial/finals off
-cycles, and every edge entering a cycle is an epsilon edge.
+maintained invariants (``_Builder.normalize`` with ``eps_into_cycle``): no
+edge between distinct cycles, initial/finals off cycles, and every edge
+entering a cycle is an epsilon edge.
 """
 
 from __future__ import annotations
@@ -14,46 +15,6 @@ from typing import List, Set
 from ..automata import EPS
 from .kauto import KnapsackAutomaton, ShapeInfo, _Builder
 from .oracles import FreeProductOracle, GroupOracle
-
-
-def free_product_normalize(ka: KnapsackAutomaton) -> KnapsackAutomaton:
-    """Enforce the three invariants with epsilon splitting."""
-    b = _Builder.from_nfa(ka.nfa)
-    changed = True
-    while changed:
-        changed = False
-        shape = ShapeInfo(b.to_nfa())
-        if shape.on_cycle(b.initial):
-            fresh = b.fresh("i")
-            b.edge(fresh, EPS, b.initial)
-            if b.initial in b.finals:
-                b.finals.add(fresh)
-            b.initial = fresh
-            changed = True
-            continue
-        cyc_finals = [f for f in b.finals if shape.on_cycle(f)]
-        if cyc_finals:
-            f = cyc_finals[0]
-            fresh = b.fresh("f")
-            b.edge(f, EPS, fresh)
-            b.finals.discard(f)
-            b.finals.add(fresh)
-            changed = True
-            continue
-        for (p, a, q) in sorted(b.edges, key=repr):
-            if not shape.on_cycle(q):
-                continue
-            if shape.comp_of[p] == shape.comp_of[q]:
-                continue  # the cycle's own edge
-            if a is EPS and not shape.on_cycle(p):
-                continue  # already a conforming entry edge
-            fresh = b.fresh("m")
-            b.edges.discard((p, a, q))
-            b.edge(p, a, fresh)
-            b.edge(fresh, EPS, q)
-            changed = True
-            break
-    return KnapsackAutomaton(b.to_nfa())
 
 
 def _find_cycle_reduction(oracle: FreeProductOracle, shape: ShapeInfo):
@@ -94,22 +55,24 @@ def free_product_saturate(
 ) -> bool:
     """Does the automaton accept a word representing 1 in the free product?"""
     oracle = FreeProductOracle(left, right)
-    b = _Builder.from_nfa(free_product_normalize(ka).nfa)
-    b.saturate_cycles(
+    b = _Builder.from_nfa(ka.nfa)
+    shape = b.saturate_cycles(
         lambda shape: _find_cycle_reduction(oracle, shape), set(oracle.letters), eps_into_cycle=True
     )
 
-    # Phase 2: cross-component reduction paths get epsilon shortcuts
+    # Phase 2: cross-component reduction paths get epsilon shortcuts.  A
+    # shortcut joins p to a q it already reaches, so the components, and
+    # ``shape``, stay.
     added: Set[tuple] = set()
     while True:
-        shape = ShapeInfo(b.to_nfa())
         grew = False
         states = list(b.states)
         for factor in (left, right):
             part = b.restrict(factor.letters)
             for p in states:
-                for q in part.forward(p):
-                    if p == q or shape.comp_of[p] == shape.comp_of[q]:
+                reach = part.forward(p)
+                for q in states:  # creation order, not the hash order of ``reach``
+                    if q not in reach or p == q or shape.comp_of[p] == shape.comp_of[q]:
                         continue
                     if (p, q) in added or (p, EPS, q) in b.edges:
                         continue

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..automata import EPS
 from ..errors import StructureError
 from ..groups import inverse_letter, invert_word
-from .kauto import KnapsackAutomaton, ShapeInfo, _Builder, hnn_normalize
+from .kauto import KnapsackAutomaton, ShapeInfo, _Builder
 from .oracles import GroupOracle
 
 
@@ -149,13 +149,13 @@ def _find_cycle_reduction(h: HnnPresentation, shape: ShapeInfo):
 def hnn_saturate(h: HnnPresentation, ka: KnapsackAutomaton) -> bool:
     """Does the automaton accept a word representing 1 in the HNN-extension?"""
     t, ti = h.stable, inverse_letter(h.stable)
-    b = _Builder.from_nfa(hnn_normalize(ka).nfa)
-    b.saturate_cycles(lambda shape: _find_cycle_reduction(h, shape), {t, ti})
+    b = _Builder.from_nfa(ka.nfa)
+    shape = b.saturate_cycles(lambda shape: _find_cycle_reduction(h, shape), {t, ti})
 
-    # Phase 2: shortcut reduction paths across components
+    # Phase 2: shortcut reduction paths across components.  A shortcut joins
+    # p to a q it already reaches, so the components, and ``shape``, stay.
     added: Set[tuple] = set()
     while True:
-        shape = ShapeInfo(b.to_nfa())
         base = b.restrict(h.base.letters)
         t_in = {}  # alpha -> list of (p, p') reading t^{-alpha}
         t_out = {}  # alpha -> list of (q', q) reading t^{alpha}
@@ -170,7 +170,7 @@ def hnn_saturate(h: HnnPresentation, ka: KnapsackAutomaton) -> bool:
                 for (q2, q) in t_out[alpha]:
                     if q2 not in reach:
                         continue
-                    if shape.comp_of.get(p) == shape.comp_of.get(q):
+                    if shape.comp_of[p] == shape.comp_of[q]:
                         continue
                     sub = base.cut(p2, [q2])
                     for idx, rep in enumerate(h.assoc[alpha]):

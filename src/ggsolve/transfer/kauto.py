@@ -1,5 +1,5 @@
-"""Knapsack automata: shape certificate, chain constructions, skeletons, normalization,
-and the automaton toolkit (``_Builder``) both saturations run on.
+"""Knapsack automata: shape certificate, chain constructions, skeletons, and the
+automaton toolkit (``_Builder``) both saturations run on, normalization included.
 
 A knapsack automaton is an NFA whose strongly connected components are
 singletons or induced cycles; epsilon edges count as edges for the SCC
@@ -77,15 +77,15 @@ def strongly_connected_components(states, edges) -> Dict:
 
 
 class ShapeInfo:
-    """SCC analysis of a knapsack automaton."""
+    """SCC analysis of a knapsack automaton given by its states and edges."""
 
-    def __init__(self, nfa: Nfa):
-        scc = strongly_connected_components(nfa.states, nfa.transitions)
+    def __init__(self, states, edges):
+        scc = strongly_connected_components(states, edges)
         self.comp_of = scc["comp_of"]
         self.components = scc["components"]
-        out_in_comp: Dict = {s: [] for s in nfa.states}
-        in_in_comp: Dict = {s: [] for s in nfa.states}
-        for p, a, q in nfa.transitions:
+        out_in_comp: Dict = {s: [] for s in states}
+        in_in_comp: Dict = {s: [] for s in states}
+        for p, a, q in edges:
             if self.comp_of[p] == self.comp_of[q]:
                 out_in_comp[p].append((a, q))
                 in_in_comp[q].append((a, p))
@@ -174,7 +174,7 @@ class KnapsackAutomaton:
 
     def __init__(self, nfa: Nfa):
         self.nfa = nfa
-        self.shape = ShapeInfo(nfa)  # raises CertificateError on bad shape
+        self.shape = ShapeInfo(nfa.states, nfa.transitions)  # raises CertificateError
 
     def __repr__(self):
         return f"KnapsackAutomaton(states={self.nfa.num_states()})"
@@ -183,15 +183,18 @@ class KnapsackAutomaton:
 class _Builder:
     """Mutable automaton builder: the toolkit of the chain constructions and saturations.
 
-    ``states`` keeps the states in creation order (a dict used as an ordered
-    set); ``fresh`` names a new state by hint and counter, skipping names in
-    use.  The label alphabet travels with the builder into ``to_nfa``.
+    ``states`` keeps the states in creation order and ``edges`` the edges in
+    insertion order (dicts used as ordered sets), so every loop over them,
+    and with it each fresh name and each oracle question, comes in the same
+    order in every process; ``from_nfa`` inserts the edges in ``repr``
+    order.  ``fresh`` names a new state by hint and counter, skipping names
+    in use.  The label alphabet travels with the builder into ``to_nfa``.
     """
 
     def __init__(self, alphabet: IndependenceAlphabet):
         self.alphabet = alphabet
         self.states: Dict = {}
-        self.edges: Set[tuple] = set()
+        self.edges: Dict[tuple, None] = {}
         self.initial = None
         self.finals: Set = set()
         self._counter = itertools.count()
@@ -200,13 +203,17 @@ class _Builder:
     def from_nfa(cls, nfa: Nfa) -> "_Builder":
         b = cls(nfa.alphabet)
         b.states = dict.fromkeys(nfa.states)
-        b.edges = set(nfa.transitions)
+        b.edges = dict.fromkeys(sorted(nfa.transitions, key=repr))
         b.initial = nfa.initial
         b.finals = set(nfa.finals)
         return b
 
     def to_nfa(self) -> Nfa:
         return Nfa(self.alphabet, self.states, self.edges, self.initial, self.finals)
+
+    def shape(self) -> ShapeInfo:
+        """The shape certificate of the automaton as it stands; raises CertificateError."""
+        return ShapeInfo(self.states, self.edges)
 
     def fresh(self, hint: str = "s"):
         while True:
@@ -216,7 +223,7 @@ class _Builder:
                 return name
 
     def edge(self, p, a, q):
-        self.edges.add((p, a, q))
+        self.edges[(p, a, q)] = None
 
     def path(self, p, word: Sequence, q=None, hint: str = "s"):
         """Edges spelling ``word`` from p to q through fresh states; returns q.
@@ -261,7 +268,7 @@ class _Builder:
                 leaving.append((pos[src], a, dst))
         labels = [e[1] for e in edges]
         self.edges = {
-            (src, a, dst)
+            (src, a, dst): None
             for (src, a, dst) in self.edges
             if (src, a, dst) not in path_edges and src not in interior and dst not in interior
         }
@@ -281,25 +288,85 @@ class _Builder:
                 if i < j:
                     self.path(s, v + labels[i:j] + [v2], s2, "y")
 
-    def saturate_cycles(self, find_reduction, counted, eps_into_cycle: bool = False) -> None:
-        """Phase 1 of both saturations: cut reductions out of cycles until none is left.
+    def normalize(self, eps_into_cycle: bool) -> ShapeInfo:
+        """Move the initial state and the finals off cycles and split the edges
+        into cycles; returns the shape of the result.  The language is unchanged.
+
+        The split edges are those between two cycles and, with
+        ``eps_into_cycle``, every edge entering a cycle but an epsilon edge
+        from outside (free-product invariant iii).  A shadow state stands in
+        for the state it splits off: joined to it by an epsilon edge with
+        ``eps_into_cycle``, else carrying copies of its edges.  A pass fixes
+        every violation of one shape; it reads the edges and finals to fix
+        before any fix, as the states it makes lie on no cycle.  Copies read
+        the edges as they stand, and the finals come last, so a final's
+        shadow also gets the edges that the earlier fixes made into it.
+        """
+        while True:
+            shape = self.shape()
+            on_cycle, comp_of = shape.on_cycle, shape.comp_of
+            entering = [
+                (p, a, q)
+                for (p, a, q) in self.edges
+                if on_cycle(q)
+                and comp_of[p] != comp_of[q]
+                and (on_cycle(p) or (eps_into_cycle and a is not EPS))
+            ]
+            cycle_finals = sorted((f for f in self.finals if on_cycle(f)), key=repr)
+            if not (entering or cycle_finals or on_cycle(self.initial)):
+                return shape
+            for (p, a, q) in entering:
+                del self.edges[(p, a, q)]
+                self.edge(p, a, self._shadow_into(q, eps_into_cycle, "m"))
+            if on_cycle(self.initial):
+                self.initial = self._shadow_into(self.initial, eps_into_cycle, "i")
+            for f in cycle_finals:
+                shadow = self.fresh("f")
+                if eps_into_cycle:
+                    self.edge(f, EPS, shadow)
+                else:
+                    for (p, a, q) in list(self.edges):
+                        if q == f:
+                            self.edge(p, a, shadow)
+                self.finals.discard(f)
+                self.finals.add(shadow)
+
+    def _shadow_into(self, q, eps_into_cycle: bool, hint: str):
+        """A fresh state that goes on like ``q``: by an epsilon edge into ``q``,
+        or by copies of its out-edges and its finality."""
+        shadow = self.fresh(hint)
+        if eps_into_cycle:
+            self.edge(shadow, EPS, q)
+            return shadow
+        for (p, a, r) in list(self.edges):
+            if p == q:
+                self.edge(shadow, a, r)
+        if q in self.finals:
+            self.finals.add(shadow)
+        return shadow
+
+    def saturate_cycles(self, find_reduction, counted, eps_into_cycle: bool = False) -> ShapeInfo:
+        """Phase 1 of both saturations: normalize, then cut reductions out of
+        cycles until none is left; returns the final shape.
 
         ``find_reduction(shape)`` returns ``(p, q, edges, word)`` -- a
         reduction path along a cycle and the word of its shortcut -- or None.
         Every surgery must lower the number of cycle edges labelled in
-        ``counted``; that is what makes the loop end.
+        ``counted``; that is what makes the loop end.  ``eps_into_cycle``
+        picks the normalization and the surgery's arriving bypasses.
         """
+        shape = self.normalize(eps_into_cycle)
         before = None
         while True:
-            shape = ShapeInfo(self.to_nfa())  # revalidates the knapsack certificate
             count = shape.cycle_letters(counted)
             if before is not None and count >= before:
                 raise InternalError("phase-1 surgery must remove letters from cycles")
             hit = find_reduction(shape)
             if hit is None:
-                return
+                return shape
             before = count
             self.surgery(*hit, eps_into_cycle)
+            shape = self.shape()  # revalidates the knapsack certificate
 
 
 class Restriction:
@@ -352,13 +419,14 @@ class Restriction:
         return useful_part(b.alphabet, b.states, edges, initial, finals, keep)
 
 
-def equation_chain_ka(
+def equation_chain(
     letters: Sequence[str],
     v_words: Sequence[Sequence[str]],
     u_words: Sequence[Sequence[str]],
-) -> KnapsackAutomaton:
+) -> Nfa:
     """Chain automaton accepting v0 u1* v1 ... un* vn (epsilon-free).
 
+    It has the knapsack shape by construction; no certificate is built.
     Cycles are entered by consuming the first letter of the loop word, so
     skipping a power keeps the previous endpoint live; exits happen at the
     loop's base state only.
@@ -401,7 +469,7 @@ def equation_chain_ka(
         read_star(u)
         read_constant(v)
     b.finals = set(endpoints)
-    return KnapsackAutomaton(b.to_nfa())
+    return b.to_nfa()
 
 
 def knapsack_to_ka(
@@ -409,8 +477,7 @@ def knapsack_to_ka(
 ) -> Tuple[KnapsackAutomaton, tuple]:
     """Automaton for w1* ... wk* plus the membership target."""
     v_words = [()] * (len(base_words) + 1)
-    ka = equation_chain_ka(letters, v_words, base_words)
-    return ka, tuple(target_word)
+    return KnapsackAutomaton(equation_chain(letters, v_words, base_words)), tuple(target_word)
 
 
 def prepend_word(ka: KnapsackAutomaton, word: Sequence[str]) -> KnapsackAutomaton:
@@ -487,58 +554,3 @@ def skeleton_equations(ka: KnapsackAutomaton, prepend, alphabet):
             items.append(Power(free_reduce(alphabet, u), f"x{i+1}"))
             items.append(Const(free_reduce(alphabet, vs[i + 1])))
         yield ExponentEquation(alphabet, items)
-
-
-def hnn_normalize(ka: KnapsackAutomaton) -> KnapsackAutomaton:
-    """Epsilon-free normalization: no cycle-to-cycle edges, initial/finals off cycles.
-
-    Intermediate states copy the out-edges (for the initial) or in-edges (for
-    finals) of the cycle state they shadow; the language is unchanged.
-    """
-    b = _Builder.from_nfa(ka.nfa)
-    changed = True
-    while changed:
-        changed = False
-        shape = ShapeInfo(b.to_nfa())
-        # (ii) initial off cycles
-        if shape.on_cycle(b.initial):
-            old = b.initial
-            fresh = b.fresh("i")
-            for p, a, q in list(b.edges):
-                if p == old:
-                    b.edge(fresh, a, q)
-            if old in b.finals:
-                b.finals.add(fresh)
-            b.initial = fresh
-            changed = True
-            continue
-        # (ii) finals off cycles
-        cyc_finals = [f for f in b.finals if shape.on_cycle(f)]
-        if cyc_finals:
-            f = cyc_finals[0]
-            fresh = b.fresh("f")
-            for p, a, q in list(b.edges):
-                if q == f:
-                    b.edge(p, a, fresh)
-            b.finals.discard(f)
-            b.finals.add(fresh)
-            changed = True
-            continue
-        # (i) no edge between states of distinct cycles
-        for p, a, q in sorted(b.edges, key=repr):
-            if (
-                shape.on_cycle(p)
-                and shape.on_cycle(q)
-                and shape.comp_of[p] != shape.comp_of[q]
-            ):
-                fresh = b.fresh("m")
-                b.edges.discard((p, a, q))
-                b.edge(p, a, fresh)
-                for p2, a2, q2 in list(b.edges):
-                    if p2 == q:
-                        b.edge(fresh, a2, q2)
-                if q in b.finals:
-                    b.finals.add(fresh)
-                changed = True
-                break
-    return KnapsackAutomaton(b.to_nfa())

@@ -17,6 +17,7 @@ from ggsolve.automata import (
     length_automaton,
     power_closure_nfa,
     prefix_nfa,
+    reachable,
     star_nfa,
     trim,
     unary_progressions,
@@ -257,9 +258,33 @@ class TestIntersect:
         assert language(intersect(a, b), 3) == {()}
 
     def test_state_count(self):
+        """Only the pairs reachable from the initial pair are built: 2 of 2 * 3."""
         a = prefix_nfa(normal_form(AB_DEP, "a"))
         b = prefix_nfa(normal_form(AB_DEP, "ab"))
-        assert intersect(a, b).num_states() == a.num_states() * b.num_states()
+        assert intersect(a, b).num_states() == 2
+
+    def test_random_products(self):
+        """The product accepts exactly the words both inputs accept, and every
+        product state is reachable from the initial pair."""
+        rng = random.Random(23)
+
+        def random_nfa():
+            states = list(range(rng.randint(1, 4)))
+            edges = [
+                (rng.choice(states), rng.choice("ab"), rng.choice(states))
+                for _ in range(rng.randint(0, 7))
+            ]
+            finals = rng.sample(states, rng.randint(0, len(states)))
+            return Nfa(AB_DEP, states, edges, rng.choice(states), finals)
+
+        for _ in range(200):
+            a, b = random_nfa(), random_nfa()
+            prod = intersect(a, b)
+            assert language(prod, 5) == language(a, 5) & language(b, 5)
+            adj = {}
+            for p, _, q in prod.transitions:
+                adj.setdefault(p, set()).add(q)
+            assert reachable([prod.initial], adj) == set(prod.states)
 
 
 class TestLengthAutomaton:

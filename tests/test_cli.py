@@ -16,14 +16,9 @@ from ggsolve.groups import SignedPile
 from ggsolve.formats import (
     EqProblem,
     build_equation,
-    dump_automaton,
-    parse_automaton,
     parse_instance,
 )
 from ggsolve.mihailova import gen_mihailova, mihailova_generators
-from ggsolve.traces import IndependenceAlphabet
-from ggsolve.automata import prefix_nfa
-from ggsolve.traces import normal_form
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 CORPUS = os.path.join(ROOT, "corpus")
@@ -80,18 +75,6 @@ class TestParsing:
     def test_unknown_slp(self):
         with pytest.raises(FormatError):
             build_equation(parse_instance("gens a\neq\nconstS Nope\n"))
-
-    def test_automaton_dump_roundtrip(self):
-        t = normal_form(IndependenceAlphabet("ab", [("a", "b")]), "ab")
-        nfa = prefix_nfa(t)
-        from ggsolve.automata import relabel, enumerate_accepted
-
-        named, _ = relabel(nfa)
-        text = dump_automaton(named)
-        parsed = parse_automaton(text, named.alphabet)
-        assert enumerate_accepted(parsed, 3) == enumerate_accepted(nfa, 3)
-        # dump is stable and sorted
-        assert text == dump_automaton(parsed)
 
 
 class TestSolveCommand:
@@ -340,8 +323,32 @@ class TestProcess:
                 cwd=ROOT, env=cli_env(), capture_output=True, text=True, timeout=60,
             )
             assert (code, out.getvalue()) == (fresh.returncode, fresh.stdout), argv
-            if code == 2 and not out.getvalue():  # an argparse error
+            if code == 3 and not out.getvalue():  # an argparse error
                 assert err.getvalue() == fresh.stderr
+
+    def test_usage_errors_exit_3(self):
+        """A mistyped call is a parse error (3), never "unknown" (2); help exits 0."""
+        calls = [
+            (["solve", "--bogus", "corpus/01_z_double.gg"], "unrecognized arguments: --bogus"),
+            (["solve", "corpus/nope.gg"], "argument file: can't open 'corpus/nope.gg'"),
+            (["gen-mihailova", "--sigma", "a", "--word", "a", "--rounds", "x"],
+             "argument --rounds: invalid int value: 'x'"),
+        ]
+        for argv, message in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ggsolve.cli", *argv],
+                cwd=ROOT, env=cli_env(), capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 3, argv
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("usage: ggsolve")
+            assert f"error: {message}" in proc.stderr
+        for argv in (["--help"], ["solve", "--help"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ggsolve.cli", *argv],
+                cwd=ROOT, env=cli_env(), capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0 and proc.stdout.startswith("usage: ggsolve")
 
     def test_stdin_stays_open(self, monkeypatch):
         """``-`` reads standard input, which is not closed after the call."""

@@ -16,7 +16,6 @@ from ggsolve.transfer import (
     ZOracle,
     free_product_saturate,
     hnn_knapsack,
-    hnn_normalize,
     hnn_saturate,
     knapsack_to_ka,
     prepend_word,
@@ -251,7 +250,7 @@ class TestStepwisePreservation:
     def test_phase1_surgery_preserves_membership(self):
         """Each phase-1 surgery step preserves membership answers (BFS oracle)."""
         from ggsolve.transfer.hnn import _find_cycle_reduction
-        from ggsolve.transfer.kauto import ShapeInfo, _Builder, hnn_normalize
+        from ggsolve.transfer.kauto import _Builder
 
         h = z2_z_presentation()
         rng = random.Random(55)
@@ -263,18 +262,18 @@ class TestStepwisePreservation:
                 for _ in range(k)
             ]
             ka, _ = knapsack_to_ka(h.letters, bases, ())
-            ka = hnn_normalize(ka)
             b = _Builder.from_nfa(ka.nfa)
+            b.normalize(False)
             while True:
                 nfa = b.to_nfa()
-                shape = ShapeInfo(nfa)
+                shape = b.shape()
                 hit = _find_cycle_reduction(h, shape)
                 if hit is None:
                     break
                 before = nfa_accepts_identity_bfs(nfa, z2z_reduce, max_len=10)
                 b.surgery(*hit)
+                b.shape()  # shape certificate revalidates
                 after_nfa = b.to_nfa()
-                ShapeInfo(after_nfa)  # shape certificate revalidates
                 after = nfa_accepts_identity_bfs(after_nfa, z2z_reduce, max_len=10)
                 assert before == after
                 checked_steps += 1
@@ -380,3 +379,101 @@ class TestTrimmedQuestions:
         for _, nfa, _ in asked:
             assert _fields(trim(nfa)) == _fields(nfa)
         assert len(trims) == len(impls)
+
+
+def random_knapsack_automaton(rng, letters):
+    """Components in a row, each a state, a loop or a 2-3 state cycle, with
+    edges (epsilon among the labels) only from earlier to later components."""
+    from ggsolve.automata import EPS
+
+    comps, edges = [], []
+    for c in range(rng.randint(1, 5)):
+        size = rng.choice((1, 1, 2, 3))
+        comp = [f"c{c}_{i}" for i in range(size)]
+        if size > 1 or rng.random() < 0.5:
+            edges += [(s, rng.choice(letters), comp[(i + 1) % size]) for i, s in enumerate(comp)]
+        comps.append(comp)
+    states = [s for comp in comps for s in comp]
+    for _ in range(rng.randint(len(comps) - 1, 2 * len(comps))):
+        i, j = sorted(rng.sample(range(len(comps)), 2)) if len(comps) > 1 else (0, 0)
+        if i != j:
+            edges.append((rng.choice(comps[i]), rng.choice(letters + (EPS,)), rng.choice(comps[j])))
+    finals = rng.sample(states, rng.randint(1, min(3, len(states))))
+    return Nfa(plain_alphabet(letters), states, edges, rng.choice(comps[0]), finals)
+
+
+class TestNormalize:
+    @pytest.mark.parametrize("eps_into_cycle", [False, True])
+    def test_one_pass_fixes_every_violation(self, monkeypatch, eps_into_cycle):
+        """Each normalization keeps the language and its invariants hold after
+        at most two shapes: one pass fixes everything the first shape shows."""
+        from ggsolve.automata import EPS, enumerate_accepted
+        from ggsolve.transfer.kauto import _Builder
+
+        shapes = []
+        shape = _Builder.shape
+        monkeypatch.setattr(_Builder, "shape", lambda b: shapes.append(b) or shape(b))
+        rng = random.Random(71)
+        letters = ("g", "h")
+        fixed = 0
+        for _ in range(300):
+            nfa = random_knapsack_automaton(rng, letters)
+            b = _Builder.from_nfa(nfa)
+            shapes.clear()
+            got = b.normalize(eps_into_cycle)
+            assert len(shapes) <= 2
+            fixed += len(shapes) == 2
+            normal = b.to_nfa()
+            assert enumerate_accepted(normal, 5) == enumerate_accepted(nfa, 5)
+            KnapsackAutomaton(normal)
+            assert not got.on_cycle(b.initial)
+            assert not any(got.on_cycle(f) for f in b.finals)
+            for (p, a, q) in b.edges:
+                if got.on_cycle(q) and got.comp_of[p] != got.comp_of[q]:
+                    assert not got.on_cycle(p)
+                    assert a is EPS or not eps_into_cycle
+        assert fixed >= 250
+
+
+STEP_ORDER_INSTANCE = """\
+oracle L finite-cyclic 4 g
+oracle R finite-cyclic 4 h
+amalgam left L right R
+felem 1 z
+fid 1
+ftable 1 1 -> 1
+ftable 1 z -> z
+ftable z 1 -> z
+ftable z z -> 1
+fmap 1 left _ right _
+fmap z left g g right h h
+item g'
+item g' h
+target g' g' h g' h
+"""
+
+
+class TestStepOrder:
+    def test_oracle_questions_repeat_across_processes(self, tmp_path):
+        """Three processes with one hash seed ask the same oracle questions in
+        the same order (epsilon edges hash by address before Python 3.12)."""
+        import os
+        import subprocess
+        import sys
+
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = tmp_path / "amalgam.gg"
+        path.write_text(STEP_ORDER_INSTANCE)
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        src = os.path.join(here, "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        logs = []
+        for _ in range(3):
+            proc = subprocess.run(
+                [sys.executable, os.path.join(here, "steplog.py"), "amalgam", str(path)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            logs.append(proc.stdout)
+        assert logs[0].endswith("exit=0\n") and logs[0].count("\n") > 100
+        assert logs[1] == logs[0] and logs[2] == logs[0]

@@ -16,14 +16,13 @@ from ggsolve.transfer import (
     GraphGroupOracle,
     KnapsackAutomaton,
     ZOracle,
-    equation_chain_ka,
-    hnn_normalize,
+    equation_chain,
     knapsack_to_ka,
     prepend_word,
     skeleton_equations,
     skeletons,
 )
-from ggsolve.transfer.kauto import plain_alphabet
+from ggsolve.transfer.kauto import _Builder, plain_alphabet
 
 from helpers import random_element
 
@@ -84,10 +83,10 @@ class TestChainConstruction:
 
     def test_constants_between(self):
         letters = ("a", "a'", "b", "b'")
-        ka = equation_chain_ka(letters, [("b",), ("b",), ()], [("a",), ("a",)])
+        nfa = equation_chain(letters, [("b",), ("b",), ()], [("a",), ("a",)])
         from ggsolve.automata import enumerate_accepted
 
-        lang = enumerate_accepted(ka.nfa, 4)
+        lang = enumerate_accepted(nfa, 4)
         assert ("b", "b") in lang
         assert ("b", "a", "b") in lang
         assert ("b", "a", "b", "a") in lang
@@ -138,6 +137,13 @@ class TestSkeletons:
                     solvable = True
                     break
             assert solvable == brute_solvable
+
+
+def hnn_normalize(ka):
+    """The epsilon-free normalization of ``ka``, run on a builder."""
+    b = _Builder.from_nfa(ka.nfa)
+    b.normalize(False)
+    return KnapsackAutomaton(b.to_nfa())
 
 
 class TestHnnNormalize:
