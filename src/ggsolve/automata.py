@@ -20,7 +20,7 @@ from .errors import (
     StructureError,
     TraceError,
 )
-from .groups import inverse_letter
+from .groups import DoubledAlphabet, free_reduce, inverse_letter
 from .traces import (
     IndependenceAlphabet,
     Trace,
@@ -632,12 +632,8 @@ def unary_progressions(u: Nfa) -> FrozenSet:
 
 
 def _require_free_doubled(alphabet: IndependenceAlphabet) -> None:
-    if alphabet.independence:
-        raise StructureError("Benois saturation requires an empty independence relation")
-    letters = set(alphabet.letters)
-    for a in letters:
-        if inverse_letter(a) not in letters:
-            raise StructureError(f"letter {a!r} has no inverse in the alphabet")
+    if not isinstance(alphabet, DoubledAlphabet) or alphabet.independence:
+        raise StructureError("Benois saturation needs a doubled alphabet with no independence")
 
 
 def benois_saturate(a: Nfa) -> Nfa:
@@ -679,21 +675,10 @@ def benois_saturate(a: Nfa) -> Nfa:
     return Nfa(a.alphabet, a.states, trans, a.initial, a.finals)
 
 
-def free_reduce_word(word: Sequence[str]) -> tuple:
-    """Free-group reduction of a word over a doubled free alphabet (stack based)."""
-    out: List[str] = []
-    for letter in word:
-        if out and out[-1] == inverse_letter(letter):
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 def benois_member(a: Nfa, word: Sequence[str]) -> bool:
     """Does ``a`` accept some word equal to ``word`` in the free group?"""
     saturated = benois_saturate(a)
-    return saturated.accepts(free_reduce_word(word))
+    return saturated.accepts(free_reduce(a.alphabet, word).word)
 
 
 # -- test/debug helpers ------------------------------------------------------

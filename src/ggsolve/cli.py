@@ -140,10 +140,10 @@ def run(inst: Instance, mode: str, caps: Tuple[int, int]):
     expansion_cap, search_cap = caps
     problem = inst.problem
     if isinstance(problem, KaProblem):
-        ka, target = build_ka(inst)
+        nfa, target = build_ka(inst)
         oracle = GraphGroupOracle(inst.require_alphabet(), search_cap)
         try:
-            solvable = oracle.ka_membership(ka.nfa, target)
+            solvable = oracle.ka_membership(nfa, target)
         except LimitsExceeded as exc:
             return SolveReport("unknown", note=str(exc))
     elif isinstance(problem, ExtensionProblem):

@@ -48,12 +48,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
-from .automata import EPS, Nfa
-from .errors import FormatError
+from .automata import EPS, Nfa, trim
+from .errors import CertificateError, FormatError, StructureError
 from .groups import DoubledAlphabet, free_reduce, inverse_letter
 from .slp import Slp, expand_capped, is_variable_token
 from .traces import IndependenceAlphabet
-from .transfer.kauto import plain_alphabet
 
 MODES = ("exact", "search", "relax")
 
@@ -488,8 +487,14 @@ def build_equation(inst: Instance, expansion_cap: int = 10**6):
 
 
 def build_ka(inst: Instance):
-    """KnapsackAutomaton + target from a ka problem block."""
-    from .transfer.kauto import KnapsackAutomaton
+    """The automaton (over the instance's alphabet) and the target of a ka block.
+
+    The block must describe a knapsack automaton: its shape is certified
+    here, and a failed certificate is a FormatError, as is an edge to an
+    undeclared state.  The automaton comes out trimmed, as the transfer
+    code's cuts and chains do.
+    """
+    from .transfer.kauto import ShapeInfo
 
     alphabet = inst.require_alphabet()
     problem = inst.problem
@@ -497,35 +502,47 @@ def build_ka(inst: Instance):
         raise FormatError("ka block needs an initial state", problem.line)
     labels = [(a,) for _, a, _ in problem.edges if a is not EPS]
     _check_letters(set(alphabet.letters), labels + [problem.target], problem.line, "ka block")
-    label_alphabet = plain_alphabet(alphabet.letters)
-    nfa = Nfa(label_alphabet, problem.states, problem.edges, problem.initial, problem.finals)
-    return KnapsackAutomaton(nfa), problem.target
+    try:
+        nfa = Nfa(alphabet, problem.states, problem.edges, problem.initial, problem.finals)
+        ShapeInfo(nfa.states, nfa.transitions)
+    except (StructureError, CertificateError) as exc:
+        raise FormatError(f"ka block: {exc}", problem.line) from exc
+    return trim(nfa), problem.target
 
 
 def build_extension(inst: Instance):
     """FiniteExtension and the words v0..vn, u1..un of an extension block.
 
-    The ``eqH`` items spell v0 u1^x1 v1 ... un^xn vn = 1: consecutive
-    constants merge into one v word, and the extension letters are the
-    coset table's generators without their inverses.
+    The ``eqH`` items spell v0 u1^x1 v1 ... un^xn vn = 1 with pairwise
+    distinct variables: consecutive constants merge into one v word, and
+    the extension letters are the coset table's generators without their
+    inverses.
     """
     from .transfer import FiniteExtension
 
     problem = inst.problem
+    base = build_oracle(inst, problem.base)
+    g_words = [gword for gword, _ in problem.table.values()]
+    _check_letters(set(base.letters), g_words, problem.line, "extension block, coset-table g-word")
     ext_letters = sorted({b for (_, b) in problem.table})
     ext_letters = tuple(
         dict.fromkeys(b[:-1] if b.endswith("'") else b for b in ext_letters)
     )
-    fe = FiniteExtension(
-        build_oracle(inst, problem.base), ext_letters, problem.cosets, problem.one, problem.table
-    )
+    fe = FiniteExtension(base, ext_letters, problem.cosets, problem.one, problem.table)
+    item_letters = {*ext_letters, *(inverse_letter(b) for b in ext_letters)}
+    variables: set = set()
     v_words: List[tuple] = []
     u_words: List[tuple] = []
     pending: tuple = ()
     for item in problem.items:
+        _check_letters(item_letters, [item.word], item.line, "eqH item")
         if item.var is None:
             pending = pending + item.word
+        elif item.var in variables:
+            # finite_ext_reduce treats every power as its own variable
+            raise FormatError(f"eqH variable {item.var!r} repeats", item.line)
         else:
+            variables.add(item.var)
             v_words.append(pending)
             pending = ()
             u_words.append(item.word)

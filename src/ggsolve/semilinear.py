@@ -9,9 +9,8 @@ zur Gathen-Sieveking entry bound, which certifies unsolvability.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import InternalError, StructureError, TraceError
 from .traces import Trace, is_connected
@@ -327,69 +326,14 @@ def two_power_solutions(
 # -- variable identification --------------------------------------------------
 
 
-def _minimal_elements(vectors: List[tuple]) -> List[tuple]:
-    minimal = []
-    for v in sorted(vectors, key=sum):
-        if not any(all(mi <= vi for mi, vi in zip(m, v)) for m in minimal):
-            minimal.append(v)
-    return minimal
-
-
-def _homogeneous_basis(A, m, bound) -> List[tuple]:
-    """Minimal nonzero solutions of A z = 0 with entries <= bound."""
-    sols = []
-    if m == 0:
-        return sols
-    if m == 1:
-        col = [row[0] for row in A]
-        if all(x == 0 for x in col):
-            return [(1,)]
-        return []
-    for z in itertools.product(range(bound + 1), repeat=m):
-        if all(x == 0 for x in z):
-            continue
-        if all(sum(row[j] * z[j] for j in range(m)) == 0 for row in A):
-            sols.append(z)
-    return _minimal_elements(sols)
-
-
-def _particular_solutions(A, a, m, bound) -> List[tuple]:
-    """Minimal solutions of A z = a with entries <= bound."""
-    if m == 0:
-        return [()] if all(x == 0 for x in a) else []
-    if m == 1:
-        candidates = None
-        for row, rhs in zip(A, a):
-            coef = row[0]
-            if coef == 0:
-                if rhs != 0:
-                    return []
-                continue
-            if rhs % coef != 0 or rhs // coef < 0:
-                return []
-            val = rhs // coef
-            if candidates is None:
-                candidates = val
-            elif candidates != val:
-                return []
-        if candidates is None:
-            return [(0,)]  # all rows trivial; minimal solution is 0
-        return [(candidates,)] if candidates <= bound else []
-    sols = []
-    for z in itertools.product(range(bound + 1), repeat=m):
-        if all(sum(row[j] * z[j] for j in range(m)) == rhs for row, rhs in zip(A, a)):
-            sols.append(z)
-    return _minimal_elements(sols)
-
-
 def identify_variables(s: SemilinearSet, f: Dict[int, int]) -> SemilinearSet:
     """Restrict to the diagonal x_i = x_{f(i)} and project to the representatives.
 
     ``f`` maps every position of [0,dim) to a representative position (and
-    each representative to itself).  Per component the equality constraints
-    become a linear system over the period multipliers, solved by bounded
-    minimal-solution enumeration (exact for <= 1 period, the case produced
-    by the two-power pipeline).
+    each representative to itself).  Per component the equalities are rows
+    c z = d over the period multiplier z; with at most one period (all the
+    two-power pipeline makes) they are solved in closed form.  A component
+    with two or more periods and a nontrivial ``f`` raises StructureError.
     """
     n = s.dimension
     for i in range(n):
@@ -398,48 +342,31 @@ def identify_variables(s: SemilinearSet, f: Dict[int, int]) -> SemilinearSet:
         if f[f[i]] != f[i]:
             raise StructureError("representatives must map to themselves")
     reps = sorted(set(f[i] for i in range(n)))
+    moved = [i for i in range(n) if f[i] != i]
     out = []
     for comp in s.components:
-        m = len(comp.periods)
-        rows = []
-        rhs = []
-        for i in range(n):
+        periods = comp.periods
+        if moved and len(periods) > 1:
+            raise StructureError("identification is solved for at most one period")
+        z = None  # the multiplier of the one period, once a row forces it
+        for i in moved:
             r = f[i]
-            if r == i:
+            c = periods[0][r] - periods[0][i] if periods else 0
+            d = comp.base[i] - comp.base[r]
+            if c == 0 and d == 0:
                 continue
-            rows.append([comp.periods[j][r] - comp.periods[j][i] for j in range(m)])
-            rhs.append(comp.base[i] - comp.base[r])
-        if not rows:
-            # identity on this component: pure projection
-            out.append(
-                LinearSet(
-                    [comp.base[r] for r in reps],
-                    [[pvec[r] for r in reps] for pvec in comp.periods],
-                )
-            )
-            continue
-        bound = DiophantineSystem(rows, rhs).cutoff()
-        particular = _particular_solutions(rows, rhs, m, bound)
-        homogeneous = _homogeneous_basis(rows, m, bound)
-        for z0 in particular:
-            base = [
-                comp.base[r] + sum(comp.periods[j][r] * z0[j] for j in range(m))
-                for r in reps
-            ]
-            periods = [
-                [sum(comp.periods[j][r] * h[j] for j in range(m)) for r in reps]
-                for h in homogeneous
-            ]
-            periods = [pv for pv in periods if any(pv)]
-            out.append(LinearSet(base, periods))
+            if c == 0 or d % c or d // c < 0 or z not in (None, d // c):
+                break  # no multiplier meets this row and the earlier ones
+            z = d // c
+        else:
+            if z is not None:
+                base = [comp.base[r] + z * periods[0][r] for r in reps]
+                periods = ()
+            else:
+                base = [comp.base[r] for r in reps]
+            kept = [[p[r] for r in reps] for p in periods]
+            out.append(LinearSet(base, [p for p in kept if any(p) or not moved]))
     return SemilinearSet(len(reps), out)
-
-
-def expand_identified(v: Sequence[int], f: Dict[int, int], dimension: int) -> tuple:
-    """Inverse of the projection: lift a representative vector to the full space."""
-    reps = sorted(set(f[i] for i in range(dimension)))
-    rep_index = {r: k for k, r in enumerate(reps)}
-    return tuple(v[rep_index[f[i]]] for i in range(dimension))
 
 
 def format_semilinear(s: SemilinearSet) -> str:

@@ -233,29 +233,29 @@ def solve_exact(e: ExponentEquation, limits: Optional[Limits] = None) -> SolveRe
             comps.append(LinearSet(base, periods))
         return SemilinearSet(k, comps)
 
-    # ---- n = 0: plain word problem -------------------------------------
-    if n == 0:
-        total = identity(alphabet)
-        for item in pp.items:
-            total, _ = mult(total, item.value)
-        if total.is_identity():
-            # every variable is unconstrained
-            periods = [[1 if j == i else 0 for j in range(k)] for i in range(k)]
-            return report(SemilinearSet(k, [LinearSet([0] * k, periods)]))
-        return report(SemilinearSet(k, []))
-
-    # collect the constants around the powers: c0 P1 c1 [P2 c2]
+    # collect the constants around the powers: c0 [P1 c1 [P2 c2]]; preprocess
+    # has merged neighboring constants, so each gap holds one at most
     consts: List[GroupElement] = []
     bases: List[GroupElement] = []
     pending = identity(alphabet)
     for item in pp.items:
         if isinstance(item, Const):
-            pending, _ = mult(pending, item.value)
+            if not pending.is_identity():
+                raise InternalError("preprocess left two constants in a row")
+            pending = item.value
         else:
             consts.append(pending)
             pending = identity(alphabet)
             bases.append(item.base)
     consts.append(pending)
+
+    # ---- n = 0: plain word problem -------------------------------------
+    if n == 0:
+        if consts[0].is_identity():
+            # every variable is unconstrained
+            periods = [[1 if j == i else 0 for j in range(k)] for i in range(k)]
+            return report(SemilinearSet(k, [LinearSet([0] * k, periods)]))
+        return report(SemilinearSet(k, []))
 
     # ---- n = 1 ----------------------------------------------------------
     if n == 1:

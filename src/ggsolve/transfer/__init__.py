@@ -1,19 +1,10 @@
 """Transfer algorithms: finite extensions, HNN-extensions, amalgamated products."""
 
-from .kauto import (
-    KnapsackAutomaton,
-    equation_chain,
-    knapsack_to_ka,
-    prepend_word,
-    skeleton_equations,
-    skeletons,
-)
 from .oracles import (
     FiniteGroupOracle,
     FreeGroupOracle,
     FreeProductOracle,
     GraphGroupOracle,
-    GroupOracle,
     ZOracle,
 )
 from .finite_extension import FiniteExtension, finite_ext_reduce
@@ -33,20 +24,13 @@ __all__ = [
     "FreeGroupOracle",
     "FreeProductOracle",
     "GraphGroupOracle",
-    "GroupOracle",
     "HnnPresentation",
-    "KnapsackAutomaton",
     "ZOracle",
     "amalgam_knapsack",
     "amalgam_to_hnn",
-    "equation_chain",
     "finite_ext_reduce",
     "free_product_saturate",
     "hnn_knapsack",
     "hnn_saturate",
-    "knapsack_to_ka",
     "phi_transform",
-    "prepend_word",
-    "skeleton_equations",
-    "skeletons",
 ]

@@ -181,7 +181,7 @@ def finite_ext_reduce(
                 continue
             g_vs.append(tuple(head))
             # instance v'0 B1^{y1} v'1 ... Bn^{yn} v'n = 1 over G
-            if g_oracle.ka_membership(equation_chain(g_oracle.letters, g_vs, g_bases), ()):
+            if g_oracle.ka_membership(equation_chain(g_oracle.alphabet, g_vs, g_bases), ()):
                 return True
         return False
 

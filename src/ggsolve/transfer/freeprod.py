@@ -10,11 +10,11 @@ entering a cycle is an epsilon edge.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List, Sequence, Set
 
-from ..automata import EPS
-from .kauto import KnapsackAutomaton, ShapeInfo, _Builder
-from .oracles import FreeProductOracle, GroupOracle
+from ..automata import EPS, Nfa
+from .kauto import ShapeInfo, _Builder
+from .oracles import FreeProductOracle
 
 
 def _find_cycle_reduction(oracle: FreeProductOracle, shape: ShapeInfo):
@@ -51,11 +51,11 @@ def _find_cycle_reduction(oracle: FreeProductOracle, shape: ShapeInfo):
 
 
 def free_product_saturate(
-    left: GroupOracle, right: GroupOracle, ka: KnapsackAutomaton
+    oracle: FreeProductOracle, nfa: Nfa, prepend: Sequence[str]
 ) -> bool:
-    """Does the automaton accept a word representing 1 in the free product?"""
-    oracle = FreeProductOracle(left, right)
-    b = _Builder.from_nfa(ka.nfa)
+    """Does ``prepend`` followed by a word of the automaton represent 1 in the free product?"""
+    b = _Builder.from_nfa(nfa)
+    b.prepend(prepend)
     shape = b.saturate_cycles(
         lambda shape: _find_cycle_reduction(oracle, shape), set(oracle.letters), eps_into_cycle=True
     )
@@ -67,8 +67,8 @@ def free_product_saturate(
     while True:
         grew = False
         states = list(b.states)
-        for factor in (left, right):
-            part = b.restrict(factor.letters)
+        for factor in (oracle.left, oracle.right):
+            part = b.restrict(factor.alphabet)
             for p in states:
                 reach = part.forward(p)
                 for q in states:  # creation order, not the hash order of ``reach``
@@ -84,7 +84,7 @@ def free_product_saturate(
             break
 
     # Final: some factor restriction accepts a word representing 1
-    for factor in (left, right):
-        if factor.ka_membership(b.restrict(factor.letters).cut(b.initial, b.finals), ()):
+    for factor in (oracle.left, oracle.right):
+        if factor.ka_membership(b.restrict(factor.alphabet).cut(b.initial, b.finals), ()):
             return True
     return False

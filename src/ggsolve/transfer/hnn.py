@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..automata import EPS
+from ..automata import EPS, Nfa
 from ..errors import StructureError
 from ..groups import inverse_letter, invert_word
-from .kauto import KnapsackAutomaton, ShapeInfo, _Builder
+from .kauto import ShapeInfo, _Builder, equation_chain, plain_alphabet
 from .oracles import GroupOracle
 
 
@@ -146,17 +146,17 @@ def _find_cycle_reduction(h: HnnPresentation, shape: ShapeInfo):
     return None
 
 
-def hnn_saturate(h: HnnPresentation, ka: KnapsackAutomaton) -> bool:
+def hnn_saturate(h: HnnPresentation, nfa: Nfa) -> bool:
     """Does the automaton accept a word representing 1 in the HNN-extension?"""
     t, ti = h.stable, inverse_letter(h.stable)
-    b = _Builder.from_nfa(ka.nfa)
+    b = _Builder.from_nfa(nfa)
     shape = b.saturate_cycles(lambda shape: _find_cycle_reduction(h, shape), {t, ti})
 
     # Phase 2: shortcut reduction paths across components.  A shortcut joins
     # p to a q it already reaches, so the components, and ``shape``, stay.
     added: Set[tuple] = set()
     while True:
-        base = b.restrict(h.base.letters)
+        base = b.restrict(h.base.alphabet)
         t_in = {}  # alpha -> list of (p, p') reading t^{-alpha}
         t_out = {}  # alpha -> list of (q', q) reading t^{alpha}
         t_in[1] = [(p, q) for (p, a, q) in b.edges if a == ti]
@@ -185,15 +185,12 @@ def hnn_saturate(h: HnnPresentation, ka: KnapsackAutomaton) -> bool:
             break
 
     # Final: drop the stable-letter edges and ask the base oracle about 1
-    return h.base.ka_membership(b.restrict(h.base.letters).cut(b.initial, b.finals), ())
+    return h.base.ka_membership(b.restrict(h.base.alphabet).cut(b.initial, b.finals), ())
 
 
 def hnn_knapsack(
     h: HnnPresentation, base_words: Sequence[Sequence[str]], target: Sequence[str]
 ) -> bool:
-    """Knapsack over the HNN-extension via automaton membership of 1."""
-    from .kauto import knapsack_to_ka, prepend_word
-
-    ka, tgt = knapsack_to_ka(h.letters, base_words, target)
-    ka = prepend_word(ka, invert_word(tuple(tgt)))
-    return hnn_saturate(h, ka)
+    """Knapsack over the HNN-extension: does target^-1 w1* ... wk* accept 1?"""
+    v_words = [invert_word(tuple(target))] + [()] * len(base_words)
+    return hnn_saturate(h, equation_chain(plain_alphabet(h.letters), v_words, base_words))

@@ -5,6 +5,8 @@ A knapsack automaton is an NFA whose strongly connected components are
 singletons or induced cycles; epsilon edges count as edges for the SCC
 analysis.  Membership of a group element in the accepted language modulo the
 group is inter-reducible with knapsack solvability via skeleton enumeration.
+Automata travel as plain ``Nfa``s; whoever reads the shape certifies it
+(``ShapeInfo``).
 """
 
 from __future__ import annotations
@@ -167,19 +169,6 @@ class ShapeInfo:
         return tuple(word), edges
 
 
-class KnapsackAutomaton:
-    """An Nfa with a validated knapsack shape certificate."""
-
-    __slots__ = ("nfa", "shape")
-
-    def __init__(self, nfa: Nfa):
-        self.nfa = nfa
-        self.shape = ShapeInfo(nfa.states, nfa.transitions)  # raises CertificateError
-
-    def __repr__(self):
-        return f"KnapsackAutomaton(states={self.nfa.num_states()})"
-
-
 class _Builder:
     """Mutable automaton builder: the toolkit of the chain constructions and saturations.
 
@@ -241,9 +230,24 @@ class _Builder:
         self.edge(p, last, q)
         return q
 
-    def restrict(self, letters) -> "Restriction":
-        """The edges labelled epsilon or in ``letters``, to cut sub-automata from."""
-        return Restriction(self, letters)
+    def restrict(self, alphabet: IndependenceAlphabet) -> "Restriction":
+        """The edges labelled epsilon or in ``alphabet``, to cut an oracle's
+        questions from."""
+        return Restriction(self, alphabet)
+
+    def prepend(self, word: Sequence[str]) -> None:
+        """Read ``word`` before the automaton: a fresh initial state and a path
+        whose last state goes on like the old initial state (no epsilon edge)."""
+        if not word:
+            return
+        start = self.fresh("p")
+        cur = self.path(start, word, hint="p")
+        for (p, a, q) in list(self.edges):
+            if p == self.initial:
+                self.edge(cur, a, q)
+        if self.initial in self.finals:
+            self.finals.add(cur)
+        self.initial = start
 
     def surgery(self, p, q, edges, word, eps_into_cycle: bool = False) -> None:
         """Replace a reduction path by a shortcut; graft the three bypass families.
@@ -370,19 +374,21 @@ class _Builder:
 
 
 class Restriction:
-    """A builder's edges labelled epsilon or in ``letters``, taken when it is made.
+    """A builder's edges labelled epsilon or in ``alphabet``, taken when it is made.
 
-    Being a snapshot, it builds its adjacency once and memoizes the forward
-    reach of each initial state and the backward reach of each set of finals.
+    Its cuts are automata over ``alphabet``.  Being a snapshot, it builds its
+    adjacency once and memoizes the forward reach of each initial state and
+    the backward reach of each set of finals.
     """
 
-    def __init__(self, b: _Builder, letters):
+    def __init__(self, b: _Builder, alphabet: IndependenceAlphabet):
         self.builder = b
+        self.alphabet = alphabet
         self._out: Dict = {}  # p -> [(a, q)]
         self._fwd: Dict = {}  # p -> {q}
         self._bwd: Dict = {}  # q -> {p}
         for (p, a, q) in b.edges:
-            if a is EPS or a in letters:
+            if a is EPS or a in alphabet:
                 self._out.setdefault(p, []).append((a, q))
                 self._fwd.setdefault(p, set()).add(q)
                 self._bwd.setdefault(q, set()).add(p)
@@ -415,16 +421,15 @@ class Restriction:
         """
         keep = self.forward(initial) & self.backward(finals)
         edges = ((p, a, q) for p in keep for (a, q) in self._out.get(p, ()))
-        b = self.builder
-        return useful_part(b.alphabet, b.states, edges, initial, finals, keep)
+        return useful_part(self.alphabet, self.builder.states, edges, initial, finals, keep)
 
 
 def equation_chain(
-    letters: Sequence[str],
+    alphabet: IndependenceAlphabet,
     v_words: Sequence[Sequence[str]],
     u_words: Sequence[Sequence[str]],
 ) -> Nfa:
-    """Chain automaton accepting v0 u1* v1 ... un* vn (epsilon-free).
+    """Chain automaton over ``alphabet`` accepting v0 u1* v1 ... un* vn (epsilon-free).
 
     It has the knapsack shape by construction; no certificate is built.
     Cycles are entered by consuming the first letter of the loop word, so
@@ -433,7 +438,7 @@ def equation_chain(
     """
     if len(v_words) != len(u_words) + 1:
         raise StructureError("need n+1 constants around n powers")
-    b = _Builder(plain_alphabet(letters))
+    b = _Builder(alphabet)
     start = b.fresh("c")
     b.initial = start
     endpoints = [start]
@@ -472,42 +477,15 @@ def equation_chain(
     return b.to_nfa()
 
 
-def knapsack_to_ka(
-    letters: Sequence[str], base_words: Sequence[Sequence[str]], target_word: Sequence[str]
-) -> Tuple[KnapsackAutomaton, tuple]:
-    """Automaton for w1* ... wk* plus the membership target."""
-    v_words = [()] * (len(base_words) + 1)
-    return KnapsackAutomaton(equation_chain(letters, v_words, base_words)), tuple(target_word)
-
-
-def prepend_word(ka: KnapsackAutomaton, word: Sequence[str]) -> KnapsackAutomaton:
-    """Automaton first reading ``word`` and then behaving like ``ka``."""
-    word = tuple(word)
-    if not word:
-        return ka
-    b = _Builder.from_nfa(ka.nfa)
-    start = b.fresh("p")
-    cur = b.path(start, word, hint="p")
-    # no epsilon edge: the last chain state copies the old initial's out-edges
-    old_init = b.initial
-    for p, a, q in list(b.edges):
-        if p == old_init:
-            b.edge(cur, a, q)
-    if old_init in b.finals:
-        b.finals.add(cur)
-    b.initial = start
-    return KnapsackAutomaton(b.to_nfa())
-
-
-def skeletons(ka: KnapsackAutomaton, prepend: Sequence[str] = ()):
+def skeletons(nfa: Nfa, prepend: Sequence[str] = ()):
     """All skeletons as (v_words, u_words): runs' SCC paths with entry/exit data.
 
+    The automaton must have the knapsack shape (CertificateError otherwise).
     ``prepend`` is merged into v0.  Every accepted word modulo reordering of
     loop iterations is captured by some skeleton, and every skeleton word is
     accepted.
     """
-    nfa = ka.nfa
-    shape = ka.shape
+    shape = ShapeInfo(nfa.states, nfa.transitions)
     out_edges: Dict = {s: [] for s in nfa.states}
     for p, a, q in nfa.transitions:
         if shape.comp_of[p] != shape.comp_of[q]:
@@ -542,12 +520,12 @@ def skeletons(ka: KnapsackAutomaton, prepend: Sequence[str] = ()):
     return results
 
 
-def skeleton_equations(ka: KnapsackAutomaton, prepend, alphabet):
+def skeleton_equations(nfa: Nfa, prepend, alphabet):
     """Skeletons as exponent equations over a graph-group alphabet (distinct vars)."""
     from ..groups import free_reduce
     from ..solver.equations import Const, ExponentEquation, Power
 
-    for vs, us in skeletons(ka, prepend):
+    for vs, us in skeletons(nfa, prepend):
         items = []
         items.append(Const(free_reduce(alphabet, vs[0])))
         for i, u in enumerate(us):

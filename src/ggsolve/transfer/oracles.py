@@ -12,18 +12,18 @@ from collections import deque
 from typing import Dict, List, Sequence, Tuple
 
 from ..automata import EPS, Nfa, benois_member
-from ..errors import LimitsExceeded, StructureError
+from ..errors import AlphabetMismatchError, LimitsExceeded, StructureError
 from ..groups import DoubledAlphabet, free_reduce, inverse_letter
 from ..semilinear import DiophantineSystem, diophantine_solve
 from ..traces import IndependenceAlphabet
-from .kauto import KnapsackAutomaton, plain_alphabet, skeletons
+from .kauto import plain_alphabet, skeletons
 
 
 class GroupOracle:
     """Contract: a named generator alphabet plus two decision procedures.
 
-    ``ka_membership`` memoizes on the trimmed automaton; implementations
-    override ``_member_impl``.
+    ``ka_membership`` memoizes on the automaton it is asked about;
+    implementations override ``_member_impl``.
     """
 
     letters: Tuple[str, ...]
@@ -38,28 +38,23 @@ class GroupOracle:
     def ka_membership(self, nfa: Nfa, target_word: Sequence[str]) -> bool:
         """Does the automaton accept some word equal to ``target_word`` in the group?
 
-        The memo is read twice.  First with the automaton as given: a hit
-        means these very transitions, initial and finals were stored as a
-        trimmed automaton, whose labels passed this oracle's alphabet check.
-        Only on a miss is the automaton homed on the oracle's ``alphabet``
-        (built once per oracle) and trimmed, and the memo read with the
-        trimmed key.  The memo grows by one entry per ``_member_impl`` call.
+        The automaton must be over this oracle's ``alphabet`` object
+        (AlphabetMismatchError otherwise), as the saturations' cuts and the
+        finite-extension chains are; they are also trimmed, so no two
+        questions differ only in useless states.  The memo is read once,
+        keyed on the transitions, initial state, finals and target, and
+        grows by one entry per ``_member_impl`` call.
         """
-        from ..automata import trim
-
+        if nfa.alphabet is not self.alphabet:
+            raise AlphabetMismatchError("automaton over a different alphabet than its oracle")
         cache = getattr(self, "_member_cache", None)
         if cache is None:
             cache = self._member_cache = {}
         target = tuple(target_word)
-        hit = cache.get((nfa.transitions, nfa.initial, nfa.finals, target))
+        key = (nfa.transitions, nfa.initial, nfa.finals, target)
+        hit = cache.get(key)
         if hit is None:
-            trimmed = trim(
-                Nfa(self.alphabet, nfa.states, nfa.transitions, nfa.initial, nfa.finals)
-            )
-            key = (trimmed.transitions, trimmed.initial, trimmed.finals, target)
-            hit = cache.get(key)
-            if hit is None:
-                hit = cache[key] = self._member_impl(trimmed, target)
+            hit = cache[key] = self._member_impl(nfa, target)
         return hit
 
 
@@ -158,8 +153,7 @@ class ZOracle(GroupOracle):
 
     def _member_impl(self, nfa: Nfa, target_word) -> bool:
         target = self.value(target_word)
-        ka = KnapsackAutomaton(nfa)
-        for vs, us in skeletons(ka):
+        for vs, us in skeletons(nfa):
             const = sum(self.value(v) for v in vs)
             weights = [self.value(u) for u in us]
             d = DiophantineSystem([weights], [target - const])
@@ -198,10 +192,9 @@ class GraphGroupOracle(GroupOracle):
         from ..solver import solve_exact, solve_search
         from .kauto import skeleton_equations
 
-        ka = KnapsackAutomaton(nfa)
         prepend = invert_word(tuple(target_word))
         unknown = False
-        for eq in skeleton_equations(ka, prepend, self.alphabet):
+        for eq in skeleton_equations(nfa, prepend, self.alphabet):
             rep = solve_exact(eq)
             if rep.status == "unknown":
                 rep = solve_search(eq, cap=self.search_cap)
@@ -262,8 +255,5 @@ class FreeProductOracle(GroupOracle):
     def _member_impl(self, nfa: Nfa, target_word) -> bool:
         from ..groups import invert_word
         from .freeprod import free_product_saturate
-        from .kauto import prepend_word
 
-        ka = KnapsackAutomaton(nfa)
-        ka = prepend_word(ka, invert_word(tuple(target_word)))
-        return free_product_saturate(self.left, self.right, ka)
+        return free_product_saturate(self, nfa, invert_word(tuple(target_word)))

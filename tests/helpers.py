@@ -179,3 +179,17 @@ def quotient_cyclic_reduce(g: GroupElement):
             break
     p = GroupElement(Trace(alphabet, peeled))
     return p, GroupElement(w)
+
+
+def knapsack_chain(alphabet: IndependenceAlphabet, bases, prepend=()):
+    """The chain automaton over ``alphabet`` for ``prepend`` w1* ... wk*."""
+    from ggsolve.transfer.kauto import equation_chain
+
+    return equation_chain(alphabet, [tuple(prepend)] + [()] * len(bases), bases)
+
+
+def lift_identified(v, f, dimension: int) -> tuple:
+    """Lift a vector over the representatives of ``f`` to all ``dimension`` positions."""
+    reps = sorted(set(f[i] for i in range(dimension)))
+    rep_index = {r: k for k, r in enumerate(reps)}
+    return tuple(v[rep_index[f[i]]] for i in range(dimension))

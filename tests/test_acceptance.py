@@ -51,17 +51,18 @@ from ggsolve.traces import (
 from ggsolve.transfer import (
     FiniteExtension,
     FiniteGroupOracle,
+    FreeProductOracle,
     HnnPresentation,
     ZOracle,
     finite_ext_reduce,
     free_product_saturate,
     hnn_saturate,
-    knapsack_to_ka,
-    prepend_word,
 )
+from ggsolve.transfer.kauto import plain_alphabet
 
 from helpers import (
     equivalence_class,
+    knapsack_chain,
     random_alphabet,
     random_element,
     random_word,
@@ -71,8 +72,6 @@ from transfer_oracles import (
     nfa_accepts_identity_bfs,
     z2z_reduce,
 )
-
-from ggsolve.automata import Nfa
 
 
 def report(number: int, label: str, started: float, budget_s: float, details: str = ""):
@@ -452,16 +451,15 @@ def test_criterion_11_hnn_and_free_products():
             for _ in range(k)
         ]
         target = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
-        ka, tgt = knapsack_to_ka(letters, bases, target)
-        ka = prepend_word(ka, invert_word(tgt))
-        got = hnn_saturate(h, ka)
-        brute = nfa_accepts_identity_bfs(ka.nfa, z2z_reduce, max_len=10)
+        nfa = knapsack_chain(plain_alphabet(letters), bases, invert_word(target))
+        got = hnn_saturate(h, nfa)
+        brute = nfa_accepts_identity_bfs(nfa, z2z_reduce, max_len=10)
         if brute:
             assert got, (bases, target)
         if not got:
             assert not brute, (bases, target)
     # free products: F2 = Z * Z cross-checked against Benois saturation
-    za, zb = ZOracle("a"), ZOracle("b")
+    fp = FreeProductOracle(ZOracle("a"), ZOracle("b"))
     dbl = doubled(IndependenceAlphabet("ab"))
     letters2 = ("a", "a'", "b", "b'")
     for _ in range(50):
@@ -471,13 +469,8 @@ def test_criterion_11_hnn_and_free_products():
             for _ in range(k)
         ]
         target = tuple(rng.choice(letters2) for _ in range(rng.randint(0, 2)))
-        ka, tgt = knapsack_to_ka(letters2, bases, target)
-        ka_pre = prepend_word(ka, invert_word(tgt))
-        got = free_product_saturate(za, zb, ka_pre)
-        expected = benois_member(
-            Nfa(dbl, ka.nfa.states, ka.nfa.transitions, ka.nfa.initial, ka.nfa.finals),
-            tgt,
-        )
+        got = free_product_saturate(fp, knapsack_chain(fp.alphabet, bases), invert_word(target))
+        expected = benois_member(knapsack_chain(dbl, bases), target)
         assert got == expected, (bases, target)
     report(11, "HNN + free-product saturation (50 + 50 automata)", started, 300)
 

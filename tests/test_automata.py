@@ -23,7 +23,7 @@ from ggsolve.automata import (
     unary_progressions,
 )
 from ggsolve.errors import CertificateError, StructureError, TraceError
-from ggsolve.groups import doubled
+from ggsolve.groups import doubled, free_reduce
 from ggsolve.traces import IndependenceAlphabet, Trace, is_connected, normal_form, power, prefix_count
 
 from helpers import (
@@ -406,10 +406,16 @@ class TestBenois:
         with pytest.raises(StructureError):
             benois_member(nfa, ())
 
+    def test_rejects_plain_alphabet(self):
+        """The letters of a doubled alphabet without its inverse pairing are refused."""
+        plain = IndependenceAlphabet(self.FREE.letters)
+        assert plain == self.FREE
+        with pytest.raises(StructureError):
+            benois_member(Nfa(plain, [0], [], 0, [0]), ())
+
     def test_against_brute_force(self):
         """benois_member agrees with brute-force path search (length <= 10)."""
         rng = random.Random(77)
-        from ggsolve.automata import free_reduce_word
 
         for _ in range(40):
             n = rng.randint(1, 4)
@@ -424,8 +430,8 @@ class TestBenois:
             nfa = Nfa(self.FREE, states, transitions, 0, finals)
             accepted = enumerate_accepted(nfa, 10)
             for target in [(), ("a",), ("a", "b'"), ("b", "b")]:
-                red = free_reduce_word(target)
-                brute = any(free_reduce_word(w) == red for w in accepted)
+                red = free_reduce(self.FREE, target)
+                brute = any(free_reduce(self.FREE, w) == red for w in accepted)
                 got = benois_member(nfa, target)
                 # brute force is depth-limited: it may miss witnesses, never invent them
                 if brute:

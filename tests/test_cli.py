@@ -170,6 +170,11 @@ class TestFailClosed:
 
 
 HNN_Z2 = "oracle B finite-cyclic 2 g\nhnn base B stable t\nassoc + _\nassoc - _\nphi _ -> _\n"
+EXT_DINF = (
+    "oracle G z a\nextension base G\ncosets 1 t\nonecoset 1\n"
+    "coset 1 gen a -> a 1\ncoset 1 gen a' -> a' 1\ncoset 1 gen t -> t\ncoset 1 gen t' -> t\n"
+    "coset t gen a -> a' t\ncoset t gen a' -> a t\ncoset t gen t -> 1\ncoset t gen t' -> 1\n"
+)
 AMALGAM_Z4 = (
     "oracle L finite-cyclic 4 g\noracle R finite-cyclic 4 h\namalgam left L right R\n"
     "felem 1 z\nfid 1\nftable 1 1 -> 1\nftable 1 z -> z\nftable z 1 -> z\nftable z z -> 1\n"
@@ -202,11 +207,44 @@ class TestMalformedInput:
             ("hnn", HNN_Z2 + "item t h\ntarget _\n"),
             ("amalgam", AMALGAM_Z4 + "fmap z left g g right h h\nitem q\ntarget _\n"),
             ("amalgam", AMALGAM_Z4 + "fmap z left h h right g g\nitem g\ntarget _\n"),
+            ("finite-ext", EXT_DINF + "eqH\npow t q x\n"),
+            ("finite-ext", EXT_DINF.replace("gen a -> a 1", "gen a -> q 1") + "eqH\npow t a x\n"),
         ],
-        ids=["eq", "knapsack", "ka", "hnn", "amalgam", "amalgam-fmap"],
+        ids=["eq", "knapsack", "ka", "hnn", "amalgam", "amalgam-fmap", "eqH", "coset-g-word"],
     )
     def test_unknown_letter_exits_3(self, tmp_path, command, text):
         assert run_cli([command, write(tmp_path, text)])[0] == 3
+
+    def test_repeated_extension_variable_exits_3(self, tmp_path):
+        """a^x a'^x a = a is never 1; read as two variables it would be solvable."""
+        text = EXT_DINF + "eqH\npow a x\npow a' x\nconst a\n"
+        assert run_cli(["finite-ext", write(tmp_path, text)])[0] == 3
+        distinct = EXT_DINF + "eqH\npow a x\npow a' y\nconst a\n"
+        assert run_cli(["finite-ext", write(tmp_path, distinct)])[0] == 0
+
+    @pytest.mark.parametrize(
+        "edges",
+        ["edge s a u\n", "edge s a s\nedge s b s\n"],
+        ids=["undeclared-state", "not-knapsack"],
+    )
+    def test_malformed_ka_block_exits_3(self, tmp_path, capsys, edges):
+        """A ka block is certified where it is parsed: a FormatError with its line."""
+        from ggsolve.formats import build_ka
+
+        text = "gens a b\nka\nstate s initial final\n" + edges + "target _\n"
+        with pytest.raises(FormatError) as info:
+            build_ka(parse_instance(text))
+        assert info.value.line == 2
+        assert run_cli(["solve", write(tmp_path, text)])[0] == 3
+        assert "line 2: ka block" in capsys.readouterr().err
+
+    def test_ka_block_comes_out_trimmed(self):
+        """A dead branch of a ka block is cut where the block is parsed."""
+        from ggsolve.formats import build_ka
+
+        text = "gens a b\nka\nstate s initial final\nstate d\nedge s a s\nedge s b d\ntarget _\n"
+        nfa, target = build_ka(parse_instance(text))
+        assert nfa.states == ("s",) and target == ()
 
     def test_unexpected_exception_exits_4(self, tmp_path, monkeypatch, capsys):
         import ggsolve.cli as cli

@@ -11,17 +11,16 @@ from ggsolve.groups import doubled, invert_word
 from ggsolve.traces import IndependenceAlphabet
 from ggsolve.transfer import (
     FiniteGroupOracle,
+    FreeProductOracle,
     HnnPresentation,
-    KnapsackAutomaton,
     ZOracle,
     free_product_saturate,
     hnn_knapsack,
     hnn_saturate,
-    knapsack_to_ka,
-    prepend_word,
 )
-from ggsolve.transfer.kauto import plain_alphabet
+from ggsolve.transfer.kauto import ShapeInfo, plain_alphabet
 
+from helpers import knapsack_chain
 from transfer_oracles import nfa_accepts_identity_bfs, z2z_reduce
 
 
@@ -66,8 +65,7 @@ def word_ka(letters, word):
     alpha = plain_alphabet(letters)
     states = [f"w{i}" for i in range(len(word) + 1)]
     edges = [(states[i], word[i], states[i + 1]) for i in range(len(word))]
-    nfa = Nfa(alpha, states, edges, states[0], [states[-1]])
-    return KnapsackAutomaton(nfa)
+    return Nfa(alpha, states, edges, states[0], [states[-1]])
 
 
 class TestHnnSaturate:
@@ -122,10 +120,9 @@ class TestHnnSaturate:
                 for _ in range(k)
             ]
             target = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
-            ka, tgt = knapsack_to_ka(letters, bases, target)
-            ka = prepend_word(ka, invert_word(tgt))
-            got = hnn_saturate(h, ka)
-            brute = nfa_accepts_identity_bfs(ka.nfa, z2z_reduce, max_len=10)
+            nfa = knapsack_chain(plain_alphabet(letters), bases, invert_word(target))
+            got = hnn_saturate(h, nfa)
+            brute = nfa_accepts_identity_bfs(nfa, z2z_reduce, max_len=10)
             if brute:
                 assert got, (bases, target)
             if not got:
@@ -137,8 +134,7 @@ class TestHnnSaturate:
 class TestFreeProductSaturate:
     def test_f2_cross_check_small(self):
         """Z * Z = F2: free-product saturation agrees with Benois."""
-        za = ZOracle("a")
-        zb = ZOracle("b")
+        fp = FreeProductOracle(ZOracle("a"), ZOracle("b"))
         dbl = doubled(IndependenceAlphabet("ab"))
         rng = random.Random(77)
         letters = ("a", "a'", "b", "b'")
@@ -149,39 +145,32 @@ class TestFreeProductSaturate:
                 for _ in range(k)
             ]
             target = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
-            ka, tgt = knapsack_to_ka(letters, bases, target)
-            ka_pre = prepend_word(ka, invert_word(tgt))
-            got = free_product_saturate(za, zb, ka_pre)
-            # Benois on the same language: the automaton accepts w with w = tgt
-            expected = benois_member(
-                Nfa(dbl, ka.nfa.states, ka.nfa.transitions, ka.nfa.initial, ka.nfa.finals),
-                tgt,
-            )
+            got = free_product_saturate(fp, knapsack_chain(fp.alphabet, bases), invert_word(target))
+            # Benois on the same language: the automaton accepts w with w = target
+            expected = benois_member(knapsack_chain(dbl, bases), target)
             assert got == expected, (bases, target)
 
     def test_single_factor_identity(self):
         z2 = FiniteGroupOracle.cyclic(2, "g")
         z3 = FiniteGroupOracle.cyclic(3, "h")
-        ka = word_ka(z2.letters + z3.letters, ("g", "g"))
-        assert free_product_saturate(z2, z3, ka)
+        fp = FreeProductOracle(z2, z3)
+        assert free_product_saturate(fp, word_ka(fp.letters, ("g", "g")), ())
 
     def test_mixed_word_not_identity(self):
         z2 = FiniteGroupOracle.cyclic(2, "g")
         z3 = FiniteGroupOracle.cyclic(3, "h")
-        ka = word_ka(z2.letters + z3.letters, ("g", "h"))
-        assert not free_product_saturate(z2, z3, ka)
+        fp = FreeProductOracle(z2, z3)
+        assert not free_product_saturate(fp, word_ka(fp.letters, ("g", "h")), ())
 
     def test_nested_identity(self):
         z2 = FiniteGroupOracle.cyclic(2, "g")
         z3 = FiniteGroupOracle.cyclic(3, "h")
         # g h h h g = g * 1 * g = 1
-        ka = word_ka(z2.letters + z3.letters, ("g", "h", "h", "h", "g"))
-        assert free_product_saturate(z2, z3, ka)
+        fp = FreeProductOracle(z2, z3)
+        assert free_product_saturate(fp, word_ka(fp.letters, ("g", "h", "h", "h", "g")), ())
 
     def test_against_bfs_finite_factors(self):
         """Random automata over Z/2 * Z/3 vs the exact (state, element) BFS."""
-        from ggsolve.transfer import FreeProductOracle
-
         z2 = FiniteGroupOracle.cyclic(2, "g")
         z3 = FiniteGroupOracle.cyclic(3, "h")
         fp = FreeProductOracle(z2, z3)
@@ -216,10 +205,10 @@ class TestFreeProductSaturate:
                 for _ in range(k)
             ]
             target = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
-            ka, tgt = knapsack_to_ka(letters, bases, target)
-            ka_pre = prepend_word(ka, invert_word(tgt))
-            got = free_product_saturate(z2, z3, ka_pre)
-            brute = nfa_accepts_identity_bfs(ka_pre.nfa, reduce_fn, max_len=10)
+            nfa = knapsack_chain(fp.alphabet, bases)
+            got = free_product_saturate(fp, nfa, invert_word(target))
+            pre = knapsack_chain(fp.alphabet, bases, invert_word(target))
+            brute = nfa_accepts_identity_bfs(pre, reduce_fn, max_len=10)
             if brute:
                 assert got, (bases, target)
             if not got:
@@ -235,13 +224,13 @@ class TestFailClosed:
         monkeypatch.setattr(_Builder, "surgery", lambda b, *args: None)
         if kind == "hnn":
             h = z2_z_presentation()
-            ka, _ = knapsack_to_ka(h.letters, [("t'", "g", "g", "t")], ())
-            run = lambda: hnn_saturate(h, ka)
+            nfa = knapsack_chain(plain_alphabet(h.letters), [("t'", "g", "g", "t")])
+            run = lambda: hnn_saturate(h, nfa)
         else:
             z2 = FiniteGroupOracle.cyclic(2, "g")
             z3 = FiniteGroupOracle.cyclic(3, "h")
-            ka, _ = knapsack_to_ka(z2.letters + z3.letters, [("g", "g", "h")], ())
-            run = lambda: free_product_saturate(z2, z3, ka)
+            fp = FreeProductOracle(z2, z3)
+            run = lambda: free_product_saturate(fp, knapsack_chain(fp.alphabet, [("g", "g", "h")]), ())
         with pytest.raises(InternalError):
             run()
 
@@ -261,8 +250,7 @@ class TestStepwisePreservation:
                 tuple(rng.choice(h.letters) for _ in range(rng.randint(1, 3)))
                 for _ in range(k)
             ]
-            ka, _ = knapsack_to_ka(h.letters, bases, ())
-            b = _Builder.from_nfa(ka.nfa)
+            b = _Builder.from_nfa(knapsack_chain(plain_alphabet(h.letters), bases))
             b.normalize(False)
             while True:
                 nfa = b.to_nfa()
@@ -287,13 +275,14 @@ def _fields(nfa):
 class TestRestrictionCut:
     def test_cut_is_trim_of_the_full_cut(self):
         """``cut`` equals ``trim`` of the cut over all builder states, also for
-        states added after the restriction was taken."""
+        states added after the restriction was taken, on the oracle's alphabet."""
         from ggsolve.automata import EPS, trim
         from ggsolve.transfer.kauto import _Builder
 
         rng = random.Random(61)
         letters = ("g", "g'", "h", "h'")
-        kept = {"g", "g'"}
+        oracle = FiniteGroupOracle.cyclic(2, "g")
+        kept = oracle.alphabet
         empty = 0
         for _ in range(200):
             b = _Builder(plain_alphabet(letters))
@@ -301,15 +290,16 @@ class TestRestrictionCut:
             for _ in range(rng.randint(0, 14)):
                 b.edge(rng.choice(states), rng.choice(letters + (EPS,)), rng.choice(states))
             snapshot = [(p, a, q) for (p, a, q) in b.edges if a is EPS or a in kept]
-            r = b.restrict(kept)
+            r = b.restrict(oracle.alphabet)
             for _ in range(rng.randint(0, 2)):  # as hnn phase 2 does
                 b.path(rng.choice(states), [rng.choice(letters)], rng.choice(states), "c")
             for _ in range(3):
                 initial = rng.choice(states)
                 finals = rng.sample(states, rng.randint(0, len(states)))
                 got = r.cut(initial, finals)
-                want = trim(Nfa(b.alphabet, b.states, snapshot, initial, finals))
+                want = trim(Nfa(kept, b.states, snapshot, initial, finals))
                 assert _fields(got) == _fields(want)
+                assert got.alphabet is kept
                 empty += not got.finals
         assert empty >= 20
 
@@ -325,9 +315,9 @@ def _logged(fn, log):
 
 
 class TestOracleMemo:
-    def test_untrimmed_and_trimmed_copy_ask_once(self, monkeypatch):
-        """The memo serves an automaton and its trimmed copy with one question;
-        a trimmed automaton asked again is not trimmed again."""
+    def test_one_read_per_question_and_no_trim(self, monkeypatch):
+        """The memo is read once with the automaton as asked: a repeat is a hit,
+        an untrimmed copy is a question of its own, and nothing is trimmed."""
         import ggsolve.automata as automata
 
         impls, trims = [], []
@@ -336,49 +326,114 @@ class TestOracleMemo:
             FiniteGroupOracle, "_member_impl", _logged(FiniteGroupOracle._member_impl, impls)
         )
         monkeypatch.setattr(automata, "trim", _logged(trim, trims))
-        alphabet = plain_alphabet(("g", "g'"))
+        oracle = FiniteGroupOracle.cyclic(4, "g")
         edges = [("a", "g", "b"), ("b", "g", "a"), ("a", "g'", "dead"), ("lost", "g", "a")]
-        untrimmed = Nfa(alphabet, ["a", "b", "dead", "lost"], edges, "a", ["b"])
+        untrimmed = Nfa(oracle.alphabet, ["a", "b", "dead", "lost"], edges, "a", ["b"])
         trimmed = trim(untrimmed)
         assert trimmed.transitions != untrimmed.transitions
-        for first, second in ((untrimmed, trimmed), (trimmed, untrimmed)):
-            oracle = FiniteGroupOracle.cyclic(4, "g")
-            impls.clear()
-            assert oracle.ka_membership(first, ("g",))
-            assert oracle.ka_membership(second, ("g",))
-            assert len(impls) == 1
-            assert len(oracle._member_cache) == 1
         trims.clear()
-        assert oracle.ka_membership(trimmed, ("g",))
+        for nfa in (trimmed, trimmed, untrimmed, untrimmed):
+            assert oracle.ka_membership(nfa, ("g",))
+        assert len(impls) == len(oracle._member_cache) == 2
         assert not trims
 
 
 class TestTrimmedQuestions:
+    @staticmethod
+    def _asked(monkeypatch):
+        """Every (oracle, automaton) that ``ka_membership`` is asked about."""
+        from ggsolve.transfer.oracles import GroupOracle
+
+        asked = []
+        monkeypatch.setattr(GroupOracle, "ka_membership", _logged(GroupOracle.ka_membership, asked))
+        return asked
+
+    def _check(self, asked):
+        from ggsolve.automata import trim
+
+        assert asked
+        for oracle, nfa, _ in asked:
+            assert nfa.alphabet is oracle.alphabet
+            assert _fields(trim(nfa)) == _fields(nfa)
+
     def test_saturations_ask_only_trimmed_automata(self, monkeypatch):
-        """On the Z/4 amalgam every automaton the saturations ask about is
-        already trimmed, so each question either hits the memo at once or
-        is trimmed exactly once, just before ``_member_impl``."""
+        """On the Z/4 amalgam every question is already trimmed and on the
+        asking oracle's alphabet; ``ka_membership`` trims nothing."""
         import os
 
         import ggsolve.automata as automata
         from ggsolve.formats import build_amalgam, parse_instance
         from ggsolve.transfer import amalgam_knapsack
-        from ggsolve.transfer.oracles import FreeProductOracle, GroupOracle
 
-        asked, trims, impls = [], [], []
-        trim = automata.trim
-        monkeypatch.setattr(GroupOracle, "ka_membership", _logged(GroupOracle.ka_membership, asked))
-        monkeypatch.setattr(automata, "trim", _logged(trim, trims))
+        trims, impls = [], []
+        asked = self._asked(monkeypatch)
+        monkeypatch.setattr(automata, "trim", _logged(automata.trim, trims))
         for cls in (FiniteGroupOracle, FreeProductOracle):
             monkeypatch.setattr(cls, "_member_impl", _logged(cls._member_impl, impls))
         path = os.path.join(os.path.dirname(__file__), "..", "corpus", "19_amalgam_z4.gg")
         with open(path) as fh:
             inst = parse_instance(fh.read())
         assert amalgam_knapsack(build_amalgam(inst), inst.problem.items, inst.problem.target)
-        assert asked and len(impls) < len(asked)
-        for _, nfa, _ in asked:
-            assert _fields(trim(nfa)) == _fields(nfa)
-        assert len(trims) == len(impls)
+        assert not trims
+        assert len(impls) < len(asked)
+        self._check(asked)
+
+    def test_random_instances(self, monkeypatch):
+        """Random HNN, amalgam and finite-extension instances ask their oracles
+        only about trimmed automata on the oracle's own alphabet."""
+        from ggsolve.transfer import (
+            AmalgamPresentation,
+            FiniteExtension,
+            amalgam_knapsack,
+            finite_ext_reduce,
+        )
+
+        asked = self._asked(monkeypatch)
+        rng = random.Random(97)
+
+        def word(letters, lo, hi):
+            return tuple(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
+
+        for n in (1, 2, 3):
+            # HNN of Z/2n with A = B = <g^n>, phi the identity
+            base = FiniteGroupOracle.cyclic(2 * n, "g")
+            half = ("g",) * n
+            h = HnnPresentation(base, [(), half], [(), half], [((), ()), (half, half)])
+            letters = h.letters
+            for _ in range(4):
+                hnn_knapsack(h, [word(letters, 1, 3) for _ in range(2)], word(letters, 0, 3))
+            # Z/2n *_{Z/2} Z/2n with g^n = h^n
+            left = FiniteGroupOracle.cyclic(2 * n, "g")
+            right = FiniteGroupOracle.cyclic(2 * n, "h")
+            table = {("1", "1"): "1", ("1", "z"): "z", ("z", "1"): "z", ("z", "z"): "1"}
+            am = AmalgamPresentation(
+                left, right, ["1", "z"], table, "1",
+                {"1": (), "z": ("g",) * n}, {"1": (), "z": ("h",) * n},
+            )
+            letters = am.letters
+            for _ in range(2):
+                amalgam_knapsack(am, [word(letters, 1, 2)], word(letters, 0, 3))
+            # Z x| Z/2n: s a s' = a', s^2n = 1 (cosets 0..2n-1 of <a>)
+            z = ZOracle("a")
+            m = 2 * n
+            cosets = [str(i) for i in range(m)]
+            flip = lambda i, w: w if i % 2 == 0 else invert_word(w)
+            table = {}
+            for i in range(m):
+                table[(str(i), "a")] = (flip(i, ("a",)), str(i))
+                table[(str(i), "a'")] = (flip(i, ("a'",)), str(i))
+                table[(str(i), "s")] = ((), str((i + 1) % m))
+                table[(str(i), "s'")] = ((), str((i - 1) % m))
+            fe = FiniteExtension(z, ["a", "s"], cosets, "0", table)
+            letters = ("a", "a'", "s", "s'")
+            for _ in range(3):
+                us = [word(letters, 1, 2) for _ in range(2)]
+                vs = [word(letters, 0, 2) for _ in range(3)]
+                finite_ext_reduce(fe, vs, us)
+        assert {type(oracle) for oracle, _, _ in asked} == {
+            FiniteGroupOracle, FreeProductOracle, ZOracle
+        }
+        self._check(asked)
 
 
 def random_knapsack_automaton(rng, letters):
@@ -425,7 +480,7 @@ class TestNormalize:
             fixed += len(shapes) == 2
             normal = b.to_nfa()
             assert enumerate_accepted(normal, 5) == enumerate_accepted(nfa, 5)
-            KnapsackAutomaton(normal)
+            ShapeInfo(normal.states, normal.transitions)
             assert not got.on_cycle(b.initial)
             assert not any(got.on_cycle(f) for f in b.finals)
             for (p, a, q) in b.edges:

@@ -6,13 +6,13 @@ import random
 
 import pytest
 
+from ggsolve.errors import StructureError
 from ggsolve.semilinear import (
     DiophantineSystem,
     LinearSet,
     SemilinearSet,
     diophantine_solve,
     enumerate_members,
-    expand_identified,
     format_semilinear,
     identify_variables,
     member,
@@ -20,7 +20,7 @@ from ggsolve.semilinear import (
 )
 from ggsolve.traces import IndependenceAlphabet, is_connected, normal_form, power
 
-from helpers import random_alphabet, random_word
+from helpers import lift_identified, random_alphabet, random_word
 
 A1 = IndependenceAlphabet("a")
 AB_DEP = IndependenceAlphabet("ab")
@@ -179,10 +179,14 @@ class TestIdentify:
         assert enumerate_members(out, 6) == enumerate_members(s, 6)
 
     def test_full_plane_to_diagonal(self):
+        """Identification is solved for at most one period; two raise StructureError."""
         s = SemilinearSet(2, [LinearSet((0, 0), [(1, 0), (0, 1)])])
-        out = identify_variables(s, {0: 0, 1: 0})
-        assert out.dimension == 1
-        assert enumerate_members(out, 10) == {(z,) for z in range(11)}
+        with pytest.raises(StructureError):
+            identify_variables(s, {0: 0, 1: 0})
+        one = SemilinearSet(2, [LinearSet((0, 0), [(1, 1)]), LinearSet((1, 2), [(1, 0), (0, 1)])])
+        with pytest.raises(StructureError):
+            identify_variables(one, {0: 0, 1: 0})
+        assert identify_variables(s, {0: 0, 1: 1}).components == s.components
 
     def test_two_three_diagonal(self):
         s = SemilinearSet(2, [LinearSet((0, 0), [(2, 3)])])
@@ -199,7 +203,7 @@ class TestIdentify:
                 base = tuple(rng.randint(0, 2) for _ in range(dim))
                 periods = [
                     tuple(rng.randint(0, 2) for _ in range(dim))
-                    for _ in range(rng.randint(0, 2))
+                    for _ in range(rng.randint(0, 1))
                 ]
                 periods = [p for p in periods if any(p)]
                 comps.append(LinearSet(base, periods))
@@ -213,7 +217,7 @@ class TestIdentify:
             out = identify_variables(s, reps)
             k = out.dimension
             for v in itertools.product(range(13), repeat=k):
-                lifted = expand_identified(v, reps, dim)
+                lifted = lift_identified(v, reps, dim)
                 assert member(out, v) == member(s, lifted), (s.components, reps, v)
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ggsolve.automata import EPS, Nfa
-from ggsolve.errors import CertificateError, StructureError
+from ggsolve.errors import AlphabetMismatchError, CertificateError, StructureError
 from ggsolve.groups import doubled, invert_word
 from ggsolve.traces import IndependenceAlphabet
 from ggsolve.transfer import (
@@ -14,59 +14,65 @@ from ggsolve.transfer import (
     FreeGroupOracle,
     FreeProductOracle,
     GraphGroupOracle,
-    KnapsackAutomaton,
     ZOracle,
+)
+from ggsolve.transfer.kauto import (
+    ShapeInfo,
+    _Builder,
     equation_chain,
-    knapsack_to_ka,
-    prepend_word,
+    plain_alphabet,
     skeleton_equations,
     skeletons,
 )
-from ggsolve.transfer.kauto import _Builder, plain_alphabet
 
-from helpers import random_element
+from helpers import knapsack_chain, random_element
+
+
+def certify(nfa):
+    """The shape certificate of ``nfa``; raises CertificateError."""
+    return ShapeInfo(nfa.states, nfa.transitions)
 
 
 class TestShapeCertificate:
     def test_single_loop(self):
         alpha = plain_alphabet(("a",))
         nfa = Nfa(alpha, ["p"], [("p", "a", "p")], "p", ["p"])
-        KnapsackAutomaton(nfa)  # ok
+        certify(nfa)  # ok
 
     def test_double_loop_rejected(self):
         alpha = plain_alphabet(("a", "b"))
         nfa = Nfa(alpha, ["p"], [("p", "a", "p"), ("p", "b", "p")], "p", ["p"])
         with pytest.raises(CertificateError):
-            KnapsackAutomaton(nfa)
+            certify(nfa)
 
     def test_chord_rejected(self):
         alpha = plain_alphabet(("a",))
         edges = [("p", "a", "q"), ("q", "a", "r"), ("r", "a", "p"), ("p", "a", "r")]
         nfa = Nfa(alpha, ["p", "q", "r"], edges, "p", ["p"])
         with pytest.raises(CertificateError):
-            KnapsackAutomaton(nfa)
+            certify(nfa)
 
     def test_two_cycles_ok(self):
         alpha = plain_alphabet(("a", "b"))
         edges = [("p", "a", "p"), ("p", "b", "q"), ("q", "b", "q")]
         nfa = Nfa(alpha, ["p", "q"], edges, "p", ["q"])
-        KnapsackAutomaton(nfa)
+        certify(nfa)
 
 
 class TestChainConstruction:
     def test_single_base(self):
-        ka, target = knapsack_to_ka(("a", "a'"), [("a",)], ("a", "a"))
+        nfa = knapsack_chain(plain_alphabet(("a", "a'")), [("a",)])
         from ggsolve.automata import enumerate_accepted
 
-        lang = enumerate_accepted(ka.nfa, 3)
+        lang = enumerate_accepted(nfa, 3)
         assert lang == {(), ("a",), ("a", "a"), ("a", "a", "a")}
 
     def test_two_bases(self):
         letters = ("a", "a'", "b", "b'", "c", "c'")
-        ka, _ = knapsack_to_ka(letters, [("a", "b"), ("c",)], ())
+        nfa = knapsack_chain(plain_alphabet(letters), [("a", "b"), ("c",)])
         from ggsolve.automata import enumerate_accepted
 
-        lang = enumerate_accepted(ka.nfa, 4)
+        lang = enumerate_accepted(nfa, 4)
         expected = set()
         for i in range(3):
             for j in range(5):
@@ -76,14 +82,14 @@ class TestChainConstruction:
         assert lang == expected
 
     def test_zero_bases(self):
-        ka, target = knapsack_to_ka(("a", "a'"), [], ("a",))
+        nfa = knapsack_chain(plain_alphabet(("a", "a'")), [])
         from ggsolve.automata import enumerate_accepted
 
-        assert enumerate_accepted(ka.nfa, 2) == {()}
+        assert enumerate_accepted(nfa, 2) == {()}
 
     def test_constants_between(self):
         letters = ("a", "a'", "b", "b'")
-        nfa = equation_chain(letters, [("b",), ("b",), ()], [("a",), ("a",)])
+        nfa = equation_chain(plain_alphabet(letters), [("b",), ("b",), ()], [("a",), ("a",)])
         from ggsolve.automata import enumerate_accepted
 
         lang = enumerate_accepted(nfa, 4)
@@ -97,21 +103,18 @@ class TestSkeletons:
     def test_path_only(self):
         alpha = plain_alphabet(("a", "b"))
         nfa = Nfa(alpha, ["p", "q"], [("p", "a", "q")], "p", ["q"])
-        ka = KnapsackAutomaton(nfa)
-        assert skeletons(ka) == [((("a",),), ())]
+        assert skeletons(nfa) == [((("a",),), ())]
 
     def test_single_cycle(self):
         alpha = plain_alphabet(("a",))
         nfa = Nfa(alpha, ["p"], [("p", "a", "p")], "p", ["p"])
-        ka = KnapsackAutomaton(nfa)
-        got = skeletons(ka)
+        got = skeletons(nfa)
         assert got == [(((), ()), (("a",),))]
 
     def test_prepend_merged(self):
         alpha = plain_alphabet(("a", "a'"))
         nfa = Nfa(alpha, ["p"], [("p", "a", "p")], "p", ["p"])
-        ka = KnapsackAutomaton(nfa)
-        got = skeletons(ka, prepend=("a'",))
+        got = skeletons(nfa, prepend=("a'",))
         assert got == [((("a'",), ()), (("a",),))]
 
     def test_round_trip_with_brute(self):
@@ -130,38 +133,37 @@ class TestSkeletons:
             target = tuple(rng.choice(dbl.letters) for _ in range(rng.randint(0, 2)))
             e = knapsack_to_equation(dbl, bases, target)
             brute_solvable = bool(brute_oracle(e, 10))
-            ka, tgt = knapsack_to_ka(dbl.letters, bases, target)
             solvable = False
-            for eq in skeleton_equations(ka, invert_word(tgt), dbl):
+            for eq in skeleton_equations(knapsack_chain(dbl, bases), invert_word(target), dbl):
                 if brute_oracle(eq, 10):
                     solvable = True
                     break
             assert solvable == brute_solvable
 
 
-def hnn_normalize(ka):
-    """The epsilon-free normalization of ``ka``, run on a builder."""
-    b = _Builder.from_nfa(ka.nfa)
+def hnn_normalize(nfa):
+    """The epsilon-free normalization of ``nfa``, run on a builder, and its shape."""
+    b = _Builder.from_nfa(nfa)
     b.normalize(False)
-    return KnapsackAutomaton(b.to_nfa())
+    normal = b.to_nfa()
+    return normal, certify(normal)
 
 
 class TestHnnNormalize:
     def test_initial_off_cycle(self):
         alpha = plain_alphabet(("a",))
         nfa = Nfa(alpha, ["p"], [("p", "a", "p")], "p", ["p"])
-        ka = hnn_normalize(KnapsackAutomaton(nfa))
-        assert not ka.shape.on_cycle(ka.nfa.initial)
-        for f in ka.nfa.finals:
-            assert not ka.shape.on_cycle(f)
+        normal, shape = hnn_normalize(nfa)
+        assert not shape.on_cycle(normal.initial)
+        for f in normal.finals:
+            assert not shape.on_cycle(f)
 
     def test_cycle_bridge_split(self):
         alpha = plain_alphabet(("a", "b"))
         edges = [("p", "a", "p"), ("p", "b", "q"), ("q", "b", "q")]
         nfa = Nfa(alpha, ["i", "p", "q", "f"], edges + [("i", "a", "p"), ("q", "a", "f")], "i", ["f"])
-        ka = hnn_normalize(KnapsackAutomaton(nfa))
-        shape = ka.shape
-        for (p, a, q) in ka.nfa.transitions:
+        normal, shape = hnn_normalize(nfa)
+        for (p, a, q) in normal.transitions:
             if shape.on_cycle(p) and shape.on_cycle(q):
                 assert shape.comp_of[p] == shape.comp_of[q]
 
@@ -171,9 +173,8 @@ class TestHnnNormalize:
         alpha = plain_alphabet(("a", "b"))
         edges = [("p", "a", "p"), ("p", "b", "q"), ("q", "b", "q")]
         nfa = Nfa(alpha, ["p", "q"], edges, "p", ["q"])
-        ka = KnapsackAutomaton(nfa)
-        normalized = hnn_normalize(ka)
-        assert enumerate_accepted(nfa, 5) == enumerate_accepted(normalized.nfa, 5)
+        normal, _ = hnn_normalize(nfa)
+        assert enumerate_accepted(nfa, 5) == enumerate_accepted(normal, 5)
 
 
 class TestFiniteGroupOracle:
@@ -185,12 +186,27 @@ class TestFiniteGroupOracle:
 
     def test_membership(self):
         z3 = FiniteGroupOracle.cyclic(3)
-        ka, _ = knapsack_to_ka(z3.letters, [("g", "g")], ())
         # (gg)^x = g  solvable: x=2 gives g^4 = g
-        assert z3.ka_membership(ka.nfa, ("g",))
+        assert z3.ka_membership(knapsack_chain(z3.alphabet, [("g", "g")]), ("g",))
         z2 = FiniteGroupOracle.cyclic(2)
-        ka2, _ = knapsack_to_ka(z2.letters, [("g", "g")], ())
-        assert not z2.ka_membership(ka2.nfa, ("g",))
+        assert not z2.ka_membership(knapsack_chain(z2.alphabet, [("g", "g")]), ("g",))
+
+    def test_foreign_alphabet_rejected(self):
+        """Questions come on the oracle's alphabet; a builder's alphabet is refused."""
+        z3 = FiniteGroupOracle.cyclic(3)
+        nfa = knapsack_chain(plain_alphabet(z3.letters + ("t", "t'")), [("g",)])
+        with pytest.raises(AlphabetMismatchError):
+            z3.ka_membership(nfa, ("g",))
+        assert not getattr(z3, "_member_cache", None)
+
+    def test_equal_plain_alphabet_rejected(self):
+        """A plain alphabet equal to a free group's doubled one is still foreign."""
+        f = FreeGroupOracle(("a",))
+        plain = plain_alphabet(f.letters)
+        assert plain == f.alphabet
+        with pytest.raises(AlphabetMismatchError):
+            f.ka_membership(knapsack_chain(plain, [("a",)]), ("a",))
+        assert f.ka_membership(knapsack_chain(f.alphabet, [("a",)]), ("a",))
 
 
 class TestZOracle:
@@ -201,16 +217,16 @@ class TestZOracle:
 
     def test_membership(self):
         z = ZOracle("a")
-        ka, _ = knapsack_to_ka(z.letters, [("a", "a")], ())
-        assert z.ka_membership(ka.nfa, ("a", "a", "a", "a"))
-        assert not z.ka_membership(ka.nfa, ("a",))
-        assert not z.ka_membership(ka.nfa, ("a'",))
+        nfa = knapsack_chain(z.alphabet, [("a", "a")])
+        assert z.ka_membership(nfa, ("a", "a", "a", "a"))
+        assert not z.ka_membership(nfa, ("a",))
+        assert not z.ka_membership(nfa, ("a'",))
 
     def test_membership_with_negative_cycle(self):
         z = ZOracle("a")
-        ka, _ = knapsack_to_ka(z.letters, [("a'",), ("a",)], ())
-        assert z.ka_membership(ka.nfa, ("a'", "a'"))
-        assert z.ka_membership(ka.nfa, ("a", "a", "a"))
+        nfa = knapsack_chain(z.alphabet, [("a'",), ("a",)])
+        assert z.ka_membership(nfa, ("a'", "a'"))
+        assert z.ka_membership(nfa, ("a", "a", "a"))
 
 
 class TestFreeGroupOracle:
@@ -221,26 +237,26 @@ class TestFreeGroupOracle:
 
     def test_membership(self):
         f = FreeGroupOracle(("a", "b"))
-        ka, _ = knapsack_to_ka(f.letters, [("a",), ("b",)], ())
-        assert f.ka_membership(ka.nfa, ("a", "a", "b"))
-        assert not f.ka_membership(ka.nfa, ("b", "a"))
+        nfa = knapsack_chain(f.alphabet, [("a",), ("b",)])
+        assert f.ka_membership(nfa, ("a", "a", "b"))
+        assert not f.ka_membership(nfa, ("b", "a"))
 
 
 class TestGraphGroupOracle:
     def test_membership_commuting(self):
         dbl = doubled(IndependenceAlphabet("ab", [("a", "b")]))
         o = GraphGroupOracle(dbl)
-        ka, _ = knapsack_to_ka(o.letters, [("a",), ("b",)], ())
-        assert o.ka_membership(ka.nfa, ("b", "a"))
-        assert o.ka_membership(ka.nfa, ("a", "b", "a"))  # = a^2 b
+        nfa = knapsack_chain(o.alphabet, [("a",), ("b",)])
+        assert o.ka_membership(nfa, ("b", "a"))
+        assert o.ka_membership(nfa, ("a", "b", "a"))  # = a^2 b
 
     def test_membership_free(self):
         dbl = doubled(IndependenceAlphabet("ab"))
         o = GraphGroupOracle(dbl)
-        ka, _ = knapsack_to_ka(o.letters, [("a",), ("b",)], ())
-        assert o.ka_membership(ka.nfa, ("a", "b"))
-        assert not o.ka_membership(ka.nfa, ("a", "b", "a"))
-        assert not o.ka_membership(ka.nfa, ("b", "a"))
+        nfa = knapsack_chain(o.alphabet, [("a",), ("b",)])
+        assert o.ka_membership(nfa, ("a", "b"))
+        assert not o.ka_membership(nfa, ("a", "b", "a"))
+        assert not o.ka_membership(nfa, ("b", "a"))
 
 
 class TestFreeProductOracle:
