@@ -7,8 +7,9 @@ block they answer; ``bench`` runs every file of a directory.
 
 Exit codes: 0 = solvable/true, 1 = unsolvable (certified), 2 = unknown or
 limits exceeded, 3 = parse error (also a block the command does not answer,
-a malformed ``--assign`` or ``oracle`` line, a letter outside the alphabet,
-an unknown ``# mode`` and a usage error on the command line), 4 = other
+a malformed ``--assign`` or one that misses or repeats a variable, a
+malformed ``oracle`` line or transfer presentation, a letter outside the
+alphabet, an unknown ``# mode`` and a usage error on the command line), 4 = other
 error (including a failed internal check and any unexpected exception).
 ``bench`` exits 4 when a file's exit code differs from its ``# expect-exit``
 line.  ``--format machine`` prints line-oriented key=value output.
@@ -172,7 +173,7 @@ def cmd_run(args, out: Output) -> int:
 
 
 def _parse_assign(text: str) -> dict:
-    """``x=1,y=2`` as a dict; anything but name=natural pairs raises FormatError."""
+    """``x=1,y=2`` as a dict; anything but name=natural pairs, each name once, is a FormatError."""
     sigma = {}
     for piece in text.split(","):
         if not piece:
@@ -180,6 +181,8 @@ def _parse_assign(text: str) -> dict:
         name, sep, value = (part.strip() for part in piece.partition("="))
         if not (sep and name and value.isdecimal()):
             raise FormatError(f"--assign takes name=natural pairs, not {piece!r}")
+        if name in sigma:
+            raise FormatError(f"--assign repeats variable {name!r}")
         sigma[name] = int(value)
     return sigma
 
@@ -189,6 +192,9 @@ def cmd_verify(args, out: Output) -> int:
     expansion_cap, _ = _default_caps(args)
     e = build_equation(parse_instance(text), expansion_cap)
     sigma = _parse_assign(args.assign)
+    for v in e.vars:
+        if v not in sigma:
+            raise FormatError(f"--assign misses variable {v!r}")
     from .solver import verify
 
     try:

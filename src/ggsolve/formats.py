@@ -49,9 +49,9 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from .automata import EPS, Nfa, trim
-from .errors import CertificateError, FormatError, StructureError
+from .errors import CertificateError, FormatError, ResourceExceeded, StructureError
 from .groups import DoubledAlphabet, free_reduce, inverse_letter
-from .slp import Slp, expand_capped, is_variable_token
+from .slp import Slp, expand_capped, fold_power, is_variable_token, val_length
 from .traces import IndependenceAlphabet
 
 MODES = ("exact", "search", "relax")
@@ -458,7 +458,12 @@ def _check_letters(letters, words, line, where: str) -> None:
 
 
 def build_equation(inst: Instance, expansion_cap: int = 10**6):
-    """ExponentEquation from an eq/knapsack problem block."""
+    """ExponentEquation from an eq/knapsack problem block.
+
+    A ``constS`` whose SLP folds (``slp.fold_power``: iterated squaring of
+    one word, say) stays a ``ConjugatePower``; any other SLP is expanded.
+    Either way an SLP longer than ``expansion_cap`` raises ResourceExceeded.
+    """
     from .solver.equations import Const, ExponentEquation, Power, knapsack_to_equation
 
     problem = inst.problem
@@ -478,6 +483,13 @@ def build_equation(inst: Instance, expansion_cap: int = 10**6):
             slp = inst.slps[item.slp]
             terminals = [[t for t in body if not is_variable_token(t)] for body in slp.rhs.values()]
             _check_letters(letters, terminals, item.line, f"SLP {item.slp!r}")
+            total = val_length(slp)
+            if total > expansion_cap:
+                raise ResourceExceeded(total, expansion_cap)
+            folded = fold_power(slp, alphabet) if item.var is None else None
+            if folded is not None:
+                items.append(Const(folded))
+                continue
             word = expand_capped(slp, expansion_cap)
         else:
             _check_letters(letters, [word], item.line, "eq item")
@@ -516,7 +528,7 @@ def build_extension(inst: Instance):
     The ``eqH`` items spell v0 u1^x1 v1 ... un^xn vn = 1 with pairwise
     distinct variables: consecutive constants merge into one v word, and
     the extension letters are the coset table's generators without their
-    inverses.
+    inverses.  A coset table that fails validation is a FormatError.
     """
     from .transfer import FiniteExtension
 
@@ -528,7 +540,10 @@ def build_extension(inst: Instance):
     ext_letters = tuple(
         dict.fromkeys(b[:-1] if b.endswith("'") else b for b in ext_letters)
     )
-    fe = FiniteExtension(base, ext_letters, problem.cosets, problem.one, problem.table)
+    try:
+        fe = FiniteExtension(base, ext_letters, problem.cosets, problem.one, problem.table)
+    except StructureError as exc:
+        raise FormatError(f"extension block: {exc}", problem.line) from exc
     item_letters = {*ext_letters, *(inverse_letter(b) for b in ext_letters)}
     variables: set = set()
     v_words: List[tuple] = []
@@ -551,7 +566,7 @@ def build_extension(inst: Instance):
 
 
 def build_hnn(inst: Instance):
-    """HnnPresentation of an hnn block."""
+    """HnnPresentation of an hnn block; a presentation that fails validation is a FormatError."""
     from .transfer import HnnPresentation
 
     p = inst.problem
@@ -560,11 +575,17 @@ def build_hnn(inst: Instance):
     _check_letters(set(base.letters), subgroup_words, p.line, "hnn block, base-group word")
     letters = {*base.letters, p.stable, inverse_letter(p.stable)}
     _check_letters(letters, p.items + [p.target], p.line, "hnn block")
-    return HnnPresentation(base, p.assoc_pos, p.assoc_neg, p.phi, p.stable)
+    try:
+        return HnnPresentation(base, p.assoc_pos, p.assoc_neg, p.phi, p.stable)
+    except StructureError as exc:
+        raise FormatError(f"hnn block: {exc}", p.line) from exc
 
 
 def build_amalgam(inst: Instance):
-    """AmalgamPresentation of an amalgam block; ``fmap`` gives both embeddings of F."""
+    """AmalgamPresentation of an amalgam block; ``fmap`` gives both embeddings of F.
+
+    A presentation that fails validation is a FormatError.
+    """
     from .transfer import AmalgamPresentation
 
     p = inst.problem
@@ -575,7 +596,10 @@ def build_amalgam(inst: Instance):
     _check_letters(set(left.letters), embed_left.values(), p.line, "amalgam block, left fmap")
     _check_letters(set(right.letters), embed_right.values(), p.line, "amalgam block, right fmap")
     _check_letters({*left.letters, *right.letters}, p.items + [p.target], p.line, "amalgam block")
-    return AmalgamPresentation(left, right, p.felems, p.ftable, p.fid, embed_left, embed_right)
+    try:
+        return AmalgamPresentation(left, right, p.felems, p.ftable, p.fid, embed_left, embed_right)
+    except StructureError as exc:
+        raise FormatError(f"amalgam block: {exc}", p.line) from exc
 
 
 def build_oracle(inst: Instance, name: str):

@@ -6,8 +6,10 @@ on: a and a' share one column, and a letter cancels the most recent
 surviving occurrence of its inverse exactly when that occurrence is on top
 of the column.  Entries carry position tags so that multiplication can
 report the cancelled middle trace of the unique boundary factorization.
-``SignedPile`` is the group coding of the pile; products of many items
-stream through a single pile without building intermediate normal forms.
+``SignedPile`` is the group coding of the pile.  ``BlockProduct`` multiplies
+many items as blocks, constants and powers w^k merged by free reduction and
+exponent arithmetic, and streams only what is left through one pile;
+``ConjugatePower`` keeps p w^k p^-1 folded until its trace is read.
 """
 
 from __future__ import annotations
@@ -116,6 +118,33 @@ class GroupElement:
         return GroupElement(Trace(self.alphabet, invert_word(self.word)))
 
 
+class ConjugatePower(GroupElement):
+    """p w^k p^-1, kept folded: (p, w) as ``cyclic_reduce`` returns them, w != 1, k >= 1.
+
+    That word is reduced, so the length 2|p| + k|w| is exact without
+    expanding; the trace is built when something first reads it.
+    """
+
+    __slots__ = ("p", "w", "k", "_trace")
+
+    def __init__(self, p: GroupElement, w: GroupElement, k: int):
+        self.p, self.w, self.k = p, w, k
+        self._trace = None
+
+    @property
+    def trace(self) -> Trace:
+        if self._trace is None:
+            self._trace = _conjugate_power_trace(self.p, self.w, self.k)
+        return self._trace
+
+    @property
+    def alphabet(self) -> DoubledAlphabet:
+        return self.w.alphabet
+
+    def __len__(self):
+        return 2 * len(self.p) + self.k * len(self.w)
+
+
 def identity(alphabet: DoubledAlphabet) -> GroupElement:
     return GroupElement(empty_trace(alphabet))
 
@@ -143,29 +172,101 @@ class SignedPile(Pile):
             raise AlphabetMismatchError("free reduction needs a doubled alphabet")
         super().__init__(alphabet, cancel=True, track_pairs=track_pairs)
 
-    def push_power(self, g: GroupElement, k: int, cap: int) -> None:
-        """Stream g^k as p, then w k times, then p^-1, where (p, w) = cyclic_reduce(g).
-
-        Raises ResourceExceeded, before anything is streamed, when
-        2|p| + k|w| exceeds ``cap``.  The cost is linear in 2|p| + k|w|, not
-        in k: a power of the identity streams nothing.
-        """
-        conj = _conjugate_power(g, k, cap)
-        if conj is None:
-            return
-        p, w = conj
-        if w.is_identity():  # then p is empty too: g is the identity
-            return
-        rank = self.alphabet._rank
-        p_codes = [rank[a] for a in p.word]
-        w_codes = [rank[a] for a in w.word]
-        self.push(p_codes)
-        self.push(chain.from_iterable(repeat(w_codes, k)))
-        self.push([c ^ 1 for c in reversed(p_codes)])
-
     def element(self) -> GroupElement:
         """The reduced product of everything pushed, as a normal form (ends the pile)."""
         return GroupElement(Trace._from_canonical(self.alphabet, self.depile()))
+
+
+class BlockProduct:
+    """A product of constants and powers w^k, merged as blocks before any letter streams.
+
+    A block is a constant, kept reduced on its own ``SignedPile``, or a power
+    ``[w, k]``: w a cyclically reduced element and k a nonzero integer (k < 0
+    stands for (w^-1)^-k).  A constant next to a constant goes onto the same
+    pile; a power next to a power with an equal or mutually inverse base adds
+    to its exponent; a block that reaches 1 leaves.  ``length``, the sum of
+    the block lengths, bounds the reduced length of the product from above.
+    """
+
+    __slots__ = ("alphabet", "blocks", "length")
+
+    def __init__(self, alphabet: DoubledAlphabet):
+        self.alphabet = alphabet
+        self.blocks: list = []
+        self.length = 0
+
+    def push_word(self, word: Sequence[str]) -> None:
+        """Append a word."""
+        if not word:
+            return
+        blocks = self.blocks
+        if blocks and isinstance(blocks[-1], SignedPile):
+            pile = blocks[-1]
+            self.length -= pile.count
+        else:
+            pile = SignedPile(self.alphabet)
+            blocks.append(pile)
+        pile.push_word(word)
+        if pile.count:
+            self.length += pile.count
+        else:
+            blocks.pop()
+
+    def push_power(self, w: GroupElement, k: int) -> None:
+        """Append w^k, w cyclically reduced and k natural."""
+        if not k or w.is_identity():
+            return
+        blocks = self.blocks
+        if blocks and isinstance(blocks[-1], list):
+            top = blocks[-1]
+            top_w, top_k = top
+            if top_w == w:
+                merged = top_k + k
+            elif len(top_w) == len(w) and top_w == w.inverse():
+                merged = top_k - k
+            else:
+                merged = None
+            if merged is not None:
+                self.length += (abs(merged) - abs(top_k)) * len(w)
+                if merged:
+                    top[1] = merged
+                else:
+                    blocks.pop()
+                return
+        blocks.append([w, k])
+        self.length += k * len(w)
+
+    def push_conjugate_power(self, p: GroupElement, w: GroupElement, k: int) -> None:
+        """Append p w^k p^-1 as the blocks p, w^k, p^-1."""
+        self.push_word(p.word)
+        self.push_power(w, k)
+        self.push_word(invert_word(p.word))
+
+    def _pile(self) -> SignedPile:
+        """The letters of every block streamed onto one signed pile (ends the blocks)."""
+        pile = SignedPile(self.alphabet)
+        rank = self.alphabet._rank
+        for block in self.blocks:
+            if isinstance(block, SignedPile):
+                pile.push_word(block.depile())
+                continue
+            w, k = block
+            codes = [rank[a] for a in w.word]
+            if k < 0:
+                codes = [c ^ 1 for c in reversed(codes)]
+            pile.push(chain.from_iterable(repeat(codes, abs(k))))
+        return pile
+
+    def collapse(self) -> int:
+        """Stream the blocks and keep their reduced product as one constant; its length."""
+        pile = self._pile()
+        self.blocks = [pile] if pile.count else []
+        self.length = pile.count
+        return self.length
+
+    def element(self) -> GroupElement:
+        """The reduced product of the blocks, as a normal form (ends the blocks)."""
+        return self._pile().element()
 
 
 def _reduce_tagged(alphabet: DoubledAlphabet, word: Sequence[str]):
@@ -289,13 +390,16 @@ def power_nf(g: GroupElement, k: int, cap: int) -> GroupElement:
     exactly 2|p| + k|w| for k >= 1; raises ResourceExceeded when that exceeds
     ``cap`` (without materializing anything).
     """
-    alphabet = g.alphabet
     conj = _conjugate_power(g, k, cap)
     if conj is None:
-        return identity(alphabet)
-    p, w = conj
-    word = p.word + w.word * k + invert_word(p.word)
-    reduced, pairs = _reduce_tagged(alphabet, word)
+        return identity(g.alphabet)
+    return GroupElement(_conjugate_power_trace(*conj, k))
+
+
+def _conjugate_power_trace(p: GroupElement, w: GroupElement, k: int) -> Trace:
+    """The trace of p w^k p^-1 for (p, w) = cyclic_reduce(g); InternalError if it reduces."""
+    alphabet = w.alphabet
+    reduced, pairs = _reduce_tagged(alphabet, p.word + w.word * k + invert_word(p.word))
     if pairs:
         raise InternalError("p w^k p^-1 unexpectedly reducible")
-    return GroupElement(Trace._from_canonical(alphabet, reduced))
+    return Trace._from_canonical(alphabet, reduced)

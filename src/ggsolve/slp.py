@@ -2,15 +2,24 @@
 
 Variables must start with an uppercase letter; every other token on a
 right-hand side is a terminal letter.  The compressed-instance front end
-builds on three operations: exact length without expansion, capped expansion,
-and power construction by iterated squaring.
+builds on four operations: exact length without expansion, capped expansion,
+power construction by iterated squaring, and folding a power SLP into a
+conjugate power over a graph group without expanding it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import ResourceExceeded, StructureError
+from .groups import (
+    ConjugatePower,
+    DoubledAlphabet,
+    GroupElement,
+    cyclic_reduce,
+    free_reduce,
+    identity,
+)
 
 
 def is_variable_token(token: str) -> bool:
@@ -101,6 +110,32 @@ def expand_capped(g: Slp, cap: int) -> tuple:
         else:
             out.append(token)
     return tuple(out)
+
+
+def fold_power(g: Slp, alphabet: DoubledAlphabet) -> Optional[GroupElement]:
+    """The reduced val(g) over ``alphabet`` as a ``ConjugatePower`` (or 1), without expanding g.
+
+    Bottom-up, once per variable: a body of terminals is reduced and
+    cyclically reduced to p w^1 p^-1; a body of variables whose values (the
+    identity aside) share one (p, w) is p w^k p^-1 with k the sum of their
+    exponents.  Returns None when some other body (terminals and variables
+    mixed, or variables with different (p, w)) stops the fold.
+    """
+    folded: Dict[str, Optional[tuple]] = {}  # variable -> (p, w, k), None for the identity
+    for var in g._order:
+        body = g.rhs[var]
+        if not any(is_variable_token(t) for t in body):
+            value = free_reduce(alphabet, body)
+            folded[var] = None if value.is_identity() else (*cyclic_reduce(value), 1)
+            continue
+        if not all(is_variable_token(t) for t in body):
+            return None
+        parts = [folded[t] for t in body if folded[t] is not None]
+        if any(part[:2] != parts[0][:2] for part in parts):
+            return None
+        folded[var] = (*parts[0][:2], sum(part[2] for part in parts)) if parts else None
+    top = folded[g.start]
+    return identity(alphabet) if top is None else ConjugatePower(*top)
 
 
 def expand(g: Slp) -> tuple:

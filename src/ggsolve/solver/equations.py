@@ -15,9 +15,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 from ..errors import AlphabetMismatchError, InternalError, ResourceExceeded, StructureError
 from ..groups import (
     _VERIFY_MULT_LIMIT,
+    BlockProduct,
+    ConjugatePower,
     DoubledAlphabet,
     GroupElement,
-    SignedPile,
+    _conjugate_power,
     cyclic_reduce,
     free_reduce,
     identity,
@@ -112,28 +114,48 @@ def equation(alphabet: DoubledAlphabet, *specs, variables=None) -> ExponentEquat
 def evaluate(e: ExponentEquation, sigma: Assignment, cap: int = 10**6) -> GroupElement:
     """The group element denoted by the equation's left-hand side under sigma.
 
-    One pass: the letters of every item, in order, go onto one signed pile
-    (a constant as its word, a power u^k as p, then w k times, then p^-1,
-    with (p, w) = cyclic_reduce(u)), and only the surviving letters are
-    depiled.  The cost is linear in the letters streamed.  Raises
-    ResourceExceeded when a power would stream more than ``cap`` letters or
-    the reduced product of the items so far is longer than ``cap``.
+    One pass over blocks: a constant enters as its word, a power u^k (and a
+    constant kept folded as a ``ConjugatePower``) as p, w^k, p^-1 with
+    (p, w) = cyclic_reduce(u).  ``BlockProduct`` merges neighbouring
+    constants by free reduction and neighbouring powers of equal or mutually
+    inverse bases by adding exponents; only the blocks left stream, letter
+    by letter, through one signed pile.  The cost is linear in the letters
+    streamed, which can be far fewer than the k|w| of the powers.
 
-    A product of at most ``_VERIFY_MULT_LIMIT`` streamed letters is also
-    computed item by item with ``power_nf`` and the self-checked ``mult``; a
-    difference raises InternalError.
+    Raises ResourceExceeded when a power's 2|p| + k|w| exceeds ``cap``
+    (before it enters), or when the reduced product of the items so far is
+    longer than ``cap`` (the blocks are streamed to find that length only
+    when their total length exceeds ``cap``).
+
+    When the letters of the items (constants plus 2|p| + k|w| per power) are
+    at most ``_VERIFY_MULT_LIMIT``, the product is also computed item by item
+    with ``power_nf`` and the self-checked ``mult``; a difference raises
+    InternalError.
     """
-    pile = SignedPile(e.alphabet)
+    product = BlockProduct(e.alphabet)
+    letters = 0
     for item in e.items:
-        if isinstance(item, Const):
-            pile.push_word(item.value.word)
+        if isinstance(item, Power):
+            k = sigma[item.var]
+            conj = _conjugate_power(item.base, k, cap)
+            if conj is not None:
+                p, w = conj
+                letters += 2 * len(p) + k * len(w)
+                product.push_conjugate_power(p, w, k)
         else:
-            pile.push_power(item.base, sigma[item.var], cap)
-        if pile.count > cap:
-            raise ResourceExceeded(pile.count, cap)
-    value = pile.element()
-    if pile.pushed <= _VERIFY_MULT_LIMIT and value != _evaluate_by_mult(e, sigma, cap):
-        raise InternalError("streamed product differs from the mult chain")
+            value = item.value
+            letters += len(value)
+            if isinstance(value, ConjugatePower):
+                product.push_conjugate_power(value.p, value.w, value.k)
+            else:
+                product.push_word(value.word)
+        if product.length > cap:
+            count = product.collapse()
+            if count > cap:
+                raise ResourceExceeded(count, cap)
+    value = product.element()
+    if letters <= _VERIFY_MULT_LIMIT and value != _evaluate_by_mult(e, sigma, cap):
+        raise InternalError("block product differs from the mult chain")
     return value
 
 
@@ -152,12 +174,12 @@ def _evaluate_by_mult(e: ExponentEquation, sigma: Assignment, cap: int) -> Group
 
 
 def verify(e: ExponentEquation, sigma: Assignment, cap: int = 10**6) -> bool:
-    """Substitute and evaluate in one streamed pass; True iff the product is the identity.
+    """Substitute and evaluate over blocks; True iff the product is the identity.
 
-    Powers are streamed in their conjugate-power form, so huge exponents only
-    pay for the letters they actually contribute; raises ResourceExceeded when
-    a power or the reduced product of a prefix of the items would exceed
-    ``cap`` letters (see ``evaluate``).
+    Powers enter in their conjugate-power form and merge by exponent
+    arithmetic, so huge exponents only pay for the letters left after the
+    merges; raises ResourceExceeded when a power or the reduced product of a
+    prefix of the items would exceed ``cap`` letters (see ``evaluate``).
     """
     for v in e.vars:
         if v not in sigma:

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from ggsolve.errors import ResourceExceeded
+from ggsolve.errors import InternalError, ResourceExceeded
 from ggsolve.groups import (
+    ConjugatePower,
     DoubledAlphabet,
     GroupElement,
     cyclic_reduce,
@@ -239,3 +240,26 @@ class TestPowerNf:
             for k in range(9):
                 assert power_nf(g, k, 10**6) == acc
                 acc, _ = mult(acc, g)
+
+
+class TestConjugatePower:
+    def test_length_without_trace(self):
+        g = free_reduce(AC, ("a", "b", "a'"))
+        h = ConjugatePower(*cyclic_reduce(g), 2**40)
+        assert len(h) == 2 + 2**40 and h.alphabet == AC and h._trace is None
+
+    def test_trace_matches_power_nf(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            g = random_element(rng, AC, 6)
+            if g.is_identity():
+                continue
+            k = rng.randint(1, 5)
+            h = ConjugatePower(*cyclic_reduce(g), k)
+            assert h == power_nf(g, k, 10**6) and len(h) == len(h.word)
+
+    def test_reducible_form_raises(self):
+        """(a, a') is no cyclic reduction: a a' a' cancels, which the trace build checks."""
+        h = ConjugatePower(free_reduce(AC, "a"), free_reduce(AC, ("a'",)), 1)
+        with pytest.raises(InternalError):
+            h.trace
