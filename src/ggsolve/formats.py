@@ -50,7 +50,7 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from .automata import EPS, Nfa, trim
 from .errors import CertificateError, FormatError, ResourceExceeded, StructureError
-from .groups import DoubledAlphabet, free_reduce, inverse_letter
+from .groups import INVERSE_MARK, DoubledAlphabet, free_reduce, inverse_letter
 from .slp import Slp, expand_capped, fold_power, is_variable_token, val_length
 from .traces import IndependenceAlphabet
 
@@ -289,6 +289,7 @@ def scan_directives(text: str) -> Tuple[Optional[int], Optional[str]]:
 def parse_instance(text: str) -> Instance:
     gens: List[str] = []
     indep: List[Tuple[str, str]] = []
+    indep_lines: List[int] = []
     current_slp: Optional[str] = None
     slp_rules: Dict[str, Dict[str, tuple]] = {}
     oracles: Dict[str, OracleSpec] = {}
@@ -303,11 +304,17 @@ def parse_instance(text: str) -> Instance:
         head, rest = tokens[0], tokens[1:]
         try:
             if head == "gens":
-                gens.extend(rest)
+                for letter in rest:
+                    if letter in gens:
+                        raise FormatError(f"letter {letter!r} declared twice", lineno)
+                    if letter.endswith(INVERSE_MARK):
+                        raise FormatError(f"letter {letter!r} ends in the inverse mark", lineno)
+                    gens.append(letter)
             elif head == "indep":
-                if len(rest) != 2:
-                    raise FormatError("indep takes exactly two letters", lineno)
+                if len(rest) != 2 or rest[0] == rest[1]:
+                    raise FormatError("indep takes two distinct letters", lineno)
                 indep.append((rest[0], rest[1]))
+                indep_lines.append(lineno)
             elif head == "slp":
                 if len(rest) != 1:
                     raise FormatError("slp takes the start variable", lineno)
@@ -440,6 +447,8 @@ def parse_instance(text: str) -> Instance:
             raise FormatError(f"bad SLP {name!r}: {exc}") from exc
     if problem is None:
         raise FormatError("no problem block found")
+    for pair, line in zip(indep, indep_lines):
+        _check_letters(gens, [pair], line, "indep")
     base_alphabet = IndependenceAlphabet(tuple(gens), indep) if gens else None
     return Instance(problem, base_alphabet, slps, oracles, expect_exit, mode_hint)
 

@@ -3,10 +3,11 @@
 The deterministic realization of the enumeration pipeline: small exponents
 are merged into the constants and handled concretely (the K-set part of the
 big disjunction); for two simultaneously large exponents the normal forms of
-both sides stabilize into parametric shapes
+both sides stabilize into parametric shapes, computed by one procedure
+(``_power_form``) for ``v u^x w``:
 
-    nf(v0 u1^x v1)        =  L * u1^(x - dx) * S      (x >= x*)
-    nf(v2^-1 (u2^-1)^y)   =  Z * (u2^-1)^(y - dy)     (y >= y*)
+    nf(v0 u1^x v1)        =  L * u1^(x - dx) * S          (x >= dx + 1)
+    nf(v2^-1 (u2^-1)^y)   =  Z * (u2^-1)^(y - dy) * T     (y >= dy + 1)
 
 and equality of the two shapes is exactly a two-power trace equation, solved
 by the two-power closure-automata pipeline.  Repeated variables are merged with
@@ -15,9 +16,15 @@ unconstrained and get unit periods.
 
 Stabilization argument: appending u to W cancels nothing as soon as one
 append is cancellation-free, because a full intact copy of u then separates
-any later candidate pair (a letter is never independent of itself); and all
-v-against-power cancellation is bounded by |v|.  The extracted parametric
-shapes are additionally verified at several consecutive exponents.
+any later candidate pair (a letter is never independent of itself).  So
+nf(v u^x) = lam * u^(x-dl) for x >= dl and, by the same argument on inverses,
+nf(u^x w) = u^(x-dr) * rho for x >= dr.  In lam * u^a * rho with a >= 1 only
+letters independent of u cancel, across the intact copy; that cancelled
+part p is read off one product lam u * rho, commutes with u and comes off
+both ends: L = right_quotient(lam, p), S = left_quotient(rho, p^-1) and
+dx = dl + dr.  Then L u^a S = v u^(a+dx) w in the group for every a >= 0,
+and as traces for a >= 1.  The shapes are additionally verified at several
+consecutive exponents.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from ..semilinear import (
     identify_variables,
     two_power_solutions,
 )
-from ..traces import Trace, empty_trace, left_quotient, levi_split_pair, power, right_quotient
+from ..traces import Trace, left_quotient, power, right_quotient
 from .equations import (
     Const,
     ExponentEquation,
@@ -74,79 +81,40 @@ def _stabilize_left(c: GroupElement, u: GroupElement) -> Tuple[GroupElement, int
             raise InternalError("left absorption did not stabilize")
 
 
-def _strip_power_prefix(t: Trace, u: Trace) -> Tuple[int, Trace]:
-    count = 0
-    cur = t
-    while True:
-        nxt = left_quotient(cur, u)
-        if nxt is None:
-            return count, cur
-        count += 1
-        cur = nxt
-
-
-def _left_form(
-    v0: GroupElement, u1: GroupElement, v1: GroupElement
+def _power_form(
+    v: GroupElement, u: GroupElement, w: GroupElement
 ) -> Tuple[Trace, Trace, int, int]:
-    """Parametric shape of nf(v0 u1^x v1): (L, S, dx, x_min).
+    """Parametric shape of nf(v u^x w): (L, S, dx, x_min).
 
-    For all x >= x_min, nf(v0 u1^x v1) = L * u1^(x-dx) * S as traces; and for
-    every x >= 0 the group identity L u1^x S = v0 u1^(x+dx) v1 holds.
+    For all x >= x_min, nf(v u^x w) = L * u^(x-dx) * S as traces; and for
+    every a >= 0 the group identity L u^a S = v u^(a+dx) w holds.
     """
-    alphabet = v0.alphabet
-    lam0, dl = _stabilize_left(v0, u1)  # nf(v0 u1^x) = lam0 u1^(x-dl), x >= dl
-    ulen = max(1, len(u1))
-    # the cancelled suffix-part covers at most |v1|/|u1| full copies plus a
-    # partial piece of at most alphabet-many copies (power-split shape)
-    probe = dl + (len(v1) // ulen) + 2 * len(alphabet.letters) + 4
-    k0 = probe - dl
-    body = GroupElement(lam0.trace * power(u1.trace, k0))
-    total, cancelled = mult(body, v1)
-    # Levi-split the cancelled suffix-part against (lam0, u1^k0)
-    survivor = right_quotient(body.trace, cancelled)
-    if survivor is None:
-        raise InternalError("cancelled part is not a suffix of the left body")
-    split = levi_split_pair(
-        body.trace, survivor, cancelled, [lam0.trace, power(u1.trace, k0)]
-    )
-    if split is None:
-        raise InternalError("no Levi split of the cancelled part")
-    (d_a, d_b), _ = split
-    # D = d_a * d_b, with d_b = u1^l * stail
-    l, stail = _strip_power_prefix(d_b, u1.trace)
-    e_part = left_quotient(v1.trace, Trace(alphabet, invert_word(cancelled.word)))
-    if e_part is None:
+    lam, dl = _stabilize_left(v, u)  # nf(v u^x) = lam u^(x-dl), x >= dl
+    rho_inv, dr = _stabilize_left(w.inverse(), u.inverse())
+    rho = rho_inv.inverse()  # nf(u^x w) = u^(x-dr) rho, x >= dr
+    # across an intact copy of u only letters independent of u cancel, so
+    # p commutes with u and comes off lam and rho for every exponent
+    _, p = mult(GroupElement(lam.trace * u.trace), rho)
+    big_l = right_quotient(lam.trace, p)
+    if big_l is None:
+        raise InternalError("cancelled part is not a suffix of the left constant")
+    big_s = left_quotient(rho.trace, Trace(p.alphabet, invert_word(p.word)))
+    if big_s is None:
         raise InternalError("cancelled part is not a prefix of the right constant")
-    big_l = d_a
-    big_s = stail * e_part
-    dx = probe - l
+    dx = dl + dr
+    x_min = dx + 1
     # verify the shape on several consecutive exponents
-    for extra in range(4):
-        x = probe + extra
-        direct = _nf_three(v0, u1, x, v1)
-        shaped = big_l * power(u1.trace, x - dx) * big_s
-        if direct.trace != shaped:
+    for x in range(x_min, x_min + 4):
+        shaped = big_l * power(u.trace, x - dx) * big_s
+        if _nf_three(v, u, x, w).trace != shaped:
             raise InternalError("parametric left form failed verification")
-    return big_l, big_s, dx, probe
+    return big_l, big_s, dx, x_min
 
 
 def _nf_three(v0: GroupElement, u1: GroupElement, x: int, v1: GroupElement) -> GroupElement:
     acc, _ = mult(v0, power_nf(u1, x, _BIG))
     acc, _ = mult(acc, v1)
     return acc
-
-
-def _right_form(v2: GroupElement, u2: GroupElement) -> Tuple[Trace, int, int]:
-    """Parametric shape of nf(v2^-1 (u2^-1)^y): (Z, dy, y_min)."""
-    u2i = u2.inverse()
-    z, dy = _stabilize_left(v2.inverse(), u2i)
-    for extra in range(3):
-        y = dy + extra
-        direct, _ = mult(v2.inverse(), power_nf(u2i, y, _BIG))
-        shaped = z.trace * power(u2i.trace, y - dy)
-        if direct.trace != shaped:
-            raise InternalError("parametric right form failed verification")
-    return z.trace, dy, dy
 
 
 def _solve_one_power(
@@ -267,12 +235,13 @@ def solve_exact(e: ExponentEquation, limits: Optional[Limits] = None) -> SolveRe
     v0, u1, v1, u2, v2 = consts[0], bases[0], consts[1], bases[1], consts[2]
     var1, var2 = powers[0].var, powers[1].var
 
-    big_l, big_s, dx, x_min = _left_form(v0, u1, v1)
-    big_z, dy, y_min = _right_form(v2, u2)
-    u2i_trace = u2.inverse().trace
+    # v0 u1^x v1 = v2^-1 (u2^-1)^y, each side in its parametric shape
+    big_l, big_s, dx, x_min = _power_form(v0, u1, v1)
+    u2i = u2.inverse()
+    big_z, big_t, dy, y_min = _power_form(v2.inverse(), u2i, identity(alphabet))
 
     pair_components: List[LinearSet] = []
-    two = two_power_solutions(big_l, u1.trace, big_s, big_z, u2i_trace, empty_trace(alphabet))
+    two = two_power_solutions(big_l, u1.trace, big_s, big_z, u2i.trace, big_t)
     for comp in two.components:
         base = (comp.base[0] + dx, comp.base[1] + dy)
         pair_components.append(LinearSet(base, comp.periods))

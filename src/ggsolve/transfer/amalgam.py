@@ -42,9 +42,15 @@ class AmalgamPresentation:
         self._validate()
 
     def _validate(self) -> None:
+        elements = set(self.f_elements)
+        if self.f_identity not in elements:
+            raise StructureError(f"F identity {self.f_identity!r} is not an F element")
         for f in self.f_elements:
             if f not in self.embed_left or f not in self.embed_right:
                 raise StructureError(f"embedding missing for F element {f!r}")
+            for g in self.f_elements:
+                if self.f_table.get((f, g)) not in elements:
+                    raise StructureError(f"F table has no element for ({f},{g})")
         for oracle, embed in ((self.left, self.embed_left), (self.right, self.embed_right)):
             if not oracle.is_identity(embed[self.f_identity]):
                 raise StructureError("F identity must embed to the identity")

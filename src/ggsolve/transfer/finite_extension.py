@@ -43,6 +43,8 @@ class FiniteExtension:
                 for letter in (b, inverse_letter(b)):
                     if (c, letter) not in self.table:
                         raise StructureError(f"rewriting table misses ({c},{letter})")
+                    if self.table[(c, letter)][1] not in self.cosets:
+                        raise StructureError(f"rewriting table leaves the cosets at ({c},{letter})")
         self.validate()
 
     @property

@@ -201,6 +201,7 @@ AMALGAM_Z4 = (
     "felem 1 z\nfid 1\nftable 1 1 -> 1\nftable 1 z -> z\nftable z 1 -> z\nftable z z -> 1\n"
     "fmap 1 left _ right _\n"
 )
+AMALGAM_Z4_TAIL = "fmap z left g g right h h\nitem g\ntarget _\n"
 
 
 class TestMalformedInput:
@@ -236,6 +237,21 @@ class TestMalformedInput:
     def test_unknown_letter_exits_3(self, tmp_path, command, text):
         assert run_cli([command, write(tmp_path, text)])[0] == 3
 
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            ("gens a b\nindep a a\neq\npow a x\n", "line 2"),
+            ("gens a b\nindep a z\neq\npow a x\n", "line 2: indep"),
+            ("gens a a\neq\npow a x\n", "line 1"),
+            ("gens a b'\neq\npow a x\n", "line 1"),
+        ],
+        ids=["indep-same-letter", "indep-unknown-letter", "gens-repeated", "gens-inverse-mark"],
+    )
+    def test_malformed_alphabet_exits_3(self, tmp_path, capsys, text, where):
+        """A malformed alphabet block is a parse error on its line."""
+        assert run_cli(["solve", write(tmp_path, text)])[0] == 3
+        assert f"parse error: {where}" in capsys.readouterr().err
+
     def test_repeated_extension_variable_exits_3(self, tmp_path):
         """a^x a'^x a = a is never 1; read as two variables it would be solvable."""
         text = EXT_DINF + "eqH\npow a x\npow a' x\nconst a\n"
@@ -255,9 +271,19 @@ class TestMalformedInput:
             ("hnn", HNN_Z4.replace("stable t", "stable g")
              + "assoc + _\nassoc - _\nphi _ -> _\nitem g\ntarget g\n", "line 2: hnn block"),
             ("amalgam", AMALGAM_Z4 + "item g\ntarget _\n", "line 3: amalgam block"),
+            ("amalgam", AMALGAM_Z4.replace("ftable z z -> 1\n", "") + AMALGAM_Z4_TAIL,
+             "line 3: amalgam block"),
+            ("amalgam", AMALGAM_Z4.replace("ftable z z -> 1", "ftable z z -> q") + AMALGAM_Z4_TAIL,
+             "line 3: amalgam block"),
+            ("amalgam", AMALGAM_Z4.replace("fid 1\n", "") + AMALGAM_Z4_TAIL, "line 3: amalgam block"),
+            ("amalgam", AMALGAM_Z4.replace("fid 1", "fid q") + AMALGAM_Z4_TAIL, "line 3: amalgam block"),
+            ("finite-ext", EXT_DINF.replace("gen t -> t", "gen t -> u") + "eqH\npow t a x\n",
+             "line 2: extension block"),
         ],
         ids=[
-            "no-onecoset", "table-misses-row", "phi-not-bijection", "stable-is-base", "fmap-missing"
+            "no-onecoset", "table-misses-row", "phi-not-bijection", "stable-is-base", "fmap-missing",
+            "ftable-missing", "ftable-outside-felem", "fid-missing", "fid-outside-felem",
+            "coset-undeclared",
         ],
     )
     def test_invalid_presentation_exits_3(self, tmp_path, capsys, command, text, where):

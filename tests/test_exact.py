@@ -6,17 +6,26 @@ import random
 import pytest
 
 from ggsolve.errors import InternalError
-from ggsolve.groups import doubled, free_reduce, identity
+from ggsolve.groups import cyclic_reduce, doubled, free_reduce, identity
 from ggsolve.semilinear import enumerate_members, member
 from ggsolve.solver import Limits, brute_oracle, equation, solve_exact
-from ggsolve.traces import IndependenceAlphabet
+from ggsolve.traces import IndependenceAlphabet, power
 
 from helpers import random_element
 
 ZL = doubled(IndependenceAlphabet("a"))
 AC = doubled(IndependenceAlphabet("abc", [("a", "c")]))
 FREE2 = doubled(IndependenceAlphabet("ab"))
+FREE3 = doubled(IndependenceAlphabet("abc"))
 ABEL2 = doubled(IndependenceAlphabet("ac", [("a", "c")]))
+
+
+def random_graph(rng):
+    """A doubled alphabet over 3-5 letters, independence density 0.2-0.8."""
+    names = "abcde"[: rng.randint(3, 5)]
+    pairs = list(itertools.combinations(names, 2))
+    density = rng.uniform(0.2, 0.8)
+    return doubled(IndependenceAlphabet(names, rng.sample(pairs, round(density * len(pairs)))))
 
 
 def check_exact(e, grid=15):
@@ -118,6 +127,13 @@ class TestTwoPowers:
         rep = check_exact(e)
         assert rep.status == "unsolvable"
 
+    def test_solution_below_the_shape(self):
+        # b a^x b' c^3 (c')^y = 1 only at (0, 3): at x = dx = 0 the shape
+        # b * a^0 * b' c^3 is not reduced, so only the x strip finds it
+        e = equation(FREE3, "b", ("a", "x"), ("b'", "c", "c", "c"), (("c'",), "y"))
+        rep = check_exact(e, grid=8)
+        assert enumerate_members(rep.solution_set, 8) == {(0, 3)}
+
     def test_conjugated_pair(self):
         # (a b a')^x (a b' a')^y = 1: x = y
         e = equation(AC, (("a", "b", "a'"), "x"), (("a", "b'", "a'"), "y"))
@@ -166,32 +182,45 @@ class TestRandomAgreement:
                 assert member(rep.solution_set, (v,)) == ((v,) in brute), (e, v)
 
     def test_random_two_powers(self):
-        rng = random.Random(909)
-        done = 0
-        while done < 30:
-            alphabet = rng.choice([ZL, AC, FREE2, ABEL2])
-            b1 = random_element(rng, alphabet, 2)
-            b2 = random_element(rng, alphabet, 2)
-            if b1.is_identity() or b2.is_identity():
-                continue
-            v0 = random_element(rng, alphabet, 2)
-            v1 = random_element(rng, alphabet, 2)
-            v2 = random_element(rng, alphabet, 2)
-            from ggsolve.solver.equations import Const, ExponentEquation, Power
+        """Free constants over small fixed alphabets, then planted solutions over random graphs."""
+        from ggsolve.solver.equations import Const, ExponentEquation, Power
 
-            var2 = rng.choice(["x", "y"])
-            e = ExponentEquation(
-                alphabet,
-                [Const(v0), Power(b1, "x"), Const(v1), Power(b2, var2), Const(v2)],
-            )
-            rep = solve_exact(e)
-            if rep.status == "unknown":
-                continue
-            done += 1
-            brute = brute_oracle(e, 10)
-            k = len(e.vars)
-            for v in itertools.product(range(11), repeat=k):
-                assert member(rep.solution_set, v) == (v in brute), (e, v)
+        rng = random.Random(909)
+        families = (
+            # (equations, alphabet, word length, planted, grid)
+            (30, lambda: rng.choice([ZL, AC, FREE2, ABEL2]), 2, False, 10),
+            (200, lambda: random_graph(rng), 3, True, 7),
+        )
+        for count, draw_alphabet, length, planted, grid in families:
+            done = 0
+            while done < count:
+                alphabet = draw_alphabet()
+                b1, b2 = (random_element(rng, alphabet, length) for _ in range(2))
+                if b1.is_identity() or b2.is_identity():
+                    continue
+                v0, v1, v2 = (random_element(rng, alphabet, length) for _ in range(3))
+                var2 = rng.choice(["x", "y"])
+
+                def word(x, y):
+                    return v0.word + b1.word * x + v1.word + b2.word * y
+
+                if planted:
+                    x0 = rng.randint(0, 4)
+                    y0 = x0 if var2 == "x" else rng.randint(0, 4)
+                    v2 = free_reduce(alphabet, word(x0, y0)).inverse()
+                e = ExponentEquation(
+                    alphabet,
+                    [Const(v0), Power(b1, "x"), Const(v1), Power(b2, var2), Const(v2)],
+                )
+                rep = solve_exact(e)
+                if rep.status == "unknown":
+                    continue
+                done += 1
+                assert rep.status == "solvable" or not planted
+                for v in itertools.product(range(grid + 1), repeat=len(e.vars)):
+                    x, y = v if var2 == "y" else (v[0], v[0])
+                    holds = free_reduce(alphabet, word(x, y) + v2.word).is_identity()
+                    assert member(rep.solution_set, v) == holds, (e, v)
 
     def test_solution_sets_closed_under_periods(self):
         rng = random.Random(11)
@@ -203,12 +232,50 @@ class TestRandomAgreement:
                 assert member(rep.solution_set, v)
 
 
+class TestPowerForm:
+    """_power_form(v, u, w) = (L, S, dx, x_min): the shape of nf(v u^x w)."""
+
+    @staticmethod
+    def check_contract(v, u, w):
+        from ggsolve.solver.exact import _power_form
+
+        alphabet = u.alphabet
+        big_l, big_s, dx, x_min = _power_form(v, u, w)
+        assert x_min == dx + 1
+        for x in range(x_min, x_min + 7):
+            direct = free_reduce(alphabet, v.word + u.word * x + w.word)
+            assert direct.word == (big_l * power(u.trace, x - dx) * big_s).word, (v, u, w, x)
+        for a in range(7):
+            lhs = free_reduce(alphabet, big_l.word + u.word * a + big_s.word)
+            assert lhs == free_reduce(alphabet, v.word + u.word * (a + dx) + w.word), (v, u, w, a)
+        return big_l, big_s, dx
+
+    def test_cancellation_across_the_power(self):
+        # c a^x c' with a I c: c cancels across every a^x, so L = S = 1
+        c, a, ci = (free_reduce(AC, (x,)) for x in ("c", "a", "c'"))
+        big_l, big_s, dx = self.check_contract(c, a, ci)
+        assert big_l.is_empty() and big_s.is_empty() and dx == 0
+
+    def test_random_shapes(self):
+        rng = random.Random(4242)
+        done = 0
+        while done < 150:
+            alphabet = random_graph(rng)
+            _, u = cyclic_reduce(random_element(rng, alphabet, 4))
+            if u.is_identity():
+                continue
+            v = random_element(rng, alphabet, 5)
+            w = random_element(rng, alphabet, 5)
+            self.check_contract(v, u, w)
+            done += 1
+
+
 class TestInternalChecks:
     """The checks on the exact path raise InternalError, also under ``python -O``."""
 
     KNAPSACK = equation(FREE2, ("a", "x"), ("b", "y"), ("b'", "a'"))
 
-    @pytest.mark.parametrize("name", ["right_quotient", "levi_split_pair", "left_quotient"])
+    @pytest.mark.parametrize("name", ["right_quotient", "left_quotient"])
     def test_left_form_steps(self, name, monkeypatch):
         import ggsolve.solver.exact as exact
 
@@ -220,8 +287,9 @@ class TestInternalChecks:
         import ggsolve.traces as traces
 
         monkeypatch.setattr(traces, "_embed_parts", lambda *args: None)
+        t = traces.normal_form(AC, "abc")
         with pytest.raises(InternalError, match="greedy embedding failed"):
-            solve_exact(self.KNAPSACK)
+            traces.levi_decompose([t], [t])
 
     def test_left_form_verification(self, monkeypatch):
         import ggsolve.solver.exact as exact
@@ -234,8 +302,11 @@ class TestInternalChecks:
         import ggsolve.solver.exact as exact
 
         monkeypatch.setattr(exact, "power_nf", lambda *args: identity(FREE2))
-        with pytest.raises(InternalError, match="parametric right form"):
-            exact._right_form(free_reduce(FREE2, ("a",)), free_reduce(FREE2, ("b",)))
+        # the right side v2^-1 (u2^-1)^y goes through the same shape check
+        with pytest.raises(InternalError, match="parametric left form"):
+            exact._power_form(
+                free_reduce(FREE2, ("a'",)), free_reduce(FREE2, ("b'",)), identity(FREE2)
+            )
 
     def test_stabilization_bound(self, monkeypatch):
         import ggsolve.solver.exact as exact
