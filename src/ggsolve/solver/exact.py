@@ -238,7 +238,7 @@ def solve_exact(e: ExponentEquation, limits: Optional[Limits] = None) -> SolveRe
     # v0 u1^x v1 = v2^-1 (u2^-1)^y, each side in its parametric shape
     big_l, big_s, dx, x_min = _power_form(v0, u1, v1)
     u2i = u2.inverse()
-    big_z, big_t, dy, y_min = _power_form(v2.inverse(), u2i, identity(alphabet))
+    big_z, big_t, dy, _ = _power_form(v2.inverse(), u2i, identity(alphabet))
 
     pair_components: List[LinearSet] = []
     two = two_power_solutions(big_l, u1.trace, big_s, big_z, u2i.trace, big_t)
@@ -259,7 +259,9 @@ def solve_exact(e: ExponentEquation, limits: Optional[Limits] = None) -> SolveRe
         left_val = _nf_three(v0, u1, x0, v1)
         for y0 in _solve_one_power(left_val, u2, v2):
             add_point(x0, y0)
-    for y0 in range(y_min):
+    # with w = 1 nothing cancels across the power, so the right shape holds
+    # from y = dy on and the pair components (b = 0) cover that row
+    for y0 in range(dy):
         # v0 u1^x (v1 u2^y0 v2) = 1
         tail, _ = mult(power_nf(u2, y0, _BIG), v2)
         tail, _ = mult(v1, tail)

@@ -3,20 +3,29 @@
 H is a finite extension of G with coset representatives C (1 in C) and a
 rewriting table c*b = g*c' (g a word over G's generators).  A generalized
 knapsack instance over H reduces to finitely many instances over G: small
-exponents are merged into the constants; for the all-large core, the c_i
-cosets are enumerated, the orbit data of the coset maps f_i produces the
-arithmetic shape x_i = m + k_i*y_i + r_i, and the bracketed pieces are
-rewritten into G via the table.
+exponents (below m = |C|) are merged into the constants; for the all-large
+core, x_i = m + k_i*y_i + r_i with k_i the period of the coset map f_i of u_i
+after m steps.  The cosets c_1, c_2, ... are picked depth-first: c_i runs
+over the orbit of e_i = f_i^m(d_(i-1)) in the order of C, r_i is the step at
+which the walk from e_i reaches it, and d_i is the coset the rest of the
+bracket ends in; a sequence with d_n = 1 is one question to G's oracle
+(``GroupOracle.knapsack``), with the bracketed pieces rewritten into G.
+
+Each call rewrites every input word once from each coset it is read from
+(the per-call step memo) and the words u^m and u^k once per power and
+coset; constants, tails u^r v and the all-small products are folded from
+those steps, never re-read letter by letter.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import InternalError, StructureError
 from ..groups import inverse_letter
-from .kauto import equation_chain
 from .oracles import GroupOracle
 
 
@@ -74,16 +83,9 @@ class FiniteExtension:
     def coset_of(self, word: Sequence[str]) -> str:
         return self.rewrite(self.one, word)[1]
 
-    def in_g(self, word: Sequence[str]) -> bool:
-        return self.coset_of(word) == self.one
-
     def is_identity_in_h(self, word: Sequence[str]) -> bool:
         gw, c = self.rewrite(self.one, word)
         return c == self.one and self.g_oracle.is_identity(gw)
-
-    def coset_map(self, word: Sequence[str]) -> Dict[str, str]:
-        """f: c -> the unique d with c*word*d^{-1} in G."""
-        return {c: self.rewrite(c, word)[1] for c in self.cosets}
 
 
 def _iterate(f: Dict[str, str], n: int) -> Dict[str, str]:
@@ -99,8 +101,6 @@ def _orbit_parameters(f: Dict[str, str], m: int) -> Tuple[Dict[str, str], int]:
     The coset map is a permutation (right multiplication), so k is its order,
     which can exceed m (lcm of cycle lengths); search up to lcm(1..m).
     """
-    import math
-
     fm = _iterate(f, m)
     cur = dict(fm)
     bound = math.lcm(*range(1, m + 1)) if m >= 1 else 1
@@ -122,7 +122,8 @@ def finite_ext_reduce(
 
     Repeated variables are rejected; restate the instance with the knapsack
     adapters first.  Deterministically enumerates the branch structure: which
-    exponents stay below m (merged into constants), then the coset tuples.
+    exponents stay below m (merged into constants), then the live coset
+    sequences in ``fe.cosets`` order, one ``g_oracle.knapsack`` question each.
     """
     if g_oracle is None:
         g_oracle = fe.g_oracle
@@ -135,55 +136,54 @@ def finite_ext_reduce(
             "use the knapsack adapters to restate repeated-variable instances"
         )
     m = fe.m
+    rank = {c: i for i, c in enumerate(fe.cosets)}
+    # word w of a run: v_w for w <= n, u_(w-n) for w > n
+    words = [tuple(w) for w in (*v_words, *u_words)]
+    memo = functools.lru_cache(maxsize=None)
+    step = memo(lambda w, coset: fe.rewrite(coset, words[w]))
 
-    def solve_core(vs: List[tuple], us: List[tuple]) -> bool:
-        """All remaining exponents assumed >= m."""
-        nn = len(us)
-        if nn == 0:
-            return fe.is_identity_in_h(vs[0])
-        fmaps = [fe.coset_map(u) for u in us]
-        orbit = [_orbit_parameters(f, m) for f in fmaps]
-        d0 = fe.coset_of(vs[0])
-        for cs in itertools.product(fe.cosets, repeat=nn):
-            ds = [d0]
-            ok = True
-            for i in range(nn):
-                ds.append(fe.rewrite(cs[i], vs[i + 1])[1])
-            if ds[nn] != fe.one:
-                continue
-            g_vs: List[tuple] = []
-            g_bases: List[tuple] = []
-            head, _ = fe.rewrite(fe.one, vs[0])  # v0 d0^{-1} as a G-word
-            dead = False
-            for i in range(nn):
-                f = fmaps[i]
-                fm, k_i = orbit[i]
-                e_i = fm[ds[i]]
-                # find r_i in [0, k_i) with f^(m+r_i)(d_{i-1}) = c_i
-                r_i = None
-                probe = e_i
-                for r in range(k_i):
-                    if probe == cs[i]:
-                        r_i = r
-                        break
-                    probe = f[probe]
-                if r_i is None:
-                    dead = True
-                    break
-                # bracketed pieces rewritten into G
-                a_word, c_after = fe.rewrite(ds[i], tuple(us[i]) * m)
-                b_word, c_loop = fe.rewrite(e_i, tuple(us[i]) * k_i)
-                tail_word, c_tail = fe.rewrite(e_i, tuple(us[i]) * r_i + tuple(vs[i + 1]))
-                if (c_after, c_loop, c_tail) != (e_i, e_i, ds[i + 1]):
-                    raise InternalError("bracketed pieces end in the wrong cosets")
-                g_vs.append(tuple(head) + a_word)
-                g_bases.append(b_word)
-                head = tail_word
-            if dead:
-                continue
-            g_vs.append(tuple(head))
+    def fold(coset: str, run: tuple) -> Tuple[tuple, str]:
+        """coset * (the words of ``run``) = g-word * coset', one step per word."""
+        g_out: List[str] = []
+        for w in run:
+            gw, coset = step(w, coset)
+            g_out.extend(gw)
+        return tuple(g_out), coset
+
+    @memo
+    def orbit_parameters(i: int) -> Tuple[Dict[str, str], int]:
+        return _orbit_parameters({c: step(n + 1 + i, c)[1] for c in fe.cosets}, m)
+
+    @memo
+    def bracket(i: int, d: str) -> tuple:
+        """The pieces of power i entered from coset d: the G-words of u^m from d
+        and of u^k from e = f^m(d), and the orbit of e in ``fe.cosets`` order,
+        each coset c with the G-word of u^r from e, r the first step reaching c."""
+        fm, k = orbit_parameters(i)
+        e = fm[d]
+        u = words[n + 1 + i]
+        a_word, c_after = fe.rewrite(d, u * m)
+        b_word, c_loop = fe.rewrite(e, u * k)
+        if (c_after, c_loop) != (e, e):
+            raise InternalError("bracketed pieces end in the wrong cosets")
+        orbit: Dict[str, tuple] = {}
+        c, walked = e, ()
+        while c not in orbit:
+            orbit[c] = walked
+            gw, c = step(n + 1 + i, c)
+            walked += gw
+        return a_word, b_word, tuple(sorted(orbit.items(), key=lambda item: rank[item[0]]))
+
+    def walk(j: int, d: str, head: tuple, g_vs: List[tuple], g_bases: List[tuple]) -> bool:
+        """Choose c_j.. of the current branch (``runs``, ``large``) along the
+        orbits; ask G about each sequence that ends in 1."""
+        if j == len(large):
             # instance v'0 B1^{y1} v'1 ... Bn^{yn} v'n = 1 over G
-            if g_oracle.ka_membership(equation_chain(g_oracle.alphabet, g_vs, g_bases), ()):
+            return d == fe.one and g_oracle.knapsack(g_vs + [head], g_bases)
+        a_word, b_word, orbit = bracket(large[j], d)
+        for c, walked in orbit:
+            tail, d_next = fold(c, runs[j + 1])
+            if walk(j + 1, d_next, walked + tail, g_vs + [head + a_word], g_bases + [b_word]):
                 return True
         return False
 
@@ -191,19 +191,18 @@ def finite_ext_reduce(
     for small_mask in range(1 << n):
         small = [i for i in range(n) if small_mask >> i & 1]
         large = [i for i in range(n) if not small_mask >> i & 1]
-        value_ranges = [range(m) for _ in small]
-        for values in itertools.product(*value_ranges):
+        for values in itertools.product(range(m), repeat=len(small)):
             assignment = dict(zip(small, values))
-            vs: List[tuple] = [tuple(v_words[0])]
-            us: List[tuple] = []
+            runs: List[tuple] = [(0,)]
             for i in range(n):
                 if i in assignment:
-                    vs[-1] = vs[-1] + tuple(u_words[i]) * assignment[i] + tuple(
-                        v_words[i + 1]
-                    )
+                    runs[-1] += (n + 1 + i,) * assignment[i] + (i + 1,)
                 else:
-                    us.append(tuple(u_words[i]))
-                    vs.append(tuple(v_words[i + 1]))
-            if solve_core(vs, us):
+                    runs.append((i + 1,))
+            head, d = fold(fe.one, runs[0])
+            if large:
+                if walk(0, d, head, [], []):
+                    return True
+            elif d == fe.one and fe.g_oracle.is_identity(head):
                 return True
     return False

@@ -16,14 +16,15 @@ from ..errors import AlphabetMismatchError, LimitsExceeded, StructureError
 from ..groups import DoubledAlphabet, free_reduce, inverse_letter
 from ..semilinear import DiophantineSystem, diophantine_solve
 from ..traces import IndependenceAlphabet
-from .kauto import plain_alphabet, skeletons
+from .kauto import equation_chain, plain_alphabet, skeletons
 
 
 class GroupOracle:
     """Contract: a named generator alphabet plus two decision procedures.
 
     ``ka_membership`` memoizes on the automaton it is asked about;
-    implementations override ``_member_impl``.
+    implementations override ``_member_impl``, and may override
+    ``knapsack`` where the group has a closed form.
     """
 
     letters: Tuple[str, ...]
@@ -56,6 +57,10 @@ class GroupOracle:
         if hit is None:
             hit = cache[key] = self._member_impl(nfa, target)
         return hit
+
+    def knapsack(self, v_words: Sequence[Sequence[str]], u_words: Sequence[Sequence[str]]) -> bool:
+        """Does v0 u1^y1 v1 ... un^yn vn = 1 have a solution y in N^n?"""
+        return self.ka_membership(equation_chain(self.alphabet, v_words, u_words), ())
 
 
 class FiniteGroupOracle(GroupOracle):
@@ -150,6 +155,14 @@ class ZOracle(GroupOracle):
 
     def is_identity(self, word) -> bool:
         return self.value(word) == 0
+
+    def knapsack(self, v_words, u_words) -> bool:
+        """One equation sum(v) + sum(y_i u_i) = 0 over N^n.  The chain's
+        skeletons (each subset of entered powers, 1 + y copies of each) cover
+        the same N^n, so this answers as ``ka_membership`` of the chain; it
+        leaves the memo alone."""
+        d = DiophantineSystem([[self.value(u) for u in u_words]], [-sum(map(self.value, v_words))])
+        return diophantine_solve(d) is not None
 
     def _member_impl(self, nfa: Nfa, target_word) -> bool:
         target = self.value(target_word)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from typing import Optional
+from typing import List, Optional, Sequence
 
-from ggsolve.errors import AlphabetMismatchError
+from ggsolve.errors import AlphabetMismatchError, InternalError, StructureError
 from ggsolve.traces import IndependenceAlphabet, Trace, left_quotient, right_quotient
 from ggsolve.groups import (
     DoubledAlphabet,
@@ -16,6 +16,8 @@ from ggsolve.groups import (
     free_reduce,
     inverse_letter,
 )
+from ggsolve.transfer.finite_extension import _orbit_parameters
+from ggsolve.transfer.kauto import equation_chain
 
 
 def equivalence_class(alphabet: IndependenceAlphabet, word) -> set:
@@ -183,8 +185,6 @@ def quotient_cyclic_reduce(g: GroupElement):
 
 def knapsack_chain(alphabet: IndependenceAlphabet, bases, prepend=()):
     """The chain automaton over ``alphabet`` for ``prepend`` w1* ... wk*."""
-    from ggsolve.transfer.kauto import equation_chain
-
     return equation_chain(alphabet, [tuple(prepend)] + [()] * len(bases), bases)
 
 
@@ -193,3 +193,113 @@ def lift_identified(v, f, dimension: int) -> tuple:
     reps = sorted(set(f[i] for i in range(dimension)))
     rep_index = {r: k for k, r in enumerate(reps)}
     return tuple(v[rep_index[f[i]]] for i in range(dimension))
+
+
+# Reference for ggsolve.transfer.finite_ext_reduce: the product-and-filter
+# reduction it replaced, unchanged but for the coset map, computed here.
+
+
+def coset_map(fe, word):
+    """f: c -> the unique d with c*word*d^{-1} in G."""
+    return {c: fe.rewrite(c, word)[1] for c in fe.cosets}
+
+
+def product_finite_ext_reduce(
+    fe,
+    v_words: Sequence[Sequence[str]],
+    u_words: Sequence[Sequence[str]],
+    g_oracle=None,
+    variables: Optional[Sequence[str]] = None,
+) -> bool:
+    """Solvability of v0 u1^{x1} v1 ... un^{xn} vn = 1 over H (distinct variables).
+
+    Reference for ggsolve.transfer.finite_ext_reduce: the product of all coset
+    tuples filtered afterwards, each live branch asked as a chain automaton.
+
+    Repeated variables are rejected; restate the instance with the knapsack
+    adapters first.  Deterministically enumerates the branch structure: which
+    exponents stay below m (merged into constants), then the coset tuples.
+    """
+    if g_oracle is None:
+        g_oracle = fe.g_oracle
+    n = len(u_words)
+    if len(v_words) != n + 1:
+        raise StructureError("need n+1 constants around n powers")
+    if variables is not None and len(set(variables)) != len(tuple(variables)):
+        raise StructureError(
+            "finite_ext_reduce needs pairwise distinct variables; "
+            "use the knapsack adapters to restate repeated-variable instances"
+        )
+    m = fe.m
+
+    def solve_core(vs: List[tuple], us: List[tuple]) -> bool:
+        """All remaining exponents assumed >= m."""
+        nn = len(us)
+        if nn == 0:
+            return fe.is_identity_in_h(vs[0])
+        fmaps = [coset_map(fe, u) for u in us]
+        orbit = [_orbit_parameters(f, m) for f in fmaps]
+        d0 = fe.coset_of(vs[0])
+        for cs in itertools.product(fe.cosets, repeat=nn):
+            ds = [d0]
+            ok = True
+            for i in range(nn):
+                ds.append(fe.rewrite(cs[i], vs[i + 1])[1])
+            if ds[nn] != fe.one:
+                continue
+            g_vs: List[tuple] = []
+            g_bases: List[tuple] = []
+            head, _ = fe.rewrite(fe.one, vs[0])  # v0 d0^{-1} as a G-word
+            dead = False
+            for i in range(nn):
+                f = fmaps[i]
+                fm, k_i = orbit[i]
+                e_i = fm[ds[i]]
+                # find r_i in [0, k_i) with f^(m+r_i)(d_{i-1}) = c_i
+                r_i = None
+                probe = e_i
+                for r in range(k_i):
+                    if probe == cs[i]:
+                        r_i = r
+                        break
+                    probe = f[probe]
+                if r_i is None:
+                    dead = True
+                    break
+                # bracketed pieces rewritten into G
+                a_word, c_after = fe.rewrite(ds[i], tuple(us[i]) * m)
+                b_word, c_loop = fe.rewrite(e_i, tuple(us[i]) * k_i)
+                tail_word, c_tail = fe.rewrite(e_i, tuple(us[i]) * r_i + tuple(vs[i + 1]))
+                if (c_after, c_loop, c_tail) != (e_i, e_i, ds[i + 1]):
+                    raise InternalError("bracketed pieces end in the wrong cosets")
+                g_vs.append(tuple(head) + a_word)
+                g_bases.append(b_word)
+                head = tail_word
+            if dead:
+                continue
+            g_vs.append(tuple(head))
+            # instance v'0 B1^{y1} v'1 ... Bn^{yn} v'n = 1 over G
+            if g_oracle.ka_membership(equation_chain(g_oracle.alphabet, g_vs, g_bases), ()):
+                return True
+        return False
+
+    # enumerate which variables are small and their concrete values
+    for small_mask in range(1 << n):
+        small = [i for i in range(n) if small_mask >> i & 1]
+        large = [i for i in range(n) if not small_mask >> i & 1]
+        value_ranges = [range(m) for _ in small]
+        for values in itertools.product(*value_ranges):
+            assignment = dict(zip(small, values))
+            vs: List[tuple] = [tuple(v_words[0])]
+            us: List[tuple] = []
+            for i in range(n):
+                if i in assignment:
+                    vs[-1] = vs[-1] + tuple(u_words[i]) * assignment[i] + tuple(
+                        v_words[i + 1]
+                    )
+                else:
+                    us.append(tuple(u_words[i]))
+                    vs.append(tuple(v_words[i + 1]))
+            if solve_core(vs, us):
+                return True
+    return False

@@ -134,6 +134,13 @@ class TestTwoPowers:
         rep = check_exact(e, grid=8)
         assert enumerate_members(rep.solution_set, 8) == {(0, 3)}
 
+    def test_solution_above_the_shape(self):
+        # a^x a'^2 a^y a'^3 = 1 on x + y = 5; the right side a^3 a'^y takes
+        # its shape from dy = 3, so (3, 2) is found by the y strip alone
+        e = equation(ZL, ("a", "x"), ("a'", "a'"), ("a", "y"), ("a'", "a'", "a'"))
+        rep = check_exact(e, grid=8)
+        assert enumerate_members(rep.solution_set, 8) == {(x, 5 - x) for x in range(6)}
+
     def test_conjugated_pair(self):
         # (a b a')^x (a b' a')^y = 1: x = y
         e = equation(AC, (("a", "b", "a'"), "x"), (("a", "b'", "a'"), "y"))

@@ -1,14 +1,25 @@
-"""Finite-extension reduction on the infinite dihedral group vs direct arithmetic."""
+"""Finite-extension reduction on the infinite dihedral group vs direct arithmetic,
+and the orbit walk against the product-and-filter reduction it replaced."""
 
+import contextlib
+import io
 import itertools
+import os
 import random
 
 import pytest
 
+from ggsolve.cli import main
 from ggsolve.errors import StructureError
-from ggsolve.transfer import FiniteExtension, ZOracle, finite_ext_reduce
+from ggsolve.groups import invert_word
+from ggsolve.transfer import FiniteExtension, FiniteGroupOracle, ZOracle, finite_ext_reduce
+from ggsolve.transfer.kauto import equation_chain
 
+from helpers import product_finite_ext_reduce
+from steplog import record
 from transfer_oracles import dinf_brute_solvable, dinf_is_identity
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
 
 def dinf_extension():
@@ -104,3 +115,102 @@ class TestDinfInstances:
                     )
             agreements += 1
         assert agreements == 50
+
+
+def semidirect(base, m: int) -> FiniteExtension:
+    """base x| Z/m with s a s' = a' for even m (s central for odd m), over the
+    cosets 0..m-1 of the base <a>."""
+    flip = lambda i, w: invert_word(w) if m % 2 == 0 and i % 2 else w
+    table = {}
+    for i in range(m):
+        for x in ("a", "a'"):
+            table[(str(i), x)] = (flip(i, (x,)), str(i))
+        table[(str(i), "s")] = ((), str((i + 1) % m))
+        table[(str(i), "s'")] = ((), str((i - 1) % m))
+    return FiniteExtension(base, ("a", "s"), [str(i) for i in range(m)], "0", table)
+
+
+def random_instance(rng, n, obstructed=False):
+    """Constants of 0-2 letters and powers of 1-3; half of them end with the
+    s-letters that bring the product at x = (1, .., 1) into the base.  An
+    obstructed instance is one a among s-letters: no x solves it."""
+    letters = ("s", "s'") if obstructed else ("a", "a'", "s", "s'")
+    word = lambda lo, hi: tuple(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
+    vs, us = [word(0, 2) for _ in range(n + 1)], [word(1, 3) for _ in range(n)]
+    if obstructed:
+        vs[0] = ("a",) + vs[0]
+    if rng.random() < 0.5:
+        net = sum((x == "s") - (x == "s'") for w in vs + us for x in w)
+        vs[-1] += ("s'",) * net + ("s",) * -net
+    return vs, us
+
+
+class TestZKnapsack:
+    def test_against_chain_membership(self):
+        """The closed form answers as the chain automaton's membership does."""
+        rng = random.Random(5)
+        word = lambda hi: tuple(rng.choice(("a", "a", "a'")) for _ in range(rng.randint(0, hi)))
+        solvable = 0
+        for trial in range(400):
+            n = trial % 4
+            vs = [word(3) if rng.random() < 0.7 else () for _ in range(n + 1)]
+            us = [word(4) for _ in range(n)]
+            if n and rng.random() < 0.2:
+                us[rng.randrange(n)] = ()
+            z = ZOracle("a")
+            got = z.knapsack(vs, us)
+            assert not getattr(z, "_member_cache", None)
+            assert got == z.ka_membership(equation_chain(z.alphabet, vs, us), ()), (vs, us)
+            solvable += got
+        assert 100 < solvable < 300
+
+
+class TestOrbitWalk:
+    def test_against_product_reference_over_z(self):
+        """Z x| Z/m, m = 1..8, 1-3 powers: the same answers as the reference."""
+        rng = random.Random(17)
+        solvable = 0
+        for m in range(1, 9):
+            for trial in range(12):
+                vs, us = random_instance(rng, 1 + trial % 3, obstructed=trial % 4 == 3)
+                fe = semidirect(ZOracle("a"), m)
+                got = finite_ext_reduce(fe, vs, us)
+                assert got == product_finite_ext_reduce(fe, vs, us), (m, vs, us)
+                solvable += got
+        assert 20 < solvable < 80
+
+    def test_questions_match_reference_over_finite_base(self):
+        """Over Z/k x| Z/m the base is asked the same chains in the same order."""
+        rng = random.Random(23)
+        asked = 0
+        for k, m in ((2, 2), (3, 2), (4, 4), (5, 6), (4, 8)):
+            for trial in range(6):
+                vs, us = random_instance(rng, 1 + trial % 3, obstructed=trial % 2)
+                logs, answers = [], []
+                for reduce in (finite_ext_reduce, product_finite_ext_reduce):
+                    with record([]) as log:
+                        answers.append(reduce(semidirect(FiniteGroupOracle.cyclic(k, "a"), m), vs, us))
+                    logs.append(log)
+                assert answers[0] == answers[1], (k, m, vs, us)
+                assert logs[0] == logs[1], (k, m, vs, us)
+                asked += len(logs[0])
+        assert asked > 500
+
+
+class TestFailClosed:
+    def test_bracket_in_wrong_coset_exits_4(self, monkeypatch):
+        """A rewrite of u^m that lands in another coset is an internal error."""
+        rewrite = FiniteExtension.rewrite
+
+        def misplaced(fe, coset, word):
+            gw, c = rewrite(fe, coset, word)
+            if len(word) < 4:  # the table check and the single words stay right
+                return gw, c
+            return gw, fe.cosets[(fe.cosets.index(c) + 1) % fe.m]
+
+        monkeypatch.setattr(FiniteExtension, "rewrite", misplaced)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["finite-ext", os.path.join(CORPUS, "17_extension_dinf.gg")])
+        assert code == 4
+        assert "bracketed pieces end in the wrong cosets" in err.getvalue()

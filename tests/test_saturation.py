@@ -413,8 +413,8 @@ class TestTrimmedQuestions:
             letters = am.letters
             for _ in range(2):
                 amalgam_knapsack(am, [word(letters, 1, 2)], word(letters, 0, 3))
-            # Z x| Z/2n: s a s' = a', s^2n = 1 (cosets 0..2n-1 of <a>)
-            z = ZOracle("a")
+            # Z x| Z/2n and Z/2n x| Z/2n: s a s' = a', s^2n = 1 (cosets
+            # 0..2n-1 of <a>); Z answers in closed form, Z/2n gets the chains
             m = 2 * n
             cosets = [str(i) for i in range(m)]
             flip = lambda i, w: w if i % 2 == 0 else invert_word(w)
@@ -424,14 +424,15 @@ class TestTrimmedQuestions:
                 table[(str(i), "a'")] = (flip(i, ("a'",)), str(i))
                 table[(str(i), "s")] = ((), str((i + 1) % m))
                 table[(str(i), "s'")] = ((), str((i - 1) % m))
-            fe = FiniteExtension(z, ["a", "s"], cosets, "0", table)
             letters = ("a", "a'", "s", "s'")
-            for _ in range(3):
-                us = [word(letters, 1, 2) for _ in range(2)]
-                vs = [word(letters, 0, 2) for _ in range(3)]
-                finite_ext_reduce(fe, vs, us)
+            for base in (ZOracle("a"), FiniteGroupOracle.cyclic(m, "a")):
+                fe = FiniteExtension(base, ["a", "s"], cosets, "0", table)
+                for _ in range(3):
+                    us = [word(letters, 1, 2) for _ in range(2)]
+                    vs = [word(letters, 0, 2) for _ in range(3)]
+                    finite_ext_reduce(fe, vs, us)
         assert {type(oracle) for oracle, _, _ in asked} == {
-            FiniteGroupOracle, FreeProductOracle, ZOracle
+            FiniteGroupOracle, FreeProductOracle
         }
         self._check(asked)
 
