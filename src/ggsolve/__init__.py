@@ -2,50 +2,33 @@
 
 from .traces import (
     IndependenceAlphabet,
-    LeviGrid,
     Trace,
     connected_components,
     is_connected,
-    levi_decompose,
-    normal_form,
-    prefix_count,
-    trace_equal,
 )
 from .groups import (
     DoubledAlphabet,
     GroupElement,
     cyclic_reduce,
-    doubled,
     free_reduce,
-    invert,
-    is_identity,
     mult,
     power_nf,
 )
-from .slp import Slp, expand_capped, power_slp, val_length
+from .slp import Slp, expand_capped, val_length
 
 __all__ = [
     "DoubledAlphabet",
     "GroupElement",
     "IndependenceAlphabet",
-    "LeviGrid",
     "Slp",
     "Trace",
     "connected_components",
     "cyclic_reduce",
-    "doubled",
     "expand_capped",
     "free_reduce",
-    "invert",
     "is_connected",
-    "is_identity",
-    "levi_decompose",
     "mult",
-    "normal_form",
     "power_nf",
-    "power_slp",
-    "prefix_count",
-    "trace_equal",
     "val_length",
 ]
 

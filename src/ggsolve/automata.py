@@ -679,55 +679,3 @@ def benois_member(a: Nfa, word: Sequence[str]) -> bool:
     """Does ``a`` accept some word equal to ``word`` in the free group?"""
     saturated = benois_saturate(a)
     return saturated.accepts(free_reduce(a.alphabet, word).word)
-
-
-# -- test/debug helpers ------------------------------------------------------
-
-
-def enumerate_accepted(nfa: Nfa, max_len: int, canonical_only: bool = False) -> set:
-    """All accepted words of length <= max_len (optionally only canonical words).
-
-    Walks the word tree with subset states, pruning dead branches; with
-    ``canonical_only`` the walk additionally tracks the Anisimov-Knuth filter
-    state so only lexicographic normal forms are produced.
-    """
-    alphabet = nfa.alphabet
-    letters = alphabet.letters
-    accepted = set()
-    start = nfa.eps_closure([nfa.initial])
-    if not start:
-        return accepted
-    # canonical filter state: for each letter a, the set of letters b seen
-    # such that b is followed only by letters independent of a
-    init_filter = tuple(frozenset() for _ in letters)
-
-    def violates(filter_state, letter):
-        r = alphabet.rank(letter)
-        for b in filter_state[r]:
-            if alphabet.rank(b) > r and alphabet.independent(b, letter):
-                return True
-        return False
-
-    def advance(filter_state, letter):
-        out = []
-        for i, a in enumerate(letters):
-            base = filter_state[i] if alphabet.independent(letter, a) else frozenset()
-            out.append(base | {letter})
-        return tuple(out)
-
-    stack = [((), start, init_filter)]
-    while stack:
-        word, subset, fstate = stack.pop()
-        if subset & nfa.finals:
-            accepted.add(word)
-        if len(word) == max_len:
-            continue
-        for letter in letters:
-            if canonical_only and violates(fstate, letter):
-                continue
-            nxt = nfa.step(subset, letter)
-            if not nxt:
-                continue
-            nf = advance(fstate, letter) if canonical_only else fstate
-            stack.append((word + (letter,), nxt, nf))
-    return accepted

@@ -89,19 +89,15 @@ def _status_exit(status: str) -> int:
 
 
 def _default_caps(args) -> tuple:
-    """(expansion cap, search cap): ``--cap``, else ``GG_KNAPSACK_CAP``, else the defaults.
+    """(expansion cap, search cap): both ``--cap``, else the defaults.
 
-    A cap that is not a natural number raises FormatError naming its source.
+    A cap that is not a natural number raises FormatError.
     """
-    if args.cap is not None:
-        source, text = "--cap", args.cap
-    else:
-        source, text = "GG_KNAPSACK_CAP", os.environ.get("GG_KNAPSACK_CAP")
-        if not text:
-            return 10**6, 15
-    if not text.strip().isdecimal():
-        raise FormatError(f"{source} takes a natural number, not {text!r}")
-    return int(text), int(text)
+    if args.cap is None:
+        return 10**6, 15
+    if not args.cap.strip().isdecimal():
+        raise FormatError(f"--cap takes a natural number, not {args.cap!r}")
+    return int(args.cap), int(args.cap)
 
 
 def _read(fh) -> str:
@@ -149,7 +145,7 @@ def run(inst: Instance, mode: str, caps: Tuple[int, int]):
             return SolveReport("unknown", note=str(exc))
     elif isinstance(problem, ExtensionProblem):
         fe, v_words, u_words = build_extension(inst)
-        solvable = finite_ext_reduce(fe, v_words, u_words, fe.g_oracle)
+        solvable = finite_ext_reduce(fe, v_words, u_words)
     elif isinstance(problem, HnnProblem):
         solvable = hnn_knapsack(build_hnn(inst), problem.items, problem.target)
     elif isinstance(problem, AmalgamProblem):

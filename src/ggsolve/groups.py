@@ -36,10 +36,6 @@ def inverse_letter(letter: str) -> str:
     return letter + INVERSE_MARK
 
 
-def base_letter(letter: str) -> str:
-    return letter[:-1] if letter.endswith(INVERSE_MARK) else letter
-
-
 class DoubledAlphabet(IndependenceAlphabet):
     """Base letters plus formal inverses; independence lifted sign-blind."""
 
@@ -66,10 +62,6 @@ class DoubledAlphabet(IndependenceAlphabet):
         # a (code 2i) and a' (2i + 1) share column i: they depend on the same
         # letters and on each other.
         return tuple(code >> 1 for code in range(n)), tuple(code ^ 1 for code in range(n))
-
-
-def doubled(base: IndependenceAlphabet) -> DoubledAlphabet:
-    return DoubledAlphabet(base)
 
 
 def invert_word(word: Sequence[str]) -> tuple:
@@ -147,13 +139,6 @@ class ConjugatePower(GroupElement):
 
 def identity(alphabet: DoubledAlphabet) -> GroupElement:
     return GroupElement(empty_trace(alphabet))
-
-
-def invert(value):
-    """Inverse of a raw word (sequence of letters) or of a GroupElement."""
-    if isinstance(value, GroupElement):
-        return value.inverse()
-    return invert_word(value)
 
 
 class SignedPile(Pile):
@@ -290,16 +275,6 @@ def free_reduce(alphabet: DoubledAlphabet, word) -> GroupElement:
         alphabet.check_word(word)
     reduced, _ = _reduce_tagged(alphabet, tuple(word))
     return GroupElement(Trace._from_canonical(alphabet, reduced))
-
-
-def element(alphabet: DoubledAlphabet, word) -> GroupElement:
-    """Convenience constructor: free-reduce a raw word."""
-    return free_reduce(alphabet, word)
-
-
-def is_identity(alphabet: DoubledAlphabet, word) -> bool:
-    """Word problem: does ``word`` represent 1 in the graph group?"""
-    return free_reduce(alphabet, word).is_identity()
 
 
 _VERIFY_MULT_LIMIT = 4000

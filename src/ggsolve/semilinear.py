@@ -66,11 +66,6 @@ class SemilinearSet:
     def is_empty(self) -> bool:
         return not self.components
 
-    def union(self, other: "SemilinearSet") -> "SemilinearSet":
-        if self.dimension != other.dimension:
-            raise StructureError("union dimension mismatch")
-        return SemilinearSet(self.dimension, self.components + other.components)
-
     def __repr__(self):
         return f"SemilinearSet(dim={self.dimension}, components={len(self.components)})"
 
@@ -263,23 +258,6 @@ def member(s: SemilinearSet, v: Sequence[int]) -> bool:
         if diophantine_solve(DiophantineSystem(A, target)) is not None:
             return True
     return False
-
-
-def enumerate_members(s: SemilinearSet, bound: int) -> set:
-    """All members with every coordinate <= bound (test helper)."""
-    out = set()
-    for comp in s.components:
-        frontier = {comp.base}
-        seen = set()
-        while frontier:
-            v = frontier.pop()
-            if v in seen or any(x > bound for x in v):
-                continue
-            seen.add(v)
-            out.add(v)
-            for p in comp.periods:
-                frontier.add(tuple(v[i] + p[i] for i in range(len(v))))
-    return out
 
 
 # -- two-power solution sets (closure-automata pipeline) ----------------------

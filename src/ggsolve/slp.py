@@ -2,8 +2,8 @@
 
 Variables must start with an uppercase letter; every other token on a
 right-hand side is a terminal letter.  The compressed-instance front end
-builds on four operations: exact length without expansion, capped expansion,
-power construction by iterated squaring, and folding a power SLP into a
+builds on three operations: exact length without expansion, capped
+expansion, and folding a power SLP (one built by iterated squaring) into a
 conjugate power over a graph group without expanding it.
 """
 
@@ -136,49 +136,3 @@ def fold_power(g: Slp, alphabet: DoubledAlphabet) -> Optional[GroupElement]:
         folded[var] = (*parts[0][:2], sum(part[2] for part in parts)) if parts else None
     top = folded[g.start]
     return identity(alphabet) if top is None else ConjugatePower(*top)
-
-
-def expand(g: Slp) -> tuple:
-    """Unbounded expansion; only for tests and tiny programs."""
-    return expand_capped(g, val_length(g))
-
-
-def _fresh_prefix(g: Slp, base: str) -> str:
-    prefix = base
-    while any(var.startswith(prefix) for var in g.rhs):
-        prefix += "X"
-    return prefix
-
-
-def power_slp(g: Slp, k: int) -> Slp:
-    """An SLP for val(g)^k using iterated squaring; adds O(log k) productions."""
-    if k < 0:
-        raise ValueError("power_slp takes natural exponents")
-    prefix = _fresh_prefix(g, "Pow")
-    rhs = dict(g.rhs)
-    start = prefix + "S"
-    if k == 0:
-        rhs[start] = ()
-        return Slp(rhs, start)
-    squares = [g.start]
-    for i in range(1, k.bit_length()):
-        name = f"{prefix}{i}"
-        rhs[name] = (squares[-1], squares[-1])
-        squares.append(name)
-    body = [squares[i] for i in range(k.bit_length()) if (k >> i) & 1]
-    rhs[start] = tuple(body)
-    return Slp(rhs, start)
-
-
-def from_word(word: Sequence[str], start: str = "S") -> Slp:
-    return Slp({start: tuple(word)}, start)
-
-
-def compression_witness(n: int, letter: str = "a") -> Slp:
-    """An SLP of size exactly 2n whose value has length exactly 2^n (n >= 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rhs = {"A1": (letter, letter)}
-    for i in range(2, n + 1):
-        rhs[f"A{i}"] = (f"A{i-1}", f"A{i-1}")
-    return Slp(rhs, f"A{n}")

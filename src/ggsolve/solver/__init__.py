@@ -7,41 +7,25 @@ from .equations import (
     Power,
     SolveReport,
     abelian_relaxation,
-    brute_oracle,
-    equation,
     knapsack_to_equation,
     preprocess,
     solution_bound,
     solve_search,
     verify,
-    z_to_n_rewrite,
 )
-from .reducibility import (
-    is_i_freely_reducible,
-    power_two_factorizations,
-    refine_to_reducible,
-    validate_reduction,
-)
-from .exact import solve_exact, Limits
+from .exact import solve_exact
 
 __all__ = [
     "Assignment",
     "Const",
     "ExponentEquation",
-    "Limits",
     "Power",
     "SolveReport",
     "abelian_relaxation",
-    "brute_oracle",
-    "equation",
-    "is_i_freely_reducible",
     "knapsack_to_equation",
-    "power_two_factorizations",
     "preprocess",
-    "refine_to_reducible",
     "solution_bound",
     "solve_exact",
     "solve_search",
-    "validate_reduction",
     "verify",
 ]

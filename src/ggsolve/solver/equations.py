@@ -7,10 +7,9 @@ label several powers.  Assignments map variables to naturals.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import AlphabetMismatchError, InternalError, ResourceExceeded, StructureError
 from ..groups import (
@@ -86,29 +85,6 @@ class ExponentEquation:
             else:
                 bits.append(f"({' '.join(item.base.word) or '_'})^{item.var}")
         return "Eq[" + " · ".join(bits) + " = 1]"
-
-
-def equation(alphabet: DoubledAlphabet, *specs, variables=None) -> ExponentEquation:
-    """Convenience builder: specs are constant words, or (word, var) power pairs.
-
-    A 2-tuple counts as a power only when its second component is a plain
-    identifier (variable names never carry apostrophes); spell multi-letter
-    constants as strings of single-letter names or as token tuples.
-    """
-    items: List[Item] = []
-    for spec in specs:
-        is_power = (
-            isinstance(spec, tuple)
-            and len(spec) == 2
-            and isinstance(spec[0], (str, tuple, list))
-            and isinstance(spec[1], str)
-            and spec[1].isidentifier()
-        )
-        if is_power:
-            items.append(Power(free_reduce(alphabet, spec[0]), spec[1]))
-        else:
-            items.append(Const(free_reduce(alphabet, spec)))
-    return ExponentEquation(alphabet, items, variables)
 
 
 def evaluate(e: ExponentEquation, sigma: Assignment, cap: int = 10**6) -> GroupElement:
@@ -246,12 +222,6 @@ def _memo_holds(e: ExponentEquation):
     return holds
 
 
-def brute_oracle(e: ExponentEquation, cap: int) -> Set[tuple]:
-    """Exhaustive grid search over [0,cap]^k; assignments as tuples over e.vars."""
-    holds = _memo_holds(e)
-    return {values for values in iproduct(range(cap + 1), repeat=len(e.vars)) if holds(values)}
-
-
 def _letter_balance(g: GroupElement, base: str) -> int:
     pos = sum(1 for a in g.word if a == base)
     neg = sum(1 for a in g.word if a == base + "'")
@@ -282,16 +252,7 @@ class SolveReport:
     witness: Optional[Assignment] = None
     solution_set: Optional[SemilinearSet] = None
     bound_report: str = ""
-    timings: Dict[str, float] = field(default_factory=dict)
     note: str = ""
-    exhaustive: bool = True
-
-    def is_solvable(self) -> Optional[bool]:
-        if self.status == "solvable":
-            return True
-        if self.status == "unsolvable":
-            return False
-        return None
 
 
 def solution_bound(e: ExponentEquation) -> int:
@@ -337,7 +298,6 @@ def solve_search(e: ExponentEquation, cap: int = 15) -> SolveReport:
     Sound: a found witness is verified; Unsolvable only via the abelian
     relaxation certificate; otherwise Unknown(cap).
     """
-    t0 = time.monotonic()
     bound_report = bound_report_string(preprocess(e))
     relax = abelian_relaxation(e)
     if diophantine_solve(relax) is None:
@@ -345,7 +305,6 @@ def solve_search(e: ExponentEquation, cap: int = 15) -> SolveReport:
             status="unsolvable",
             bound_report=bound_report,
             note="abelian relaxation has no solution",
-            timings={"total": time.monotonic() - t0},
         )
     k = len(e.vars)
     eval_values = _memo_holds(e)
@@ -356,7 +315,6 @@ def solve_search(e: ExponentEquation, cap: int = 15) -> SolveReport:
             witness={} if ok else None,
             bound_report=bound_report,
             note="" if ok else "constant product differs from the identity",
-            timings={"total": time.monotonic() - t0},
         )
     for depth in range(cap + 1):
         for values in iproduct(range(depth + 1), repeat=k):
@@ -370,43 +328,12 @@ def solve_search(e: ExponentEquation, cap: int = 15) -> SolveReport:
                     status="solvable",
                     witness=sigma,
                     bound_report=bound_report,
-                    timings={"total": time.monotonic() - t0},
                 )
     return SolveReport(
         status="unknown",
         bound_report=bound_report,
         note=f"no witness with exponents <= {cap}",
-        timings={"total": time.monotonic() - t0},
-        exhaustive=False,
     )
-
-
-def z_to_n_rewrite(
-    e: ExponentEquation, int_vars: Optional[Iterable[str]] = None
-) -> Tuple[ExponentEquation, Dict[str, str]]:
-    """Rewrite Z-valued variables over N: u^x becomes u^x (u^{-1})^{y_x}.
-
-    Every occurrence of a Z-variable x gets the same fresh partner y_x; the
-    solution sets correspond via x -> x - y_x.  Returns (equation, x->y map).
-    """
-    zset = set(e.vars if int_vars is None else int_vars)
-    partner: Dict[str, str] = {}
-    for v in e.vars:
-        if v in zset:
-            name = v + "_neg"
-            while name in e.vars or name in partner.values():
-                name += "_"
-            partner[v] = name
-    items: List[Item] = []
-    for item in e.items:
-        items.append(item)
-        if isinstance(item, Power) and item.var in partner:
-            items.append(Power(item.base.inverse(), partner[item.var]))
-    variables = list(e.vars)
-    for v in e.vars:
-        if v in partner:
-            variables.append(partner[v])
-    return ExponentEquation(e.alphabet, items, variables), partner
 
 
 def knapsack_to_equation(

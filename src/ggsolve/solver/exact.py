@@ -29,9 +29,7 @@ consecutive exponents.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import InternalError
 from ..groups import GroupElement, identity, invert_word, mult, power_nf
@@ -52,13 +50,10 @@ from .equations import (
 )
 
 _BIG = 10**9
-
-
-@dataclass
-class Limits:
-    max_power_items: int = 2
-    max_base_length: int = 16
-    max_constant_length: int = 64
+# Past these sizes after preprocessing, solve_exact answers unknown.
+_MAX_POWER_ITEMS = 2
+_MAX_BASE_LENGTH = 16
+_MAX_CONSTANT_LENGTH = 64
 
 
 def _stabilize_left(c: GroupElement, u: GroupElement) -> Tuple[GroupElement, int]:
@@ -130,10 +125,8 @@ def _solve_one_power(
     return []
 
 
-def solve_exact(e: ExponentEquation, limits: Optional[Limits] = None) -> SolveReport:
+def solve_exact(e: ExponentEquation) -> SolveReport:
     """Exact semilinear solution set over e.vars, or status Unknown past the limits."""
-    limits = limits or Limits()
-    t0 = time.monotonic()
     pp = preprocess(e)
     alphabet = pp.alphabet
     powers = pp.powers()
@@ -148,7 +141,6 @@ def solve_exact(e: ExponentEquation, limits: Optional[Limits] = None) -> SolveRe
                 solution_set=solset,
                 bound_report=bound_report,
                 note="exhaustive pipeline produced the empty set",
-                timings={"total": time.monotonic() - t0},
             )
         witness = dict(zip(e.vars, solset.components[0].base))
         if not verify(e, witness):
@@ -158,21 +150,18 @@ def solve_exact(e: ExponentEquation, limits: Optional[Limits] = None) -> SolveRe
             witness=witness,
             solution_set=solset,
             bound_report=bound_report,
-            timings={"total": time.monotonic() - t0},
         )
 
-    oversize = any(len(p.base) > limits.max_base_length for p in powers) or any(
-        isinstance(item, Const) and len(item.value) > limits.max_constant_length
+    oversize = any(len(p.base) > _MAX_BASE_LENGTH for p in powers) or any(
+        isinstance(item, Const) and len(item.value) > _MAX_CONSTANT_LENGTH
         for item in pp.items
     )
-    if n > limits.max_power_items or oversize:
+    if n > _MAX_POWER_ITEMS or oversize:
         return SolveReport(
             status="unknown",
             solution_set=None,
             bound_report=bound_report,
             note=f"instance beyond exact-enumeration limits ({n} power items)",
-            timings={"total": time.monotonic() - t0},
-            exhaustive=False,
         )
 
     active_vars = tuple(dict.fromkeys(p.var for p in powers))

@@ -1,4 +1,4 @@
-"""Trace monoids: independence alphabets, canonical normal forms, Levi grids.
+"""Trace monoids: independence alphabets, canonical normal forms, quotients.
 
 A trace is an equivalence class of words under swapping adjacent independent
 letters.  We represent every trace by the lexicographically least word of its
@@ -13,7 +13,6 @@ quotients use it without cancellation, free reduction in ``groups`` with it.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Iterable, Optional, Sequence
 
 from .errors import AlphabetMismatchError, InternalError, TraceError, UnknownLetterError
@@ -328,32 +327,8 @@ class Trace:
         return self.alphabet.independent_sets(self.alph(), other.alph())
 
 
-def normal_form(alphabet: IndependenceAlphabet, raw_word: Sequence[str]) -> Trace:
-    """Canonical representative of the trace of ``raw_word``.  Idempotent."""
-    return Trace(alphabet, raw_word)
-
-
 def empty_trace(alphabet: IndependenceAlphabet) -> Trace:
     return Trace._from_canonical(alphabet, ())
-
-
-def concat(*traces: Trace) -> Trace:
-    if not traces:
-        raise ValueError("concat needs at least one trace")
-    alphabet = traces[0].alphabet
-    word = []
-    for t in traces:
-        if t.alphabet != alphabet:
-            raise AlphabetMismatchError("concat over mixed alphabets")
-        word.extend(t.word)
-    return Trace(alphabet, word)
-
-
-def trace_equal(s: Trace, t: Trace) -> bool:
-    """Equality in the trace monoid (= equality of canonical words)."""
-    if s.alphabet != t.alphabet:
-        raise AlphabetMismatchError("cannot compare traces over different alphabets")
-    return s.word == t.word
 
 
 def min_letters(t: Trace) -> tuple:
@@ -398,45 +373,6 @@ def power(t: Trace, k: int) -> Trace:
     return Trace(t.alphabet, t.word * k)
 
 
-def prefix_count(t: Trace) -> int:
-    """rho(t): the number of distinct prefixes of ``t``.
-
-    Memoized exploration of the suffix traces: distinct prefixes of ``t``
-    correspond bijectively (by cancellativity) to the distinct suffixes, and
-    each suffix s steps to x^{-1}s for every minimal letter x of s.
-    """
-    start = t.word
-    seen = {start}
-    queue = deque([t])
-    while queue:
-        s = queue.popleft()
-        for letter in min_letters(s):
-            nxt = left_quotient(s, Trace._from_canonical(t.alphabet, (letter,)))
-            if nxt.word not in seen:
-                seen.add(nxt.word)
-                queue.append(nxt)
-    return len(seen)
-
-
-def iter_prefixes(t: Trace):
-    """All distinct prefixes of ``t`` (as traces), in BFS order from the empty trace."""
-    alphabet = t.alphabet
-    start = empty_trace(alphabet)
-    seen = {(): start}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        p = queue.popleft()
-        rest = left_quotient(t, p)
-        for letter in min_letters(rest):
-            nxt = p * Trace._from_canonical(alphabet, (letter,))
-            if nxt.word not in seen:
-                seen[nxt.word] = nxt
-                order.append(nxt)
-                queue.append(nxt)
-    return order
-
-
 def connected_components(t: Trace) -> list:
     """Projections of ``t`` onto the connected components of its dependence graph.
 
@@ -473,118 +409,3 @@ def connected_components(t: Trace) -> list:
 def is_connected(t: Trace) -> bool:
     """True iff ``t`` does not factor into two nonempty independent parts (and for the empty trace)."""
     return len(connected_components(t)) <= 1
-
-
-class LeviGrid:
-    """Witness grid for Levi's lemma: cells[i][j] sits in column i (us) and row j (vs)."""
-
-    __slots__ = ("us", "vs", "cells")
-
-    def __init__(self, us: Sequence[Trace], vs: Sequence[Trace], cells):
-        self.us = tuple(us)
-        self.vs = tuple(vs)
-        self.cells = tuple(tuple(row) for row in cells)
-
-    def validate(self) -> None:
-        m, n = len(self.us), len(self.vs)
-        if not self.us or not self.vs:
-            raise TraceError("LeviGrid needs at least one row and column")
-        for i in range(m):
-            if concat(*self.cells[i]) != self.us[i]:
-                raise TraceError(f"column {i} does not compose to u_{i}")
-        for j in range(n):
-            if concat(*(self.cells[i][j] for i in range(m))) != self.vs[j]:
-                raise TraceError(f"row {j} does not compose to v_{j}")
-        for i in range(m):
-            for k in range(i + 1, m):
-                for j in range(n):
-                    for l in range(j):
-                        if not self.cells[i][j].independent_of(self.cells[k][l]):
-                            raise TraceError(
-                                f"cells ({i},{j}) and ({k},{l}) violate independence"
-                            )
-
-
-def _embed_parts(total_word: tuple, parts: Sequence[Trace], alphabet: IndependenceAlphabet):
-    """Greedily assign each position of ``total_word`` a part index.
-
-    Consumes, for each letter of each part in order, the least available
-    position of the dependence graph carrying that letter.  Succeeds exactly
-    when the parts compose to the total trace.
-    """
-    n = len(total_word)
-    label = [None] * n
-    consumed = [False] * n
-    for idx, part in enumerate(parts):
-        for target in part.word:
-            pos = None
-            for i in range(n):
-                if consumed[i]:
-                    continue
-                if total_word[i] == target:
-                    # minimal available position with this letter: no earlier
-                    # unconsumed dependent position may exist
-                    blocked = False
-                    for j in range(i):
-                        if not consumed[j] and alphabet.dependent(total_word[j], target):
-                            blocked = True
-                            break
-                    if not blocked:
-                        pos = i
-                    break
-                if alphabet.dependent(total_word[i], target):
-                    break
-            if pos is None:
-                return None
-            consumed[pos] = True
-            label[pos] = idx
-    if not all(consumed):
-        return None
-    return label
-
-
-def levi_decompose(us: Sequence[Trace], vs: Sequence[Trace]) -> Optional[LeviGrid]:
-    """A Levi grid for the two factorizations, or None when the products differ.
-
-    The grid is built from two greedy position labelings of the product's
-    dependence graph; the independence conditions hold automatically because
-    both labelings are monotone along dependence edges.
-    """
-    us = list(us)
-    vs = list(vs)
-    if not us or not vs:
-        raise TraceError("levi_decompose needs nonempty factor lists")
-    alphabet = us[0].alphabet
-    total = concat(*us)
-    if total != concat(*vs):
-        return None
-    word = total.word
-    col = _embed_parts(word, us, alphabet)
-    row = _embed_parts(word, vs, alphabet)
-    if col is None or row is None:  # pragma: no cover - equal products always embed
-        raise InternalError("greedy embedding failed on equal products")
-    cells = [
-        [
-            Trace(
-                alphabet,
-                [word[p] for p in range(len(word)) if col[p] == i and row[p] == j],
-            )
-            for j in range(len(vs))
-        ]
-        for i in range(len(us))
-    ]
-    return LeviGrid(us, vs, cells)
-
-
-def levi_split_pair(total: Trace, left: Trace, right: Trace, parts: Sequence[Trace]):
-    """2-row Levi grid for ``total = left*right = parts[0]*...*parts[k-1]``.
-
-    Returns (xs, ys) with parts[i] = xs[i]*ys[i], left = xs[0]..xs[k-1],
-    right = ys[0]..ys[k-1] and ys[i] independent of xs[j] for i < j.
-    """
-    grid = levi_decompose(list(parts), [left, right])
-    if grid is None:
-        return None
-    xs = [grid.cells[i][0] for i in range(len(parts))]
-    ys = [grid.cells[i][1] for i in range(len(parts))]
-    return xs, ys

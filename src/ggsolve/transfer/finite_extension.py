@@ -14,7 +14,8 @@ bracket ends in; a sequence with d_n = 1 is one question to G's oracle
 Each call rewrites every input word once from each coset it is read from
 (the per-call step memo) and the words u^m and u^k once per power and
 coset; constants, tails u^r v and the all-small products are folded from
-those steps, never re-read letter by letter.
+those steps, never re-read letter by letter.  An all-small product's G-word
+is spelled only when its coset, read from the same steps, is 1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import InternalError, StructureError
 from ..groups import inverse_letter
@@ -80,13 +81,6 @@ class FiniteExtension:
                             f"rewriting table inconsistent at ({c},{letter})"
                         )
 
-    def coset_of(self, word: Sequence[str]) -> str:
-        return self.rewrite(self.one, word)[1]
-
-    def is_identity_in_h(self, word: Sequence[str]) -> bool:
-        gw, c = self.rewrite(self.one, word)
-        return c == self.one and self.g_oracle.is_identity(gw)
-
 
 def _iterate(f: Dict[str, str], n: int) -> Dict[str, str]:
     out = {c: c for c in f}
@@ -115,26 +109,17 @@ def finite_ext_reduce(
     fe: FiniteExtension,
     v_words: Sequence[Sequence[str]],
     u_words: Sequence[Sequence[str]],
-    g_oracle: Optional[GroupOracle] = None,
-    variables: Optional[Sequence[str]] = None,
 ) -> bool:
-    """Solvability of v0 u1^{x1} v1 ... un^{xn} vn = 1 over H (distinct variables).
+    """Solvability of v0 u1^{x1} v1 ... un^{xn} vn = 1 over H, each power with its own variable.
 
-    Repeated variables are rejected; restate the instance with the knapsack
-    adapters first.  Deterministically enumerates the branch structure: which
-    exponents stay below m (merged into constants), then the live coset
-    sequences in ``fe.cosets`` order, one ``g_oracle.knapsack`` question each.
+    Deterministically enumerates the branch structure: which exponents stay
+    below m (merged into constants), then the live coset sequences in
+    ``fe.cosets`` order, one ``fe.g_oracle.knapsack`` question each.
     """
-    if g_oracle is None:
-        g_oracle = fe.g_oracle
+    g_oracle = fe.g_oracle
     n = len(u_words)
     if len(v_words) != n + 1:
         raise StructureError("need n+1 constants around n powers")
-    if variables is not None and len(set(variables)) != len(tuple(variables)):
-        raise StructureError(
-            "finite_ext_reduce needs pairwise distinct variables; "
-            "use the knapsack adapters to restate repeated-variable instances"
-        )
     m = fe.m
     rank = {c: i for i, c in enumerate(fe.cosets)}
     # word w of a run: v_w for w <= n, u_(w-n) for w > n
@@ -149,6 +134,12 @@ def finite_ext_reduce(
             gw, coset = step(w, coset)
             g_out.extend(gw)
         return tuple(g_out), coset
+
+    def end_coset(coset: str, run: tuple) -> str:
+        """coset' of ``fold(coset, run)``, without spelling its g-word."""
+        for w in run:
+            coset = step(w, coset)[1]
+        return coset
 
     @memo
     def orbit_parameters(i: int) -> Tuple[Dict[str, str], int]:
@@ -199,10 +190,11 @@ def finite_ext_reduce(
                     runs[-1] += (n + 1 + i,) * assignment[i] + (i + 1,)
                 else:
                     runs.append((i + 1,))
-            head, d = fold(fe.one, runs[0])
             if large:
+                head, d = fold(fe.one, runs[0])
                 if walk(0, d, head, [], []):
                     return True
-            elif d == fe.one and fe.g_oracle.is_identity(head):
-                return True
+            elif end_coset(fe.one, runs[0]) == fe.one:
+                if g_oracle.is_identity(fold(fe.one, runs[0])[0]):
+                    return True
     return False

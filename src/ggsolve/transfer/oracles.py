@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..automata import EPS, Nfa, benois_member
 from ..errors import AlphabetMismatchError, LimitsExceeded, StructureError
-from ..groups import DoubledAlphabet, free_reduce, inverse_letter
+from ..groups import DoubledAlphabet, free_reduce, inverse_letter, invert_word
 from ..semilinear import DiophantineSystem, diophantine_solve
 from ..traces import IndependenceAlphabet
 from .kauto import equation_chain, plain_alphabet, skeletons
@@ -104,9 +104,6 @@ class FiniteGroupOracle(GroupOracle):
         }
         return cls(elements, table, "e0", {letter: "e1"})
 
-    def mult_elems(self, x: str, y: str) -> str:
-        return self.table[(x, y)]
-
     def eval_word(self, word: Sequence[str]) -> str:
         acc = self.identity_elem
         for a in word:
@@ -165,14 +162,9 @@ class ZOracle(GroupOracle):
         return diophantine_solve(d) is not None
 
     def _member_impl(self, nfa: Nfa, target_word) -> bool:
-        target = self.value(target_word)
-        for vs, us in skeletons(nfa):
-            const = sum(self.value(v) for v in vs)
-            weights = [self.value(u) for u in us]
-            d = DiophantineSystem([weights], [target - const])
-            if diophantine_solve(d) is not None:
-                return True
-        return False
+        """One ``knapsack`` equation per skeleton, with target^-1 ahead of v0."""
+        head = invert_word(tuple(target_word))
+        return any(self.knapsack((head + vs[0],) + vs[1:], us) for vs, us in skeletons(nfa))
 
 
 class FreeGroupOracle(GroupOracle):
@@ -201,7 +193,6 @@ class GraphGroupOracle(GroupOracle):
         return free_reduce(self.alphabet, word).is_identity()
 
     def _member_impl(self, nfa: Nfa, target_word) -> bool:
-        from ..groups import invert_word
         from ..solver import solve_exact, solve_search
         from .kauto import skeleton_equations
 
@@ -266,7 +257,6 @@ class FreeProductOracle(GroupOracle):
         return not blocks
 
     def _member_impl(self, nfa: Nfa, target_word) -> bool:
-        from ..groups import invert_word
         from .freeprod import free_product_saturate
 
         return free_product_saturate(self, nfa, invert_word(tuple(target_word)))

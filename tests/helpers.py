@@ -5,17 +5,22 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ggsolve.automata import Nfa
 from ggsolve.errors import AlphabetMismatchError, InternalError, StructureError
-from ggsolve.traces import IndependenceAlphabet, Trace, left_quotient, right_quotient
-from ggsolve.groups import (
-    DoubledAlphabet,
-    GroupElement,
-    base_letter,
-    free_reduce,
-    inverse_letter,
+from ggsolve.traces import (
+    IndependenceAlphabet,
+    Trace,
+    empty_trace,
+    left_quotient,
+    min_letters,
+    right_quotient,
 )
+from ggsolve.groups import DoubledAlphabet, GroupElement, free_reduce, inverse_letter
+from ggsolve.semilinear import SemilinearSet
+from ggsolve.slp import Slp, expand_capped, val_length
+from ggsolve.solver.equations import Const, ExponentEquation, Item, Power, _memo_holds
 from ggsolve.transfer.finite_extension import _orbit_parameters
 from ggsolve.transfer.kauto import equation_chain
 
@@ -102,6 +107,219 @@ def canonical_traces_up_to(alphabet: IndependenceAlphabet, max_len: int):
         if t.word not in seen:
             seen.add(t.word)
             yield t
+
+
+def prefix_count(t: Trace) -> int:
+    """rho(t): the number of distinct prefixes of ``t``.
+
+    Memoized exploration of the suffix traces: distinct prefixes of ``t``
+    correspond bijectively (by cancellativity) to the distinct suffixes, and
+    each suffix s steps to x^{-1}s for every minimal letter x of s.
+    """
+    start = t.word
+    seen = {start}
+    queue = deque([t])
+    while queue:
+        s = queue.popleft()
+        for letter in min_letters(s):
+            nxt = left_quotient(s, Trace._from_canonical(t.alphabet, (letter,)))
+            if nxt.word not in seen:
+                seen.add(nxt.word)
+                queue.append(nxt)
+    return len(seen)
+
+
+def iter_prefixes(t: Trace):
+    """All distinct prefixes of ``t`` (as traces), in BFS order from the empty trace."""
+    alphabet = t.alphabet
+    start = empty_trace(alphabet)
+    seen = {(): start}
+    order = [start]
+    queue = deque([start])
+    while queue:
+        p = queue.popleft()
+        rest = left_quotient(t, p)
+        for letter in min_letters(rest):
+            nxt = p * Trace._from_canonical(alphabet, (letter,))
+            if nxt.word not in seen:
+                seen[nxt.word] = nxt
+                order.append(nxt)
+                queue.append(nxt)
+    return order
+
+
+def enumerate_accepted(nfa: Nfa, max_len: int, canonical_only: bool = False) -> set:
+    """All accepted words of length <= max_len (optionally only canonical words).
+
+    Walks the word tree with subset states, pruning dead branches; with
+    ``canonical_only`` the walk additionally tracks the Anisimov-Knuth filter
+    state so only lexicographic normal forms are produced.
+    """
+    alphabet = nfa.alphabet
+    letters = alphabet.letters
+    accepted = set()
+    start = nfa.eps_closure([nfa.initial])
+    if not start:
+        return accepted
+    # canonical filter state: for each letter a, the set of letters b seen
+    # such that b is followed only by letters independent of a
+    init_filter = tuple(frozenset() for _ in letters)
+
+    def violates(filter_state, letter):
+        r = alphabet.rank(letter)
+        for b in filter_state[r]:
+            if alphabet.rank(b) > r and alphabet.independent(b, letter):
+                return True
+        return False
+
+    def advance(filter_state, letter):
+        out = []
+        for i, a in enumerate(letters):
+            base = filter_state[i] if alphabet.independent(letter, a) else frozenset()
+            out.append(base | {letter})
+        return tuple(out)
+
+    stack = [((), start, init_filter)]
+    while stack:
+        word, subset, fstate = stack.pop()
+        if subset & nfa.finals:
+            accepted.add(word)
+        if len(word) == max_len:
+            continue
+        for letter in letters:
+            if canonical_only and violates(fstate, letter):
+                continue
+            nxt = nfa.step(subset, letter)
+            if not nxt:
+                continue
+            nf = advance(fstate, letter) if canonical_only else fstate
+            stack.append((word + (letter,), nxt, nf))
+    return accepted
+
+
+def enumerate_members(s: SemilinearSet, bound: int) -> set:
+    """All members of ``s`` with every coordinate <= bound."""
+    out = set()
+    for comp in s.components:
+        frontier = {comp.base}
+        seen = set()
+        while frontier:
+            v = frontier.pop()
+            if v in seen or any(x > bound for x in v):
+                continue
+            seen.add(v)
+            out.add(v)
+            for p in comp.periods:
+                frontier.add(tuple(v[i] + p[i] for i in range(len(v))))
+    return out
+
+
+# SLP builders: plain words, iterated squares and the size-2n witness of 2^n.
+
+
+def expand(g: Slp) -> tuple:
+    """Unbounded expansion of a (small) SLP."""
+    return expand_capped(g, val_length(g))
+
+
+def from_word(word: Sequence[str], start: str = "S") -> Slp:
+    return Slp({start: tuple(word)}, start)
+
+
+def power_slp(g: Slp, k: int) -> Slp:
+    """An SLP for val(g)^k using iterated squaring; adds O(log k) productions."""
+    if k < 0:
+        raise ValueError("power_slp takes natural exponents")
+    prefix = "Pow"
+    while any(var.startswith(prefix) for var in g.rhs):
+        prefix += "X"
+    rhs = dict(g.rhs)
+    start = prefix + "S"
+    if k == 0:
+        rhs[start] = ()
+        return Slp(rhs, start)
+    squares = [g.start]
+    for i in range(1, k.bit_length()):
+        name = f"{prefix}{i}"
+        rhs[name] = (squares[-1], squares[-1])
+        squares.append(name)
+    body = [squares[i] for i in range(k.bit_length()) if (k >> i) & 1]
+    rhs[start] = tuple(body)
+    return Slp(rhs, start)
+
+
+def compression_witness(n: int, letter: str = "a") -> Slp:
+    """An SLP of size exactly 2n whose value has length exactly 2^n (n >= 1)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rhs = {"A1": (letter, letter)}
+    for i in range(2, n + 1):
+        rhs[f"A{i}"] = (f"A{i-1}", f"A{i-1}")
+    return Slp(rhs, f"A{n}")
+
+
+# Exponent equations: a builder, the grid oracle and the Z-to-N rewrite.
+
+
+def equation(alphabet: DoubledAlphabet, *specs, variables=None) -> ExponentEquation:
+    """Convenience builder: specs are constant words, or (word, var) power pairs.
+
+    A 2-tuple counts as a power only when its second component is a plain
+    identifier (variable names never carry apostrophes); spell multi-letter
+    constants as strings of single-letter names or as token tuples.
+    """
+    items: List[Item] = []
+    for spec in specs:
+        is_power = (
+            isinstance(spec, tuple)
+            and len(spec) == 2
+            and isinstance(spec[0], (str, tuple, list))
+            and isinstance(spec[1], str)
+            and spec[1].isidentifier()
+        )
+        if is_power:
+            items.append(Power(free_reduce(alphabet, spec[0]), spec[1]))
+        else:
+            items.append(Const(free_reduce(alphabet, spec)))
+    return ExponentEquation(alphabet, items, variables)
+
+
+def brute_oracle(e: ExponentEquation, cap: int) -> Set[tuple]:
+    """Exhaustive grid search over [0,cap]^k; assignments as tuples over e.vars."""
+    holds = _memo_holds(e)
+    return {
+        values
+        for values in itertools.product(range(cap + 1), repeat=len(e.vars))
+        if holds(values)
+    }
+
+
+def z_to_n_rewrite(
+    e: ExponentEquation, int_vars: Optional[Iterable[str]] = None
+) -> Tuple[ExponentEquation, Dict[str, str]]:
+    """Rewrite Z-valued variables over N: u^x becomes u^x (u^{-1})^{y_x}.
+
+    Every occurrence of a Z-variable x gets the same fresh partner y_x; the
+    solution sets correspond via x -> x - y_x.  Returns (equation, x->y map).
+    """
+    zset = set(e.vars if int_vars is None else int_vars)
+    partner: Dict[str, str] = {}
+    for v in e.vars:
+        if v in zset:
+            name = v + "_neg"
+            while name in e.vars or name in partner.values():
+                name += "_"
+            partner[v] = name
+    items: List[Item] = []
+    for item in e.items:
+        items.append(item)
+        if isinstance(item, Power) and item.var in partner:
+            items.append(Power(item.base.inverse(), partner[item.var]))
+    variables = list(e.vars)
+    for v in e.vars:
+        if v in partner:
+            variables.append(partner[v])
+    return ExponentEquation(e.alphabet, items, variables), partner
 
 
 # Slow oracles for ggsolve.traces.left_quotient / right_quotient: one rescan
@@ -195,8 +413,20 @@ def lift_identified(v, f, dimension: int) -> tuple:
     return tuple(v[rep_index[f[i]]] for i in range(dimension))
 
 
-# Reference for ggsolve.transfer.finite_ext_reduce: the product-and-filter
-# reduction it replaced, unchanged but for the coset map, computed here.
+# Finite extensions: the coset of a word and the word problem of H, read off
+# the rewriting table, and the product-and-filter reduction that
+# ggsolve.transfer.finite_ext_reduce replaced, unchanged but for the coset
+# map, computed here.
+
+
+def coset_of(fe, word: Sequence[str]) -> str:
+    """The coset the word ends in, read from the coset of 1."""
+    return fe.rewrite(fe.one, word)[1]
+
+
+def is_identity_in_h(fe, word: Sequence[str]) -> bool:
+    gw, c = fe.rewrite(fe.one, word)
+    return c == fe.one and fe.g_oracle.is_identity(gw)
 
 
 def coset_map(fe, word):
@@ -208,38 +438,28 @@ def product_finite_ext_reduce(
     fe,
     v_words: Sequence[Sequence[str]],
     u_words: Sequence[Sequence[str]],
-    g_oracle=None,
-    variables: Optional[Sequence[str]] = None,
 ) -> bool:
     """Solvability of v0 u1^{x1} v1 ... un^{xn} vn = 1 over H (distinct variables).
 
     Reference for ggsolve.transfer.finite_ext_reduce: the product of all coset
     tuples filtered afterwards, each live branch asked as a chain automaton.
-
-    Repeated variables are rejected; restate the instance with the knapsack
-    adapters first.  Deterministically enumerates the branch structure: which
-    exponents stay below m (merged into constants), then the coset tuples.
+    Deterministically enumerates the branch structure: which exponents stay
+    below m (merged into constants), then the coset tuples.
     """
-    if g_oracle is None:
-        g_oracle = fe.g_oracle
+    g_oracle = fe.g_oracle
     n = len(u_words)
     if len(v_words) != n + 1:
         raise StructureError("need n+1 constants around n powers")
-    if variables is not None and len(set(variables)) != len(tuple(variables)):
-        raise StructureError(
-            "finite_ext_reduce needs pairwise distinct variables; "
-            "use the knapsack adapters to restate repeated-variable instances"
-        )
     m = fe.m
 
     def solve_core(vs: List[tuple], us: List[tuple]) -> bool:
         """All remaining exponents assumed >= m."""
         nn = len(us)
         if nn == 0:
-            return fe.is_identity_in_h(vs[0])
+            return is_identity_in_h(fe, vs[0])
         fmaps = [coset_map(fe, u) for u in us]
         orbit = [_orbit_parameters(f, m) for f in fmaps]
-        d0 = fe.coset_of(vs[0])
+        d0 = coset_of(fe, vs[0])
         for cs in itertools.product(fe.cosets, repeat=nn):
             ds = [d0]
             ok = True

@@ -1,10 +1,13 @@
-"""Sequence reducibility over the group: witnesses, refinement, power splits.
+"""The paper's proof devices, kept as test oracles: Levi grids and sequence reducibility.
 
-A sequence of irreducible elements reduces by three rules: swap adjacent
-independent entries, cancel an adjacent inverse pair, drop an identity entry.
-``refine_to_reducible`` implements the constructive refinement: any sequence
-with product 1 can be factorized (with at most 2^n - 2 parts in total) so the
-refined sequence reduces, and an explicit witness is built alongside.
+Levi's lemma for traces (``levi_decompose``, ``LeviGrid``) and the
+refinement lemma for sequences of group elements: a sequence of irreducible
+elements reduces by three rules, swap adjacent independent entries, cancel
+an adjacent inverse pair, drop an identity entry.  ``refine_to_reducible``
+implements the constructive refinement: any sequence with product 1 can be
+factorized (with at most 2^n - 2 parts in total) so the refined sequence
+reduces, and an explicit witness is built alongside.  No solve path needs
+them; the tests check them against brute force.
 """
 
 from __future__ import annotations
@@ -13,9 +16,143 @@ import itertools
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import LimitsExceeded
-from ..groups import GroupElement, invert_word, mult
-from ..traces import Trace, left_quotient, levi_split_pair, power, right_quotient
+from ggsolve.errors import AlphabetMismatchError, InternalError, LimitsExceeded, TraceError
+from ggsolve.groups import GroupElement, invert_word, mult
+from ggsolve.traces import IndependenceAlphabet, Trace, left_quotient, power, right_quotient
+
+
+# -- Levi's lemma ----------------------------------------------------------------
+
+
+def concat(*traces: Trace) -> Trace:
+    if not traces:
+        raise ValueError("concat needs at least one trace")
+    alphabet = traces[0].alphabet
+    word = []
+    for t in traces:
+        if t.alphabet != alphabet:
+            raise AlphabetMismatchError("concat over mixed alphabets")
+        word.extend(t.word)
+    return Trace(alphabet, word)
+
+
+class LeviGrid:
+    """Witness grid for Levi's lemma: cells[i][j] sits in column i (us) and row j (vs)."""
+
+    __slots__ = ("us", "vs", "cells")
+
+    def __init__(self, us: Sequence[Trace], vs: Sequence[Trace], cells):
+        self.us = tuple(us)
+        self.vs = tuple(vs)
+        self.cells = tuple(tuple(row) for row in cells)
+
+    def validate(self) -> None:
+        m, n = len(self.us), len(self.vs)
+        if not self.us or not self.vs:
+            raise TraceError("LeviGrid needs at least one row and column")
+        for i in range(m):
+            if concat(*self.cells[i]) != self.us[i]:
+                raise TraceError(f"column {i} does not compose to u_{i}")
+        for j in range(n):
+            if concat(*(self.cells[i][j] for i in range(m))) != self.vs[j]:
+                raise TraceError(f"row {j} does not compose to v_{j}")
+        for i in range(m):
+            for k in range(i + 1, m):
+                for j in range(n):
+                    for l in range(j):
+                        if not self.cells[i][j].independent_of(self.cells[k][l]):
+                            raise TraceError(
+                                f"cells ({i},{j}) and ({k},{l}) violate independence"
+                            )
+
+
+def _embed_parts(total_word: tuple, parts: Sequence[Trace], alphabet: IndependenceAlphabet):
+    """Greedily assign each position of ``total_word`` a part index.
+
+    Consumes, for each letter of each part in order, the least available
+    position of the dependence graph carrying that letter.  Succeeds exactly
+    when the parts compose to the total trace.
+    """
+    n = len(total_word)
+    label = [None] * n
+    consumed = [False] * n
+    for idx, part in enumerate(parts):
+        for target in part.word:
+            pos = None
+            for i in range(n):
+                if consumed[i]:
+                    continue
+                if total_word[i] == target:
+                    # minimal available position with this letter: no earlier
+                    # unconsumed dependent position may exist
+                    blocked = False
+                    for j in range(i):
+                        if not consumed[j] and alphabet.dependent(total_word[j], target):
+                            blocked = True
+                            break
+                    if not blocked:
+                        pos = i
+                    break
+                if alphabet.dependent(total_word[i], target):
+                    break
+            if pos is None:
+                return None
+            consumed[pos] = True
+            label[pos] = idx
+    if not all(consumed):
+        return None
+    return label
+
+
+def levi_decompose(us: Sequence[Trace], vs: Sequence[Trace]) -> Optional[LeviGrid]:
+    """A Levi grid for the two factorizations, or None when the products differ.
+
+    The grid is built from two greedy position labelings of the product's
+    dependence graph; the independence conditions hold automatically because
+    both labelings are monotone along dependence edges.
+    """
+    us = list(us)
+    vs = list(vs)
+    if not us or not vs:
+        raise TraceError("levi_decompose needs nonempty factor lists")
+    alphabet = us[0].alphabet
+    total = concat(*us)
+    if total != concat(*vs):
+        return None
+    word = total.word
+    col = _embed_parts(word, us, alphabet)
+    row = _embed_parts(word, vs, alphabet)
+    if col is None or row is None:  # pragma: no cover - equal products always embed
+        raise InternalError("greedy embedding failed on equal products")
+    cells = [
+        [
+            Trace(
+                alphabet,
+                [word[p] for p in range(len(word)) if col[p] == i and row[p] == j],
+            )
+            for j in range(len(vs))
+        ]
+        for i in range(len(us))
+    ]
+    return LeviGrid(us, vs, cells)
+
+
+def levi_split_pair(total: Trace, left: Trace, right: Trace, parts: Sequence[Trace]):
+    """2-row Levi grid for ``total = left*right = parts[0]*...*parts[k-1]``.
+
+    Returns (xs, ys) with parts[i] = xs[i]*ys[i], left = xs[0]..xs[k-1],
+    right = ys[0]..ys[k-1] and ys[i] independent of xs[j] for i < j.
+    """
+    grid = levi_decompose(list(parts), [left, right])
+    if grid is None:
+        return None
+    xs = [grid.cells[i][0] for i in range(len(parts))]
+    ys = [grid.cells[i][1] for i in range(len(parts))]
+    return xs, ys
+
+
+# -- sequence reducibility -------------------------------------------------------
+
 
 Step = Tuple[str, int]  # ("swap"|"cancel"|"drop", position)
 

@@ -13,40 +13,32 @@ import pytest
 from ggsolve.automata import (
     benois_member,
     concat_closure,
-    enumerate_accepted,
     prefix_nfa,
     star_nfa,
 )
-from ggsolve.groups import GroupElement, doubled, free_reduce, identity, invert_word, mult, power_nf
+from ggsolve.groups import (
+    DoubledAlphabet,
+    GroupElement,
+    free_reduce,
+    identity,
+    invert_word,
+    mult,
+    power_nf,
+)
 from ggsolve.semilinear import (
     DiophantineSystem,
     diophantine_solve,
-    enumerate_members,
     member,
     two_power_solutions,
 )
-from ggsolve.slp import from_word, power_slp, expand_capped
-from ggsolve.solver import (
-    brute_oracle,
-    equation,
-    is_i_freely_reducible,
-    power_two_factorizations,
-    refine_to_reducible,
-    solve_exact,
-    validate_reduction,
-    verify,
-)
+from ggsolve.slp import expand_capped
+from ggsolve.solver import solve_exact, verify
 from ggsolve.traces import (
     IndependenceAlphabet,
     Trace,
     is_connected,
-    iter_prefixes,
     left_quotient,
-    levi_decompose,
-    normal_form,
     power,
-    prefix_count,
-    trace_equal,
 )
 from ggsolve.transfer import (
     FiniteExtension,
@@ -61,11 +53,26 @@ from ggsolve.transfer import (
 from ggsolve.transfer.kauto import plain_alphabet
 
 from helpers import (
+    brute_oracle,
+    enumerate_accepted,
+    enumerate_members,
+    equation,
     equivalence_class,
+    from_word,
+    iter_prefixes,
     knapsack_chain,
+    power_slp,
+    prefix_count,
     random_alphabet,
     random_element,
     random_word,
+)
+from paper_lemmas import (
+    is_i_freely_reducible,
+    levi_decompose,
+    power_two_factorizations,
+    refine_to_reducible,
+    validate_reduction,
 )
 from transfer_oracles import (
     dinf_brute_solvable,
@@ -128,13 +135,13 @@ def test_criterion_02_concat_closure():
     done = 0
     while done < 200:
         alphabet = random_alphabet(rng, 3)
-        t1 = normal_form(alphabet, random_word(rng, alphabet, 3))
+        t1 = Trace(alphabet, random_word(rng, alphabet, 3))
         a1 = prefix_nfa(t1)
         if rng.random() < 0.5:
-            t2 = normal_form(alphabet, random_word(rng, alphabet, 3))
+            t2 = Trace(alphabet, random_word(rng, alphabet, 3))
             a2 = prefix_nfa(t2)
         else:
-            u = normal_form(alphabet, random_word(rng, alphabet, 2))
+            u = Trace(alphabet, random_word(rng, alphabet, 2))
             if u.is_empty() or not is_connected(u):
                 continue
             a2 = star_nfa(u, memorize=True)
@@ -146,7 +153,7 @@ def test_criterion_02_concat_closure():
         expected = set()
         for w1 in enumerate_accepted(a1, max_len):
             for w2 in enumerate_accepted(a2, max_len - len(w1)):
-                expected.add(normal_form(alphabet, w1 + w2).word)
+                expected.add(Trace(alphabet, w1 + w2).word)
         assert got == expected
         done += 1
     report(2, "concatenation closure (200 random certified pairs, length 6)", started, 60)
@@ -159,14 +166,14 @@ def test_criterion_03_two_power_solutions():
     done = 0
     while done < 100:
         alphabet = random_alphabet(rng, 3)
-        u = normal_form(alphabet, random_word(rng, alphabet, 3))
-        v = normal_form(alphabet, random_word(rng, alphabet, 3))
+        u = Trace(alphabet, random_word(rng, alphabet, 3))
+        v = Trace(alphabet, random_word(rng, alphabet, 3))
         if u.is_empty() or v.is_empty() or not (is_connected(u) and is_connected(v)):
             continue
-        p = normal_form(alphabet, random_word(rng, alphabet, 2))
-        s = normal_form(alphabet, random_word(rng, alphabet, 2))
-        q = normal_form(alphabet, random_word(rng, alphabet, 2))
-        t = normal_form(alphabet, random_word(rng, alphabet, 2))
+        p = Trace(alphabet, random_word(rng, alphabet, 2))
+        s = Trace(alphabet, random_word(rng, alphabet, 2))
+        q = Trace(alphabet, random_word(rng, alphabet, 2))
+        t = Trace(alphabet, random_word(rng, alphabet, 2))
         done += 1
         sols = two_power_solutions(p, u, s, q, v, t)
         brute = set()
@@ -222,34 +229,34 @@ def test_criterion_05_levi_and_cancellativity():
     rng = random.Random(515)
     for _ in range(500):
         alphabet = random_alphabet(rng, 3)
-        t = normal_form(alphabet, random_word(rng, alphabet, 6))
+        t = Trace(alphabet, random_word(rng, alphabet, 6))
         words = list(equivalence_class(alphabet, t.word))
         w1, w2 = rng.choice(words), rng.choice(words)
         i1, j1 = sorted(rng.randint(0, len(w1)) for _ in range(2))
         i2, j2 = sorted(rng.randint(0, len(w2)) for _ in range(2))
         us = [
-            normal_form(alphabet, w1[:i1]),
-            normal_form(alphabet, w1[i1:j1]),
-            normal_form(alphabet, w1[j1:]),
+            Trace(alphabet, w1[:i1]),
+            Trace(alphabet, w1[i1:j1]),
+            Trace(alphabet, w1[j1:]),
         ]
         vs = [
-            normal_form(alphabet, w2[:i2]),
-            normal_form(alphabet, w2[i2:j2]),
-            normal_form(alphabet, w2[j2:]),
+            Trace(alphabet, w2[:i2]),
+            Trace(alphabet, w2[i2:j2]),
+            Trace(alphabet, w2[j2:]),
         ]
         grid = levi_decompose(us, vs)
         assert grid is not None
         grid.validate()
         # unequal products are rejected
-        other = normal_form(alphabet, t.word + (alphabet.letters[0],))
+        other = Trace(alphabet, t.word + (alphabet.letters[0],))
         assert levi_decompose(us, [other]) is None
         # cancellativity
-        u = normal_form(alphabet, random_word(rng, alphabet, 4))
-        v = normal_form(alphabet, random_word(rng, alphabet, 4))
-        s = normal_form(alphabet, random_word(rng, alphabet, 4))
-        w = normal_form(alphabet, random_word(rng, alphabet, 4))
+        u = Trace(alphabet, random_word(rng, alphabet, 4))
+        v = Trace(alphabet, random_word(rng, alphabet, 4))
+        s = Trace(alphabet, random_word(rng, alphabet, 4))
+        w = Trace(alphabet, random_word(rng, alphabet, 4))
         if (u * s) * v == (u * w) * v:
-            assert trace_equal(s, w)
+            assert s == w
     report(5, "Levi grids + cancellativity (500 random instances)", started, 60)
 
 
@@ -284,7 +291,7 @@ def test_criterion_06_power_factorizations():
 def test_criterion_07_refinement():
     """Refinement succeeds with <= 2^n - 2 parts; fixed counterexample unrefined."""
     started = time.monotonic()
-    fixed_alpha = doubled(IndependenceAlphabet("ab"))
+    fixed_alpha = DoubledAlphabet(IndependenceAlphabet("ab"))
     counterexample = [
         free_reduce(fixed_alpha, ("a'",)),
         free_reduce(fixed_alpha, ("a", "b")),
@@ -293,9 +300,9 @@ def test_criterion_07_refinement():
     assert is_i_freely_reducible(counterexample) is None
     rng = random.Random(717)
     alphabets = [
-        doubled(IndependenceAlphabet("ab")),
-        doubled(IndependenceAlphabet("abc", [("a", "c")])),
-        doubled(IndependenceAlphabet("ab", [("a", "b")])),
+        DoubledAlphabet(IndependenceAlphabet("ab")),
+        DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")])),
+        DoubledAlphabet(IndependenceAlphabet("ab", [("a", "b")])),
     ]
     done = 0
     while done < 100:
@@ -327,10 +334,10 @@ def _curated_suite():
     """15 instances: Z-like, free, free-abelian, mixed C4-free; <= 2 distinct vars."""
     if CURATED:
         return CURATED
-    ZL = doubled(IndependenceAlphabet("a"))
-    FREE2 = doubled(IndependenceAlphabet("ab"))
-    ABEL2 = doubled(IndependenceAlphabet("ac", [("a", "c")]))
-    AC = doubled(IndependenceAlphabet("abc", [("a", "c")]))
+    ZL = DoubledAlphabet(IndependenceAlphabet("a"))
+    FREE2 = DoubledAlphabet(IndependenceAlphabet("ab"))
+    ABEL2 = DoubledAlphabet(IndependenceAlphabet("ac", [("a", "c")]))
+    AC = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
     CURATED.extend(
         [
             equation(ZL, ("a", "x"), (("a'", "a'"), "y")),
@@ -374,8 +381,8 @@ def test_criterion_08_exact_solver_end_to_end():
 def test_criterion_09_compressed_path():
     """SLP exponents up to 2^20 verify; decisions match decompressed brute force."""
     started = time.monotonic()
-    ZL = doubled(IndependenceAlphabet("a"))
-    AC = doubled(IndependenceAlphabet("abc", [("a", "c")]))
+    ZL = DoubledAlphabet(IndependenceAlphabet("a"))
+    AC = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
     # big-exponent verification through the conjugate-power form
     big = 2**20
     e = equation(ZL, ("a", "x"), (("a'",), "y"))
@@ -414,7 +421,7 @@ def _dinf_extension():
 def test_criterion_10_finite_extension():
     """Finite-extension reduction on 50 random dihedral instances vs direct arithmetic."""
     started = time.monotonic()
-    fe, z = _dinf_extension()
+    fe, _ = _dinf_extension()
     rng = random.Random(1016)
     letters = ("a", "a'", "t", "t'")
     for _ in range(50):
@@ -427,7 +434,7 @@ def test_criterion_10_finite_extension():
             tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
             for _ in range(n + 1)
         ]
-        got = finite_ext_reduce(fe, v_words, u_words, z)
+        got = finite_ext_reduce(fe, v_words, u_words)
         brute = dinf_brute_solvable(v_words, u_words, cap=8)
         if brute:
             assert got, (v_words, u_words)
@@ -460,7 +467,7 @@ def test_criterion_11_hnn_and_free_products():
             assert not brute, (bases, target)
     # free products: F2 = Z * Z cross-checked against Benois saturation
     fp = FreeProductOracle(ZOracle("a"), ZOracle("b"))
-    dbl = doubled(IndependenceAlphabet("ab"))
+    dbl = DoubledAlphabet(IndependenceAlphabet("ab"))
     letters2 = ("a", "a'", "b", "b'")
     for _ in range(50):
         k = rng.randint(1, 2)

@@ -12,7 +12,6 @@ from ggsolve.automata import (
     benois_member,
     benois_saturate,
     concat_closure,
-    enumerate_accepted,
     intersect,
     length_automaton,
     power_closure_nfa,
@@ -23,13 +22,15 @@ from ggsolve.automata import (
     unary_progressions,
 )
 from ggsolve.errors import CertificateError, StructureError, TraceError
-from ggsolve.groups import doubled, free_reduce
-from ggsolve.traces import IndependenceAlphabet, Trace, is_connected, normal_form, power, prefix_count
+from ggsolve.groups import DoubledAlphabet, free_reduce
+from ggsolve.traces import IndependenceAlphabet, Trace, is_connected, power
 
 from helpers import (
     all_alphabets,
     canonical_traces_up_to,
+    enumerate_accepted,
     equivalence_class,
+    prefix_count,
     random_alphabet,
     random_word,
     words_up_to,
@@ -46,19 +47,19 @@ def language(nfa, max_len):
 
 class TestPrefixNfa:
     def test_dependent_pair(self):
-        t = normal_form(AB_DEP, "ab")
+        t = Trace(AB_DEP, "ab")
         nfa = prefix_nfa(t)
         assert nfa.num_states() == 3
         assert language(nfa, 4) == {("a", "b")}
 
     def test_independent_pair(self):
-        t = normal_form(AC, "ac")
+        t = Trace(AC, "ac")
         nfa = prefix_nfa(t)
         assert nfa.num_states() == 4
         assert language(nfa, 4) == {("a", "c"), ("c", "a")}
 
     def test_empty(self):
-        t = normal_form(AC, "")
+        t = Trace(AC, "")
         nfa = prefix_nfa(t)
         assert nfa.num_states() == 1
         assert language(nfa, 2) == {()}
@@ -67,7 +68,7 @@ class TestPrefixNfa:
         rng = random.Random(5)
         for _ in range(40):
             alphabet = random_alphabet(rng, 3)
-            t = normal_form(alphabet, random_word(rng, alphabet, 5))
+            t = Trace(alphabet, random_word(rng, alphabet, 5))
             nfa = prefix_nfa(t)
             assert nfa.num_states() == prefix_count(t)
             assert language(nfa, len(t)) == equivalence_class(alphabet, t.word)
@@ -89,13 +90,13 @@ def star_language_oracle(u, max_len):
 
 class TestStarNfa:
     def test_single_letter(self):
-        u = normal_form(AC, "a")
+        u = Trace(AC, "a")
         nfa = star_nfa(u)
         assert nfa.num_states() == 1  # the empty tuple is the only state
         assert language(nfa, 3) == {(), ("a",), ("a", "a"), ("a", "a", "a")}
 
     def test_dependent_word(self):
-        u = normal_form(AB_DEP, "ab")
+        u = Trace(AB_DEP, "ab")
         nfa = star_nfa(u)
         assert {len(s) for s in [nfa.states]}  # smoke
         lang = language(nfa, 4)
@@ -104,14 +105,14 @@ class TestStarNfa:
 
     def test_disconnected_rejected(self):
         with pytest.raises(TraceError):
-            star_nfa(normal_form(AB_IND, "ab"))
+            star_nfa(Trace(AB_IND, "ab"))
 
     def test_empty_rejected(self):
         with pytest.raises(TraceError):
-            star_nfa(normal_form(AC, ""))
+            star_nfa(Trace(AC, ""))
 
     def test_memorizing_certificate(self):
-        u = normal_form(AC, "ab")
+        u = Trace(AC, "ab")
         nfa = star_nfa(u, memorize=True)
         nfa.validate_i_diamond()
         nfa.validate_memorizing()
@@ -156,26 +157,26 @@ def closure_product_oracle(a1, a2, max_len):
 
 class TestConcatClosure:
     def test_independent_singletons(self):
-        a1 = prefix_nfa(normal_form(AC, "a"))
-        a2 = prefix_nfa(normal_form(AC, "c"))
+        a1 = prefix_nfa(Trace(AC, "a"))
+        a2 = prefix_nfa(Trace(AC, "c"))
         closed = concat_closure(a1, a2)
         assert language(closed, 3) == {("a", "c"), ("c", "a")}
 
     def test_left_identity(self):
-        a1 = prefix_nfa(normal_form(AC, ""))
-        a2 = star_nfa(normal_form(AC, "b"), memorize=True)
+        a1 = prefix_nfa(Trace(AC, ""))
+        a2 = star_nfa(Trace(AC, "b"), memorize=True)
         closed = concat_closure(a1, a2)
         assert language(closed, 3) == language(a2, 3)
 
     def test_state_count(self):
-        a1 = prefix_nfa(normal_form(AB_DEP, "a"))
-        a2 = prefix_nfa(normal_form(AB_DEP, "b"))
+        a1 = prefix_nfa(Trace(AB_DEP, "a"))
+        a2 = prefix_nfa(Trace(AB_DEP, "b"))
         assert a1.num_states() == 2 and a2.num_states() == 2
         assert concat_closure(a1, a2).num_states() == 4
 
     def test_requires_memorizing(self):
-        a1 = prefix_nfa(normal_form(AC, "a"))
-        a2 = star_nfa(normal_form(AC, "b"))  # not memorizing
+        a1 = prefix_nfa(Trace(AC, "a"))
+        a2 = star_nfa(Trace(AC, "b"))  # not memorizing
         with pytest.raises(CertificateError):
             concat_closure(a1, a2)
 
@@ -183,8 +184,8 @@ class TestConcatClosure:
         rng = random.Random(15)
         for _ in range(60):
             alphabet = random_alphabet(rng, 3)
-            t1 = normal_form(alphabet, random_word(rng, alphabet, 3))
-            t2 = normal_form(alphabet, random_word(rng, alphabet, 3))
+            t1 = Trace(alphabet, random_word(rng, alphabet, 3))
+            t2 = Trace(alphabet, random_word(rng, alphabet, 3))
             a1, a2 = prefix_nfa(t1), prefix_nfa(t2)
             closed = concat_closure(a1, a2)
             assert closed.num_states() == a1.num_states() * a2.num_states()
@@ -195,20 +196,20 @@ class TestConcatClosure:
 class TestPowerClosure:
     def test_pure_star(self):
         nfa = power_closure_nfa(
-            normal_form(AC, ""), normal_form(AC, "a"), normal_form(AC, "")
+            Trace(AC, ""), Trace(AC, "a"), Trace(AC, "")
         )
         assert language(nfa, 3) == {(), ("a",), ("a", "a"), ("a", "a", "a")}
 
     def test_prefixed(self):
         nfa = power_closure_nfa(
-            normal_form(AB_DEP, "b"), normal_form(AB_DEP, "a"), normal_form(AB_DEP, "")
+            Trace(AB_DEP, "b"), Trace(AB_DEP, "a"), Trace(AB_DEP, "")
         )
         expected = {("b",) + ("a",) * k for k in range(5)}
         assert language(nfa, 5) == expected
 
     def test_suffixed_word(self):
         nfa = power_closure_nfa(
-            normal_form(AB_DEP, ""), normal_form(AB_DEP, "ab"), normal_form(AB_DEP, "a")
+            Trace(AB_DEP, ""), Trace(AB_DEP, "ab"), Trace(AB_DEP, "a")
         )
         expected = {("a",), ("a", "b", "a"), ("a", "b", "a", "b", "a")}
         assert language(nfa, 5) == expected
@@ -218,11 +219,11 @@ class TestPowerClosure:
         done = 0
         while done < 25:
             alphabet = random_alphabet(rng, 3)
-            u = normal_form(alphabet, random_word(rng, alphabet, 3))
+            u = Trace(alphabet, random_word(rng, alphabet, 3))
             if u.is_empty() or not is_connected(u):
                 continue
-            p = normal_form(alphabet, random_word(rng, alphabet, 2))
-            s = normal_form(alphabet, random_word(rng, alphabet, 2))
+            p = Trace(alphabet, random_word(rng, alphabet, 2))
+            s = Trace(alphabet, random_word(rng, alphabet, 2))
             done += 1
             nfa = power_closure_nfa(p, u, s)
             max_len = min(len(p) + len(s) + 2 * len(u), 7)
@@ -239,28 +240,28 @@ class TestPowerClosure:
 
 class TestIntersect:
     def test_star_intersection(self):
-        a = star_nfa(normal_form(AB_DEP, "a"))
-        aa = prefix_nfa(normal_form(AB_DEP, "aa"))
+        a = star_nfa(Trace(AB_DEP, "a"))
+        aa = prefix_nfa(Trace(AB_DEP, "aa"))
         aa_star = concat_closure(
-            prefix_nfa(normal_form(AB_DEP, "")), star_nfa(normal_form(AB_DEP, "aa"), True)
+            prefix_nfa(Trace(AB_DEP, "")), star_nfa(Trace(AB_DEP, "aa"), True)
         )
         prod = intersect(a, aa_star)
         assert language(prod, 6) == {(), ("a",) * 2, ("a",) * 4, ("a",) * 6}
 
     def test_empty_intersection(self):
-        a = prefix_nfa(normal_form(AB_DEP, "a"))
-        b = prefix_nfa(normal_form(AB_DEP, "b"))
+        a = prefix_nfa(Trace(AB_DEP, "a"))
+        b = prefix_nfa(Trace(AB_DEP, "b"))
         assert language(intersect(a, b), 4) == set()
 
     def test_epsilon_membership(self):
-        a = prefix_nfa(normal_form(AB_DEP, ""))
-        b = star_nfa(normal_form(AB_DEP, "a"))
+        a = prefix_nfa(Trace(AB_DEP, ""))
+        b = star_nfa(Trace(AB_DEP, "a"))
         assert language(intersect(a, b), 3) == {()}
 
     def test_state_count(self):
         """Only the pairs reachable from the initial pair are built: 2 of 2 * 3."""
-        a = prefix_nfa(normal_form(AB_DEP, "a"))
-        b = prefix_nfa(normal_form(AB_DEP, "ab"))
+        a = prefix_nfa(Trace(AB_DEP, "a"))
+        b = prefix_nfa(Trace(AB_DEP, "ab"))
         assert intersect(a, b).num_states() == 2
 
     def test_random_products(self):
@@ -289,16 +290,16 @@ class TestIntersect:
 
 class TestLengthAutomaton:
     def test_single_word(self):
-        nfa = length_automaton(prefix_nfa(normal_form(AB_DEP, "ab")))
+        nfa = length_automaton(prefix_nfa(Trace(AB_DEP, "ab")))
         assert language(nfa, 4) == {("a", "a")}
 
     def test_even_lengths(self):
-        star = star_nfa(normal_form(AB_DEP, "ab"))
+        star = star_nfa(Trace(AB_DEP, "ab"))
         nfa = length_automaton(star)
         assert language(nfa, 5) == {(), ("a",) * 2, ("a",) * 4}
 
     def test_rejects_eps(self):
-        dbl = doubled(IndependenceAlphabet("a"))
+        dbl = DoubledAlphabet(IndependenceAlphabet("a"))
         eps_nfa = Nfa(dbl, ["p", "q"], [("p", EPS, "q")], "p", ["q"])
         with pytest.raises(StructureError):
             length_automaton(eps_nfa)
@@ -318,20 +319,20 @@ class TestUnaryProgressions:
     def test_odd(self):
         # a (aa)*
         star = concat_closure(
-            prefix_nfa(normal_form(AB_DEP, "a")), star_nfa(normal_form(AB_DEP, "aa"), True)
+            prefix_nfa(Trace(AB_DEP, "a")), star_nfa(Trace(AB_DEP, "aa"), True)
         )
         unary = length_automaton(star)
         assert unary_progressions(unary) == {Progression(1, 2)}
 
     def test_singleton_zero(self):
-        unary = length_automaton(prefix_nfa(normal_form(AB_DEP, "")))
+        unary = length_automaton(prefix_nfa(Trace(AB_DEP, "")))
         assert unary_progressions(unary) == {Progression(0, 0)}
 
     def test_union_two_periods(self):
         """(aa)* union (aaa)*: verified pointwise up to 24."""
         ab = AB_DEP
-        two = star_nfa(normal_form(ab, "aa"))
-        three = star_nfa(normal_form(ab, "aaa"))
+        two = star_nfa(Trace(ab, "aa"))
+        three = star_nfa(Trace(ab, "aaa"))
         # plain union automaton over the unary letter
         states = (
             ["init"]
@@ -380,7 +381,7 @@ class TestUnaryProgressions:
 
 
 class TestBenois:
-    FREE = doubled(IndependenceAlphabet("ab"))
+    FREE = DoubledAlphabet(IndependenceAlphabet("ab"))
 
     def word_nfa(self, word):
         states = list(range(len(word) + 1))
@@ -401,7 +402,7 @@ class TestBenois:
         assert benois_member(nfa, ("a", "b"))
 
     def test_rejects_independence(self):
-        dbl = doubled(IndependenceAlphabet("ab", [("a", "b")]))
+        dbl = DoubledAlphabet(IndependenceAlphabet("ab", [("a", "b")]))
         nfa = Nfa(dbl, [0], [], 0, [0])
         with pytest.raises(StructureError):
             benois_member(nfa, ())
@@ -445,15 +446,15 @@ class TestTrim:
         rng = random.Random(99)
         for _ in range(40):
             alphabet = random_alphabet(rng, 3)
-            t = normal_form(alphabet, random_word(rng, alphabet, 4))
+            t = Trace(alphabet, random_word(rng, alphabet, 4))
             nfa = power_closure_nfa(
-                normal_form(alphabet, ""),
+                Trace(alphabet, ""),
                 (
                     t
                     if not t.is_empty() and is_connected(t)
-                    else normal_form(alphabet, alphabet.letters[0])
+                    else Trace(alphabet, alphabet.letters[0])
                 ),
-                normal_form(alphabet, ""),
+                Trace(alphabet, ""),
             )
             trimmed = trim(nfa)
             assert trimmed.num_states() <= nfa.num_states()

@@ -12,19 +12,19 @@ of both: exponents of 2^20 stream a handful of letters, not millions.
 from hypothesis import given, settings, strategies as st
 
 from ggsolve.cli import main
-from ggsolve.groups import ConjugatePower, SignedPile, doubled, free_reduce, invert_word
-from ggsolve.slp import Slp, compression_witness, expand, fold_power, from_word, power_slp
+from ggsolve.groups import ConjugatePower, DoubledAlphabet, SignedPile, free_reduce, invert_word
+from ggsolve.slp import Slp, fold_power
 from ggsolve.solver.equations import (
     Const,
     ExponentEquation,
     Power,
     _evaluate_by_mult,
-    equation,
     evaluate,
     verify,
 )
 from ggsolve.traces import IndependenceAlphabet
 
+from helpers import compression_witness, equation, expand, from_word, power_slp
 from test_streaming import _outcome, alphabets, words
 
 
@@ -37,7 +37,7 @@ def reduced(alphabet, max_len, min_len=0):
 @st.composite
 def merge_equations(draw):
     """Powers of w, w^-1, c w c^-1 and c w^-1 c^-1 between constants that cancel."""
-    dbl = doubled(draw(alphabets(2, 5)))
+    dbl = DoubledAlphabet(draw(alphabets(2, 5)))
     w = draw(reduced(dbl, 6, min_len=1))
     c = draw(reduced(dbl, 3))
     conjugates = {
@@ -92,7 +92,7 @@ def _check_fold(slp, dbl):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_power_slp_folds(data):
-    dbl = doubled(data.draw(alphabets(1, 4)))
+    dbl = DoubledAlphabet(data.draw(alphabets(1, 4)))
     word = data.draw(reduced(dbl, 6)).word
     k = data.draw(st.integers(0, 2**9))
     folded = _check_fold(power_slp(from_word(word), k), dbl)
@@ -101,7 +101,7 @@ def test_power_slp_folds(data):
 
 
 def test_compression_witness_folds():
-    dbl = doubled(IndependenceAlphabet("ab"))
+    dbl = DoubledAlphabet(IndependenceAlphabet("ab"))
     for n in range(1, 12):
         folded = _check_fold(compression_witness(n, "b"), dbl)
         assert isinstance(folded, ConjugatePower) and len(folded) == 2**n
@@ -111,7 +111,7 @@ def test_compression_witness_folds():
 @given(st.data())
 def test_random_slps_fold_exactly_or_not_at_all(data):
     """Random SLPs: each rule mixes terminals and earlier variables at random."""
-    dbl = doubled(data.draw(alphabets(1, 3)))
+    dbl = DoubledAlphabet(data.draw(alphabets(1, 3)))
     rhs = {}
     for i in range(data.draw(st.integers(1, 5))):
         tokens = list(dbl.letters) + [f"V{j}" for j in range(i)]
@@ -120,7 +120,7 @@ def test_random_slps_fold_exactly_or_not_at_all(data):
 
 
 def test_unfoldable_slps():
-    dbl = doubled(IndependenceAlphabet("ab"))
+    dbl = DoubledAlphabet(IndependenceAlphabet("ab"))
     mixed = Slp({"S": ("A", "b"), "A": ("a", "a")}, "S")
     different = Slp({"S": ("A", "B"), "A": ("a",), "B": ("b",)}, "S")
     # same w = a, different conjugators p
@@ -147,7 +147,7 @@ def _counting_pushes(monkeypatch):
 
 def test_criterion_09_streams_few_letters(monkeypatch):
     """(a b a')^x a (b')^y a' = 1 with a I c: x = y = 2^20 merges to nothing."""
-    dbl = doubled(IndependenceAlphabet("abc", [("a", "c")]))
+    dbl = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
     e = equation(dbl, (("a", "b", "a'"), "x"), ("a",), (("b'",), "y"), ("a'",))
     pushed = _counting_pushes(monkeypatch)
     assert verify(e, {"x": 2**20, "y": 2**20}, cap=2**22)
@@ -157,7 +157,7 @@ def test_criterion_09_streams_few_letters(monkeypatch):
 
 def test_equal_bases_merge(monkeypatch):
     """w^x w^y (w^-1)^z with x + y = z: the first two powers add up, then cancel."""
-    dbl = doubled(IndependenceAlphabet("ab"))
+    dbl = DoubledAlphabet(IndependenceAlphabet("ab"))
     e = equation(dbl, ("ab", "x"), ("ab", "y"), (("b'", "a'"), "z"))
     pushed = _counting_pushes(monkeypatch)
     assert verify(e, {"x": 2**19, "y": 2**19, "z": 2**20}, cap=2**22)

@@ -379,20 +379,47 @@ class TestBoundCommand:
         assert "HEURISTIC" in out
 
 
-class TestEnvCap:
-    def test_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GG_KNAPSACK_CAP", "4")
-        path = write(tmp_path, "gens a\neq\npow a x\nconst a' a' a' a' a' a'\n")
-        code, _ = run_cli(["solve", "--mode", "search", path])
-        assert code == 2  # witness x=6 beyond the env cap
+class TestGraphOracle:
+    """A transfer block over ``oracle G graph``: the HNN-extension of the free
+    group on a, b with trivial associated subgroups asks the exponent solver."""
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "1e3"])
-    def test_malformed_env_cap_is_a_parse_error(self, value, monkeypatch, capsys):
-        monkeypatch.setenv("GG_KNAPSACK_CAP", value)
-        code, _ = run_cli(["solve", os.path.join(CORPUS, "01_z_double.gg")])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "GG_KNAPSACK_CAP" in err and "Traceback" not in err
+    HNN_FREE2 = (
+        "gens a b\noracle G graph\nhnn base G stable t\n"
+        "assoc + _\nassoc - _\nphi _ -> _\n"
+    )
+
+    def run_counted(self, tmp_path, text, monkeypatch):
+        """run_cli on ``text``, with the number of questions the graph oracle answered."""
+        from ggsolve.transfer import GraphGroupOracle
+
+        answered = []
+        member = GraphGroupOracle._member_impl
+
+        def counted(self, nfa, target_word):
+            answered.append(target_word)
+            return member(self, nfa, target_word)
+
+        monkeypatch.setattr(GraphGroupOracle, "_member_impl", counted)
+        code, out = run_cli(["hnn", write(tmp_path, text)])
+        return code, out, len(answered)
+
+    def test_solvable(self, tmp_path, monkeypatch):
+        # a^15 b^1 a^1
+        text = self.HNN_FREE2 + "item a\nitem b\nitem a\ntarget " + "a " * 15 + "b a\n"
+        code, out, asked = self.run_counted(tmp_path, text, monkeypatch)
+        assert (code, out) == (0, "status: solvable\n")
+        assert asked > 0
+
+    def test_unsolvable(self, tmp_path, monkeypatch):
+        # a^x b^y = b a has no solution: a and b do not commute
+        text = self.HNN_FREE2 + "item a\nitem b\ntarget b a\n"
+        code, out, asked = self.run_counted(tmp_path, text, monkeypatch)
+        assert (code, out) == (1, "status: unsolvable\n")
+        assert asked > 0
+
+
+class TestEnvCap:
+    """The cap comes from ``--cap`` alone; the environment does not set it."""
 
     def test_negative_cap_flag_is_a_parse_error(self, capsys):
         code, _ = run_cli(["solve", "--cap", "-1", os.path.join(CORPUS, "01_z_double.gg")])

@@ -6,18 +6,18 @@ import random
 import pytest
 
 from ggsolve.errors import InternalError
-from ggsolve.groups import cyclic_reduce, doubled, free_reduce, identity
-from ggsolve.semilinear import enumerate_members, member
-from ggsolve.solver import Limits, brute_oracle, equation, solve_exact
-from ggsolve.traces import IndependenceAlphabet, power
+from ggsolve.groups import DoubledAlphabet, cyclic_reduce, free_reduce, identity
+from ggsolve.semilinear import member
+from ggsolve.solver import solve_exact
+from ggsolve.traces import IndependenceAlphabet, Trace, power
 
-from helpers import random_element
+from helpers import brute_oracle, enumerate_members, equation, random_element
 
-ZL = doubled(IndependenceAlphabet("a"))
-AC = doubled(IndependenceAlphabet("abc", [("a", "c")]))
-FREE2 = doubled(IndependenceAlphabet("ab"))
-FREE3 = doubled(IndependenceAlphabet("abc"))
-ABEL2 = doubled(IndependenceAlphabet("ac", [("a", "c")]))
+ZL = DoubledAlphabet(IndependenceAlphabet("a"))
+AC = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
+FREE2 = DoubledAlphabet(IndependenceAlphabet("ab"))
+FREE3 = DoubledAlphabet(IndependenceAlphabet("abc"))
+ABEL2 = DoubledAlphabet(IndependenceAlphabet("ac", [("a", "c")]))
 
 
 def random_graph(rng):
@@ -25,7 +25,7 @@ def random_graph(rng):
     names = "abcde"[: rng.randint(3, 5)]
     pairs = list(itertools.combinations(names, 2))
     density = rng.uniform(0.2, 0.8)
-    return doubled(IndependenceAlphabet(names, rng.sample(pairs, round(density * len(pairs)))))
+    return DoubledAlphabet(IndependenceAlphabet(names, rng.sample(pairs, round(density * len(pairs)))))
 
 
 def check_exact(e, grid=15):
@@ -154,10 +154,9 @@ class TestLimits:
         e = equation(FREE2, ("a", "x"), ("b", "y"), ("a", "z"))
         rep = solve_exact(e)
         assert rep.status == "unknown"
-        assert not rep.exhaustive
 
     def test_split_past_limit_unknown(self):
-        big = doubled(
+        big = DoubledAlphabet(
             IndependenceAlphabet("abcd", [("a", "b"), ("a", "c"), ("b", "c")])
         )
         # (abc)^x splits into three powers
@@ -291,12 +290,12 @@ class TestInternalChecks:
             solve_exact(self.KNAPSACK)
 
     def test_levi_embedding(self, monkeypatch):
-        import ggsolve.traces as traces
+        import paper_lemmas
 
-        monkeypatch.setattr(traces, "_embed_parts", lambda *args: None)
-        t = traces.normal_form(AC, "abc")
+        monkeypatch.setattr(paper_lemmas, "_embed_parts", lambda *args: None)
+        t = Trace(AC, "abc")
         with pytest.raises(InternalError, match="greedy embedding failed"):
-            traces.levi_decompose([t], [t])
+            paper_lemmas.levi_decompose([t], [t])
 
     def test_left_form_verification(self, monkeypatch):
         import ggsolve.solver.exact as exact
@@ -329,13 +328,12 @@ class TestInternalChecks:
     def test_two_power_decomposition(self, prog, u, v, message, monkeypatch):
         import ggsolve.automata as automata
         from ggsolve.semilinear import two_power_solutions
-        from ggsolve.traces import normal_form
 
         monkeypatch.setattr(automata, "unary_progressions", lambda _: {automata.Progression(*prog)})
         a1 = IndependenceAlphabet("a")
-        e = normal_form(a1, "")
+        e = Trace(a1, "")
         with pytest.raises(InternalError, match=message):
-            two_power_solutions(normal_form(a1, "a"), normal_form(a1, u), e, e, normal_form(a1, v), e)
+            two_power_solutions(Trace(a1, "a"), Trace(a1, u), e, e, Trace(a1, v), e)
 
     def test_progression_decomposition(self, monkeypatch):
         import ggsolve.automata as automata

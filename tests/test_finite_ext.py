@@ -10,12 +10,13 @@ import random
 import pytest
 
 from ggsolve.cli import main
-from ggsolve.errors import StructureError
+from ggsolve.errors import FormatError, StructureError
+from ggsolve.formats import build_extension, parse_instance
 from ggsolve.groups import invert_word
 from ggsolve.transfer import FiniteExtension, FiniteGroupOracle, ZOracle, finite_ext_reduce
 from ggsolve.transfer.kauto import equation_chain
 
-from helpers import product_finite_ext_reduce
+from helpers import coset_of, is_identity_in_h, product_finite_ext_reduce
 from steplog import record
 from transfer_oracles import dinf_brute_solvable, dinf_is_identity
 
@@ -59,36 +60,37 @@ class TestTable:
 
     def test_coset_tracking(self):
         fe, _ = dinf_extension()
-        assert fe.coset_of(("t", "a", "t")) == "1"
-        assert fe.coset_of(("t", "a")) == "t"
-        assert fe.is_identity_in_h(("t", "a", "t", "a"))
-        assert not fe.is_identity_in_h(("t", "a", "t", "a'"))
+        assert coset_of(fe, ("t", "a", "t")) == "1"
+        assert coset_of(fe, ("t", "a")) == "t"
+        assert is_identity_in_h(fe, ("t", "a", "t", "a"))
+        assert not is_identity_in_h(fe, ("t", "a", "t", "a'"))
 
 
 class TestDinfInstances:
     def test_ta_power_even(self):
-        fe, z = dinf_extension()
+        fe, _ = dinf_extension()
         # (ta)^x = 1: solvable with x even (x = 0 included)
-        assert finite_ext_reduce(fe, [(), ()], [("t", "a")], z)
+        assert finite_ext_reduce(fe, [(), ()], [("t", "a")])
         # (ta)^x = ta: solvable with x = 1 (small-exponent branch)
-        assert finite_ext_reduce(fe, [(), ("a'", "t'")], [("t", "a")], z)
+        assert finite_ext_reduce(fe, [(), ("a'", "t'")], [("t", "a")])
 
     def test_a_power_vs_t(self):
-        fe, z = dinf_extension()
+        fe, _ = dinf_extension()
         # a^x = t: never (wrong coset)
-        assert not finite_ext_reduce(fe, [(), ("t'",)], [("a",)], z)
+        assert not finite_ext_reduce(fe, [(), ("t'",)], [("a",)])
 
     def test_repeated_variables_rejected(self):
-        fe, z = dinf_extension()
-        with pytest.raises(StructureError):
-            finite_ext_reduce(
-                fe, [(), (), ()], [("a",), ("a",)], z, variables=("x", "x")
-            )
+        """finite_ext_reduce gives each power its own variable; the file reader
+        rejects an eqH block that repeats one."""
+        with open(os.path.join(CORPUS, "17_extension_dinf.gg")) as fh:
+            text = fh.read().replace("pow t a x\n", "pow a x\npow a x\n")
+        with pytest.raises(FormatError, match="eqH variable 'x' repeats"):
+            build_extension(parse_instance(text))
 
     def test_against_brute_force_random(self):
         """Agreement with table-driven brute force on random D-inf instances."""
         rng = random.Random(99)
-        fe, z = dinf_extension()
+        fe, _ = dinf_extension()
         letters = ("a", "a'", "t", "t'")
         agreements = 0
         for _ in range(50):
@@ -101,7 +103,7 @@ class TestDinfInstances:
                 tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
                 for _ in range(n + 1)
             ]
-            got = finite_ext_reduce(fe, v_words, u_words, z)
+            got = finite_ext_reduce(fe, v_words, u_words)
             brute = dinf_brute_solvable(v_words, u_words, cap=8)
             if brute:
                 assert got, (v_words, u_words)

@@ -1,15 +1,13 @@
 """The solver's checks raise ``InternalError``, so they still hold under ``python -O``.
 
 Any ``assert`` statement or ``raise AssertionError`` in ``src/ggsolve`` fails
-this test, except in ``solver/reducibility.py`` (the paper's refinement
-lemma, which no solve path calls).
+this test.
 """
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ggsolve"
-EXEMPT = {SRC / "solver" / "reducibility.py"}
 
 
 def _assertion_lines(tree):
@@ -28,7 +26,6 @@ def test_no_assertion_outside_reducibility():
     found = [
         f"{path.relative_to(SRC)}:{line}"
         for path in paths
-        if path not in EXEMPT
         for line in _assertion_lines(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []

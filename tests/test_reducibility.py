@@ -5,19 +5,19 @@ import random
 
 import pytest
 
-from ggsolve.groups import doubled, free_reduce, identity, mult
-from ggsolve.solver.reducibility import (
+from ggsolve.groups import DoubledAlphabet, free_reduce, identity, mult
+from ggsolve.traces import IndependenceAlphabet, Trace, is_connected, left_quotient, power
+
+from helpers import all_alphabets, canonical_traces_up_to, iter_prefixes, random_element
+from paper_lemmas import (
     is_i_freely_reducible,
     power_two_factorizations,
     refine_to_reducible,
     validate_reduction,
 )
-from ggsolve.traces import IndependenceAlphabet, is_connected, left_quotient, normal_form, power
 
-from helpers import all_alphabets, canonical_traces_up_to, random_element
-
-AC = doubled(IndependenceAlphabet("abc", [("a", "c")]))
-FREE2 = doubled(IndependenceAlphabet("ab"))
+AC = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
+FREE2 = DoubledAlphabet(IndependenceAlphabet("ab"))
 
 
 def els(alphabet, *words):
@@ -116,17 +116,17 @@ class TestRefine:
 class TestPowerSplits:
     def test_z_like(self):
         a1 = IndependenceAlphabet("a")
-        u = normal_form(a1, "a")
-        got = power_two_factorizations(u, 3, normal_form(a1, "a"), normal_form(a1, "aa"))
+        u = Trace(a1, "a")
+        got = power_two_factorizations(u, 3, Trace(a1, "a"), Trace(a1, "aa"))
         assert got is not None
         l, k, c, s, p = got
         assert l + k + c == 3 and c <= 1
 
     def test_spec_example(self):
         ab = IndependenceAlphabet("ab")
-        u = normal_form(ab, "ab")
+        u = Trace(ab, "ab")
         got = power_two_factorizations(
-            u, 2, normal_form(ab, "aba"), normal_form(ab, "b")
+            u, 2, Trace(ab, "aba"), Trace(ab, "b")
         )
         assert got is not None
         l, k, c, s, p = got
@@ -136,16 +136,14 @@ class TestPowerSplits:
 
     def test_trivial_split(self):
         ab = IndependenceAlphabet("ab")
-        u = normal_form(ab, "ab")
+        u = Trace(ab, "ab")
         got = power_two_factorizations(
-            u, 2, normal_form(ab, ""), normal_form(ab, "abab")
+            u, 2, Trace(ab, ""), Trace(ab, "abab")
         )
-        assert got == (0, 2, 0, normal_form(ab, ""), normal_form(ab, ""))
+        assert got == (0, 2, 0, Trace(ab, ""), Trace(ab, ""))
 
     def test_exhaustive_small(self):
         """Every two-factor split of u^x admits the (l,k,c,s,p) decomposition."""
-        from ggsolve.traces import iter_prefixes
-
         checked = 0
         for alphabet in all_alphabets(2):
             for u in canonical_traces_up_to(alphabet, 2):

@@ -7,7 +7,7 @@ import pytest
 
 from ggsolve.automata import Nfa, benois_member
 from ggsolve.errors import InternalError, StructureError
-from ggsolve.groups import doubled, invert_word
+from ggsolve.groups import DoubledAlphabet, invert_word
 from ggsolve.traces import IndependenceAlphabet
 from ggsolve.transfer import (
     FiniteGroupOracle,
@@ -20,7 +20,7 @@ from ggsolve.transfer import (
 )
 from ggsolve.transfer.kauto import ShapeInfo, plain_alphabet
 
-from helpers import knapsack_chain
+from helpers import enumerate_accepted, knapsack_chain
 from transfer_oracles import nfa_accepts_identity_bfs, z2z_reduce
 
 
@@ -135,7 +135,7 @@ class TestFreeProductSaturate:
     def test_f2_cross_check_small(self):
         """Z * Z = F2: free-product saturation agrees with Benois."""
         fp = FreeProductOracle(ZOracle("a"), ZOracle("b"))
-        dbl = doubled(IndependenceAlphabet("ab"))
+        dbl = DoubledAlphabet(IndependenceAlphabet("ab"))
         rng = random.Random(77)
         letters = ("a", "a'", "b", "b'")
         for _ in range(20):
@@ -463,7 +463,7 @@ class TestNormalize:
     def test_one_pass_fixes_every_violation(self, monkeypatch, eps_into_cycle):
         """Each normalization keeps the language and its invariants hold after
         at most two shapes: one pass fixes everything the first shape shows."""
-        from ggsolve.automata import EPS, enumerate_accepted
+        from ggsolve.automata import EPS
         from ggsolve.transfer.kauto import _Builder
 
         shapes = []

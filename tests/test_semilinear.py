@@ -12,15 +12,14 @@ from ggsolve.semilinear import (
     LinearSet,
     SemilinearSet,
     diophantine_solve,
-    enumerate_members,
     format_semilinear,
     identify_variables,
     member,
     two_power_solutions,
 )
-from ggsolve.traces import IndependenceAlphabet, is_connected, normal_form, power
+from ggsolve.traces import IndependenceAlphabet, Trace, is_connected, power
 
-from helpers import lift_identified, random_alphabet, random_word
+from helpers import enumerate_members, lift_identified, random_alphabet, random_word
 
 A1 = IndependenceAlphabet("a")
 AB_DEP = IndependenceAlphabet("ab")
@@ -128,22 +127,22 @@ def brute_two_power(p, u, s, q, v, t, bound=20):
 
 class TestTwoPower:
     def test_double_speed(self):
-        e = normal_form(A1, "")
-        u = normal_form(A1, "a")
-        v = normal_form(A1, "aa")
+        e = Trace(A1, "")
+        u = Trace(A1, "a")
+        v = Trace(A1, "aa")
         sols = two_power_solutions(e, u, e, e, v, e)
         assert enumerate_members(sols, 40) == {(2 * z, z) for z in range(21)}
 
     def test_shifted(self):
-        e = normal_form(A1, "")
-        a = normal_form(A1, "a")
+        e = Trace(A1, "")
+        a = Trace(A1, "a")
         sols = two_power_solutions(e, a, e, a, a, e)
         assert enumerate_members(sols, 21) == {(1 + z, z) for z in range(21)}
 
     def test_dependent_only_zero(self):
-        e = normal_form(AB_DEP, "")
+        e = Trace(AB_DEP, "")
         sols = two_power_solutions(
-            e, normal_form(AB_DEP, "a"), e, e, normal_form(AB_DEP, "b"), e
+            e, Trace(AB_DEP, "a"), e, e, Trace(AB_DEP, "b"), e
         )
         assert enumerate_members(sols, 20) == {(0, 0)}
 
@@ -152,16 +151,16 @@ class TestTwoPower:
         done = 0
         while done < 35:
             alphabet = random_alphabet(rng, 3)
-            u = normal_form(alphabet, random_word(rng, alphabet, 3))
-            v = normal_form(alphabet, random_word(rng, alphabet, 3))
+            u = Trace(alphabet, random_word(rng, alphabet, 3))
+            v = Trace(alphabet, random_word(rng, alphabet, 3))
             if u.is_empty() or v.is_empty():
                 continue
             if not (is_connected(u) and is_connected(v)):
                 continue
-            p = normal_form(alphabet, random_word(rng, alphabet, 2))
-            s = normal_form(alphabet, random_word(rng, alphabet, 2))
-            q = normal_form(alphabet, random_word(rng, alphabet, 2))
-            t = normal_form(alphabet, random_word(rng, alphabet, 2))
+            p = Trace(alphabet, random_word(rng, alphabet, 2))
+            s = Trace(alphabet, random_word(rng, alphabet, 2))
+            q = Trace(alphabet, random_word(rng, alphabet, 2))
+            t = Trace(alphabet, random_word(rng, alphabet, 2))
             done += 1
             sols = two_power_solutions(p, u, s, q, v, t)
             brute = brute_two_power(p, u, s, q, v, t)

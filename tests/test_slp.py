@@ -5,15 +5,9 @@ import random
 import pytest
 
 from ggsolve.errors import ResourceExceeded, StructureError
-from ggsolve.slp import (
-    Slp,
-    compression_witness,
-    expand,
-    expand_capped,
-    from_word,
-    power_slp,
-    val_length,
-)
+from ggsolve.slp import Slp, expand_capped, val_length
+
+from helpers import compression_witness, expand, from_word, power_slp
 
 
 def chain(n, letter="a"):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ggsolve.errors import AlphabetMismatchError, ResourceExceeded
-from ggsolve.groups import SignedPile, cyclic_reduce, doubled, free_reduce
+from ggsolve.groups import DoubledAlphabet, SignedPile, cyclic_reduce, free_reduce
 from ggsolve.solver.equations import Const, ExponentEquation, Power, _evaluate_by_mult, evaluate
 from ggsolve.traces import (
     IndependenceAlphabet,
@@ -46,7 +46,7 @@ def words(alphabet, max_len):
 
 @st.composite
 def equations_with_assignments(draw):
-    dbl = doubled(draw(alphabets(3, 6)))
+    dbl = DoubledAlphabet(draw(alphabets(3, 6)))
     items = []
     for _ in range(draw(st.integers(1, 5))):
         if draw(st.booleans()):
@@ -77,7 +77,7 @@ def test_streamed_evaluate_matches_mult_chain(case):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_signed_pile_pairs(data):
-    dbl = doubled(data.draw(alphabets(3, 6)))
+    dbl = DoubledAlphabet(data.draw(alphabets(3, 6)))
     word = data.draw(words(dbl, 30))
     pile = SignedPile(dbl, track_pairs=True)
     pile.push_word(word)
@@ -116,7 +116,7 @@ def test_piling_quotients_match_scanning(data):
 def test_canonical_word_matches_enumeration(data):
     alphabet = data.draw(alphabets(1, 5))
     if data.draw(st.booleans()):
-        alphabet = doubled(alphabet)
+        alphabet = DoubledAlphabet(alphabet)
     word = data.draw(words(alphabet, 8))
     assert _canonical_word(alphabet, word) == slow_normal_form(alphabet, word)
 
@@ -124,6 +124,6 @@ def test_canonical_word_matches_enumeration(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_cyclic_reduce_matches_quotient_peeling(data):
-    dbl = doubled(data.draw(alphabets(1, 5)))
+    dbl = DoubledAlphabet(data.draw(alphabets(1, 5)))
     g = free_reduce(dbl, data.draw(words(dbl, 16)))
     assert cyclic_reduce(g) == quotient_cyclic_reduce(g)

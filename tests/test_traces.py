@@ -15,23 +15,21 @@ from ggsolve.traces import (
     empty_trace,
     is_connected,
     left_quotient,
-    levi_decompose,
     min_letters,
-    normal_form,
     power,
-    prefix_count,
     right_quotient,
-    trace_equal,
 )
 
 from helpers import (
     all_alphabets,
     canonical_traces_up_to,
     equivalence_class,
+    prefix_count,
     random_alphabet,
     random_word,
     slow_normal_form,
 )
+from paper_lemmas import levi_decompose
 
 AC = IndependenceAlphabet("abc", [("a", "c")])
 FREE = IndependenceAlphabet("abc")
@@ -40,30 +38,30 @@ AB_INDEP = IndependenceAlphabet("ab", [("a", "b")])
 
 class TestNormalForm:
     def test_single_commutation(self):
-        assert normal_form(AC, "ca").word == ("a", "c")
+        assert Trace(AC, "ca").word == ("a", "c")
 
     def test_bca_example(self):
         # enumerate the class {bca, bac}, take the lexicographic minimum
         assert equivalence_class(AC, "bca") == {("b", "c", "a"), ("b", "a", "c")}
-        assert normal_form(AC, "bca").word == ("b", "a", "c")
+        assert Trace(AC, "bca").word == ("b", "a", "c")
 
     def test_already_canonical(self):
-        assert normal_form(AC, "abc").word == ("a", "b", "c")
+        assert Trace(AC, "abc").word == ("a", "b", "c")
 
     def test_unknown_letter_reports_position(self):
         with pytest.raises(UnknownLetterError) as err:
-            normal_form(AC, ("a", "z", "b"))
+            Trace(AC, ("a", "z", "b"))
         assert err.value.position == 1
 
     def test_idempotent(self):
-        t = normal_form(AC, "cabca")
-        assert normal_form(AC, t.word).word == t.word
+        t = Trace(AC, "cabca")
+        assert Trace(AC, t.word).word == t.word
 
     def test_exhaustive_small(self):
         """Canonical word is equivalent to the input and minimal in its class."""
         for alphabet in all_alphabets(3):
             for word in itertools.product(alphabet.letters, repeat=4):
-                got = normal_form(alphabet, word).word
+                got = Trace(alphabet, word).word
                 assert got == slow_normal_form(alphabet, word)
 
     def test_random_length6(self):
@@ -71,7 +69,7 @@ class TestNormalForm:
         for _ in range(150):
             alphabet = random_alphabet(rng, 4, "abcd")
             word = random_word(rng, alphabet, 6)
-            got = normal_form(alphabet, word).word
+            got = Trace(alphabet, word).word
             cls = equivalence_class(alphabet, word)
             assert got in cls
             assert got == slow_normal_form(alphabet, word)
@@ -79,17 +77,20 @@ class TestNormalForm:
 
 class TestTraceEqual:
     def test_commuting(self):
-        assert trace_equal(normal_form(AC, "ac"), normal_form(AC, "ca"))
+        assert Trace(AC, "ac") == Trace(AC, "ca")
 
     def test_dependent(self):
-        assert not trace_equal(normal_form(AC, "ab"), normal_form(AC, "ba"))
+        assert Trace(AC, "ab") != Trace(AC, "ba")
 
     def test_empty(self):
-        assert trace_equal(empty_trace(AC), normal_form(AC, ""))
+        assert empty_trace(AC) == Trace(AC, "")
 
     def test_alphabet_mismatch(self):
+        # equal words over different alphabets are different traces, and
+        # they do not multiply
+        assert Trace(AC, "a") != Trace(FREE, "a")
         with pytest.raises(AlphabetMismatchError):
-            trace_equal(normal_form(AC, "a"), normal_form(FREE, "a"))
+            Trace(AC, "a") * Trace(FREE, "a")
 
 
 class TestPrefixCount:
@@ -97,22 +98,22 @@ class TestPrefixCount:
         assert prefix_count(empty_trace(AC)) == 1
 
     def test_two_independent(self):
-        assert prefix_count(normal_form(AB_INDEP, "ab")) == 4
+        assert prefix_count(Trace(AB_INDEP, "ab")) == 4
 
     def test_aabb(self):
-        assert prefix_count(normal_form(AB_INDEP, "aabb")) == 9
+        assert prefix_count(Trace(AB_INDEP, "aabb")) == 9
 
     def test_matches_enumeration(self):
         rng = random.Random(3)
         for _ in range(60):
             alphabet = random_alphabet(rng, 3)
             word = random_word(rng, alphabet, 5)
-            t = normal_form(alphabet, word)
+            t = Trace(alphabet, word)
             # independent oracle: distinct prefixes of any linearization
             prefixes = set()
             for w in equivalence_class(alphabet, t.word):
                 for i in range(len(w) + 1):
-                    prefixes.add(normal_form(alphabet, w[:i]).word)
+                    prefixes.add(Trace(alphabet, w[:i]).word)
             assert prefix_count(t) == len(prefixes)
 
     def test_rho_bound(self):
@@ -120,25 +121,25 @@ class TestPrefixCount:
         for _ in range(80):
             alphabet = random_alphabet(rng, 4, "abcd")
             word = random_word(rng, alphabet, 6)
-            t = normal_form(alphabet, word)
+            t = Trace(alphabet, word)
             alpha_star = alphabet.max_independent_size()
             assert prefix_count(t) <= (len(t) + 1) ** alpha_star
 
 
 class TestConnectivity:
     def test_independent_pair(self):
-        t = normal_form(AC, "ac")
+        t = Trace(AC, "ac")
         comps = connected_components(t)
         assert [c.word for c in comps] == [("a",), ("c",)]
         assert not is_connected(t)
 
     def test_dependent_pair(self):
-        t = normal_form(AC, "ab")
+        t = Trace(AC, "ab")
         assert [c.word for c in connected_components(t)] == [("a", "b")]
         assert is_connected(t)
 
     def test_acac(self):
-        t = normal_form(AC, "acac")
+        t = Trace(AC, "acac")
         assert [c.word for c in connected_components(t)] == [("a", "a"), ("c", "c")]
 
     def test_empty_is_connected(self):
@@ -149,7 +150,7 @@ class TestConnectivity:
         rng = random.Random(5)
         for _ in range(100):
             alphabet = random_alphabet(rng, 4, "abcd")
-            t = normal_form(alphabet, random_word(rng, alphabet, 6))
+            t = Trace(alphabet, random_word(rng, alphabet, 6))
             comps = connected_components(t)
             for perm in itertools.permutations(comps):
                 prod = empty_trace(alphabet)
@@ -167,30 +168,30 @@ class TestQuotients:
         rng = random.Random(17)
         for _ in range(200):
             alphabet = random_alphabet(rng, 3)
-            p = normal_form(alphabet, random_word(rng, alphabet, 3))
-            s = normal_form(alphabet, random_word(rng, alphabet, 3))
+            p = Trace(alphabet, random_word(rng, alphabet, 3))
+            s = Trace(alphabet, random_word(rng, alphabet, 3))
             t = p * s
             assert left_quotient(t, p) == s
             assert right_quotient(t, s) == p
 
     def test_non_prefix(self):
-        assert left_quotient(normal_form(AC, "ab"), normal_form(AC, "b")) is None
+        assert left_quotient(Trace(AC, "ab"), Trace(AC, "b")) is None
 
     def test_min_letters(self):
-        assert set(min_letters(normal_form(AC, "cab"))) == {"c", "a"}
+        assert set(min_letters(Trace(AC, "cab"))) == {"c", "a"}
 
 
 class TestLevi:
     def test_one_by_one(self):
-        t = normal_form(FREE, "ab")
+        t = Trace(FREE, "ab")
         grid = levi_decompose([t], [t])
         assert grid is not None
         grid.validate()
         assert grid.cells[0][0] == t
 
     def test_free_alignment(self):
-        us = [normal_form(FREE, "a"), normal_form(FREE, "bc")]
-        vs = [normal_form(FREE, "ab"), normal_form(FREE, "c")]
+        us = [Trace(FREE, "a"), Trace(FREE, "bc")]
+        vs = [Trace(FREE, "ab"), Trace(FREE, "c")]
         grid = levi_decompose(us, vs)
         assert grid is not None
         grid.validate()
@@ -200,14 +201,14 @@ class TestLevi:
         assert grid.cells[0][1].word == ()
 
     def test_unequal_products(self):
-        assert levi_decompose([normal_form(FREE, "a")], [normal_form(FREE, "b")]) is None
+        assert levi_decompose([Trace(FREE, "a")], [Trace(FREE, "b")]) is None
 
     def test_completeness_random(self):
         """Every pair of factorizations of the same trace yields a valid grid."""
         rng = random.Random(23)
         for _ in range(150):
             alphabet = random_alphabet(rng, 3)
-            t = normal_form(alphabet, random_word(rng, alphabet, 6))
+            t = Trace(alphabet, random_word(rng, alphabet, 6))
             # random 3x3 factorizations by splitting a random linearization
             words = list(equivalence_class(alphabet, t.word))
             w1 = rng.choice(words)
@@ -215,14 +216,14 @@ class TestLevi:
             i1, j1 = sorted(rng.randint(0, len(w1)) for _ in range(2))
             i2, j2 = sorted(rng.randint(0, len(w2)) for _ in range(2))
             us = [
-                normal_form(alphabet, w1[:i1]),
-                normal_form(alphabet, w1[i1:j1]),
-                normal_form(alphabet, w1[j1:]),
+                Trace(alphabet, w1[:i1]),
+                Trace(alphabet, w1[i1:j1]),
+                Trace(alphabet, w1[j1:]),
             ]
             vs = [
-                normal_form(alphabet, w2[:i2]),
-                normal_form(alphabet, w2[i2:j2]),
-                normal_form(alphabet, w2[j2:]),
+                Trace(alphabet, w2[:i2]),
+                Trace(alphabet, w2[i2:j2]),
+                Trace(alphabet, w2[j2:]),
             ]
             grid = levi_decompose(us, vs)
             assert grid is not None
@@ -234,12 +235,12 @@ class TestCancellativity:
         rng = random.Random(31)
         for _ in range(200):
             alphabet = random_alphabet(rng, 3)
-            u = normal_form(alphabet, random_word(rng, alphabet, 4))
-            v = normal_form(alphabet, random_word(rng, alphabet, 4))
-            s = normal_form(alphabet, random_word(rng, alphabet, 4))
-            t = normal_form(alphabet, random_word(rng, alphabet, 4))
+            u = Trace(alphabet, random_word(rng, alphabet, 4))
+            v = Trace(alphabet, random_word(rng, alphabet, 4))
+            s = Trace(alphabet, random_word(rng, alphabet, 4))
+            t = Trace(alphabet, random_word(rng, alphabet, 4))
             if (u * s) * v == (u * t) * v:
-                assert trace_equal(s, t)
+                assert s == t
 
 
 @settings(max_examples=150, deadline=None)
@@ -258,11 +259,11 @@ def test_normal_form_sound_hypothesis(data):
     word = data.draw(
         st.lists(st.sampled_from(list(names)), max_size=6).map(tuple), label="word"
     )
-    got = normal_form(alphabet, word).word
+    got = Trace(alphabet, word).word
     assert got in equivalence_class(alphabet, word)
     assert got == slow_normal_form(alphabet, word)
 
 
 def test_power_and_concat():
-    t = normal_form(AC, "ac")
+    t = Trace(AC, "ac")
     assert power(t, 3).word == ("a", "a", "a", "c", "c", "c")

@@ -7,7 +7,7 @@ import pytest
 
 from ggsolve.automata import EPS, Nfa
 from ggsolve.errors import AlphabetMismatchError, CertificateError, StructureError
-from ggsolve.groups import doubled, invert_word
+from ggsolve.groups import DoubledAlphabet, invert_word
 from ggsolve.traces import IndependenceAlphabet
 from ggsolve.transfer import (
     FiniteGroupOracle,
@@ -25,7 +25,7 @@ from ggsolve.transfer.kauto import (
     skeletons,
 )
 
-from helpers import knapsack_chain, random_element
+from helpers import brute_oracle, enumerate_accepted, knapsack_chain, random_element
 
 
 def certify(nfa):
@@ -62,16 +62,12 @@ class TestShapeCertificate:
 class TestChainConstruction:
     def test_single_base(self):
         nfa = knapsack_chain(plain_alphabet(("a", "a'")), [("a",)])
-        from ggsolve.automata import enumerate_accepted
-
         lang = enumerate_accepted(nfa, 3)
         assert lang == {(), ("a",), ("a", "a"), ("a", "a", "a")}
 
     def test_two_bases(self):
         letters = ("a", "a'", "b", "b'", "c", "c'")
         nfa = knapsack_chain(plain_alphabet(letters), [("a", "b"), ("c",)])
-        from ggsolve.automata import enumerate_accepted
-
         lang = enumerate_accepted(nfa, 4)
         expected = set()
         for i in range(3):
@@ -83,15 +79,11 @@ class TestChainConstruction:
 
     def test_zero_bases(self):
         nfa = knapsack_chain(plain_alphabet(("a", "a'")), [])
-        from ggsolve.automata import enumerate_accepted
-
         assert enumerate_accepted(nfa, 2) == {()}
 
     def test_constants_between(self):
         letters = ("a", "a'", "b", "b'")
         nfa = equation_chain(plain_alphabet(letters), [("b",), ("b",), ()], [("a",), ("a",)])
-        from ggsolve.automata import enumerate_accepted
-
         lang = enumerate_accepted(nfa, 4)
         assert ("b", "b") in lang
         assert ("b", "a", "b") in lang
@@ -120,9 +112,9 @@ class TestSkeletons:
     def test_round_trip_with_brute(self):
         """knapsack -> ka -> skeletons: solvable iff brute-force solvable."""
         rng = random.Random(7)
-        dbl = doubled(IndependenceAlphabet("ab"))
+        dbl = DoubledAlphabet(IndependenceAlphabet("ab"))
         oracle_alpha = dbl
-        from ggsolve.solver import brute_oracle, knapsack_to_equation
+        from ggsolve.solver import knapsack_to_equation
 
         for _ in range(25):
             k = rng.randint(1, 2)
@@ -168,8 +160,6 @@ class TestHnnNormalize:
                 assert shape.comp_of[p] == shape.comp_of[q]
 
     def test_language_preserved(self):
-        from ggsolve.automata import enumerate_accepted
-
         alpha = plain_alphabet(("a", "b"))
         edges = [("p", "a", "p"), ("p", "b", "q"), ("q", "b", "q")]
         nfa = Nfa(alpha, ["p", "q"], edges, "p", ["q"])
@@ -244,14 +234,14 @@ class TestFreeGroupOracle:
 
 class TestGraphGroupOracle:
     def test_membership_commuting(self):
-        dbl = doubled(IndependenceAlphabet("ab", [("a", "b")]))
+        dbl = DoubledAlphabet(IndependenceAlphabet("ab", [("a", "b")]))
         o = GraphGroupOracle(dbl)
         nfa = knapsack_chain(o.alphabet, [("a",), ("b",)])
         assert o.ka_membership(nfa, ("b", "a"))
         assert o.ka_membership(nfa, ("a", "b", "a"))  # = a^2 b
 
     def test_membership_free(self):
-        dbl = doubled(IndependenceAlphabet("ab"))
+        dbl = DoubledAlphabet(IndependenceAlphabet("ab"))
         o = GraphGroupOracle(dbl)
         nfa = knapsack_chain(o.alphabet, [("a",), ("b",)])
         assert o.ka_membership(nfa, ("a", "b"))
