@@ -6,6 +6,11 @@ u), the gated product for [L1 L2]_I, plain products for intersection, unary
 length automata with an arithmetic-progression decomposition, and Benois
 saturation for free groups.  Certified automata validate their certificates
 on construction.
+
+A prefix of a trace is a set of positions of its canonical word that is
+closed downward in the dependence order (heaps of pieces), so the prefix and
+star automata work on position bit masks, with no trace arithmetic.  The
+star automaton always memorizes: a completed-copy bit rides on every state.
 """
 
 from __future__ import annotations
@@ -21,13 +26,7 @@ from .errors import (
     TraceError,
 )
 from .groups import DoubledAlphabet, free_reduce, inverse_letter
-from .traces import (
-    IndependenceAlphabet,
-    Trace,
-    empty_trace,
-    left_quotient,
-    min_letters,
-)
+from .traces import IndependenceAlphabet, Trace, is_connected
 
 EPS = None  # epsilon edge label
 
@@ -269,173 +268,124 @@ def useful_part(
 # -- constructions ----------------------------------------------------------
 
 
+def _order(t: Trace) -> Tuple[tuple, Tuple[int, ...]]:
+    """``t``'s canonical word and, per position, the mask of earlier positions it depends on.
+
+    Bit j of ``below[k]`` is set when j < k and the letters at j and k are
+    dependent (equal letters included).  The prefixes of ``t`` are exactly
+    the position masks closed under ``below``: a trace's heap of pieces.
+    """
+    word = t.word
+    dependent = t.alphabet.dependent
+    below = tuple(
+        sum(1 << j for j in range(k) if dependent(word[j], word[k]))
+        for k in range(len(word))
+    )
+    return word, below
+
+
+def _enabled(mask: int, below: Tuple[int, ...]) -> List[int]:
+    """Positions outside the prefix ``mask`` that can come next: those below them lie in it."""
+    return [k for k, b in enumerate(below) if not (mask >> k & 1 or b & ~mask)]
+
+
 def prefix_nfa(t: Trace) -> Nfa:
     """Automaton accepting exactly the linearizations of ``t``.
 
-    States are the prefixes of ``t`` (rho(t) many); memorizing with
-    alpha(prefix) = alph(prefix); I-diamond.
+    States are the prefixes of ``t`` (rho(t) many), as downward-closed
+    position masks; memorizing with alpha(prefix) = alph(prefix); I-diamond.
     """
-    alphabet = t.alphabet
-    start = ()
-    states = [start]
-    index = {start: empty_trace(alphabet)}
+    word, below = _order(t)
+    full = (1 << len(word)) - 1
+    states = [0]
+    memorizing = {0: frozenset()}
     transitions = []
-    memorizing = {start: frozenset()}
-    queue = deque([start])
-    while queue:
-        key = queue.popleft()
-        p = index[key]
-        rest = left_quotient(t, p)
-        for letter in min_letters(rest):
-            nxt = p * Trace._from_canonical(alphabet, (letter,))
-            nkey = nxt.word
-            if nkey not in index:
-                index[nkey] = nxt
-                states.append(nkey)
-                memorizing[nkey] = nxt.alph()
-                queue.append(nkey)
-            transitions.append((key, letter, nkey))
-    return Nfa(
-        alphabet,
-        states,
-        transitions,
-        start,
-        [t.word],
-        i_diamond=True,
-        memorizing=memorizing,
-    )
+    for mask in states:  # grows while it is read
+        for k in _enabled(mask, below):
+            nxt = mask | 1 << k
+            if nxt not in memorizing:
+                memorizing[nxt] = memorizing[mask] | {word[k]}
+                states.append(nxt)
+            transitions.append((mask, word[k], nxt))
+    return Nfa(t.alphabet, states, transitions, 0, [full], i_diamond=True, memorizing=memorizing)
 
 
-def _star_tuple_valid(u: Trace, tup: Tuple[Trace, ...]) -> bool:
-    """Side conditions of the tuple states: u = u_i v_i with u_i,v_i != 1 and v_i I u_j (i<j)."""
-    rests = []
-    for part in tup:
-        if part.is_empty():
-            return False
-        rest = left_quotient(u, part)
-        if rest is None or rest.is_empty():
-            return False
-        rests.append(rest)
-    for i in range(len(tup)):
-        for j in range(i + 1, len(tup)):
-            if not rests[i].independent_of(tup[j]):
-                return False
-    return True
-
-
-def star_nfa(u: Trace, memorize: bool = False) -> Nfa:
+def star_nfa(u: Trace) -> Nfa:
     """Automaton for [u*]_I per the tuple-state construction (u connected, nonempty).
 
-    States are tuples (u_1,...,u_c) of nonempty proper prefixes of u with
-    v_i I u_j for i < j; the optional memorizing bit records whether a full
-    copy of u has been completed (set by the copy-completing transitions).
+    A state is a pair (tuple, bit).  The tuple (u_1,...,u_c) holds nonempty
+    proper prefixes of u, as position masks, with v_i I u_j for i < j where
+    u = u_i v_i; the bit records whether a full copy of u has been completed.
+    A letter starts a piece or extends one; completing the first piece drops
+    it and sets the bit.  (That the letter is independent of the pieces
+    after it follows from v_i I u_j.)  Memorizing: alpha is the letters of
+    the pieces, and all of u's once the bit is set; I-diamond.
     """
-    from .traces import is_connected
-
     alphabet = u.alphabet
     if u.is_empty():
         raise TraceError("star_nfa requires a nonempty trace")
     if not is_connected(u):
         raise TraceError("star_nfa requires a connected trace")
-    letters = sorted(alphabet.letters, key=alphabet.rank)
-    single = {a: Trace._from_canonical(alphabet, (a,)) for a in letters}
-    u_single = len(u) == 1
+    word, below = _order(u)
+    n = len(word)
+    full = (1 << n) - 1
+    rank = alphabet.rank
+    own = [1 << rank(a) for a in word]
+    dep = [sum(1 << rank(b) for b in alphabet.letters if alphabet.dependent(a, b)) for a in word]
 
-    def tuple_alph(tup, start=0):
-        out = set()
-        for part in tup[start:]:
-            out.update(part.alph())
+    def spread(mask: int, per: list) -> int:
+        """The letter bits ``per`` gives the positions of ``mask``, or-ed."""
+        out = 0
+        for k in range(n):
+            if mask >> k & 1:
+                out |= per[k]
         return out
 
-    def moves(tup):
-        # yields (letter, next_tuple, completes_copy)
-        c = len(tup)
-        for a in letters:
-            # type (a): u is the single letter a
-            if u_single and c == 0 and u.word == (a,):
-                yield a, tup, True
-            # type (b): complete a copy: u_1 * a == u
-            if c > 0:
-                if (tup[0] * single[a]) == u and alphabet.independent_sets(
-                    (a,), tuple_alph(tup, 1)
-                ):
-                    yield a, tup[1:], True
-            # type (c): start a new piece at slot i+1
-            for i in range(c + 1):
-                if alphabet.independent_sets((a,), tuple_alph(tup, i)):
-                    cand = tup[:i] + (single[a],) + tup[i:]
-                    if _star_tuple_valid(u, cand):
-                        yield a, cand, False
-            # type (d): extend piece i
-            for i in range(c):
-                if alphabet.independent_sets((a,), tuple_alph(tup, i + 1)):
-                    cand = tup[:i] + (tup[i] * single[a],) + tup[i + 1 :]
-                    if _star_tuple_valid(u, cand):
-                        yield a, cand, False
+    def valid(tup: tuple) -> bool:
+        """v_i I u_j for i < j: each piece's rest is independent of the later pieces."""
+        return all(
+            not spread(full & ~tup[i], dep) & spread(tup[j], own)
+            for i in range(len(tup))
+            for j in range(i + 1, len(tup))
+        )
 
-    def key_of(tup):
-        return tuple(part.word for part in tup)
+    def moves(tup: tuple) -> list:
+        """(letter, next tuple, completes a copy) for every move out of ``tup``."""
+        out = []
+        slots = [(i, 0, tup[i:]) for i in range(len(tup) + 1)]  # start a piece at slot i
+        slots += [(i, tup[i], tup[i + 1 :]) for i in range(len(tup))]  # extend piece i
+        for i, piece, rest in slots:
+            for k in _enabled(piece, below):
+                grown = piece | 1 << k
+                if grown != full:
+                    nxt = tup[:i] + (grown,) + rest
+                    if valid(nxt):
+                        out.append((word[k], nxt, False))
+                elif i == 0:
+                    out.append((word[k], rest, True))
+        return out
 
-    start_tup: Tuple[Trace, ...] = ()
-    seen = {key_of(start_tup): start_tup}
-    order = [start_tup]
-    queue = deque([start_tup])
-    edges = []  # (tup_key, letter, next_key, completes)
-    while queue:
-        tup = queue.popleft()
-        for a, nxt, completes in moves(tup):
-            nkey = key_of(nxt)
-            if nkey not in seen:
-                seen[nkey] = nxt
-                order.append(nxt)
-                queue.append(nxt)
-            edges.append((key_of(tup), a, nkey, completes))
-
-    if not memorize:
-        states = [key_of(tup) for tup in order]
-        transitions = [(p, a, q) for p, a, q, _ in edges]
-        return Nfa(alphabet, states, transitions, key_of(start_tup), [key_of(start_tup)], i_diamond=True)
-
-    # add the completed-copy bit; only reachable (tuple, bit) pairs are kept
-    states = []
-    transitions = []
+    start = ((), 0)
+    states = [start]
+    seen = {start}
     memorizing = {}
-    alph_u = u.alph()
-    reachable = set()
-    start = (key_of(start_tup), 0)
-    queue2 = deque([start])
-    reachable.add(start)
-    edge_index: Dict[tuple, list] = {}
-    for p, a, q, completes in edges:
-        edge_index.setdefault(p, []).append((a, q, completes))
-    while queue2:
-        key, bit = queue2.popleft()
-        for a, q, completes in edge_index.get(key, ()):
-            nbit = 1 if completes else bit
-            nstate = (q, nbit)
-            if nstate not in reachable:
-                reachable.add(nstate)
-                queue2.append(nstate)
-            transitions.append(((key, bit), a, nstate))
-    for key, bit in reachable:
-        tup = seen[key]
-        alpha = set()
-        for part in tup:
-            alpha.update(part.alph())
-        if bit:
-            alpha.update(alph_u)
-        memorizing[(key, bit)] = frozenset(alpha)
-        states.append((key, bit))
-    finals = [s for s in ((key_of(start_tup), 0), (key_of(start_tup), 1)) if s in reachable]
-    return Nfa(
-        alphabet,
-        states,
-        transitions,
-        start,
-        finals,
-        i_diamond=True,
-        memorizing=memorizing,
-    )
+    transitions = []
+    moves_of: Dict[tuple, list] = {}
+    for state in states:  # grows while it is read
+        tup, done = state
+        memorizing[state] = frozenset(
+            word[k] for k in range(n) if done or any(p >> k & 1 for p in tup)
+        )
+        if tup not in moves_of:
+            moves_of[tup] = moves(tup)
+        for a, nxt, completes in moves_of[tup]:
+            target = (nxt, 1 if completes else done)
+            if target not in seen:
+                seen.add(target)
+                states.append(target)
+            transitions.append((state, a, target))
+    finals = [s for s in (((), 0), ((), 1)) if s in seen]
+    return Nfa(alphabet, states, transitions, start, finals, i_diamond=True, memorizing=memorizing)
 
 
 def concat_closure(a1: Nfa, a2: Nfa) -> Nfa:
@@ -479,7 +429,7 @@ def concat_closure(a1: Nfa, a2: Nfa) -> Nfa:
 
 def power_closure_nfa(p: Trace, u: Trace, s: Trace) -> Nfa:
     """Automaton for [p u* s]_I: prefix automaton, gated star, gated suffix."""
-    left = concat_closure(prefix_nfa(p), star_nfa(u, memorize=True))
+    left = concat_closure(prefix_nfa(p), star_nfa(u))
     return concat_closure(left, prefix_nfa(s))
 
 

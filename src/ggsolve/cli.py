@@ -144,12 +144,12 @@ def run(inst: Instance, mode: str, caps: Tuple[int, int]):
         except LimitsExceeded as exc:
             return SolveReport("unknown", note=str(exc))
     elif isinstance(problem, ExtensionProblem):
-        fe, v_words, u_words = build_extension(inst)
+        fe, v_words, u_words = build_extension(inst, search_cap)
         solvable = finite_ext_reduce(fe, v_words, u_words)
     elif isinstance(problem, HnnProblem):
-        solvable = hnn_knapsack(build_hnn(inst), problem.items, problem.target)
+        solvable = hnn_knapsack(build_hnn(inst, search_cap), problem.items, problem.target)
     elif isinstance(problem, AmalgamProblem):
-        solvable = amalgam_knapsack(build_amalgam(inst), problem.items, problem.target)
+        solvable = amalgam_knapsack(build_amalgam(inst, search_cap), problem.items, problem.target)
     else:
         return _solve_equation(build_equation(inst, expansion_cap), mode, search_cap)
     return SolveReport("solvable" if solvable else "unsolvable")

@@ -531,7 +531,7 @@ def build_ka(inst: Instance):
     return trim(nfa), problem.target
 
 
-def build_extension(inst: Instance):
+def build_extension(inst: Instance, search_cap: int):
     """FiniteExtension and the words v0..vn, u1..un of an extension block.
 
     The ``eqH`` items spell v0 u1^x1 v1 ... un^xn vn = 1 with pairwise
@@ -542,7 +542,7 @@ def build_extension(inst: Instance):
     from .transfer import FiniteExtension
 
     problem = inst.problem
-    base = build_oracle(inst, problem.base)
+    base = build_oracle(inst, problem.base, search_cap)
     g_words = [gword for gword, _ in problem.table.values()]
     _check_letters(set(base.letters), g_words, problem.line, "extension block, coset-table g-word")
     ext_letters = sorted({b for (_, b) in problem.table})
@@ -574,12 +574,12 @@ def build_extension(inst: Instance):
     return fe, v_words, u_words
 
 
-def build_hnn(inst: Instance):
+def build_hnn(inst: Instance, search_cap: int):
     """HnnPresentation of an hnn block; a presentation that fails validation is a FormatError."""
     from .transfer import HnnPresentation
 
     p = inst.problem
-    base = build_oracle(inst, p.base)
+    base = build_oracle(inst, p.base, search_cap)
     subgroup_words = p.assoc_pos + p.assoc_neg + [w for pair in p.phi for w in pair]
     _check_letters(set(base.letters), subgroup_words, p.line, "hnn block, base-group word")
     letters = {*base.letters, p.stable, inverse_letter(p.stable)}
@@ -590,7 +590,7 @@ def build_hnn(inst: Instance):
         raise FormatError(f"hnn block: {exc}", p.line) from exc
 
 
-def build_amalgam(inst: Instance):
+def build_amalgam(inst: Instance, search_cap: int):
     """AmalgamPresentation of an amalgam block; ``fmap`` gives both embeddings of F.
 
     A presentation that fails validation is a FormatError.
@@ -598,8 +598,8 @@ def build_amalgam(inst: Instance):
     from .transfer import AmalgamPresentation
 
     p = inst.problem
-    left = build_oracle(inst, p.left)
-    right = build_oracle(inst, p.right)
+    left = build_oracle(inst, p.left, search_cap)
+    right = build_oracle(inst, p.right, search_cap)
     embed_left = {f: w[0] for f, w in p.fmap.items()}
     embed_right = {f: w[1] for f, w in p.fmap.items()}
     _check_letters(set(left.letters), embed_left.values(), p.line, "amalgam block, left fmap")
@@ -611,7 +611,7 @@ def build_amalgam(inst: Instance):
         raise FormatError(f"amalgam block: {exc}", p.line) from exc
 
 
-def build_oracle(inst: Instance, name: str):
+def build_oracle(inst: Instance, name: str, search_cap: int):
     from .transfer.oracles import (
         FiniteGroupOracle,
         FreeGroupOracle,
@@ -635,9 +635,11 @@ def build_oracle(inst: Instance, name: str):
     if kind == "product":
         if len(args) != 2:
             raise FormatError("product takes exactly two factor oracles", spec.line)
-        return FreeProductOracle(build_oracle(inst, args[0]), build_oracle(inst, args[1]))
+        return FreeProductOracle(
+            build_oracle(inst, args[0], search_cap), build_oracle(inst, args[1], search_cap)
+        )
     if kind == "graph":
-        return GraphGroupOracle(inst.require_alphabet())
+        return GraphGroupOracle(inst.require_alphabet(), search_cap)
     raise FormatError(f"unknown oracle kind {kind!r}", spec.line)
 
 

@@ -323,20 +323,9 @@ class Trace:
     def is_empty(self) -> bool:
         return not self.word
 
-    def independent_of(self, other: "Trace") -> bool:
-        return self.alphabet.independent_sets(self.alph(), other.alph())
-
 
 def empty_trace(alphabet: IndependenceAlphabet) -> Trace:
     return Trace._from_canonical(alphabet, ())
-
-
-def min_letters(t: Trace) -> tuple:
-    """Letters that can start a linearization of ``t`` (the minimal pieces), in symbol order."""
-    pile = Pile(t.alphabet)
-    pile.push_word(t.word)
-    letters = t.alphabet.letters
-    return tuple(letters[x] for x in map(pile.bottom, range(t.alphabet._n_cols)) if x >= 0)
 
 
 def left_quotient(t: Trace, p: Trace) -> Optional[Trace]:

@@ -24,8 +24,8 @@ def plain_alphabet(letters: Sequence[str]) -> IndependenceAlphabet:
     return IndependenceAlphabet(tuple(letters))
 
 
-def strongly_connected_components(states, edges) -> Dict:
-    """Iterative Tarjan; returns state -> component id (components are sets)."""
+def strongly_connected_components(states, edges) -> Tuple[Dict, List[Set]]:
+    """Iterative Tarjan: (state -> component id, the components as sets)."""
     adj: Dict = {s: [] for s in states}
     for p, _, q in edges:
         adj[p].append(q)
@@ -75,16 +75,14 @@ def strongly_connected_components(states, edges) -> Dict:
     for cid, comp in enumerate(comps):
         for s in comp:
             comp_of[s] = cid
-    return {"comp_of": comp_of, "components": comps}
+    return comp_of, comps
 
 
 class ShapeInfo:
     """SCC analysis of a knapsack automaton given by its states and edges."""
 
     def __init__(self, states, edges):
-        scc = strongly_connected_components(states, edges)
-        self.comp_of = scc["comp_of"]
-        self.components = scc["components"]
+        self.comp_of, self.components = strongly_connected_components(states, edges)
         out_in_comp: Dict = {s: [] for s in states}
         in_in_comp: Dict = {s: [] for s in states}
         for p, a, q in edges:

@@ -184,7 +184,7 @@ class FreeGroupOracle(GroupOracle):
 class GraphGroupOracle(GroupOracle):
     """A graph group; skeleton equations are delegated to the exponent solver."""
 
-    def __init__(self, alphabet: DoubledAlphabet, search_cap: int = 12):
+    def __init__(self, alphabet: DoubledAlphabet, search_cap: int):
         self.alphabet = alphabet
         self.letters = alphabet.letters
         self.search_cap = search_cap

@@ -8,13 +8,14 @@ from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ggsolve.automata import Nfa
-from ggsolve.errors import AlphabetMismatchError, InternalError, StructureError
+from ggsolve.errors import AlphabetMismatchError, InternalError, StructureError, TraceError
 from ggsolve.traces import (
     IndependenceAlphabet,
+    Pile,
     Trace,
     empty_trace,
+    is_connected,
     left_quotient,
-    min_letters,
     right_quotient,
 )
 from ggsolve.groups import DoubledAlphabet, GroupElement, free_reduce, inverse_letter
@@ -107,6 +108,19 @@ def canonical_traces_up_to(alphabet: IndependenceAlphabet, max_len: int):
         if t.word not in seen:
             seen.add(t.word)
             yield t
+
+
+def min_letters(t: Trace) -> tuple:
+    """Letters that can start a linearization of ``t`` (the minimal pieces), in symbol order."""
+    pile = Pile(t.alphabet)
+    pile.push_word(t.word)
+    letters = t.alphabet.letters
+    return tuple(letters[x] for x in map(pile.bottom, range(t.alphabet._n_cols)) if x >= 0)
+
+
+def independent_of(t: Trace, other: Trace) -> bool:
+    """Every letter of ``t`` is independent of every letter of ``other``."""
+    return t.alphabet.independent_sets(t.alph(), other.alph())
 
 
 def prefix_count(t: Trace) -> int:
@@ -523,3 +537,171 @@ def product_finite_ext_reduce(
             if solve_core(vs, us):
                 return True
     return False
+
+
+# Reference closure constructions on trace algebra: every prefix is a trace,
+# reached by trace products and checked by left quotients.  They pin the
+# state, transition and final counts of ggsolve.automata.prefix_nfa and
+# star_nfa, which work on position masks instead.
+
+
+def reference_prefix_nfa(t: Trace) -> Nfa:
+    """Automaton accepting exactly the linearizations of ``t``.
+
+    States are the prefixes of ``t`` (rho(t) many); memorizing with
+    alpha(prefix) = alph(prefix); I-diamond.
+    """
+    alphabet = t.alphabet
+    start = ()
+    states = [start]
+    index = {start: empty_trace(alphabet)}
+    transitions = []
+    memorizing = {start: frozenset()}
+    queue = deque([start])
+    while queue:
+        key = queue.popleft()
+        p = index[key]
+        rest = left_quotient(t, p)
+        for letter in min_letters(rest):
+            nxt = p * Trace._from_canonical(alphabet, (letter,))
+            nkey = nxt.word
+            if nkey not in index:
+                index[nkey] = nxt
+                states.append(nkey)
+                memorizing[nkey] = nxt.alph()
+                queue.append(nkey)
+            transitions.append((key, letter, nkey))
+    return Nfa(
+        alphabet,
+        states,
+        transitions,
+        start,
+        [t.word],
+        i_diamond=True,
+        memorizing=memorizing,
+    )
+
+
+def _star_tuple_valid(u: Trace, tup: Tuple[Trace, ...]) -> bool:
+    """Side conditions of the tuple states: u = u_i v_i with u_i,v_i != 1 and v_i I u_j (i<j)."""
+    rests = []
+    for part in tup:
+        if part.is_empty():
+            return False
+        rest = left_quotient(u, part)
+        if rest is None or rest.is_empty():
+            return False
+        rests.append(rest)
+    for i in range(len(tup)):
+        for j in range(i + 1, len(tup)):
+            if not independent_of(rests[i], tup[j]):
+                return False
+    return True
+
+
+def reference_star_nfa(u: Trace) -> Nfa:
+    """Automaton for [u*]_I per the tuple-state construction (u connected, nonempty).
+
+    States are tuples (u_1,...,u_c) of nonempty proper prefixes of u with
+    v_i I u_j for i < j; the memorizing bit records whether a full copy of u
+    has been completed (set by the copy-completing transitions).
+    """
+    alphabet = u.alphabet
+    if u.is_empty():
+        raise TraceError("star_nfa requires a nonempty trace")
+    if not is_connected(u):
+        raise TraceError("star_nfa requires a connected trace")
+    letters = sorted(alphabet.letters, key=alphabet.rank)
+    single = {a: Trace._from_canonical(alphabet, (a,)) for a in letters}
+    u_single = len(u) == 1
+
+    def tuple_alph(tup, start=0):
+        out = set()
+        for part in tup[start:]:
+            out.update(part.alph())
+        return out
+
+    def moves(tup):
+        # yields (letter, next_tuple, completes_copy)
+        c = len(tup)
+        for a in letters:
+            # type (a): u is the single letter a
+            if u_single and c == 0 and u.word == (a,):
+                yield a, tup, True
+            # type (b): complete a copy: u_1 * a == u
+            if c > 0:
+                if (tup[0] * single[a]) == u and alphabet.independent_sets(
+                    (a,), tuple_alph(tup, 1)
+                ):
+                    yield a, tup[1:], True
+            # type (c): start a new piece at slot i+1
+            for i in range(c + 1):
+                if alphabet.independent_sets((a,), tuple_alph(tup, i)):
+                    cand = tup[:i] + (single[a],) + tup[i:]
+                    if _star_tuple_valid(u, cand):
+                        yield a, cand, False
+            # type (d): extend piece i
+            for i in range(c):
+                if alphabet.independent_sets((a,), tuple_alph(tup, i + 1)):
+                    cand = tup[:i] + (tup[i] * single[a],) + tup[i + 1 :]
+                    if _star_tuple_valid(u, cand):
+                        yield a, cand, False
+
+    def key_of(tup):
+        return tuple(part.word for part in tup)
+
+    start_tup: Tuple[Trace, ...] = ()
+    seen = {key_of(start_tup): start_tup}
+    order = [start_tup]
+    queue = deque([start_tup])
+    edges = []  # (tup_key, letter, next_key, completes)
+    while queue:
+        tup = queue.popleft()
+        for a, nxt, completes in moves(tup):
+            nkey = key_of(nxt)
+            if nkey not in seen:
+                seen[nkey] = nxt
+                order.append(nxt)
+                queue.append(nxt)
+            edges.append((key_of(tup), a, nkey, completes))
+
+    # add the completed-copy bit; only reachable (tuple, bit) pairs are kept
+    states = []
+    transitions = []
+    memorizing = {}
+    alph_u = u.alph()
+    reachable = set()
+    start = (key_of(start_tup), 0)
+    queue2 = deque([start])
+    reachable.add(start)
+    edge_index: Dict[tuple, list] = {}
+    for p, a, q, completes in edges:
+        edge_index.setdefault(p, []).append((a, q, completes))
+    while queue2:
+        key, bit = queue2.popleft()
+        for a, q, completes in edge_index.get(key, ()):
+            nbit = 1 if completes else bit
+            nstate = (q, nbit)
+            if nstate not in reachable:
+                reachable.add(nstate)
+                queue2.append(nstate)
+            transitions.append(((key, bit), a, nstate))
+    for key, bit in reachable:
+        tup = seen[key]
+        alpha = set()
+        for part in tup:
+            alpha.update(part.alph())
+        if bit:
+            alpha.update(alph_u)
+        memorizing[(key, bit)] = frozenset(alpha)
+        states.append((key, bit))
+    finals = [s for s in ((key_of(start_tup), 0), (key_of(start_tup), 1)) if s in reachable]
+    return Nfa(
+        alphabet,
+        states,
+        transitions,
+        start,
+        finals,
+        i_diamond=True,
+        memorizing=memorizing,
+    )

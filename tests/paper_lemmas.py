@@ -20,6 +20,8 @@ from ggsolve.errors import AlphabetMismatchError, InternalError, LimitsExceeded,
 from ggsolve.groups import GroupElement, invert_word, mult
 from ggsolve.traces import IndependenceAlphabet, Trace, left_quotient, power, right_quotient
 
+from helpers import independent_of
+
 
 # -- Levi's lemma ----------------------------------------------------------------
 
@@ -60,7 +62,7 @@ class LeviGrid:
             for k in range(i + 1, m):
                 for j in range(n):
                     for l in range(j):
-                        if not self.cells[i][j].independent_of(self.cells[k][l]):
+                        if not independent_of(self.cells[i][j], self.cells[k][l]):
                             raise TraceError(
                                 f"cells ({i},{j}) and ({k},{l}) violate independence"
                             )
@@ -158,7 +160,7 @@ Step = Tuple[str, int]  # ("swap"|"cancel"|"drop", position)
 
 
 def _entries_independent(a: GroupElement, b: GroupElement) -> bool:
-    return a.trace.independent_of(b.trace)
+    return independent_of(a.trace, b.trace)
 
 
 def _inverse_pair(a: GroupElement, b: GroupElement) -> bool:

@@ -8,8 +8,6 @@ import itertools
 import random
 import time
 
-import pytest
-
 from ggsolve.automata import (
     benois_member,
     concat_closure,
@@ -18,7 +16,6 @@ from ggsolve.automata import (
 )
 from ggsolve.groups import (
     DoubledAlphabet,
-    GroupElement,
     free_reduce,
     identity,
     invert_word,
@@ -114,7 +111,7 @@ def test_criterion_01_star_language_exactness():
                     continue
                 seen.add(u.word)
                 cases += 1
-                nfa = star_nfa(u, memorize=True)  # certificates validated here
+                nfa = star_nfa(u)  # certificates validated here
                 assert nfa.num_states() <= 2 * prefix_count(u) ** alpha_star
                 max_len = 4 * len(u)
                 # i-diamond certified: canonical representatives determine the language
@@ -144,7 +141,7 @@ def test_criterion_02_concat_closure():
             u = Trace(alphabet, random_word(rng, alphabet, 2))
             if u.is_empty() or not is_connected(u):
                 continue
-            a2 = star_nfa(u, memorize=True)
+            a2 = star_nfa(u)
         closed = concat_closure(a1, a2)
         assert closed.num_states() == a1.num_states() * a2.num_states()
         closed.validate_i_diamond()

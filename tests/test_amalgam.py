@@ -1,6 +1,5 @@
 """Amalgamated products: embedding round-trip vs the transversal normal form."""
 
-import itertools
 import random
 
 import pytest
@@ -10,7 +9,6 @@ from ggsolve.transfer import (
     AmalgamPresentation,
     FiniteGroupOracle,
     amalgam_knapsack,
-    amalgam_to_hnn,
     phi_transform,
 )
 

@@ -1,6 +1,5 @@
 """Automata: closure constructions, certificates, unary decomposition, Benois."""
 
-import itertools
 import random
 
 import pytest
@@ -10,7 +9,6 @@ from ggsolve.automata import (
     Nfa,
     Progression,
     benois_member,
-    benois_saturate,
     concat_closure,
     intersect,
     length_automaton,
@@ -33,7 +31,8 @@ from helpers import (
     prefix_count,
     random_alphabet,
     random_word,
-    words_up_to,
+    reference_prefix_nfa,
+    reference_star_nfa,
 )
 
 AC = IndependenceAlphabet("abc", [("a", "c")])
@@ -92,7 +91,7 @@ class TestStarNfa:
     def test_single_letter(self):
         u = Trace(AC, "a")
         nfa = star_nfa(u)
-        assert nfa.num_states() == 1  # the empty tuple is the only state
+        assert nfa.num_states() == 2  # the empty tuple, before and after a copy
         assert language(nfa, 3) == {(), ("a",), ("a", "a"), ("a", "a", "a")}
 
     def test_dependent_word(self):
@@ -113,7 +112,7 @@ class TestStarNfa:
 
     def test_memorizing_certificate(self):
         u = Trace(AC, "ab")
-        nfa = star_nfa(u, memorize=True)
+        nfa = star_nfa(u)
         nfa.validate_i_diamond()
         nfa.validate_memorizing()
 
@@ -139,8 +138,34 @@ class TestStarNfa:
             for t in canonical_traces_up_to(alphabet, 3):
                 if t.is_empty() or not is_connected(t):
                     continue
-                nfa = star_nfa(t, memorize=True)
+                nfa = star_nfa(t)
                 assert nfa.num_states() <= 2 * prefix_count(t) ** alpha_star
+
+
+class TestAgainstTraceAlgebra:
+    """The position-mask constructions against the trace-algebra reference
+    (prefixes as traces, reached by products and checked by quotients)."""
+
+    @staticmethod
+    def shape(nfa):
+        alphas = sorted(sorted(alpha) for alpha in nfa.memorizing.values())
+        return nfa.num_states(), len(nfa.transitions), len(nfa.finals), alphas
+
+    def test_every_short_trace(self):
+        prefixes = stars = 0
+        for alphabet in all_alphabets(3):
+            for t in canonical_traces_up_to(alphabet, 4):
+                if t.is_empty():
+                    continue
+                pairs = [(prefix_nfa(t), reference_prefix_nfa(t))]
+                if is_connected(t):
+                    pairs.append((star_nfa(t), reference_star_nfa(t)))
+                    stars += 1
+                prefixes += 1
+                for got, ref in pairs:
+                    assert self.shape(got) == self.shape(ref), (alphabet, t)
+                    assert language(got, 6) == language(ref, 6), (alphabet, t)
+        assert (prefixes, stars) == (631, 519)
 
 
 def closure_product_oracle(a1, a2, max_len):
@@ -164,7 +189,7 @@ class TestConcatClosure:
 
     def test_left_identity(self):
         a1 = prefix_nfa(Trace(AC, ""))
-        a2 = star_nfa(Trace(AC, "b"), memorize=True)
+        a2 = star_nfa(Trace(AC, "b"))
         closed = concat_closure(a1, a2)
         assert language(closed, 3) == language(a2, 3)
 
@@ -176,7 +201,7 @@ class TestConcatClosure:
 
     def test_requires_memorizing(self):
         a1 = prefix_nfa(Trace(AC, "a"))
-        a2 = star_nfa(Trace(AC, "b"))  # not memorizing
+        a2 = Nfa(AC, [0, 1], [(0, "b", 1)], 0, [1], i_diamond=True)
         with pytest.raises(CertificateError):
             concat_closure(a1, a2)
 
@@ -243,7 +268,7 @@ class TestIntersect:
         a = star_nfa(Trace(AB_DEP, "a"))
         aa = prefix_nfa(Trace(AB_DEP, "aa"))
         aa_star = concat_closure(
-            prefix_nfa(Trace(AB_DEP, "")), star_nfa(Trace(AB_DEP, "aa"), True)
+            prefix_nfa(Trace(AB_DEP, "")), star_nfa(Trace(AB_DEP, "aa"))
         )
         prod = intersect(a, aa_star)
         assert language(prod, 6) == {(), ("a",) * 2, ("a",) * 4, ("a",) * 6}
@@ -319,7 +344,7 @@ class TestUnaryProgressions:
     def test_odd(self):
         # a (aa)*
         star = concat_closure(
-            prefix_nfa(Trace(AB_DEP, "a")), star_nfa(Trace(AB_DEP, "aa"), True)
+            prefix_nfa(Trace(AB_DEP, "a")), star_nfa(Trace(AB_DEP, "aa"))
         )
         unary = length_automaton(star)
         assert unary_progressions(unary) == {Progression(1, 2)}

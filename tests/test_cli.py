@@ -417,6 +417,23 @@ class TestGraphOracle:
         assert (code, out) == (1, "status: unsolvable\n")
         assert asked > 0
 
+    @pytest.mark.parametrize("flags, cap", [([], 15), (["--cap", "7"], 7)])
+    def test_search_depth_is_the_cap(self, tmp_path, monkeypatch, flags, cap):
+        """The graph oracle of a transfer block searches to ``--cap``, as a ka block does."""
+        from ggsolve.transfer import GraphGroupOracle
+
+        caps = []
+        member = GraphGroupOracle._member_impl
+
+        def recorded(self, nfa, target_word):
+            caps.append(self.search_cap)
+            return member(self, nfa, target_word)
+
+        monkeypatch.setattr(GraphGroupOracle, "_member_impl", recorded)
+        path = write(tmp_path, self.HNN_FREE2 + "item a\nitem b\ntarget b a\n")
+        assert run_cli(["hnn", *flags, path]) == (1, "status: unsolvable\n")
+        assert caps and set(caps) == {cap}
+
 
 class TestEnvCap:
     """The cap comes from ``--cap`` alone; the environment does not set it."""

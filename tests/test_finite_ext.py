@@ -3,7 +3,6 @@ and the orbit walk against the product-and-filter reduction it replaced."""
 
 import contextlib
 import io
-import itertools
 import os
 import random
 
@@ -18,7 +17,7 @@ from ggsolve.transfer.kauto import equation_chain
 
 from helpers import coset_of, is_identity_in_h, product_finite_ext_reduce
 from steplog import record
-from transfer_oracles import dinf_brute_solvable, dinf_is_identity
+from transfer_oracles import dinf_brute_solvable
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -85,7 +84,7 @@ class TestDinfInstances:
         with open(os.path.join(CORPUS, "17_extension_dinf.gg")) as fh:
             text = fh.read().replace("pow t a x\n", "pow a x\npow a x\n")
         with pytest.raises(FormatError, match="eqH variable 'x' repeats"):
-            build_extension(parse_instance(text))
+            build_extension(parse_instance(text), 15)
 
     def test_against_brute_force_random(self):
         """Agreement with table-driven brute force on random D-inf instances."""

@@ -1,6 +1,5 @@
 """Group-core: doubled alphabets, free reduction, boundary-cancellation products, powers."""
 
-import itertools
 import random
 
 import pytest
@@ -9,7 +8,6 @@ from ggsolve.errors import InternalError, ResourceExceeded
 from ggsolve.groups import (
     ConjugatePower,
     DoubledAlphabet,
-    GroupElement,
     cyclic_reduce,
     free_reduce,
     identity,

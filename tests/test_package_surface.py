@@ -1,4 +1,5 @@
-"""Every function, class and method in ``src/ggsolve`` is named by the package itself.
+"""Every function, class and method in ``src/ggsolve`` is named by the package
+itself, and every imported name is read by its module.
 
 An AST scan collects the module-level functions and classes and the
 non-dunder methods of every module under ``src/ggsolve``, and the names the
@@ -8,13 +9,18 @@ A definition whose name appears only inside its own body is dead in the
 package; code that only the tests need lives under ``tests/``.  The scan
 matches names, not bindings, so a method counts as used when any attribute
 of that name is read.
+
+A second scan, over ``src/ggsolve`` and ``tests/``, finds every name an
+import binds that its module never reads; ``from __future__`` imports and
+``__init__.py`` files (re-exports) are exempt.
 """
 
 import ast
 import pathlib
 from collections import Counter
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ggsolve"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ggsolve"
 
 # Named from outside the package, with the reason.
 ALLOWED = {
@@ -71,3 +77,30 @@ def test_allowlist_names_exist():
     trees = [ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))]
     defined = {q for tree in trees for q, _, _ in _definitions(tree)}
     assert set(ALLOWED) <= defined
+
+
+def _unused_imports(tree) -> list:
+    """(line, name) for each name an import binds that no ``Name`` node reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_every_import_is_used():
+    paths = [
+        p for root in (SRC, TESTS) for p in sorted(root.rglob("*.py")) if p.name != "__init__.py"
+    ]
+    assert len(paths) > 30
+    unused = [
+        f"{path.name}:{line}: {name}"
+        for path in paths
+        for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert unused == []

@@ -1,9 +1,6 @@
 """I-free reducibility, the constructive refinement, power-split decompositions."""
 
-import itertools
 import random
-
-import pytest
 
 from ggsolve.groups import DoubledAlphabet, free_reduce, identity, mult
 from ggsolve.traces import IndependenceAlphabet, Trace, is_connected, left_quotient, power

@@ -1,6 +1,5 @@
 """HNN and free-product saturation vs. independent normal-form oracles."""
 
-import itertools
 import random
 
 import pytest
@@ -373,7 +372,7 @@ class TestTrimmedQuestions:
         path = os.path.join(os.path.dirname(__file__), "..", "corpus", "19_amalgam_z4.gg")
         with open(path) as fh:
             inst = parse_instance(fh.read())
-        assert amalgam_knapsack(build_amalgam(inst), inst.problem.items, inst.problem.target)
+        assert amalgam_knapsack(build_amalgam(inst, 15), inst.problem.items, inst.problem.target)
         assert not trims
         assert len(impls) < len(asked)
         self._check(asked)

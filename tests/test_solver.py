@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ggsolve.errors import ResourceExceeded
-from ggsolve.groups import DoubledAlphabet, free_reduce, identity, mult, power_nf
+from ggsolve.groups import DoubledAlphabet, free_reduce, power_nf
 from ggsolve.semilinear import diophantine_solve
 from ggsolve.slp import expand_capped
 from ggsolve.solver import (

@@ -15,15 +15,15 @@ from ggsolve.traces import (
     empty_trace,
     is_connected,
     left_quotient,
-    min_letters,
     power,
     right_quotient,
 )
 
 from helpers import (
     all_alphabets,
-    canonical_traces_up_to,
     equivalence_class,
+    independent_of,
+    min_letters,
     prefix_count,
     random_alphabet,
     random_word,
@@ -160,7 +160,7 @@ class TestConnectivity:
             for c in comps:
                 assert is_connected(c) and not c.is_empty()
             for c1, c2 in itertools.combinations(comps, 2):
-                assert c1.independent_of(c2)
+                assert independent_of(c1, c2)
 
 
 class TestQuotients:

@@ -1,12 +1,11 @@
 """Transfer: oracles, knapsack automata, skeletons, normalization."""
 
-import itertools
 import random
 
 import pytest
 
-from ggsolve.automata import EPS, Nfa
-from ggsolve.errors import AlphabetMismatchError, CertificateError, StructureError
+from ggsolve.automata import Nfa
+from ggsolve.errors import AlphabetMismatchError, CertificateError
 from ggsolve.groups import DoubledAlphabet, invert_word
 from ggsolve.traces import IndependenceAlphabet
 from ggsolve.transfer import (
@@ -25,7 +24,7 @@ from ggsolve.transfer.kauto import (
     skeletons,
 )
 
-from helpers import brute_oracle, enumerate_accepted, knapsack_chain, random_element
+from helpers import brute_oracle, enumerate_accepted, knapsack_chain
 
 
 def certify(nfa):
@@ -235,14 +234,14 @@ class TestFreeGroupOracle:
 class TestGraphGroupOracle:
     def test_membership_commuting(self):
         dbl = DoubledAlphabet(IndependenceAlphabet("ab", [("a", "b")]))
-        o = GraphGroupOracle(dbl)
+        o = GraphGroupOracle(dbl, 15)
         nfa = knapsack_chain(o.alphabet, [("a",), ("b",)])
         assert o.ka_membership(nfa, ("b", "a"))
         assert o.ka_membership(nfa, ("a", "b", "a"))  # = a^2 b
 
     def test_membership_free(self):
         dbl = DoubledAlphabet(IndependenceAlphabet("ab"))
-        o = GraphGroupOracle(dbl)
+        o = GraphGroupOracle(dbl, 15)
         nfa = knapsack_chain(o.alphabet, [("a",), ("b",)])
         assert o.ka_membership(nfa, ("a", "b"))
         assert not o.ka_membership(nfa, ("a", "b", "a"))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from ggsolve.groups import inverse_letter
 
 
 # -- infinite dihedral group (finite extension of Z) --------------------------
