@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from .automata import EPS, Nfa, trim
-from .errors import CertificateError, FormatError, ResourceExceeded, StructureError
+from .errors import CertificateError, FormatError, ResourceExceeded, StructureError, TraceError
 from .groups import INVERSE_MARK, DoubledAlphabet, free_reduce, inverse_letter
 from .slp import Slp, expand_capped, fold_power, is_variable_token, val_length
 from .traces import IndependenceAlphabet
@@ -612,6 +612,7 @@ def build_amalgam(inst: Instance, search_cap: int):
 
 
 def build_oracle(inst: Instance, name: str, search_cap: int):
+    """The oracle named ``name``; an oracle that fails construction is a FormatError on its line."""
     from .transfer.oracles import (
         FiniteGroupOracle,
         FreeGroupOracle,
@@ -624,22 +625,25 @@ def build_oracle(inst: Instance, name: str, search_cap: int):
         raise FormatError(f"unknown oracle {name!r}")
     spec = inst.oracles[name]
     kind, args = spec.kind, spec.args
-    if kind == "z":
-        return ZOracle(args[0] if args else "a")
-    if kind == "free":
-        return FreeGroupOracle(args)
-    if kind == "finite-cyclic":
-        if not args or not args[0].isdecimal() or int(args[0]) < 1:
-            raise FormatError("finite-cyclic takes an order of at least 1", spec.line)
-        return FiniteGroupOracle.cyclic(int(args[0]), args[1] if len(args) > 1 else "g")
-    if kind == "product":
-        if len(args) != 2:
-            raise FormatError("product takes exactly two factor oracles", spec.line)
-        return FreeProductOracle(
-            build_oracle(inst, args[0], search_cap), build_oracle(inst, args[1], search_cap)
-        )
-    if kind == "graph":
-        return GraphGroupOracle(inst.require_alphabet(), search_cap)
+    try:
+        if kind == "z":
+            return ZOracle(args[0] if args else "a")
+        if kind == "free":
+            return FreeGroupOracle(args)
+        if kind == "finite-cyclic":
+            if not args or not args[0].isdecimal() or int(args[0]) < 1:
+                raise FormatError("finite-cyclic takes an order of at least 1", spec.line)
+            return FiniteGroupOracle(int(args[0]), args[1] if len(args) > 1 else "g")
+        if kind == "product":
+            if len(args) != 2:
+                raise FormatError("product takes exactly two factor oracles", spec.line)
+            return FreeProductOracle(
+                build_oracle(inst, args[0], search_cap), build_oracle(inst, args[1], search_cap)
+            )
+        if kind == "graph":
+            return GraphGroupOracle(inst.require_alphabet(), search_cap)
+    except (StructureError, TraceError) as exc:
+        raise FormatError(f"oracle {name}: {exc}", spec.line) from exc
     raise FormatError(f"unknown oracle kind {kind!r}", spec.line)
 
 

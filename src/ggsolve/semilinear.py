@@ -279,8 +279,8 @@ def two_power_solutions(
             raise TraceError(f"{name} must be nonempty")
         if not is_connected(base_trace):
             raise TraceError(f"{name} must be connected")
-    left = automata.trim(automata.power_closure_nfa(p, u, s))
-    right = automata.trim(automata.power_closure_nfa(q, v, t))
+    left = automata.power_closure_nfa(p, u, s)
+    right = automata.power_closure_nfa(q, v, t)
     product = automata.trim(automata.intersect(left, right))
     lengths = automata.length_automaton(product)
     progs = automata.unary_progressions(lengths)

@@ -42,6 +42,8 @@ class AmalgamPresentation:
         self._validate()
 
     def _validate(self) -> None:
+        if set(self.left.letters) & set(self.right.letters):
+            raise StructureError("amalgam factors must use disjoint letters")
         elements = set(self.f_elements)
         if self.f_identity not in elements:
             raise StructureError(f"F identity {self.f_identity!r} is not an F element")

@@ -1,7 +1,7 @@
 """Base-group oracles: the pluggable contract behind the transfer algorithms.
 
 An oracle answers the word problem and knapsack-automaton membership for its
-group.  Implementations: finite groups via multiplication tables, the
+group.  Implementations: finite cyclic groups on residues mod n, the
 integers, free groups via Benois saturation, graph groups via the solver, and
 free products (which close the loop with the saturation algorithms).
 """
@@ -9,7 +9,7 @@ free products (which close the loop with the saturation algorithms).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..automata import EPS, Nfa, benois_member
 from ..errors import AlphabetMismatchError, LimitsExceeded, StructureError
@@ -64,68 +64,37 @@ class GroupOracle:
 
 
 class FiniteGroupOracle(GroupOracle):
-    """A finite group given by its multiplication table; complete and exact."""
+    """The cyclic group Z/n on one generator letter, computed on residues mod n."""
 
-    def __init__(
-        self,
-        elements: Sequence[str],
-        table: Dict[Tuple[str, str], str],
-        identity_elem: str,
-        gen_map: Dict[str, str],
-    ):
-        self.elements = tuple(elements)
-        self.table = dict(table)
-        self.identity_elem = identity_elem
-        if identity_elem not in self.elements:
-            raise StructureError("identity element missing")
-        for x in self.elements:
-            for y in self.elements:
-                if (x, y) not in self.table or self.table[(x, y)] not in self.elements:
-                    raise StructureError(f"multiplication table incomplete at ({x},{y})")
-        inverse: Dict[str, str] = {}
-        for x in self.elements:
-            for y in self.elements:
-                if self.table[(x, y)] == identity_elem and self.table[(y, x)] == identity_elem:
-                    inverse[x] = y
-        if set(inverse) != set(self.elements):
-            raise StructureError("not every element has an inverse")
-        self.inverse = inverse
-        self.gen_map = dict(gen_map)
-        for letter, elem in list(gen_map.items()):
-            self.gen_map[inverse_letter(letter)] = self.inverse[elem]
-        self.letters = tuple(self.gen_map)
+    def __init__(self, n: int, letter: str = "g"):
+        if n < 1:
+            raise StructureError("a cyclic group has order at least 1")
+        self.n = n
+        self.letters = (letter, inverse_letter(letter))
+        self.weight = {letter: 1, self.letters[1]: n - 1}
         self.alphabet = plain_alphabet(self.letters)
 
-    @classmethod
-    def cyclic(cls, n: int, letter: str = "g") -> "FiniteGroupOracle":
-        elements = [f"e{i}" for i in range(n)]
-        table = {
-            (f"e{i}", f"e{j}"): f"e{(i + j) % n}" for i in range(n) for j in range(n)
-        }
-        return cls(elements, table, "e0", {letter: "e1"})
-
-    def eval_word(self, word: Sequence[str]) -> str:
-        acc = self.identity_elem
-        for a in word:
-            acc = self.table[(acc, self.gen_map[a])]
-        return acc
+    def eval_word(self, word: Sequence[str]) -> int:
+        return sum(self.weight[a] for a in word) % self.n
 
     def is_identity(self, word) -> bool:
-        return self.eval_word(word) == self.identity_elem
+        return self.eval_word(word) == 0
 
     def _member_impl(self, nfa: Nfa, target_word) -> bool:
+        """Breadth-first search over (state, residue) pairs."""
+        n, weight = self.n, self.weight
         target = self.eval_word(target_word)
-        start = (nfa.initial, self.identity_elem)
+        start = (nfa.initial, 0)
         seen = {start}
         queue = deque([start])
         while queue:
-            state, elem = queue.popleft()
-            if state in nfa.finals and elem == target:
+            state, residue = queue.popleft()
+            if state in nfa.finals and residue == target:
                 return True
             for a, dests in nfa.out(state).items():
-                nxt_elem = elem if a is EPS else self.table[(elem, self.gen_map[a])]
+                nxt = residue if a is EPS else (residue + weight[a]) % n
                 for d in dests:
-                    node = (d, nxt_elem)
+                    node = (d, nxt)
                     if node not in seen:
                         seen.add(node)
                         queue.append(node)

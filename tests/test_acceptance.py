@@ -444,7 +444,7 @@ def test_criterion_11_hnn_and_free_products():
     """Stable-letter and free-product saturations vs BFS oracles and Benois."""
     started = time.monotonic()
     # HNN: Z/2 * Z via trivial associated subgroups, vs string rewriting BFS
-    base = FiniteGroupOracle.cyclic(2, "g")
+    base = FiniteGroupOracle(2, "g")
     h = HnnPresentation(base, [()], [()], [((), ())], stable="t")
     rng = random.Random(1120)
     letters = h.letters
@@ -485,8 +485,8 @@ def test_criterion_12_amalgam():
     from ggsolve.transfer import AmalgamPresentation, amalgam_knapsack
     from transfer_oracles import AmalgamNF
 
-    left = FiniteGroupOracle.cyclic(4, "g")
-    right = FiniteGroupOracle.cyclic(4, "h")
+    left = FiniteGroupOracle(4, "g")
+    right = FiniteGroupOracle(4, "h")
     f_table = {
         ("1", "1"): "1",
         ("1", "z"): "z",

@@ -17,8 +17,8 @@ from transfer_oracles import AmalgamNF
 
 def z4_z2_z4():
     """Z/4 *_{Z/2} Z/4 with F = {1, z}, z = g^2 = h^2."""
-    left = FiniteGroupOracle.cyclic(4, "g")
-    right = FiniteGroupOracle.cyclic(4, "h")
+    left = FiniteGroupOracle(4, "g")
+    right = FiniteGroupOracle(4, "h")
     f_elements = ("1", "z")
     f_table = {
         ("1", "1"): "1",
@@ -40,8 +40,8 @@ class TestPresentation:
         z4_z2_z4()
 
     def test_bad_embedding_rejected(self):
-        left = FiniteGroupOracle.cyclic(4, "g")
-        right = FiniteGroupOracle.cyclic(4, "h")
+        left = FiniteGroupOracle(4, "g")
+        right = FiniteGroupOracle(4, "h")
         f_table = {
             ("1", "1"): "1",
             ("1", "z"): "z",

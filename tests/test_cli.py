@@ -221,6 +221,31 @@ class TestMalformedInput:
         assert run_cli(["hnn", write(tmp_path, text)])[0] == 3
 
     @pytest.mark.parametrize(
+        "command,text,where",
+        [
+            ("hnn", "oracle F free a a\n" + HNN_Z2.replace("base B", "base F") + "item a\ntarget a\n",
+             "line 1: oracle F"),
+            ("hnn", "oracle F free a'\n" + HNN_Z2.replace("base B", "base F") + "item a'\ntarget a'\n",
+             "line 1: oracle F"),
+            ("hnn", "oracle A finite-cyclic 2 g\noracle C finite-cyclic 3 g\noracle P product A C\n"
+             + HNN_Z2.replace("base B", "base P") + "item g\ntarget g\n", "line 3: oracle P"),
+            ("amalgam", AMALGAM_Z4.replace("finite-cyclic 4 h", "finite-cyclic 4 g")
+             + "fmap z left g g right g g\nitem g\ntarget _\n", "line 3: amalgam block"),
+        ],
+        ids=["free-repeated-letter", "free-inverse-mark", "product-shared-letter",
+             "amalgam-shared-letter"],
+    )
+    def test_oracle_that_fails_construction_exits_3(self, tmp_path, capsys, command, text, where):
+        """An oracle or a pair of factors that cannot be built is a parse error on its line."""
+        assert run_cli([command, write(tmp_path, text)])[0] == 3
+        assert f"parse error: {where}:" in capsys.readouterr().err
+
+    def test_order_one_cyclic_base(self, tmp_path):
+        """Z/1 is a group: its generator is the identity."""
+        text = HNN_Z2.replace("finite-cyclic 2", "finite-cyclic 1") + "item g t\ntarget t g\n"
+        assert run_cli(["hnn", write(tmp_path, text)])[0] == 0
+
+    @pytest.mark.parametrize(
         "command,text",
         [
             ("solve", "gens a\neq\npow a b x\n"),

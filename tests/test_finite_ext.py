@@ -190,7 +190,7 @@ class TestOrbitWalk:
                 logs, answers = [], []
                 for reduce in (finite_ext_reduce, product_finite_ext_reduce):
                     with record([]) as log:
-                        answers.append(reduce(semidirect(FiniteGroupOracle.cyclic(k, "a"), m), vs, us))
+                        answers.append(reduce(semidirect(FiniteGroupOracle(k, "a"), m), vs, us))
                     logs.append(log)
                 assert answers[0] == answers[1], (k, m, vs, us)
                 assert logs[0] == logs[1], (k, m, vs, us)

@@ -25,7 +25,7 @@ from transfer_oracles import nfa_accepts_identity_bfs, z2z_reduce
 
 def z2_z_presentation():
     """H = Z/2 * Z as the HNN-extension of Z/2 with trivial associated subgroups."""
-    base = FiniteGroupOracle.cyclic(2, "g")
+    base = FiniteGroupOracle(2, "g")
     return HnnPresentation(base, [()], [()], [((), ())], stable="t")
 
 
@@ -35,7 +35,7 @@ class TestHnnPresentationValidation:
 
     def test_nontrivial_subgroups(self):
         # base Z/4, A = B = {1, g^2}, phi = identity
-        base = FiniteGroupOracle.cyclic(4, "g")
+        base = FiniteGroupOracle(4, "g")
         HnnPresentation(
             base,
             [(), ("g", "g")],
@@ -44,7 +44,7 @@ class TestHnnPresentationValidation:
         )
 
     def test_bad_phi_rejected(self):
-        base = FiniteGroupOracle.cyclic(4, "g")
+        base = FiniteGroupOracle(4, "g")
         with pytest.raises(StructureError):
             HnnPresentation(
                 base,
@@ -54,7 +54,7 @@ class TestHnnPresentationValidation:
             )
 
     def test_not_closed_rejected(self):
-        base = FiniteGroupOracle.cyclic(4, "g")
+        base = FiniteGroupOracle(4, "g")
         with pytest.raises(StructureError):
             HnnPresentation(base, [(), ("g",)], [(), ("g",)], [((), ()), (("g",), ("g",))])
 
@@ -87,7 +87,7 @@ class TestHnnSaturate:
 
     def test_conjugation_identity(self):
         # Z/4 with A = B = {1, g^2}: t' g g t = g g, so t' g g t g g = g^4 = 1
-        base = FiniteGroupOracle.cyclic(4, "g")
+        base = FiniteGroupOracle(4, "g")
         h = HnnPresentation(
             base,
             [(), ("g", "g")],
@@ -150,28 +150,28 @@ class TestFreeProductSaturate:
             assert got == expected, (bases, target)
 
     def test_single_factor_identity(self):
-        z2 = FiniteGroupOracle.cyclic(2, "g")
-        z3 = FiniteGroupOracle.cyclic(3, "h")
+        z2 = FiniteGroupOracle(2, "g")
+        z3 = FiniteGroupOracle(3, "h")
         fp = FreeProductOracle(z2, z3)
         assert free_product_saturate(fp, word_ka(fp.letters, ("g", "g")), ())
 
     def test_mixed_word_not_identity(self):
-        z2 = FiniteGroupOracle.cyclic(2, "g")
-        z3 = FiniteGroupOracle.cyclic(3, "h")
+        z2 = FiniteGroupOracle(2, "g")
+        z3 = FiniteGroupOracle(3, "h")
         fp = FreeProductOracle(z2, z3)
         assert not free_product_saturate(fp, word_ka(fp.letters, ("g", "h")), ())
 
     def test_nested_identity(self):
-        z2 = FiniteGroupOracle.cyclic(2, "g")
-        z3 = FiniteGroupOracle.cyclic(3, "h")
+        z2 = FiniteGroupOracle(2, "g")
+        z3 = FiniteGroupOracle(3, "h")
         # g h h h g = g * 1 * g = 1
         fp = FreeProductOracle(z2, z3)
         assert free_product_saturate(fp, word_ka(fp.letters, ("g", "h", "h", "h", "g")), ())
 
     def test_against_bfs_finite_factors(self):
         """Random automata over Z/2 * Z/3 vs the exact (state, element) BFS."""
-        z2 = FiniteGroupOracle.cyclic(2, "g")
-        z3 = FiniteGroupOracle.cyclic(3, "h")
+        z2 = FiniteGroupOracle(2, "g")
+        z3 = FiniteGroupOracle(3, "h")
         fp = FreeProductOracle(z2, z3)
         rng = random.Random(13)
         letters = fp.letters
@@ -226,8 +226,8 @@ class TestFailClosed:
             nfa = knapsack_chain(plain_alphabet(h.letters), [("t'", "g", "g", "t")])
             run = lambda: hnn_saturate(h, nfa)
         else:
-            z2 = FiniteGroupOracle.cyclic(2, "g")
-            z3 = FiniteGroupOracle.cyclic(3, "h")
+            z2 = FiniteGroupOracle(2, "g")
+            z3 = FiniteGroupOracle(3, "h")
             fp = FreeProductOracle(z2, z3)
             run = lambda: free_product_saturate(fp, knapsack_chain(fp.alphabet, [("g", "g", "h")]), ())
         with pytest.raises(InternalError):
@@ -280,7 +280,7 @@ class TestRestrictionCut:
 
         rng = random.Random(61)
         letters = ("g", "g'", "h", "h'")
-        oracle = FiniteGroupOracle.cyclic(2, "g")
+        oracle = FiniteGroupOracle(2, "g")
         kept = oracle.alphabet
         empty = 0
         for _ in range(200):
@@ -325,7 +325,7 @@ class TestOracleMemo:
             FiniteGroupOracle, "_member_impl", _logged(FiniteGroupOracle._member_impl, impls)
         )
         monkeypatch.setattr(automata, "trim", _logged(trim, trims))
-        oracle = FiniteGroupOracle.cyclic(4, "g")
+        oracle = FiniteGroupOracle(4, "g")
         edges = [("a", "g", "b"), ("b", "g", "a"), ("a", "g'", "dead"), ("lost", "g", "a")]
         untrimmed = Nfa(oracle.alphabet, ["a", "b", "dead", "lost"], edges, "a", ["b"])
         trimmed = trim(untrimmed)
@@ -395,15 +395,15 @@ class TestTrimmedQuestions:
 
         for n in (1, 2, 3):
             # HNN of Z/2n with A = B = <g^n>, phi the identity
-            base = FiniteGroupOracle.cyclic(2 * n, "g")
+            base = FiniteGroupOracle(2 * n, "g")
             half = ("g",) * n
             h = HnnPresentation(base, [(), half], [(), half], [((), ()), (half, half)])
             letters = h.letters
             for _ in range(4):
                 hnn_knapsack(h, [word(letters, 1, 3) for _ in range(2)], word(letters, 0, 3))
             # Z/2n *_{Z/2} Z/2n with g^n = h^n
-            left = FiniteGroupOracle.cyclic(2 * n, "g")
-            right = FiniteGroupOracle.cyclic(2 * n, "h")
+            left = FiniteGroupOracle(2 * n, "g")
+            right = FiniteGroupOracle(2 * n, "h")
             table = {("1", "1"): "1", ("1", "z"): "z", ("z", "1"): "z", ("z", "z"): "1"}
             am = AmalgamPresentation(
                 left, right, ["1", "z"], table, "1",
@@ -424,7 +424,7 @@ class TestTrimmedQuestions:
                 table[(str(i), "s")] = ((), str((i + 1) % m))
                 table[(str(i), "s'")] = ((), str((i - 1) % m))
             letters = ("a", "a'", "s", "s'")
-            for base in (ZOracle("a"), FiniteGroupOracle.cyclic(m, "a")):
+            for base in (ZOracle("a"), FiniteGroupOracle(m, "a")):
                 fe = FiniteExtension(base, ["a", "s"], cosets, "0", table)
                 for _ in range(3):
                     us = [word(letters, 1, 2) for _ in range(2)]

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from ggsolve.automata import Nfa
-from ggsolve.errors import AlphabetMismatchError, CertificateError
+from ggsolve.automata import EPS, Nfa
+from ggsolve.errors import AlphabetMismatchError, CertificateError, StructureError
 from ggsolve.groups import DoubledAlphabet, invert_word
 from ggsolve.traces import IndependenceAlphabet
 from ggsolve.transfer import (
@@ -25,6 +25,7 @@ from ggsolve.transfer.kauto import (
 )
 
 from helpers import brute_oracle, enumerate_accepted, knapsack_chain
+from transfer_oracles import TableGroupOracle
 
 
 def certify(nfa):
@@ -168,21 +169,45 @@ class TestHnnNormalize:
 
 class TestFiniteGroupOracle:
     def test_cyclic(self):
-        z2 = FiniteGroupOracle.cyclic(2)
+        z2 = FiniteGroupOracle(2)
         assert z2.is_identity(("g", "g"))
         assert not z2.is_identity(("g",))
         assert z2.is_identity(("g", "g'"))
 
     def test_membership(self):
-        z3 = FiniteGroupOracle.cyclic(3)
+        z3 = FiniteGroupOracle(3)
         # (gg)^x = g  solvable: x=2 gives g^4 = g
         assert z3.ka_membership(knapsack_chain(z3.alphabet, [("g", "g")]), ("g",))
-        z2 = FiniteGroupOracle.cyclic(2)
+        z2 = FiniteGroupOracle(2)
         assert not z2.ka_membership(knapsack_chain(z2.alphabet, [("g", "g")]), ("g",))
+
+    def test_order_zero_rejected(self):
+        with pytest.raises(StructureError):
+            FiniteGroupOracle(0)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_agrees_with_table_reference(self, n):
+        """Residue arithmetic answers as the multiplication table does, on random
+        automata over {g, g'} with epsilon edges and random targets."""
+        rng = random.Random(n)
+        zn, ref = FiniteGroupOracle(n), TableGroupOracle.cyclic(n)
+        labels = ("g", "g'", EPS)
+        for _ in range(60):
+            states = list(range(rng.randint(1, 5)))
+            edges = [
+                (rng.choice(states), rng.choice(labels), rng.choice(states))
+                for _ in range(rng.randint(0, 8))
+            ]
+            finals = rng.sample(states, rng.randint(0, len(states)))
+            target = tuple(rng.choice(("g", "g'")) for _ in range(rng.randint(0, 6)))
+            assert zn.ka_membership(Nfa(zn.alphabet, states, edges, 0, finals), target) == (
+                ref.ka_membership(Nfa(ref.alphabet, states, edges, 0, finals), target)
+            )
+            assert zn.is_identity(target) == ref.is_identity(target)
 
     def test_foreign_alphabet_rejected(self):
         """Questions come on the oracle's alphabet; a builder's alphabet is refused."""
-        z3 = FiniteGroupOracle.cyclic(3)
+        z3 = FiniteGroupOracle(3)
         nfa = knapsack_chain(plain_alphabet(z3.letters + ("t", "t'")), [("g",)])
         with pytest.raises(AlphabetMismatchError):
             z3.ka_membership(nfa, ("g",))
@@ -250,15 +275,15 @@ class TestGraphGroupOracle:
 
 class TestFreeProductOracle:
     def test_identity_syllables(self):
-        z2 = FiniteGroupOracle.cyclic(2, "g")
-        z3 = FiniteGroupOracle.cyclic(3, "h")
+        z2 = FiniteGroupOracle(2, "g")
+        z3 = FiniteGroupOracle(3, "h")
         fp = FreeProductOracle(z2, z3)
         assert fp.is_identity(("g", "h", "h", "h", "g"))
         assert not fp.is_identity(("g", "h", "g", "h"))
         assert fp.is_identity(())
 
     def test_mixed_word_not_identity(self):
-        z2 = FiniteGroupOracle.cyclic(2, "g")
-        z3 = FiniteGroupOracle.cyclic(3, "h")
+        z2 = FiniteGroupOracle(2, "g")
+        z3 = FiniteGroupOracle(3, "h")
         fp = FreeProductOracle(z2, z3)
         assert not fp.is_identity(("g", "h"))

@@ -1,15 +1,22 @@
 """Independent brute-force oracles for the transfer tests.
 
 These never touch the saturation machinery: dihedral arithmetic for the D-inf
-extension, string rewriting for Z/2 * Z, and the classical transversal normal
-form for free products of finite groups amalgamated over a finite subgroup.
+extension, string rewriting for Z/2 * Z, a finite group given by its
+multiplication table, and the classical transversal normal form for free
+products of finite groups amalgamated over a finite subgroup.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from typing import Dict, Sequence, Tuple
 
+from ggsolve.automata import EPS, Nfa
+from ggsolve.errors import StructureError
+from ggsolve.groups import inverse_letter
+from ggsolve.transfer.kauto import plain_alphabet
+from ggsolve.transfer.oracles import GroupOracle
 
 
 # -- infinite dihedral group (finite extension of Z) --------------------------
@@ -74,8 +81,6 @@ def nfa_accepts_identity_bfs(nfa, reduce_fn, max_len=12):
     BFS over (state, canonical form) pairs with the form capped at max_len;
     an under-approximation that is exact for small witnesses.
     """
-    from ggsolve.automata import EPS
-
     start = (nfa.initial, ())
     seen = {start}
     queue = deque([start])
@@ -95,15 +100,92 @@ def nfa_accepts_identity_bfs(nfa, reduce_fn, max_len=12):
     return False
 
 
+# -- finite groups by multiplication table -------------------------------------
+
+
+class TableGroupOracle(GroupOracle):
+    """A finite group given by its multiplication table; complete and exact.
+
+    The reference for ``FiniteGroupOracle``: elements are names, products are
+    table lookups and inverses are found by search.  ``cyclic(n)`` fails at
+    n = 1, where there is no element ``e1`` for the generator.
+    """
+
+    def __init__(
+        self,
+        elements: Sequence[str],
+        table: Dict[Tuple[str, str], str],
+        identity_elem: str,
+        gen_map: Dict[str, str],
+    ):
+        self.elements = tuple(elements)
+        self.table = dict(table)
+        self.identity_elem = identity_elem
+        if identity_elem not in self.elements:
+            raise StructureError("identity element missing")
+        for x in self.elements:
+            for y in self.elements:
+                if (x, y) not in self.table or self.table[(x, y)] not in self.elements:
+                    raise StructureError(f"multiplication table incomplete at ({x},{y})")
+        inverse: Dict[str, str] = {}
+        for x in self.elements:
+            for y in self.elements:
+                if self.table[(x, y)] == identity_elem and self.table[(y, x)] == identity_elem:
+                    inverse[x] = y
+        if set(inverse) != set(self.elements):
+            raise StructureError("not every element has an inverse")
+        self.inverse = inverse
+        self.gen_map = dict(gen_map)
+        for letter, elem in list(gen_map.items()):
+            self.gen_map[inverse_letter(letter)] = self.inverse[elem]
+        self.letters = tuple(self.gen_map)
+        self.alphabet = plain_alphabet(self.letters)
+
+    @classmethod
+    def cyclic(cls, n: int, letter: str = "g") -> "TableGroupOracle":
+        elements = [f"e{i}" for i in range(n)]
+        table = {
+            (f"e{i}", f"e{j}"): f"e{(i + j) % n}" for i in range(n) for j in range(n)
+        }
+        return cls(elements, table, "e0", {letter: "e1"})
+
+    def eval_word(self, word: Sequence[str]) -> str:
+        acc = self.identity_elem
+        for a in word:
+            acc = self.table[(acc, self.gen_map[a])]
+        return acc
+
+    def is_identity(self, word) -> bool:
+        return self.eval_word(word) == self.identity_elem
+
+    def _member_impl(self, nfa: Nfa, target_word) -> bool:
+        target = self.eval_word(target_word)
+        start = (nfa.initial, self.identity_elem)
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            state, elem = queue.popleft()
+            if state in nfa.finals and elem == target:
+                return True
+            for a, dests in nfa.out(state).items():
+                nxt_elem = elem if a is EPS else self.table[(elem, self.gen_map[a])]
+                for d in dests:
+                    node = (d, nxt_elem)
+                    if node not in seen:
+                        seen.add(node)
+                        queue.append(node)
+        return False
+
+
 # -- free products and amalgams of finite groups -------------------------------
 
 
 class FiniteFactor:
-    """A finite group with generator letters, exposed as element arithmetic."""
+    """A finite cyclic factor, exposed as element arithmetic of its table reference."""
 
     def __init__(self, oracle):
-        self.oracle = oracle  # FiniteGroupOracle
-        self.letters = oracle.letters
+        self.oracle = TableGroupOracle.cyclic(oracle.n, oracle.letters[0])
+        self.letters = self.oracle.letters
 
     def eval_word(self, word):
         return self.oracle.eval_word(word)
@@ -129,8 +211,8 @@ class AmalgamNF:
         self.f_table = f_table
         self.f_identity = f_identity
         self.embed = (
-            {f: left.eval_word(w) for f, w in embed_left.items()},
-            {f: right.eval_word(w) for f, w in embed_right.items()},
+            {f: self.factors[0].eval_word(w) for f, w in embed_left.items()},
+            {f: self.factors[1].eval_word(w) for f, w in embed_right.items()},
         )
         self.unembed = (
             {v: k for k, v in self.embed[0].items()},
