@@ -1,22 +1,24 @@
-"""NFAs with I-diamond and memorizing certificates; commutation-closure constructions.
+"""NFAs with an I-diamond certificate; commutation-closure constructions.
 
 The constructions follow the recognizable-trace-language toolkit: prefix
 automata for single traces, the tuple-state automaton for [u*]_I (connected
-u), the gated product for [L1 L2]_I, plain products for intersection, unary
-length automata with an arithmetic-progression decomposition, and Benois
-saturation for free groups.  Certified automata validate their certificates
-on construction.
+u), the gated product for [L1 L2]_I, plain products for intersection, the
+length set of an automaton as arithmetic progressions, and Benois saturation
+for free groups.  I-diamond automata validate the certificate on
+construction.
 
 A prefix of a trace is a set of positions of its canonical word that is
 closed downward in the dependence order (heaps of pieces), so the prefix and
-star automata work on position bit masks, with no trace arithmetic.  The
-star automaton always memorizes: a completed-copy bit rides on every state.
+star automata work on position bit masks, with no trace arithmetic.  Both
+memorize: all words reaching a state have the same letters (a completed-copy
+bit rides on every star state).  The gated product computes and checks that
+map, as letter bit masks, with ``memorized_masks``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import (
     AlphabetMismatchError,
@@ -30,16 +32,13 @@ from .traces import IndependenceAlphabet, Trace, is_connected
 
 EPS = None  # epsilon edge label
 
-UNARY_LETTER = "a"
-UNARY_ALPHABET = IndependenceAlphabet((UNARY_LETTER,))
-
 
 class Nfa:
-    """Immutable NFA over an independence alphabet, with optional certificates.
+    """Immutable NFA over an independence alphabet, with an optional I-diamond certificate.
 
     ``transitions`` holds triples (state, letter, state); ``letter`` is None
-    for an epsilon edge.  ``memorizing`` maps every state to the alphabet of
-    all words reaching it (validated).
+    for an epsilon edge.  ``i_diamond`` is validated unless ``validate`` is
+    False.
     """
 
     __slots__ = (
@@ -49,7 +48,6 @@ class Nfa:
         "initial",
         "finals",
         "i_diamond",
-        "memorizing",
         "_out",
     )
 
@@ -62,7 +60,6 @@ class Nfa:
         finals: Iterable,
         *,
         i_diamond: bool = False,
-        memorizing: Optional[Dict] = None,
         validate: bool = True,
     ):
         self.alphabet = alphabet
@@ -85,13 +82,9 @@ class Nfa:
         self.initial = initial
         self.finals = finals
         self.i_diamond = bool(i_diamond)
-        self.memorizing = dict(memorizing) if memorizing is not None else None
         self._out = None
-        if validate:
-            if self.i_diamond:
-                self.validate_i_diamond()
-            if self.memorizing is not None:
-                self.validate_memorizing()
+        if validate and self.i_diamond:
+            self.validate_i_diamond()
 
     # -- adjacency ---------------------------------------------------------
 
@@ -138,7 +131,7 @@ class Nfa:
     def num_states(self) -> int:
         return len(self.states)
 
-    # -- certificates ------------------------------------------------------
+    # -- certificate -------------------------------------------------------
 
     def validate_i_diamond(self) -> None:
         """Exhaustive pair check of the diamond property."""
@@ -157,33 +150,32 @@ class Nfa:
                             f"diamond fails at ({p!r},{a}{b},{r!r})"
                         )
 
-    def validate_memorizing(self) -> None:
-        """Fixpoint alphabet propagation from the initial state."""
-        if self.memorizing is None:
-            raise InternalError("no memorizing map to validate")
-        computed = {self.initial: frozenset()}
-        queue = deque([self.initial])
-        while queue:
-            s = queue.popleft()
-            for a, dests in self.out(s).items():
-                add = frozenset() if a is EPS else frozenset((a,))
-                expected = computed[s] | add
-                for d in dests:
-                    if d in computed:
-                        if computed[d] != expected:
-                            raise CertificateError(
-                                f"state {d!r} reachable with distinct alphabets"
-                            )
-                    else:
-                        computed[d] = expected
-                        queue.append(d)
-        if set(computed) != set(self.states):
-            raise CertificateError("memorizing automata must have all states reachable")
-        for s, alpha in self.memorizing.items():
-            if frozenset(alpha) != computed[s]:
-                raise CertificateError(f"declared alpha({s!r}) is wrong")
-        if set(self.memorizing) != set(self.states):
-            raise CertificateError("alpha map must be total")
+
+def memorized_masks(nfa: Nfa) -> Dict:
+    """State -> bit mask (by letter rank) of the letters of every word reaching it.
+
+    Breadth-first alphabet propagation from the initial state.  Raises
+    CertificateError unless ``nfa`` memorizes: every state is reachable and
+    all words reaching a state have the same letters.
+    """
+    bit = {a: 1 << i for i, a in enumerate(nfa.alphabet.letters)}
+    bit[EPS] = 0
+    masks = {nfa.initial: 0}
+    queue = deque([nfa.initial])
+    while queue:
+        s = queue.popleft()
+        for a, dests in nfa.out(s).items():
+            expected = masks[s] | bit[a]
+            for d in dests:
+                mask = masks.get(d)
+                if mask is None:
+                    masks[d] = expected
+                    queue.append(d)
+                elif mask != expected:
+                    raise CertificateError(f"state {d!r} reachable with distinct alphabets")
+    if len(masks) != len(nfa.states):
+        raise CertificateError("memorizing automata must have all states reachable")
+    return masks
 
 
 def reachable(starts: Iterable, adj: Dict) -> set:
@@ -208,9 +200,7 @@ def reachable(starts: Iterable, adj: Dict) -> set:
 def trim(nfa: Nfa) -> Nfa:
     """Restrict to accessible and co-accessible states (language preserved).
 
-    Keeps the i_diamond certificate (the diamond witness state q' lies on a
-    surviving path) and restricts the memorizing map when every surviving
-    state remains reachable.
+    The result declares no certificate.
     """
     fwd = {s: set() for s in nfa.states}
     bwd = {s: set() for s in nfa.states}
@@ -218,16 +208,7 @@ def trim(nfa: Nfa) -> Nfa:
         fwd[p].add(q)
         bwd[q].add(p)
     keep = reachable([nfa.initial], fwd) & reachable(nfa.finals, bwd)
-    return useful_part(
-        nfa.alphabet,
-        nfa.states,
-        nfa.transitions,
-        nfa.initial,
-        nfa.finals,
-        keep,
-        i_diamond=nfa.i_diamond,
-        memorizing=nfa.memorizing,
-    )
+    return useful_part(nfa.alphabet, nfa.states, nfa.transitions, nfa.initial, nfa.finals, keep)
 
 
 def useful_part(
@@ -237,31 +218,21 @@ def useful_part(
     initial,
     finals: Iterable,
     keep: set,
-    *,
-    i_diamond: bool = False,
-    memorizing: Optional[Dict] = None,
 ) -> Nfa:
     """The automaton on ``keep``, the states on a path from ``initial`` to ``finals``.
 
     States keep the order of ``states``; only transitions with both ends in
     ``keep`` survive.  An empty language (``initial`` not in ``keep``) gives a
-    single dead initial state.  The certificates are carried over without
-    re-validation: a language-preserving restriction keeps them.
+    single dead initial state.  The result declares no certificate.
     """
     if initial not in keep:
         return Nfa(alphabet, [initial], [], initial, [])
-    states = [s for s in states if s in keep]
-    if memorizing is not None:
-        memorizing = {s: memorizing[s] for s in states}
     return Nfa(
         alphabet,
-        states,
+        [s for s in states if s in keep],
         [(p, a, q) for p, a, q in transitions if p in keep and q in keep],
         initial,
         [f for f in finals if f in keep],
-        i_diamond=i_diamond,
-        memorizing=memorizing,
-        validate=False,
     )
 
 
@@ -293,21 +264,22 @@ def prefix_nfa(t: Trace) -> Nfa:
     """Automaton accepting exactly the linearizations of ``t``.
 
     States are the prefixes of ``t`` (rho(t) many), as downward-closed
-    position masks; memorizing with alpha(prefix) = alph(prefix); I-diamond.
+    position masks; memorizing (a prefix's letters are those of its
+    positions); I-diamond.
     """
     word, below = _order(t)
     full = (1 << len(word)) - 1
     states = [0]
-    memorizing = {0: frozenset()}
+    seen = {0}
     transitions = []
     for mask in states:  # grows while it is read
         for k in _enabled(mask, below):
             nxt = mask | 1 << k
-            if nxt not in memorizing:
-                memorizing[nxt] = memorizing[mask] | {word[k]}
+            if nxt not in seen:
+                seen.add(nxt)
                 states.append(nxt)
             transitions.append((mask, word[k], nxt))
-    return Nfa(t.alphabet, states, transitions, 0, [full], i_diamond=True, memorizing=memorizing)
+    return Nfa(t.alphabet, states, transitions, 0, [full], i_diamond=True)
 
 
 def star_nfa(u: Trace) -> Nfa:
@@ -318,8 +290,9 @@ def star_nfa(u: Trace) -> Nfa:
     u = u_i v_i; the bit records whether a full copy of u has been completed.
     A letter starts a piece or extends one; completing the first piece drops
     it and sets the bit.  (That the letter is independent of the pieces
-    after it follows from v_i I u_j.)  Memorizing: alpha is the letters of
-    the pieces, and all of u's once the bit is set; I-diamond.
+    after it follows from v_i I u_j.)  Memorizing: the letters reaching a
+    state are those of its pieces, and all of u's once the bit is set;
+    I-diamond.
     """
     alphabet = u.alphabet
     if u.is_empty():
@@ -329,9 +302,9 @@ def star_nfa(u: Trace) -> Nfa:
     word, below = _order(u)
     n = len(word)
     full = (1 << n) - 1
-    rank = alphabet.rank
-    own = [1 << rank(a) for a in word]
-    dep = [sum(1 << rank(b) for b in alphabet.letters if alphabet.dependent(a, b)) for a in word]
+    codes = [alphabet.rank(a) for a in word]
+    own = [1 << c for c in codes]
+    dep = [alphabet.dep_mask[c] for c in codes]
 
     def spread(mask: int, per: list) -> int:
         """The letter bits ``per`` gives the positions of ``mask``, or-ed."""
@@ -368,14 +341,10 @@ def star_nfa(u: Trace) -> Nfa:
     start = ((), 0)
     states = [start]
     seen = {start}
-    memorizing = {}
     transitions = []
     moves_of: Dict[tuple, list] = {}
     for state in states:  # grows while it is read
         tup, done = state
-        memorizing[state] = frozenset(
-            word[k] for k in range(n) if done or any(p >> k & 1 for p in tup)
-        )
         if tup not in moves_of:
             moves_of[tup] = moves(tup)
         for a, nxt, completes in moves_of[tup]:
@@ -385,31 +354,31 @@ def star_nfa(u: Trace) -> Nfa:
                 states.append(target)
             transitions.append((state, a, target))
     finals = [s for s in (((), 0), ((), 1)) if s in seen]
-    return Nfa(alphabet, states, transitions, start, finals, i_diamond=True, memorizing=memorizing)
+    return Nfa(alphabet, states, transitions, start, finals, i_diamond=True)
 
 
 def concat_closure(a1: Nfa, a2: Nfa) -> Nfa:
     """I-diamond automaton for [L(a1) L(a2)]_I with exactly n1*n2 states.
 
-    ``a2`` must carry a validated memorizing certificate; moves of ``a1`` are
-    gated on independence with the alphabet memorized by the current a2-state.
+    ``a2`` must memorize (``memorized_masks`` checks it); a move of ``a1`` is
+    gated on its letter being independent of every letter the current
+    a2-state memorizes, one bit-mask test.
     """
     if a1.alphabet != a2.alphabet:
         raise AlphabetMismatchError("concat_closure over mixed alphabets")
     if not a1.i_diamond or not a2.i_diamond:
         raise CertificateError("concat_closure needs I-diamond inputs")
-    if a2.memorizing is None:
-        raise CertificateError("concat_closure needs a memorizing right factor")
     alphabet = a1.alphabet
-    alpha2 = a2.memorizing
+    gates = memorized_masks(a2)
+    dep_mask, rank = alphabet.dep_mask, alphabet.rank
     states = [(p1, p2) for p1 in a1.states for p2 in a2.states]
     transitions = []
     for p1 in a1.states:
-        out1 = a1.out(p1)
+        out1 = [(dep_mask[rank(a)], a, dests) for a, dests in a1.out(p1).items()]
         for p2 in a2.states:
-            gate = alpha2[p2]
-            for a, dests in out1.items():
-                if alphabet.independent_sets((a,), gate):
+            gate = gates[p2]
+            for dep, a, dests in out1:
+                if dep & gate == 0:
                     for q1 in dests:
                         transitions.append(((p1, p2), a, (q1, p2)))
             for a, dests in a2.out(p2).items():
@@ -459,14 +428,6 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
                     transitions.append((pair, letter, nxt))
     finals = [(p, q) for (p, q) in states if p in a.finals and q in b.finals]
     return Nfa(a.alphabet, states, transitions, start, finals)
-
-
-def length_automaton(a: Nfa) -> Nfa:
-    """Replace every transition label by the unary letter; accepts {|w| : w in L(a)}."""
-    if a.has_eps():
-        raise StructureError("length_automaton requires an epsilon-free automaton")
-    transitions = [(p, UNARY_LETTER, q) for p, _, q in a.transitions]
-    return Nfa(UNARY_ALPHABET, a.states, transitions, a.initial, a.finals)
 
 
 class Progression:
@@ -535,25 +496,25 @@ def _normalize_progressions(progs: set) -> FrozenSet:
 
 
 def unary_progressions(u: Nfa) -> FrozenSet:
-    """Exact decomposition of the accepted length set into progressions.
+    """Exact decomposition of the length set {|w| : w in L(u)} into progressions.
 
-    Determinizes the unary NFA by iterating the subset construction: the
-    subset sequence is a tail followed by a cycle; accepting tail positions
-    become singletons and accepting cycle positions become progressions with
-    the cycle length as period, then adjacent pieces are merged.  Exactness
-    is self-checked against direct membership up to tail + 2*period.
+    Labels are ignored: the subset construction is iterated on the unary
+    NFA that ``u`` becomes when every letter is read as one.  The subset
+    sequence is a tail followed by a cycle; accepting tail positions become
+    singletons and accepting cycle positions become progressions with the
+    cycle length as period, then adjacent pieces are merged.  Exactness is
+    self-checked against direct membership up to tail + 2*period.
     """
-    if tuple(u.alphabet.letters) != (UNARY_LETTER,):
-        raise StructureError("unary_progressions requires the unary alphabet")
     if u.has_eps():
         raise StructureError("unary_progressions requires an epsilon-free automaton")
+    succ: Dict = {}
+    for p, _, q in u.transitions:
+        succ.setdefault(p, set()).add(q)
     subset = frozenset([u.initial])
     seen = {subset: 0}
     sequence = [subset]
     while True:
-        nxt = frozenset(
-            q for s in sequence[-1] for q in u.out(s).get(UNARY_LETTER, ())
-        )
+        nxt = frozenset(q for s in sequence[-1] for q in succ.get(s, ()))
         if nxt in seen:
             tail = seen[nxt]
             period = len(sequence) - tail

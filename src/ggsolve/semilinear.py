@@ -1,16 +1,16 @@
 """Linear and semilinear sets over N^k; bounded linear-Diophantine solving.
 
 The two-power solution sets come from the automata pipeline: build closure
-automata for both sides, intersect, project to lengths, decompose the unary
-language into arithmetic progressions and map each progression back to a
-linear set in the two exponents.  Diophantine search is cut off at the
+automata for both sides, intersect, decompose the product's length set into
+arithmetic progressions and map each progression back to a linear set in
+the two exponents.  Diophantine search is cut off at the
 zur Gathen-Sieveking entry bound, which certifies unsolvability.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
 from .errors import InternalError, StructureError, TraceError
 from .traces import Trace, is_connected
@@ -78,17 +78,11 @@ class SemilinearSet:
 
 
 class DiophantineSystem:
-    """A z = a over N^m, with the reported image C z + c."""
+    """A z = a over N^m."""
 
-    __slots__ = ("A", "a", "C", "c")
+    __slots__ = ("A", "a")
 
-    def __init__(
-        self,
-        A: Sequence[Sequence[int]],
-        a: Sequence[int],
-        C: Optional[Sequence[Sequence[int]]] = None,
-        c: Optional[Sequence[int]] = None,
-    ):
+    def __init__(self, A: Sequence[Sequence[int]], a: Sequence[int]):
         self.A = tuple(tuple(int(x) for x in row) for row in A)
         self.a = tuple(int(x) for x in a)
         if len(self.A) != len(self.a):
@@ -97,30 +91,17 @@ class DiophantineSystem:
         for row in self.A:
             if len(row) != m:
                 raise StructureError("ragged matrix A")
-        if C is None:
-            C = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-            c = [0] * m
-        self.C = tuple(tuple(int(x) for x in row) for row in C)
-        self.c = tuple(int(x) for x in (c if c is not None else [0] * len(self.C)))
-        for row in self.C:
-            if len(row) != m:
-                raise StructureError("ragged matrix C")
-            if any(x < 0 for x in row):
-                raise StructureError("C must be natural")
-        if any(x < 0 for x in self.c):
-            raise StructureError("c must be natural")
-        if len(self.C) != len(self.c):
-            raise StructureError("row count mismatch between C and c")
 
     @property
     def num_vars(self) -> int:
-        return len(self.A[0]) if self.A else (len(self.C[0]) if self.C else 0)
+        return len(self.A[0]) if self.A else 0
 
     def beta(self) -> int:
+        """The largest absolute entry of A and a, and at least 1 when there are variables."""
         entries = [abs(x) for row in self.A for x in row]
         entries += [abs(x) for x in self.a]
-        entries += [x for row in self.C for x in row]
-        entries += list(self.c)
+        if self.num_vars:
+            entries.append(1)
         return max(entries, default=0)
 
     def cutoff(self) -> int:
@@ -217,8 +198,8 @@ def _solve_box(A, a, m, bound) -> Optional[tuple]:
     return dfs(0, list(a), [])
 
 
-def diophantine_solve(d: DiophantineSystem) -> Optional[Tuple[tuple, tuple]]:
-    """Some z in N^m with A z = a, as (z, C z + c); None certifies unsolvability.
+def diophantine_solve(d: DiophantineSystem) -> Optional[tuple]:
+    """Some z in N^m with A z = a; None certifies unsolvability.
 
     Escalating box search, complete at the zur Gathen-Sieveking cutoff:
     any solvable system has a solution within the cutoff, so exhausting it
@@ -226,18 +207,13 @@ def diophantine_solve(d: DiophantineSystem) -> Optional[Tuple[tuple, tuple]]:
     """
     m = d.num_vars
     if m == 0:
-        if all(x == 0 for x in d.a):
-            return (), tuple(d.c)
-        return None
+        return () if all(x == 0 for x in d.a) else None
     full = d.cutoff()
     boxes = sorted({min(8, full), min(64, full), full})
     for bound in boxes:
         z = _solve_box(d.A, d.a, m, bound)
         if z is not None:
-            image = tuple(
-                sum(d.C[i][j] * z[j] for j in range(m)) + d.c[i] for i in range(len(d.C))
-            )
-            return z, image
+            return z
     return None
 
 
@@ -269,8 +245,8 @@ def two_power_solutions(
     """Exact solution set {(x,y) : p u^x s = q v^y t} as a 2-dim semilinear set.
 
     Pipeline: closure automata for [p u* s]_I and [q v* t]_I, intersect,
-    project to lengths, decompose into progressions, map each progression
-    (b,c) to the linear set {((b-|ps|)/|u| + (c/|u|)z, (b-|qt|)/|v| + (c/|v|)z)}.
+    decompose the product's length set into progressions, map each
+    progression (b,c) to the linear set {((b-|ps|)/|u| + (c/|u|)z, (b-|qt|)/|v| + (c/|v|)z)}.
     The divisibility conditions are checked; a violation is a construction
     bug, not an input error, and raises InternalError.
     """
@@ -282,8 +258,7 @@ def two_power_solutions(
     left = automata.power_closure_nfa(p, u, s)
     right = automata.power_closure_nfa(q, v, t)
     product = automata.trim(automata.intersect(left, right))
-    lengths = automata.length_automaton(product)
-    progs = automata.unary_progressions(lengths)
+    progs = automata.unary_progressions(product)
     len_ps, len_qt = len(p) + len(s), len(q) + len(t)
     len_u, len_v = len(u), len(v)
     components = []

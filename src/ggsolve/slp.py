@@ -68,10 +68,6 @@ class Slp:
             visit(var, [])
         return tuple(order)
 
-    @property
-    def variables(self) -> Tuple[str, ...]:
-        return tuple(self.rhs)
-
     def size(self) -> int:
         return sum(len(body) for body in self.rhs.values())
 

@@ -27,6 +27,8 @@ class IndependenceAlphabet:
     ``_col[code]`` is the code's column, ``_others[code]`` the other columns
     it covers (those of the letters it depends on), ``_inverse[code]`` the
     code of its inverse letter and ``_no_inverse`` all -1 (no inverse).
+    ``dep_mask[code]`` has bit j set when code j depends on ``code`` (itself
+    included): the closure automata test independence on these masks.
     """
 
     __slots__ = (
@@ -34,6 +36,7 @@ class IndependenceAlphabet:
         "independence",
         "_rank",
         "_indep_matrix",
+        "dep_mask",
         "_hash",
         "_col",
         "_n_cols",
@@ -72,6 +75,9 @@ class IndependenceAlphabet:
             i, j = rank[a], rank[b]
             indep[i][j] = indep[j][i] = True
         self._indep_matrix = tuple(tuple(row) for row in indep)
+        self.dep_mask = tuple(
+            sum(1 << j for j in range(n) if not row[j]) for row in indep
+        )
         self._hash = hash((letters, self.independence))
         col, self._inverse = self._pile_layout(n)
         self._col = col
@@ -117,11 +123,6 @@ class IndependenceAlphabet:
 
     def dependent(self, a: str, b: str) -> bool:
         return not self.independent(a, b)
-
-    def independent_sets(self, letters_a: Iterable[str], letters_b: Iterable[str]) -> bool:
-        """True iff every letter of ``letters_a`` is independent of every letter of ``letters_b``."""
-        lb = tuple(letters_b)
-        return all(self.independent(a, b) for a in letters_a for b in lb)
 
     def max_independent_size(self) -> int:
         """alpha*: the maximal number of pairwise independent letters."""

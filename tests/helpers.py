@@ -118,9 +118,15 @@ def min_letters(t: Trace) -> tuple:
     return tuple(letters[x] for x in map(pile.bottom, range(t.alphabet._n_cols)) if x >= 0)
 
 
+def independent_sets(alphabet: IndependenceAlphabet, letters_a, letters_b) -> bool:
+    """Every letter of ``letters_a`` is independent of every letter of ``letters_b``."""
+    lb = tuple(letters_b)
+    return all(alphabet.independent(a, b) for a in letters_a for b in lb)
+
+
 def independent_of(t: Trace, other: Trace) -> bool:
     """Every letter of ``t`` is independent of every letter of ``other``."""
-    return t.alphabet.independent_sets(t.alph(), other.alph())
+    return independent_sets(t.alphabet, t.alph(), other.alph())
 
 
 def prefix_count(t: Trace) -> int:
@@ -275,27 +281,19 @@ def compression_witness(n: int, letter: str = "a") -> Slp:
 # Exponent equations: a builder, the grid oracle and the Z-to-N rewrite.
 
 
-def equation(alphabet: DoubledAlphabet, *specs, variables=None) -> ExponentEquation:
-    """Convenience builder: specs are constant words, or (word, var) power pairs.
+def const(word):
+    """An ``equation`` item: the constant ``word`` (freely reduced)."""
+    return lambda alphabet: Const(free_reduce(alphabet, word))
 
-    A 2-tuple counts as a power only when its second component is a plain
-    identifier (variable names never carry apostrophes); spell multi-letter
-    constants as strings of single-letter names or as token tuples.
-    """
-    items: List[Item] = []
-    for spec in specs:
-        is_power = (
-            isinstance(spec, tuple)
-            and len(spec) == 2
-            and isinstance(spec[0], (str, tuple, list))
-            and isinstance(spec[1], str)
-            and spec[1].isidentifier()
-        )
-        if is_power:
-            items.append(Power(free_reduce(alphabet, spec[0]), spec[1]))
-        else:
-            items.append(Const(free_reduce(alphabet, spec)))
-    return ExponentEquation(alphabet, items, variables)
+
+def pw(word, var: str):
+    """An ``equation`` item: ``word`` (freely reduced) to the power ``var``."""
+    return lambda alphabet: Power(free_reduce(alphabet, word), var)
+
+
+def equation(alphabet: DoubledAlphabet, *items, variables=None) -> ExponentEquation:
+    """The equation whose items are ``const(...)`` and ``pw(...)`` over ``alphabet``."""
+    return ExponentEquation(alphabet, [item(alphabet) for item in items], variables)
 
 
 def brute_oracle(e: ExponentEquation, cap: int) -> Set[tuple]:
@@ -548,15 +546,13 @@ def product_finite_ext_reduce(
 def reference_prefix_nfa(t: Trace) -> Nfa:
     """Automaton accepting exactly the linearizations of ``t``.
 
-    States are the prefixes of ``t`` (rho(t) many); memorizing with
-    alpha(prefix) = alph(prefix); I-diamond.
+    States are the prefixes of ``t`` (rho(t) many); I-diamond.
     """
     alphabet = t.alphabet
     start = ()
     states = [start]
     index = {start: empty_trace(alphabet)}
     transitions = []
-    memorizing = {start: frozenset()}
     queue = deque([start])
     while queue:
         key = queue.popleft()
@@ -568,18 +564,9 @@ def reference_prefix_nfa(t: Trace) -> Nfa:
             if nkey not in index:
                 index[nkey] = nxt
                 states.append(nkey)
-                memorizing[nkey] = nxt.alph()
                 queue.append(nkey)
             transitions.append((key, letter, nkey))
-    return Nfa(
-        alphabet,
-        states,
-        transitions,
-        start,
-        [t.word],
-        i_diamond=True,
-        memorizing=memorizing,
-    )
+    return Nfa(alphabet, states, transitions, start, [t.word], i_diamond=True)
 
 
 def _star_tuple_valid(u: Trace, tup: Tuple[Trace, ...]) -> bool:
@@ -603,8 +590,8 @@ def reference_star_nfa(u: Trace) -> Nfa:
     """Automaton for [u*]_I per the tuple-state construction (u connected, nonempty).
 
     States are tuples (u_1,...,u_c) of nonempty proper prefixes of u with
-    v_i I u_j for i < j; the memorizing bit records whether a full copy of u
-    has been completed (set by the copy-completing transitions).
+    v_i I u_j for i < j; a bit records whether a full copy of u has been
+    completed (set by the copy-completing transitions).
     """
     alphabet = u.alphabet
     if u.is_empty():
@@ -630,19 +617,19 @@ def reference_star_nfa(u: Trace) -> Nfa:
                 yield a, tup, True
             # type (b): complete a copy: u_1 * a == u
             if c > 0:
-                if (tup[0] * single[a]) == u and alphabet.independent_sets(
-                    (a,), tuple_alph(tup, 1)
+                if (tup[0] * single[a]) == u and independent_sets(
+                    alphabet, (a,), tuple_alph(tup, 1)
                 ):
                     yield a, tup[1:], True
             # type (c): start a new piece at slot i+1
             for i in range(c + 1):
-                if alphabet.independent_sets((a,), tuple_alph(tup, i)):
+                if independent_sets(alphabet, (a,), tuple_alph(tup, i)):
                     cand = tup[:i] + (single[a],) + tup[i:]
                     if _star_tuple_valid(u, cand):
                         yield a, cand, False
             # type (d): extend piece i
             for i in range(c):
-                if alphabet.independent_sets((a,), tuple_alph(tup, i + 1)):
+                if independent_sets(alphabet, (a,), tuple_alph(tup, i + 1)):
                     cand = tup[:i] + (tup[i] * single[a],) + tup[i + 1 :]
                     if _star_tuple_valid(u, cand):
                         yield a, cand, False
@@ -666,10 +653,7 @@ def reference_star_nfa(u: Trace) -> Nfa:
             edges.append((key_of(tup), a, nkey, completes))
 
     # add the completed-copy bit; only reachable (tuple, bit) pairs are kept
-    states = []
     transitions = []
-    memorizing = {}
-    alph_u = u.alph()
     reachable = set()
     start = (key_of(start_tup), 0)
     queue2 = deque([start])
@@ -686,22 +670,5 @@ def reference_star_nfa(u: Trace) -> Nfa:
                 reachable.add(nstate)
                 queue2.append(nstate)
             transitions.append(((key, bit), a, nstate))
-    for key, bit in reachable:
-        tup = seen[key]
-        alpha = set()
-        for part in tup:
-            alpha.update(part.alph())
-        if bit:
-            alpha.update(alph_u)
-        memorizing[(key, bit)] = frozenset(alpha)
-        states.append((key, bit))
     finals = [s for s in ((key_of(start_tup), 0), (key_of(start_tup), 1)) if s in reachable]
-    return Nfa(
-        alphabet,
-        states,
-        transitions,
-        start,
-        finals,
-        i_diamond=True,
-        memorizing=memorizing,
-    )
+    return Nfa(alphabet, list(reachable), transitions, start, finals, i_diamond=True)

@@ -11,7 +11,7 @@ from ggsolve.automata import (
     benois_member,
     concat_closure,
     intersect,
-    length_automaton,
+    memorized_masks,
     power_closure_nfa,
     prefix_nfa,
     reachable,
@@ -38,6 +38,7 @@ from helpers import (
 AC = IndependenceAlphabet("abc", [("a", "c")])
 AB_DEP = IndependenceAlphabet("ab")
 AB_IND = IndependenceAlphabet("ab", [("a", "b")])
+UNARY = IndependenceAlphabet("a")
 
 
 def language(nfa, max_len):
@@ -72,7 +73,10 @@ class TestPrefixNfa:
             assert nfa.num_states() == prefix_count(t)
             assert language(nfa, len(t)) == equivalence_class(alphabet, t.word)
             nfa.validate_i_diamond()
-            nfa.validate_memorizing()
+            # a prefix (a position mask) memorizes the letters at its positions
+            for state, letters in memorized_masks(nfa).items():
+                positions = [k for k in range(len(t)) if state >> k & 1]
+                assert letters == sum({1 << alphabet.rank(t.word[k]) for k in positions})
 
 
 def star_language_oracle(u, max_len):
@@ -111,10 +115,18 @@ class TestStarNfa:
             star_nfa(Trace(AC, ""))
 
     def test_memorizing_certificate(self):
-        u = Trace(AC, "ab")
-        nfa = star_nfa(u)
-        nfa.validate_i_diamond()
-        nfa.validate_memorizing()
+        """A state (pieces, bit) memorizes the letters of its pieces, and all
+        of u's once the bit is set."""
+        for alphabet in all_alphabets(3):
+            for u in canonical_traces_up_to(alphabet, 3):
+                if u.is_empty() or not is_connected(u):
+                    continue
+                nfa = star_nfa(u)
+                nfa.validate_i_diamond()
+                bits = [1 << alphabet.rank(a) for a in u.word]
+                for (pieces, done), letters in memorized_masks(nfa).items():
+                    covered = [k for k in range(len(u)) if done or any(p >> k & 1 for p in pieces)]
+                    assert letters == sum(set(bits[k] for k in covered)), (u, pieces, done)
 
     def test_language_exact_small(self):
         rng = random.Random(9)
@@ -144,11 +156,12 @@ class TestStarNfa:
 
 class TestAgainstTraceAlgebra:
     """The position-mask constructions against the trace-algebra reference
-    (prefixes as traces, reached by products and checked by quotients)."""
+    (prefixes as traces, reached by products and checked by quotients).
+    Both memorize, with the same memorized alphabets."""
 
     @staticmethod
     def shape(nfa):
-        alphas = sorted(sorted(alpha) for alpha in nfa.memorizing.values())
+        alphas = sorted(memorized_masks(nfa).values())
         return nfa.num_states(), len(nfa.transitions), len(nfa.finals), alphas
 
     def test_every_short_trace(self):
@@ -200,10 +213,14 @@ class TestConcatClosure:
         assert concat_closure(a1, a2).num_states() == 4
 
     def test_requires_memorizing(self):
+        """The right factor must memorize: state 1 reached by b and by c, or
+        a state that nothing reaches, is refused."""
         a1 = prefix_nfa(Trace(AC, "a"))
-        a2 = Nfa(AC, [0, 1], [(0, "b", 1)], 0, [1], i_diamond=True)
-        with pytest.raises(CertificateError):
-            concat_closure(a1, a2)
+        two_alphabets = Nfa(AC, [0, 1], [(0, "b", 1), (0, "c", 1)], 0, [1], i_diamond=True)
+        unreachable = Nfa(AC, [0, 1, 2], [(0, "b", 1)], 0, [1], i_diamond=True)
+        for a2 in (two_alphabets, unreachable):
+            with pytest.raises(CertificateError):
+                concat_closure(a1, a2)
 
     def test_closure_language_random(self):
         rng = random.Random(15)
@@ -314,30 +331,44 @@ class TestIntersect:
 
 
 class TestLengthAutomaton:
+    """``unary_progressions`` reads the length set of any epsilon-free automaton."""
+
     def test_single_word(self):
-        nfa = length_automaton(prefix_nfa(Trace(AB_DEP, "ab")))
-        assert language(nfa, 4) == {("a", "a")}
+        nfa = prefix_nfa(Trace(AB_DEP, "ab"))
+        assert unary_progressions(nfa) == {Progression(2, 0)}
 
     def test_even_lengths(self):
         star = star_nfa(Trace(AB_DEP, "ab"))
-        nfa = length_automaton(star)
-        assert language(nfa, 5) == {(), ("a",) * 2, ("a",) * 4}
+        assert unary_progressions(star) == {Progression(0, 2)}
 
     def test_rejects_eps(self):
         dbl = DoubledAlphabet(IndependenceAlphabet("a"))
         eps_nfa = Nfa(dbl, ["p", "q"], [("p", EPS, "q")], "p", ["q"])
         with pytest.raises(StructureError):
-            length_automaton(eps_nfa)
+            unary_progressions(eps_nfa)
 
     def test_empty_language(self):
         dbl = IndependenceAlphabet("ab")
         dead = Nfa(dbl, ["p", "q"], [("p", "a", "p")], "p", ["q"])
-        unary = length_automaton(dead)
-        assert unary_progressions(unary) == frozenset()
+        assert unary_progressions(dead) == frozenset()
 
-
-def lengths_of(nfa, bound):
-    return {len(w) for w in enumerate_accepted(nfa, bound)}
+    def test_labels_ignored(self):
+        """Random automata over two letters, parallel edges included, give the
+        progressions of their one-letter relabelling and their enumerated lengths."""
+        rng = random.Random(35)
+        for _ in range(80):
+            states = list(range(rng.randint(1, 4)))
+            edges = [
+                (rng.choice(states), rng.choice("ab"), rng.choice(states))
+                for _ in range(rng.randint(0, 8))
+            ]
+            finals = rng.sample(states, rng.randint(0, len(states)))
+            nfa = Nfa(AB_DEP, states, edges, 0, finals)
+            relabelled = Nfa(UNARY, states, [(p, "a", q) for p, _, q in edges], 0, finals)
+            progs = unary_progressions(nfa)
+            assert progs == unary_progressions(relabelled)
+            got = {n for n in range(9) if any(n in p for p in progs)}
+            assert got == {len(w) for w in enumerate_accepted(nfa, 8)}
 
 
 class TestUnaryProgressions:
@@ -346,12 +377,10 @@ class TestUnaryProgressions:
         star = concat_closure(
             prefix_nfa(Trace(AB_DEP, "a")), star_nfa(Trace(AB_DEP, "aa"))
         )
-        unary = length_automaton(star)
-        assert unary_progressions(unary) == {Progression(1, 2)}
+        assert unary_progressions(star) == {Progression(1, 2)}
 
     def test_singleton_zero(self):
-        unary = length_automaton(prefix_nfa(Trace(AB_DEP, "")))
-        assert unary_progressions(unary) == {Progression(0, 0)}
+        assert unary_progressions(prefix_nfa(Trace(AB_DEP, ""))) == {Progression(0, 0)}
 
     def test_union_two_periods(self):
         """(aa)* union (aaa)*: verified pointwise up to 24."""
@@ -378,9 +407,7 @@ class TestUnaryProgressions:
             + [("2", f) for f in two.finals]
             + [("3", f) for f in three.finals]
         )
-        from ggsolve.automata import UNARY_ALPHABET
-
-        union = Nfa(UNARY_ALPHABET, states, transitions, "init", finals)
+        union = Nfa(UNARY, states, transitions, "init", finals)
         progs = unary_progressions(union)
         expected = {n for n in range(25) if n % 2 == 0 or n % 3 == 0}
         got = {n for n in range(25) if any(n in p for p in progs)}
@@ -388,8 +415,6 @@ class TestUnaryProgressions:
 
     def test_random_unary(self):
         rng = random.Random(33)
-        from ggsolve.automata import UNARY_ALPHABET
-
         for _ in range(80):
             n = rng.randint(1, 5)
             states = list(range(n))
@@ -399,7 +424,7 @@ class TestUnaryProgressions:
                     if rng.random() < 0.4:
                         transitions.append((p, "a", q))
             finals = [s for s in states if rng.random() < 0.4]
-            nfa = Nfa(UNARY_ALPHABET, states, transitions, 0, finals)
+            nfa = Nfa(UNARY, states, transitions, 0, finals)
             progs = unary_progressions(nfa)
             for length in range(20):
                 assert nfa.accepts(("a",) * length) == any(length in p for p in progs)

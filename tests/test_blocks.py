@@ -24,7 +24,7 @@ from ggsolve.solver.equations import (
 )
 from ggsolve.traces import IndependenceAlphabet
 
-from helpers import compression_witness, equation, expand, from_word, power_slp
+from helpers import compression_witness, const, equation, expand, from_word, power_slp, pw
 from test_streaming import _outcome, alphabets, words
 
 
@@ -148,7 +148,7 @@ def _counting_pushes(monkeypatch):
 def test_criterion_09_streams_few_letters(monkeypatch):
     """(a b a')^x a (b')^y a' = 1 with a I c: x = y = 2^20 merges to nothing."""
     dbl = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
-    e = equation(dbl, (("a", "b", "a'"), "x"), ("a",), (("b'",), "y"), ("a'",))
+    e = equation(dbl, pw(("a", "b", "a'"), "x"), const(("a",)), pw(("b'",), "y"), const(("a'",)))
     pushed = _counting_pushes(monkeypatch)
     assert verify(e, {"x": 2**20, "y": 2**20}, cap=2**22)
     assert not verify(e, {"x": 2**20, "y": 2**20 + 1}, cap=2**22)
@@ -158,7 +158,7 @@ def test_criterion_09_streams_few_letters(monkeypatch):
 def test_equal_bases_merge(monkeypatch):
     """w^x w^y (w^-1)^z with x + y = z: the first two powers add up, then cancel."""
     dbl = DoubledAlphabet(IndependenceAlphabet("ab"))
-    e = equation(dbl, ("ab", "x"), ("ab", "y"), (("b'", "a'"), "z"))
+    e = equation(dbl, pw("ab", "x"), pw("ab", "y"), pw(("b'", "a'"), "z"))
     pushed = _counting_pushes(monkeypatch)
     assert verify(e, {"x": 2**19, "y": 2**19, "z": 2**20}, cap=2**22)
     assert pushed[0] < 100

@@ -380,6 +380,7 @@ class TestOptimizedInterpreter:
             "tests/test_exact.py::TestTwoPowers::test_free_knapsack",
             "tests/test_semilinear.py::TestTwoPower::test_double_speed",
             "tests/test_automata.py::TestUnaryProgressions::test_odd",
+            "tests/test_automata.py::TestConcatClosure",
             "tests/test_finite_ext.py::TestZKnapsack",
             "tests/test_finite_ext.py::TestOrbitWalk",
             "tests/test_finite_ext.py::TestFailClosed",

@@ -11,7 +11,7 @@ from ggsolve.semilinear import member
 from ggsolve.solver import solve_exact
 from ggsolve.traces import IndependenceAlphabet, Trace, power
 
-from helpers import brute_oracle, enumerate_members, equation, random_element
+from helpers import brute_oracle, const, enumerate_members, equation, pw, random_element
 
 ZL = DoubledAlphabet(IndependenceAlphabet("a"))
 AC = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
@@ -50,100 +50,102 @@ def check_exact(e, grid=15):
 
 class TestZeroPowers:
     def test_identity(self):
-        check_exact(equation(ZL, ("a", "a'")))
+        check_exact(equation(ZL, const(("a", "a'"))))
 
     def test_nonidentity(self):
-        rep = solve_exact(equation(ZL, "a"))
+        rep = solve_exact(equation(ZL, const("a")))
         assert rep.status == "unsolvable"
 
     def test_free_variable(self):
         # x's power drops out: every x works
-        e = equation(ZL, (("a", "a'"), "x"))
+        e = equation(ZL, pw(("a", "a'"), "x"))
         rep = check_exact(e)
         assert rep.status == "solvable"
 
 
 class TestOnePower:
     def test_z_like(self):
-        rep = check_exact(equation(ZL, ("a", "x"), ("a'", "a'", "a'")))
+        rep = check_exact(equation(ZL, pw("a", "x"), const(("a'", "a'", "a'"))))
         assert enumerate_members(rep.solution_set, 20) == {(3,)}
 
     def test_unsolvable(self):
-        rep = check_exact(equation(ZL, ("a", "x"), ("a",)))
+        rep = check_exact(equation(ZL, pw("a", "x"), const(("a",))))
         assert rep.status == "unsolvable"
 
     def test_conjugated(self):
-        check_exact(equation(AC, (("a", "b", "a'"), "x"), ("a", "b'", "b'", "a'")))
+        check_exact(equation(AC, pw(("a", "b", "a'"), "x"), const(("a", "b'", "b'", "a'"))))
 
     def test_zero_solution(self):
-        rep = check_exact(equation(ZL, ("a", "x")))
+        rep = check_exact(equation(ZL, pw("a", "x")))
         assert enumerate_members(rep.solution_set, 5) == {(0,)}
 
 
 class TestTwoPowers:
     def test_z_like_ratio(self):
         # a^x (a'a')^y = 1: x = 2y
-        e = equation(ZL, ("a", "x"), (("a'", "a'"), "y"))
+        e = equation(ZL, pw("a", "x"), pw(("a'", "a'"), "y"))
         rep = check_exact(e)
         assert member(rep.solution_set, (12, 6))
         assert not member(rep.solution_set, (13, 6))
 
     def test_free_knapsack(self):
-        e = equation(FREE2, ("a", "x"), ("b", "y"), ("b'", "a'"))
+        e = equation(FREE2, pw("a", "x"), pw("b", "y"), const(("b'", "a'")))
         rep = check_exact(e)
         assert enumerate_members(rep.solution_set, 10) == {(1, 1)}
 
     def test_free_abelian_shared_var(self):
         # (ac)^x = ac: preprocessing splits into a^x c^x
-        e = equation(ABEL2, (("a", "c"), "x"), ("c'", "a'"))
+        e = equation(ABEL2, pw(("a", "c"), "x"), const(("c'", "a'")))
         rep = check_exact(e)
         assert enumerate_members(rep.solution_set, 10) == {(1,)}
 
     def test_shifted_line(self):
         # a^x a (a')^y = 1: y = x + 1
-        e = equation(ZL, ("a", "x"), "a", (("a'",), "y"))
+        e = equation(ZL, pw("a", "x"), const("a"), pw(("a'",), "y"))
         check_exact(e)
 
     def test_middle_blocker(self):
         # a^x b (a')^y: never 1 except... brute-checked
-        e = equation(FREE2, ("a", "x"), "b", (("a'",), "y"))
+        e = equation(FREE2, pw("a", "x"), const("b"), pw(("a'",), "y"))
         check_exact(e, grid=8)
 
     def test_commuting_powers(self):
         # a^x c^y with a I c and target a^2 c^3
-        e = equation(ABEL2, ("a", "x"), ("c", "y"), ("c'", "c'", "c'", "a'", "a'"))
+        e = equation(ABEL2, pw("a", "x"), pw("c", "y"), const(("c'", "c'", "c'", "a'", "a'")))
         rep = check_exact(e)
         assert enumerate_members(rep.solution_set, 10) == {(2, 3)}
 
     def test_same_var_twice(self):
         # a^x (a')^x = 1 for all x
-        e = equation(ZL, ("a", "x"), (("a'",), "x"))
+        e = equation(ZL, pw("a", "x"), pw(("a'",), "x"))
         rep = check_exact(e)
         assert member(rep.solution_set, (7,))
 
     def test_same_var_offset(self):
         # a^x a (a')^x = a: never identity
-        e = equation(ZL, ("a", "x"), "a", (("a'",), "x"))
+        e = equation(ZL, pw("a", "x"), const("a"), pw(("a'",), "x"))
         rep = check_exact(e)
         assert rep.status == "unsolvable"
 
     def test_solution_below_the_shape(self):
         # b a^x b' c^3 (c')^y = 1 only at (0, 3): at x = dx = 0 the shape
         # b * a^0 * b' c^3 is not reduced, so only the x strip finds it
-        e = equation(FREE3, "b", ("a", "x"), ("b'", "c", "c", "c"), (("c'",), "y"))
+        e = equation(
+            FREE3, const("b"), pw("a", "x"), const(("b'", "c", "c", "c")), pw(("c'",), "y")
+        )
         rep = check_exact(e, grid=8)
         assert enumerate_members(rep.solution_set, 8) == {(0, 3)}
 
     def test_solution_above_the_shape(self):
         # a^x a'^2 a^y a'^3 = 1 on x + y = 5; the right side a^3 a'^y takes
         # its shape from dy = 3, so (3, 2) is found by the y strip alone
-        e = equation(ZL, ("a", "x"), ("a'", "a'"), ("a", "y"), ("a'", "a'", "a'"))
+        e = equation(ZL, pw("a", "x"), const(("a'", "a'")), pw("a", "y"), const(("a'", "a'", "a'")))
         rep = check_exact(e, grid=8)
         assert enumerate_members(rep.solution_set, 8) == {(x, 5 - x) for x in range(6)}
 
     def test_conjugated_pair(self):
         # (a b a')^x (a b' a')^y = 1: x = y
-        e = equation(AC, (("a", "b", "a'"), "x"), (("a", "b'", "a'"), "y"))
+        e = equation(AC, pw(("a", "b", "a'"), "x"), pw(("a", "b'", "a'"), "y"))
         rep = check_exact(e, grid=8)
         assert member(rep.solution_set, (5, 5))
         assert not member(rep.solution_set, (5, 4))
@@ -151,7 +153,7 @@ class TestTwoPowers:
 
 class TestLimits:
     def test_three_powers_unknown(self):
-        e = equation(FREE2, ("a", "x"), ("b", "y"), ("a", "z"))
+        e = equation(FREE2, pw("a", "x"), pw("b", "y"), pw("a", "z"))
         rep = solve_exact(e)
         assert rep.status == "unknown"
 
@@ -160,7 +162,7 @@ class TestLimits:
             IndependenceAlphabet("abcd", [("a", "b"), ("a", "c"), ("b", "c")])
         )
         # (abc)^x splits into three powers
-        e = equation(big, (("a", "b", "c"), "x"), ("d", "y"))
+        e = equation(big, pw(("a", "b", "c"), "x"), pw("d", "y"))
         rep = solve_exact(e)
         assert rep.status == "unknown"
 
@@ -230,7 +232,7 @@ class TestRandomAgreement:
 
     def test_solution_sets_closed_under_periods(self):
         rng = random.Random(11)
-        e = equation(ZL, ("a", "x"), (("a'", "a'"), "y"))
+        e = equation(ZL, pw("a", "x"), pw(("a'", "a'"), "y"))
         rep = solve_exact(e)
         for comp in rep.solution_set.components:
             for pvec in comp.periods:
@@ -279,7 +281,7 @@ class TestPowerForm:
 class TestInternalChecks:
     """The checks on the exact path raise InternalError, also under ``python -O``."""
 
-    KNAPSACK = equation(FREE2, ("a", "x"), ("b", "y"), ("b'", "a'"))
+    KNAPSACK = equation(FREE2, pw("a", "x"), pw("b", "y"), const(("b'", "a'")))
 
     @pytest.mark.parametrize("name", ["right_quotient", "left_quotient"])
     def test_left_form_steps(self, name, monkeypatch):
@@ -341,9 +343,3 @@ class TestInternalChecks:
         monkeypatch.setattr(automata, "_normalize_progressions", lambda progs: set())
         with pytest.raises(InternalError, match="progression decomposition mismatch"):
             solve_exact(self.KNAPSACK)
-
-    def test_memorizing_validation_needs_a_map(self):
-        from ggsolve.automata import UNARY_ALPHABET, Nfa
-
-        with pytest.raises(InternalError):
-            Nfa(UNARY_ALPHABET, [0], [], 0, [0]).validate_memorizing()

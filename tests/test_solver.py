@@ -20,7 +20,16 @@ from ggsolve.solver import (
 )
 from ggsolve.traces import IndependenceAlphabet
 
-from helpers import brute_oracle, equation, from_word, power_slp, random_element, z_to_n_rewrite
+from helpers import (
+    brute_oracle,
+    const,
+    equation,
+    from_word,
+    power_slp,
+    pw,
+    random_element,
+    z_to_n_rewrite,
+)
 
 ZL = DoubledAlphabet(IndependenceAlphabet("a"))
 AC = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
@@ -29,7 +38,7 @@ FREE2 = DoubledAlphabet(IndependenceAlphabet("ab"))
 
 class TestPreprocess:
     def test_conjugate_base(self):
-        e = equation(AC, (("a", "b", "a'"), "x"))
+        e = equation(AC, pw(("a", "b", "a'"), "x"))
         pp = preprocess(e)
         kinds = [type(i).__name__ for i in pp.items]
         assert kinds == ["Const", "Power", "Const"]
@@ -38,7 +47,7 @@ class TestPreprocess:
         assert pp.items[2].value.word == ("a'",)
 
     def test_split_disconnected(self):
-        e = equation(AC, (("a", "c"), "x"))
+        e = equation(AC, pw(("a", "c"), "x"))
         pp = preprocess(e)
         powers = pp.powers()
         assert len(powers) == 2
@@ -46,7 +55,7 @@ class TestPreprocess:
         assert {p.var for p in powers} == {"x"}
 
     def test_identity_base_dropped(self):
-        e = equation(AC, (("a", "a'"), "x"), "b")
+        e = equation(AC, pw(("a", "a'"), "x"), const("b"))
         pp = preprocess(e)
         assert pp.powers() == []
         assert pp.vars == ("x",)
@@ -73,53 +82,53 @@ class TestPreprocess:
 
 class TestVerify:
     def test_simple(self):
-        e = equation(ZL, ("a", "x"), ("a'",))
+        e = equation(ZL, pw("a", "x"), const(("a'",)))
         assert verify(e, {"x": 1})
         assert not verify(e, {"x": 2})
 
     def test_resource_exceeded(self):
-        e = equation(ZL, ("a", "x"))
+        e = equation(ZL, pw("a", "x"))
         with pytest.raises(ResourceExceeded):
             verify(e, {"x": 2**40}, cap=10**6)
 
     def test_compressed_analogue(self):
         # (a b a')^x b^{-y} = 1 keeps boundaries short in conjugate-power form
-        e = equation(AC, (("a", "b", "a'"), "x"), ("a",), (("b'",), "y"), ("a'",))
+        e = equation(AC, pw(("a", "b", "a'"), "x"), const(("a",)), pw(("b'",), "y"), const(("a'",)))
         # a b^x a' a b^-y a' = 1 iff x = y
         assert verify(e, {"x": 2**5, "y": 2**5})
         assert not verify(e, {"x": 2**5, "y": 2**5 - 1})
 
     def test_big_exponent_within_cap(self):
-        e = equation(ZL, ("a", "x"), (("a'",), "y"))
+        e = equation(ZL, pw("a", "x"), pw(("a'",), "y"))
         assert verify(e, {"x": 2**20, "y": 2**20}, cap=2**21)
 
 
 class TestBruteOracle:
     def test_singleton(self):
-        e = equation(ZL, ("a", "x"), ("a'",))
+        e = equation(ZL, pw("a", "x"), const(("a'",)))
         assert brute_oracle(e, 5) == {(1,)}
 
     def test_knapsack_pair(self):
         # a^x b^y = ab, i.e. trailing constant (ab)^{-1} = b' a'
-        e = equation(FREE2, ("a", "x"), ("b", "y"), ("b'", "a'"))
+        e = equation(FREE2, pw("a", "x"), pw("b", "y"), const(("b'", "a'")))
         assert brute_oracle(e, 5) == {(1, 1)}
 
     def test_unsat(self):
-        e = equation(AC, ("a", "x"), ("b",))
+        e = equation(AC, pw("a", "x"), const(("b",)))
         assert brute_oracle(e, 5) == set()
 
 
 class TestRelaxation:
     def test_solvable(self):
-        e = equation(ZL, ("a", "x"), ("a'",))
+        e = equation(ZL, pw("a", "x"), const(("a'",)))
         assert diophantine_solve(abelian_relaxation(e)) is not None
 
     def test_unsolvable(self):
-        e = equation(AC, ("a", "x"), ("b",))
+        e = equation(AC, pw("a", "x"), const(("b",)))
         assert diophantine_solve(abelian_relaxation(e)) is None
 
     def test_balance(self):
-        e = equation(ZL, ("a", "x"), (("a'",), "y"))
+        e = equation(ZL, pw("a", "x"), pw(("a'",), "y"))
         d = abelian_relaxation(e)
         assert d.A == ((1, -1),)
         assert d.a == (0,)
@@ -127,40 +136,40 @@ class TestRelaxation:
 
 class TestSolveSearch:
     def test_witness(self):
-        rep = solve_search(equation(ZL, ("a", "x"), ("a'",)))
+        rep = solve_search(equation(ZL, pw("a", "x"), const(("a'",))))
         assert rep.status == "solvable" and rep.witness == {"x": 1}
 
     def test_certified_unsolvable(self):
-        rep = solve_search(equation(AC, ("a", "x"), ("b",)))
+        rep = solve_search(equation(AC, pw("a", "x"), const(("b",))))
         assert rep.status == "unsolvable"
 
     def test_knapsack_pair_capped(self):
         rep = solve_search(
-            equation(FREE2, ("a", "x"), ("b", "y"), ("b'", "a'")), cap=5
+            equation(FREE2, pw("a", "x"), pw("b", "y"), const(("b'", "a'"))), cap=5
         )
         assert rep.status == "solvable" and rep.witness == {"x": 1, "y": 1}
 
     def test_unknown(self):
         # solvable only with x = 7 > cap, relaxation solvable
-        rep = solve_search(equation(ZL, ("a", "x"), ("a'",) * 7), cap=3)
+        rep = solve_search(equation(ZL, pw("a", "x"), const(("a'",) * 7)), cap=3)
         assert rep.status == "unknown"
 
 
 class TestSolutionBound:
     def test_positive_and_monotone(self):
-        b1 = solution_bound(equation(ZL, ("a", "x"), ("a'",)))
-        b2 = solution_bound(equation(ZL, ("a", "x"), ("a'",) * 4))
+        b1 = solution_bound(equation(ZL, pw("a", "x"), const(("a'",))))
+        b2 = solution_bound(equation(ZL, pw("a", "x"), const(("a'",) * 4)))
         assert 0 < b1 <= b2
 
     def test_heuristic_label(self):
         from ggsolve.solver.equations import bound_report_string
 
-        assert bound_report_string(equation(ZL, ("a", "x"))).startswith("HEURISTIC")
+        assert bound_report_string(equation(ZL, pw("a", "x"))).startswith("HEURISTIC")
 
 
 class TestZtoN:
     def test_simple(self):
-        e = equation(ZL, ("a", "x"), ("a",))  # a^x = a^{-1}: needs x = -1
+        e = equation(ZL, pw("a", "x"), const(("a",)))  # a^x = a^{-1}: needs x = -1
         assert brute_oracle(e, 4) == set()
         rewritten, partner = z_to_n_rewrite(e)
         sols = brute_oracle(rewritten, 3)
@@ -169,14 +178,14 @@ class TestZtoN:
         assert any(s[xi] - s[yi] == -1 for s in sols)
 
     def test_repeated_variable_consistent(self):
-        e = equation(ZL, ("a", "x"), ("a", "x"))
+        e = equation(ZL, pw("a", "x"), pw("a", "x"))
         rewritten, partner = z_to_n_rewrite(e)
         assert len(rewritten.vars) == 2
         powers = rewritten.powers()
         assert [p.var for p in powers] == ["x", partner["x"], "x", partner["x"]]
 
     def test_n_solvable_stays_solvable(self):
-        e = equation(ZL, ("a", "x"), ("a'", "a'"))
+        e = equation(ZL, pw("a", "x"), const(("a'", "a'")))
         rewritten, partner = z_to_n_rewrite(e)
         sols = brute_oracle(rewritten, 4)
         assert (2, 0) in sols
