@@ -240,19 +240,24 @@ def useful_part(
 
 
 def _order(t: Trace) -> Tuple[tuple, Tuple[int, ...]]:
-    """``t``'s canonical word and, per position, the mask of earlier positions it depends on.
+    """``t``'s canonical codes and, per position, the mask of earlier positions it depends on.
 
     Bit j of ``below[k]`` is set when j < k and the letters at j and k are
     dependent (equal letters included).  The prefixes of ``t`` are exactly
     the position masks closed under ``below``: a trace's heap of pieces.
     """
-    word = t.word
-    dependent = t.alphabet.dependent
-    below = tuple(
-        sum(1 << j for j in range(k) if dependent(word[j], word[k]))
-        for k in range(len(word))
-    )
-    return word, below
+    codes = t.codes
+    dep_mask = t.alphabet.dep_mask
+    below = []
+    seen = [0] * len(dep_mask)  # per letter code, the mask of its positions so far
+    for k, code in enumerate(codes):
+        dep, mask = dep_mask[code], 0
+        for other, positions in enumerate(seen):
+            if dep >> other & 1:
+                mask |= positions
+        below.append(mask)
+        seen[code] |= 1 << k
+    return codes, tuple(below)
 
 
 def _enabled(mask: int, below: Tuple[int, ...]) -> List[int]:
@@ -267,8 +272,9 @@ def prefix_nfa(t: Trace) -> Nfa:
     position masks; memorizing (a prefix's letters are those of its
     positions); I-diamond.
     """
-    word, below = _order(t)
-    full = (1 << len(word)) - 1
+    codes, below = _order(t)
+    letters = t.alphabet.letters
+    full = (1 << len(codes)) - 1
     states = [0]
     seen = {0}
     transitions = []
@@ -278,7 +284,7 @@ def prefix_nfa(t: Trace) -> Nfa:
             if nxt not in seen:
                 seen.add(nxt)
                 states.append(nxt)
-            transitions.append((mask, word[k], nxt))
+            transitions.append((mask, letters[codes[k]], nxt))
     return Nfa(t.alphabet, states, transitions, 0, [full], i_diamond=True)
 
 
@@ -299,10 +305,10 @@ def star_nfa(u: Trace) -> Nfa:
         raise TraceError("star_nfa requires a nonempty trace")
     if not is_connected(u):
         raise TraceError("star_nfa requires a connected trace")
-    word, below = _order(u)
-    n = len(word)
+    codes, below = _order(u)
+    letters = alphabet.letters
+    n = len(codes)
     full = (1 << n) - 1
-    codes = [alphabet.rank(a) for a in word]
     own = [1 << c for c in codes]
     dep = [alphabet.dep_mask[c] for c in codes]
 
@@ -333,9 +339,9 @@ def star_nfa(u: Trace) -> Nfa:
                 if grown != full:
                     nxt = tup[:i] + (grown,) + rest
                     if valid(nxt):
-                        out.append((word[k], nxt, False))
+                        out.append((letters[codes[k]], nxt, False))
                 elif i == 0:
-                    out.append((word[k], rest, True))
+                    out.append((letters[codes[k]], rest, True))
         return out
 
     start = ((), 0)

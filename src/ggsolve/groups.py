@@ -1,27 +1,35 @@
 """Graph-group elements as irreducible traces over a doubled alphabet.
 
-Inverse letters are spelled with a trailing apostrophe.  Free reduction runs
-on the same pile as trace normal forms (``traces.Pile``), with cancellation
-on: a and a' share one column, and a letter cancels the most recent
-surviving occurrence of its inverse exactly when that occurrence is on top
-of the column.  Entries carry position tags so that multiplication can
-report the cancelled middle trace of the unique boundary factorization.
-``SignedPile`` is the group coding of the pile.  ``BlockProduct`` multiplies
-many items as blocks, constants and powers w^k merged by free reduction and
-exponent arithmetic, and streams only what is left through one pile;
-``ConjugatePower`` keeps p w^k p^-1 folded until its trace is read.
+Inverse letters are spelled with a trailing apostrophe; in codes, a is
+``2 * base rank`` and a' is one more, so inversion is ``code ^ 1`` and a
+word inverts as the reversed tuple of those (``invert_codes``).  The kernels
+here work on codes only; letter names enter through ``free_reduce`` and
+leave through ``word``, and ``inverse_letter``/``invert_word`` invert the
+named words of the input formats and transfer constructions.
+
+Free reduction runs on the trace pile (``traces.Pile``) with cancellation:
+a and a' share one column, and a letter cancels the most recent surviving
+occurrence of its inverse exactly when that occurrence is on top of the
+column.  Entries carry position tags so that multiplication can report the
+cancelled middle trace of the unique boundary factorization.
+``SignedPile`` is that cancelling pile.
+``BlockProduct`` multiplies many items as blocks, constants and powers w^k
+merged by free reduction and exponent arithmetic, and streams only what is
+left through one pile; ``ConjugatePower`` keeps p w^k p^-1 folded until its
+trace is read.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .errors import AlphabetMismatchError, InternalError, ResourceExceeded, TraceError
 from .traces import (
     IndependenceAlphabet,
     Pile,
     Trace,
+    _canonical_word,
     empty_trace,
     left_quotient,
     right_quotient,
@@ -34,6 +42,16 @@ def inverse_letter(letter: str) -> str:
     if letter.endswith(INVERSE_MARK):
         return letter[:-1]
     return letter + INVERSE_MARK
+
+
+def invert_word(word: Sequence[str]) -> tuple:
+    """Reversal with letterwise inversion; an involution on raw words."""
+    return tuple(inverse_letter(a) for a in reversed(word))
+
+
+def invert_codes(codes: Sequence[int]) -> tuple:
+    """``invert_word`` on doubled-alphabet codes."""
+    return tuple([c ^ 1 for c in reversed(codes)])
 
 
 class DoubledAlphabet(IndependenceAlphabet):
@@ -58,15 +76,10 @@ class DoubledAlphabet(IndependenceAlphabet):
         super().__init__(letters, pairs)
         self.base = base
 
-    def _pile_layout(self, n: int):
+    def _pile_columns(self, n: int) -> tuple:
         # a (code 2i) and a' (2i + 1) share column i: they depend on the same
         # letters and on each other.
-        return tuple(code >> 1 for code in range(n)), tuple(code ^ 1 for code in range(n))
-
-
-def invert_word(word: Sequence[str]) -> tuple:
-    """Reversal with letterwise inversion; an involution on raw words."""
-    return tuple(inverse_letter(a) for a in reversed(word))
+        return tuple(code >> 1 for code in range(n))
 
 
 class GroupElement:
@@ -80,6 +93,10 @@ class GroupElement:
     @property
     def alphabet(self) -> DoubledAlphabet:
         return self.trace.alphabet
+
+    @property
+    def codes(self) -> tuple:
+        return self.trace.codes
 
     @property
     def word(self) -> tuple:
@@ -97,17 +114,19 @@ class GroupElement:
         return hash(("GroupElement", self.trace))
 
     def __repr__(self):
-        return f"GroupElement({' '.join(self.word) if self.word else '_'})"
+        return f"GroupElement({' '.join(self.word) if self.codes else '_'})"
 
     def __bool__(self):
-        return bool(self.word)
+        return bool(self.codes)
 
     def is_identity(self) -> bool:
-        return not self.word
+        return not self.codes
 
     def inverse(self) -> "GroupElement":
         # The inverse of an irreducible trace is irreducible.
-        return GroupElement(Trace(self.alphabet, invert_word(self.word)))
+        alphabet = self.alphabet
+        codes = _canonical_word(alphabet, invert_codes(self.codes))
+        return GroupElement(Trace._from_canonical(alphabet, codes))
 
 
 class ConjugatePower(GroupElement):
@@ -142,20 +161,49 @@ def identity(alphabet: DoubledAlphabet) -> GroupElement:
 
 
 class SignedPile(Pile):
-    """The group coding of ``traces.Pile``: free reduction of a stream of letters.
+    """The cancelling ``traces.Pile``: free reduction of a stream of letter codes.
 
-    Codes are doubled-alphabet ranks, ``2 * base rank`` plus 1 for an
-    inverse: a and a' share their base letter's column, and a pushed letter
-    cancels the top of that column when it is its inverse (``code ^ 1``).
-    ``count`` is then the length of the reduced word so far.
+    An entry on its own column is ``tag << shift | code``, the tag being the
+    letter's position in the stream.  A pushed letter cancels the top of its
+    column when that is its inverse (``code ^ 1``); ``count`` is then the
+    length of the reduced word so far and ``pushed`` the number of letters
+    streamed.  With ``track_pairs`` the cancellations go to ``pairs`` as
+    (earlier tag, later tag).
     """
 
-    __slots__ = ()
+    __slots__ = ("pushed", "pairs")
 
     def __init__(self, alphabet: DoubledAlphabet, track_pairs: bool = False):
         if not isinstance(alphabet, DoubledAlphabet):  # a plain alphabet has no inverses
             raise AlphabetMismatchError("free reduction needs a doubled alphabet")
-        super().__init__(alphabet, cancel=True, track_pairs=track_pairs)
+        super().__init__(alphabet)
+        self.pushed = 0
+        self.pairs = [] if track_pairs else None
+
+    def push(self, codes: Iterable[int]) -> None:
+        """Stream letter codes (any iterable) onto the pile, cancelling where the piling allows."""
+        alphabet = self.alphabet
+        col_of, others = alphabet._col, alphabet._others
+        mask, shift = alphabet._mask, alphabet._shift
+        cols, pairs = self._cols, self.pairs
+        tag, count = self.pushed, self.count
+        for code in codes:
+            col = cols[col_of[code]]
+            top = col[-1]
+            if top & mask == code ^ 1:
+                col.pop()
+                for j in others[code]:
+                    cols[j].pop()
+                if pairs is not None:
+                    pairs.append((top >> shift, tag))
+                count -= 1
+            else:
+                col.append(tag << shift | code)
+                for j in others[code]:
+                    cols[j].append(mask)
+                count += 1
+            tag += 1
+        self.pushed, self.count = tag, count
 
     def element(self) -> GroupElement:
         """The reduced product of everything pushed, as a normal form (ends the pile)."""
@@ -180,9 +228,9 @@ class BlockProduct:
         self.blocks: list = []
         self.length = 0
 
-    def push_word(self, word: Sequence[str]) -> None:
-        """Append a word."""
-        if not word:
+    def push_codes(self, codes: Sequence[int]) -> None:
+        """Append a word, in codes."""
+        if not codes:
             return
         blocks = self.blocks
         if blocks and isinstance(blocks[-1], SignedPile):
@@ -191,7 +239,7 @@ class BlockProduct:
         else:
             pile = SignedPile(self.alphabet)
             blocks.append(pile)
-        pile.push_word(word)
+        pile.push(codes)
         if pile.count:
             self.length += pile.count
         else:
@@ -223,22 +271,19 @@ class BlockProduct:
 
     def push_conjugate_power(self, p: GroupElement, w: GroupElement, k: int) -> None:
         """Append p w^k p^-1 as the blocks p, w^k, p^-1."""
-        self.push_word(p.word)
+        self.push_codes(p.codes)
         self.push_power(w, k)
-        self.push_word(invert_word(p.word))
+        self.push_codes(invert_codes(p.codes))
 
     def _pile(self) -> SignedPile:
         """The letters of every block streamed onto one signed pile (ends the blocks)."""
         pile = SignedPile(self.alphabet)
-        rank = self.alphabet._rank
         for block in self.blocks:
             if isinstance(block, SignedPile):
-                pile.push_word(block.depile())
+                pile.push(block.depile())
                 continue
             w, k = block
-            codes = [rank[a] for a in w.word]
-            if k < 0:
-                codes = [c ^ 1 for c in reversed(codes)]
+            codes = w.codes if k > 0 else invert_codes(w.codes)
             pile.push(chain.from_iterable(repeat(codes, abs(k))))
         return pile
 
@@ -254,26 +299,26 @@ class BlockProduct:
         return self._pile().element()
 
 
-def _reduce_tagged(alphabet: DoubledAlphabet, word: Sequence[str]):
+def _reduce_tagged(alphabet: DoubledAlphabet, codes: Sequence[int]):
     """Free reduction via signed piling.
 
-    Returns (canonical reduced word, cancelled pairs as (tag_i, tag_j) with
-    tag_i < tag_j), where the tag of a letter is its position in ``word``.
+    Returns (canonical reduced codes, cancelled pairs as (tag_i, tag_j) with
+    tag_i < tag_j), where the tag of a letter is its position in ``codes``.
     """
     pile = SignedPile(alphabet, track_pairs=True)
-    pile.push_word(word)
+    pile.push(codes)
     return pile.depile(), pile.pairs
 
 
 def free_reduce(alphabet: DoubledAlphabet, word) -> GroupElement:
-    """The unique irreducible normal form of a raw word or trace."""
+    """The unique irreducible normal form of a raw word (letter names) or trace."""
     if isinstance(word, Trace):
         if word.alphabet != alphabet:
             raise AlphabetMismatchError("trace over a different alphabet")
-        word = word.word
+        codes = word.codes
     else:
-        alphabet.check_word(word)
-    reduced, _ = _reduce_tagged(alphabet, tuple(word))
+        codes = alphabet.encode(word)
+    reduced, _ = _reduce_tagged(alphabet, codes)
     return GroupElement(Trace._from_canonical(alphabet, reduced))
 
 
@@ -288,27 +333,30 @@ def mult(g: GroupElement, h: GroupElement) -> Tuple[GroupElement, Trace]:
     h (both operands are irreducible), which is checked.  When the operands
     have at most ``_VERIFY_MULT_LIMIT`` letters together, the factorization is
     checked too: u and v are recomputed as trace quotients and uv compared
-    with the product.  A failed check raises InternalError.
+    with the product.  The quotients take the cancelled letters of g in
+    g's order, a linearization of p, and their reversed inverses, one of
+    p^-1.  A failed check raises InternalError.
     """
     if g.alphabet != h.alphabet:
         raise AlphabetMismatchError("mult over mixed alphabets")
     alphabet = g.alphabet
-    gw, hw = g.word, h.word
-    cut = len(gw)
-    reduced, pairs = _reduce_tagged(alphabet, gw + hw)
+    gc, hc = g.codes, h.codes
+    cut = len(gc)
+    reduced, pairs = _reduce_tagged(alphabet, gc + hc)
     cancelled_in_g = []
     for i, j in pairs:
         if not (i < cut <= j):
             raise InternalError("internal cancellation between irreducible operands")
         cancelled_in_g.append(i)
     cancelled_in_g.sort()
-    p = Trace(alphabet, [gw[i] for i in cancelled_in_g])
+    cancelled = [gc[i] for i in cancelled_in_g]
+    p = Trace._from_canonical(alphabet, _canonical_word(alphabet, cancelled))
     product = GroupElement(Trace._from_canonical(alphabet, reduced))
-    if len(gw) + len(hw) <= _VERIFY_MULT_LIMIT:
-        u = right_quotient(g.trace, p)
+    if len(gc) + len(hc) <= _VERIFY_MULT_LIMIT:
+        u = right_quotient(g.trace, cancelled)
         if u is None:
             raise InternalError("cancelled part is not a suffix of g")
-        v = left_quotient(h.trace, Trace(alphabet, invert_word(p.word)))
+        v = left_quotient(h.trace, invert_codes(cancelled))
         if v is None:
             raise InternalError("inverse of cancelled part is not a prefix of h")
         if u * v != product.trace:
@@ -324,22 +372,22 @@ def cyclic_reduce(g: GroupElement) -> Tuple[GroupElement, GroupElement]:
     top), then depile the core.
     """
     alphabet = g.alphabet
-    inverse = alphabet._inverse
     pile = Pile(alphabet)
-    pile.push_word(g.word)
+    pile.push(g.codes)
     peeled = []
     while pile.count >= 2:
         for c in range(alphabet._n_cols):
             x = pile.bottom(c)
-            if x >= 0 and pile.top(c) == inverse[x]:
-                pile.pop_bottom(x)
-                pile.pop_top(inverse[x])
-                peeled.append(alphabet.letters[x])
+            if x >= 0 and pile.top(c) == x ^ 1:
+                pile.pop_bottom((x,))
+                pile.pop_top((x ^ 1,))
+                peeled.append(x)
                 break
         else:
             break
     w = Trace._from_canonical(alphabet, pile.depile())
-    return GroupElement(Trace(alphabet, peeled)), GroupElement(w)
+    p = Trace._from_canonical(alphabet, _canonical_word(alphabet, peeled))
+    return GroupElement(p), GroupElement(w)
 
 
 def _conjugate_power(g: GroupElement, k: int, cap: int):
@@ -374,7 +422,7 @@ def power_nf(g: GroupElement, k: int, cap: int) -> GroupElement:
 def _conjugate_power_trace(p: GroupElement, w: GroupElement, k: int) -> Trace:
     """The trace of p w^k p^-1 for (p, w) = cyclic_reduce(g); InternalError if it reduces."""
     alphabet = w.alphabet
-    reduced, pairs = _reduce_tagged(alphabet, p.word + w.word * k + invert_word(p.word))
+    reduced, pairs = _reduce_tagged(alphabet, p.codes + w.codes * k + invert_codes(p.codes))
     if pairs:
         raise InternalError("p w^k p^-1 unexpectedly reducible")
     return Trace._from_canonical(alphabet, reduced)

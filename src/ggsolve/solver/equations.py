@@ -124,7 +124,7 @@ def evaluate(e: ExponentEquation, sigma: Assignment, cap: int = 10**6) -> GroupE
             if isinstance(value, ConjugatePower):
                 product.push_conjugate_power(value.p, value.w, value.k)
             else:
-                product.push_word(value.word)
+                product.push_codes(value.codes)
         if product.length > cap:
             count = product.collapse()
             if count > cap:
@@ -222,10 +222,12 @@ def _memo_holds(e: ExponentEquation):
     return holds
 
 
-def _letter_balance(g: GroupElement, base: str) -> int:
-    pos = sum(1 for a in g.word if a == base)
-    neg = sum(1 for a in g.word if a == base + "'")
-    return pos - neg
+def _letter_balance(g: GroupElement) -> List[int]:
+    """Per base letter, its occurrences in g minus those of its inverse."""
+    balance = [0] * len(g.alphabet.base.letters)
+    for code in g.codes:
+        balance[code >> 1] += -1 if code & 1 else 1
+    return balance
 
 
 def abelian_relaxation(e: ExponentEquation) -> DiophantineSystem:
@@ -237,12 +239,12 @@ def abelian_relaxation(e: ExponentEquation) -> DiophantineSystem:
     a = [0] * len(gens)
     for item in e.items:
         if isinstance(item, Const):
-            for gi, gen in enumerate(gens):
-                a[gi] -= _letter_balance(item.value, gen)
+            for gi, count in enumerate(_letter_balance(item.value)):
+                a[gi] -= count
         else:
             j = var_index[item.var]
-            for gi, gen in enumerate(gens):
-                A[gi][j] += _letter_balance(item.base, gen)
+            for gi, count in enumerate(_letter_balance(item.base)):
+                A[gi][j] += count
     return DiophantineSystem(A, a)
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..errors import InternalError
-from ..groups import GroupElement, identity, invert_word, mult, power_nf
+from ..groups import GroupElement, identity, invert_codes, mult, power_nf
 from ..semilinear import (
     LinearSet,
     SemilinearSet,
@@ -90,10 +90,10 @@ def _power_form(
     # across an intact copy of u only letters independent of u cancel, so
     # p commutes with u and comes off lam and rho for every exponent
     _, p = mult(GroupElement(lam.trace * u.trace), rho)
-    big_l = right_quotient(lam.trace, p)
+    big_l = right_quotient(lam.trace, p.codes)
     if big_l is None:
         raise InternalError("cancelled part is not a suffix of the left constant")
-    big_s = left_quotient(rho.trace, Trace(p.alphabet, invert_word(p.word)))
+    big_s = left_quotient(rho.trace, invert_codes(p.codes))
     if big_s is None:
         raise InternalError("cancelled part is not a prefix of the right constant")
     dx = dl + dr

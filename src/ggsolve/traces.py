@@ -2,12 +2,16 @@
 
 A trace is an equivalence class of words under swapping adjacent independent
 letters.  We represent every trace by the lexicographically least word of its
-class (with respect to the alphabet's fixed symbol order).  Normal forms are
-computed with the piling ("heaps of pieces") technique: every letter is a piece
-that covers its own column and the columns of all letters it depends on, and
-the lex-least linearization is read off by repeatedly removing the least
-minimal piece.  ``Pile`` is the one piling loop: trace normal forms and
-quotients use it without cancellation, free reduction in ``groups`` with it.
+class (with respect to the alphabet's fixed symbol order), spelled in letter
+codes: a letter's code is its rank in that order.  Letter names appear only
+at the boundary: ``IndependenceAlphabet.encode`` turns a word into codes
+(and names an unknown letter with its position), ``decode`` and
+``Trace.word`` turn codes back into names.  Normal forms are computed with
+the piling ("heaps of pieces") technique: every letter is a piece that
+covers its own column and the columns of all letters it depends on, and the
+lex-least linearization is read off by repeatedly removing the least minimal
+piece.  ``Pile`` is the piling loop of trace normal forms and quotients; the
+free reduction in ``groups`` is a cancelling subclass of it.
 """
 
 from __future__ import annotations
@@ -24,9 +28,8 @@ class IndependenceAlphabet:
     The symbol order (the order of ``letters``) is fixed at construction and
     drives all lexicographic normal forms.  The constructor also builds the
     tables every ``Pile`` over the alphabet reads: letters are coded by rank,
-    ``_col[code]`` is the code's column, ``_others[code]`` the other columns
-    it covers (those of the letters it depends on), ``_inverse[code]`` the
-    code of its inverse letter and ``_no_inverse`` all -1 (no inverse).
+    ``_col[code]`` is the code's column and ``_others[code]`` the other
+    columns it covers (those of the letters it depends on).
     ``dep_mask[code]`` has bit j set when code j depends on ``code`` (itself
     included): the closure automata test independence on these masks.
     """
@@ -41,8 +44,6 @@ class IndependenceAlphabet:
         "_col",
         "_n_cols",
         "_others",
-        "_inverse",
-        "_no_inverse",
         "_shift",
         "_mask",
     )
@@ -79,21 +80,20 @@ class IndependenceAlphabet:
             sum(1 << j for j in range(n) if not row[j]) for row in indep
         )
         self._hash = hash((letters, self.independence))
-        col, self._inverse = self._pile_layout(n)
+        col = self._pile_columns(n)
         self._col = col
         self._n_cols = col[-1] + 1 if n else 0
         self._others = tuple(
             tuple(sorted({col[j] for j in range(n) if not indep[i][j]} - {col[i]}))
             for i in range(n)
         )
-        self._no_inverse = (-1,) * n
-        # A pile entry is ``tag << _shift | code``; ``_mask`` exceeds every code.
+        # A cancelling pile packs ``tag << _shift | code``; ``_mask`` exceeds every code.
         self._shift = n.bit_length()
         self._mask = (1 << self._shift) - 1
 
-    def _pile_layout(self, n: int):
-        """Column of each letter code (numbered in code order) and its inverse code (-1: none)."""
-        return tuple(range(n)), (-1,) * n
+    def _pile_columns(self, n: int) -> tuple:
+        """Column of each letter code, columns numbered in code order."""
+        return tuple(range(n))
 
     def __eq__(self, other):
         return (
@@ -121,8 +121,22 @@ class IndependenceAlphabet:
     def independent(self, a: str, b: str) -> bool:
         return self._indep_matrix[self.rank(a)][self.rank(b)]
 
-    def dependent(self, a: str, b: str) -> bool:
-        return not self.independent(a, b)
+    def encode(self, word: Sequence[str]) -> tuple:
+        """The codes of ``word``'s letters.
+
+        An unknown letter raises UnknownLetterError with its position.
+        """
+        rank = self._rank
+        try:
+            return tuple([rank[a] for a in word])
+        except KeyError:
+            pos = next(i for i, a in enumerate(word) if a not in rank)
+            raise UnknownLetterError(word[pos], pos) from None
+
+    def decode(self, codes: Sequence[int]) -> tuple:
+        """The letter names of ``codes``."""
+        letters = self.letters
+        return tuple([letters[c] for c in codes])
 
     def max_independent_size(self) -> int:
         """alpha*: the maximal number of pairwise independent letters."""
@@ -142,69 +156,41 @@ class IndependenceAlphabet:
                 break
         return best
 
-    def check_word(self, word: Sequence[str]) -> None:
-        for pos, letter in enumerate(word):
-            if letter not in self._rank:
-                raise UnknownLetterError(letter, pos)
-
 
 class Pile:
     """The heap of a stream of letter codes, on its alphabet's tables.
 
-    Column c lists, bottom first, one entry per live piece covering it:
-    ``tag << shift | code`` on the piece's own column (the tag is its
-    position in the stream) and the marker ``mask``, above every code, on
-    the other columns it covers.  A marker sits below every column.  A letter
-    is minimal (maximal) exactly when the lowest live (top) entry of its
-    column is its own; removing it removes one entry from that end of every
-    column it covers.  Entries are read only on their own column, so which
-    marker goes does not matter.
+    Column c lists, bottom first, one entry per live piece covering it: the
+    piece's code on its own column and the marker ``mask``, above every
+    code, on the other columns it covers.  A marker sits below every column.
+    A letter is minimal (maximal) exactly when the lowest live (top) entry of
+    its column is its own; removing it removes one entry from that end of
+    every column it covers.  Entries are read only on their own column, so
+    which marker goes does not matter.  ``count`` is the number of live
+    pieces.  Pieces leave from the bottom only after the last push.
 
-    With ``cancel`` a pushed letter cancels the top of its column when that
-    is its inverse; without, nothing cancels.  ``count`` is the number of
-    live pieces, ``pushed`` of letters streamed; with ``track_pairs`` the
-    cancellations go to ``pairs`` as (earlier tag, later tag).  Pieces leave
-    from the bottom only after the last push.
+    Nothing cancels here; ``groups.SignedPile`` overrides ``push`` with the
+    cancelling loop and packs a position tag above the code of an entry, so
+    every reader masks an entry with ``mask`` before it compares codes.
     """
 
-    __slots__ = ("alphabet", "count", "pushed", "pairs", "_cols", "_heads", "_inverse")
+    __slots__ = ("alphabet", "count", "_cols", "_heads")
 
-    def __init__(self, alphabet: IndependenceAlphabet, cancel=False, track_pairs=False):
+    def __init__(self, alphabet: IndependenceAlphabet):
         self.alphabet = alphabet
-        self.count = self.pushed = 0
-        self.pairs: Optional[list] = [] if track_pairs else None
+        self.count = 0
         self._cols = [[alphabet._mask] for _ in range(alphabet._n_cols)]
         self._heads = [1] * alphabet._n_cols
-        self._inverse = alphabet._inverse if cancel else alphabet._no_inverse
 
-    def push(self, codes: Iterable[int]) -> None:
-        """Stream letter codes onto the pile, cancelling where the piling allows."""
+    def push(self, codes: Sequence[int]) -> None:
+        """Pile letter codes up."""
         alphabet = self.alphabet
-        col_of, others = alphabet._col, alphabet._others
-        mask, shift = alphabet._mask, alphabet._shift
-        inverse, cols, pairs = self._inverse, self._cols, self.pairs
-        tag, count = self.pushed, self.count
+        col_of, others, mask, cols = alphabet._col, alphabet._others, alphabet._mask, self._cols
         for code in codes:
-            col = cols[col_of[code]]
-            top = col[-1]
-            if top & mask == inverse[code]:
-                col.pop()
-                for j in others[code]:
-                    cols[j].pop()
-                if pairs is not None:
-                    pairs.append((top >> shift, tag))
-                count -= 1
-            else:
-                col.append(tag << shift | code)
-                for j in others[code]:
-                    cols[j].append(mask)
-                count += 1
-            tag += 1
-        self.pushed, self.count = tag, count
-
-    def push_word(self, word: Sequence[str]) -> None:
-        rank = self.alphabet._rank
-        self.push([rank[a] for a in word])
+            cols[col_of[code]].append(code)
+            for j in others[code]:
+                cols[j].append(mask)
+        self.count += len(codes)
 
     def bottom(self, c: int) -> int:
         """Code of the lowest live entry of column c; -1 for a marker or none."""
@@ -216,34 +202,46 @@ class Pile:
         col, head, mask = self._cols[c], self._heads[c], self.alphabet._mask
         return -1 if head == len(col) or col[-1] == mask else col[-1] & mask
 
-    def pop_bottom(self, code: int) -> bool:
-        """Remove the minimal piece ``code``; False, removing nothing, if it is not minimal."""
-        c = self.alphabet._col[code]
-        if self.bottom(c) != code:
-            return False
-        for j in (c,) + self.alphabet._others[code]:
-            self._heads[j] += 1
-        self.count -= 1
+    def pop_bottom(self, codes: Sequence[int]) -> bool:
+        """Remove the pieces ``codes`` from the bottom in turn; False at one not minimal."""
+        alphabet = self.alphabet
+        col_of, others, mask = alphabet._col, alphabet._others, alphabet._mask
+        cols, heads = self._cols, self._heads
+        for code in codes:
+            c = col_of[code]
+            col, head = cols[c], heads[c]
+            if head == len(col) or col[head] & mask != code:
+                return False
+            heads[c] = head + 1
+            for j in others[code]:
+                heads[j] += 1
+            self.count -= 1
         return True
 
-    def pop_top(self, code: int) -> bool:
-        """Remove the maximal piece ``code``; False, removing nothing, if it is not maximal."""
-        c = self.alphabet._col[code]
-        if self.top(c) != code:
-            return False
-        for j in (c,) + self.alphabet._others[code]:
-            self._cols[j].pop()
-        self.count -= 1
+    def pop_top(self, codes: Sequence[int]) -> bool:
+        """Remove the pieces ``codes`` from the top, last first; False at one not maximal."""
+        alphabet = self.alphabet
+        col_of, others, mask = alphabet._col, alphabet._others, alphabet._mask
+        cols, heads = self._cols, self._heads
+        for code in reversed(codes):
+            c = col_of[code]
+            col = cols[c]
+            if heads[c] == len(col) or col[-1] & mask != code:
+                return False
+            col.pop()
+            for j in others[code]:
+                cols[j].pop()
+            self.count -= 1
         return True
 
     def depile(self) -> tuple:
-        """The live pieces' letters in lex-least order; ends the pile.
+        """The live pieces' codes in lex-least order; ends the pile.
 
         A removal exposes only the columns its piece covers, so the scan for
         the least exposed column resumes at the least of those.
         """
         alphabet = self.alphabet
-        letters, others, mask = alphabet.letters, alphabet._others, alphabet._mask
+        others, mask = alphabet._others, alphabet._mask
         cols, heads = self._cols, self._heads
         for col in cols:
             col.append(mask)  # top sentinel
@@ -254,7 +252,7 @@ class Pile:
                 while cols[c][heads[c]] == mask:
                     c += 1
                 code = cols[c][heads[c]] & mask
-                out.append(letters[code])
+                out.append(code)
                 heads[c] += 1
                 covered = others[code]
                 for j in covered:
@@ -266,133 +264,126 @@ class Pile:
         return tuple(out)
 
 
-def _canonical_word(alphabet: IndependenceAlphabet, word: Sequence[str]) -> tuple:
-    """Lex-least linearization of the trace of ``word`` via piling."""
-    if not word:
+def _canonical_word(alphabet: IndependenceAlphabet, codes: Sequence[int]) -> tuple:
+    """Lex-least linearization of the trace of ``codes`` via piling, in codes."""
+    if not codes:
         return ()
     pile = Pile(alphabet)
-    pile.push_word(word)
+    pile.push(codes)
     return pile.depile()
 
 
 class Trace:
-    """A trace, stored as the canonical (lex-least) word of its class."""
+    """A trace, stored as the codes of the canonical (lex-least) word of its class."""
 
-    __slots__ = ("alphabet", "word", "_hash")
+    __slots__ = ("alphabet", "codes")
 
     def __init__(self, alphabet: IndependenceAlphabet, word: Sequence[str] = ()):
-        alphabet.check_word(word)
         self.alphabet = alphabet
-        self.word = _canonical_word(alphabet, word)
-        self._hash = hash((alphabet, self.word))
+        self.codes = _canonical_word(alphabet, alphabet.encode(word))
 
     @classmethod
-    def _from_canonical(cls, alphabet: IndependenceAlphabet, word: tuple) -> "Trace":
+    def _from_canonical(cls, alphabet: IndependenceAlphabet, codes: tuple) -> "Trace":
         t = object.__new__(cls)
         t.alphabet = alphabet
-        t.word = word
-        t._hash = hash((alphabet, word))
+        t.codes = codes
         return t
 
+    @property
+    def word(self) -> tuple:
+        """The canonical word, in letter names."""
+        return self.alphabet.decode(self.codes)
+
     def __len__(self):
-        return len(self.word)
+        return len(self.codes)
 
     def __eq__(self, other):
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.alphabet == other.alphabet and self.word == other.word
+        return self.codes == other.codes and self.alphabet == other.alphabet
 
     def __hash__(self):
-        return self._hash
+        return hash(self.codes)
 
     def __repr__(self):
-        return f"Trace({' '.join(self.word) if self.word else '_'})"
+        return f"Trace({' '.join(self.word) if self.codes else '_'})"
 
     def __bool__(self):
-        return bool(self.word)
+        return bool(self.codes)
 
     def __mul__(self, other: "Trace") -> "Trace":
         if self.alphabet != other.alphabet:
             raise AlphabetMismatchError("cannot multiply traces over different alphabets")
         return Trace._from_canonical(
-            self.alphabet, _canonical_word(self.alphabet, self.word + other.word)
+            self.alphabet, _canonical_word(self.alphabet, self.codes + other.codes)
         )
 
-    def alph(self) -> frozenset:
-        return frozenset(self.word)
-
     def is_empty(self) -> bool:
-        return not self.word
+        return not self.codes
 
 
 def empty_trace(alphabet: IndependenceAlphabet) -> Trace:
     return Trace._from_canonical(alphabet, ())
 
 
-def left_quotient(t: Trace, p: Trace) -> Optional[Trace]:
-    """The trace ``s`` with ``t = p * s``, or None if ``p`` is not a prefix of ``t``."""
-    if t.alphabet != p.alphabet:
-        raise AlphabetMismatchError("quotient over mixed alphabets")
-    alphabet = t.alphabet
-    rank = alphabet._rank
-    pile = Pile(alphabet)
-    pile.push_word(t.word)
-    for letter in p.word:
-        if not pile.pop_bottom(rank[letter]):
-            return None
-    return Trace._from_canonical(alphabet, pile.depile())
+def left_quotient(t: Trace, p: Sequence[int]) -> Optional[Trace]:
+    """The trace ``s`` with ``t = p * s``, or None if ``p`` is not a prefix of ``t``.
+
+    ``p`` is the codes of any linearization of the divisor, over ``t``'s
+    alphabet: the pieces leave the bottom of ``t``'s pile in that order.
+    """
+    pile = Pile(t.alphabet)
+    pile.push(t.codes)
+    if not pile.pop_bottom(p):
+        return None
+    return Trace._from_canonical(t.alphabet, pile.depile())
 
 
-def right_quotient(t: Trace, s: Trace) -> Optional[Trace]:
-    """The trace ``p`` with ``t = p * s``, or None if ``s`` is not a suffix of ``t``."""
-    if t.alphabet != s.alphabet:
-        raise AlphabetMismatchError("quotient over mixed alphabets")
-    alphabet = t.alphabet
-    rank = alphabet._rank
-    pile = Pile(alphabet)
-    pile.push_word(t.word)
-    for letter in reversed(s.word):
-        if not pile.pop_top(rank[letter]):
-            return None
-    return Trace._from_canonical(alphabet, pile.depile())
+def right_quotient(t: Trace, s: Sequence[int]) -> Optional[Trace]:
+    """The trace ``p`` with ``t = p * s``, or None if ``s`` is not a suffix of ``t``.
+
+    ``s`` is the codes of any linearization of the divisor, over ``t``'s
+    alphabet: the pieces leave the top of ``t``'s pile last first.
+    """
+    pile = Pile(t.alphabet)
+    pile.push(t.codes)
+    if not pile.pop_top(s):
+        return None
+    return Trace._from_canonical(t.alphabet, pile.depile())
 
 
 def power(t: Trace, k: int) -> Trace:
     if k < 0:
         raise ValueError("trace powers take natural exponents")
-    return Trace(t.alphabet, t.word * k)
+    return Trace._from_canonical(t.alphabet, _canonical_word(t.alphabet, t.codes * k))
 
 
 def connected_components(t: Trace) -> list:
     """Projections of ``t`` onto the connected components of its dependence graph.
 
     The components are pairwise independent and their product (in any order)
-    equals ``t``; the empty trace yields the empty list.
+    equals ``t``; the empty trace yields the empty list.  A component is a
+    letter bit mask, grown from its least letter along ``dep_mask``.
     """
-    if not t.word:
-        return []
     alphabet = t.alphabet
-    letters = sorted(t.alph(), key=alphabet.rank)
-    comp_of = {}
-    comps = []
-    for letter in letters:
-        if letter in comp_of:
-            continue
-        comp = {letter}
-        frontier = [letter]
-        while frontier:
-            a = frontier.pop()
-            for b in letters:
-                if b not in comp and alphabet.dependent(a, b):
-                    comp.add(b)
-                    frontier.append(b)
-        for a in comp:
-            comp_of[a] = len(comps)
-        comps.append(comp)
+    dep_mask = alphabet.dep_mask
+    present = 0
+    for c in t.codes:
+        present |= 1 << c
     out = []
-    for comp in comps:
-        word = [letter for letter in t.word if letter in comp]
-        out.append(Trace(alphabet, word))
+    left = present
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            grown = 0
+            for c in range(frontier.bit_length()):
+                if frontier >> c & 1:
+                    grown |= dep_mask[c]
+            frontier = grown & present & ~comp
+            comp |= frontier
+        left &= ~comp
+        codes = tuple(c for c in t.codes if comp >> c & 1)
+        out.append(Trace._from_canonical(alphabet, _canonical_word(alphabet, codes)))
     return out
 
 

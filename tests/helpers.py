@@ -113,7 +113,7 @@ def canonical_traces_up_to(alphabet: IndependenceAlphabet, max_len: int):
 def min_letters(t: Trace) -> tuple:
     """Letters that can start a linearization of ``t`` (the minimal pieces), in symbol order."""
     pile = Pile(t.alphabet)
-    pile.push_word(t.word)
+    pile.push(t.codes)
     letters = t.alphabet.letters
     return tuple(letters[x] for x in map(pile.bottom, range(t.alphabet._n_cols)) if x >= 0)
 
@@ -126,7 +126,7 @@ def independent_sets(alphabet: IndependenceAlphabet, letters_a, letters_b) -> bo
 
 def independent_of(t: Trace, other: Trace) -> bool:
     """Every letter of ``t`` is independent of every letter of ``other``."""
-    return independent_sets(t.alphabet, t.alph(), other.alph())
+    return independent_sets(t.alphabet, set(t.word), set(other.word))
 
 
 def prefix_count(t: Trace) -> int:
@@ -142,7 +142,7 @@ def prefix_count(t: Trace) -> int:
     while queue:
         s = queue.popleft()
         for letter in min_letters(s):
-            nxt = left_quotient(s, Trace._from_canonical(t.alphabet, (letter,)))
+            nxt = left_quotient(s, (t.alphabet.rank(letter),))
             if nxt.word not in seen:
                 seen.add(nxt.word)
                 queue.append(nxt)
@@ -158,9 +158,9 @@ def iter_prefixes(t: Trace):
     queue = deque([start])
     while queue:
         p = queue.popleft()
-        rest = left_quotient(t, p)
+        rest = left_quotient(t, p.codes)
         for letter in min_letters(rest):
-            nxt = p * Trace._from_canonical(alphabet, (letter,))
+            nxt = p * Trace(alphabet, (letter,))
             if nxt.word not in seen:
                 seen[nxt.word] = nxt
                 order.append(nxt)
@@ -354,7 +354,7 @@ def scanning_left_quotient(t: Trace, p: Trace) -> Optional[Trace]:
                 consumed[i] = True
                 ok = True
                 break
-            if alphabet.dependent(letter, target):
+            if not alphabet.independent(letter, target):
                 break
         if not ok:
             return None
@@ -379,7 +379,7 @@ def scanning_right_quotient(t: Trace, s: Trace) -> Optional[Trace]:
                 consumed[i] = True
                 ok = True
                 break
-            if alphabet.dependent(letter, target):
+            if not alphabet.independent(letter, target):
                 break
         if not ok:
             return None
@@ -396,13 +396,11 @@ def quotient_cyclic_reduce(g: GroupElement):
     changed = True
     while changed and len(w) >= 2:
         changed = False
-        for letter in sorted(w.alph(), key=alphabet.rank):
-            single = Trace._from_canonical(alphabet, (letter,))
-            rest = left_quotient(w, single)
+        for letter in sorted(set(w.word), key=alphabet.rank):
+            rest = left_quotient(w, (alphabet.rank(letter),))
             if rest is None:
                 continue
-            inv = Trace._from_canonical(alphabet, (inverse_letter(letter),))
-            core = right_quotient(rest, inv)
+            core = right_quotient(rest, (alphabet.rank(inverse_letter(letter)),))
             if core is None:
                 continue
             peeled.append(letter)
@@ -557,9 +555,9 @@ def reference_prefix_nfa(t: Trace) -> Nfa:
     while queue:
         key = queue.popleft()
         p = index[key]
-        rest = left_quotient(t, p)
+        rest = left_quotient(t, p.codes)
         for letter in min_letters(rest):
-            nxt = p * Trace._from_canonical(alphabet, (letter,))
+            nxt = p * Trace(alphabet, (letter,))
             nkey = nxt.word
             if nkey not in index:
                 index[nkey] = nxt
@@ -575,7 +573,7 @@ def _star_tuple_valid(u: Trace, tup: Tuple[Trace, ...]) -> bool:
     for part in tup:
         if part.is_empty():
             return False
-        rest = left_quotient(u, part)
+        rest = left_quotient(u, part.codes)
         if rest is None or rest.is_empty():
             return False
         rests.append(rest)
@@ -599,13 +597,13 @@ def reference_star_nfa(u: Trace) -> Nfa:
     if not is_connected(u):
         raise TraceError("star_nfa requires a connected trace")
     letters = sorted(alphabet.letters, key=alphabet.rank)
-    single = {a: Trace._from_canonical(alphabet, (a,)) for a in letters}
+    single = {a: Trace(alphabet, (a,)) for a in letters}
     u_single = len(u) == 1
 
     def tuple_alph(tup, start=0):
         out = set()
         for part in tup[start:]:
-            out.update(part.alph())
+            out.update(part.word)
         return out
 
     def moves(tup):

@@ -17,7 +17,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ggsolve.errors import AlphabetMismatchError, InternalError, LimitsExceeded, TraceError
-from ggsolve.groups import GroupElement, invert_word, mult
+from ggsolve.groups import GroupElement, invert_codes, invert_word, mult
 from ggsolve.traces import IndependenceAlphabet, Trace, left_quotient, power, right_quotient
 
 from helpers import independent_of
@@ -89,13 +89,13 @@ def _embed_parts(total_word: tuple, parts: Sequence[Trace], alphabet: Independen
                     # unconsumed dependent position may exist
                     blocked = False
                     for j in range(i):
-                        if not consumed[j] and alphabet.dependent(total_word[j], target):
+                        if not consumed[j] and not alphabet.independent(total_word[j], target):
                             blocked = True
                             break
                     if not blocked:
                         pos = i
                     break
-                if alphabet.dependent(total_word[i], target):
+                if not alphabet.independent(total_word[i], target):
                     break
             if pos is None:
                 return None
@@ -312,8 +312,8 @@ def _refine_core(
 
     w1, w2 = entries[0], entries[1]
     v, cnl = mult(w1, w2)
-    a_trace = right_quotient(w1.trace, cnl)
-    b_trace = left_quotient(w2.trace, Trace(alphabet, invert_word(cnl.word)))
+    a_trace = right_quotient(w1.trace, cnl.codes)
+    b_trace = left_quotient(w2.trace, invert_codes(cnl.codes))
     assert a_trace is not None and b_trace is not None
 
     rest = entries[2:]
@@ -542,13 +542,13 @@ def power_two_factorizations(
     # maximal power prefixes/suffixes
     prefixes = [y1]
     while True:
-        nxt = left_quotient(prefixes[-1], u)
+        nxt = left_quotient(prefixes[-1], u.codes)
         if nxt is None:
             break
         prefixes.append(nxt)
     suffixes = [y2]
     while True:
-        nxt = right_quotient(suffixes[-1], u)
+        nxt = right_quotient(suffixes[-1], u.codes)
         if nxt is None:
             break
         suffixes.append(nxt)

@@ -272,7 +272,7 @@ def test_criterion_06_power_factorizations():
                 for x in range(7):
                     ux = power(u, x)
                     for y1 in iter_prefixes(ux):
-                        y2 = left_quotient(ux, y1)
+                        y2 = left_quotient(ux, y1.codes)
                         got = power_two_factorizations(u, x, y1, y2)
                         assert got is not None, (alphabet, u, x, y1)
                         l, k, c, s, p = got

@@ -11,14 +11,15 @@ from contextlib import redirect_stdout
 import pytest
 
 from ggsolve.cli import main
-from ggsolve.errors import FormatError
-from ggsolve.groups import SignedPile
+from ggsolve.errors import FormatError, InternalError
+from ggsolve.groups import DoubledAlphabet, SignedPile, free_reduce, mult
 from ggsolve.formats import (
     EqProblem,
     build_equation,
     parse_instance,
 )
 from ggsolve.mihailova import gen_mihailova, mihailova_generators
+from ggsolve.traces import IndependenceAlphabet, Pile
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 CORPUS = os.path.join(ROOT, "corpus")
@@ -186,6 +187,23 @@ class TestFailClosed:
         monkeypatch.setattr(SignedPile, "push", drop_last)
         path = write(tmp_path, "gens a b c\nindep a c\neq\npow a b a' x\nconst a b' b' a'\n")
         code, _ = run_cli(["--format", "machine", "verify", "--assign", "x=2", path])
+        assert code == 4
+
+    @pytest.mark.parametrize("name", ["pop_bottom", "pop_top"])
+    def test_dropped_quotient_code_exits_4(self, tmp_path, monkeypatch, name):
+        """A quotient that pops one code too few fails mult's factorization check."""
+        pop = getattr(Pile, name)
+
+        def drop_last(pile, codes):
+            return pop(pile, tuple(codes)[:-1])
+
+        monkeypatch.setattr(Pile, name, drop_last)
+        dbl = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
+        with pytest.raises(InternalError):
+            mult(free_reduce(dbl, ("a", "b")), free_reduce(dbl, ("b'", "a'")))
+        # a b is cyclically reduced, so only mult's check pops
+        path = write(tmp_path, "gens a b c\nindep a c\neq\npow a b x\nconst b' a'\n")
+        code, _ = run_cli(["--format", "machine", "verify", "--assign", "x=1", path])
         assert code == 4
 
 
@@ -373,6 +391,7 @@ class TestOptimizedInterpreter:
             "tests/test_cli.py::TestVerifyCommand::test_malformed_assign_exits_3",
             "tests/test_groups.py::TestMult",
             "tests/test_groups.py::TestConjugatePower",
+            "tests/test_codes.py::TestCodeKernels",
             "tests/test_solver.py::TestVerify::test_simple",
             "tests/test_solver.py::TestVerify::test_resource_exceeded",
             "tests/test_solver.py::TestVerify::test_compressed_analogue",

@@ -149,7 +149,7 @@ class TestPowerSplits:
                 for x in range(4):
                     ux = power(u, x)
                     for y1 in iter_prefixes(ux):
-                        y2 = left_quotient(ux, y1)
+                        y2 = left_quotient(ux, y1.codes)
                         got = power_two_factorizations(u, x, y1, y2)
                         assert got is not None, (alphabet, u, x, y1)
                         l, k, c, s, p = got

@@ -171,11 +171,11 @@ class TestQuotients:
             p = Trace(alphabet, random_word(rng, alphabet, 3))
             s = Trace(alphabet, random_word(rng, alphabet, 3))
             t = p * s
-            assert left_quotient(t, p) == s
-            assert right_quotient(t, s) == p
+            assert left_quotient(t, p.codes) == s
+            assert right_quotient(t, s.codes) == p
 
     def test_non_prefix(self):
-        assert left_quotient(Trace(AC, "ab"), Trace(AC, "b")) is None
+        assert left_quotient(Trace(AC, "ab"), Trace(AC, "b").codes) is None
 
     def test_min_letters(self):
         assert set(min_letters(Trace(AC, "cab"))) == {"c", "a"}
