@@ -9,8 +9,10 @@ Exit codes: 0 = solvable/true, 1 = unsolvable (certified), 2 = unknown or
 limits exceeded, 3 = parse error (also a block the command does not answer,
 a malformed ``--assign`` or one that misses or repeats a variable, a
 malformed ``oracle`` line or transfer presentation, a letter outside the
-alphabet, an unknown ``# mode`` and a usage error on the command line), 4 = other
-error (including a failed internal check and any unexpected exception).
+alphabet, an unknown ``# mode``, a ``bench`` directory that is missing or
+holds no ``*.gg`` file, a bad ``gen-mihailova`` argument and a usage error on
+the command line), 4 = other error (including a failed internal check and any
+unexpected exception).
 ``bench`` exits 4 when a file's exit code differs from its ``# expect-exit``
 line.  ``--format machine`` prints line-oriented key=value output.
 """
@@ -220,13 +222,18 @@ def cmd_bench(args, out: Output) -> int:
     Each file is parsed once and answered by ``run``, with the same
     error-to-exit mapping as a direct call, so a file that fails to parse or
     exceeds a cap gets the code that the command itself would return.  A
-    file whose directives cannot be read counts as a mismatch.
+    file whose directives cannot be read counts as a mismatch.  A directory
+    that is missing or holds no ``*.gg`` file is a FormatError.
     """
     import glob
 
     caps = _default_caps(args)
+    paths = sorted(glob.glob(os.path.join(glob.escape(args.dir), "*.gg")))
+    if not paths:
+        problem = "holds no *.gg files" if os.path.isdir(args.dir) else "is not a directory"
+        raise FormatError(f"bench: {args.dir!r} {problem}")
     results = []
-    for path in sorted(glob.glob(os.path.join(args.dir, "*.gg"))):
+    for path in paths:
         name = os.path.basename(path)
         started = time.monotonic()
         with open(path) as fh:
@@ -253,11 +260,24 @@ def cmd_bench(args, out: Output) -> int:
 
 
 def cmd_gen_mihailova(args, out: Output) -> int:
+    """Print the instance; a bad argument is a FormatError that names it, so
+    no instance is written that the parser or the solver would misread."""
     from .mihailova import gen_mihailova
 
     sigma = args.sigma.split(",")
+    for a in sigma:
+        if a.split() != [a] or "#" in a or a.endswith("'"):
+            raise FormatError(f"--sigma: {a!r} is not a generator name")
+        if sigma.count(a) > 1:
+            raise FormatError(f"--sigma: generator {a!r} given twice")
     relators = [tuple(r.split()) for r in args.relators.split(",")] if args.relators else []
     word = tuple(args.word.split()) if args.word and args.word != "_" else ()
+    for option, words in (("--relators", relators), ("--word", [word])):
+        for a in (a for w in words for a in w):
+            if (a[:-1] if a.endswith("'") else a) not in sigma:
+                raise FormatError(f"{option}: letter {a!r} is not in --sigma")
+    if args.rounds < 0:
+        raise FormatError(f"--rounds takes a natural number, not {args.rounds}")
     text = gen_mihailova(sigma, relators, word, args.rounds)
     sys.stdout.write(text)
     return EXIT_SOLVABLE
@@ -285,12 +305,9 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_file=True):
+    def add_common(p):
         p.add_argument("--cap", default=None, help="expansion/search cap")
-        if with_file:
-            p.add_argument(
-                "file", type=argparse.FileType("r"), help="instance file"
-            )
+        p.add_argument("file", type=argparse.FileType("r"), help="instance file")
 
     p_solve = sub.add_parser("solve", help="solve an equation/knapsack/ka instance")
     p_solve.add_argument("--mode", choices=MODES, default="exact")

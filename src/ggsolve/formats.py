@@ -50,7 +50,7 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from .automata import EPS, Nfa, trim
 from .errors import CertificateError, FormatError, ResourceExceeded, StructureError, TraceError
-from .groups import INVERSE_MARK, DoubledAlphabet, free_reduce, inverse_letter
+from .groups import INVERSE_MARK, DoubledAlphabet, free_reduce, inverse_letter, invert_word
 from .slp import Slp, expand_capped, fold_power, is_variable_token, val_length
 from .traces import IndependenceAlphabet
 
@@ -473,7 +473,7 @@ def build_equation(inst: Instance, expansion_cap: int = 10**6):
     one word, say) stays a ``ConjugatePower``; any other SLP is expanded.
     Either way an SLP longer than ``expansion_cap`` raises ResourceExceeded.
     """
-    from .solver.equations import Const, ExponentEquation, Power, knapsack_to_equation
+    from .solver.equations import Const, ExponentEquation, Power, chain_equation
 
     problem = inst.problem
     if not isinstance(problem, (EqProblem, KnapsackProblem)):
@@ -482,7 +482,8 @@ def build_equation(inst: Instance, expansion_cap: int = 10**6):
     letters = set(alphabet.letters)
     if isinstance(problem, KnapsackProblem):
         _check_letters(letters, problem.items + [problem.target], problem.line, "knapsack block")
-        return knapsack_to_equation(alphabet, problem.items, problem.target)
+        v_words = [()] * len(problem.items) + [invert_word(problem.target)]
+        return chain_equation(alphabet, v_words, problem.items)
     items = []
     for item in problem.items:
         word = item.word

@@ -7,7 +7,7 @@ from .equations import (
     Power,
     SolveReport,
     abelian_relaxation,
-    knapsack_to_equation,
+    chain_equation,
     preprocess,
     solution_bound,
     solve_search,
@@ -22,7 +22,7 @@ __all__ = [
     "Power",
     "SolveReport",
     "abelian_relaxation",
-    "knapsack_to_equation",
+    "chain_equation",
     "preprocess",
     "solution_bound",
     "solve_exact",

@@ -22,7 +22,6 @@ from ..groups import (
     cyclic_reduce,
     free_reduce,
     identity,
-    invert_word,
     mult,
     power_nf,
 )
@@ -338,12 +337,19 @@ def solve_search(e: ExponentEquation, cap: int = 15) -> SolveReport:
     )
 
 
-def knapsack_to_equation(
-    alphabet: DoubledAlphabet, base_words: Sequence[Sequence[str]], target_word: Sequence[str]
+def chain_equation(
+    alphabet: DoubledAlphabet,
+    v_words: Sequence[Sequence[str]],
+    u_words: Sequence[Sequence[str]],
 ) -> ExponentEquation:
-    """u1^{x1}...un^{xn} = u as the equation with u^{-1} appended; distinct variables."""
+    """v0 u1^{x1} v1 ... un^{xn} vn = 1 with distinct variables x1..xn; empty
+    constants are left out."""
+    if len(v_words) != len(u_words) + 1:
+        raise StructureError("need n+1 constants around n powers")
     items: List[Item] = []
-    for i, word in enumerate(base_words):
-        items.append(Power(free_reduce(alphabet, word), f"x{i+1}"))
-    items.append(Const(free_reduce(alphabet, invert_word(tuple(target_word)))))
+    for i, v in enumerate(v_words):
+        if i:
+            items.append(Power(free_reduce(alphabet, u_words[i - 1]), f"x{i}"))
+        if v:
+            items.append(Const(free_reduce(alphabet, v)))
     return ExponentEquation(alphabet, items)

@@ -3,14 +3,14 @@
 Reduction paths here are nonempty one-factor paths representing the factor's
 identity; on a cycle they additionally require the cycle to contain a letter
 of the other factor (so the surgery shrinks the cycle's letter count).  The
-maintained invariants (``_Builder.normalize`` with ``eps_into_cycle``): no
-edge between distinct cycles, initial/finals off cycles, and every edge
-entering a cycle is an epsilon edge.
+saturation needs the normal form of ``_Builder.normalize``: initial state
+and finals off cycles, and every edge entering a cycle an epsilon edge from
+outside any cycle.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set
+from typing import List, Sequence
 
 from ..automata import EPS, Nfa
 from .kauto import ShapeInfo, _Builder
@@ -57,13 +57,12 @@ def free_product_saturate(
     b = _Builder.from_nfa(nfa)
     b.prepend(prepend)
     shape = b.saturate_cycles(
-        lambda shape: _find_cycle_reduction(oracle, shape), set(oracle.letters), eps_into_cycle=True
+        lambda shape: _find_cycle_reduction(oracle, shape), set(oracle.letters)
     )
 
     # Phase 2: cross-component reduction paths get epsilon shortcuts.  A
     # shortcut joins p to a q it already reaches, so the components, and
     # ``shape``, stay.
-    added: Set[tuple] = set()
     while True:
         grew = False
         states = list(b.states)
@@ -74,10 +73,9 @@ def free_product_saturate(
                 for q in states:  # creation order, not the hash order of ``reach``
                     if q not in reach or p == q or shape.comp_of[p] == shape.comp_of[q]:
                         continue
-                    if (p, q) in added or (p, EPS, q) in b.edges:
+                    if (p, EPS, q) in b.edges:
                         continue
                     if factor.ka_membership(part.cut(p, [q]), ()):
-                        added.add((p, q))
                         b.edge(p, EPS, q)
                         grew = True
         if not grew:

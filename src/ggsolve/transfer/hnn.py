@@ -3,7 +3,9 @@
 The presentation adjoins a stable letter t with t^{-1} a t = phi(a) for an
 isomorphism phi between two finite subgroups of the base group.  Membership
 of the identity in a knapsack automaton's language is decided by two-phase
-saturation: reduction paths (spelling t^{-alpha} w t^{alpha} with h(w) in the
+saturation on the normal form of ``_Builder.normalize`` (initial state and
+finals off cycles, every edge into a cycle an epsilon edge from outside any
+cycle): reduction paths (spelling t^{-alpha} w t^{alpha} with h(w) in the
 associated subgroup) on cycles are surgically replaced by shortcut edges with
 bypass paths; reduction paths across components get shortcut edges directly.
 After saturation, all stable-letter edges are removed and the base oracle

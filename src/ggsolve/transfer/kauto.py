@@ -1,4 +1,4 @@
-"""Knapsack automata: shape certificate, chain constructions, skeletons, and the
+"""Knapsack automata: shape certificate, chain construction, skeletons, and the
 automaton toolkit (``_Builder``) both saturations run on, normalization included.
 
 A knapsack automaton is an NFA whose strongly connected components are
@@ -6,7 +6,9 @@ singletons or induced cycles; epsilon edges count as edges for the SCC
 analysis.  Membership of a group element in the accepted language modulo the
 group is inter-reducible with knapsack solvability via skeleton enumeration.
 Automata travel as plain ``Nfa``s; whoever reads the shape certifies it
-(``ShapeInfo``).
+(``ShapeInfo``).  Both saturations work on one normal form: the initial
+state and the finals lie off cycles, and every edge into a cycle is an
+epsilon edge from a state on no cycle.
 """
 
 from __future__ import annotations
@@ -138,34 +140,6 @@ class ShapeInfo:
         """Number of cycle edges labelled in ``counted``."""
         return sum(a in counted for a, _ in self.cycle_next.values())
 
-    def cycle_states(self, state) -> Set:
-        return self.components[self.comp_of[state]]
-
-    def cycle_word_from(self, state) -> tuple:
-        """Label word of one full loop starting (and ending) at ``state``."""
-        word = []
-        cur = state
-        while True:
-            a, nxt = self.cycle_next[cur]
-            if a is not EPS:
-                word.append(a)
-            cur = nxt
-            if cur == state:
-                return tuple(word)
-
-    def arc(self, p, q) -> Tuple[tuple, List]:
-        """Label word and edge list along the cycle from p to q (< one round)."""
-        word = []
-        edges = []
-        cur = p
-        while cur != q:
-            a, nxt = self.cycle_next[cur]
-            if a is not EPS:
-                word.append(a)
-            edges.append((cur, a, nxt))
-            cur = nxt
-        return tuple(word), edges
-
 
 class _Builder:
     """Mutable automaton builder: the toolkit of the chain constructions and saturations.
@@ -234,26 +208,21 @@ class _Builder:
         return Restriction(self, alphabet)
 
     def prepend(self, word: Sequence[str]) -> None:
-        """Read ``word`` before the automaton: a fresh initial state and a path
-        whose last state goes on like the old initial state (no epsilon edge)."""
+        """Read ``word`` before the automaton: a path from a fresh initial state
+        into the old one.  The empty word leaves the automaton as it is."""
         if not word:
             return
         start = self.fresh("p")
-        cur = self.path(start, word, hint="p")
-        for (p, a, q) in list(self.edges):
-            if p == self.initial:
-                self.edge(cur, a, q)
-        if self.initial in self.finals:
-            self.finals.add(cur)
+        self.path(start, word, self.initial, "p")
         self.initial = start
 
-    def surgery(self, p, q, edges, word, eps_into_cycle: bool = False) -> None:
+    def surgery(self, p, q, edges, word) -> None:
         """Replace a reduction path by a shortcut; graft the three bypass families.
 
         Path: p = r_0 -labels[0]-> r_1 ... -labels[n-1]-> r_n = q.  The
         interior r_1..r_{n-1} goes with every incident edge, and p -word-> q
-        takes its place.  With ``eps_into_cycle`` the arriving bypasses end
-        in an extra epsilon edge (free-product invariant iii).
+        takes its place.  The arriving bypasses end in an epsilon edge, so
+        every edge into a cycle stays an epsilon edge.
         """
         path_states = [p] + [e[2] for e in edges]
         interior = set(path_states[1:-1])
@@ -277,10 +246,9 @@ class _Builder:
         for s in interior:
             del self.states[s]
         self.path(p, word, q, "c")
-        tail = [EPS] if eps_into_cycle else []
-        # arriving: s -v-> . -labels[i..n-1]-> q
+        # arriving: s -v-> . -labels[i..n-1]-> . -eps-> q
         for (s, v, i) in arriving:
-            self.path(s, v + labels[i:] + tail, q, "y")
+            self.path(s, v + labels[i:] + [EPS], q, "y")
         # leaving: p -labels[0..i-1]-> . -v-> s
         for (i, v, s) in leaving:
             self.path(p, labels[:i] + [v], s, "y")
@@ -290,19 +258,17 @@ class _Builder:
                 if i < j:
                     self.path(s, v + labels[i:j] + [v2], s2, "y")
 
-    def normalize(self, eps_into_cycle: bool) -> ShapeInfo:
-        """Move the initial state and the finals off cycles and split the edges
-        into cycles; returns the shape of the result.  The language is unchanged.
+    def normalize(self) -> ShapeInfo:
+        """Move the initial state and the finals off cycles and let every edge
+        into a cycle be an epsilon edge from outside any cycle; returns the
+        shape of the result.  The language is unchanged.
 
-        The split edges are those between two cycles and, with
-        ``eps_into_cycle``, every edge entering a cycle but an epsilon edge
-        from outside (free-product invariant iii).  A shadow state stands in
-        for the state it splits off: joined to it by an epsilon edge with
-        ``eps_into_cycle``, else carrying copies of its edges.  A pass fixes
-        every violation of one shape; it reads the edges and finals to fix
-        before any fix, as the states it makes lie on no cycle.  Copies read
-        the edges as they stand, and the finals come last, so a final's
-        shadow also gets the edges that the earlier fixes made into it.
+        The split edges are those between two cycles and every labelled edge
+        entering a cycle.  A shadow state, joined to the state it splits off
+        by an epsilon edge, takes the split edge, the initial mark or the
+        final mark.  A pass fixes every violation of one shape; it reads the
+        edges and finals to fix before any fix, as the states it makes lie
+        on no cycle.
         """
         while True:
             shape = self.shape()
@@ -310,54 +276,38 @@ class _Builder:
             entering = [
                 (p, a, q)
                 for (p, a, q) in self.edges
-                if on_cycle(q)
-                and comp_of[p] != comp_of[q]
-                and (on_cycle(p) or (eps_into_cycle and a is not EPS))
+                if on_cycle(q) and comp_of[p] != comp_of[q] and (on_cycle(p) or a is not EPS)
             ]
             cycle_finals = sorted((f for f in self.finals if on_cycle(f)), key=repr)
             if not (entering or cycle_finals or on_cycle(self.initial)):
                 return shape
             for (p, a, q) in entering:
                 del self.edges[(p, a, q)]
-                self.edge(p, a, self._shadow_into(q, eps_into_cycle, "m"))
+                self.edge(p, a, self._shadow_into(q, "m"))
             if on_cycle(self.initial):
-                self.initial = self._shadow_into(self.initial, eps_into_cycle, "i")
+                self.initial = self._shadow_into(self.initial, "i")
             for f in cycle_finals:
                 shadow = self.fresh("f")
-                if eps_into_cycle:
-                    self.edge(f, EPS, shadow)
-                else:
-                    for (p, a, q) in list(self.edges):
-                        if q == f:
-                            self.edge(p, a, shadow)
+                self.edge(f, EPS, shadow)
                 self.finals.discard(f)
                 self.finals.add(shadow)
 
-    def _shadow_into(self, q, eps_into_cycle: bool, hint: str):
-        """A fresh state that goes on like ``q``: by an epsilon edge into ``q``,
-        or by copies of its out-edges and its finality."""
+    def _shadow_into(self, q, hint: str):
+        """A fresh state with an epsilon edge into ``q``."""
         shadow = self.fresh(hint)
-        if eps_into_cycle:
-            self.edge(shadow, EPS, q)
-            return shadow
-        for (p, a, r) in list(self.edges):
-            if p == q:
-                self.edge(shadow, a, r)
-        if q in self.finals:
-            self.finals.add(shadow)
+        self.edge(shadow, EPS, q)
         return shadow
 
-    def saturate_cycles(self, find_reduction, counted, eps_into_cycle: bool = False) -> ShapeInfo:
+    def saturate_cycles(self, find_reduction, counted) -> ShapeInfo:
         """Phase 1 of both saturations: normalize, then cut reductions out of
         cycles until none is left; returns the final shape.
 
         ``find_reduction(shape)`` returns ``(p, q, edges, word)`` -- a
         reduction path along a cycle and the word of its shortcut -- or None.
         Every surgery must lower the number of cycle edges labelled in
-        ``counted``; that is what makes the loop end.  ``eps_into_cycle``
-        picks the normalization and the surgery's arriving bypasses.
+        ``counted``; that is what makes the loop end.
         """
-        shape = self.normalize(eps_into_cycle)
+        shape = self.normalize()
         before = None
         while True:
             count = shape.cycle_letters(counted)
@@ -367,7 +317,7 @@ class _Builder:
             if hit is None:
                 return shape
             before = count
-            self.surgery(*hit, eps_into_cycle)
+            self.surgery(*hit)
             shape = self.shape()  # revalidates the knapsack certificate
 
 
@@ -475,13 +425,12 @@ def equation_chain(
     return b.to_nfa()
 
 
-def skeletons(nfa: Nfa, prepend: Sequence[str] = ()):
+def skeletons(nfa: Nfa):
     """All skeletons as (v_words, u_words): runs' SCC paths with entry/exit data.
 
     The automaton must have the knapsack shape (CertificateError otherwise).
-    ``prepend`` is merged into v0.  Every accepted word modulo reordering of
-    loop iterations is captured by some skeleton, and every skeleton word is
-    accepted.
+    Every accepted word modulo reordering of loop iterations is captured by
+    some skeleton, and every skeleton word is accepted.
     """
     shape = ShapeInfo(nfa.states, nfa.transitions)
     out_edges: Dict = {s: [] for s in nfa.states}
@@ -491,42 +440,23 @@ def skeletons(nfa: Nfa, prepend: Sequence[str] = ()):
 
     results = []
 
-    def emit(vs, us, current):
-        results.append((tuple(tuple(v) for v in vs) + (tuple(current),), tuple(us)))
-
     def walk(state, vs, us, current):
+        """Runs on from ``state`` with ``current`` read since the last cycle."""
+        exits = [(state, current)]
         if shape.on_cycle(state):
-            loop = shape.cycle_word_from(state)
-            for q in sorted(shape.cycle_states(state), key=repr):
-                arc_word, _ = shape.arc(state, q)
-                vs2 = list(vs) + [tuple(current)]
-                us2 = list(us) + [loop]
-                cur2 = list(arc_word)
-                if q in nfa.finals:
-                    emit(vs2, us2, cur2)
-                for a, r in sorted(out_edges[q], key=repr):
-                    step = cur2 + ([a] if a is not EPS else [])
-                    walk(r, vs2, us2, step)
-        else:
-            if state in nfa.finals:
-                emit(vs, us, current)
-            for a, r in sorted(out_edges[state], key=repr):
-                step = list(current) + ([a] if a is not EPS else [])
-                walk(r, vs, us, step)
+            arcs, word, q = {}, (), state  # q -> the word along the cycle from state to q
+            while q not in arcs:
+                arcs[q] = word
+                a, q = shape.cycle_next[q]
+                word += () if a is EPS else (a,)
+            vs, us = vs + (current,), us + (word,)
+            exits = [(q, arcs[q]) for q in sorted(arcs, key=repr)]
+        for q, read in exits:
+            if q in nfa.finals:
+                results.append((vs + (read,), us))
+            for a, r in sorted(out_edges[q], key=repr):
+                walk(r, vs, us, read + (() if a is EPS else (a,)))
 
-    walk(nfa.initial, [], [], list(prepend))
+    walk(nfa.initial, (), (), ())
     return results
 
-
-def skeleton_equations(nfa: Nfa, prepend, alphabet):
-    """Skeletons as exponent equations over a graph-group alphabet (distinct vars)."""
-    from ..groups import free_reduce
-    from ..solver.equations import Const, ExponentEquation, Power
-
-    for vs, us in skeletons(nfa, prepend):
-        items = []
-        items.append(Const(free_reduce(alphabet, vs[0])))
-        for i, u in enumerate(us):
-            items.append(Power(free_reduce(alphabet, u), f"x{i+1}"))
-            items.append(Const(free_reduce(alphabet, vs[i + 1])))
-        yield ExponentEquation(alphabet, items)

@@ -162,12 +162,13 @@ class GraphGroupOracle(GroupOracle):
         return free_reduce(self.alphabet, word).is_identity()
 
     def _member_impl(self, nfa: Nfa, target_word) -> bool:
-        from ..solver import solve_exact, solve_search
-        from .kauto import skeleton_equations
+        """One ``chain_equation`` per skeleton, with target^-1 ahead of v0."""
+        from ..solver import chain_equation, solve_exact, solve_search
 
-        prepend = invert_word(tuple(target_word))
+        head = invert_word(tuple(target_word))
         unknown = False
-        for eq in skeleton_equations(nfa, prepend, self.alphabet):
+        for vs, us in skeletons(nfa):
+            eq = chain_equation(self.alphabet, (head + vs[0],) + vs[1:], us)
             rep = solve_exact(eq)
             if rep.status == "unknown":
                 rep = solve_search(eq, cap=self.search_cap)

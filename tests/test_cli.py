@@ -627,6 +627,36 @@ class TestMihailova:
         inst = parse_instance(out)
         assert isinstance(inst.problem, EqProblem)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--sigma", "a,,b", "--word", "a"], "--sigma: '' is not a generator name"),
+            (["--sigma", "a,a b", "--word", "a"], "--sigma: 'a b' is not a generator name"),
+            (["--sigma", "a,b#", "--word", "a"], "--sigma: 'b#' is not a generator name"),
+            (["--sigma", "a,b'", "--word", "a"], "--sigma: \"b'\" is not a generator name"),
+            (["--sigma", "a,b,a", "--word", "a"], "--sigma: generator 'a' given twice"),
+            (["--sigma", "a", "--word", "c"], "--word: letter 'c' is not in --sigma"),
+            (["--sigma", "a", "--word", "a''"], "--word: letter \"a''\" is not in --sigma"),
+            (["--sigma", "a,b", "--relators", "a b,c'", "--word", "_"],
+             "--relators: letter \"c'\" is not in --sigma"),
+            (["--sigma", "a", "--word", "a", "--rounds", "-1"],
+             "--rounds takes a natural number, not -1"),
+        ],
+        ids=["empty", "space", "hash", "mark", "twice", "word", "word-mark", "relator", "rounds"],
+    )
+    def test_bad_arguments_exit_3(self, args, message, capsys):
+        """A bad argument stops generation with its name, before any instance
+        is written that would parse into another question or not at all."""
+        code, out = run_cli(["gen-mihailova", *args])
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
+    def test_zero_rounds_is_valid(self):
+        code, out = run_cli(["gen-mihailova", "--sigma", "a,b", "--word", "a b'", "--rounds", "0"])
+        assert code == 0
+        e = build_equation(parse_instance(out))
+        assert e.vars == () and len(e.items) == 1
+
     def test_roundtrip_parse(self):
         text = gen_mihailova(("a", "b"), [("a", "b", "a'", "b'")], ("a",), 2)
         inst = parse_instance(text)
@@ -688,6 +718,23 @@ class TestGoldenCorpus:
         code, out = run_cli(["--format", "machine", "bench", str(tmp_path)])
         assert code == 4
         assert "bogus.gg=exit=3 " in out and "expected=unreadable" in out
+
+    def test_bench_without_instances_exits_3(self, tmp_path, capsys):
+        """A mistyped or empty corpus directory is a parse error, not a pass."""
+        write(tmp_path, "gens a\n", "notes.txt")
+        missing = str(tmp_path / "missing")
+        cases = ((missing, "is not a directory"), (str(tmp_path), "holds no *.gg files"))
+        for path, problem in cases:
+            code, out = run_cli(["--format", "machine", "bench", path])
+            assert (code, out) == (3, "")
+            assert capsys.readouterr().err == f"parse error: bench: {path!r} {problem}\n"
+
+    def test_bench_directory_name_is_not_a_pattern(self, tmp_path):
+        corpus = tmp_path / "corpus[1]"
+        corpus.mkdir()
+        shutil.copy(os.path.join(CORPUS, "01_z_double.gg"), corpus)
+        code, out = run_cli(["--format", "machine", "bench", str(corpus)])
+        assert code == 0 and out.startswith("01_z_double.gg=exit=0 ")
 
     def test_bench_runs(self):
         code, out = run_cli(["--format", "machine", "bench", CORPUS])

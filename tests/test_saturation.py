@@ -250,7 +250,7 @@ class TestStepwisePreservation:
                 for _ in range(k)
             ]
             b = _Builder.from_nfa(knapsack_chain(plain_alphabet(h.letters), bases))
-            b.normalize(False)
+            b.normalize()
             while True:
                 nfa = b.to_nfa()
                 shape = b.shape()
@@ -458,10 +458,9 @@ def random_knapsack_automaton(rng, letters):
 
 
 class TestNormalize:
-    @pytest.mark.parametrize("eps_into_cycle", [False, True])
-    def test_one_pass_fixes_every_violation(self, monkeypatch, eps_into_cycle):
-        """Each normalization keeps the language and its invariants hold after
-        at most two shapes: one pass fixes everything the first shape shows."""
+    def test_one_pass_fixes_every_violation(self, monkeypatch):
+        """Normalization keeps the language and its invariants hold after at
+        most two shapes: one pass fixes everything the first shape shows."""
         from ggsolve.automata import EPS
         from ggsolve.transfer.kauto import _Builder
 
@@ -475,7 +474,7 @@ class TestNormalize:
             nfa = random_knapsack_automaton(rng, letters)
             b = _Builder.from_nfa(nfa)
             shapes.clear()
-            got = b.normalize(eps_into_cycle)
+            got = b.normalize()
             assert len(shapes) <= 2
             fixed += len(shapes) == 2
             normal = b.to_nfa()
@@ -486,8 +485,30 @@ class TestNormalize:
             for (p, a, q) in b.edges:
                 if got.on_cycle(q) and got.comp_of[p] != got.comp_of[q]:
                     assert not got.on_cycle(p)
-                    assert a is EPS or not eps_into_cycle
+                    assert a is EPS
         assert fixed >= 250
+
+
+class TestPrepend:
+    def test_reads_the_word_first(self):
+        """The builder accepts exactly word·L, also where the initial state
+        lies on a cycle or is final."""
+        from ggsolve.transfer.kauto import _Builder
+
+        rng = random.Random(5)
+        letters = ("g", "h")
+        on_cycle = final = 0
+        for _ in range(200):
+            nfa = random_knapsack_automaton(rng, letters)
+            shape = ShapeInfo(nfa.states, nfa.transitions)
+            on_cycle += shape.on_cycle(nfa.initial)
+            final += nfa.initial in nfa.finals
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
+            b = _Builder.from_nfa(nfa)
+            b.prepend(word)
+            expected = {word + w for w in enumerate_accepted(nfa, 5 - len(word))}
+            assert enumerate_accepted(b.to_nfa(), 5) == expected
+        assert on_cycle >= 40 and final >= 40
 
 
 STEP_ORDER_INSTANCE = """\

@@ -12,7 +12,7 @@ from ggsolve.solver import (
     Const,
     Power,
     abelian_relaxation,
-    knapsack_to_equation,
+    chain_equation,
     preprocess,
     solution_bound,
     solve_search,
@@ -193,16 +193,23 @@ class TestZtoN:
 
 class TestKnapsackAdapter:
     def test_basic(self):
-        e = knapsack_to_equation(ZL, [("a",)], ("a", "a"))
+        e = chain_equation(ZL, [(), ("a'", "a'")], [("a",)])
         assert brute_oracle(e, 5) == {(2,)}
 
     def test_word_problem_form(self):
-        e = knapsack_to_equation(ZL, [], ())
+        e = chain_equation(ZL, [()], [])
         assert brute_oracle(e, 0) == {()}
 
     def test_round_trip_solutions(self):
-        e = knapsack_to_equation(FREE2, [("a",), ("b",)], ("a", "a", "b"))
+        e = chain_equation(FREE2, [(), (), ("b'", "a'", "a'")], [("a",), ("b",)])
         assert brute_oracle(e, 4) == {(2, 1)}
+
+    def test_constants_between_powers(self):
+        """Nonempty constants stay in place, empty ones are left out, and the
+        powers get x1..xn."""
+        e = chain_equation(FREE2, [("a",), (), ("a'",)], [("b",), ("b'",)])
+        assert repr(e) == "Eq[a · (b)^x1 · (b')^x2 · a' = 1]"
+        assert brute_oracle(e, 2) == {(0, 0), (1, 1), (2, 2)}
 
 
 class TestSlpIntegration:

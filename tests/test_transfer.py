@@ -7,6 +7,7 @@ import pytest
 from ggsolve.automata import EPS, Nfa
 from ggsolve.errors import AlphabetMismatchError, CertificateError, StructureError
 from ggsolve.groups import DoubledAlphabet, invert_word
+from ggsolve.solver import chain_equation
 from ggsolve.traces import IndependenceAlphabet
 from ggsolve.transfer import (
     FiniteGroupOracle,
@@ -20,7 +21,6 @@ from ggsolve.transfer.kauto import (
     _Builder,
     equation_chain,
     plain_alphabet,
-    skeleton_equations,
     skeletons,
 )
 
@@ -103,19 +103,27 @@ class TestSkeletons:
         got = skeletons(nfa)
         assert got == [(((), ()), (("a",),))]
 
-    def test_prepend_merged(self):
-        alpha = plain_alphabet(("a", "a'"))
-        nfa = Nfa(alpha, ["p"], [("p", "a", "p")], "p", ["p"])
-        got = skeletons(nfa, prepend=("a'",))
-        assert got == [((("a'",), ()), (("a",),))]
+    def test_oracles_put_the_target_into_v0(self):
+        """ZOracle and GraphGroupOracle answer nonempty targets on skeletons
+        whose v0 is empty and whose initial state lies on a cycle."""
+        z = ZOracle("a")
+        loop = Nfa(z.alphabet, ["p"], [("p", "a", "p")], "p", ["p"])  # a*
+        assert z.ka_membership(loop, ("a", "a"))
+        assert z.ka_membership(loop, ("a", "a'", "a"))
+        assert not z.ka_membership(loop, ("a'",))
+        free = ((), (True, True, False, False))
+        commuting = ((("a", "b"),), (True, True, True, False))
+        for pairs, answers in (free, commuting):
+            o = GraphGroupOracle(DoubledAlphabet(IndependenceAlphabet("ab", pairs)), 15)
+            edges = [("p", "a", "p"), ("p", "b", "q")]
+            nfa = Nfa(o.alphabet, ["p", "q"], edges, "p", ["q"])  # a* b
+            targets = (("a", "a", "b"), ("b",), ("b", "a"), ("a'", "b"))
+            assert tuple(o.ka_membership(nfa, t) for t in targets) == answers
 
     def test_round_trip_with_brute(self):
         """knapsack -> ka -> skeletons: solvable iff brute-force solvable."""
         rng = random.Random(7)
         dbl = DoubledAlphabet(IndependenceAlphabet("ab"))
-        oracle_alpha = dbl
-        from ggsolve.solver import knapsack_to_equation
-
         for _ in range(25):
             k = rng.randint(1, 2)
             bases = [
@@ -123,20 +131,20 @@ class TestSkeletons:
                 for _ in range(k)
             ]
             target = tuple(rng.choice(dbl.letters) for _ in range(rng.randint(0, 2)))
-            e = knapsack_to_equation(dbl, bases, target)
+            head = invert_word(target)
+            e = chain_equation(dbl, [()] * len(bases) + [head], bases)
             brute_solvable = bool(brute_oracle(e, 10))
-            solvable = False
-            for eq in skeleton_equations(knapsack_chain(dbl, bases), invert_word(target), dbl):
-                if brute_oracle(eq, 10):
-                    solvable = True
-                    break
+            solvable = any(
+                brute_oracle(chain_equation(dbl, (head + vs[0],) + vs[1:], us), 10)
+                for vs, us in skeletons(knapsack_chain(dbl, bases))
+            )
             assert solvable == brute_solvable
 
 
-def hnn_normalize(nfa):
-    """The epsilon-free normalization of ``nfa``, run on a builder, and its shape."""
+def normalize(nfa):
+    """The normalization of ``nfa``, run on a builder, and its shape."""
     b = _Builder.from_nfa(nfa)
-    b.normalize(False)
+    b.normalize()
     normal = b.to_nfa()
     return normal, certify(normal)
 
@@ -145,7 +153,7 @@ class TestHnnNormalize:
     def test_initial_off_cycle(self):
         alpha = plain_alphabet(("a",))
         nfa = Nfa(alpha, ["p"], [("p", "a", "p")], "p", ["p"])
-        normal, shape = hnn_normalize(nfa)
+        normal, shape = normalize(nfa)
         assert not shape.on_cycle(normal.initial)
         for f in normal.finals:
             assert not shape.on_cycle(f)
@@ -154,7 +162,7 @@ class TestHnnNormalize:
         alpha = plain_alphabet(("a", "b"))
         edges = [("p", "a", "p"), ("p", "b", "q"), ("q", "b", "q")]
         nfa = Nfa(alpha, ["i", "p", "q", "f"], edges + [("i", "a", "p"), ("q", "a", "f")], "i", ["f"])
-        normal, shape = hnn_normalize(nfa)
+        normal, shape = normalize(nfa)
         for (p, a, q) in normal.transitions:
             if shape.on_cycle(p) and shape.on_cycle(q):
                 assert shape.comp_of[p] == shape.comp_of[q]
@@ -163,7 +171,7 @@ class TestHnnNormalize:
         alpha = plain_alphabet(("a", "b"))
         edges = [("p", "a", "p"), ("p", "b", "q"), ("q", "b", "q")]
         nfa = Nfa(alpha, ["p", "q"], edges, "p", ["q"])
-        normal, _ = hnn_normalize(nfa)
+        normal, _ = normalize(nfa)
         assert enumerate_accepted(nfa, 5) == enumerate_accepted(normal, 5)
 
 
