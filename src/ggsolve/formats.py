@@ -46,7 +46,7 @@ solver and the transfer algorithms take.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union, get_args
 
 from .automata import EPS, Nfa, trim
 from .errors import CertificateError, FormatError, ResourceExceeded, StructureError, TraceError
@@ -236,6 +236,7 @@ class AmalgamProblem:
 
 
 Problem = Union[EqProblem, KnapsackProblem, KaProblem, ExtensionProblem, HnnProblem, AmalgamProblem]
+PROBLEM_KINDS = tuple(block.kind for block in get_args(Problem))
 
 
 @dataclass
@@ -303,6 +304,8 @@ def parse_instance(text: str) -> Instance:
             continue
         head, rest = tokens[0], tokens[1:]
         try:
+            if head in PROBLEM_KINDS and problem is not None:
+                raise FormatError(f"second problem block {head!r} (one per file)", lineno)
             if head == "gens":
                 for letter in rest:
                     if letter in gens:
@@ -357,6 +360,8 @@ def parse_instance(text: str) -> Instance:
                 name = rest[0]
                 problem.states.append(name)
                 if "initial" in rest[1:]:
+                    if problem.initial is not None:
+                        raise FormatError(f"second initial state {name!r}", lineno)
                     problem.initial = name
                 if "final" in rest[1:]:
                     problem.finals.append(name)
@@ -375,7 +380,10 @@ def parse_instance(text: str) -> Instance:
                 problem = ExtensionProblem(base=rest[1], line=lineno)
                 section = "extension"
             elif head == "cosets" and section == "extension":
-                problem.cosets.extend(rest)
+                for c in rest:
+                    if c in problem.cosets:
+                        raise FormatError(f"coset {c!r} listed twice", lineno)
+                    problem.cosets.append(c)
             elif head == "onecoset" and section == "extension":
                 problem.one = rest[0]
             elif head == "coset" and section == "extension":
@@ -613,7 +621,8 @@ def build_amalgam(inst: Instance, search_cap: int):
 
 
 def build_oracle(inst: Instance, name: str, search_cap: int):
-    """The oracle named ``name``; an oracle that fails construction is a FormatError on its line."""
+    """The oracle named ``name``; an oracle that fails construction, or a ``product``
+    that is its own factor through a cycle of products, is a FormatError on its line."""
     from .transfer.oracles import (
         FiniteGroupOracle,
         FreeGroupOracle,
@@ -622,30 +631,34 @@ def build_oracle(inst: Instance, name: str, search_cap: int):
         ZOracle,
     )
 
-    if name not in inst.oracles:
-        raise FormatError(f"unknown oracle {name!r}")
-    spec = inst.oracles[name]
-    kind, args = spec.kind, spec.args
-    try:
-        if kind == "z":
-            return ZOracle(args[0] if args else "a")
-        if kind == "free":
-            return FreeGroupOracle(args)
-        if kind == "finite-cyclic":
-            if not args or not args[0].isdecimal() or int(args[0]) < 1:
-                raise FormatError("finite-cyclic takes an order of at least 1", spec.line)
-            return FiniteGroupOracle(int(args[0]), args[1] if len(args) > 1 else "g")
-        if kind == "product":
-            if len(args) != 2:
-                raise FormatError("product takes exactly two factor oracles", spec.line)
-            return FreeProductOracle(
-                build_oracle(inst, args[0], search_cap), build_oracle(inst, args[1], search_cap)
-            )
-        if kind == "graph":
-            return GraphGroupOracle(inst.require_alphabet(), search_cap)
-    except (StructureError, TraceError) as exc:
-        raise FormatError(f"oracle {name}: {exc}", spec.line) from exc
-    raise FormatError(f"unknown oracle kind {kind!r}", spec.line)
+    def build(name: str, within: tuple):
+        if name not in inst.oracles:
+            raise FormatError(f"unknown oracle {name!r}")
+        spec = inst.oracles[name]
+        kind, args = spec.kind, spec.args
+        if name in within:
+            cycle = " -> ".join(within[within.index(name) :] + (name,))
+            raise FormatError(f"product oracles form a cycle: {cycle}", spec.line)
+        try:
+            if kind == "z":
+                return ZOracle(args[0] if args else "a")
+            if kind == "free":
+                return FreeGroupOracle(args)
+            if kind == "finite-cyclic":
+                if not args or not args[0].isdecimal() or int(args[0]) < 1:
+                    raise FormatError("finite-cyclic takes an order of at least 1", spec.line)
+                return FiniteGroupOracle(int(args[0]), args[1] if len(args) > 1 else "g")
+            if kind == "product":
+                if len(args) != 2:
+                    raise FormatError("product takes exactly two factor oracles", spec.line)
+                return FreeProductOracle(*(build(arg, within + (name,)) for arg in args))
+            if kind == "graph":
+                return GraphGroupOracle(inst.require_alphabet(), search_cap)
+        except (StructureError, TraceError) as exc:
+            raise FormatError(f"oracle {name}: {exc}", spec.line) from exc
+        raise FormatError(f"unknown oracle kind {kind!r}", spec.line)
+
+    return build(name, ())
 
 
 def format_instance(inst: Instance) -> str:

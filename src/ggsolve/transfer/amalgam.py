@@ -3,11 +3,13 @@
 G0 *_F G1 embeds into I = <G0*G1, t | t^{-1} phi0(f) t = phi1(f)> via
 Phi(g) = t^{-1} g t for g in G0 and Phi(g) = g for g in G1; instances are
 transformed letterwise and handed to the HNN machinery over the free-product
-base.
+base.  The stable letter t is the first of t, t1, t2, ... that neither factor
+uses.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Sequence, Tuple
 
 from ..errors import StructureError
@@ -28,7 +30,6 @@ class AmalgamPresentation:
         f_identity: str,
         embed_left: Dict[str, Sequence[str]],
         embed_right: Dict[str, Sequence[str]],
-        stable: str = "t",
     ):
         self.left = left
         self.right = right
@@ -37,8 +38,10 @@ class AmalgamPresentation:
         self.f_identity = f_identity
         self.embed_left = {f: tuple(w) for f, w in embed_left.items()}
         self.embed_right = {f: tuple(w) for f, w in embed_right.items()}
-        self.stable = stable
         self.letters = tuple(left.letters) + tuple(right.letters)
+        taken = set(self.letters)
+        names = ("t" + str(i or "") for i in itertools.count())
+        self.stable = next(t for t in names if not {t, inverse_letter(t)} & taken)
         self._validate()
 
     def _validate(self) -> None:

@@ -1,28 +1,27 @@
 """Finite extensions: coset rewriting tables and the transfer reduction.
 
 H is a finite extension of G with coset representatives C (1 in C) and a
-rewriting table c*b = g*c' (g a word over G's generators).  A generalized
-knapsack instance over H reduces to finitely many instances over G: small
-exponents (below m = |C|) are merged into the constants; for the all-large
-core, x_i = m + k_i*y_i + r_i with k_i the period of the coset map f_i of u_i
-after m steps.  The cosets c_1, c_2, ... are picked depth-first: c_i runs
-over the orbit of e_i = f_i^m(d_(i-1)) in the order of C, r_i is the step at
-which the walk from e_i reaches it, and d_i is the coset the rest of the
-bracket ends in; a sequence with d_n = 1 is one question to G's oracle
-(``GroupOracle.knapsack``), with the bracketed pieces rewritten into G.
+rewriting table c*b = g*c' (g a word over G's generators).  H acts on the
+cosets by right multiplication, so the coset map c -> c' of every word is a
+permutation of C: the table check makes c*b*b^-1 rewrite back to c, so
+each letter's map has an inverse.  A power u^x entered at coset d therefore
+walks round the cycle of d under u's map; with l the length of that cycle,
+x = l*y + r (0 <= r < l) splits N one to one onto N x [0, l), and u^x read
+from d is B^y followed by the G-word of u^r from d, where B is the G-word
+of u^l from d.
 
-Each call rewrites every input word once from each coset it is read from
-(the per-call step memo) and the words u^m and u^k once per power and
-coset; constants, tails u^r v and the all-small products are folded from
-those steps, never re-read letter by letter.  An all-small product's G-word
-is spelled only when its coset, read from the same steps, is 1.
+A generalized knapsack instance over H thus reduces to finitely many over
+G.  The cosets c_1, c_2, ... are picked depth-first: c_i runs over the
+cycle of the entry coset d_(i-1) in the order of C, and d_i is the coset
+c_i * v_i ends in; a sequence with d_n = 1 is one question to G's oracle
+(``GroupOracle.knapsack``), with the pieces rewritten into G.  Each call
+rewrites every input word once from each coset it is read from (the
+per-call step memo) and folds the pieces from those steps.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from typing import Dict, List, Sequence, Tuple
 
 from ..errors import InternalError, StructureError
@@ -57,10 +56,6 @@ class FiniteExtension:
                         raise StructureError(f"rewriting table leaves the cosets at ({c},{letter})")
         self.validate()
 
-    @property
-    def m(self) -> int:
-        return len(self.cosets)
-
     def rewrite(self, coset: str, word: Sequence[str]) -> Tuple[tuple, str]:
         """Fold the table: coset * word = g-word * coset' in H."""
         g_out: List[str] = []
@@ -82,29 +77,6 @@ class FiniteExtension:
                         )
 
 
-def _iterate(f: Dict[str, str], n: int) -> Dict[str, str]:
-    out = {c: c for c in f}
-    for _ in range(n):
-        out = {c: f[out[c]] for c in out}
-    return out
-
-
-def _orbit_parameters(f: Dict[str, str], m: int) -> Tuple[Dict[str, str], int]:
-    """(f^m, k) with k minimal >= 1 such that f^(m+k) = f^m.
-
-    The coset map is a permutation (right multiplication), so k is its order,
-    which can exceed m (lcm of cycle lengths); search up to lcm(1..m).
-    """
-    fm = _iterate(f, m)
-    cur = dict(fm)
-    bound = math.lcm(*range(1, m + 1)) if m >= 1 else 1
-    for k in range(1, bound + 1):
-        cur = {c: f[cur[c]] for c in cur}
-        if cur == fm:
-            return fm, k
-    raise InternalError("coset map has no period")  # pragma: no cover
-
-
 def finite_ext_reduce(
     fe: FiniteExtension,
     v_words: Sequence[Sequence[str]],
@@ -112,89 +84,44 @@ def finite_ext_reduce(
 ) -> bool:
     """Solvability of v0 u1^{x1} v1 ... un^{xn} vn = 1 over H, each power with its own variable.
 
-    Deterministically enumerates the branch structure: which exponents stay
-    below m (merged into constants), then the live coset sequences in
-    ``fe.cosets`` order, one ``fe.g_oracle.knapsack`` question each.
+    Walks the coset cycles depth-first from the coset v0 ends in: power i,
+    entered at coset d, continues from each coset c of d's cycle in
+    ``fe.cosets`` order with x_i = l*y_i + r, and each walk that ends in the
+    coset of 1 is one ``fe.g_oracle.knapsack`` question over G.
     """
-    g_oracle = fe.g_oracle
     n = len(u_words)
     if len(v_words) != n + 1:
         raise StructureError("need n+1 constants around n powers")
-    m = fe.m
-    rank = {c: i for i, c in enumerate(fe.cosets)}
-    # word w of a run: v_w for w <= n, u_(w-n) for w > n
+    # word w: v_w for w <= n, u_(w-n) for w > n
     words = [tuple(w) for w in (*v_words, *u_words)]
-    memo = functools.lru_cache(maxsize=None)
-    step = memo(lambda w, coset: fe.rewrite(coset, words[w]))
+    step = functools.cache(lambda w, coset: fe.rewrite(coset, words[w]))
 
-    def fold(coset: str, run: tuple) -> Tuple[tuple, str]:
-        """coset * (the words of ``run``) = g-word * coset', one step per word."""
-        g_out: List[str] = []
-        for w in run:
-            gw, coset = step(w, coset)
-            g_out.extend(gw)
-        return tuple(g_out), coset
-
-    def end_coset(coset: str, run: tuple) -> str:
-        """coset' of ``fold(coset, run)``, without spelling its g-word."""
-        for w in run:
-            coset = step(w, coset)[1]
-        return coset
-
-    @memo
-    def orbit_parameters(i: int) -> Tuple[Dict[str, str], int]:
-        return _orbit_parameters({c: step(n + 1 + i, c)[1] for c in fe.cosets}, m)
-
-    @memo
-    def bracket(i: int, d: str) -> tuple:
-        """The pieces of power i entered from coset d: the G-words of u^m from d
-        and of u^k from e = f^m(d), and the orbit of e in ``fe.cosets`` order,
-        each coset c with the G-word of u^r from e, r the first step reaching c."""
-        fm, k = orbit_parameters(i)
-        e = fm[d]
-        u = words[n + 1 + i]
-        a_word, c_after = fe.rewrite(d, u * m)
-        b_word, c_loop = fe.rewrite(e, u * k)
-        if (c_after, c_loop) != (e, e):
-            raise InternalError("bracketed pieces end in the wrong cosets")
-        orbit: Dict[str, tuple] = {}
-        c, walked = e, ()
-        while c not in orbit:
-            orbit[c] = walked
+    @functools.cache
+    def cycle(i: int, d: str) -> Tuple[tuple, Dict[str, tuple]]:
+        """Power i entered at coset d: the G-word B of u^l from d, l the length
+        of d's cycle, and the cycle in ``fe.cosets`` order, each coset c with
+        the G-word of u^r from d, r the first step reaching c."""
+        reached: Dict[str, tuple] = {}
+        c, walked = d, ()
+        while c not in reached:
+            reached[c] = walked
             gw, c = step(n + 1 + i, c)
             walked += gw
-        return a_word, b_word, tuple(sorted(orbit.items(), key=lambda item: rank[item[0]]))
+        if c != d:
+            raise InternalError("bracketed pieces end in the wrong cosets")
+        return walked, {c: reached[c] for c in fe.cosets if c in reached}
 
-    def walk(j: int, d: str, head: tuple, g_vs: List[tuple], g_bases: List[tuple]) -> bool:
-        """Choose c_j.. of the current branch (``runs``, ``large``) along the
-        orbits; ask G about each sequence that ends in 1."""
-        if j == len(large):
+    def walk(i: int, d: str, head: tuple, g_vs: List[tuple], g_bases: List[tuple]) -> bool:
+        """Choose c_(i+1).. along the cycles; ask G about each walk that ends in 1."""
+        if i == n:
             # instance v'0 B1^{y1} v'1 ... Bn^{yn} v'n = 1 over G
-            return d == fe.one and g_oracle.knapsack(g_vs + [head], g_bases)
-        a_word, b_word, orbit = bracket(large[j], d)
-        for c, walked in orbit:
-            tail, d_next = fold(c, runs[j + 1])
-            if walk(j + 1, d_next, walked + tail, g_vs + [head + a_word], g_bases + [b_word]):
+            return d == fe.one and fe.g_oracle.knapsack(g_vs + [head], g_bases)
+        base, reached = cycle(i, d)
+        for c, walked in reached.items():
+            tail, d_next = step(i + 1, c)
+            if walk(i + 1, d_next, walked + tail, g_vs + [head], g_bases + [base]):
                 return True
         return False
 
-    # enumerate which variables are small and their concrete values
-    for small_mask in range(1 << n):
-        small = [i for i in range(n) if small_mask >> i & 1]
-        large = [i for i in range(n) if not small_mask >> i & 1]
-        for values in itertools.product(range(m), repeat=len(small)):
-            assignment = dict(zip(small, values))
-            runs: List[tuple] = [(0,)]
-            for i in range(n):
-                if i in assignment:
-                    runs[-1] += (n + 1 + i,) * assignment[i] + (i + 1,)
-                else:
-                    runs.append((i + 1,))
-            if large:
-                head, d = fold(fe.one, runs[0])
-                if walk(0, d, head, [], []):
-                    return True
-            elif end_coset(fe.one, runs[0]) == fe.one:
-                if g_oracle.is_identity(fold(fe.one, runs[0])[0]):
-                    return True
-    return False
+    head, d = step(0, fe.one)
+    return walk(0, d, head, [], [])

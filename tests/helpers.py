@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -22,7 +23,6 @@ from ggsolve.groups import DoubledAlphabet, GroupElement, free_reduce, inverse_l
 from ggsolve.semilinear import SemilinearSet
 from ggsolve.slp import Slp, expand_capped, val_length
 from ggsolve.solver.equations import Const, ExponentEquation, Item, Power, _memo_holds
-from ggsolve.transfer.finite_extension import _orbit_parameters
 from ggsolve.transfer.kauto import equation_chain
 
 
@@ -424,9 +424,10 @@ def lift_identified(v, f, dimension: int) -> tuple:
 
 
 # Finite extensions: the coset of a word and the word problem of H, read off
-# the rewriting table, and the product-and-filter reduction that
-# ggsolve.transfer.finite_ext_reduce replaced, unchanged but for the coset
-# map, computed here.
+# the rewriting table, and a reference reduction on the general split
+# x = m + k*y + r of each exponent (m = |C|, k the period of the coset map
+# after m steps) where ggsolve.transfer.finite_ext_reduce splits x = l*y + r
+# along the entry coset's cycle.
 
 
 def coset_of(fe, word: Sequence[str]) -> str:
@@ -442,6 +443,29 @@ def is_identity_in_h(fe, word: Sequence[str]) -> bool:
 def coset_map(fe, word):
     """f: c -> the unique d with c*word*d^{-1} in G."""
     return {c: fe.rewrite(c, word)[1] for c in fe.cosets}
+
+
+def _iterate(f: Dict[str, str], n: int) -> Dict[str, str]:
+    out = {c: c for c in f}
+    for _ in range(n):
+        out = {c: f[out[c]] for c in out}
+    return out
+
+
+def _orbit_parameters(f: Dict[str, str], m: int) -> Tuple[Dict[str, str], int]:
+    """(f^m, k) with k minimal >= 1 such that f^(m+k) = f^m.
+
+    The coset map is a permutation (right multiplication), so k is its order,
+    which can exceed m (lcm of cycle lengths); search up to lcm(1..m).
+    """
+    fm = _iterate(f, m)
+    cur = dict(fm)
+    bound = math.lcm(*range(1, m + 1)) if m >= 1 else 1
+    for k in range(1, bound + 1):
+        cur = {c: f[cur[c]] for c in cur}
+        if cur == fm:
+            return fm, k
+    raise InternalError("coset map has no period")  # pragma: no cover
 
 
 def product_finite_ext_reduce(
@@ -460,7 +484,7 @@ def product_finite_ext_reduce(
     n = len(u_words)
     if len(v_words) != n + 1:
         raise StructureError("need n+1 constants around n powers")
-    m = fe.m
+    m = len(fe.cosets)
 
     def solve_core(vs: List[tuple], us: List[tuple]) -> bool:
         """All remaining exponents assumed >= m."""

@@ -3,6 +3,7 @@
 import glob
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -335,6 +336,31 @@ class TestMalformedInput:
         assert f"parse error: {where}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command,text,where",
+        [
+            ("hnn", "oracle P product P B\n" + HNN_Z2.replace("base B", "base P") + "item t\ntarget t\n",
+             "line 1: product oracles form a cycle: P -> P"),
+            ("hnn", "oracle P product B Q\noracle Q product P B\n"
+             + HNN_Z2.replace("base B", "base P") + "item t\ntarget t\n",
+             "line 1: product oracles form a cycle: P -> Q -> P"),
+            ("solve", "gens a\neq\npow a x\nconst a\nknapsack\nitem a\ntarget a\n",
+             "line 5: second problem block 'knapsack'"),
+            ("solve", "gens a\nka\nstate p initial\nstate q initial final\nedge p a q\ntarget a\n",
+             "line 4: second initial state 'q'"),
+            ("finite-ext", EXT_DINF.replace("cosets 1 t\n", "cosets 1 t\ncosets t\n") + "eqH\npow t a x\n",
+             "line 4: coset 't' listed twice"),
+        ],
+        ids=["product-cycle", "product-cycle-through-another", "second-problem-block",
+             "second-initial-state", "coset-repeated"],
+    )
+    def test_malformed_block_exits_3(self, tmp_path, capsys, command, text, where):
+        """An oracle that is its own factor, a second problem block, a second initial
+        state and a coset listed twice are parse errors on their line, not a crash or
+        a silent choice."""
+        assert run_cli([command, write(tmp_path, text)])[0] == 3
+        assert f"parse error: {where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "edges",
         ["edge s a u\n", "edge s a s\nedge s b s\n"],
         ids=["undeclared-state", "not-knapsack"],
@@ -379,6 +405,23 @@ class TestMalformedInput:
         )
         path = write(tmp_path, "gens a b\neq\npow a x\npow b y\nconst b' a'\n")
         assert run_cli(["solve", path])[0] == 4
+
+
+class TestAmalgamCommand:
+    @pytest.mark.parametrize(
+        "items",
+        ["item g\nitem h\ntarget _\n", "item g\ntarget h h\n", "item g\ntarget h\n",
+         "item g h\ntarget h' g h g h\n"],
+        ids=["corpus-19", "target-in-f", "target-outside", "mixed-base"],
+    )
+    def test_amalgam_factor_letter_t(self, tmp_path, items):
+        """A factor generator named t answers as the same file with it renamed: the
+        stable letter of the HNN embedding avoids the factors' letters."""
+        text = AMALGAM_Z4 + "fmap z left g g right h h\n" + items
+        renamed = re.sub(r"\bg\b", "t", text)
+        assert "finite-cyclic 4 t" in renamed
+        answer = run_cli(["amalgam", write(tmp_path, text, "g.gg")])
+        assert run_cli(["amalgam", write(tmp_path, renamed, "t.gg")]) == answer
 
 
 class TestOptimizedInterpreter:

@@ -11,7 +11,7 @@ import pytest
 from ggsolve.cli import main
 from ggsolve.errors import FormatError, StructureError
 from ggsolve.formats import build_extension, parse_instance
-from ggsolve.groups import invert_word
+from ggsolve.groups import inverse_letter, invert_word
 from ggsolve.transfer import FiniteExtension, FiniteGroupOracle, ZOracle, finite_ext_reduce
 from ggsolve.transfer.kauto import equation_chain
 
@@ -166,24 +166,47 @@ class TestZKnapsack:
         assert 100 < solvable < 300
 
 
+def planted_instance(rng, fe, n, low):
+    """A random instance over ``semidirect(ZOracle("a"), m)`` whose closing
+    constant is the inverse of the product at planted exponents, all below m
+    when ``low`` and all in [m, 2m] otherwise: the normal form s^-j a^-v of
+    the product a^v s^j, so the exponents do not cancel freely."""
+    m = len(fe.cosets)
+    vs, us = random_instance(rng, n)
+    xs = [rng.randrange(m) if low else rng.randint(m, 2 * m) for _ in us]
+    word = vs[0] + sum((u * x + v for u, x, v in zip(us, xs, vs[1:])), ())
+    gw, c = fe.rewrite(fe.one, word)
+    value = fe.g_oracle.value(gw)
+    vs[-1] += ("s'",) * fe.cosets.index(c) + ("a'",) * value + ("a",) * -value
+    return vs, us
+
+
 class TestOrbitWalk:
     def test_against_product_reference_over_z(self):
-        """Z x| Z/m, m = 1..8, 1-3 powers: the same answers as the reference."""
+        """Z x| Z/m, m = 1..12, 1-3 powers: the same answers as the reference,
+        on free draws, obstructed ones and exponents planted below m and at
+        least m."""
         rng = random.Random(17)
         solvable = 0
-        for m in range(1, 9):
+        for m in range(1, 13):
+            fe = semidirect(ZOracle("a"), m)
             for trial in range(12):
-                vs, us = random_instance(rng, 1 + trial % 3, obstructed=trial % 4 == 3)
-                fe = semidirect(ZOracle("a"), m)
+                n = 1 + trial % 3
+                if trial % 4 < 2:
+                    vs, us = random_instance(rng, n, obstructed=trial % 4 == 1)
+                else:
+                    vs, us = planted_instance(rng, fe, n, low=trial % 4 == 2)
                 got = finite_ext_reduce(fe, vs, us)
                 assert got == product_finite_ext_reduce(fe, vs, us), (m, vs, us)
+                assert got or trial % 4 < 2, (m, vs, us)
                 solvable += got
-        assert 20 < solvable < 80
+        assert 80 < solvable < 130
 
-    def test_questions_match_reference_over_finite_base(self):
-        """Over Z/k x| Z/m the base is asked the same chains in the same order."""
+    def test_fewer_questions_than_reference_over_finite_base(self):
+        """Over Z/k x| Z/m the walk answers as the reference and asks the base
+        no more questions on any instance."""
         rng = random.Random(23)
-        asked = 0
+        asked = [0, 0]
         for k, m in ((2, 2), (3, 2), (4, 4), (5, 6), (4, 8)):
             for trial in range(6):
                 vs, us = random_instance(rng, 1 + trial % 3, obstructed=trial % 2)
@@ -193,21 +216,21 @@ class TestOrbitWalk:
                         answers.append(reduce(semidirect(FiniteGroupOracle(k, "a"), m), vs, us))
                     logs.append(log)
                 assert answers[0] == answers[1], (k, m, vs, us)
-                assert logs[0] == logs[1], (k, m, vs, us)
-                asked += len(logs[0])
-        assert asked > 500
+                assert len(logs[0]) <= len(logs[1]), (k, m, vs, us)
+                asked = [asked[0] + len(logs[0]), asked[1] + len(logs[1])]
+        assert 100 < asked[0] < asked[1]
 
 
 class TestFailClosed:
     def test_bracket_in_wrong_coset_exits_4(self, monkeypatch):
-        """A rewrite of u^m that lands in another coset is an internal error."""
+        """A power whose coset walk does not close at its entry coset is an internal error."""
         rewrite = FiniteExtension.rewrite
 
         def misplaced(fe, coset, word):
             gw, c = rewrite(fe, coset, word)
-            if len(word) < 4:  # the table check and the single words stay right
-                return gw, c
-            return gw, fe.cosets[(fe.cosets.index(c) + 1) % fe.m]
+            if len(word) < 2 or word[1] == inverse_letter(word[0]):
+                return gw, c  # the empty word and the table check stay right
+            return gw, fe.cosets[-1]  # every coset map sends all cosets to one
 
         monkeypatch.setattr(FiniteExtension, "rewrite", misplaced)
         err = io.StringIO()
