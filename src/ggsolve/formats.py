@@ -296,6 +296,7 @@ def parse_instance(text: str) -> Instance:
     oracles: Dict[str, OracleSpec] = {}
     problem = None
     section: Optional[str] = None
+    heads_seen: set = set()
 
     expect_exit, mode_hint = scan_directives(text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -306,6 +307,9 @@ def parse_instance(text: str) -> Instance:
         try:
             if head in PROBLEM_KINDS and problem is not None:
                 raise FormatError(f"second problem block {head!r} (one per file)", lineno)
+            if head in ("target", "onecoset", "fid") and head in heads_seen:
+                raise FormatError(f"second {head} line", lineno)
+            heads_seen.add(head)
             if head == "gens":
                 for letter in rest:
                     if letter in gens:
@@ -373,6 +377,8 @@ def parse_instance(text: str) -> Instance:
             elif head == "oracle":
                 if len(rest) < 2:
                     raise FormatError("oracle syntax: oracle name kind ...", lineno)
+                if rest[0] in oracles:
+                    raise FormatError(f"oracle {rest[0]!r} defined twice", lineno)
                 oracles[rest[0]] = OracleSpec(rest[1], tuple(rest[2:]), lineno)
             elif head == "extension":
                 if len(rest) != 2 or rest[0] != "base":
@@ -622,7 +628,8 @@ def build_amalgam(inst: Instance, search_cap: int):
 
 def build_oracle(inst: Instance, name: str, search_cap: int):
     """The oracle named ``name``; an oracle that fails construction, or a ``product``
-    that is its own factor through a cycle of products, is a FormatError on its line."""
+    that is its own factor through a cycle of products, is a FormatError on its line,
+    and an unknown name one on the line of the block or ``product`` naming it."""
     from .transfer.oracles import (
         FiniteGroupOracle,
         FreeGroupOracle,
@@ -631,9 +638,9 @@ def build_oracle(inst: Instance, name: str, search_cap: int):
         ZOracle,
     )
 
-    def build(name: str, within: tuple):
+    def build(name: str, within: tuple, line: Optional[int]):
         if name not in inst.oracles:
-            raise FormatError(f"unknown oracle {name!r}")
+            raise FormatError(f"unknown oracle {name!r}", line)
         spec = inst.oracles[name]
         kind, args = spec.kind, spec.args
         if name in within:
@@ -651,14 +658,14 @@ def build_oracle(inst: Instance, name: str, search_cap: int):
             if kind == "product":
                 if len(args) != 2:
                     raise FormatError("product takes exactly two factor oracles", spec.line)
-                return FreeProductOracle(*(build(arg, within + (name,)) for arg in args))
+                return FreeProductOracle(*(build(arg, within + (name,), spec.line) for arg in args))
             if kind == "graph":
                 return GraphGroupOracle(inst.require_alphabet(), search_cap)
         except (StructureError, TraceError) as exc:
             raise FormatError(f"oracle {name}: {exc}", spec.line) from exc
         raise FormatError(f"unknown oracle kind {kind!r}", spec.line)
 
-    return build(name, ())
+    return build(name, (), inst.problem.line)
 
 
 def format_instance(inst: Instance) -> str:

@@ -25,15 +25,7 @@ from itertools import chain, repeat
 from typing import Iterable, Sequence, Tuple
 
 from .errors import AlphabetMismatchError, InternalError, ResourceExceeded, TraceError
-from .traces import (
-    IndependenceAlphabet,
-    Pile,
-    Trace,
-    _canonical_word,
-    empty_trace,
-    left_quotient,
-    right_quotient,
-)
+from .traces import IndependenceAlphabet, Pile, Trace, _canonical_word, empty_trace
 
 INVERSE_MARK = "'"
 
@@ -325,6 +317,24 @@ def free_reduce(alphabet: DoubledAlphabet, word) -> GroupElement:
 _VERIFY_MULT_LIMIT = 4000
 
 
+class _Cancelled(Trace):
+    """The middle trace p of ``mult``: g's cancelled letters, canonicalized on first read."""
+
+    __slots__ = ("_letters", "_codes")
+
+    def __init__(self, alphabet: DoubledAlphabet, letters: list):
+        self.alphabet, self._letters, self._codes = alphabet, letters, None
+
+    @property
+    def codes(self) -> tuple:
+        if self._codes is None:
+            self._codes = _canonical_word(self.alphabet, self._letters)
+        return self._codes
+
+    def is_empty(self) -> bool:
+        return not self._letters
+
+
 def mult(g: GroupElement, h: GroupElement) -> Tuple[GroupElement, Trace]:
     """Irreducible normal form of gh plus the cancelled middle p.
 
@@ -332,10 +342,11 @@ def mult(g: GroupElement, h: GroupElement) -> Tuple[GroupElement, Trace]:
     returns (uv, p).  Every cancellation pairs a letter of g with a letter of
     h (both operands are irreducible), which is checked.  When the operands
     have at most ``_VERIFY_MULT_LIMIT`` letters together, the factorization is
-    checked too: u and v are recomputed as trace quotients and uv compared
-    with the product.  The quotients take the cancelled letters of g in
-    g's order, a linearization of p, and their reversed inverses, one of
-    p^-1.  A failed check raises InternalError.
+    checked too, on one heap: g's cancelled letters in g's order (a
+    linearization of p) leave the top of g's pile, their reversed inverses
+    (one of p^-1) the bottom of h's; h's rest is stacked on g's and depiled
+    as uv for the comparison.  A failed check raises InternalError.  p is
+    canonicalized only when its ``codes`` are read.
     """
     if g.alphabet != h.alphabet:
         raise AlphabetMismatchError("mult over mixed alphabets")
@@ -350,18 +361,18 @@ def mult(g: GroupElement, h: GroupElement) -> Tuple[GroupElement, Trace]:
         cancelled_in_g.append(i)
     cancelled_in_g.sort()
     cancelled = [gc[i] for i in cancelled_in_g]
-    p = Trace._from_canonical(alphabet, _canonical_word(alphabet, cancelled))
-    product = GroupElement(Trace._from_canonical(alphabet, reduced))
     if len(gc) + len(hc) <= _VERIFY_MULT_LIMIT:
-        u = right_quotient(g.trace, cancelled)
-        if u is None:
+        u, v = Pile(alphabet), Pile(alphabet)
+        u.push(gc)
+        if not u.pop_top(cancelled):
             raise InternalError("cancelled part is not a suffix of g")
-        v = left_quotient(h.trace, invert_codes(cancelled))
-        if v is None:
+        v.push(hc)
+        if not v.pop_bottom(invert_codes(cancelled)):
             raise InternalError("inverse of cancelled part is not a prefix of h")
-        if u * v != product.trace:
+        u.stack(v)
+        if u.depile() != reduced:
             raise InternalError("u*v differs from the reduced product")
-    return product, p
+    return GroupElement(Trace._from_canonical(alphabet, reduced)), _Cancelled(alphabet, cancelled)
 
 
 def cyclic_reduce(g: GroupElement) -> Tuple[GroupElement, GroupElement]:

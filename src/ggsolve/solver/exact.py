@@ -39,7 +39,7 @@ from ..semilinear import (
     identify_variables,
     two_power_solutions,
 )
-from ..traces import Trace, left_quotient, power, right_quotient
+from ..traces import Trace, _canonical_word, left_quotient, right_quotient
 from .equations import (
     Const,
     ExponentEquation,
@@ -100,8 +100,8 @@ def _power_form(
     x_min = dx + 1
     # verify the shape on several consecutive exponents
     for x in range(x_min, x_min + 4):
-        shaped = big_l * power(u.trace, x - dx) * big_s
-        if _nf_three(v, u, x, w).trace != shaped:
+        shaped = _canonical_word(u.alphabet, big_l.codes + u.codes * (x - dx) + big_s.codes)
+        if _nf_three(v, u, x, w).codes != shaped:
             raise InternalError("parametric left form failed verification")
     return big_l, big_s, dx, x_min
 

@@ -11,7 +11,8 @@ the piling ("heaps of pieces") technique: every letter is a piece that
 covers its own column and the columns of all letters it depends on, and the
 lex-least linearization is read off by repeatedly removing the least minimal
 piece.  ``Pile`` is the piling loop of trace normal forms and quotients; the
-free reduction in ``groups`` is a cancelling subclass of it.
+free reduction in ``groups`` is a cancelling subclass of it.  Piles of two
+words stack (``Pile.stack``) into the pile of their concatenation.
 """
 
 from __future__ import annotations
@@ -168,6 +169,7 @@ class Pile:
     every column it covers.  Entries are read only on their own column, so
     which marker goes does not matter.  ``count`` is the number of live
     pieces.  Pieces leave from the bottom only after the last push.
+    ``stack`` puts another pile's live pieces on top, column by column.
 
     Nothing cancels here; ``groups.SignedPile`` overrides ``push`` with the
     cancelling loop and packs a position tag above the code of an entry, so
@@ -233,6 +235,16 @@ class Pile:
                 cols[j].pop()
             self.count -= 1
         return True
+
+    def stack(self, other: "Pile") -> None:
+        """Put ``other``'s live pieces on top of these: the heap of the concatenation.
+
+        A heap's column lists the pieces covering it in word order, so the
+        heap of st is s's column followed by t's, column by column.
+        """
+        for col, other_col, head in zip(self._cols, other._cols, other._heads):
+            col.extend(other_col[head:])
+        self.count += other.count
 
     def depile(self) -> tuple:
         """The live pieces' codes in lex-least order; ends the pile.
@@ -350,12 +362,6 @@ def right_quotient(t: Trace, s: Sequence[int]) -> Optional[Trace]:
     if not pile.pop_top(s):
         return None
     return Trace._from_canonical(t.alphabet, pile.depile())
-
-
-def power(t: Trace, k: int) -> Trace:
-    if k < 0:
-        raise ValueError("trace powers take natural exponents")
-    return Trace._from_canonical(t.alphabet, _canonical_word(t.alphabet, t.codes * k))
 
 
 def connected_components(t: Trace) -> list:

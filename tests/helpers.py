@@ -14,6 +14,7 @@ from ggsolve.traces import (
     IndependenceAlphabet,
     Pile,
     Trace,
+    _canonical_word,
     empty_trace,
     is_connected,
     left_quotient,
@@ -116,6 +117,13 @@ def min_letters(t: Trace) -> tuple:
     pile.push(t.codes)
     letters = t.alphabet.letters
     return tuple(letters[x] for x in map(pile.bottom, range(t.alphabet._n_cols)) if x >= 0)
+
+
+def power(t: Trace, k: int) -> Trace:
+    """t^k as a trace, k natural."""
+    if k < 0:
+        raise ValueError("trace powers take natural exponents")
+    return Trace._from_canonical(t.alphabet, _canonical_word(t.alphabet, t.codes * k))
 
 
 def independent_sets(alphabet: IndependenceAlphabet, letters_a, letters_b) -> bool:

@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ggsolve.errors import AlphabetMismatchError, InternalError, LimitsExceeded, TraceError
 from ggsolve.groups import GroupElement, invert_codes, invert_word, mult
-from ggsolve.traces import IndependenceAlphabet, Trace, left_quotient, power, right_quotient
+from ggsolve.traces import IndependenceAlphabet, Trace, left_quotient, right_quotient
 
-from helpers import independent_of
+from helpers import independent_of, power
 
 
 # -- Levi's lemma ----------------------------------------------------------------

@@ -35,7 +35,6 @@ from ggsolve.traces import (
     Trace,
     is_connected,
     left_quotient,
-    power,
 )
 from ggsolve.transfer import (
     FiniteExtension,
@@ -59,6 +58,7 @@ from helpers import (
     from_word,
     iter_prefixes,
     knapsack_chain,
+    power,
     power_slp,
     prefix_count,
     pw,

@@ -21,13 +21,14 @@ from ggsolve.automata import (
 )
 from ggsolve.errors import CertificateError, StructureError, TraceError
 from ggsolve.groups import DoubledAlphabet, free_reduce
-from ggsolve.traces import IndependenceAlphabet, Trace, is_connected, power
+from ggsolve.traces import IndependenceAlphabet, Trace, is_connected
 
 from helpers import (
     all_alphabets,
     canonical_traces_up_to,
     enumerate_accepted,
     equivalence_class,
+    power,
     prefix_count,
     random_alphabet,
     random_word,

@@ -207,6 +207,25 @@ class TestFailClosed:
         code, _ = run_cli(["--format", "machine", "verify", "--assign", "x=1", path])
         assert code == 4
 
+    def test_dropped_stack_entry_exits_4(self, tmp_path, monkeypatch):
+        """A stacked heap that loses the top piece of a column fails mult's check."""
+        stack = Pile.stack
+
+        def drop_top(pile, other):
+            stack(pile, other)
+            for col, head in zip(pile._cols, pile._heads):
+                if len(col) > head and col[-1] != pile.alphabet._mask:
+                    col.pop()
+                    return
+
+        monkeypatch.setattr(Pile, "stack", drop_top)
+        dbl = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
+        with pytest.raises(InternalError):
+            mult(free_reduce(dbl, ("a", "b")), free_reduce(dbl, ("b'", "c")))
+        path = write(tmp_path, "gens a b c\nindep a c\neq\npow a b x\nconst b' a'\n")
+        code, _ = run_cli(["--format", "machine", "verify", "--assign", "x=1", path])
+        assert code == 4
+
 
 HNN_Z2 = "oracle B finite-cyclic 2 g\nhnn base B stable t\nassoc + _\nassoc - _\nphi _ -> _\n"
 EXT_DINF = (
@@ -349,14 +368,28 @@ class TestMalformedInput:
              "line 4: second initial state 'q'"),
             ("finite-ext", EXT_DINF.replace("cosets 1 t\n", "cosets 1 t\ncosets t\n") + "eqH\npow t a x\n",
              "line 4: coset 't' listed twice"),
+            ("solve", "gens a\nknapsack\nitem a\ntarget a a\ntarget a\n", "line 5: second target line"),
+            ("finite-ext", EXT_DINF.replace("onecoset 1\n", "onecoset 1\nonecoset t\n") + "eqH\npow t a x\n",
+             "line 5: second onecoset line"),
+            ("amalgam", AMALGAM_Z4.replace("fid 1\n", "fid 1\nfid z\n") + AMALGAM_Z4_TAIL,
+             "line 6: second fid line"),
+            ("finite-ext", "oracle G z b\n" + EXT_DINF + "eqH\npow t a x\n",
+             "line 2: oracle 'G' defined twice"),
+            ("finite-ext", EXT_DINF.replace("base G", "base X") + "eqH\npow t a x\n",
+             "line 2: unknown oracle 'X'"),
+            ("finite-ext", "oracle P product G X\n" + EXT_DINF.replace("base G", "base P")
+             + "eqH\npow t a x\n", "line 1: unknown oracle 'X'"),
         ],
         ids=["product-cycle", "product-cycle-through-another", "second-problem-block",
-             "second-initial-state", "coset-repeated"],
+             "second-initial-state", "coset-repeated", "second-target", "second-onecoset",
+             "second-fid", "oracle-repeated", "unknown-oracle-in-block",
+             "unknown-oracle-in-product"],
     )
     def test_malformed_block_exits_3(self, tmp_path, capsys, command, text, where):
         """An oracle that is its own factor, a second problem block, a second initial
-        state and a coset listed twice are parse errors on their line, not a crash or
-        a silent choice."""
+        state, a coset listed twice, a second target, onecoset or fid line and an
+        oracle name defined twice are parse errors on their line, not a crash or a
+        silent choice; an unknown oracle is one on the line that names it."""
         assert run_cli([command, write(tmp_path, text)])[0] == 3
         assert f"parse error: {where}" in capsys.readouterr().err
 
@@ -429,6 +462,7 @@ class TestOptimizedInterpreter:
         """The internal checks raise explicitly, so they survive ``python -O``."""
         tests = [
             "tests/test_cli.py::TestFailClosed",
+            "tests/test_cli.py::TestFailClosed::test_dropped_stack_entry_exits_4",
             "tests/test_saturation.py::TestHnnSaturate",
             "tests/test_saturation.py::TestFailClosed",
             "tests/test_cli.py::TestVerifyCommand::test_malformed_assign_exits_3",

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from ggsolve.errors import UnknownLetterError
 from ggsolve.groups import (
     DoubledAlphabet,
+    _reduce_tagged,
     cyclic_reduce,
     free_reduce,
     inverse_letter,
@@ -26,6 +27,7 @@ from ggsolve.groups import (
 )
 from ggsolve.traces import (
     IndependenceAlphabet,
+    Pile,
     Trace,
     _canonical_word,
     left_quotient,
@@ -103,6 +105,37 @@ class TestCodeKernels:
         assert len(product) == len(g) + len(h) - 2 * len(p)
         assert right_quotient(g.trace, p.codes) is not None
         assert left_quotient(h.trace, invert_codes(p.codes)) is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_stack_is_concatenation(self, data):
+        """g/p stacked on p^-1\\h depiles to the canonical word of the two quotients."""
+        dbl = data.draw(doubled_alphabets())
+        g = free_reduce(dbl, data.draw(words(dbl, 14)))
+        h = free_reduce(dbl, data.draw(words(dbl, 14)))
+        _, pairs = _reduce_tagged(dbl, g.codes + h.codes)
+        cancelled = [g.codes[i] for i in sorted(i for i, _ in pairs)]
+        u, v = Pile(dbl), Pile(dbl)
+        u.push(g.codes)
+        assert u.pop_top(cancelled)
+        v.push(h.codes)
+        assert v.pop_bottom(invert_codes(cancelled))
+        u.stack(v)
+        left = right_quotient(g.trace, cancelled)
+        right = left_quotient(h.trace, invert_codes(cancelled))
+        assert u.depile() == _canonical_word(dbl, left.codes + right.codes)
+        _, p = mult(g, h)
+        assert p._codes is None  # canonicalized only when read
+        assert p.codes == _canonical_word(dbl, cancelled)
+        assert p == Trace(dbl, dbl.decode(cancelled))
+        # with no pops, on the base alphabet: the pile of the concatenated words
+        plain = dbl.base
+        s, t = data.draw(words(plain, 12)), data.draw(words(plain, 12))
+        bottom, top = Pile(plain), Pile(plain)
+        bottom.push(plain.encode(s))
+        top.push(plain.encode(t))
+        bottom.stack(top)
+        assert bottom.depile() == Trace(plain, s + t).codes
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

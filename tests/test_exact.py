@@ -9,9 +9,9 @@ from ggsolve.errors import InternalError
 from ggsolve.groups import DoubledAlphabet, cyclic_reduce, free_reduce, identity
 from ggsolve.semilinear import member
 from ggsolve.solver import solve_exact
-from ggsolve.traces import IndependenceAlphabet, Trace, power
+from ggsolve.traces import IndependenceAlphabet, Trace
 
-from helpers import brute_oracle, const, enumerate_members, equation, pw, random_element
+from helpers import brute_oracle, const, enumerate_members, equation, power, pw, random_element
 
 ZL = DoubledAlphabet(IndependenceAlphabet("a"))
 AC = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))

@@ -3,9 +3,9 @@
 import random
 
 from ggsolve.groups import DoubledAlphabet, free_reduce, identity, mult
-from ggsolve.traces import IndependenceAlphabet, Trace, is_connected, left_quotient, power
+from ggsolve.traces import IndependenceAlphabet, Trace, is_connected, left_quotient
 
-from helpers import all_alphabets, canonical_traces_up_to, iter_prefixes, random_element
+from helpers import all_alphabets, canonical_traces_up_to, iter_prefixes, power, random_element
 from paper_lemmas import (
     is_i_freely_reducible,
     power_two_factorizations,

@@ -17,9 +17,9 @@ from ggsolve.semilinear import (
     member,
     two_power_solutions,
 )
-from ggsolve.traces import IndependenceAlphabet, Trace, is_connected, power
+from ggsolve.traces import IndependenceAlphabet, Trace, is_connected
 
-from helpers import enumerate_members, lift_identified, random_alphabet, random_word
+from helpers import enumerate_members, lift_identified, power, random_alphabet, random_word
 
 A1 = IndependenceAlphabet("a")
 AB_DEP = IndependenceAlphabet("ab")

@@ -15,7 +15,6 @@ from ggsolve.traces import (
     empty_trace,
     is_connected,
     left_quotient,
-    power,
     right_quotient,
 )
 
@@ -24,6 +23,7 @@ from helpers import (
     equivalence_class,
     independent_of,
     min_letters,
+    power,
     prefix_count,
     random_alphabet,
     random_word,
