@@ -13,6 +13,11 @@ star automata work on position bit masks, with no trace arithmetic.  Both
 memorize: all words reaching a state have the same letters (a completed-copy
 bit rides on every star state).  The gated product computes and checks that
 map, as letter bit masks, with ``memorized_masks``.
+
+The prefix and star automata are built whole.  The gated product
+(``GatedProduct``) is built on the fly: a pair of factor states gets its
+moves when they are first read, so [p u* s]_I, two nested gated products,
+expands only the pairs that ``intersect`` reaches from the initial pair.
 """
 
 from __future__ import annotations
@@ -363,49 +368,84 @@ def star_nfa(u: Trace) -> Nfa:
     return Nfa(alphabet, states, transitions, start, finals, i_diamond=True)
 
 
-def concat_closure(a1: Nfa, a2: Nfa) -> Nfa:
-    """I-diamond automaton for [L(a1) L(a2)]_I with exactly n1*n2 states.
+class GatedProduct(Nfa):
+    """I-diamond automaton for [L(left) L(right)]_I on pairs (p1, p2), built on the fly.
 
-    ``a2`` must memorize (``memorized_masks`` checks it); a move of ``a1`` is
-    gated on its letter being independent of every letter the current
-    a2-state memorizes, one bit-mask test.
+    The gated product: a move of ``left`` is taken when its letter is
+    independent of every letter the current ``right`` state memorizes, one
+    bit-mask test; the moves of ``right`` are taken unchanged.  ``right``
+    must memorize (``memorized_masks`` checks it here).  ``out`` computes a
+    state's moves the first time it is read and keeps them, so a reader that
+    follows moves from the initial state, as ``intersect`` does, expands only
+    the states it reaches.  ``states`` and ``transitions`` expand every
+    reachable state; ``num_states`` counts the states expanded so far.
     """
-    if a1.alphabet != a2.alphabet:
-        raise AlphabetMismatchError("concat_closure over mixed alphabets")
-    if not a1.i_diamond or not a2.i_diamond:
-        raise CertificateError("concat_closure needs I-diamond inputs")
-    alphabet = a1.alphabet
-    gates = memorized_masks(a2)
-    dep_mask, rank = alphabet.dep_mask, alphabet.rank
-    states = [(p1, p2) for p1 in a1.states for p2 in a2.states]
-    transitions = []
-    for p1 in a1.states:
-        out1 = [(dep_mask[rank(a)], a, dests) for a, dests in a1.out(p1).items()]
-        for p2 in a2.states:
-            gate = gates[p2]
-            for dep, a, dests in out1:
-                if dep & gate == 0:
-                    for q1 in dests:
-                        transitions.append(((p1, p2), a, (q1, p2)))
-            for a, dests in a2.out(p2).items():
-                for q2 in dests:
-                    transitions.append(((p1, p2), a, (p1, q2)))
-    finals = [(f1, f2) for f1 in a1.finals for f2 in a2.finals]
-    return Nfa(
-        alphabet,
-        states,
-        transitions,
-        (a1.initial, a2.initial),
-        finals,
-        i_diamond=True,
-        validate=False,  # diamond property holds by construction (gated product)
-    )
+
+    __slots__ = ("left", "right", "_gates")
+
+    def __init__(self, left: Nfa, right: Nfa):
+        if left.alphabet != right.alphabet:
+            raise AlphabetMismatchError("gated product over mixed alphabets")
+        if not left.i_diamond or not right.i_diamond:
+            raise CertificateError("gated product needs I-diamond inputs")
+        self._gates = memorized_masks(right)
+        self.left = left
+        self.right = right
+        self.alphabet = left.alphabet
+        self.initial = (left.initial, right.initial)
+        self.finals = frozenset((f1, f2) for f1 in left.finals for f2 in right.finals)
+        self.i_diamond = True  # the diamond property holds by construction
+        self._out = {}
+
+    def out(self, state) -> Dict:
+        moves = self._out.get(state)
+        if moves is None:
+            p1, p2 = state
+            gate = self._gates[p2]
+            dep_mask, rank = self.alphabet.dep_mask, self.alphabet.rank
+            built: Dict = {}
+            for a, dests in self.left.out(p1).items():
+                if dep_mask[rank(a)] & gate == 0:
+                    built[a] = {(q1, p2) for q1 in dests}
+            for a, dests in self.right.out(p2).items():
+                built.setdefault(a, set()).update((p1, q2) for q2 in dests)
+            moves = self._out[state] = {a: frozenset(d) for a, d in built.items()}
+        return moves
+
+    def has_eps(self) -> bool:
+        return self.left.has_eps() or self.right.has_eps()
+
+    def num_states(self) -> int:
+        return len(self._out)
+
+    @property
+    def states(self) -> tuple:
+        """Every state reachable from the initial one, breadth first; expands them all."""
+        order = [self.initial]
+        seen = {self.initial}
+        for state in order:  # grows while it is read
+            for dests in self.out(state).values():
+                for d in dests:
+                    if d not in seen:
+                        seen.add(d)
+                        order.append(d)
+        return tuple(order)
+
+    @property
+    def transitions(self) -> FrozenSet:
+        """Every move out of a reachable state; expands them all."""
+        return frozenset(
+            (p, a, q) for p in self.states for a, dests in self.out(p).items() for q in dests
+        )
 
 
-def power_closure_nfa(p: Trace, u: Trace, s: Trace) -> Nfa:
-    """Automaton for [p u* s]_I: prefix automaton, gated star, gated suffix."""
-    left = concat_closure(prefix_nfa(p), star_nfa(u))
-    return concat_closure(left, prefix_nfa(s))
+def power_closure_nfa(p: Trace, u: Trace, s: Trace) -> GatedProduct:
+    """Automaton for [p u* s]_I: prefix automaton, gated star, gated suffix.
+
+    The prefix and star automata are built whole and validated; the two
+    gated products are built on the fly.
+    """
+    return GatedProduct(GatedProduct(prefix_nfa(p), star_nfa(u)), prefix_nfa(s))
 
 
 def intersect(a: Nfa, b: Nfa) -> Nfa:

@@ -333,8 +333,10 @@ def parse_instance(text: str) -> Instance:
                     raise FormatError("rule outside an slp block", lineno)
                 if len(rest) < 2 or rest[1] != "->":
                     raise FormatError("rule syntax: rule Var -> tokens", lineno)
-                body = parse_word(rest[2:]) if rest[2:] else ()
-                slp_rules[current_slp][rest[0]] = body
+                rules = slp_rules[current_slp]
+                if rest[0] in rules:
+                    raise FormatError(f"second rule for {rest[0]!r} in slp {current_slp!r}", lineno)
+                rules[rest[0]] = parse_word(rest[2:]) if rest[2:] else ()
             elif head == "eq":
                 problem = EqProblem(line=lineno)
                 section = "eq"
@@ -345,6 +347,8 @@ def parse_instance(text: str) -> Instance:
                     raise FormatError("pow takes a word and a variable", lineno)
                 problem.items.append(EqItem(parse_word(rest[:-1]), rest[-1], line=lineno))
             elif head == "constS" and section == "eq":
+                if len(rest) != 1:
+                    raise FormatError("constS syntax: constS <slp>", lineno)
                 problem.items.append(EqItem(slp=rest[0], line=lineno))
             elif head == "powS" and section == "eq":
                 if len(rest) != 2:
@@ -361,6 +365,8 @@ def parse_instance(text: str) -> Instance:
                 problem = KaProblem(line=lineno)
                 section = "ka"
             elif head == "state" and section == "ka":
+                if not rest:
+                    raise FormatError("state syntax: state <id> [initial] [final]", lineno)
                 name = rest[0]
                 problem.states.append(name)
                 if "initial" in rest[1:]:
@@ -391,6 +397,8 @@ def parse_instance(text: str) -> Instance:
                         raise FormatError(f"coset {c!r} listed twice", lineno)
                     problem.cosets.append(c)
             elif head == "onecoset" and section == "extension":
+                if len(rest) != 1:
+                    raise FormatError("onecoset syntax: onecoset <coset>", lineno)
                 problem.one = rest[0]
             elif head == "coset" and section == "extension":
                 # coset <c> gen <b> -> <gword...> <c'>
@@ -398,6 +406,8 @@ def parse_instance(text: str) -> Instance:
                     raise FormatError(
                         "coset syntax: coset c gen b -> gword c'", lineno
                     )
+                if (rest[0], rest[2]) in problem.table:
+                    raise FormatError(f"second coset row for {rest[0]!r} gen {rest[2]!r}", lineno)
                 gword = parse_word(rest[4:-1]) if rest[4:-1] else ()
                 problem.table[(rest[0], rest[2])] = (gword, rest[-1])
             elif head == "eqH" and section == "extension":
@@ -409,7 +419,7 @@ def parse_instance(text: str) -> Instance:
                 problem = HnnProblem(base=rest[1], stable=rest[3], line=lineno)
                 section = "hnn"
             elif head == "assoc" and section == "hnn":
-                if rest[0] not in ("+", "-"):
+                if not rest or rest[0] not in ("+", "-"):
                     raise FormatError("assoc takes + or -", lineno)
                 assoc = problem.assoc_pos if rest[0] == "+" else problem.assoc_neg
                 assoc.append(parse_word(rest[1:]))
@@ -430,6 +440,8 @@ def parse_instance(text: str) -> Instance:
             elif head == "felem" and section == "amalgam":
                 problem.felems.extend(rest)
             elif head == "fid" and section == "amalgam":
+                if len(rest) != 1:
+                    raise FormatError("fid syntax: fid <felem>", lineno)
                 problem.fid = rest[0]
             elif head == "ftable" and section == "amalgam":
                 if len(rest) != 4 or rest[2] != "->":

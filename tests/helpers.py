@@ -8,8 +8,14 @@ import random
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ggsolve.automata import Nfa
-from ggsolve.errors import AlphabetMismatchError, InternalError, StructureError, TraceError
+from ggsolve.automata import Nfa, memorized_masks
+from ggsolve.errors import (
+    AlphabetMismatchError,
+    CertificateError,
+    InternalError,
+    StructureError,
+    TraceError,
+)
 from ggsolve.traces import (
     IndependenceAlphabet,
     Pile,
@@ -702,3 +708,44 @@ def reference_star_nfa(u: Trace) -> Nfa:
             transitions.append(((key, bit), a, nstate))
     finals = [s for s in ((key_of(start_tup), 0), (key_of(start_tup), 1)) if s in reachable]
     return Nfa(alphabet, list(reachable), transitions, start, finals, i_diamond=True)
+
+
+def concat_closure(a1: Nfa, a2: Nfa) -> Nfa:
+    """I-diamond automaton for [L(a1) L(a2)]_I with exactly n1*n2 states.
+
+    The materialized gated product, the reference for
+    ``ggsolve.automata.GatedProduct``: every pair is a state, and a move of
+    ``a1`` is gated on its letter being independent of every letter the
+    current a2-state memorizes (``memorized_masks`` checks that ``a2``
+    memorizes), one bit-mask test.
+    """
+    if a1.alphabet != a2.alphabet:
+        raise AlphabetMismatchError("concat_closure over mixed alphabets")
+    if not a1.i_diamond or not a2.i_diamond:
+        raise CertificateError("concat_closure needs I-diamond inputs")
+    alphabet = a1.alphabet
+    gates = memorized_masks(a2)
+    dep_mask, rank = alphabet.dep_mask, alphabet.rank
+    states = [(p1, p2) for p1 in a1.states for p2 in a2.states]
+    transitions = []
+    for p1 in a1.states:
+        out1 = [(dep_mask[rank(a)], a, dests) for a, dests in a1.out(p1).items()]
+        for p2 in a2.states:
+            gate = gates[p2]
+            for dep, a, dests in out1:
+                if dep & gate == 0:
+                    for q1 in dests:
+                        transitions.append(((p1, p2), a, (q1, p2)))
+            for a, dests in a2.out(p2).items():
+                for q2 in dests:
+                    transitions.append(((p1, p2), a, (p1, q2)))
+    finals = [(f1, f2) for f1 in a1.finals for f2 in a2.finals]
+    return Nfa(
+        alphabet,
+        states,
+        transitions,
+        (a1.initial, a2.initial),
+        finals,
+        i_diamond=True,
+        validate=False,  # diamond property holds by construction (gated product)
+    )

@@ -10,7 +10,6 @@ import time
 
 from ggsolve.automata import (
     benois_member,
-    concat_closure,
     prefix_nfa,
     star_nfa,
 )
@@ -50,6 +49,7 @@ from ggsolve.transfer.kauto import plain_alphabet
 
 from helpers import (
     brute_oracle,
+    concat_closure,
     const,
     enumerate_accepted,
     enumerate_members,

@@ -6,10 +6,10 @@ import pytest
 
 from ggsolve.automata import (
     EPS,
+    GatedProduct,
     Nfa,
     Progression,
     benois_member,
-    concat_closure,
     intersect,
     memorized_masks,
     power_closure_nfa,
@@ -19,13 +19,14 @@ from ggsolve.automata import (
     trim,
     unary_progressions,
 )
-from ggsolve.errors import CertificateError, StructureError, TraceError
+from ggsolve.errors import AlphabetMismatchError, CertificateError, StructureError, TraceError
 from ggsolve.groups import DoubledAlphabet, free_reduce
 from ggsolve.traces import IndependenceAlphabet, Trace, is_connected
 
 from helpers import (
     all_alphabets,
     canonical_traces_up_to,
+    concat_closure,
     enumerate_accepted,
     equivalence_class,
     power,
@@ -279,6 +280,73 @@ class TestPowerClosure:
                 k += 1
             oracle = {w for w in oracle if len(w) <= max_len}
             assert language(nfa, max_len) == oracle
+
+
+class TestGatedProduct:
+    """The on-the-fly gated product against the materialized ``concat_closure``."""
+
+    def reference_power_closure(self, p, u, s):
+        return concat_closure(concat_closure(prefix_nfa(p), star_nfa(u)), prefix_nfa(s))
+
+    def test_two_powers_match_materialized(self):
+        """Random [p u* s]_I and [q v* t]_I over 3-4-letter graphs: every state the
+        lazy product reaches has the reference's moves, and the trimmed products
+        have the same progressions and the same words up to length 6.  One case
+        in three is p u^x s = p (u u)^y s and one in three p u^x s = p u u^y s,
+        so that most cases have solutions."""
+        rng = random.Random(12)
+        done = 0
+        while done < 45:
+            alphabet = random_alphabet(rng, 4, letters="abcd")
+            if len(alphabet.letters) < 3:
+                continue
+            u, v = (Trace(alphabet, random_word(rng, alphabet, 3)) for _ in range(2))
+            if any(b.is_empty() or not is_connected(b) for b in (u, v)):
+                continue
+            p, s, q, t = (Trace(alphabet, random_word(rng, alphabet, 2)) for _ in range(4))
+            if done % 3 == 1:
+                q, v, t = p, u * u, s
+            elif done % 3 == 2:
+                q, v, t = p * u, u, s
+            done += 1
+            lazy = [power_closure_nfa(p, u, s), power_closure_nfa(q, v, t)]
+            refs = [self.reference_power_closure(p, u, s), self.reference_power_closure(q, v, t)]
+            got = trim(intersect(*lazy))
+            want = trim(intersect(*refs))
+            assert unary_progressions(got) == unary_progressions(want)
+            assert language(got, 6) == language(want, 6)
+            for nfa, ref in zip(lazy, refs):
+                assert nfa.finals == ref.finals
+                for state in nfa.states:
+                    assert nfa.out(state) == ref.out(state)
+
+    def test_expands_fewer_states_than_pairs(self):
+        """(abcd)^x ab = ab (cdab)^y with a I c and b I d: building the product
+        expands only part of each closure's n1*n2*n3 states."""
+        alphabet = IndependenceAlphabet("abcd", [("a", "c"), ("b", "d")])
+        p, u, s = (Trace(alphabet, w) for w in ("", "abcd", "ab"))
+        q, v, t = (Trace(alphabet, w) for w in ("ab", "cdab", ""))
+        left, right = power_closure_nfa(p, u, s), power_closure_nfa(q, v, t)
+        assert left.num_states() == right.num_states() == 0
+        product = trim(intersect(left, right))
+        assert unary_progressions(product) == {Progression(2, 4)}
+        for nfa, (a, b, c) in ((left, (p, u, s)), (right, (q, v, t))):
+            pairs = prefix_nfa(a).num_states() * star_nfa(b).num_states()
+            assert 0 < nfa.num_states() < pairs * prefix_nfa(c).num_states()
+
+    def test_requires_memorizing(self):
+        """A right factor reached by b and by c at one state, or with a state that
+        nothing reaches, is refused where the product is made."""
+        a1 = prefix_nfa(Trace(AC, "a"))
+        two_alphabets = Nfa(AC, [0, 1], [(0, "b", 1), (0, "c", 1)], 0, [1], i_diamond=True)
+        unreachable = Nfa(AC, [0, 1, 2], [(0, "b", 1)], 0, [1], i_diamond=True)
+        for a2 in (two_alphabets, unreachable):
+            with pytest.raises(CertificateError):
+                GatedProduct(a1, a2)
+
+    def test_mixed_alphabets(self):
+        with pytest.raises(AlphabetMismatchError):
+            GatedProduct(prefix_nfa(Trace(AC, "a")), prefix_nfa(Trace(AB_DEP, "a")))
 
 
 class TestIntersect:

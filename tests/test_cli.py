@@ -379,17 +379,32 @@ class TestMalformedInput:
              "line 2: unknown oracle 'X'"),
             ("finite-ext", "oracle P product G X\n" + EXT_DINF.replace("base G", "base P")
              + "eqH\npow t a x\n", "line 1: unknown oracle 'X'"),
+            ("solve", "gens a\nslp S\nrule S -> a a\nrule S -> a\neq\npow a' x\nconstS S\n",
+             "line 4: second rule for 'S' in slp 'S'"),
+            ("finite-ext", EXT_DINF.replace("gen a -> a 1\n", "gen a -> a 1\ncoset 1 gen a -> a' 1\n")
+             + "eqH\npow t a x\n", "line 6: second coset row for '1' gen 'a'"),
+            ("solve", "gens a\nka\nstate\ntarget _\n", "line 3: state syntax: state <id>"),
+            ("solve", "gens a\neq\npow a x\nconstS\n", "line 4: constS syntax: constS <slp>"),
+            ("finite-ext", EXT_DINF.replace("onecoset 1\n", "onecoset\n") + "eqH\npow t a x\n",
+             "line 4: onecoset syntax: onecoset <coset>"),
+            ("amalgam", AMALGAM_Z4.replace("fid 1\n", "fid\n") + AMALGAM_Z4_TAIL,
+             "line 5: fid syntax: fid <felem>"),
+            ("hnn", HNN_Z2.replace("assoc + _", "assoc") + "item t\ntarget t\n",
+             "line 3: assoc takes + or -"),
         ],
         ids=["product-cycle", "product-cycle-through-another", "second-problem-block",
              "second-initial-state", "coset-repeated", "second-target", "second-onecoset",
              "second-fid", "oracle-repeated", "unknown-oracle-in-block",
-             "unknown-oracle-in-product"],
+             "unknown-oracle-in-product", "second-rule", "second-coset-row", "state-bare",
+             "constS-bare", "onecoset-bare", "fid-bare", "assoc-bare"],
     )
     def test_malformed_block_exits_3(self, tmp_path, capsys, command, text, where):
         """An oracle that is its own factor, a second problem block, a second initial
-        state, a coset listed twice, a second target, onecoset or fid line and an
-        oracle name defined twice are parse errors on their line, not a crash or a
-        silent choice; an unknown oracle is one on the line that names it."""
+        state, a coset listed twice, a second target, onecoset or fid line, an
+        oracle name defined twice, a second rule for one SLP variable and a second
+        coset row for one coset and generator are parse errors on their line, not a
+        crash or a silent choice; so is a head without its argument, with the
+        head's syntax.  An unknown oracle is one on the line that names it."""
         assert run_cli([command, write(tmp_path, text)])[0] == 3
         assert f"parse error: {where}" in capsys.readouterr().err
 
@@ -477,6 +492,8 @@ class TestOptimizedInterpreter:
             "tests/test_semilinear.py::TestTwoPower::test_double_speed",
             "tests/test_automata.py::TestUnaryProgressions::test_odd",
             "tests/test_automata.py::TestConcatClosure",
+            "tests/test_automata.py::TestGatedProduct::test_requires_memorizing",
+            "tests/test_automata.py::TestGatedProduct::test_mixed_alphabets",
             "tests/test_finite_ext.py::TestZKnapsack",
             "tests/test_finite_ext.py::TestOrbitWalk",
             "tests/test_finite_ext.py::TestFailClosed",
