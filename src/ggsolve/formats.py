@@ -1,34 +1,15 @@
 """Instance file parsing and printing.
 
-Line-oriented text format, ``#`` comments.  An instance holds one alphabet
-block, optional SLP blocks and oracle definitions, and exactly one problem:
-
-  gens a b c                alphabet (order = lexicographic order)
-  indep a c                 independence pairs
-  slp S                     SLP block header (start variable)
-  rule S -> A A             productions; ``_`` for an empty right-hand side
-  eq                        exponent equation: items follow
-  const <word>              constant item (``_`` = empty word)
-  pow <word> <var>          power item, variable = last token
-  constS <Slp>              compressed constant
-  powS <Slp> <var>          compressed power
-  knapsack                  knapsack problem:
-  item <word>               one power base per line
-  target <word>             right-hand side
-  ka                        knapsack-automaton membership:
-  state <id> [initial] [final]
-  edge <from> <letter|eps> <to>
-  target <word>
-  oracle <name> z <gen>                 base-group oracles for the
-  oracle <name> free <gens...>          transfer problems
-  oracle <name> finite-cyclic <n> <gen>
-  oracle <name> product <left> <right>
-  oracle <name> graph
-  extension base <oracle> / cosets ... / onecoset c /
-  coset <c> gen <b> -> <gword...> <c'>  finite-extension data + embedded eq
-  hnn base <oracle> stable <t> / assoc +|- <word> / phi <w> -> <w>
-  amalgam left <o> right <o> / felem f / fid f / ftable f g -> h /
-  fmap <f> left <word> right <word>     amalgam data + embedded knapsack
+A line-oriented text format with ``#`` comments.  A file holds an alphabet
+(``gens``, ``indep``), SLP blocks, oracle definitions and exactly one problem
+block.  ``_GRAMMAR`` below is the grammar: one row per line head gives the
+blocks the head may appear in, its argument shape, what it may not repeat and
+the handler that records it.  A problem head appears once per file;
+``target``, ``onecoset``, ``fid``, ``eqH`` and an initial ``state`` once per
+block; a ``gens`` letter, an oracle name, a rule per variable of an SLP, a
+coset, a ``coset`` row per (coset, generator), a ``state``, an ``felem``, an
+``ftable`` row per (f, g) and an ``fmap`` row per f once each.  A line that
+breaks the grammar is a FormatError naming the line and the head's syntax.
 
 Words are whitespace-separated letter tokens; inverses end in an apostrophe;
 ``_`` spells the empty word.  Two comments are directives: ``# expect-exit N``
@@ -45,7 +26,10 @@ solver and the transfer algorithms take.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from operator import itemgetter, setitem
+from types import SimpleNamespace
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union, get_args
 
 from .automata import EPS, Nfa, trim
@@ -55,12 +39,6 @@ from .slp import Slp, expand_capped, fold_power, is_variable_token, val_length
 from .traces import IndependenceAlphabet
 
 MODES = ("exact", "search", "relax")
-
-
-def parse_word(tokens: Sequence[str]) -> tuple:
-    if list(tokens) == ["_"]:
-        return ()
-    return tuple(tokens)
 
 
 def format_word(word: Sequence[str]) -> str:
@@ -287,196 +265,193 @@ def scan_directives(text: str) -> Tuple[Optional[int], Optional[str]]:
     return expect_exit, mode_hint
 
 
-def parse_instance(text: str) -> Instance:
-    gens: List[str] = []
-    indep: List[Tuple[str, str]] = []
-    indep_lines: List[int] = []
-    current_slp: Optional[str] = None
-    slp_rules: Dict[str, Dict[str, tuple]] = {}
-    oracles: Dict[str, OracleSpec] = {}
-    problem = None
-    section: Optional[str] = None
-    heads_seen: set = set()
+class _Shape:
+    """An argument shape, compiled once to a regex from its syntax string.
 
-    expect_exit, mode_hint = scan_directives(text)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        head, rest = tokens[0], tokens[1:]
-        try:
-            if head in PROBLEM_KINDS and problem is not None:
-                raise FormatError(f"second problem block {head!r} (one per file)", lineno)
-            if head in ("target", "onecoset", "fid") and head in heads_seen:
-                raise FormatError(f"second {head} line", lineno)
-            heads_seen.add(head)
-            if head == "gens":
-                for letter in rest:
-                    if letter in gens:
-                        raise FormatError(f"letter {letter!r} declared twice", lineno)
-                    if letter.endswith(INVERSE_MARK):
-                        raise FormatError(f"letter {letter!r} ends in the inverse mark", lineno)
-                    gens.append(letter)
-            elif head == "indep":
-                if len(rest) != 2 or rest[0] == rest[1]:
-                    raise FormatError("indep takes two distinct letters", lineno)
-                indep.append((rest[0], rest[1]))
-                indep_lines.append(lineno)
-            elif head == "slp":
-                if len(rest) != 1:
-                    raise FormatError("slp takes the start variable", lineno)
-                current_slp = rest[0]
-                slp_rules.setdefault(current_slp, {})
-                section = "slp"
-            elif head == "rule":
-                if current_slp is None:
-                    raise FormatError("rule outside an slp block", lineno)
-                if len(rest) < 2 or rest[1] != "->":
-                    raise FormatError("rule syntax: rule Var -> tokens", lineno)
-                rules = slp_rules[current_slp]
-                if rest[0] in rules:
-                    raise FormatError(f"second rule for {rest[0]!r} in slp {current_slp!r}", lineno)
-                rules[rest[0]] = parse_word(rest[2:]) if rest[2:] else ()
-            elif head == "eq":
-                problem = EqProblem(line=lineno)
-                section = "eq"
-            elif head == "const" and section in ("eq", "extension-eq"):
-                problem.items.append(EqItem(parse_word(rest), line=lineno))
-            elif head == "pow" and section in ("eq", "extension-eq"):
-                if len(rest) < 2:
-                    raise FormatError("pow takes a word and a variable", lineno)
-                problem.items.append(EqItem(parse_word(rest[:-1]), rest[-1], line=lineno))
-            elif head == "constS" and section == "eq":
-                if len(rest) != 1:
-                    raise FormatError("constS syntax: constS <slp>", lineno)
-                problem.items.append(EqItem(slp=rest[0], line=lineno))
-            elif head == "powS" and section == "eq":
-                if len(rest) != 2:
-                    raise FormatError("powS takes an SLP name and a variable", lineno)
-                problem.items.append(EqItem(var=rest[1], slp=rest[0], line=lineno))
-            elif head == "knapsack":
-                problem = KnapsackProblem(line=lineno)
-                section = "knapsack"
-            elif head == "item" and section in ("knapsack", "hnn", "amalgam"):
-                problem.items.append(parse_word(rest))
-            elif head == "target" and section in ("knapsack", "ka", "hnn", "amalgam"):
-                problem.target = parse_word(rest)
-            elif head == "ka":
-                problem = KaProblem(line=lineno)
-                section = "ka"
-            elif head == "state" and section == "ka":
-                if not rest:
-                    raise FormatError("state syntax: state <id> [initial] [final]", lineno)
-                name = rest[0]
-                problem.states.append(name)
-                if "initial" in rest[1:]:
-                    if problem.initial is not None:
-                        raise FormatError(f"second initial state {name!r}", lineno)
-                    problem.initial = name
-                if "final" in rest[1:]:
-                    problem.finals.append(name)
-            elif head == "edge" and section == "ka":
-                if len(rest) != 3:
-                    raise FormatError("edge syntax: edge from letter to", lineno)
-                label = None if rest[1] == "eps" else rest[1]
-                problem.edges.append((rest[0], label, rest[2]))
-            elif head == "oracle":
-                if len(rest) < 2:
-                    raise FormatError("oracle syntax: oracle name kind ...", lineno)
-                if rest[0] in oracles:
-                    raise FormatError(f"oracle {rest[0]!r} defined twice", lineno)
-                oracles[rest[0]] = OracleSpec(rest[1], tuple(rest[2:]), lineno)
-            elif head == "extension":
-                if len(rest) != 2 or rest[0] != "base":
-                    raise FormatError("extension syntax: extension base <oracle>", lineno)
-                problem = ExtensionProblem(base=rest[1], line=lineno)
-                section = "extension"
-            elif head == "cosets" and section == "extension":
-                for c in rest:
-                    if c in problem.cosets:
-                        raise FormatError(f"coset {c!r} listed twice", lineno)
-                    problem.cosets.append(c)
-            elif head == "onecoset" and section == "extension":
-                if len(rest) != 1:
-                    raise FormatError("onecoset syntax: onecoset <coset>", lineno)
-                problem.one = rest[0]
-            elif head == "coset" and section == "extension":
-                # coset <c> gen <b> -> <gword...> <c'>
-                if len(rest) < 5 or rest[1] != "gen" or rest[3] != "->":
-                    raise FormatError(
-                        "coset syntax: coset c gen b -> gword c'", lineno
-                    )
-                if (rest[0], rest[2]) in problem.table:
-                    raise FormatError(f"second coset row for {rest[0]!r} gen {rest[2]!r}", lineno)
-                gword = parse_word(rest[4:-1]) if rest[4:-1] else ()
-                problem.table[(rest[0], rest[2])] = (gword, rest[-1])
-            elif head == "eqH" and section == "extension":
-                problem.items = []
-                section = "extension-eq"
-            elif head == "hnn":
-                if len(rest) != 4 or rest[0] != "base" or rest[2] != "stable":
-                    raise FormatError("hnn syntax: hnn base <oracle> stable <t>", lineno)
-                problem = HnnProblem(base=rest[1], stable=rest[3], line=lineno)
-                section = "hnn"
-            elif head == "assoc" and section == "hnn":
-                if not rest or rest[0] not in ("+", "-"):
-                    raise FormatError("assoc takes + or -", lineno)
-                assoc = problem.assoc_pos if rest[0] == "+" else problem.assoc_neg
-                assoc.append(parse_word(rest[1:]))
-            elif head == "phi" and section == "hnn":
-                if "->" not in rest:
-                    raise FormatError("phi syntax: phi word -> word", lineno)
-                arrow = rest.index("->")
-                problem.phi.append(
-                    (parse_word(rest[:arrow]), parse_word(rest[arrow + 1 :]))
-                )
-            elif head == "amalgam":
-                if len(rest) != 4 or rest[0] != "left" or rest[2] != "right":
-                    raise FormatError(
-                        "amalgam syntax: amalgam left <oracle> right <oracle>", lineno
-                    )
-                problem = AmalgamProblem(left=rest[1], right=rest[3], line=lineno)
-                section = "amalgam"
-            elif head == "felem" and section == "amalgam":
-                problem.felems.extend(rest)
-            elif head == "fid" and section == "amalgam":
-                if len(rest) != 1:
-                    raise FormatError("fid syntax: fid <felem>", lineno)
-                problem.fid = rest[0]
-            elif head == "ftable" and section == "amalgam":
-                if len(rest) != 4 or rest[2] != "->":
-                    raise FormatError("ftable syntax: ftable f g -> h", lineno)
-                problem.ftable[(rest[0], rest[1])] = rest[3]
-            elif head == "fmap" and section == "amalgam":
-                if "left" not in rest or "right" not in rest:
-                    raise FormatError(
-                        "fmap syntax: fmap f left word right word", lineno
-                    )
-                li = rest.index("left")
-                ri = rest.index("right")
-                problem.fmap[rest[0]] = (
-                    parse_word(rest[li + 1 : ri]),
-                    parse_word(rest[ri + 1 :]),
-                )
+    In ``coset <c> gen <b> -> [<gword...>] <c'>`` a bare token is a literal, ``+|-``
+    a choice, ``<x>`` one argument, ``<x...>`` one or more (a run), ``[<x...>]``
+    zero or more, ``[<x>]`` an optional argument and ``[x]`` an optional literal.
+    """
+
+    def __init__(self, prefix: str, shape: str = ""):
+        head, tokens = prefix.split()[0], shape.split()
+        self.usage, pattern = f"{head} syntax: {prefix} {shape}".rstrip(), ""
+        for n, token in enumerate(tokens, start=1):
+            inner = token.strip("[]")
+            if inner.endswith("...>"):  # a run stops before the next token, or at the end
+                run = rf"\s+(?P<run{n}>\S.*)" if n == len(tokens) else rf"\s+(?P<run{n}>\S.*?)"
+                pattern += run if inner == token else f"(?:{run})?"
+            elif inner.startswith("<"):
+                pattern += r"\s+(\S+)" if inner == token else r"(?:\s+(\S+))?"
+            elif "|" in token:
+                pattern += r"\s+(" + "|".join(map(re.escape, token.split("|"))) + ")"
+                self.usage = f"{head} takes {token.replace('|', ' or ')}; {self.usage}"
             else:
-                raise FormatError(f"unrecognized directive {head!r}", lineno)
-        except FormatError:
-            raise
-        except (IndexError, ValueError) as exc:
-            raise FormatError(str(exc), lineno) from exc
+                literal = re.escape(inner)
+                pattern += rf"\s+{literal}" if inner == token else rf"(?:\s+({literal}))?"
+        self.pattern = re.compile(pattern + r"\s*")
+        self.runs = [group - 1 for group in self.pattern.groupindex.values()]
+
+    def match(self, args: str) -> Sequence:
+        """A value per token but a bare literal: a string, a tuple for a run (``_`` is the
+        empty run), None for an absent option.  Each argument follows whitespace."""
+        found = self.pattern.fullmatch(args)
+        if found is None:
+            raise FormatError(self.usage)
+        if not self.runs:
+            return found.groups()
+        values = list(found.groups())
+        for i in self.runs:
+            run = tuple(values[i].split()) if values[i] else ()
+            values[i] = () if run == ("_",) else run
+        return values
+
+
+def _gens(r, letters: tuple) -> None:
+    for letter in letters:
+        if letter.endswith(INVERSE_MARK):
+            raise FormatError(f"letter {letter!r} ends in the inverse mark")
+    r.gens.extend(letters)
+
+
+def _oracle(r, name: str, kind: str, args: tuple) -> None:
+    if kind not in _ORACLE_KINDS:
+        raise FormatError(f"unknown oracle kind {kind!r}")
+    _ORACLE_KINDS[kind].match("".join(" " + arg for arg in args))
+    r.oracles[name] = OracleSpec(kind, args, r.lineno)
+
+
+def _state(r, name: str, initial, final) -> None:
+    r.problem.states.append(name)
+    if initial:
+        r.problem.initial = name
+    if final:
+        r.problem.finals.append(name)
+
+
+def _item(r, word: tuple = (), var=None, slp=None) -> None:
+    r.problem.items.append(EqItem(word, var, slp, r.lineno))
+
+
+_EQ, _ITEMS, _EXT, _AM = ("eq", "eqH"), ("knapsack", "hnn", "amalgam"), ("extension",), ("amalgam",)
+# The instance format, one row per line head: the blocks the head may appear in
+# (None: anywhere), its argument shape, handler(reader, *values), and claims.  A
+# claim (message, *positions) takes the values at those positions once per file,
+# or once per SLP in an slp block: with no positions the head appears once (per
+# file, or per block, as a file has one problem block); a run claims each of its
+# elements; an absent option claims nothing.  A head named as a block opens it.
+_GRAMMAR = {
+    "gens": (None, "<letters...>", _gens, ("letter {key!r} declared twice", 0)),
+    "indep": (None, "<a> <b>", lambda r, a, b: r.indep.append(((a, b), r.lineno))),
+    "oracle": (None, "<name> <kind> [<args...>]", _oracle, ("oracle {0!r} defined twice", 0)),
+    "slp": (None, "<start>", lambda r, start: r.rules.setdefault(start, {})),
+    "rule": (("slp",), "<var> -> <word...>", lambda r, v, w: setitem(r.rules[r.opened[0]], v, w),
+             ("second rule for {0!r} in slp {block[0]!r}", 0)),
+    **{head: (None, {"extension": "base <oracle>", "hnn": "base <oracle> stable <t>",
+                     "amalgam": "left <oracle> right <oracle>"}.get(head, ""),
+              lambda r, *v, block=block: setattr(r, "problem", block(*v, line=r.lineno)),
+              ("second problem block {head!r} (one per file)",))
+       for head, block in zip(PROBLEM_KINDS, get_args(Problem))},
+    "const": (_EQ, "<word...>", _item),
+    "pow": (_EQ, "<word...> <var>", _item),
+    "constS": (("eq",), "<slp>", lambda r, slp: _item(r, slp=slp)),
+    "powS": (("eq",), "<slp> <var>", lambda r, slp, var: _item(r, var=var, slp=slp)),
+    "item": (_ITEMS, "<word...>", lambda r, w: r.problem.items.append(w)),
+    "target": (("ka",) + _ITEMS, "<word...>", lambda r, w: setattr(r.problem, "target", w),
+               ("second target line",)),
+    "state": (("ka",), "<id> [initial] [final]", _state, ("state {0!r} declared twice", 0),
+              ("second initial state {0!r}", 1)),
+    "edge": (("ka",), "<from> <letter|eps> <to>",
+             lambda r, p, a, q: r.problem.edges.append((p, None if a == "eps" else a, q))),
+    "cosets": (_EXT, "[<cosets...>]", lambda r, cs: r.problem.cosets.extend(cs),
+               ("coset {key!r} listed twice", 0)),
+    "onecoset": (_EXT, "<coset>", lambda r, c: setattr(r.problem, "one", c),
+                 ("second onecoset line",)),
+    "coset": (_EXT, "<c> gen <b> -> [<gword...>] <c'>",
+              lambda r, c, b, gword, c2: setitem(r.problem.table, (c, b), (gword, c2)),
+              ("second coset row for {0!r} gen {1!r}", 0, 1)),
+    "eqH": (_EXT + ("eqH",), "", lambda r: None, ("second eqH line",)),
+    "assoc": (("hnn",), "+|- <word...>", lambda r, sign, w: getattr(
+        r.problem, "assoc_pos" if sign == "+" else "assoc_neg").append(w)),
+    "phi": (("hnn",), "<word...> -> <word...>", lambda r, w, v: r.problem.phi.append((w, v))),
+    "felem": (_AM, "[<felems...>]", lambda r, fs: r.problem.felems.extend(fs),
+              ("felem {key!r} listed twice", 0)),
+    "fid": (_AM, "<felem>", lambda r, f: setattr(r.problem, "fid", f), ("second fid line",)),
+    "ftable": (_AM, "<f> <g> -> <h>", lambda r, f, g, h: setitem(r.problem.ftable, (f, g), h),
+               ("second ftable row for {0!r} {1!r}", 0, 1)),
+    "fmap": (_AM, "<f> left <word...> right <word...>",
+             lambda r, f, w, v: setitem(r.problem.fmap, f, (w, v)),
+             ("second fmap row for {0!r}", 0)),
+}
+_BLOCKS = {block for blocks, *_ in _GRAMMAR.values() for block in blocks or ()}
+
+
+def _compile(head: str, blocks, syntax: str, handle, *claims) -> tuple:
+    """A row with its shape compiled and each claim as (message, key getter or None,
+    claims each element of a run, claims once per SLP)."""
+    shape = _Shape(head, syntax)
+    return blocks, shape, handle, tuple(
+        (message, itemgetter(*at) if at else None, len(at) == 1 and at[0] in shape.runs,
+         blocks == ("slp",)) for message, *at in claims)
+
+
+_GRAMMAR = {head: _compile(head, *row) for head, row in _GRAMMAR.items()}
+_ORACLE_KINDS = {  # the argument shapes of ``oracle <name> <kind> [<args...>]``
+    kind: _Shape(f"oracle <name> {kind}", shape)
+    for kind, shape in [("z", "[<gen>]"), ("free", "<gens...>"), ("finite-cyclic", "<n> [<gen>]"),
+                        ("product", "<l> <r>"), ("graph", "")]
+}
+
+
+def parse_instance(text: str) -> Instance:
+    """The instance ``text`` spells.  Each line is one lookup of its head in
+    ``_GRAMMAR``, a check of its block, a match of its shape and of its claims."""
+    r = SimpleNamespace(gens=[], indep=[], rules={}, oracles={}, problem=None, section=None,
+                        opened=())
+    claimed: set = set()
+    expect_exit, mode_hint = scan_directives(text) if "#" in text else (None, None)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].split(None, 1)
+        if not line:
+            continue
+        head, r.lineno = line[0], lineno
+        row = _GRAMMAR.get(head)
+        try:
+            if row is None:
+                raise FormatError(f"unrecognized directive {head!r}")
+            blocks, shape, handle, claims = row
+            if blocks is not None and r.section not in blocks:
+                raise FormatError(f"{head} is only allowed in {', '.join(blocks)} blocks")
+            values = shape.match(" " + line[1] if len(line) > 1 else "")
+            for message, take, each, per_slp in claims:
+                keys = take(values) if take else ()
+                for key in keys if each else (keys,):
+                    claim = (message, per_slp and r.opened, key)
+                    if key is not None and claim in claimed:  # an absent option claims nothing
+                        block = r.opened
+                        raise FormatError(message.format(*values, key=key, head=head, block=block))
+                    claimed.add(claim)
+            handle(r, *values)
+        except FormatError as exc:
+            raise FormatError(str(exc), lineno) from None
+        if head in _BLOCKS:
+            r.section, r.opened = head, values
 
     slps: Dict[str, Slp] = {}
-    for name, rules in slp_rules.items():
+    for name, rules in r.rules.items():
         try:
             slps[name] = Slp(rules, name)
         except Exception as exc:
             raise FormatError(f"bad SLP {name!r}: {exc}") from exc
-    if problem is None:
+    if r.problem is None:
         raise FormatError("no problem block found")
-    for pair, line in zip(indep, indep_lines):
-        _check_letters(gens, [pair], line, "indep")
-    base_alphabet = IndependenceAlphabet(tuple(gens), indep) if gens else None
-    return Instance(problem, base_alphabet, slps, oracles, expect_exit, mode_hint)
+    for (a, b), line in r.indep:
+        if a == b:
+            raise FormatError("indep takes two distinct letters", line)
+        _check_letters(r.gens, [(a, b)], line, "indep")
+    indep = [pair for pair, _ in r.indep]
+    base_alphabet = IndependenceAlphabet(tuple(r.gens), indep) if r.gens else None
+    return Instance(r.problem, base_alphabet, slps, r.oracles, expect_exit, mode_hint)
 
 
 def _check_letters(letters, words, line, where: str) -> None:
@@ -664,18 +639,14 @@ def build_oracle(inst: Instance, name: str, search_cap: int):
             if kind == "free":
                 return FreeGroupOracle(args)
             if kind == "finite-cyclic":
-                if not args or not args[0].isdecimal() or int(args[0]) < 1:
+                if not args[0].isdecimal() or int(args[0]) < 1:
                     raise FormatError("finite-cyclic takes an order of at least 1", spec.line)
                 return FiniteGroupOracle(int(args[0]), args[1] if len(args) > 1 else "g")
             if kind == "product":
-                if len(args) != 2:
-                    raise FormatError("product takes exactly two factor oracles", spec.line)
                 return FreeProductOracle(*(build(arg, within + (name,), spec.line) for arg in args))
-            if kind == "graph":
-                return GraphGroupOracle(inst.require_alphabet(), search_cap)
+            return GraphGroupOracle(inst.require_alphabet(), search_cap)
         except (StructureError, TraceError) as exc:
             raise FormatError(f"oracle {name}: {exc}", spec.line) from exc
-        raise FormatError(f"unknown oracle kind {kind!r}", spec.line)
 
     return build(name, (), inst.problem.line)
 

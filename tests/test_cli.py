@@ -391,20 +391,42 @@ class TestMalformedInput:
              "line 5: fid syntax: fid <felem>"),
             ("hnn", HNN_Z2.replace("assoc + _", "assoc") + "item t\ntarget t\n",
              "line 3: assoc takes + or -"),
+            ("solve", "gens a\nka\nstate s initial fnal\nedge s a s\ntarget a\n",
+             "line 3: state syntax: state <id> [initial] [final]"),
+            ("solve", "gens a\nka\nstate s initial final\nstate s\nedge s a s\ntarget a\n",
+             "line 4: state 's' declared twice"),
+            ("amalgam", AMALGAM_Z4.replace("ftable 1 1 -> 1", "ftable 1 1 -> z\nftable 1 1 -> 1")
+             + AMALGAM_Z4_TAIL, "line 7: second ftable row for '1' '1'"),
+            ("amalgam", AMALGAM_Z4 + "fmap z left g g right h h\nfmap z left g right h\n"
+             + "item g\ntarget _\n", "line 12: second fmap row for 'z'"),
+            ("amalgam", AMALGAM_Z4.replace("felem 1 z", "felem 1 z 1") + AMALGAM_Z4_TAIL,
+             "line 4: felem '1' listed twice"),
+            ("hnn", HNN_Z2.replace("finite-cyclic 2 g", "z g h") + "item g\ntarget g\n",
+             "line 1: oracle syntax: oracle <name> z [<gen>]"),
+            ("hnn", HNN_Z2.replace("finite-cyclic 2 g", "finite-cyclic 2 g h") + "item g\ntarget g\n",
+             "line 1: oracle syntax: oracle <name> finite-cyclic <n> [<gen>]"),
+            ("hnn", "gens a\noracle O graph junk\n" + HNN_Z2.replace("base B", "base O")
+             + "item t\ntarget t\n", "line 2: oracle syntax: oracle <name> graph"),
+            ("finite-ext", EXT_DINF + "eqH\npow t a x\neqH\n", "line 15: second eqH line"),
         ],
         ids=["product-cycle", "product-cycle-through-another", "second-problem-block",
              "second-initial-state", "coset-repeated", "second-target", "second-onecoset",
              "second-fid", "oracle-repeated", "unknown-oracle-in-block",
              "unknown-oracle-in-product", "second-rule", "second-coset-row", "state-bare",
-             "constS-bare", "onecoset-bare", "fid-bare", "assoc-bare"],
+             "constS-bare", "onecoset-bare", "fid-bare", "assoc-bare", "state-flag-typo",
+             "state-repeated", "second-ftable-row", "second-fmap-row", "felem-repeated",
+             "z-extra-argument", "finite-cyclic-extra-argument", "graph-extra-argument",
+             "second-eqH"],
     )
     def test_malformed_block_exits_3(self, tmp_path, capsys, command, text, where):
         """An oracle that is its own factor, a second problem block, a second initial
-        state, a coset listed twice, a second target, onecoset or fid line, an
-        oracle name defined twice, a second rule for one SLP variable and a second
-        coset row for one coset and generator are parse errors on their line, not a
-        crash or a silent choice; so is a head without its argument, with the
-        head's syntax.  An unknown oracle is one on the line that names it."""
+        state, a coset listed twice, a second target, onecoset, fid or eqH line, an
+        oracle name defined twice, a second rule for one SLP variable, a second
+        coset row for one coset and generator, a state, an F element, an ftable row
+        or an fmap row given twice are parse errors on their line, not a crash or a
+        silent choice; so is a head or an oracle kind with too few or too many
+        arguments, with its syntax.  An unknown oracle is one on the line that
+        names it."""
         assert run_cli([command, write(tmp_path, text)])[0] == 3
         assert f"parse error: {where}" in capsys.readouterr().err
 
