@@ -154,7 +154,8 @@ class ExtensionProblem:
 
     def lines(self) -> List[str]:
         lines = [f"extension base {self.base}", "cosets " + " ".join(self.cosets)]
-        lines.append(f"onecoset {self.one}")
+        if self.one is not None:
+            lines.append(f"onecoset {self.one}")
         for (c, b), (gword, c2) in sorted(self.table.items()):
             middle = (" ".join(gword) + " ") if gword else ""
             lines.append(f"coset {c} gen {b} -> {middle}{c2}")
@@ -205,7 +206,8 @@ class AmalgamProblem:
 
     def lines(self) -> List[str]:
         lines = [f"amalgam left {self.left} right {self.right}", "felem " + " ".join(self.felems)]
-        lines.append(f"fid {self.fid}")
+        if self.fid is not None:
+            lines.append(f"fid {self.fid}")
         for (f, g), h in sorted(self.ftable.items()):
             lines.append(f"ftable {f} {g} -> {h}")
         for f, (lw, rw) in sorted(self.fmap.items()):
@@ -242,10 +244,10 @@ class Instance:
 def scan_directives(text: str) -> Tuple[Optional[int], Optional[str]]:
     """The ``# expect-exit N`` and ``# mode M`` comments of an instance file.
 
-    Reads comments only, so it succeeds on files whose body does not parse;
-    the last occurrence of each directive wins.  A directive without its
-    argument, a non-integer exit code, or a mode other than exact, search
-    and relax raises FormatError.
+    Reads comments only, so it succeeds on files whose body does not parse.
+    A directive without its argument, a non-integer exit code, a mode other
+    than exact, search and relax, or a second occurrence of either directive
+    raises FormatError.
     """
     expect_exit: Optional[int] = None
     mode_hint: Optional[str] = None
@@ -257,10 +259,14 @@ def scan_directives(text: str) -> Tuple[Optional[int], Optional[str]]:
         if comment.startswith("expect-exit"):
             if len(words) < 2 or not words[1].isdigit():
                 raise FormatError("expect-exit takes an exit code", lineno)
+            if expect_exit is not None:
+                raise FormatError("second expect-exit directive", lineno)
             expect_exit = int(words[1])
         if comment.startswith("mode "):
             if words[1] not in MODES:
                 raise FormatError(f"mode takes one of {', '.join(MODES)}", lineno)
+            if mode_hint is not None:
+                raise FormatError("second mode directive", lineno)
             mode_hint = words[1]
     return expect_exit, mode_hint
 

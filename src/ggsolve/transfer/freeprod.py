@@ -75,7 +75,7 @@ def free_product_saturate(
                         continue
                     if (p, EPS, q) in b.edges:
                         continue
-                    if factor.ka_membership(part.cut(p, [q]), ()):
+                    if factor.reaches(part, p, q, ()):
                         b.edge(p, EPS, q)
                         grew = True
         if not grew:

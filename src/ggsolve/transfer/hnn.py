@@ -174,12 +174,11 @@ def hnn_saturate(h: HnnPresentation, nfa: Nfa) -> bool:
                         continue
                     if shape.comp_of[p] == shape.comp_of[q]:
                         continue
-                    sub = base.cut(p2, [q2])
                     for idx, rep in enumerate(h.assoc[alpha]):
                         key = (p, q, alpha, idx)
                         if key in added:
                             continue
-                        if h.base.ka_membership(sub, rep):
+                        if h.base.reaches(base, p2, q2, rep):
                             added.add(key)
                             b.path(p, h.phi_image(alpha, idx), q, "c")
                             grew = True

@@ -326,18 +326,20 @@ class Restriction:
 
     Its cuts are automata over ``alphabet``.  Being a snapshot, it builds its
     adjacency once and memoizes the forward reach of each initial state and
-    the backward reach of each set of finals.
+    the backward reach of each set of finals; ``memo`` keeps what an
+    oracle's ``reaches`` searches once per snapshot, under the oracle's keys.
     """
 
     def __init__(self, b: _Builder, alphabet: IndependenceAlphabet):
         self.builder = b
         self.alphabet = alphabet
-        self._out: Dict = {}  # p -> [(a, q)]
+        self.out: Dict = {}  # p -> [(a, q)]
+        self.memo: Dict = {}
         self._fwd: Dict = {}  # p -> {q}
         self._bwd: Dict = {}  # q -> {p}
         for (p, a, q) in b.edges:
             if a is EPS or a in alphabet:
-                self._out.setdefault(p, []).append((a, q))
+                self.out.setdefault(p, []).append((a, q))
                 self._fwd.setdefault(p, set()).add(q)
                 self._bwd.setdefault(q, set()).add(p)
         self._forward: Dict = {}
@@ -368,7 +370,7 @@ class Restriction:
         ``automata.useful_part``.
         """
         keep = self.forward(initial) & self.backward(finals)
-        edges = ((p, a, q) for p in keep for (a, q) in self._out.get(p, ()))
+        edges = ((p, a, q) for p in keep for (a, q) in self.out.get(p, ()))
         return useful_part(self.alphabet, self.builder.states, edges, initial, finals, keep)
 
 

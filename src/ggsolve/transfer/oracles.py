@@ -9,14 +9,14 @@ free products (which close the loop with the saturation algorithms).
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..automata import EPS, Nfa, benois_member
+from ..automata import EPS, Nfa, benois_member, benois_saturate
 from ..errors import AlphabetMismatchError, LimitsExceeded, StructureError
 from ..groups import DoubledAlphabet, free_reduce, inverse_letter, invert_word
 from ..semilinear import DiophantineSystem, diophantine_solve
 from ..traces import IndependenceAlphabet
-from .kauto import equation_chain, plain_alphabet, skeletons
+from .kauto import Restriction, equation_chain, plain_alphabet, skeletons
 
 
 class GroupOracle:
@@ -24,7 +24,11 @@ class GroupOracle:
 
     ``ka_membership`` memoizes on the automaton it is asked about;
     implementations override ``_member_impl``, and may override
-    ``knapsack`` where the group has a closed form.
+    ``knapsack`` where the group has a closed form.  The saturations' phase
+    2 asks ``reaches`` about one pair of states at a time; by default that
+    is one ``ka_membership`` question about a cut, and an implementation
+    may override it to answer every pair from searches it keeps with the
+    restriction.
     """
 
     letters: Tuple[str, ...]
@@ -58,6 +62,17 @@ class GroupOracle:
             hit = cache[key] = self._member_impl(nfa, target)
         return hit
 
+    def reaches(self, restriction: Restriction, p, q, target_word: Sequence[str]) -> bool:
+        """Does some path from p to q in ``restriction`` spell ``target_word`` in the group?
+
+        The restriction is over this oracle's ``alphabet``, and p and q are
+        states its builder had when the restriction was first asked about.
+        The empty path counts, so p == q asks whether the target is 1 or a
+        cycle through p spells it.  By default this is ``ka_membership`` of
+        ``restriction.cut(p, [q])``.
+        """
+        return self.ka_membership(restriction.cut(p, [q]), target_word)
+
     def knapsack(self, v_words: Sequence[Sequence[str]], u_words: Sequence[Sequence[str]]) -> bool:
         """Does v0 u1^y1 v1 ... un^yn vn = 1 have a solution y in N^n?"""
         return self.ka_membership(equation_chain(self.alphabet, v_words, u_words), ())
@@ -80,6 +95,27 @@ class FiniteGroupOracle(GroupOracle):
     def is_identity(self, word) -> bool:
         return self.eval_word(word) == 0
 
+    def _search(self, out: Dict, start) -> Dict:
+        """State -> bit mask of the residues that paths from ``start`` along
+        ``out`` (state -> [(label, state)]) spell to it; ``start`` has bit 0.
+
+        ``reaches`` runs it; ``_member_impl`` keeps its own search, so the
+        tests can hold the two against each other."""
+        n, weight, full = self.n, self.weight, (1 << self.n) - 1
+        masks = {start: 1}
+        stack = [start]
+        while stack:
+            state = stack.pop()
+            mask = masks[state]
+            for a, d in out.get(state, ()):
+                k = 0 if a is EPS else weight[a]
+                old = masks.get(d, 0)
+                new = old | (((mask << k) | (mask >> (n - k))) & full)
+                if new != old:
+                    masks[d] = new
+                    stack.append(d)
+        return masks
+
     def _member_impl(self, nfa: Nfa, target_word) -> bool:
         """Breadth-first search over (state, residue) pairs."""
         n, weight = self.n, self.weight
@@ -99,6 +135,16 @@ class FiniteGroupOracle(GroupOracle):
                         seen.add(node)
                         queue.append(node)
         return False
+
+    def reaches(self, restriction: Restriction, p, q, target_word) -> bool:
+        """One search from p per restriction and source, kept in the
+        restriction's ``memo``; every q and target after it is a lookup."""
+        masks = restriction.memo.get((self, p))
+        if masks is None:
+            if restriction.alphabet is not self.alphabet:
+                raise AlphabetMismatchError("restriction over a different alphabet than its oracle")
+            masks = restriction.memo[(self, p)] = self._search(restriction.out, p)
+        return bool(masks.get(q, 0) >> self.eval_word(target_word) & 1)
 
 
 class ZOracle(GroupOracle):
@@ -148,6 +194,23 @@ class FreeGroupOracle(GroupOracle):
 
     def _member_impl(self, nfa: Nfa, target_word) -> bool:
         return benois_member(nfa, tuple(target_word))
+
+    def reaches(self, restriction: Restriction, p, q, target_word) -> bool:
+        """One Benois saturation of the whole restriction, kept in its
+        ``memo``; each question reads the freely reduced target from p.  A
+        saturated edge stands for a path of the restriction that spells 1,
+        so a path from p to q of the saturation lies in the cut from p to q."""
+        saturated = restriction.memo.get(self)
+        if saturated is None:
+            if restriction.alphabet is not self.alphabet:
+                raise AlphabetMismatchError("restriction over a different alphabet than its oracle")
+            edges = [(s, a, d) for s, row in restriction.out.items() for a, d in row]
+            whole = Nfa(self.alphabet, restriction.builder.states, edges, p, ())
+            saturated = restriction.memo[self] = benois_saturate(whole)
+        current = saturated.eps_closure([p])
+        for a in free_reduce(self.alphabet, target_word).word:
+            current = saturated.step(current, a)
+        return q in current
 
 
 class GraphGroupOracle(GroupOracle):

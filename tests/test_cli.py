@@ -408,6 +408,10 @@ class TestMalformedInput:
             ("hnn", "gens a\noracle O graph junk\n" + HNN_Z2.replace("base B", "base O")
              + "item t\ntarget t\n", "line 2: oracle syntax: oracle <name> graph"),
             ("finite-ext", EXT_DINF + "eqH\npow t a x\neqH\n", "line 15: second eqH line"),
+            ("solve", "# expect-exit 0\ngens a\n# expect-exit 1\neq\npow a x\nconst a'\n",
+             "line 3: second expect-exit directive"),
+            ("solve", "gens a # mode exact\neq\npow a x\nconst a' # mode search\n",
+             "line 4: second mode directive"),
         ],
         ids=["product-cycle", "product-cycle-through-another", "second-problem-block",
              "second-initial-state", "coset-repeated", "second-target", "second-onecoset",
@@ -416,7 +420,7 @@ class TestMalformedInput:
              "constS-bare", "onecoset-bare", "fid-bare", "assoc-bare", "state-flag-typo",
              "state-repeated", "second-ftable-row", "second-fmap-row", "felem-repeated",
              "z-extra-argument", "finite-cyclic-extra-argument", "graph-extra-argument",
-             "second-eqH"],
+             "second-eqH", "second-expect-exit", "second-mode"],
     )
     def test_malformed_block_exits_3(self, tmp_path, capsys, command, text, where):
         """An oracle that is its own factor, a second problem block, a second initial
@@ -426,7 +430,8 @@ class TestMalformedInput:
         or an fmap row given twice are parse errors on their line, not a crash or a
         silent choice; so is a head or an oracle kind with too few or too many
         arguments, with its syntax.  An unknown oracle is one on the line that
-        names it."""
+        names it.  A second ``# expect-exit`` or ``# mode`` comment is an error on
+        its line too."""
         assert run_cli([command, write(tmp_path, text)])[0] == 3
         assert f"parse error: {where}" in capsys.readouterr().err
 
@@ -502,6 +507,7 @@ class TestOptimizedInterpreter:
             "tests/test_cli.py::TestFailClosed::test_dropped_stack_entry_exits_4",
             "tests/test_saturation.py::TestHnnSaturate",
             "tests/test_saturation.py::TestFailClosed",
+            "tests/test_saturation.py::TestReaches",
             "tests/test_cli.py::TestVerifyCommand::test_malformed_assign_exits_3",
             "tests/test_groups.py::TestMult",
             "tests/test_groups.py::TestConjugatePower",

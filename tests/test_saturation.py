@@ -5,11 +5,12 @@ import random
 import pytest
 
 from ggsolve.automata import Nfa, benois_member
-from ggsolve.errors import InternalError, StructureError
+from ggsolve.errors import AlphabetMismatchError, InternalError, StructureError
 from ggsolve.groups import DoubledAlphabet, invert_word
 from ggsolve.traces import IndependenceAlphabet
 from ggsolve.transfer import (
     FiniteGroupOracle,
+    FreeGroupOracle,
     FreeProductOracle,
     HnnPresentation,
     ZOracle,
@@ -17,7 +18,7 @@ from ggsolve.transfer import (
     hnn_knapsack,
     hnn_saturate,
 )
-from ggsolve.transfer.kauto import ShapeInfo, plain_alphabet
+from ggsolve.transfer.kauto import ShapeInfo, _Builder, plain_alphabet
 
 from helpers import enumerate_accepted, knapsack_chain
 from transfer_oracles import nfa_accepts_identity_bfs, z2z_reduce
@@ -301,6 +302,68 @@ class TestRestrictionCut:
                 assert got.alphabet is kept
                 empty += not got.finals
         assert empty >= 20
+
+
+class TestReaches:
+    @staticmethod
+    def _oracles():
+        """(oracle, associated-subgroup reps, knapsack shape only): Z/1..Z/6 with
+        the subgroup of order 2 where there is one, F2, and Z, whose default
+        ``reaches`` asks the skeleton solver and so needs the knapsack shape."""
+        for n in range(1, 7):
+            yield FiniteGroupOracle(n, "g"), [(), ("g",) * (n // 2)] if n % 2 == 0 else [()], False
+        yield FreeGroupOracle(["a", "b"]), [(), ("a", "b", "b'", "a'")], False
+        yield ZOracle("a"), [()], True
+
+    @staticmethod
+    def _builder(rng, letters, knapsack_shape):
+        """Edges labelled epsilon, an oracle letter or ``t`` (outside every
+        oracle), with cycles and self-loops; the states in creation order."""
+        from ggsolve.automata import EPS
+
+        letters += ("t",)
+        if knapsack_shape:
+            b = _Builder.from_nfa(random_knapsack_automaton(rng, letters))
+        else:
+            b = _Builder(plain_alphabet(letters))
+            states = [b.fresh() for _ in range(rng.randint(1, 5))]
+            for _ in range(rng.randint(0, 3 * len(states))):
+                b.edge(rng.choice(states), rng.choice(letters + (EPS, EPS)), rng.choice(states))
+        return b, list(b.states)
+
+    def test_agrees_with_the_cut_question(self):
+        """For every (p, q), p == q included, and each target, ``reaches``
+        answers as ``ka_membership`` of the cut from p to q; the finite and
+        free oracles keep one search per source, or one saturation, with the
+        restriction."""
+        rng = random.Random(23)
+        answers = {True: 0, False: 0}
+        loops_spelling_targets = 0
+        for oracle, reps, knapsack_shape in self._oracles():
+            letters = tuple(oracle.letters)
+            for _ in range(10 if knapsack_shape else 25):
+                b, states = self._builder(rng, letters, knapsack_shape)
+                r = b.restrict(oracle.alphabet)
+                targets = reps + [
+                    tuple(rng.choice(letters) for _ in range(rng.randint(1, 3))) for _ in range(3)
+                ]
+                for p in states:
+                    for q in states:
+                        for w in targets:
+                            got = oracle.reaches(r, p, q, w)
+                            assert got == oracle.ka_membership(r.cut(p, [q]), w), (p, q, w)
+                            answers[got] += 1
+                            loops_spelling_targets += got and p == q and bool(w)
+                kept = {FiniteGroupOracle: len(states), FreeGroupOracle: 1, ZOracle: 0}
+                assert len(r.memo) == kept[type(oracle)]
+        assert min(answers.values()) >= 2000 and loops_spelling_targets >= 500
+
+    def test_restriction_on_another_alphabet_is_refused(self):
+        b = _Builder(plain_alphabet(("g", "g'", "h", "h'")))
+        p = b.fresh()
+        for oracle in (FiniteGroupOracle(2, "g"), FreeGroupOracle(["a"]), ZOracle("a")):
+            with pytest.raises(AlphabetMismatchError):
+                oracle.reaches(b.restrict(FiniteGroupOracle(2, "h").alphabet), p, p, ())
 
 
 def _logged(fn, log):
