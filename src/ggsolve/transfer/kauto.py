@@ -327,7 +327,8 @@ class Restriction:
     Its cuts are automata over ``alphabet``.  Being a snapshot, it builds its
     adjacency once and memoizes the forward reach of each initial state and
     the backward reach of each set of finals; ``memo`` keeps what an
-    oracle's ``reaches`` searches once per snapshot, under the oracle's keys.
+    oracle's ``reaches`` finds once per snapshot: a finite oracle's search
+    under (oracle, p), the default's cut under (p, q).
     """
 
     def __init__(self, b: _Builder, alphabet: IndependenceAlphabet):

@@ -8,10 +8,9 @@ free products (which close the loop with the saturation algorithms).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Sequence, Tuple
 
-from ..automata import EPS, Nfa, benois_member, benois_saturate
+from ..automata import EPS, Nfa, benois_member
 from ..errors import AlphabetMismatchError, LimitsExceeded, StructureError
 from ..groups import DoubledAlphabet, free_reduce, inverse_letter, invert_word
 from ..semilinear import DiophantineSystem, diophantine_solve
@@ -69,9 +68,13 @@ class GroupOracle:
         states its builder had when the restriction was first asked about.
         The empty path counts, so p == q asks whether the target is 1 or a
         cycle through p spells it.  By default this is ``ka_membership`` of
-        ``restriction.cut(p, [q])``.
+        ``restriction.cut(p, [q])``, a cut kept in the restriction's ``memo``
+        under (p, q) so that every target after the first reuses it.
         """
-        return self.ka_membership(restriction.cut(p, [q]), target_word)
+        sub = restriction.memo.get((p, q))
+        if sub is None:
+            sub = restriction.memo[(p, q)] = restriction.cut(p, [q])
+        return self.ka_membership(sub, target_word)
 
     def knapsack(self, v_words: Sequence[Sequence[str]], u_words: Sequence[Sequence[str]]) -> bool:
         """Does v0 u1^y1 v1 ... un^yn vn = 1 have a solution y in N^n?"""
@@ -98,9 +101,7 @@ class FiniteGroupOracle(GroupOracle):
     def _search(self, out: Dict, start) -> Dict:
         """State -> bit mask of the residues that paths from ``start`` along
         ``out`` (state -> [(label, state)]) spell to it; ``start`` has bit 0.
-
-        ``reaches`` runs it; ``_member_impl`` keeps its own search, so the
-        tests can hold the two against each other."""
+        ``reaches`` runs it on a restriction, ``_member_impl`` on an automaton."""
         n, weight, full = self.n, self.weight, (1 << self.n) - 1
         masks = {start: 1}
         stack = [start]
@@ -117,24 +118,13 @@ class FiniteGroupOracle(GroupOracle):
         return masks
 
     def _member_impl(self, nfa: Nfa, target_word) -> bool:
-        """Breadth-first search over (state, residue) pairs."""
-        n, weight = self.n, self.weight
-        target = self.eval_word(target_word)
-        start = (nfa.initial, 0)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            state, residue = queue.popleft()
-            if state in nfa.finals and residue == target:
-                return True
-            for a, dests in nfa.out(state).items():
-                nxt = residue if a is EPS else (residue + weight[a]) % n
-                for d in dests:
-                    node = (d, nxt)
-                    if node not in seen:
-                        seen.add(node)
-                        queue.append(node)
-        return False
+        """One ``_search`` from the initial state; is the target's bit set at a final?"""
+        out: Dict = {}
+        for p, a, q in nfa.transitions:
+            out.setdefault(p, []).append((a, q))
+        masks = self._search(out, nfa.initial)
+        bit = 1 << self.eval_word(target_word)
+        return any(masks.get(f, 0) & bit for f in nfa.finals)
 
     def reaches(self, restriction: Restriction, p, q, target_word) -> bool:
         """One search from p per restriction and source, kept in the
@@ -194,23 +184,6 @@ class FreeGroupOracle(GroupOracle):
 
     def _member_impl(self, nfa: Nfa, target_word) -> bool:
         return benois_member(nfa, tuple(target_word))
-
-    def reaches(self, restriction: Restriction, p, q, target_word) -> bool:
-        """One Benois saturation of the whole restriction, kept in its
-        ``memo``; each question reads the freely reduced target from p.  A
-        saturated edge stands for a path of the restriction that spells 1,
-        so a path from p to q of the saturation lies in the cut from p to q."""
-        saturated = restriction.memo.get(self)
-        if saturated is None:
-            if restriction.alphabet is not self.alphabet:
-                raise AlphabetMismatchError("restriction over a different alphabet than its oracle")
-            edges = [(s, a, d) for s, row in restriction.out.items() for a, d in row]
-            whole = Nfa(self.alphabet, restriction.builder.states, edges, p, ())
-            saturated = restriction.memo[self] = benois_saturate(whole)
-        current = saturated.eps_closure([p])
-        for a in free_reduce(self.alphabet, target_word).word:
-            current = saturated.step(current, a)
-        return q in current
 
 
 class GraphGroupOracle(GroupOracle):

@@ -139,7 +139,8 @@ class TestRoundTrip:
         solvable.  Its saturations ask 91,444 pair questions of the Z/14 factors;
         answered a cut at a time they took 92,679 cuts and 15,301 membership
         searches.  ``reaches`` answers them from one residue search per
-        restriction and source (9,172), so few cuts are left."""
+        restriction and source (9,172, and 321 more for the membership
+        questions left), so few cuts are left."""
         from ggsolve.transfer.kauto import Restriction
 
         calls = {"cut": 0, "member": 0, "search": 0}
