@@ -14,7 +14,7 @@ decides membership of 1.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..automata import EPS, Nfa
 from ..errors import StructureError
@@ -23,9 +23,37 @@ from .kauto import ShapeInfo, _Builder, equation_chain, plain_alphabet
 from .oracles import GroupOracle
 
 
+def subgroup_table(oracle: GroupOracle, words: Sequence[Sequence[str]]) -> List[List[int]]:
+    """Multiplication table, by index, of the elements ``words`` spell in the group.
+
+    StructureError unless the list is nonempty, its words spell distinct
+    elements and every product is among them.  A finite subset closed under
+    products contains 1 and every inverse, so the words spell a subgroup.
+    """
+    if not words:
+        raise StructureError("a subgroup must contain 1")
+    inverses = [invert_word(w) for w in words]
+    table = []
+    for u in words:
+        row = []
+        for v in words:
+            uv = tuple(u) + tuple(v)
+            k = next((k for k, w in enumerate(inverses) if oracle.is_identity(uv + w)), None)
+            if k is None:
+                raise StructureError("subgroup not closed under product")
+            row.append(k)
+        table.append(row)
+    # A product is found at the first word equal to it, so a word equal to an
+    # earlier one is never in the table; distinct words all are, in 1's row.
+    if len({k for row in table for k in row}) < len(table):
+        raise StructureError("duplicate subgroup element")
+    return table
+
+
 class HnnPresentation:
     """Base oracle, finite associated subgroups A(+1), A(-1) (as representative
-    words) with multiplication indices, the isomorphism phi, and the stable letter."""
+    words), the stable letter, and ``image[alpha][i]``: the representative of
+    phi^alpha applied to element i of A(alpha)."""
 
     def __init__(
         self,
@@ -39,28 +67,22 @@ class HnnPresentation:
         if stable in base.letters or inverse_letter(stable) in base.letters:
             raise StructureError("stable letter collides with base generators")
         self.stable = stable
-        self.assoc = {
-            1: [tuple(w) for w in assoc_pos],
-            -1: [tuple(w) for w in assoc_neg],
-        }
+        self.assoc = {1: [tuple(w) for w in assoc_pos], -1: [tuple(w) for w in assoc_neg]}
         self.letters = tuple(base.letters) + (stable, inverse_letter(stable))
-        self._validate_subgroups()
-        self.phi: Dict[int, int] = {}
-        for wp, wn in phi_pairs:
-            i = self.element_index(1, tuple(wp))
-            j = self.element_index(-1, tuple(wn))
-            if i is None or j is None:
-                raise StructureError("phi pair outside the associated subgroups")
-            if i in self.phi:
-                raise StructureError("phi defined twice on an element")
-            self.phi[i] = j
-        if set(self.phi) != set(range(len(self.assoc[1]))) or set(
-            self.phi.values()
-        ) != set(range(len(self.assoc[-1]))):
-            raise StructureError("phi is not a bijection between the subgroups")
-        self._validate_phi()
-
-    # -- subgroup structure -------------------------------------------------
+        table = {alpha: subgroup_table(base, self.assoc[alpha]) for alpha in (1, -1)}
+        pairs = [(self.element_index(1, wp), self.element_index(-1, wn)) for wp, wn in phi_pairs]
+        if any(None in pair for pair in pairs):
+            raise StructureError("phi pair outside the associated subgroups")
+        for side, alpha in ((0, 1), (1, -1)):
+            if sorted(pair[side] for pair in pairs) != list(range(len(table[alpha]))):
+                raise StructureError("phi is not a bijection between the subgroups")
+        phi = dict(pairs)
+        if any(phi[table[1][i][j]] != table[-1][phi[i]][phi[j]] for i in phi for j in phi):
+            raise StructureError("phi does not respect the multiplication tables")
+        self.image = {
+            1: [self.assoc[-1][phi[i]] for i in range(len(phi))],
+            -1: [self.assoc[1][i] for i in sorted(phi, key=phi.get)],
+        }
 
     def element_index(self, alpha: int, word: Sequence[str]) -> Optional[int]:
         """Index of the subgroup element equal to ``word``, or None."""
@@ -68,46 +90,6 @@ class HnnPresentation:
             if self.base.is_identity(tuple(word) + invert_word(rep)):
                 return i
         return None
-
-    def _mult_index(self, alpha: int, i: int, j: int) -> Optional[int]:
-        return self.element_index(alpha, self.assoc[alpha][i] + self.assoc[alpha][j])
-
-    def _validate_subgroups(self) -> None:
-        for alpha in (1, -1):
-            reps = self.assoc[alpha]
-            if not reps:
-                raise StructureError("associated subgroups must contain 1")
-            # distinct elements, closed under product and inverse, contain 1
-            for i, r in enumerate(reps):
-                for j in range(i + 1, len(reps)):
-                    if self.base.is_identity(r + invert_word(reps[j])):
-                        raise StructureError("duplicate subgroup element")
-            if self.element_index(alpha, ()) is None:
-                raise StructureError("associated subgroup misses the identity")
-            for i in range(len(reps)):
-                if self.element_index(alpha, invert_word(reps[i])) is None:
-                    raise StructureError("subgroup not closed under inverse")
-                for j in range(len(reps)):
-                    if self._mult_index(alpha, i, j) is None:
-                        raise StructureError("subgroup not closed under product")
-
-    def _validate_phi(self) -> None:
-        n = len(self.assoc[1])
-        for i in range(n):
-            for j in range(n):
-                k = self._mult_index(1, i, j)
-                img = self.element_index(
-                    -1, self.assoc[-1][self.phi[i]] + self.assoc[-1][self.phi[j]]
-                )
-                if img != self.phi[k]:
-                    raise StructureError("phi does not respect the multiplication tables")
-
-    def phi_image(self, alpha: int, index: int) -> tuple:
-        """Representative word of phi^alpha applied to element ``index`` of A(alpha)."""
-        if alpha == 1:
-            return self.assoc[-1][self.phi[index]]
-        inv = {v: k for k, v in self.phi.items()}
-        return self.assoc[1][inv[index]]
 
 
 def _find_cycle_reduction(h: HnnPresentation, shape: ShapeInfo):
@@ -144,7 +126,7 @@ def _find_cycle_reduction(h: HnnPresentation, shape: ShapeInfo):
                 continue
             idx = h.element_index(alpha, tuple(word))
             if idx is not None:
-                return p, ok, edges, h.phi_image(alpha, idx)
+                return p, ok, edges, h.image[alpha][idx]
     return None
 
 
@@ -156,23 +138,19 @@ def hnn_saturate(h: HnnPresentation, nfa: Nfa) -> bool:
 
     # Phase 2: shortcut reduction paths across components.  A shortcut joins
     # p to a q it already reaches, so the components, and ``shape``, stay.
+    # Shortcuts spell base words, so the stable-letter edges stay too: a
+    # path p -> p2 reading t^-alpha, then q2 -> q reading t^alpha.
+    stable_edges = {a: [(p, q) for (p, x, q) in b.edges if x == a] for a in (t, ti)}
+    power = {1: t, -1: ti}
     added: Set[tuple] = set()
     while True:
         base = b.restrict(h.base.alphabet)
-        t_in = {}  # alpha -> list of (p, p') reading t^{-alpha}
-        t_out = {}  # alpha -> list of (q', q) reading t^{alpha}
-        t_in[1] = [(p, q) for (p, a, q) in b.edges if a == ti]
-        t_in[-1] = [(p, q) for (p, a, q) in b.edges if a == t]
-        t_out[1] = [(p, q) for (p, a, q) in b.edges if a == t]
-        t_out[-1] = [(p, q) for (p, a, q) in b.edges if a == ti]
         grew = False
         for alpha in (1, -1):
-            for (p, p2) in t_in[alpha]:
+            for (p, p2) in stable_edges[power[-alpha]]:
                 reach = base.forward(p2)
-                for (q2, q) in t_out[alpha]:
-                    if q2 not in reach:
-                        continue
-                    if shape.comp_of[p] == shape.comp_of[q]:
+                for (q2, q) in stable_edges[power[alpha]]:
+                    if q2 not in reach or shape.comp_of[p] == shape.comp_of[q]:
                         continue
                     for idx, rep in enumerate(h.assoc[alpha]):
                         key = (p, q, alpha, idx)
@@ -180,7 +158,7 @@ def hnn_saturate(h: HnnPresentation, nfa: Nfa) -> bool:
                             continue
                         if h.base.reaches(base, p2, q2, rep):
                             added.add(key)
-                            b.path(p, h.phi_image(alpha, idx), q, "c")
+                            b.path(p, h.image[alpha][idx], q, "c")
                             grew = True
         if not grew:
             break

@@ -141,19 +141,15 @@ class ZOracle(GroupOracle):
     """The integers; knapsack-automaton membership via skeletons + Diophantine."""
 
     def __init__(self, letter: str = "a"):
-        self.letter = letter
         self.letters = (letter, inverse_letter(letter))
+        self.weight = {letter: 1, self.letters[1]: -1}
         self.alphabet = plain_alphabet(self.letters)
 
-    def _weight(self, a: str) -> int:
-        if a == self.letter:
-            return 1
-        if a == inverse_letter(self.letter):
-            return -1
-        raise StructureError(f"letter {a!r} outside the Z alphabet")
-
     def value(self, word) -> int:
-        return sum(self._weight(a) for a in word)
+        try:
+            return sum(self.weight[a] for a in word)
+        except KeyError as exc:
+            raise StructureError(f"letter {exc.args[0]!r} outside the Z alphabet") from None
 
     def is_identity(self, word) -> bool:
         return self.value(word) == 0
@@ -241,26 +237,19 @@ class FreeProductOracle(GroupOracle):
         return self.left if i == 0 else self.right
 
     def is_identity(self, word) -> bool:
-        """Syllable folding: drop trivial syllables, merge neighbors, repeat."""
-        blocks: List[Tuple[int, List[str]]] = []
+        """One syllable stack: a letter joins the top syllable if it is of the
+        same factor and starts a new one otherwise; a syllable that spells 1
+        is popped, so the stack holds a reduced alternating product."""
+        stack: List[Tuple[int, List[str]]] = []
         for a in word:
             f = self.factor_of(a)
-            if blocks and blocks[-1][0] == f:
-                blocks[-1][1].append(a)
+            if stack and stack[-1][0] == f:
+                stack[-1][1].append(a)
             else:
-                blocks.append((f, [a]))
-        changed = True
-        while changed:
-            changed = False
-            for i, (f, letters) in enumerate(blocks):
-                if self.factor(f).is_identity(letters):
-                    del blocks[i]
-                    if 0 < i <= len(blocks) - 1 and blocks[i - 1][0] == blocks[i][0]:
-                        blocks[i - 1][1].extend(blocks[i][1])
-                        del blocks[i]
-                    changed = True
-                    break
-        return not blocks
+                stack.append((f, [a]))
+            if self.factor(f).is_identity(stack[-1][1]):
+                stack.pop()
+        return not stack
 
     def _member_impl(self, nfa: Nfa, target_word) -> bool:
         from .freeprod import free_product_saturate

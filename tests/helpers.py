@@ -430,6 +430,31 @@ def knapsack_chain(alphabet: IndependenceAlphabet, bases, prepend=()):
     return equation_chain(alphabet, [tuple(prepend)] + [()] * len(bases), bases)
 
 
+def folded_free_product_is_identity(oracle, word) -> bool:
+    """The word problem of a ``FreeProductOracle`` by syllable folding: drop
+    the first trivial syllable, merge its neighbors if they are of one
+    factor, and start again until no syllable is trivial."""
+    blocks: List[Tuple[int, List[str]]] = []
+    for a in word:
+        f = oracle.factor_of(a)
+        if blocks and blocks[-1][0] == f:
+            blocks[-1][1].append(a)
+        else:
+            blocks.append((f, [a]))
+    changed = True
+    while changed:
+        changed = False
+        for i, (f, letters) in enumerate(blocks):
+            if oracle.factor(f).is_identity(letters):
+                del blocks[i]
+                if 0 < i <= len(blocks) - 1 and blocks[i - 1][0] == blocks[i][0]:
+                    blocks[i - 1][1].extend(blocks[i][1])
+                    del blocks[i]
+                changed = True
+                break
+    return not blocks
+
+
 def lift_identified(v, f, dimension: int) -> tuple:
     """Lift a vector over the representatives of ``f`` to all ``dimension`` positions."""
     reps = sorted(set(f[i] for i in range(dimension)))

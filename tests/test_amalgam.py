@@ -9,6 +9,7 @@ from ggsolve.transfer import (
     AmalgamPresentation,
     FiniteGroupOracle,
     amalgam_knapsack,
+    amalgam_to_hnn,
     phi_transform,
 )
 
@@ -58,6 +59,54 @@ class TestPresentation:
                 {"1": (), "z": ("g",)},  # g has order 4, not 2
                 {"1": (), "z": ("h", "h")},
             )
+
+    def test_against_residue_reference(self):
+        """F = Z/1 or Z/2 with random, homomorphic or trivial embeddings into
+        Z/n and Z/m (residues spelled as runs of a letter or its inverse), an F
+        table entry changed or every product 1 now and then, and sometimes
+        the wrong identity: a presentation is accepted exactly when each
+        embedding is injective, sends the identity to 0 and respects the
+        table, and its HNN-extension is accepted too.  Under the all-1 table
+        only the duplicate element shows a trivial embedding."""
+        rng = random.Random(24)
+        seen = {True: 0, False: 0}
+        for _ in range(1500):
+            fs = rng.choice([("1",), ("1", "z")])
+            ftable = {(f, g): fs[(fs.index(f) + fs.index(g)) % len(fs)] for f in fs for g in fs}
+            table_kind = rng.random()
+            if table_kind < 0.2:
+                ftable[rng.choice(list(ftable))] = rng.choice(fs)
+            elif table_kind < 0.3:
+                ftable = dict.fromkeys(ftable, "1")
+            fid = rng.choice(fs) if rng.random() < 0.2 else "1"
+            factors, embeds, valid = [], [], True
+            for letter in "gh":
+                n = rng.randint(1, 6)
+                kind = rng.random()
+                if kind < 0.4:
+                    image = {f: rng.randrange(n) for f in fs}
+                elif kind < 0.8:  # a homomorphism, injective when n is even
+                    image = {f: fs.index(f) * (n // 2 if n % 2 == 0 else 0) for f in fs}
+                else:
+                    image = dict.fromkeys(fs, 0)
+                valid = valid and (
+                    len(set(image.values())) == len(fs)
+                    and image[fid] == 0
+                    and all((image[f] + image[g] - image[fg]) % n == 0 for (f, g), fg in ftable.items())
+                )
+                factors.append(FiniteGroupOracle(n, letter))
+                inv = letter + "'"
+                embeds.append({
+                    f: (letter,) * r if rng.random() < 0.5 else (inv,) * ((n - r) % n)
+                    for f, r in image.items()
+                })
+            if not valid:
+                with pytest.raises(StructureError):
+                    AmalgamPresentation(*factors, fs, ftable, fid, *embeds)
+            else:
+                amalgam_to_hnn(AmalgamPresentation(*factors, fs, ftable, fid, *embeds))
+            seen[valid] += 1
+        assert min(seen.values()) >= 300, seen
 
 
 class TestPhiTransform:

@@ -412,6 +412,8 @@ class TestMalformedInput:
              "line 3: second expect-exit directive"),
             ("solve", "gens a # mode exact\neq\npow a x\nconst a' # mode search\n",
              "line 4: second mode directive"),
+            ("hnn", "oracle B finite-cyclic 2 g\nhnn base B stable t\nassoc + _\nassoc + g\n"
+             "assoc - _\nphi _ -> _\nphi g -> _\nitem t g t'\ntarget _\n", "line 2: hnn block"),
         ],
         ids=["product-cycle", "product-cycle-through-another", "second-problem-block",
              "second-initial-state", "coset-repeated", "second-target", "second-onecoset",
@@ -420,7 +422,7 @@ class TestMalformedInput:
              "constS-bare", "onecoset-bare", "fid-bare", "assoc-bare", "state-flag-typo",
              "state-repeated", "second-ftable-row", "second-fmap-row", "felem-repeated",
              "z-extra-argument", "finite-cyclic-extra-argument", "graph-extra-argument",
-             "second-eqH", "second-expect-exit", "second-mode"],
+             "second-eqH", "second-expect-exit", "second-mode", "phi-not-injective"],
     )
     def test_malformed_block_exits_3(self, tmp_path, capsys, command, text, where):
         """An oracle that is its own factor, a second problem block, a second initial
@@ -431,7 +433,8 @@ class TestMalformedInput:
         silent choice; so is a head or an oracle kind with too few or too many
         arguments, with its syntax.  An unknown oracle is one on the line that
         names it.  A second ``# expect-exit`` or ``# mode`` comment is an error on
-        its line too."""
+        its line too.  So is an hnn block whose phi sends both elements of Z/2 to 1
+        (it was answered solvable, though t g t' is not 1)."""
         assert run_cli([command, write(tmp_path, text)])[0] == 3
         assert f"parse error: {where}" in capsys.readouterr().err
 
@@ -506,6 +509,8 @@ class TestOptimizedInterpreter:
             "tests/test_cli.py::TestFailClosed",
             "tests/test_cli.py::TestFailClosed::test_dropped_stack_entry_exits_4",
             "tests/test_saturation.py::TestHnnSaturate",
+            "tests/test_saturation.py::TestHnnPresentationValidation",
+            "tests/test_amalgam.py::TestPresentation",
             "tests/test_saturation.py::TestFailClosed",
             "tests/test_saturation.py::TestReaches",
             "tests/test_cli.py::TestVerifyCommand::test_malformed_assign_exits_3",

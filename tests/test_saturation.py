@@ -59,6 +59,67 @@ class TestHnnPresentationValidation:
         with pytest.raises(StructureError):
             HnnPresentation(base, [(), ("g",)], [(), ("g",)], [((), ()), (("g",), ("g",))])
 
+    def test_against_residue_reference(self):
+        """Over Z/1..Z/6, with 0-3 reps spelled as runs of g or g' (subgroups,
+        shuffled, with an element repeated or replaced, or random) and phi pairs
+        as a random permutation or drawn at random: a presentation is accepted
+        exactly when each list spells a subgroup, each element once, and phi
+        is an isomorphism between them; ``image`` is then phi and phi^-1."""
+        rng = random.Random(24)
+        seen = {True: 0, False: 0}
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            base = FiniteGroupOracle(n, "g")
+            order = rng.choice([k for k in (1, 2, 3) if n % k == 0])
+
+            def residues():
+                if rng.random() < 0.2:
+                    return [rng.randrange(n) for _ in range(rng.randint(0, 3))]
+                rs = [i * n // order for i in range(order)]
+                rng.shuffle(rs)
+                if rng.random() < 0.2:
+                    rs[rng.randrange(order)] = rng.randrange(n)
+                if rng.random() < 0.1:
+                    rs.append(rng.choice(rs))
+                return rs
+
+            def spell(r):
+                k = rng.randint(0, 1) * n
+                return ("g",) * (r + k) if rng.random() < 0.5 else ("g'",) * ((n - r) % n + k)
+
+            pos, neg = residues(), residues()
+            if rng.random() < 0.7 and len(pos) == len(neg):
+                keys = list(range(len(pos)))
+                rng.shuffle(keys)
+                pairs = [(pos[i], neg[j]) for i, j in enumerate(keys)]
+            else:
+                pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+
+            def subgroup(rs):
+                closed = all((a + b) % n in rs for a in rs for b in rs)
+                return bool(rs) and len(set(rs)) == len(rs) and closed
+
+            phi = dict(pairs)
+            valid = (
+                subgroup(pos)
+                and subgroup(neg)
+                and sorted(a for a, _ in pairs) == sorted(pos)
+                and sorted(b for _, b in pairs) == sorted(neg)
+                and all(phi[(a + b) % n] == (phi[a] + phi[b]) % n for a in phi for b in phi)
+            )
+            words = [spell(r) for r in pos], [spell(r) for r in neg]
+            spelled = [(spell(a), spell(b)) for a, b in pairs]
+            if not valid:
+                with pytest.raises(StructureError):
+                    HnnPresentation(base, *words, spelled)
+            else:
+                h = HnnPresentation(base, *words, spelled)
+                inverse = {b: a for a, b in pairs}
+                assert [base.eval_word(w) for w in h.image[1]] == [phi[a] for a in pos]
+                assert [base.eval_word(w) for w in h.image[-1]] == [inverse[b] for b in neg]
+            seen[valid] += 1
+        assert min(seen.values()) >= 500, seen
+
 
 def word_ka(letters, word):
     """Automaton accepting exactly one word."""

@@ -24,7 +24,12 @@ from ggsolve.transfer.kauto import (
     skeletons,
 )
 
-from helpers import brute_oracle, enumerate_accepted, knapsack_chain
+from helpers import (
+    brute_oracle,
+    enumerate_accepted,
+    folded_free_product_is_identity,
+    knapsack_chain,
+)
 from transfer_oracles import TableGroupOracle
 
 
@@ -250,6 +255,10 @@ class TestZOracle:
         assert z.ka_membership(nfa, ("a'", "a'"))
         assert z.ka_membership(nfa, ("a", "a", "a"))
 
+    def test_letter_outside_the_alphabet_is_refused(self):
+        with pytest.raises(StructureError, match="letter 'b' outside the Z alphabet"):
+            ZOracle("a").is_identity(("a", "b"))
+
 
 class TestFreeGroupOracle:
     def test_identity(self):
@@ -281,7 +290,42 @@ class TestGraphGroupOracle:
         assert not o.ka_membership(nfa, ("b", "a"))
 
 
+def _trivial_piece(rng, factor):
+    """A word of one factor that spells 1: u u^-1, or a generator to the order."""
+    if isinstance(factor, FiniteGroupOracle) and rng.random() < 0.4:
+        return [rng.choice(factor.letters)] * factor.n
+    u = [rng.choice(factor.letters) for _ in range(rng.randint(1, 3))]
+    return u + list(invert_word(u))
+
+
 class TestFreeProductOracle:
+    def test_one_stack_agrees_with_syllable_folding(self):
+        """Over Z/n * Z/m and Z * Z/m, on words built by inserting pieces at
+        random places: pieces that spell 1 (so the word does), then random
+        pieces or one letter inverted."""
+        rng = random.Random(24)
+        seen = {True: 0, False: 0}
+        for _ in range(2000):
+            m = rng.randint(1, 5)
+            left = ZOracle("a") if rng.random() < 0.5 else FiniteGroupOracle(rng.randint(1, 5), "g")
+            fp = FreeProductOracle(left, FiniteGroupOracle(m, "h"))
+            word: list = []
+            for _ in range(rng.randint(0, 5)):
+                factor = rng.choice((fp.left, fp.right))
+                if rng.random() < 0.2:
+                    piece = [rng.choice(factor.letters) for _ in range(rng.randint(1, 3))]
+                else:
+                    piece = _trivial_piece(rng, factor)
+                at = rng.randint(0, len(word))
+                word[at:at] = piece
+            if word and rng.random() < 0.2:
+                at = rng.randrange(len(word))
+                word[at] = invert_word([word[at]])[0]
+            got = fp.is_identity(word)
+            assert got == folded_free_product_is_identity(fp, word), word
+            seen[got] += 1
+        assert min(seen.values()) >= 500, seen
+
     def test_identity_syllables(self):
         z2 = FiniteGroupOracle(2, "g")
         z3 = FiniteGroupOracle(3, "h")
