@@ -623,13 +623,7 @@ def build_oracle(inst: Instance, name: str, search_cap: int):
     """The oracle named ``name``; an oracle that fails construction, or a ``product``
     that is its own factor through a cycle of products, is a FormatError on its line,
     and an unknown name one on the line of the block or ``product`` naming it."""
-    from .transfer.oracles import (
-        FiniteGroupOracle,
-        FreeGroupOracle,
-        FreeProductOracle,
-        GraphGroupOracle,
-        ZOracle,
-    )
+    from .transfer.oracles import FiniteGroupOracle, FreeProductOracle, GraphGroupOracle
 
     def build(name: str, within: tuple, line: Optional[int]):
         if name not in inst.oracles:
@@ -640,17 +634,17 @@ def build_oracle(inst: Instance, name: str, search_cap: int):
             cycle = " -> ".join(within[within.index(name) :] + (name,))
             raise FormatError(f"product oracles form a cycle: {cycle}", spec.line)
         try:
-            if kind == "z":
-                return ZOracle(args[0] if args else "a")
-            if kind == "free":
-                return FreeGroupOracle(args)
             if kind == "finite-cyclic":
                 if not args[0].isdecimal() or int(args[0]) < 1:
                     raise FormatError("finite-cyclic takes an order of at least 1", spec.line)
                 return FiniteGroupOracle(int(args[0]), args[1] if len(args) > 1 else "g")
             if kind == "product":
                 return FreeProductOracle(*(build(arg, within + (name,), spec.line) for arg in args))
-            return GraphGroupOracle(inst.require_alphabet(), search_cap)
+            # z, free and graph: over one letter, over letters with no edges, over the alphabet
+            if kind == "graph":
+                return GraphGroupOracle(inst.require_alphabet(), search_cap)
+            letters = IndependenceAlphabet(args or ("a",))
+            return GraphGroupOracle(DoubledAlphabet(letters), search_cap)
         except (StructureError, TraceError) as exc:
             raise FormatError(f"oracle {name}: {exc}", spec.line) from exc
 

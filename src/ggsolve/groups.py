@@ -22,7 +22,7 @@ trace is read.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import AlphabetMismatchError, InternalError, ResourceExceeded, TraceError
 from .traces import IndependenceAlphabet, Pile, Trace, _canonical_word, empty_trace
@@ -44,6 +44,14 @@ def invert_word(word: Sequence[str]) -> tuple:
 def invert_codes(codes: Sequence[int]) -> tuple:
     """``invert_word`` on doubled-alphabet codes."""
     return tuple([c ^ 1 for c in reversed(codes)])
+
+
+def letter_balance(alphabet: DoubledAlphabet, codes: Iterable[int]) -> List[int]:
+    """Per base letter of ``alphabet``, its occurrences in ``codes`` minus those of its inverse."""
+    balance = [0] * len(alphabet.base.letters)
+    for code in codes:
+        balance[code >> 1] += -1 if code & 1 else 1
+    return balance
 
 
 class DoubledAlphabet(IndependenceAlphabet):

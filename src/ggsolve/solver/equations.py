@@ -22,6 +22,7 @@ from ..groups import (
     cyclic_reduce,
     free_reduce,
     identity,
+    letter_balance,
     mult,
     power_nf,
 )
@@ -221,14 +222,6 @@ def _memo_holds(e: ExponentEquation):
     return holds
 
 
-def _letter_balance(g: GroupElement) -> List[int]:
-    """Per base letter, its occurrences in g minus those of its inverse."""
-    balance = [0] * len(g.alphabet.base.letters)
-    for code in g.codes:
-        balance[code >> 1] += -1 if code & 1 else 1
-    return balance
-
-
 def abelian_relaxation(e: ExponentEquation) -> DiophantineSystem:
     """Letter-count balance per generator; unsolvable system => unsolvable equation."""
     gens = e.alphabet.base.letters
@@ -238,11 +231,11 @@ def abelian_relaxation(e: ExponentEquation) -> DiophantineSystem:
     a = [0] * len(gens)
     for item in e.items:
         if isinstance(item, Const):
-            for gi, count in enumerate(_letter_balance(item.value)):
+            for gi, count in enumerate(letter_balance(e.alphabet, item.value.codes)):
                 a[gi] -= count
         else:
             j = var_index[item.var]
-            for gi, count in enumerate(_letter_balance(item.base)):
+            for gi, count in enumerate(letter_balance(e.alphabet, item.base.codes)):
                 A[gi][j] += count
     return DiophantineSystem(A, a)
 

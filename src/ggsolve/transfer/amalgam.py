@@ -14,12 +14,14 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..errors import StructureError
 from ..groups import inverse_letter
-from .hnn import HnnPresentation, hnn_knapsack, subgroup_table
+from .hnn import HnnPresentation, hnn_knapsack
 from .oracles import FreeProductOracle, GroupOracle
 
 
 class AmalgamPresentation:
-    """Two factor oracles plus an abstract finite group F embedded in both."""
+    """Two factor oracles plus an abstract finite group F embedded in both, and
+    ``hnn``: the HNN-extension of the free product G0*G1 with A(+1) = phi0(F),
+    A(-1) = phi1(F) and phi0(f) -> phi1(f), which G0 *_F G1 embeds into."""
 
     def __init__(
         self,
@@ -42,11 +44,22 @@ class AmalgamPresentation:
         taken = set(self.letters)
         names = ("t" + str(i or "") for i in itertools.count())
         self.stable = next(t for t in names if not {t, inverse_letter(t)} & taken)
-        self._validate()
+        self._validate_f()
+        pos = [self.embed_left[f] for f in self.f_elements]
+        neg = [self.embed_right[f] for f in self.f_elements]
+        # a duplicate image here is an embedding that is not injective
+        base = FreeProductOracle(left, right)
+        self.hnn = HnnPresentation(base, pos, neg, list(zip(pos, neg)), self.stable)
+        # phi pairs the i-th images, so the HNN check has made the right table
+        # equal to the left one; F's identity, its own square, maps to 1 on both
+        index = {f: i for i, f in enumerate(self.f_elements)}
+        if self.hnn.table[1] != [[index[self.f_table[f, g]] for g in index] for f in index]:
+            raise StructureError("embedding is not a homomorphism")
 
-    def _validate(self) -> None:
-        if set(self.left.letters) & set(self.right.letters):
-            raise StructureError("amalgam factors must use disjoint letters")
+    def _validate_f(self) -> None:
+        """F's table is total over F, F's identity is its own square, and both
+        embeddings name every element of F with a word over their own factor
+        (the HNN check reads them in the free product, where either would do)."""
         elements = set(self.f_elements)
         if self.f_identity not in elements:
             raise StructureError(f"F identity {self.f_identity!r} is not an F element")
@@ -56,25 +69,12 @@ class AmalgamPresentation:
             for g in self.f_elements:
                 if self.f_table.get((f, g)) not in elements:
                     raise StructureError(f"F table has no element for ({f},{g})")
-        index = {f: i for i, f in enumerate(self.f_elements)}
         for oracle, embed in ((self.left, self.embed_left), (self.right, self.embed_right)):
-            if not oracle.is_identity(embed[self.f_identity]):
-                raise StructureError("F identity must embed to the identity")
-            # a duplicate element here is an embedding that is not injective
-            table = subgroup_table(oracle, [embed[f] for f in self.f_elements])
-            for f in self.f_elements:
-                for g in self.f_elements:
-                    if table[index[f]][index[g]] != index[self.f_table[f, g]]:
-                        raise StructureError("embedding is not a homomorphism")
-
-
-def amalgam_to_hnn(am: AmalgamPresentation) -> HnnPresentation:
-    """The HNN-extension of the free product G0*G1 with A(+1)=phi0(F), A(-1)=phi1(F)."""
-    base = FreeProductOracle(am.left, am.right)
-    assoc_pos = [am.embed_left[f] for f in am.f_elements]
-    assoc_neg = [am.embed_right[f] for f in am.f_elements]
-    phi_pairs = [(am.embed_left[f], am.embed_right[f]) for f in am.f_elements]
-    return HnnPresentation(base, assoc_pos, assoc_neg, phi_pairs, am.stable)
+            outside = {a for w in embed.values() for a in w}.difference(oracle.letters)
+            if outside:
+                raise StructureError(f"letter {min(outside)!r} outside the oracle's alphabet")
+        if self.f_table[self.f_identity, self.f_identity] != self.f_identity:
+            raise StructureError(f"F identity {self.f_identity!r} is not its own square")
 
 
 def phi_transform(am: AmalgamPresentation, word: Sequence[str]) -> tuple:
@@ -97,7 +97,5 @@ def amalgam_knapsack(
     target: Sequence[str],
 ) -> bool:
     """Knapsack over G0 *_F G1 via the HNN embedding (equisolvable instance)."""
-    h = amalgam_to_hnn(am)
     bases = [phi_transform(am, w) for w in base_words]
-    tgt = phi_transform(am, target)
-    return hnn_knapsack(h, bases, tgt)
+    return hnn_knapsack(am.hnn, bases, phi_transform(am, target))

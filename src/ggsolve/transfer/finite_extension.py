@@ -66,15 +66,23 @@ class FiniteExtension:
         return tuple(g_out), c
 
     def validate(self) -> None:
-        """c * b * b^{-1} must rewrite back to c with a trivial G-part."""
+        """c * b * b^{-1} must rewrite back to c with a trivial G-part, and so
+        must each of G's relators over the letters the table rewrites, read
+        from every coset c: H has them as relations too."""
+        letters = {letter for _, letter in self.table}
+        relators = [r for r in self.g_oracle.relators() if letters.issuperset(r)]
         for c in self.cosets:
             for b in self.ext_letters:
                 for letter in (b, inverse_letter(b)):
                     gw, c2 = self.rewrite(c, (letter, inverse_letter(letter)))
-                    if c2 != c or not self.g_oracle.is_identity(gw):
+                    if c2 != c or gw and not self.g_oracle.is_identity(gw):
                         raise StructureError(
                             f"rewriting table inconsistent at ({c},{letter})"
                         )
+            for r in relators:
+                gw, c2 = self.rewrite(c, r)
+                if c2 != c or not self.g_oracle.is_identity(gw):
+                    raise StructureError(f"relator {' '.join(r)} is not 1 read from coset {c}")
 
 
 def finite_ext_reduce(

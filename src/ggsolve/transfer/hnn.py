@@ -52,8 +52,9 @@ def subgroup_table(oracle: GroupOracle, words: Sequence[Sequence[str]]) -> List[
 
 class HnnPresentation:
     """Base oracle, finite associated subgroups A(+1), A(-1) (as representative
-    words), the stable letter, and ``image[alpha][i]``: the representative of
-    phi^alpha applied to element i of A(alpha)."""
+    words), the stable letter, ``table[alpha]``: the ``subgroup_table`` of
+    A(alpha), and ``image[alpha][i]``: the representative of phi^alpha applied
+    to element i of A(alpha)."""
 
     def __init__(
         self,
@@ -69,7 +70,7 @@ class HnnPresentation:
         self.stable = stable
         self.assoc = {1: [tuple(w) for w in assoc_pos], -1: [tuple(w) for w in assoc_neg]}
         self.letters = tuple(base.letters) + (stable, inverse_letter(stable))
-        table = {alpha: subgroup_table(base, self.assoc[alpha]) for alpha in (1, -1)}
+        self.table = table = {alpha: subgroup_table(base, self.assoc[alpha]) for alpha in (1, -1)}
         pairs = [(self.element_index(1, wp), self.element_index(-1, wn)) for wp, wn in phi_pairs]
         if any(None in pair for pair in pairs):
             raise StructureError("phi pair outside the associated subgroups")

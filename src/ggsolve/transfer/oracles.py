@@ -1,18 +1,19 @@
 """Base-group oracles: the pluggable contract behind the transfer algorithms.
 
 An oracle answers the word problem and knapsack-automaton membership for its
-group.  Implementations: finite cyclic groups on residues mod n, the
-integers, free groups via Benois saturation, graph groups via the solver, and
-free products (which close the loop with the saturation algorithms).
+group.  Implementations: finite cyclic groups on residues mod n, graph groups
+(Z^k, free groups and the rest, each by the route its graph's shape picks),
+and free products (which close the loop with the saturation algorithms).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 from ..automata import EPS, Nfa, benois_member
-from ..errors import AlphabetMismatchError, LimitsExceeded, StructureError
-from ..groups import DoubledAlphabet, free_reduce, inverse_letter, invert_word
+from ..errors import AlphabetMismatchError, LimitsExceeded, StructureError, UnknownLetterError
+from ..groups import DoubledAlphabet, _reduce_tagged, inverse_letter, invert_word, letter_balance
 from ..semilinear import DiophantineSystem, diophantine_solve
 from ..traces import IndependenceAlphabet
 from .kauto import Restriction, equation_chain, plain_alphabet, skeletons
@@ -34,6 +35,12 @@ class GroupOracle:
     alphabet: IndependenceAlphabet
 
     def is_identity(self, word: Sequence[str]) -> bool:
+        """Does ``word`` spell 1?  StructureError for a letter outside ``letters``."""
+        raise NotImplementedError
+
+    def relators(self) -> List[tuple]:
+        """Words that spell 1 and, as relators on ``letters``, present the group;
+        a finite extension's table must read each as 1 from every coset."""
         raise NotImplementedError
 
     def _member_impl(self, nfa: Nfa, target_word: tuple) -> bool:
@@ -93,10 +100,16 @@ class FiniteGroupOracle(GroupOracle):
         self.alphabet = plain_alphabet(self.letters)
 
     def eval_word(self, word: Sequence[str]) -> int:
-        return sum(self.weight[a] for a in word) % self.n
+        try:
+            return sum(self.weight[a] for a in word) % self.n
+        except KeyError as exc:
+            raise StructureError(f"letter {exc.args[0]!r} outside the oracle's alphabet") from None
 
     def is_identity(self, word) -> bool:
         return self.eval_word(word) == 0
+
+    def relators(self) -> List[tuple]:
+        return [(self.letters[0],) * self.n]
 
     def _search(self, out: Dict, start) -> Dict:
         """State -> bit mask of the residues that paths from ``start`` along
@@ -137,67 +150,65 @@ class FiniteGroupOracle(GroupOracle):
         return bool(masks.get(q, 0) >> self.eval_word(target_word) & 1)
 
 
-class ZOracle(GroupOracle):
-    """The integers; knapsack-automaton membership via skeletons + Diophantine."""
-
-    def __init__(self, letter: str = "a"):
-        self.letters = (letter, inverse_letter(letter))
-        self.weight = {letter: 1, self.letters[1]: -1}
-        self.alphabet = plain_alphabet(self.letters)
-
-    def value(self, word) -> int:
-        try:
-            return sum(self.weight[a] for a in word)
-        except KeyError as exc:
-            raise StructureError(f"letter {exc.args[0]!r} outside the Z alphabet") from None
-
-    def is_identity(self, word) -> bool:
-        return self.value(word) == 0
-
-    def knapsack(self, v_words, u_words) -> bool:
-        """One equation sum(v) + sum(y_i u_i) = 0 over N^n.  The chain's
-        skeletons (each subset of entered powers, 1 + y copies of each) cover
-        the same N^n, so this answers as ``ka_membership`` of the chain; it
-        leaves the memo alone."""
-        d = DiophantineSystem([[self.value(u) for u in u_words]], [-sum(map(self.value, v_words))])
-        return diophantine_solve(d) is not None
-
-    def _member_impl(self, nfa: Nfa, target_word) -> bool:
-        """One ``knapsack`` equation per skeleton, with target^-1 ahead of v0."""
-        head = invert_word(tuple(target_word))
-        return any(self.knapsack((head + vs[0],) + vs[1:], us) for vs, us in skeletons(nfa))
-
-
-class FreeGroupOracle(GroupOracle):
-    """A finitely generated free group; membership by Benois saturation."""
-
-    def __init__(self, base_letters: Sequence[str]):
-        self.alphabet = DoubledAlphabet(IndependenceAlphabet(tuple(base_letters)))
-        self.letters = self.alphabet.letters
-
-    def is_identity(self, word) -> bool:
-        return free_reduce(self.alphabet, word).is_identity()
-
-    def _member_impl(self, nfa: Nfa, target_word) -> bool:
-        return benois_member(nfa, tuple(target_word))
-
-
 class GraphGroupOracle(GroupOracle):
-    """A graph group; skeleton equations are delegated to the exponent solver."""
+    """The graph group of ``alphabet``'s base graph, by a route its shape fixes.
+
+    ``route`` is read once, here:
+    - ``clique``: every two base letters commute (one letter counts), so the
+      group is Z^k and a word is 1 when each letter balance is 0.  A knapsack
+      question is one Diophantine system of balances, exact on a clique.
+    - ``free``: no two commute, so the group is free; Benois saturation.
+    - ``solver``: any other graph; one chain equation per skeleton, through
+      ``solve_exact`` and then ``solve_search`` to ``search_cap``.
+    """
 
     def __init__(self, alphabet: DoubledAlphabet, search_cap: int):
         self.alphabet = alphabet
         self.letters = alphabet.letters
         self.search_cap = search_cap
+        k, edges = len(alphabet.base.letters), len(alphabet.base.independence)
+        self.route = "clique" if 2 * edges == k * (k - 1) else "solver" if edges else "free"
+
+    def _codes(self, word: Sequence[str]) -> tuple:
+        try:
+            return self.alphabet.encode(word)
+        except UnknownLetterError as exc:
+            raise StructureError(f"letter {exc.letter!r} outside the oracle's alphabet") from None
 
     def is_identity(self, word) -> bool:
-        return free_reduce(self.alphabet, word).is_identity()
+        codes = self._codes(word)
+        if self.route == "clique":
+            return not any(letter_balance(self.alphabet, codes))
+        return not _reduce_tagged(self.alphabet, codes)[0]
+
+    def relators(self) -> List[tuple]:
+        """The commutator a b a^-1 b^-1 of each independent pair a < b of base letters."""
+        pairs = sorted(tuple(sorted(pair)) for pair in self.alphabet.base.independence)
+        return [(a, b, inverse_letter(a), inverse_letter(b)) for a, b in pairs]
+
+    def knapsack(self, v_words, u_words) -> bool:
+        """On a clique, one system over N^n: the balances of u1..un as columns
+        and those of v0..vn, negated, as the right side.  The chain's skeletons
+        (each subset of entered powers, 1 + y copies of each) cover the same
+        N^n, so this answers as ``ka_membership`` of the chain; it leaves the
+        memo alone.  Elsewhere, ``ka_membership`` of the chain."""
+        if self.route != "clique":
+            return super().knapsack(v_words, u_words)
+        columns = [letter_balance(self.alphabet, self._codes(u)) for u in u_words]
+        const = letter_balance(self.alphabet, self._codes(tuple(chain.from_iterable(v_words))))
+        rows = [[column[i] for column in columns] for i in range(len(const))]
+        return diophantine_solve(DiophantineSystem(rows, [-x for x in const])) is not None
 
     def _member_impl(self, nfa: Nfa, target_word) -> bool:
-        """One ``chain_equation`` per skeleton, with target^-1 ahead of v0."""
+        """Benois on a free group; otherwise one question per skeleton, with
+        target^-1 ahead of v0: ``knapsack`` on a clique, the solver elsewhere."""
+        if self.route == "free":
+            return benois_member(nfa, target_word)
+        head = invert_word(target_word)
+        if self.route == "clique":
+            return any(self.knapsack((head + vs[0],) + vs[1:], us) for vs, us in skeletons(nfa))
         from ..solver import chain_equation, solve_exact, solve_search
 
-        head = invert_word(tuple(target_word))
         unknown = False
         for vs, us in skeletons(nfa):
             eq = chain_equation(self.alphabet, (head + vs[0],) + vs[1:], us)
@@ -236,19 +247,27 @@ class FreeProductOracle(GroupOracle):
     def factor(self, i: int) -> GroupOracle:
         return self.left if i == 0 else self.right
 
+    def relators(self) -> List[tuple]:
+        return self.left.relators() + self.right.relators()
+
     def is_identity(self, word) -> bool:
-        """One syllable stack: a letter joins the top syllable if it is of the
-        same factor and starts a new one otherwise; a syllable that spells 1
-        is popped, so the stack holds a reduced alternating product."""
+        """One syllable stack, each syllable asked once, when it closes: a
+        letter of the other factor than the top syllable's closes it, and it
+        is popped if it spells 1; the letter then joins the syllable below if
+        that is of its factor, and starts a new one otherwise.  The syllables
+        below the top are closed and not 1, so the stack holds a reduced
+        alternating product once the top is closed."""
         stack: List[Tuple[int, List[str]]] = []
         for a in word:
             f = self.factor_of(a)
+            if stack and stack[-1][0] != f and self.factor(1 - f).is_identity(stack[-1][1]):
+                stack.pop()
             if stack and stack[-1][0] == f:
                 stack[-1][1].append(a)
             else:
                 stack.append((f, [a]))
-            if self.factor(f).is_identity(stack[-1][1]):
-                stack.pop()
+        if len(stack) == 1 and self.factor(stack[0][0]).is_identity(stack[0][1]):
+            stack.pop()
         return not stack
 
     def _member_impl(self, nfa: Nfa, target_word) -> bool:

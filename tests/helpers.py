@@ -30,6 +30,7 @@ from ggsolve.groups import DoubledAlphabet, GroupElement, free_reduce, inverse_l
 from ggsolve.semilinear import SemilinearSet
 from ggsolve.slp import Slp, expand_capped, val_length
 from ggsolve.solver.equations import Const, ExponentEquation, Item, Power, _memo_holds
+from ggsolve.transfer import GraphGroupOracle
 from ggsolve.transfer.kauto import equation_chain
 
 
@@ -423,6 +424,12 @@ def quotient_cyclic_reduce(g: GroupElement):
             break
     p = GroupElement(Trace(alphabet, peeled))
     return p, GroupElement(w)
+
+
+def graph_oracle(letters, independence=(), cap: int = 15) -> GraphGroupOracle:
+    """The graph-group oracle on base ``letters`` with the ``independence`` pairs:
+    over one letter what ``oracle G z a`` builds, with no pairs what ``free`` does."""
+    return GraphGroupOracle(DoubledAlphabet(IndependenceAlphabet(tuple(letters), independence)), cap)
 
 
 def knapsack_chain(alphabet: IndependenceAlphabet, bases, prepend=()):

@@ -40,7 +40,6 @@ from ggsolve.transfer import (
     FiniteGroupOracle,
     FreeProductOracle,
     HnnPresentation,
-    ZOracle,
     finite_ext_reduce,
     free_product_saturate,
     hnn_saturate,
@@ -56,6 +55,7 @@ from helpers import (
     equation,
     equivalence_class,
     from_word,
+    graph_oracle,
     iter_prefixes,
     knapsack_chain,
     power,
@@ -400,7 +400,7 @@ def test_criterion_09_compressed_path():
 
 
 def _dinf_extension():
-    z = ZOracle("a")
+    z = graph_oracle("a")
     table = {
         ("1", "a"): (("a",), "1"),
         ("1", "a'"): (("a'",), "1"),
@@ -462,7 +462,7 @@ def test_criterion_11_hnn_and_free_products():
         if not got:
             assert not brute, (bases, target)
     # free products: F2 = Z * Z cross-checked against Benois saturation
-    fp = FreeProductOracle(ZOracle("a"), ZOracle("b"))
+    fp = FreeProductOracle(graph_oracle("a"), graph_oracle("b"))
     dbl = DoubledAlphabet(IndependenceAlphabet("ab"))
     letters2 = ("a", "a'", "b", "b'")
     for _ in range(50):

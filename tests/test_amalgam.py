@@ -9,7 +9,6 @@ from ggsolve.transfer import (
     AmalgamPresentation,
     FiniteGroupOracle,
     amalgam_knapsack,
-    amalgam_to_hnn,
     phi_transform,
 )
 
@@ -60,6 +59,17 @@ class TestPresentation:
                 {"1": (), "z": ("h", "h")},
             )
 
+    def test_image_outside_its_factor_rejected(self):
+        """A left image spelled in the right factor is refused, though the
+        free product's HNN-extension alone would take it."""
+        f_table = {("1", "1"): "1", ("1", "z"): "z", ("z", "1"): "z", ("z", "z"): "1"}
+        embed = {"1": (), "z": ("h", "h")}
+        with pytest.raises(StructureError, match="letter 'h' outside the oracle's alphabet"):
+            AmalgamPresentation(
+                FiniteGroupOracle(4, "g"), FiniteGroupOracle(4, "h"),
+                ("1", "z"), f_table, "1", embed, embed,
+            )
+
     def test_against_residue_reference(self):
         """F = Z/1 or Z/2 with random, homomorphic or trivial embeddings into
         Z/n and Z/m (residues spelled as runs of a letter or its inverse), an F
@@ -103,8 +113,8 @@ class TestPresentation:
             if not valid:
                 with pytest.raises(StructureError):
                     AmalgamPresentation(*factors, fs, ftable, fid, *embeds)
-            else:
-                amalgam_to_hnn(AmalgamPresentation(*factors, fs, ftable, fid, *embeds))
+            else:  # accepted, its HNN-extension built and checked with it
+                AmalgamPresentation(*factors, fs, ftable, fid, *embeds)
             seen[valid] += 1
         assert min(seen.values()) >= 300, seen
 

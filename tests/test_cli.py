@@ -240,6 +240,13 @@ AMALGAM_Z4 = (
     "fmap 1 left _ right _\n"
 )
 AMALGAM_Z4_TAIL = "fmap z left g g right h h\nitem g\ntarget _\n"
+EXT_SWAP_PATH = (  # t swaps a and b, fixes c: not an automorphism, as a and c commute
+    "gens a b c\nindep a c\noracle G graph\nextension base G\ncosets 1 t\nonecoset 1\n"
+    "coset 1 gen a -> a 1\ncoset 1 gen a' -> a' 1\ncoset 1 gen b -> b 1\ncoset 1 gen b' -> b' 1\n"
+    "coset 1 gen c -> c 1\ncoset 1 gen c' -> c' 1\ncoset 1 gen t -> t\ncoset 1 gen t' -> t\n"
+    "coset t gen a -> b t\ncoset t gen a' -> b' t\ncoset t gen b -> a t\ncoset t gen b' -> a' t\n"
+    "coset t gen c -> c t\ncoset t gen c' -> c' t\ncoset t gen t -> 1\ncoset t gen t' -> 1\n"
+)
 
 
 class TestMalformedInput:
@@ -414,6 +421,8 @@ class TestMalformedInput:
              "line 4: second mode directive"),
             ("hnn", "oracle B finite-cyclic 2 g\nhnn base B stable t\nassoc + _\nassoc + g\n"
              "assoc - _\nphi _ -> _\nphi g -> _\nitem t g t'\ntarget _\n", "line 2: hnn block"),
+            ("finite-ext", EXT_SWAP_PATH + "eqH\npow t a c a' c' t' x\nconst t a c a' c' t'\n",
+             "line 4: extension block: relator a c a' c' is not 1 read from coset t"),
         ],
         ids=["product-cycle", "product-cycle-through-another", "second-problem-block",
              "second-initial-state", "coset-repeated", "second-target", "second-onecoset",
@@ -422,7 +431,8 @@ class TestMalformedInput:
              "constS-bare", "onecoset-bare", "fid-bare", "assoc-bare", "state-flag-typo",
              "state-repeated", "second-ftable-row", "second-fmap-row", "felem-repeated",
              "z-extra-argument", "finite-cyclic-extra-argument", "graph-extra-argument",
-             "second-eqH", "second-expect-exit", "second-mode", "phi-not-injective"],
+             "second-eqH", "second-expect-exit", "second-mode", "phi-not-injective",
+             "relator-not-kept"],
     )
     def test_malformed_block_exits_3(self, tmp_path, capsys, command, text, where):
         """An oracle that is its own factor, a second problem block, a second initial
@@ -434,7 +444,10 @@ class TestMalformedInput:
         arguments, with its syntax.  An unknown oracle is one on the line that
         names it.  A second ``# expect-exit`` or ``# mode`` comment is an error on
         its line too.  So is an hnn block whose phi sends both elements of Z/2 to 1
-        (it was answered solvable, though t g t' is not 1)."""
+        (it was answered solvable, though t g t' is not 1), and an extension
+        block whose table reads a relator of G, from some coset, as a word that
+        is not 1 (swapping a and b while a and c commute was answered
+        unsolvable)."""
         assert run_cli([command, write(tmp_path, text)])[0] == 3
         assert f"parse error: {where}" in capsys.readouterr().err
 
@@ -529,6 +542,7 @@ class TestOptimizedInterpreter:
             "tests/test_automata.py::TestGatedProduct::test_mixed_alphabets",
             "tests/test_finite_ext.py::TestZKnapsack",
             "tests/test_finite_ext.py::TestOrbitWalk",
+            "tests/test_finite_ext.py::TestRelators",
             "tests/test_finite_ext.py::TestFailClosed",
         ]
         proc = subprocess.run(
@@ -552,11 +566,12 @@ class TestBoundCommand:
 
 
 class TestGraphOracle:
-    """A transfer block over ``oracle G graph``: the HNN-extension of the free
-    group on a, b with trivial associated subgroups asks the exponent solver."""
+    """A transfer block over ``oracle G graph`` on the path a - c, b apart,
+    neither complete nor edgeless: the HNN-extension of that graph group with
+    trivial associated subgroups asks the exponent solver."""
 
-    HNN_FREE2 = (
-        "gens a b\noracle G graph\nhnn base G stable t\n"
+    HNN_PATH = (
+        "gens a b c\nindep a c\noracle G graph\nhnn base G stable t\n"
         "assoc + _\nassoc - _\nphi _ -> _\n"
     )
 
@@ -577,14 +592,14 @@ class TestGraphOracle:
 
     def test_solvable(self, tmp_path, monkeypatch):
         # a^15 b^1 a^1
-        text = self.HNN_FREE2 + "item a\nitem b\nitem a\ntarget " + "a " * 15 + "b a\n"
+        text = self.HNN_PATH + "item a\nitem b\nitem a\ntarget " + "a " * 15 + "b a\n"
         code, out, asked = self.run_counted(tmp_path, text, monkeypatch)
         assert (code, out) == (0, "status: solvable\n")
         assert asked > 0
 
     def test_unsolvable(self, tmp_path, monkeypatch):
         # a^x b^y = b a has no solution: a and b do not commute
-        text = self.HNN_FREE2 + "item a\nitem b\ntarget b a\n"
+        text = self.HNN_PATH + "item a\nitem b\ntarget b a\n"
         code, out, asked = self.run_counted(tmp_path, text, monkeypatch)
         assert (code, out) == (1, "status: unsolvable\n")
         assert asked > 0
@@ -602,7 +617,7 @@ class TestGraphOracle:
             return member(self, nfa, target_word)
 
         monkeypatch.setattr(GraphGroupOracle, "_member_impl", recorded)
-        path = write(tmp_path, self.HNN_FREE2 + "item a\nitem b\ntarget b a\n")
+        path = write(tmp_path, self.HNN_PATH + "item a\nitem b\ntarget b a\n")
         assert run_cli(["hnn", *flags, path]) == (1, "status: unsolvable\n")
         assert caps and set(caps) == {cap}
 
@@ -794,7 +809,7 @@ class TestMihailova:
 class TestGoldenCorpus:
     def test_exit_code_contract(self):
         paths = sorted(glob.glob(os.path.join(CORPUS, "*.gg")))
-        assert len(paths) == 20
+        assert len(paths) == 23
         for path in paths:
             inst = parse_instance(open(path).read())
             mode = ["--mode", inst.mode_hint] if inst.mode_hint else []
@@ -833,7 +848,7 @@ class TestGoldenCorpus:
         monkeypatch.setattr(cli, "parse_instance", counting)
         code, _ = run_cli(["--format", "machine", "bench", CORPUS])
         assert code == 0
-        assert len(calls) == 20
+        assert len(calls) == 23
 
     def test_unknown_mode_is_a_parse_error(self, tmp_path):
         body = "gens a b\neq\npow a x\npow b y\npow a z\nconst b\n"
@@ -866,7 +881,7 @@ class TestGoldenCorpus:
     def test_bench_runs(self):
         code, out = run_cli(["--format", "machine", "bench", CORPUS])
         assert code == 0
-        assert out.count("exit=") == 20
+        assert out.count("exit=") == 23
 
     def test_bench_gates_on_expect_exit(self, tmp_path):
         text = open(os.path.join(CORPUS, "01_z_double.gg")).read()
@@ -905,7 +920,7 @@ class TestRoundTrip:
         from ggsolve.formats import format_instance
 
         paths = sorted(glob.glob(os.path.join(CORPUS, "*.gg")))
-        assert len(paths) == 20
+        assert len(paths) == 23
         for path in paths:
             inst = parse_instance(open(path).read())
             text = format_instance(inst)

@@ -3,6 +3,8 @@ and the orbit walk against the product-and-filter reduction it replaced."""
 
 import contextlib
 import io
+import itertools
+import math
 import os
 import random
 
@@ -11,11 +13,18 @@ import pytest
 from ggsolve.cli import main
 from ggsolve.errors import FormatError, StructureError
 from ggsolve.formats import build_extension, parse_instance
-from ggsolve.groups import inverse_letter, invert_word
-from ggsolve.transfer import FiniteExtension, FiniteGroupOracle, ZOracle, finite_ext_reduce
+from ggsolve.groups import DoubledAlphabet, free_reduce, inverse_letter, invert_word, letter_balance
+from ggsolve.traces import IndependenceAlphabet
+from ggsolve.transfer import (
+    FiniteExtension,
+    FiniteGroupOracle,
+    FreeProductOracle,
+    GraphGroupOracle,
+    finite_ext_reduce,
+)
 from ggsolve.transfer.kauto import equation_chain
 
-from helpers import coset_of, is_identity_in_h, product_finite_ext_reduce
+from helpers import coset_of, graph_oracle, is_identity_in_h, product_finite_ext_reduce
 from steplog import record
 from transfer_oracles import dinf_brute_solvable
 
@@ -24,7 +33,7 @@ CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
 def dinf_extension():
     """D-inf = <a, t | t^2 = 1, t a t = a^-1> over G = <a> = Z, C = {1, t}."""
-    z = ZOracle("a")
+    z = graph_oracle("a")
     table = {
         ("1", "a"): (("a",), "1"),
         ("1", "a'"): (("a'",), "1"),
@@ -43,7 +52,7 @@ class TestTable:
         dinf_extension()
 
     def test_inconsistent_rejected(self):
-        z = ZOracle("a")
+        z = graph_oracle("a")
         table = {
             ("1", "a"): (("a",), "1"),
             ("1", "a'"): (("a", "a"), "1"),  # wrong inverse rewrite
@@ -158,7 +167,7 @@ class TestZKnapsack:
             us = [word(4) for _ in range(n)]
             if n and rng.random() < 0.2:
                 us[rng.randrange(n)] = ()
-            z = ZOracle("a")
+            z = graph_oracle("a")
             got = z.knapsack(vs, us)
             assert not getattr(z, "_member_cache", None)
             assert got == z.ka_membership(equation_chain(z.alphabet, vs, us), ()), (vs, us)
@@ -167,7 +176,7 @@ class TestZKnapsack:
 
 
 def planted_instance(rng, fe, n, low):
-    """A random instance over ``semidirect(ZOracle("a"), m)`` whose closing
+    """A random instance over ``semidirect(graph_oracle("a"), m)`` whose closing
     constant is the inverse of the product at planted exponents, all below m
     when ``low`` and all in [m, 2m] otherwise: the normal form s^-j a^-v of
     the product a^v s^j, so the exponents do not cancel freely."""
@@ -176,7 +185,7 @@ def planted_instance(rng, fe, n, low):
     xs = [rng.randrange(m) if low else rng.randint(m, 2 * m) for _ in us]
     word = vs[0] + sum((u * x + v for u, x, v in zip(us, xs, vs[1:])), ())
     gw, c = fe.rewrite(fe.one, word)
-    value = fe.g_oracle.value(gw)
+    value, = letter_balance(fe.g_oracle.alphabet, fe.g_oracle.alphabet.encode(gw))
     vs[-1] += ("s'",) * fe.cosets.index(c) + ("a'",) * value + ("a",) * -value
     return vs, us
 
@@ -189,7 +198,7 @@ class TestOrbitWalk:
         rng = random.Random(17)
         solvable = 0
         for m in range(1, 13):
-            fe = semidirect(ZOracle("a"), m)
+            fe = semidirect(graph_oracle("a"), m)
             for trial in range(12):
                 n = 1 + trial % 3
                 if trial % 4 < 2:
@@ -219,6 +228,103 @@ class TestOrbitWalk:
                 assert len(logs[0]) <= len(logs[1]), (k, m, vs, us)
                 asked = [asked[0] + len(logs[0]), asked[1] + len(logs[1])]
         assert 100 < asked[0] < asked[1]
+
+
+def _signed_automorphism(rng, letters, pairs) -> dict:
+    """A random automorphism of the graph group: a permutation of the base
+    letters that keeps the independence, each image inverted or not."""
+    edges = {frozenset(p) for p in pairs}
+    perms = [dict(zip(letters, p)) for p in itertools.permutations(letters)]
+    perm = rng.choice([p for p in perms if all(frozenset((p[x], p[y])) in edges for x, y in pairs)])
+    return {x: (y if rng.random() < 0.5 else inverse_letter(y),) for x, y in perm.items()}
+
+
+def _power_extension(base, sigma: dict) -> tuple:
+    """The table and cosets of G x| Z/m, s x s^-1 = sigma(x) with sigma given
+    on the letters, cosets s^0..s^(m-1), m the order of sigma on ``base``."""
+    image = lambda w: sum((sigma[x] if x in sigma else invert_word(sigma[inverse_letter(x)])
+                           for x in w), ())
+    powers = [{x: (x,) for x in sigma}]
+    while len(powers) == 1 or any(not base.is_identity(w + (inverse_letter(x),))
+                                  for x, w in powers[-1].items()):
+        powers.append({x: image(w) for x, w in powers[-1].items()})
+    m = len(powers) - 1
+    table = {}
+    for i in range(m):
+        for x, w in powers[i].items():
+            table[str(i), x] = (w, str(i))
+            table[str(i), inverse_letter(x)] = (invert_word(w), str(i))
+        table[str(i), "s"] = ((), str((i + 1) % m))
+        table[str(i), "s'"] = ((), str((i - 1) % m))
+    return table, [str(i) for i in range(m)]
+
+
+class TestRelators:
+    def test_oracle_relators(self):
+        assert FiniteGroupOracle(3, "g").relators() == [("g", "g", "g")]
+        assert graph_oracle("a").relators() == graph_oracle("ab").relators() == []
+        path = graph_oracle("abc", [("c", "a")])
+        assert path.relators() == [("a", "c", "a'", "c'")]
+        both = FreeProductOracle(FiniteGroupOracle(2, "g"), path)
+        assert both.relators() == [("g", "g"), ("a", "c", "a'", "c'")]
+
+    def test_refused_exactly_when_a_relator_reads_wrong(self):
+        """Over Z/1..Z/6 and random graph groups on 2-4 letters, the table of
+        G x| Z/m for an automorphism of G is accepted.  A table changed at one
+        letter, its G-word at one coset replaced by a random word or its
+        targets at two cosets swapped (the inverse's rows to match, so that
+        c b b^-1 still reads 1), is refused exactly when some relator, read
+        from some coset through the table, does not come back to that coset
+        as a word that is 1 in G (Z/n by residues, graph groups by free
+        reduction)."""
+        rng = random.Random(16)
+        bases = []
+        for n in range(1, 7):
+            units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+            for _ in range(12):
+                g = FiniteGroupOracle(n, "g")
+                is_one = lambda w, n=n: (w.count("g") - w.count("g'")) % n == 0
+                bases.append((g, {"g": ("g",) * rng.choice(units)}, [("g",) * n], is_one))
+        for _ in range(72):
+            letters = "abcd"[: rng.randint(2, 4)]
+            pairs = [p for p in itertools.combinations(letters, 2) if rng.random() < 0.5]
+            g = graph_oracle(letters, pairs)
+            dbl = DoubledAlphabet(IndependenceAlphabet(letters, pairs))
+            is_one = lambda w, dbl=dbl: free_reduce(dbl, w).is_identity()
+            relators = [(x, y, inverse_letter(x), inverse_letter(y)) for x, y in pairs]
+            bases.append((g, _signed_automorphism(rng, letters, pairs), relators, is_one))
+        kinds = (FiniteGroupOracle, GraphGroupOracle)
+        refused = dict.fromkeys(itertools.product(kinds, (True, False)), 0)
+        for g, sigma, relators, is_one in bases:
+            table, cosets = _power_extension(g, sigma)
+            FiniteExtension(g, (*sigma, "s"), cosets, "0", table)
+            x = rng.choice(list(sigma))
+            xi = inverse_letter(x)
+            if len(cosets) > 1 and rng.random() < 0.5:
+                c, d = rng.sample(cosets, 2)
+                (wc, _), (wd, _) = table[c, x], table[d, x]
+                table[c, x], table[d, xi] = (wc, d), (invert_word(wc), c)
+                table[d, x], table[c, xi] = (wd, c), (invert_word(wd), d)
+            else:
+                c = rng.choice(cosets)
+                w = tuple(rng.choice(g.letters) for _ in range(rng.randint(1, 3)))
+                table[c, x], table[c, xi] = (w, c), (invert_word(w), c)
+
+            def reads_one(start, relator):
+                coset, word = start, ()
+                for letter in relator:
+                    piece, coset = table[coset, letter]
+                    word += piece
+                return coset == start and is_one(word)
+
+            wrong = not all(reads_one(c, r) for c in cosets for r in relators)
+            try:
+                FiniteExtension(g, (*sigma, "s"), cosets, "0", table)
+                assert not wrong, (sigma, table)
+            except StructureError:
+                assert wrong, (sigma, table)
+            refused[type(g), wrong] += 1
+        assert min(refused.values()) >= 5 and sum(refused.values()) == len(bases), refused
 
 
 class TestFailClosed:

@@ -2,7 +2,7 @@
 
 ``tests/golden/corpus.txt`` records, for every file under ``corpus/``, what
 ``solve``, ``solve --mode search``, ``bound``, ``finite-ext``, ``hnn`` and
-``amalgam`` print in text and machine format (240 in-process calls).  The
+``amalgam`` print in text and machine format (276 in-process calls).  The
 test replays each call and compares byte for byte, so a change that should
 keep the answers can show that it does.  Only stdout is recorded: stderr
 carries tracebacks and file paths.

@@ -10,17 +10,15 @@ from ggsolve.groups import DoubledAlphabet, invert_word
 from ggsolve.traces import IndependenceAlphabet
 from ggsolve.transfer import (
     FiniteGroupOracle,
-    FreeGroupOracle,
     FreeProductOracle,
     HnnPresentation,
-    ZOracle,
     free_product_saturate,
     hnn_knapsack,
     hnn_saturate,
 )
 from ggsolve.transfer.kauto import ShapeInfo, _Builder, plain_alphabet
 
-from helpers import enumerate_accepted, knapsack_chain
+from helpers import enumerate_accepted, graph_oracle, knapsack_chain
 from transfer_oracles import nfa_accepts_identity_bfs, z2z_reduce
 
 
@@ -195,7 +193,7 @@ class TestHnnSaturate:
 class TestFreeProductSaturate:
     def test_f2_cross_check_small(self):
         """Z * Z = F2: free-product saturation agrees with Benois."""
-        fp = FreeProductOracle(ZOracle("a"), ZOracle("b"))
+        fp = FreeProductOracle(graph_oracle("a"), graph_oracle("b"))
         dbl = DoubledAlphabet(IndependenceAlphabet("ab"))
         rng = random.Random(77)
         letters = ("a", "a'", "b", "b'")
@@ -369,12 +367,13 @@ class TestReaches:
     @staticmethod
     def _oracles():
         """(oracle, associated-subgroup reps, knapsack shape only): Z/1..Z/6 with
-        the subgroup of order 2 where there is one, F2, and Z, whose default
-        ``reaches`` asks the skeleton solver and so needs the knapsack shape."""
+        the subgroup of order 2 where there is one, F2 (Benois), and Z, whose
+        default ``reaches`` asks one balance system per skeleton and so needs
+        the knapsack shape."""
         for n in range(1, 7):
             yield FiniteGroupOracle(n, "g"), [(), ("g",) * (n // 2)] if n % 2 == 0 else [()], False
-        yield FreeGroupOracle(["a", "b"]), [(), ("a", "b", "b'", "a'")], False
-        yield ZOracle("a"), [()], True
+        yield graph_oracle("ab"), [(), ("a", "b", "b'", "a'")], False
+        yield graph_oracle("a"), [()], True
 
     @staticmethod
     def _builder(rng, letters, knapsack_shape):
@@ -422,7 +421,7 @@ class TestReaches:
     def test_restriction_on_another_alphabet_is_refused(self):
         b = _Builder(plain_alphabet(("g", "g'", "h", "h'")))
         p = b.fresh()
-        for oracle in (FiniteGroupOracle(2, "g"), FreeGroupOracle(["a"]), ZOracle("a")):
+        for oracle in (FiniteGroupOracle(2, "g"), graph_oracle("ab"), graph_oracle("a")):
             with pytest.raises(AlphabetMismatchError):
                 oracle.reaches(b.restrict(FiniteGroupOracle(2, "h").alphabet), p, p, ())
 
@@ -548,7 +547,7 @@ class TestTrimmedQuestions:
                 table[(str(i), "s")] = ((), str((i + 1) % m))
                 table[(str(i), "s'")] = ((), str((i - 1) % m))
             letters = ("a", "a'", "s", "s'")
-            for base in (ZOracle("a"), FiniteGroupOracle(m, "a")):
+            for base in (graph_oracle("a"), FiniteGroupOracle(m, "a")):
                 fe = FiniteExtension(base, ["a", "s"], cosets, "0", table)
                 for _ in range(3):
                     us = [word(letters, 1, 2) for _ in range(2)]

@@ -1,20 +1,24 @@
 """Transfer: oracles, knapsack automata, skeletons, normalization."""
 
+import contextlib
+import io
+import itertools
+import os
 import random
 
 import pytest
 
 from ggsolve.automata import EPS, Nfa
-from ggsolve.errors import AlphabetMismatchError, CertificateError, StructureError
-from ggsolve.groups import DoubledAlphabet, invert_word
+from ggsolve.errors import AlphabetMismatchError, CertificateError, LimitsExceeded, StructureError
+from ggsolve.cli import main
+from ggsolve.formats import KaProblem, build_extension, build_ka, build_oracle, parse_instance
+from ggsolve.groups import DoubledAlphabet, free_reduce, invert_word
 from ggsolve.solver import chain_equation
 from ggsolve.traces import IndependenceAlphabet
 from ggsolve.transfer import (
     FiniteGroupOracle,
-    FreeGroupOracle,
     FreeProductOracle,
     GraphGroupOracle,
-    ZOracle,
 )
 from ggsolve.transfer.kauto import (
     ShapeInfo,
@@ -28,6 +32,7 @@ from helpers import (
     brute_oracle,
     enumerate_accepted,
     folded_free_product_is_identity,
+    graph_oracle,
     knapsack_chain,
 )
 from transfer_oracles import TableGroupOracle
@@ -109,17 +114,19 @@ class TestSkeletons:
         assert got == [(((), ()), (("a",),))]
 
     def test_oracles_put_the_target_into_v0(self):
-        """ZOracle and GraphGroupOracle answer nonempty targets on skeletons
-        whose v0 is empty and whose initial state lies on a cycle."""
-        z = ZOracle("a")
+        """The graph oracle answers nonempty targets on skeletons whose v0 is
+        empty and whose initial state lies on a cycle, on the clique route
+        (Z and Z^2) and the solver route (the path a - c, b apart)."""
+        z = graph_oracle("a")
         loop = Nfa(z.alphabet, ["p"], [("p", "a", "p")], "p", ["p"])  # a*
         assert z.ka_membership(loop, ("a", "a"))
         assert z.ka_membership(loop, ("a", "a'", "a"))
         assert not z.ka_membership(loop, ("a'",))
-        free = ((), (True, True, False, False))
-        commuting = ((("a", "b"),), (True, True, True, False))
-        for pairs, answers in (free, commuting):
-            o = GraphGroupOracle(DoubledAlphabet(IndependenceAlphabet("ab", pairs)), 15)
+        path = ("abc", [("a", "c")], "solver", (True, True, False, False))
+        commuting = ("ab", [("a", "b")], "clique", (True, True, True, False))
+        for letters, pairs, route, answers in (path, commuting):
+            o = graph_oracle(letters, pairs)
+            assert o.route == route
             edges = [("p", "a", "p"), ("p", "b", "q")]
             nfa = Nfa(o.alphabet, ["p", "q"], edges, "p", ["q"])  # a* b
             targets = (("a", "a", "b"), ("b",), ("b", "a"), ("a'", "b"))
@@ -227,8 +234,8 @@ class TestFiniteGroupOracle:
         assert not getattr(z3, "_member_cache", None)
 
     def test_equal_plain_alphabet_rejected(self):
-        """A plain alphabet equal to a free group's doubled one is still foreign."""
-        f = FreeGroupOracle(("a",))
+        """A plain alphabet equal to a graph group's doubled one is still foreign."""
+        f = graph_oracle("a")
         plain = plain_alphabet(f.letters)
         assert plain == f.alphabet
         with pytest.raises(AlphabetMismatchError):
@@ -236,41 +243,52 @@ class TestFiniteGroupOracle:
         assert f.ka_membership(knapsack_chain(f.alphabet, [("a",)]), ("a",))
 
 
-class TestZOracle:
+class TestOneLetterGraph:
+    """Z, as ``oracle G z a`` builds it: the clique route on one letter."""
+
     def test_identity(self):
-        z = ZOracle("a")
+        z = graph_oracle("a")
         assert z.is_identity(("a", "a'"))
         assert not z.is_identity(("a",))
 
     def test_membership(self):
-        z = ZOracle("a")
+        z = graph_oracle("a")
         nfa = knapsack_chain(z.alphabet, [("a", "a")])
         assert z.ka_membership(nfa, ("a", "a", "a", "a"))
         assert not z.ka_membership(nfa, ("a",))
         assert not z.ka_membership(nfa, ("a'",))
 
     def test_membership_with_negative_cycle(self):
-        z = ZOracle("a")
+        z = graph_oracle("a")
         nfa = knapsack_chain(z.alphabet, [("a'",), ("a",)])
         assert z.ka_membership(nfa, ("a'", "a'"))
         assert z.ka_membership(nfa, ("a", "a", "a"))
 
-    def test_letter_outside_the_alphabet_is_refused(self):
-        with pytest.raises(StructureError, match="letter 'b' outside the Z alphabet"):
-            ZOracle("a").is_identity(("a", "b"))
 
+class TestEdgelessGraph:
+    """F2, as ``oracle G free a b`` builds it: the Benois route."""
 
-class TestFreeGroupOracle:
     def test_identity(self):
-        f = FreeGroupOracle(("a", "b"))
+        f = graph_oracle("ab")
         assert f.is_identity(("a", "b", "b'", "a'"))
         assert not f.is_identity(("a", "b", "a'", "b'"))
 
     def test_membership(self):
-        f = FreeGroupOracle(("a", "b"))
+        f = graph_oracle("ab")
         nfa = knapsack_chain(f.alphabet, [("a",), ("b",)])
         assert f.ka_membership(nfa, ("a", "a", "b"))
         assert not f.ka_membership(nfa, ("b", "a"))
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [FiniteGroupOracle(3, "a"), graph_oracle("a"), graph_oracle("ab"),
+     graph_oracle("abc", [("a", "c")])],
+    ids=["finite-cyclic", "one-letter", "free", "graph"],
+)
+def test_letter_outside_the_alphabet_is_refused(oracle):
+    with pytest.raises(StructureError, match="letter 'd' outside the oracle's alphabet"):
+        oracle.is_identity(("a", "d"))
 
 
 class TestGraphGroupOracle:
@@ -290,6 +308,125 @@ class TestGraphGroupOracle:
         assert not o.ka_membership(nfa, ("b", "a"))
 
 
+def _brute_knapsack(alphabet, vs, us, cap: int = 5) -> bool:
+    """Some x in [0, cap]^n with v0 u1^x1 v1 ... un^xn vn = 1, by free reduction."""
+    for xs in itertools.product(range(cap + 1), repeat=len(us)):
+        word = vs[0] + sum((u * x + v for u, x, v in zip(us, xs, vs[1:])), ())
+        if free_reduce(alphabet, word).is_identity():
+            return True
+    return False
+
+
+def _base_oracle(kind_line: str, gens: str = ""):
+    """The oracle ``G`` of a one-item hnn file whose oracle line is ``kind_line``."""
+    text = f"{gens}oracle G {kind_line}\nhnn base G stable t\nassoc + _\nassoc - _\n"
+    return build_oracle(parse_instance(text + "phi _ -> _\nitem t\ntarget t\n"), "G", 15)
+
+
+class TestGraphRoutes:
+    GRAPHS = [  # (letters, independent pairs, route)
+        ("a", [], "clique"),
+        ("ab", [("a", "b")], "clique"),
+        ("abc", [("a", "b"), ("a", "c"), ("b", "c")], "clique"),
+        ("ab", [], "free"),
+        ("abc", [], "free"),
+        ("abc", [("a", "c")], "solver"),
+    ]
+
+    def test_route_read_from_the_shape(self):
+        for letters, pairs, route in self.GRAPHS:
+            assert graph_oracle(letters, pairs).route == route
+        assert _base_oracle("z b").route == "clique"
+        assert _base_oracle("free a b").route == "free"
+        assert _base_oracle("graph", "gens a b c\nindep a c\n").route == "solver"
+
+    def test_routes_agree_with_the_solver_and_brute_force(self):
+        """On complete and edgeless graphs of 1-3 letters, ``knapsack`` and
+        ``ka_membership`` (the target as the chain's last constant, inverted)
+        answer as the solver route does, forced on the same graph, wherever
+        it answers, and as a search of [0,5]^n wherever that finds a solution."""
+        rng = random.Random(26)
+        tally = {"solvable": 0, "unsolvable": 0, "forced": 0}
+        for letters, pairs, route in self.GRAPHS[:-1]:
+            routed, forced = graph_oracle(letters, pairs), graph_oracle(letters, pairs)
+            forced.route = "solver"
+            word = lambda hi: tuple(rng.choice(routed.letters) for _ in range(rng.randint(0, hi)))
+            for _ in range(40):
+                n = rng.randint(0, 2)
+                us = [word(2) or (routed.letters[0],) for _ in range(n)]
+                vs = [word(2) for _ in range(n + 1)]
+                if rng.random() < 0.5:  # close the word at x = (1, .., 1)
+                    vs[-1] += invert_word(vs[0] + sum((u + v for u, v in zip(us, vs[1:])), ()))
+                got = routed.knapsack(vs, us)
+                chain = equation_chain(routed.alphabet, vs[:-1] + [()], us)
+                assert routed.ka_membership(chain, invert_word(vs[-1])) == got, (route, vs, us)
+                if _brute_knapsack(routed.alphabet, vs, us):
+                    assert got, (route, vs, us)
+                try:
+                    assert forced.knapsack(vs, us) == got, (route, vs, us)
+                    tally["forced"] += 1
+                except LimitsExceeded:
+                    pass
+                tally["solvable" if got else "unsolvable"] += 1
+        assert min(tally.values()) >= 40, tally
+
+    def test_one_letter_kinds_agree(self):
+        """``z a``, ``free a`` and ``graph`` over ``gens a`` build one oracle:
+        the same route, and the same answer to every question."""
+        oracles = [_base_oracle("z a"), _base_oracle("free a"), _base_oracle("graph", "gens a\n")]
+        assert {(type(o), o.route, o.letters) for o in oracles} == {
+            (GraphGroupOracle, "clique", ("a", "a'"))
+        }
+        rng = random.Random(1)
+        word = lambda hi: tuple(rng.choice(("a", "a'")) for _ in range(rng.randint(0, hi)))
+        for _ in range(60):
+            n = rng.randint(0, 3)
+            vs, us = [word(3) for _ in range(n + 1)], [word(3) for _ in range(n)]
+            answers = {
+                (o.is_identity(vs[0]), o.knapsack(vs, us),
+                 o.ka_membership(equation_chain(o.alphabet, vs[:-1] + [()], us), vs[-1]))
+                for o in oracles
+            }
+            assert len(answers) == 1, (vs, us)
+
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+
+
+@pytest.mark.parametrize(
+    "name,route",
+    [("21_extension_p4.gg", "clique"), ("22_extension_free_swap.gg", "free"),
+     ("23_ka_path.gg", "solver")],
+)
+def test_route_corpus_file_against_brute_force(name, route):
+    """Each corpus file of one oracle route exits as a brute force says: a
+    finite-extension instance read through its coset table and reduced
+    freely in G, exponents in [0,5]^n; a ka block's accepted words up to 12
+    letters against the target."""
+    path = os.path.join(CORPUS, name)
+    inst = parse_instance(open(path).read())
+    p = inst.problem
+    if isinstance(p, KaProblem):
+        nfa, target = build_ka(inst)
+        oracle = GraphGroupOracle(inst.require_alphabet(), 15)
+        words = enumerate_accepted(nfa, 12)
+        found = any(free_reduce(nfa.alphabet, w + invert_word(target)).is_identity() for w in words)
+    else:
+        fe, vs, us = build_extension(inst, 15)
+        oracle = fe.g_oracle
+        found = False
+        for xs in itertools.product(range(6), repeat=len(us)):
+            g_word, coset = [], p.one
+            for letter in vs[0] + sum((u * x + v for u, x, v in zip(us, xs, vs[1:])), ()):
+                piece, coset = p.table[coset, letter]
+                g_word.extend(piece)
+            found = found or coset == p.one and free_reduce(oracle.alphabet, g_word).is_identity()
+    assert oracle.route == route
+    assert found == (inst.expect_exit == 0)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([p.command, path]) == inst.expect_exit
+
+
 def _trivial_piece(rng, factor):
     """A word of one factor that spells 1: u u^-1, or a generator to the order."""
     if isinstance(factor, FiniteGroupOracle) and rng.random() < 0.4:
@@ -307,7 +444,7 @@ class TestFreeProductOracle:
         seen = {True: 0, False: 0}
         for _ in range(2000):
             m = rng.randint(1, 5)
-            left = ZOracle("a") if rng.random() < 0.5 else FiniteGroupOracle(rng.randint(1, 5), "g")
+            left = graph_oracle("a") if rng.random() < 0.5 else FiniteGroupOracle(rng.randint(1, 5), "g")
             fp = FreeProductOracle(left, FiniteGroupOracle(m, "h"))
             word: list = []
             for _ in range(rng.randint(0, 5)):
