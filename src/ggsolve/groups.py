@@ -16,7 +16,9 @@ cancelled middle trace of the unique boundary factorization.
 ``BlockProduct`` multiplies many items as blocks, constants and powers w^k
 merged by free reduction and exponent arithmetic, and streams only what is
 left through one pile; ``ConjugatePower`` keeps p w^k p^-1 folded until its
-trace is read.
+trace is read.  ``CoxeterImage`` is a second word-problem kernel that shares
+nothing with the piles: the graph group acting on vectors mod a prime through
+the doubled right-angled Coxeter group.
 """
 
 from __future__ import annotations
@@ -323,6 +325,132 @@ def free_reduce(alphabet: DoubledAlphabet, word) -> GroupElement:
 
 
 _VERIFY_MULT_LIMIT = 4000
+
+_IMAGE_PRIME = (1 << 61) - 1
+
+
+def _image_start(dimension: int) -> tuple:
+    """(g, g^2, ..., g^dimension) mod ``_IMAGE_PRIME`` for one fixed g.
+
+    An integer matrix with a row that is nonzero mod the prime kills this
+    vector only when g is a root of that row, read as a polynomial of degree
+    below ``dimension``.
+    """
+    return tuple(pow(0x9E3779B97F4A7C15, t + 1, _IMAGE_PRIME) for t in range(dimension))
+
+
+class CoxeterImage:
+    """The graph group acting on vectors mod a prime through the doubled Coxeter group.
+
+    Each base letter a gives two reflections s(a,1), s(a,2), numbered
+    ``2 * rank`` and one more, so that the reflections of a letter code c
+    are c ^ 1 and c.  s(a,i) and s(b,j) commute exactly when a I b and
+    a != b; s(a,1) and s(a,2) generate an infinite dihedral group.  The
+    letter a maps to s(a,1) s(a,2) and a' to s(a,2) s(a,1), which respects
+    the relations of the graph group.  A reflection s acts on a vector v by
+    v[s] = 2 * (sum of v[t] over the t != s not commuting with s) - v[s]
+    mod ``_IMAGE_PRIME``: the Tits representation (B(s,s) = 1, B(s,t) = 0
+    when s and t commute, -1 otherwise), whose integer matrices are never
+    formed.
+
+    Over the integers the map is faithful: a -> s(a,1) s(a,2) embeds Z in
+    the infinite dihedral group, a graph product of injective vertex maps
+    is injective (E. R. Green, thesis, Leeds 1990), and the Tits
+    representation of a Coxeter group is faithful (Humphreys, Reflection
+    Groups and Coxeter Groups, 5.3-5.4).  Modulo the prime it is a
+    homomorphism only: different vectors prove different elements, equal
+    vectors are evidence.
+    """
+
+    __slots__ = ("_neighbours", "start")
+
+    def __init__(self, alphabet: DoubledAlphabet):
+        dep_mask = alphabet.dep_mask
+        dimension = len(dep_mask)
+        self._neighbours = tuple(
+            tuple(t for t in range(dimension) if t != s and dep_mask[s] >> t & 1)
+            for s in range(dimension)
+        )
+        self.start = _image_start(dimension)
+
+    def apply(self, codes: Sequence[int], v: List[int]) -> List[int]:
+        """The image of the word ``codes`` applied to v, in place: its last letter acts first."""
+        neighbours, get, prime = self._neighbours, v.__getitem__, _IMAGE_PRIME
+        for c in reversed(codes):
+            s = c ^ 1
+            v[s] = (2 * sum(map(get, neighbours[s])) - v[s]) % prime
+            v[c] = (2 * sum(map(get, neighbours[c])) - v[c]) % prime
+        return v
+
+    def apply_power(self, codes: Sequence[int], k: int, v: List[int]) -> List[int]:
+        """W^k v for W the image of ``codes``, k natural and v nonzero, in place.
+
+        Up to the dimension, W applies k times.  Beyond it, W^k v is the
+        combination of the Krylov vectors v, Wv, ..., W^(d-1) v by the
+        coefficients of t^k modulo their first dependency W^d v = sum a_j W^j v,
+        powered by squaring: O(d^2 log k) on top of d + 1 applications.
+        """
+        if k <= len(v):
+            for _ in range(k):
+                self.apply(codes, v)
+            return v
+        vectors, relation = self.krylov(codes, v)
+        coefficients = _power_mod(k, relation)
+        prime = _IMAGE_PRIME
+        v[:] = [
+            sum(c * x for c, x in zip(coefficients, column)) % prime for column in zip(*vectors)
+        ]
+        return v
+
+    def krylov(self, codes: Sequence[int], v: Sequence[int]) -> Tuple[list, list]:
+        """([v, Wv, ..., W^(d-1) v], [a_0, ..., a_(d-1)]) for W the image of ``codes``.
+
+        W^d v = sum a_j W^j v is the first dependency: each new vector is
+        eliminated against the reduced earlier ones, and the combination
+        coefficients it carries give the dependency when it reduces to 0.
+        """
+        prime = _IMAGE_PRIME
+        vectors: list = []
+        basis: list = []  # (pivot, row, combination): row[pivot] == 1
+        x = list(v)
+        while True:
+            i = len(vectors)
+            row, combination = list(x), [0] * i + [1]
+            for pivot, basis_row, basis_combination in basis:
+                f = row[pivot]
+                if f:
+                    row = [(a - f * b) % prime for a, b in zip(row, basis_row)]
+                    for j, b in enumerate(basis_combination):
+                        combination[j] = (combination[j] - f * b) % prime
+            pivot = next((t for t, a in enumerate(row) if a), None)
+            if pivot is None:
+                return vectors, [-c % prime for c in combination[:i]]
+            inverse = pow(row[pivot], -1, prime)
+            basis.append((pivot, [a * inverse % prime for a in row],
+                          [c * inverse % prime for c in combination]))
+            vectors.append(x)
+            x = self.apply(codes, list(x))
+
+
+def _power_mod(k: int, relation: Sequence[int]) -> List[int]:
+    """The coefficients of t^k modulo t^d - sum relation[j] t^j, d = len(relation) >= 1."""
+    prime, d = _IMAGE_PRIME, len(relation)
+    r = [1] + [0] * (d - 1)
+    for bit in bin(k)[2:]:
+        product = [0] * (2 * d - 1)
+        for i, a in enumerate(r):
+            if a:
+                for j, b in enumerate(r):
+                    product[i + j] += a * b
+        if bit == "1":
+            product.insert(0, 0)
+        for e in range(len(product) - 1, d - 1, -1):
+            c = product[e] % prime
+            if c:
+                for j, a in enumerate(relation):
+                    product[e - d + j] += c * a
+        r = [c % prime for c in product[:d]]
+    return r
 
 
 class _Cancelled(Trace):

@@ -16,12 +16,14 @@ from ..groups import (
     _VERIFY_MULT_LIMIT,
     BlockProduct,
     ConjugatePower,
+    CoxeterImage,
     DoubledAlphabet,
     GroupElement,
     _conjugate_power,
     cyclic_reduce,
     free_reduce,
     identity,
+    invert_codes,
     letter_balance,
     mult,
     power_nf,
@@ -104,9 +106,12 @@ def evaluate(e: ExponentEquation, sigma: Assignment, cap: int = 10**6) -> GroupE
     when their total length exceeds ``cap``).
 
     When the letters of the items (constants plus 2|p| + k|w| per power) are
-    at most ``_VERIFY_MULT_LIMIT``, the product is also computed item by item
-    with ``power_nf`` and the self-checked ``mult``; a difference raises
-    InternalError.
+    at most ``_VERIFY_MULT_LIMIT``, the product is cross-checked on the
+    ``CoxeterImage``, a kernel that shares nothing with the piling: the
+    image of the items, read from each power's base and exponent and from
+    each constant's codes or folded p, w and k, must equal the image of the
+    value, or InternalError is raised.  Unequal images prove a fault;
+    equal ones are evidence only, so the value alone decides the answer.
     """
     product = BlockProduct(e.alphabet)
     letters = 0
@@ -130,23 +135,27 @@ def evaluate(e: ExponentEquation, sigma: Assignment, cap: int = 10**6) -> GroupE
             if count > cap:
                 raise ResourceExceeded(count, cap)
     value = product.element()
-    if letters <= _VERIFY_MULT_LIMIT and value != _evaluate_by_mult(e, sigma, cap):
-        raise InternalError("block product differs from the mult chain")
+    if letters <= _VERIFY_MULT_LIMIT:
+        image = CoxeterImage(e.alphabet)
+        if _image_of_items(image, e, sigma) != image.apply(value.codes, list(image.start)):
+            raise InternalError("block product differs from the Coxeter image of the items")
     return value
 
 
-def _evaluate_by_mult(e: ExponentEquation, sigma: Assignment, cap: int) -> GroupElement:
-    """``evaluate`` item by item: one normal form per prefix of the items."""
-    acc = identity(e.alphabet)
-    for item in e.items:
-        if isinstance(item, Const):
-            step = item.value
+def _image_of_items(image: CoxeterImage, e: ExponentEquation, sigma: Assignment) -> list:
+    """The image of the items applied to the start vector of ``image``, the last item first."""
+    v = list(image.start)
+    for item in reversed(e.items):
+        if isinstance(item, Power):
+            image.apply_power(item.base.codes, sigma[item.var], v)
+        elif isinstance(item.value, ConjugatePower):
+            p = item.value.p.codes
+            image.apply(invert_codes(p), v)
+            image.apply_power(item.value.w.codes, item.value.k, v)
+            image.apply(p, v)
         else:
-            step = power_nf(item.base, sigma[item.var], cap)
-        acc, _ = mult(acc, step)
-        if len(acc) > cap:
-            raise ResourceExceeded(len(acc), cap)
-    return acc
+            image.apply(item.value.codes, v)
+    return v
 
 
 def verify(e: ExponentEquation, sigma: Assignment, cap: int = 10**6) -> bool:

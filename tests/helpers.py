@@ -13,6 +13,7 @@ from ggsolve.errors import (
     AlphabetMismatchError,
     CertificateError,
     InternalError,
+    ResourceExceeded,
     StructureError,
     TraceError,
 )
@@ -26,10 +27,18 @@ from ggsolve.traces import (
     left_quotient,
     right_quotient,
 )
-from ggsolve.groups import DoubledAlphabet, GroupElement, free_reduce, inverse_letter
+from ggsolve.groups import (
+    DoubledAlphabet,
+    GroupElement,
+    free_reduce,
+    identity,
+    inverse_letter,
+    mult,
+    power_nf,
+)
 from ggsolve.semilinear import SemilinearSet
 from ggsolve.slp import Slp, expand_capped, val_length
-from ggsolve.solver.equations import Const, ExponentEquation, Item, Power, _memo_holds
+from ggsolve.solver.equations import Assignment, Const, ExponentEquation, Item, Power, _memo_holds
 from ggsolve.transfer import GraphGroupOracle
 from ggsolve.transfer.kauto import equation_chain
 
@@ -319,6 +328,21 @@ def brute_oracle(e: ExponentEquation, cap: int) -> Set[tuple]:
         for values in itertools.product(range(cap + 1), repeat=len(e.vars))
         if holds(values)
     }
+
+
+def _evaluate_by_mult(e: ExponentEquation, sigma: Assignment, cap: int) -> GroupElement:
+    """``evaluate`` item by item with ``power_nf`` and the self-checked ``mult``:
+    one normal form per prefix of the items, the reference for the block product."""
+    acc = identity(e.alphabet)
+    for item in e.items:
+        if isinstance(item, Const):
+            step = item.value
+        else:
+            step = power_nf(item.base, sigma[item.var], cap)
+        acc, _ = mult(acc, step)
+        if len(acc) > cap:
+            raise ResourceExceeded(len(acc), cap)
+    return acc
 
 
 def z_to_n_rewrite(

@@ -18,13 +18,21 @@ from ggsolve.solver.equations import (
     Const,
     ExponentEquation,
     Power,
-    _evaluate_by_mult,
     evaluate,
     verify,
 )
 from ggsolve.traces import IndependenceAlphabet
 
-from helpers import compression_witness, const, equation, expand, from_word, power_slp, pw
+from helpers import (
+    _evaluate_by_mult,
+    compression_witness,
+    const,
+    equation,
+    expand,
+    from_word,
+    power_slp,
+    pw,
+)
 from test_streaming import _outcome, alphabets, words
 
 

@@ -190,9 +190,14 @@ class TestFailClosed:
         code, _ = run_cli(["--format", "machine", "verify", "--assign", "x=2", path])
         assert code == 4
 
+    # a' b a is not cyclically reduced: ``cyclic_reduce`` pops its ends off the
+    # pile in both commands, and ``solve`` multiplies by checked ``mult``.
+    PEELED = "gens a b c\nindep a c\neq\nconst c a\npow a' b a x\nconst a' b' a c'\n"
+
     @pytest.mark.parametrize("name", ["pop_bottom", "pop_top"])
     def test_dropped_quotient_code_exits_4(self, tmp_path, monkeypatch, name):
-        """A quotient that pops one code too few fails mult's factorization check."""
+        """A quotient that pops one code too few fails mult's factorization check
+        and, through a wrong cyclic reduction, verify's Coxeter image."""
         pop = getattr(Pile, name)
 
         def drop_last(pile, codes):
@@ -202,9 +207,10 @@ class TestFailClosed:
         dbl = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
         with pytest.raises(InternalError):
             mult(free_reduce(dbl, ("a", "b")), free_reduce(dbl, ("b'", "a'")))
-        # a b is cyclically reduced, so only mult's check pops
-        path = write(tmp_path, "gens a b c\nindep a c\neq\npow a b x\nconst b' a'\n")
+        path = write(tmp_path, self.PEELED)
         code, _ = run_cli(["--format", "machine", "verify", "--assign", "x=1", path])
+        assert code == 4
+        code, _ = run_cli(["--format", "machine", "solve", path])
         assert code == 4
 
     def test_dropped_stack_entry_exits_4(self, tmp_path, monkeypatch):
@@ -222,8 +228,8 @@ class TestFailClosed:
         dbl = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
         with pytest.raises(InternalError):
             mult(free_reduce(dbl, ("a", "b")), free_reduce(dbl, ("b'", "c")))
-        path = write(tmp_path, "gens a b c\nindep a c\neq\npow a b x\nconst b' a'\n")
-        code, _ = run_cli(["--format", "machine", "verify", "--assign", "x=1", path])
+        path = write(tmp_path, self.PEELED)
+        code, _ = run_cli(["--format", "machine", "solve", path])
         assert code == 4
 
 
@@ -529,6 +535,7 @@ class TestOptimizedInterpreter:
             "tests/test_cli.py::TestVerifyCommand::test_malformed_assign_exits_3",
             "tests/test_groups.py::TestMult",
             "tests/test_groups.py::TestConjugatePower",
+            "tests/test_groups.py::TestCoxeterImage",
             "tests/test_codes.py::TestCodeKernels",
             "tests/test_solver.py::TestVerify::test_simple",
             "tests/test_solver.py::TestVerify::test_resource_exceeded",

@@ -3,11 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggsolve.errors import InternalError, ResourceExceeded
 from ggsolve.groups import (
+    BlockProduct,
     ConjugatePower,
+    CoxeterImage,
     DoubledAlphabet,
+    _IMAGE_PRIME,
+    _power_mod,
     cyclic_reduce,
     free_reduce,
     identity,
@@ -16,9 +21,19 @@ from ggsolve.groups import (
     mult,
     power_nf,
 )
+from ggsolve.solver.equations import verify
 from ggsolve.traces import IndependenceAlphabet, Trace, left_quotient, right_quotient
 
-from helpers import iter_prefixes, random_element, random_group_word, slow_free_reduce
+from helpers import (
+    const,
+    equation,
+    iter_prefixes,
+    pw,
+    random_element,
+    random_group_word,
+    slow_free_reduce,
+)
+from test_streaming import alphabets, words
 
 AC = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
 FREE2 = DoubledAlphabet(IndependenceAlphabet("ab"))
@@ -256,3 +271,79 @@ class TestConjugatePower:
         h = ConjugatePower(free_reduce(AC, "a"), free_reduce(AC, ("a'",)), 1)
         with pytest.raises(InternalError):
             h.trace
+
+
+def _commutator(x, y):
+    return x + y + invert_word(x) + invert_word(y)
+
+
+@st.composite
+def image_words(draw):
+    """Words over a 3-6-letter graph, often trivial: conjugated relators a b a' b'
+    (a I b), their products, and iterated commutators with a relator inside."""
+    dbl = DoubledAlphabet(draw(alphabets(3, 6)))
+    pairs = sorted(tuple(sorted(pair)) for pair in dbl.base.independence)
+    kind = draw(st.sampled_from(("word", "relators", "commutator")))
+    if kind == "word" or not pairs:
+        return dbl, draw(words(dbl, 12))
+    word = ()
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.sampled_from(pairs))
+        g = draw(words(dbl, 4))
+        relator = g + _commutator((a,), (b,)) + invert_word(g)
+        if kind == "commutator":  # [[x, r], y] = 1 for a relator r
+            relator = _commutator(_commutator(draw(words(dbl, 3)), relator), draw(words(dbl, 3)))
+        word += relator
+    return dbl, word
+
+
+class TestCoxeterImage:
+    """The mod-p image of the doubled Coxeter group against free reduction."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(image_words())
+    def test_fixes_start_iff_trivial(self, case):
+        dbl, word = case
+        image = CoxeterImage(dbl)
+        fixed = image.apply(dbl.encode(word), list(image.start)) == list(image.start)
+        assert fixed == free_reduce(dbl, word).is_identity()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_krylov_power_matches_plain(self, data):
+        """k applications against ``apply_power`` and against the Krylov combination
+        itself, below, at and above the Krylov dimension d."""
+        dbl = DoubledAlphabet(data.draw(alphabets(3, 6)))
+        codes = dbl.encode(data.draw(words(dbl, 6)))
+        image = CoxeterImage(dbl)
+        vectors, relation = image.krylov(codes, image.start)
+        d = len(relation)
+        assert 1 <= d <= len(image.start) and len(vectors) == d
+        drawn = data.draw(st.lists(st.integers(0, 2**10), max_size=3))
+        plain = [list(image.start)]
+        for k in sorted({0, d - 1, d, d + 1, len(image.start) + 1, 2**10, *drawn}):
+            while len(plain) <= k:
+                plain.append(image.apply(codes, list(plain[-1])))
+            assert image.apply_power(codes, k, list(image.start)) == plain[k]
+            coefficients = _power_mod(k, relation)
+            combined = [sum(c * x for c, x in zip(coefficients, column)) % _IMAGE_PRIME
+                        for column in zip(*vectors)]
+            assert combined == plain[k]
+
+    def test_evaluate_catches_merged_inverse_powers(self, monkeypatch):
+        """A ``push_power`` that adds the exponent of an inverse base reads the true
+        c w^x (w^-1)^x c^-1 = 1 as c w^(2x) c^-1; the image check raises."""
+        push_power = BlockProduct.push_power
+
+        def add_inverse(product, w, k):
+            blocks = product.blocks
+            if blocks and isinstance(blocks[-1], list) and blocks[-1][0] == w.inverse():
+                blocks[-1][1] += k
+                product.length += k * len(w)
+                return
+            push_power(product, w, k)
+
+        monkeypatch.setattr(BlockProduct, "push_power", add_inverse)
+        e = equation(AC, const(("c",)), pw(("a", "b"), "x"), pw(("b'", "a'"), "y"), const(("c'",)))
+        with pytest.raises(InternalError):
+            verify(e, {"x": 300, "y": 300})

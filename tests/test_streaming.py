@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from ggsolve.errors import AlphabetMismatchError, ResourceExceeded
 from ggsolve.groups import DoubledAlphabet, SignedPile, cyclic_reduce, free_reduce
-from ggsolve.solver.equations import Const, ExponentEquation, Power, _evaluate_by_mult, evaluate
+from ggsolve.solver.equations import Const, ExponentEquation, Power, evaluate
 from ggsolve.traces import (
     IndependenceAlphabet,
     Trace,
@@ -24,6 +24,7 @@ from ggsolve.traces import (
 )
 
 from helpers import (
+    _evaluate_by_mult,
     quotient_cyclic_reduce,
     scanning_left_quotient,
     scanning_right_quotient,
