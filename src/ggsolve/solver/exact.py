@@ -23,16 +23,18 @@ letters independent of u cancel, across the intact copy; that cancelled
 part p is read off one product lam u * rho, commutes with u and comes off
 both ends: L = right_quotient(lam, p), S = left_quotient(rho, p^-1) and
 dx = dl + dr.  Then L u^a S = v u^(a+dx) w in the group for every a >= 0,
-and as traces for a >= 1.  The shapes are additionally verified at several
-consecutive exponents.
+and as traces for a >= 1.  The shapes are checked at four consecutive
+exponents on signed piles, with no normal-form product: L u^a S piles up
+without a cancellation, v u^(a+dx) w followed by its inverse cancels
+completely, and the depiled v u^(a+dx) w is the canonical word of the shape.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import InternalError
-from ..groups import GroupElement, identity, invert_codes, mult, power_nf
+from ..groups import DoubledAlphabet, GroupElement, SignedPile, identity, invert_codes, mult
 from ..semilinear import (
     LinearSet,
     SemilinearSet,
@@ -49,31 +51,39 @@ from .equations import (
     verify,
 )
 
-_BIG = 10**9
 # Past these sizes after preprocessing, solve_exact answers unknown.
 _MAX_POWER_ITEMS = 2
 _MAX_BASE_LENGTH = 16
 _MAX_CONSTANT_LENGTH = 64
 
 
+def _pushed(alphabet: DoubledAlphabet, *words: Sequence[int]) -> SignedPile:
+    """One signed pile with the codes of ``words`` streamed onto it in turn."""
+    pile = SignedPile(alphabet)
+    for codes in words:
+        pile.push(codes)
+    return pile
+
+
 def _stabilize_left(c: GroupElement, u: GroupElement) -> Tuple[GroupElement, int]:
     """(W, d) with nf(c u^x) = W * u^(x-d) (trace concatenation) for all x >= d.
 
-    Appends copies of u until one append cancels nothing; once that happens,
-    the intact copy blocks all later cancellation (a letter is never
-    independent of itself), so the shape persists.
+    Streams c and then copies of u onto one pile until a copy cancels
+    nothing (it grows the count by |u|); once that happens, the intact copy
+    blocks all later cancellation (a letter is never independent of itself),
+    so the shape persists.  W is the pile with that copy popped off its top.
     """
-    w = c
-    d = 0
-    cap = len(c) + 2 * len(u) + 8
-    while True:
-        nxt, cancelled = mult(w, u)
-        if cancelled.is_empty():
-            return w, d
-        w = nxt
-        d += 1
-        if d > cap:
-            raise InternalError("left absorption did not stabilize")
+    pile = _pushed(c.alphabet, c.codes)
+    codes, size = u.codes, len(u)
+    cap = len(c) + 2 * size + 8
+    for d in range(cap + 1):
+        before = pile.count
+        pile.push(codes)
+        if pile.count == before + size:
+            if not pile.pop_top(codes):
+                raise InternalError("an uncancelled copy of u is not on top of the pile")
+            return pile.element(), d
+    raise InternalError("left absorption did not stabilize")
 
 
 def _power_form(
@@ -84,6 +94,7 @@ def _power_form(
     For all x >= x_min, nf(v u^x w) = L * u^(x-dx) * S as traces; and for
     every a >= 0 the group identity L u^a S = v u^(a+dx) w holds.
     """
+    alphabet = u.alphabet
     lam, dl = _stabilize_left(v, u)  # nf(v u^x) = lam u^(x-dl), x >= dl
     rho_inv, dr = _stabilize_left(w.inverse(), u.inverse())
     rho = rho_inv.inverse()  # nf(u^x w) = u^(x-dr) rho, x >= dr
@@ -98,31 +109,39 @@ def _power_form(
         raise InternalError("cancelled part is not a prefix of the right constant")
     dx = dl + dr
     x_min = dx + 1
-    # verify the shape on several consecutive exponents
+    # check the shape on several consecutive exponents: it is reduced, it is
+    # v u^x w in the group, and it is the normal form of v u^x w as a trace
     for x in range(x_min, x_min + 4):
-        shaped = _canonical_word(u.alphabet, big_l.codes + u.codes * (x - dx) + big_s.codes)
-        if _nf_three(v, u, x, w).codes != shaped:
+        shape = big_l.codes + u.codes * (x - dx) + big_s.codes
+        product = (v.codes, u.codes * x, w.codes)
+        pile = _pushed(alphabet, *product)
+        size = pile.count
+        nf = pile.depile()
+        if (
+            _pushed(alphabet, shape).count != len(shape)
+            or _pushed(alphabet, *product, invert_codes(shape)).count
+            or len(nf) != size
+            or nf != _canonical_word(alphabet, shape)
+        ):
             raise InternalError("parametric left form failed verification")
     return big_l, big_s, dx, x_min
 
 
-def _nf_three(v0: GroupElement, u1: GroupElement, x: int, v1: GroupElement) -> GroupElement:
-    acc, _ = mult(v0, power_nf(u1, x, _BIG))
-    acc, _ = mult(acc, v1)
-    return acc
-
-
 def _solve_one_power(
-    v0: GroupElement, u: GroupElement, v1: GroupElement
+    alphabet: DoubledAlphabet, v0: Sequence[int], u: Sequence[int], v1: Sequence[int]
 ) -> List[int]:
-    """All x with v0 u^x v1 = 1; at most one since u^x is irreducible."""
-    g, _ = mult(v0.inverse(), v1.inverse())
-    if len(g) % max(1, len(u)) != 0:
+    """All x with v0 u^x v1 = 1, for raw words in codes and u cyclically reduced.
+
+    u^x is irreducible, so x|u| is the reduced length of (v1 v0)^-1: one
+    candidate, kept when v0 u^x v1 cancels completely.
+    """
+    length = _pushed(alphabet, v1, v0).count
+    if length % max(1, len(u)) != 0:
         return []
-    x = len(g) // max(1, len(u))
-    if power_nf(u, x, _BIG) == g:
-        return [x]
-    return []
+    x = length // max(1, len(u))
+    if _pushed(alphabet, v0, u * x, v1).count:
+        return []
+    return [x]
 
 
 def solve_exact(e: ExponentEquation) -> SolveReport:
@@ -216,7 +235,7 @@ def solve_exact(e: ExponentEquation) -> SolveReport:
 
     # ---- n = 1 ----------------------------------------------------------
     if n == 1:
-        sols = _solve_one_power(consts[0], bases[0], consts[1])
+        sols = _solve_one_power(alphabet, consts[0].codes, bases[0].codes, consts[1].codes)
         core = SemilinearSet(1, [LinearSet((x,)) for x in sols])
         return report(lift(core))
 
@@ -245,16 +264,16 @@ def solve_exact(e: ExponentEquation) -> SolveReport:
 
     # strips: one exponent below its threshold, the other solved directly
     for x0 in range(x_min):
-        left_val = _nf_three(v0, u1, x0, v1)
-        for y0 in _solve_one_power(left_val, u2, v2):
+        # (v0 u1^x0 v1) u2^y v2 = 1
+        head = v0.codes + u1.codes * x0 + v1.codes
+        for y0 in _solve_one_power(alphabet, head, u2.codes, v2.codes):
             add_point(x0, y0)
     # with w = 1 nothing cancels across the power, so the right shape holds
     # from y = dy on and the pair components (b = 0) cover that row
     for y0 in range(dy):
         # v0 u1^x (v1 u2^y0 v2) = 1
-        tail, _ = mult(power_nf(u2, y0, _BIG), v2)
-        tail, _ = mult(v1, tail)
-        for x0 in _solve_one_power(v0, u1, tail):
+        tail = v1.codes + u2.codes * y0 + v2.codes
+        for x0 in _solve_one_power(alphabet, v0.codes, u1.codes, tail):
             add_point(x0, y0)
 
     # drop strip points already covered by the parametric components

@@ -33,6 +33,7 @@ from ggsolve.groups import (
     free_reduce,
     identity,
     inverse_letter,
+    invert_codes,
     mult,
     power_nf,
 )
@@ -343,6 +344,66 @@ def _evaluate_by_mult(e: ExponentEquation, sigma: Assignment, cap: int) -> Group
         if len(acc) > cap:
             raise ResourceExceeded(len(acc), cap)
     return acc
+
+
+# The exact solver's products as chains of ``power_nf`` and self-checked
+# ``mult`` calls, one normal form per step: the references for its piles.
+
+_BIG = 10**9
+
+
+def _stabilize_left_by_mult(c: GroupElement, u: GroupElement) -> Tuple[GroupElement, int]:
+    """(W, d) with nf(c u^x) = W * u^(x-d) for all x >= d: multiply by u until nothing cancels."""
+    w = c
+    d = 0
+    cap = len(c) + 2 * len(u) + 8
+    while True:
+        nxt, cancelled = mult(w, u)
+        if cancelled.is_empty():
+            return w, d
+        w = nxt
+        d += 1
+        if d > cap:
+            raise InternalError("left absorption did not stabilize")
+
+
+def _nf_three(v0: GroupElement, u1: GroupElement, x: int, v1: GroupElement) -> GroupElement:
+    acc, _ = mult(v0, power_nf(u1, x, _BIG))
+    acc, _ = mult(acc, v1)
+    return acc
+
+
+def _power_form_by_mult(v: GroupElement, u: GroupElement, w: GroupElement):
+    """``solver.exact._power_form`` on the mult chain: (L, S, dx, x_min), the
+    shape checked against ``_nf_three`` at four consecutive exponents."""
+    lam, dl = _stabilize_left_by_mult(v, u)
+    rho_inv, dr = _stabilize_left_by_mult(w.inverse(), u.inverse())
+    rho = rho_inv.inverse()
+    _, p = mult(GroupElement(lam.trace * u.trace), rho)
+    big_l = right_quotient(lam.trace, p.codes)
+    if big_l is None:
+        raise InternalError("cancelled part is not a suffix of the left constant")
+    big_s = left_quotient(rho.trace, invert_codes(p.codes))
+    if big_s is None:
+        raise InternalError("cancelled part is not a prefix of the right constant")
+    dx = dl + dr
+    x_min = dx + 1
+    for x in range(x_min, x_min + 4):
+        shaped = _canonical_word(u.alphabet, big_l.codes + u.codes * (x - dx) + big_s.codes)
+        if _nf_three(v, u, x, w).codes != shaped:
+            raise InternalError("parametric left form failed verification")
+    return big_l, big_s, dx, x_min
+
+
+def _solve_one_power_by_mult(v0: GroupElement, u: GroupElement, v1: GroupElement) -> List[int]:
+    """All x with v0 u^x v1 = 1: the one length candidate, compared as normal forms."""
+    g, _ = mult(v0.inverse(), v1.inverse())
+    if len(g) % max(1, len(u)) != 0:
+        return []
+    x = len(g) // max(1, len(u))
+    if power_nf(u, x, _BIG) == g:
+        return [x]
+    return []
 
 
 def z_to_n_rewrite(

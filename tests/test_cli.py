@@ -232,6 +232,25 @@ class TestFailClosed:
         code, _ = run_cli(["--format", "machine", "solve", path])
         assert code == 4
 
+    def test_missed_cancellation_exits_4(self, tmp_path, monkeypatch, capsys):
+        """A pile on which a' piles up on an a instead of cancelling it fails the
+        exact solver's shape check, which streams every product through one pile."""
+        push = SignedPile.push
+
+        def miss_a_inverse(pile, codes):
+            for code in codes:
+                if code == 1 and pile.top(0) == 0:  # a' on top of a
+                    Pile.push(pile, (code,))
+                    pile.pushed += 1
+                else:
+                    push(pile, (code,))
+
+        monkeypatch.setattr(SignedPile, "push", miss_a_inverse)
+        path = write(tmp_path, "gens a b\neq\npow a x\npow b y\nconst b' a'\n")
+        code, _ = run_cli(["--format", "machine", "solve", "--mode", "exact", path])
+        assert code == 4
+        assert "parametric left form" in capsys.readouterr().err
+
 
 HNN_Z2 = "oracle B finite-cyclic 2 g\nhnn base B stable t\nassoc + _\nassoc - _\nphi _ -> _\n"
 EXT_DINF = (
@@ -527,6 +546,7 @@ class TestOptimizedInterpreter:
         tests = [
             "tests/test_cli.py::TestFailClosed",
             "tests/test_cli.py::TestFailClosed::test_dropped_stack_entry_exits_4",
+            "tests/test_cli.py::TestFailClosed::test_missed_cancellation_exits_4",
             "tests/test_saturation.py::TestHnnSaturate",
             "tests/test_saturation.py::TestHnnPresentationValidation",
             "tests/test_amalgam.py::TestPresentation",

@@ -4,14 +4,33 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ggsolve.errors import InternalError
-from ggsolve.groups import DoubledAlphabet, cyclic_reduce, free_reduce, identity
+from ggsolve.groups import (
+    DoubledAlphabet,
+    SignedPile,
+    cyclic_reduce,
+    free_reduce,
+    identity,
+    invert_codes,
+)
 from ggsolve.semilinear import member
 from ggsolve.solver import solve_exact
-from ggsolve.traces import IndependenceAlphabet, Trace
+from ggsolve.traces import IndependenceAlphabet, Trace, is_connected
 
-from helpers import brute_oracle, const, enumerate_members, equation, power, pw, random_element
+from helpers import (
+    _power_form_by_mult,
+    _solve_one_power_by_mult,
+    brute_oracle,
+    const,
+    enumerate_members,
+    equation,
+    power,
+    pw,
+    random_element,
+)
+from test_streaming import alphabets, words
 
 ZL = DoubledAlphabet(IndependenceAlphabet("a"))
 AC = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
@@ -278,6 +297,47 @@ class TestPowerForm:
             done += 1
 
 
+@st.composite
+def power_triples(draw):
+    """(v, u, w) over a 3-6-letter graph: u cyclically reduced and connected with at
+    most 6 letters, v and w normal forms of at most 12; w is planted as (v u^k)^-1
+    when that is short enough, so that v u^x w = 1 has a solution."""
+    dbl = DoubledAlphabet(draw(alphabets(3, 6)))
+    _, u = cyclic_reduce(free_reduce(dbl, draw(words(dbl, 6))))
+    assume(not u.is_identity() and is_connected(u.trace))
+    v = free_reduce(dbl, draw(words(dbl, 12)))
+    w = free_reduce(dbl, draw(words(dbl, 12)))
+    if draw(st.booleans()):
+        planted = free_reduce(dbl, v.word + u.word * draw(st.integers(0, 3))).inverse()
+        if len(planted) <= 12:
+            w = planted
+    return v, u, w
+
+
+class TestAgainstMultChain:
+    """The piled products of the exact solver against the ``power_nf`` / ``mult``
+    chains they replaced, kept in ``helpers``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(power_triples())
+    def test_power_form(self, triple):
+        from ggsolve.solver.exact import _power_form
+
+        assert _power_form(*triple) == _power_form_by_mult(*triple)
+
+    @settings(max_examples=300, deadline=None)
+    @given(power_triples())
+    def test_solve_one_power(self, triple):
+        from ggsolve.solver.exact import _solve_one_power
+
+        v, u, w = triple
+        expected = _solve_one_power_by_mult(v, u, w)
+        assert _solve_one_power(u.alphabet, v.codes, u.codes, w.codes) == expected
+        # the strips pass unreduced words
+        spelled = v.codes + u.codes + invert_codes(u.codes)
+        assert _solve_one_power(u.alphabet, spelled, u.codes, w.codes) == expected
+
+
 class TestInternalChecks:
     """The checks on the exact path raise InternalError, also under ``python -O``."""
 
@@ -302,14 +362,14 @@ class TestInternalChecks:
     def test_left_form_verification(self, monkeypatch):
         import ggsolve.solver.exact as exact
 
-        monkeypatch.setattr(exact, "_nf_three", lambda *args: identity(FREE2))
+        monkeypatch.setattr(exact, "_canonical_word", lambda *args: ())
         with pytest.raises(InternalError, match="parametric left form"):
             solve_exact(self.KNAPSACK)
 
     def test_right_form_verification(self, monkeypatch):
         import ggsolve.solver.exact as exact
 
-        monkeypatch.setattr(exact, "power_nf", lambda *args: identity(FREE2))
+        monkeypatch.setattr(exact, "invert_codes", lambda codes: ())
         # the right side v2^-1 (u2^-1)^y goes through the same shape check
         with pytest.raises(InternalError, match="parametric left form"):
             exact._power_form(
@@ -319,9 +379,10 @@ class TestInternalChecks:
     def test_stabilization_bound(self, monkeypatch):
         import ggsolve.solver.exact as exact
 
-        monkeypatch.setattr(exact, "mult", lambda g, h: (g, h.trace))
+        a, b = free_reduce(FREE2, ("a",)), free_reduce(FREE2, ("b",))
+        monkeypatch.setattr(SignedPile, "push", lambda pile, codes: None)
         with pytest.raises(InternalError, match="did not stabilize"):
-            exact._stabilize_left(free_reduce(FREE2, ("a",)), free_reduce(FREE2, ("b",)))
+            exact._stabilize_left(a, b)
 
     @pytest.mark.parametrize(
         "prog, u, v, message",
