@@ -198,68 +198,16 @@ def _solve_box(A, a, m, bound) -> Optional[tuple]:
     return dfs(0, list(a), [])
 
 
-def _egcd(a: int, b: int) -> tuple:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
-    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
-
-
-def _solve_row(w: Sequence[int], b: int) -> Optional[tuple]:
-    """Some z in N^m with w z = b, for weights of both signs; None when the gcd fails.
-
-    The equation is solvable over Z exactly when gcd(w) divides b, and then
-    over N too: for weights w_p > 0 > w_n the vector with |w_n|/h at p and
-    w_p/h at n (h = gcd(w_p, w_n)) is natural and has weight 0, so adding
-    it raises a negative entry of the extended-Euclid solution without
-    lowering any other.  The same vectors are then taken off while every
-    entry stays natural, which keeps the witness small.
-    """
-    g, coef = 0, []
-    for a in w:
-        g, s, t = _egcd(g, a)
-        coef = [s * c for c in coef] + [t]
-    if b % g:
-        return None
-    z = [c * (b // g) for c in coef]
-    positive = [i for i, a in enumerate(w) if a > 0]
-    negative = [i for i, a in enumerate(w) if a < 0]
-    for i, a in enumerate(w):
-        if a == 0:
-            z[i] = 0
-        elif z[i] < 0:
-            j = negative[0] if a > 0 else positive[0]
-            h = math.gcd(a, w[j])
-            k = -(z[i] // (abs(w[j]) // h))  # the least k making z_i natural
-            z[i] += k * (abs(w[j]) // h)
-            z[j] += k * (abs(a) // h)
-    for p in positive:
-        for n in negative:
-            h = math.gcd(w[p], w[n])
-            step_p, step_n = -w[n] // h, w[p] // h
-            k = min(z[p] // step_p, z[n] // step_n)
-            z[p] -= k * step_p
-            z[n] -= k * step_n
-    return tuple(z)
-
-
 def diophantine_solve(d: DiophantineSystem) -> Optional[tuple]:
     """Some z in N^m with A z = a; None certifies unsolvability.
 
-    One row whose weights have both signs is answered in closed form
-    (``_solve_row``).  Every other system goes through an escalating box
-    search, complete at the zur Gathen-Sieveking cutoff: any solvable
-    system has a solution within the cutoff, so exhausting it is a
-    definitive negative answer.
+    Escalating box search, complete at the zur Gathen-Sieveking cutoff:
+    any solvable system has a solution within the cutoff, so exhausting it
+    is a definitive negative answer.
     """
     m = d.num_vars
     if m == 0:
         return () if all(x == 0 for x in d.a) else None
-    if len(d.A) == 1 and min(d.A[0]) < 0 < max(d.A[0]):
-        return _solve_row(d.A[0], d.a[0])
     full = d.cutoff()
     boxes = sorted({min(8, full), min(64, full), full})
     for bound in boxes:

@@ -34,7 +34,15 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ..errors import InternalError
-from ..groups import DoubledAlphabet, GroupElement, SignedPile, identity, invert_codes, mult
+from ..groups import (
+    CoxeterImage,
+    DoubledAlphabet,
+    GroupElement,
+    SignedPile,
+    identity,
+    invert_codes,
+    mult,
+)
 from ..semilinear import (
     LinearSet,
     SemilinearSet,
@@ -133,15 +141,23 @@ def _solve_one_power(
     """All x with v0 u^x v1 = 1, for raw words in codes and u cyclically reduced.
 
     u^x is irreducible, so x|u| is the reduced length of (v1 v0)^-1: one
-    candidate, kept when v0 u^x v1 cancels completely.
+    candidate, kept when v0 u^x v1 cancels completely.  A refused candidate
+    is confirmed on the ``CoxeterImage``, which shares nothing with the
+    piling: a different image proves v0 u^x v1 != 1, and the start vector
+    beside a non-empty pile raises InternalError.
     """
     length = _pushed(alphabet, v1, v0).count
     if length % max(1, len(u)) != 0:
         return []
     x = length // max(1, len(u))
-    if _pushed(alphabet, v0, u * x, v1).count:
-        return []
-    return [x]
+    if not _pushed(alphabet, v0, u * x, v1).count:
+        return [x]
+    image = CoxeterImage(alphabet)
+    v = image.apply(v1, list(image.start))
+    image.apply(v0, image.apply_power(u, x, v))
+    if v == list(image.start):
+        raise InternalError("a refused exponent maps to 1 on the Coxeter image")
+    return []
 
 
 def solve_exact(e: ExponentEquation) -> SolveReport:

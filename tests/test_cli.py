@@ -232,9 +232,20 @@ class TestFailClosed:
         code, _ = run_cli(["--format", "machine", "solve", path])
         assert code == 4
 
-    def test_missed_cancellation_exits_4(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the shape check streams every product through one pile
+            ("gens a b\neq\npow a x\npow b y\nconst b' a'\n", "parametric left form"),
+            # a^x a' a' = 1 has x = 2, whose product does not cancel on such a
+            # pile; the Coxeter image refuses that refusal
+            ("gens a b\neq\npow a x\nconst a' a'\n", "refused exponent"),
+        ],
+        ids=["shape", "refusal"],
+    )
+    def test_missed_cancellation_exits_4(self, tmp_path, monkeypatch, capsys, text, message):
         """A pile on which a' piles up on an a instead of cancelling it fails the
-        exact solver's shape check, which streams every product through one pile."""
+        exact solver's checks."""
         push = SignedPile.push
 
         def miss_a_inverse(pile, codes):
@@ -246,10 +257,10 @@ class TestFailClosed:
                     push(pile, (code,))
 
         monkeypatch.setattr(SignedPile, "push", miss_a_inverse)
-        path = write(tmp_path, "gens a b\neq\npow a x\npow b y\nconst b' a'\n")
+        path = write(tmp_path, text)
         code, _ = run_cli(["--format", "machine", "solve", "--mode", "exact", path])
         assert code == 4
-        assert "parametric left form" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 HNN_Z2 = "oracle B finite-cyclic 2 g\nhnn base B stable t\nassoc + _\nassoc - _\nphi _ -> _\n"

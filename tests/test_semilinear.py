@@ -5,12 +5,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ggsolve.errors import StructureError
 from ggsolve.semilinear import (
     DiophantineSystem,
-    _solve_box,
     LinearSet,
     SemilinearSet,
     diophantine_solve,
@@ -112,22 +110,6 @@ class TestDiophantine:
                 assert all(
                     sum(A[i][j] * got[j] for j in range(m)) == a[i] for i in range(n)
                 )
-
-    @settings(max_examples=400, deadline=None)
-    @given(
-        st.lists(st.integers(-7, 7), min_size=1, max_size=5),
-        st.integers(-7, 7),
-    )
-    def test_one_row_against_the_full_box(self, weights, constant):
-        """One row, closed form or not: solvable exactly when the box at the full
-        cutoff finds a solution, and any witness solves the row within the cutoff."""
-        d = DiophantineSystem([weights], [constant])
-        got = diophantine_solve(d)
-        boxed = _solve_box(d.A, d.a, d.num_vars, d.cutoff())
-        assert (got is None) == (boxed is None)
-        if got is not None:
-            assert sum(w * z for w, z in zip(weights, got)) == constant
-            assert 0 <= min(got) and max(got) <= d.cutoff()
 
 
 def brute_two_power(p, u, s, q, v, t, bound=20):
