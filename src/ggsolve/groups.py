@@ -12,7 +12,7 @@ a and a' share one column, and a letter cancels the most recent surviving
 occurrence of its inverse exactly when that occurrence is on top of the
 column.  Entries carry position tags so that multiplication can report the
 cancelled middle trace of the unique boundary factorization.
-``SignedPile`` is that cancelling pile.
+``SignedPile`` is that cancelling pile; ``_is_reduced`` checks a word without one.
 ``BlockProduct`` multiplies many items as blocks, constants and powers w^k
 merged by free reduction and exponent arithmetic, and streams only what is
 left through one pile; ``ConjugatePower`` keeps p w^k p^-1 folded until its
@@ -23,7 +23,7 @@ the doubled right-angled Coxeter group.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import AlphabetMismatchError, InternalError, ResourceExceeded, TraceError
@@ -312,6 +312,19 @@ def _reduce_tagged(alphabet: DoubledAlphabet, codes: Sequence[int]):
     return pile.depile(), pile.pairs
 
 
+def _is_reduced(alphabet: DoubledAlphabet, codes: Sequence[int]) -> bool:
+    """Whether ``codes`` is reduced: no letter's first dependent successor is its inverse."""
+    dep_mask = alphabet.dep_mask
+    for i, c in enumerate(codes):
+        mask = dep_mask[c]
+        for d in islice(codes, i + 1, None):
+            if mask >> d & 1:
+                if d == c ^ 1:
+                    return False
+                break
+    return True
+
+
 def free_reduce(alphabet: DoubledAlphabet, word) -> GroupElement:
     """The unique irreducible normal form of a raw word (letter names) or trace."""
     if isinstance(word, Trace):
@@ -362,24 +375,30 @@ class CoxeterImage:
     vectors are evidence.
     """
 
-    __slots__ = ("_neighbours", "start")
+    __slots__ = ("_others", "start")
 
     def __init__(self, alphabet: DoubledAlphabet):
         dep_mask = alphabet.dep_mask
         dimension = len(dep_mask)
-        self._neighbours = tuple(
-            tuple(t for t in range(dimension) if t != s and dep_mask[s] >> t & 1)
-            for s in range(dimension)
-        )
+        # besides each other, s(a,1) and s(a,2) fail to commute with the same
+        # reflections: those of the other letters that a depends on
+        others = []
+        for s in range(0, dimension, 2):
+            mask = dep_mask[s] & ~(3 << s)
+            others += [tuple(t for t in range(dimension) if mask >> t & 1)] * 2
+        self._others = tuple(others)
         self.start = _image_start(dimension)
 
     def apply(self, codes: Sequence[int], v: List[int]) -> List[int]:
-        """The image of the word ``codes`` applied to v, in place: its last letter acts first."""
-        neighbours, get, prime = self._neighbours, v.__getitem__, _IMAGE_PRIME
+        """The image of the word ``codes`` applied to v, in place: its last letter acts first.
+
+        Letter c is s(c ^ 1), then s(c); one sum over their shared neighbours serves both."""
+        others, get, prime = self._others, v.__getitem__, _IMAGE_PRIME
         for c in reversed(codes):
             s = c ^ 1
-            v[s] = (2 * sum(map(get, neighbours[s])) - v[s]) % prime
-            v[c] = (2 * sum(map(get, neighbours[c])) - v[c]) % prime
+            rest = sum(map(get, others[c]))
+            v[s] = x = (2 * (rest + v[c]) - v[s]) % prime
+            v[c] = (2 * (rest + x) - v[c]) % prime
         return v
 
     def apply_power(self, codes: Sequence[int], k: int, v: List[int]) -> List[int]:

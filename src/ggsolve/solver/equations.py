@@ -19,14 +19,13 @@ from ..groups import (
     CoxeterImage,
     DoubledAlphabet,
     GroupElement,
+    SignedPile,
     _conjugate_power,
+    _is_reduced,
     cyclic_reduce,
     free_reduce,
-    identity,
     invert_codes,
     letter_balance,
-    mult,
-    power_nf,
 )
 from ..semilinear import DiophantineSystem, SemilinearSet, diophantine_solve
 from ..traces import connected_components
@@ -92,26 +91,27 @@ class ExponentEquation:
 def evaluate(e: ExponentEquation, sigma: Assignment, cap: int = 10**6) -> GroupElement:
     """The group element denoted by the equation's left-hand side under sigma.
 
-    One pass over blocks: a constant enters as its word, a power u^k (and a
+    ``_block_product`` computes it; when its items spell at most
+    ``_VERIFY_MULT_LIMIT`` letters, ``_check_on_image`` cross-checks it.
+    """
+    value, letters = _block_product(e, sigma, cap)
+    if letters <= _VERIFY_MULT_LIMIT:
+        _check_on_image(e, sigma, value)
+    return value
+
+
+def _block_product(
+    e: ExponentEquation, sigma: Assignment, cap: int
+) -> Tuple[GroupElement, int]:
+    """The left-hand side under sigma, and the letters its items spell.
+
+    A constant enters a ``BlockProduct`` as its word, a power u^k (and a
     constant kept folded as a ``ConjugatePower``) as p, w^k, p^-1 with
-    (p, w) = cyclic_reduce(u).  ``BlockProduct`` merges neighbouring
-    constants by free reduction and neighbouring powers of equal or mutually
-    inverse bases by adding exponents; only the blocks left stream, letter
-    by letter, through one signed pile.  The cost is linear in the letters
-    streamed, which can be far fewer than the k|w| of the powers.
-
-    Raises ResourceExceeded when a power's 2|p| + k|w| exceeds ``cap``
-    (before it enters), or when the reduced product of the items so far is
-    longer than ``cap`` (the blocks are streamed to find that length only
-    when their total length exceeds ``cap``).
-
-    When the letters of the items (constants plus 2|p| + k|w| per power) are
-    at most ``_VERIFY_MULT_LIMIT``, the product is cross-checked on the
-    ``CoxeterImage``, a kernel that shares nothing with the piling: the
-    image of the items, read from each power's base and exponent and from
-    each constant's codes or folded p, w and k, must equal the image of the
-    value, or InternalError is raised.  Unequal images prove a fault;
-    equal ones are evidence only, so the value alone decides the answer.
+    (p, w) = cyclic_reduce(u), spelling 2|p| + k|w| letters.  The blocks
+    merge by free reduction and exponent arithmetic, and only what is left
+    streams through one signed pile, so the cost can be far below the k|w|
+    of the powers.  Raises ResourceExceeded when a power's 2|p| + k|w|, or
+    the reduced product of the items so far, exceeds ``cap``.
     """
     product = BlockProduct(e.alphabet)
     letters = 0
@@ -134,16 +134,19 @@ def evaluate(e: ExponentEquation, sigma: Assignment, cap: int = 10**6) -> GroupE
             count = product.collapse()
             if count > cap:
                 raise ResourceExceeded(count, cap)
-    value = product.element()
-    if letters <= _VERIFY_MULT_LIMIT:
-        image = CoxeterImage(e.alphabet)
-        if _image_of_items(image, e, sigma) != image.apply(value.codes, list(image.start)):
-            raise InternalError("block product differs from the Coxeter image of the items")
-    return value
+    return product.element(), letters
 
 
-def _image_of_items(image: CoxeterImage, e: ExponentEquation, sigma: Assignment) -> list:
-    """The image of the items applied to the start vector of ``image``, the last item first."""
+def _check_on_image(e: ExponentEquation, sigma: Assignment, value: GroupElement) -> None:
+    """InternalError unless ``value`` and the items agree on the ``CoxeterImage``.
+
+    The image shares nothing with the piling.  The items are read from each
+    power's base and exponent and each constant's codes or folded p, w and
+    k; their image must be the value's, and a non-empty value beside the
+    start vector (items that denote 1) is a missed cancellation.  Unequal
+    images prove a fault; equal ones are evidence, not an answer.
+    """
+    image = CoxeterImage(e.alphabet)
     v = list(image.start)
     for item in reversed(e.items):
         if isinstance(item, Power):
@@ -155,16 +158,18 @@ def _image_of_items(image: CoxeterImage, e: ExponentEquation, sigma: Assignment)
             image.apply(p, v)
         else:
             image.apply(item.value.codes, v)
-    return v
+    start = list(image.start)
+    if value and v == start:
+        raise InternalError("the items map to 1 on the Coxeter image beside a non-empty value")
+    if v != image.apply(value.codes, start):
+        raise InternalError("block product differs from the Coxeter image of the items")
 
 
 def verify(e: ExponentEquation, sigma: Assignment, cap: int = 10**6) -> bool:
     """Substitute and evaluate over blocks; True iff the product is the identity.
 
-    Powers enter in their conjugate-power form and merge by exponent
-    arithmetic, so huge exponents only pay for the letters left after the
-    merges; raises ResourceExceeded when a power or the reduced product of a
-    prefix of the items would exceed ``cap`` letters (see ``evaluate``).
+    Raises ResourceExceeded past ``cap`` letters and InternalError when the
+    cross-check on the Coxeter image fails (see ``evaluate``).
     """
     for v in e.vars:
         if v not in sigma:
@@ -176,59 +181,34 @@ def preprocess(e: ExponentEquation) -> ExponentEquation:
     """Cyclically reduce and connect all power bases; drop trivial powers.
 
     Each u^x becomes p w^x p^{-1} with the conjugators merged into the
-    neighboring constants, and a disconnected w splits into its independent
-    components, all sharing the variable.  Solution sets are preserved.
+    neighboring constants (each gap between powers is one ``SignedPile``),
+    and a disconnected w splits into its independent components, all
+    sharing the variable.  Solution sets are preserved.
     """
     alphabet = e.alphabet
     items: List[Item] = []
-    pending = identity(alphabet)
+    pile = SignedPile(alphabet)
 
     def flush():
-        nonlocal pending
-        if not pending.is_identity():
-            items.append(Const(pending))
-            pending = identity(alphabet)
+        nonlocal pile
+        if pile.count:
+            items.append(Const(pile.element()))
+            pile = SignedPile(alphabet)
 
     for item in e.items:
         if isinstance(item, Const):
-            pending, _ = mult(pending, item.value)
+            pile.push(item.value.codes)
             continue
         if item.base.is_identity():
             continue
         p, w = cyclic_reduce(item.base)
-        pending, _ = mult(pending, p)
-        comps = connected_components(w.trace)
-        for comp in comps:
+        pile.push(p.codes)
+        for comp in connected_components(w.trace):
             flush()
             items.append(Power(GroupElement(comp), item.var))
-        pending, _ = mult(pending, p.inverse())
+        pile.push(invert_codes(p.codes))
     flush()
     return ExponentEquation(alphabet, items, e.vars)
-
-
-def _memo_holds(e: ExponentEquation):
-    """A test of value tuples over ``e.vars``: does the product evaluate to 1?
-
-    Multiplies item by item with checked ``mult``; each power ``u^k`` is
-    computed once and kept for the later tuples.
-    """
-    power_tables: Dict[Tuple[GroupElement, int], GroupElement] = {}
-
-    def holds(values) -> bool:
-        sigma = dict(zip(e.vars, values))
-        acc = identity(e.alphabet)
-        for item in e.items:
-            if isinstance(item, Const):
-                step = item.value
-            else:
-                key = (item.base, sigma[item.var])
-                step = power_tables.get(key)
-                if step is None:
-                    step = power_tables[key] = power_nf(item.base, key[1], 10**9)
-            acc, _ = mult(acc, step)
-        return acc.is_identity()
-
-    return holds
 
 
 def abelian_relaxation(e: ExponentEquation) -> DiophantineSystem:
@@ -298,45 +278,35 @@ def bound_report_string(e: ExponentEquation) -> str:
 def solve_search(e: ExponentEquation, cap: int = 15) -> SolveReport:
     """Iterative deepening up to ``cap`` with abelianization pruning.
 
-    Sound: a found witness is verified; Unsolvable only via the abelian
-    relaxation certificate; otherwise Unknown(cap).
+    Each candidate is tested on its block product, which must come out
+    reduced (``_is_reduced``, a scan with no pile); the witness reported and
+    a product with no variables go through ``verify``.  Sound: a found
+    witness is verified; Unsolvable only via the abelian relaxation
+    certificate or a verified constant product; otherwise Unknown(cap).
     """
     bound_report = bound_report_string(preprocess(e))
-    relax = abelian_relaxation(e)
-    if diophantine_solve(relax) is None:
-        return SolveReport(
-            status="unsolvable",
-            bound_report=bound_report,
-            note="abelian relaxation has no solution",
-        )
-    k = len(e.vars)
-    eval_values = _memo_holds(e)
-    if k == 0:
-        ok = eval_values(())
-        return SolveReport(
-            status="solvable" if ok else "unsolvable",
-            witness={} if ok else None,
-            bound_report=bound_report,
-            note="" if ok else "constant product differs from the identity",
-        )
+    if diophantine_solve(abelian_relaxation(e)) is None:
+        note = "abelian relaxation has no solution"
+        return SolveReport("unsolvable", bound_report=bound_report, note=note)
+    if not e.vars:
+        if verify(e, {}, 10**9):
+            return SolveReport("solvable", {}, bound_report=bound_report)
+        note = "constant product differs from the identity"
+        return SolveReport("unsolvable", bound_report=bound_report, note=note)
     for depth in range(cap + 1):
-        for values in iproduct(range(depth + 1), repeat=k):
+        for values in iproduct(range(depth + 1), repeat=len(e.vars)):
             if depth and max(values) != depth:
                 continue
-            if eval_values(values):
-                sigma = dict(zip(e.vars, values))
+            sigma = dict(zip(e.vars, values))
+            value, _ = _block_product(e, sigma, 10**9)
+            if not _is_reduced(e.alphabet, value.codes):
+                raise InternalError(f"the block product under {sigma} is not reduced")
+            if value.is_identity():
                 if not verify(e, sigma, 10**9):
                     raise InternalError(f"search witness {sigma} fails verification")
-                return SolveReport(
-                    status="solvable",
-                    witness=sigma,
-                    bound_report=bound_report,
-                )
-    return SolveReport(
-        status="unknown",
-        bound_report=bound_report,
-        note=f"no witness with exponents <= {cap}",
-    )
+                return SolveReport("solvable", sigma, bound_report=bound_report)
+    note = f"no witness with exponents <= {cap}"
+    return SolveReport("unknown", bound_report=bound_report, note=note)
 
 
 def chain_equation(

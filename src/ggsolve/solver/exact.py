@@ -39,6 +39,7 @@ from ..groups import (
     DoubledAlphabet,
     GroupElement,
     SignedPile,
+    _is_reduced,
     identity,
     invert_codes,
     mult,
@@ -141,22 +142,31 @@ def _solve_one_power(
     """All x with v0 u^x v1 = 1, for raw words in codes and u cyclically reduced.
 
     u^x is irreducible, so x|u| is the reduced length of (v1 v0)^-1: one
-    candidate, kept when v0 u^x v1 cancels completely.  A refused candidate
-    is confirmed on the ``CoxeterImage``, which shares nothing with the
-    piling: a different image proves v0 u^x v1 != 1, and the start vector
-    beside a non-empty pile raises InternalError.
+    candidate, kept when v0 u^x v1 cancels completely.  An empty answer is
+    confirmed, or InternalError raised: a refused v0 u^x v1 must not map to
+    the start vector of the ``CoxeterImage`` (no code shared with the pile),
+    and the depiled v1 v0 must have ``count`` letters, pass ``_is_reduced``
+    and equal v1 v0 on the image.
     """
-    length = _pushed(alphabet, v1, v0).count
-    if length % max(1, len(u)) != 0:
-        return []
-    x = length // max(1, len(u))
-    if not _pushed(alphabet, v0, u * x, v1).count:
+    pile = _pushed(alphabet, v1, v0)
+    length = pile.count
+    x, rest = divmod(length, max(1, len(u)))
+    if not rest and not _pushed(alphabet, v0, u * x, v1).count:
         return [x]
     image = CoxeterImage(alphabet)
-    v = image.apply(v1, list(image.start))
-    image.apply(v0, image.apply_power(u, x, v))
-    if v == list(image.start):
-        raise InternalError("a refused exponent maps to 1 on the Coxeter image")
+    if not rest:
+        v = image.apply(v1, list(image.start))
+        image.apply(v0, image.apply_power(u, x, v))
+        if v == list(image.start):
+            raise InternalError("a refused exponent maps to 1 on the Coxeter image")
+    word = pile.depile()
+    if (
+        len(word) != length
+        or not _is_reduced(alphabet, word)
+        or image.apply(word, list(image.start))
+        != image.apply(v1, image.apply(v0, list(image.start)))
+    ):
+        raise InternalError("the length behind a refusal is not the reduced length of v1 v0")
     return []
 
 

@@ -22,6 +22,7 @@ from ggsolve.traces import (
     Pile,
     Trace,
     _canonical_word,
+    connected_components,
     empty_trace,
     is_connected,
     left_quotient,
@@ -30,6 +31,7 @@ from ggsolve.traces import (
 from ggsolve.groups import (
     DoubledAlphabet,
     GroupElement,
+    cyclic_reduce,
     free_reduce,
     identity,
     inverse_letter,
@@ -37,9 +39,16 @@ from ggsolve.groups import (
     mult,
     power_nf,
 )
-from ggsolve.semilinear import SemilinearSet
+from ggsolve.semilinear import SemilinearSet, diophantine_solve
 from ggsolve.slp import Slp, expand_capped, val_length
-from ggsolve.solver.equations import Assignment, Const, ExponentEquation, Item, Power, _memo_holds
+from ggsolve.solver.equations import (
+    Assignment,
+    Const,
+    ExponentEquation,
+    Item,
+    Power,
+    abelian_relaxation,
+)
 from ggsolve.transfer import GraphGroupOracle
 from ggsolve.transfer.kauto import equation_chain
 
@@ -321,6 +330,32 @@ def equation(alphabet: DoubledAlphabet, *items, variables=None) -> ExponentEquat
     return ExponentEquation(alphabet, [item(alphabet) for item in items], variables)
 
 
+def _memo_holds(e: ExponentEquation):
+    """A test of value tuples over ``e.vars``: does the product evaluate to 1?
+
+    Multiplies item by item with checked ``mult``; each power ``u^k`` is
+    computed once and kept for the later tuples.  The reference for the
+    search's block products.
+    """
+    power_tables: Dict[Tuple[GroupElement, int], GroupElement] = {}
+
+    def holds(values) -> bool:
+        sigma = dict(zip(e.vars, values))
+        acc = identity(e.alphabet)
+        for item in e.items:
+            if isinstance(item, Const):
+                step = item.value
+            else:
+                key = (item.base, sigma[item.var])
+                step = power_tables.get(key)
+                if step is None:
+                    step = power_tables[key] = power_nf(item.base, key[1], 10**9)
+            acc, _ = mult(acc, step)
+        return acc.is_identity()
+
+    return holds
+
+
 def brute_oracle(e: ExponentEquation, cap: int) -> Set[tuple]:
     """Exhaustive grid search over [0,cap]^k; assignments as tuples over e.vars."""
     holds = _memo_holds(e)
@@ -344,6 +379,50 @@ def _evaluate_by_mult(e: ExponentEquation, sigma: Assignment, cap: int) -> Group
         if len(acc) > cap:
             raise ResourceExceeded(len(acc), cap)
     return acc
+
+
+def _preprocess_by_mult(e: ExponentEquation) -> ExponentEquation:
+    """``preprocess`` with the constants and conjugators merged by self-checked
+    ``mult`` from ``pending = 1``: the reference for its signed piles."""
+    alphabet = e.alphabet
+    items: List[Item] = []
+    pending = identity(alphabet)
+
+    def flush():
+        nonlocal pending
+        if not pending.is_identity():
+            items.append(Const(pending))
+            pending = identity(alphabet)
+
+    for item in e.items:
+        if isinstance(item, Const):
+            pending, _ = mult(pending, item.value)
+            continue
+        if item.base.is_identity():
+            continue
+        p, w = cyclic_reduce(item.base)
+        pending, _ = mult(pending, p)
+        for comp in connected_components(w.trace):
+            flush()
+            items.append(Power(GroupElement(comp), item.var))
+        pending, _ = mult(pending, p.inverse())
+    flush()
+    return ExponentEquation(alphabet, items, e.vars)
+
+
+def _search_by_mult(e: ExponentEquation, cap: int):
+    """``solve_search``'s (status, witness), its candidates tested by ``_memo_holds``
+    in the same depth order."""
+    if diophantine_solve(abelian_relaxation(e)) is None:
+        return "unsolvable", None
+    holds = _memo_holds(e)
+    if not e.vars:
+        return ("solvable", {}) if holds(()) else ("unsolvable", None)
+    for depth in range(cap + 1):
+        for values in itertools.product(range(depth + 1), repeat=len(e.vars)):
+            if (not depth or max(values) == depth) and holds(values):
+                return "solvable", dict(zip(e.vars, values))
+    return "unknown", None
 
 
 # The exact solver's products as chains of ``power_nf`` and self-checked

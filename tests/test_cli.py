@@ -191,8 +191,10 @@ class TestFailClosed:
         assert code == 4
 
     # a' b a is not cyclically reduced: ``cyclic_reduce`` pops its ends off the
-    # pile in both commands, and ``solve`` multiplies by checked ``mult``.
+    # pile in both commands.  With a second power, ``solve`` reaches the exact
+    # solver's two-power shapes, whose cancelled middle comes from checked ``mult``.
     PEELED = "gens a b c\nindep a c\neq\nconst c a\npow a' b a x\nconst a' b' a c'\n"
+    PEELED_PAIR = PEELED + "pow b y\nconst b'\n"
 
     @pytest.mark.parametrize("name", ["pop_bottom", "pop_top"])
     def test_dropped_quotient_code_exits_4(self, tmp_path, monkeypatch, name):
@@ -210,6 +212,7 @@ class TestFailClosed:
         path = write(tmp_path, self.PEELED)
         code, _ = run_cli(["--format", "machine", "verify", "--assign", "x=1", path])
         assert code == 4
+        path = write(tmp_path, self.PEELED_PAIR, "pair.gg")
         code, _ = run_cli(["--format", "machine", "solve", path])
         assert code == 4
 
@@ -228,24 +231,33 @@ class TestFailClosed:
         dbl = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
         with pytest.raises(InternalError):
             mult(free_reduce(dbl, ("a", "b")), free_reduce(dbl, ("b'", "c")))
-        path = write(tmp_path, self.PEELED)
+        path = write(tmp_path, self.PEELED_PAIR)
         code, _ = run_cli(["--format", "machine", "solve", path])
         assert code == 4
 
+    EXACT = ["solve", "--mode", "exact"]
+
     @pytest.mark.parametrize(
-        "text, message",
+        "command, text, message",
         [
             # the shape check streams every product through one pile
-            ("gens a b\neq\npow a x\npow b y\nconst b' a'\n", "parametric left form"),
+            (EXACT, "gens a b\neq\npow a x\npow b y\nconst b' a'\n", "parametric left form"),
             # a^x a' a' = 1 has x = 2, whose product does not cancel on such a
             # pile; the Coxeter image refuses that refusal
-            ("gens a b\neq\npow a x\nconst a' a'\n", "refused exponent"),
+            (EXACT, "gens a b\neq\npow a x\nconst a' a'\n", "refused exponent"),
+            # a' b^x a = 1 has x = 0, but a a' piles up to two letters, so the
+            # one candidate is x = 2; the depiled a a' is not reduced
+            (EXACT, "gens a b\neq\nconst a'\npow b x\nconst a\n", "reduced length"),
+            # a a' piles up as a non-empty value whose image is the start vector
+            (["verify", "--assign", "x=1"], "gens a b\neq\npow a x\nconst a'\n", "non-empty value"),
         ],
-        ids=["shape", "refusal"],
+        ids=["shape", "refusal", "count", "verify"],
     )
-    def test_missed_cancellation_exits_4(self, tmp_path, monkeypatch, capsys, text, message):
+    def test_missed_cancellation_exits_4(
+        self, tmp_path, monkeypatch, capsys, command, text, message
+    ):
         """A pile on which a' piles up on an a instead of cancelling it fails the
-        exact solver's checks."""
+        exact solver's and verify's checks."""
         push = SignedPile.push
 
         def miss_a_inverse(pile, codes):
@@ -258,7 +270,7 @@ class TestFailClosed:
 
         monkeypatch.setattr(SignedPile, "push", miss_a_inverse)
         path = write(tmp_path, text)
-        code, _ = run_cli(["--format", "machine", "solve", "--mode", "exact", path])
+        code, _ = run_cli(["--format", "machine", *command, path])
         assert code == 4
         assert message in capsys.readouterr().err
 
@@ -556,6 +568,7 @@ class TestOptimizedInterpreter:
         """The internal checks raise explicitly, so they survive ``python -O``."""
         tests = [
             "tests/test_cli.py::TestFailClosed",
+            "tests/test_cli.py::TestFailClosed::test_dropped_quotient_code_exits_4",
             "tests/test_cli.py::TestFailClosed::test_dropped_stack_entry_exits_4",
             "tests/test_cli.py::TestFailClosed::test_missed_cancellation_exits_4",
             "tests/test_saturation.py::TestHnnSaturate",

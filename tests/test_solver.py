@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggsolve.errors import ResourceExceeded
 from ggsolve.groups import DoubledAlphabet, free_reduce, power_nf
@@ -10,6 +11,7 @@ from ggsolve.semilinear import diophantine_solve
 from ggsolve.slp import expand_capped
 from ggsolve.solver import (
     Const,
+    ExponentEquation,
     Power,
     abelian_relaxation,
     chain_equation,
@@ -21,6 +23,9 @@ from ggsolve.solver import (
 from ggsolve.traces import IndependenceAlphabet
 
 from helpers import (
+    _evaluate_by_mult,
+    _preprocess_by_mult,
+    _search_by_mult,
     brute_oracle,
     const,
     equation,
@@ -30,6 +35,7 @@ from helpers import (
     random_element,
     z_to_n_rewrite,
 )
+from test_streaming import alphabets, words
 
 ZL = DoubledAlphabet(IndependenceAlphabet("a"))
 AC = DoubledAlphabet(IndependenceAlphabet("abc", [("a", "c")]))
@@ -153,6 +159,42 @@ class TestSolveSearch:
         # solvable only with x = 7 > cap, relaxation solvable
         rep = solve_search(equation(ZL, pw("a", "x"), const(("a'",) * 7)), cap=3)
         assert rep.status == "unknown"
+
+
+@st.composite
+def search_equations(draw):
+    """Equations of 1-5 items over a 3-6-letter graph, variables x and y; half
+    the time a last constant plants a solution with exponents <= 6, beyond the
+    search depth 4 now and then."""
+    dbl = DoubledAlphabet(draw(alphabets(3, 6)))
+    items = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            items.append(Const(free_reduce(dbl, draw(words(dbl, 8)))))
+        else:
+            items.append(Power(free_reduce(dbl, draw(words(dbl, 6))), draw(st.sampled_from("xy"))))
+    e = ExponentEquation(dbl, items)
+    if draw(st.booleans()):
+        sigma = {v: draw(st.integers(0, 6)) for v in e.vars}
+        e = ExponentEquation(dbl, items + [Const(_evaluate_by_mult(e, sigma, 10**6).inverse())])
+    return e
+
+
+class TestAgainstMultChain:
+    """Preprocessing and search on signed piles and block products against the
+    self-checked ``mult`` chains they replaced, kept in ``helpers``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(search_equations())
+    def test_preprocess(self, e):
+        pp, reference = preprocess(e), _preprocess_by_mult(e)
+        assert pp.items == reference.items and pp.vars == reference.vars
+
+    @settings(max_examples=200, deadline=None)
+    @given(search_equations())
+    def test_solve_search(self, e):
+        rep = solve_search(e, cap=4)
+        assert (rep.status, rep.witness) == _search_by_mult(e, 4)
 
 
 class TestSolutionBound:
