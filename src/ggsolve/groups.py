@@ -18,12 +18,13 @@ merged by free reduction and exponent arithmetic, and streams only what is
 left through one pile; ``ConjugatePower`` keeps p w^k p^-1 folded until its
 trace is read.  ``CoxeterImage`` is a second word-problem kernel that shares
 nothing with the piles: the graph group acting on vectors mod a prime through
-the doubled right-angled Coxeter group.
+the doubled right-angled Coxeter group; ``_image_of`` keeps the last one built.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
+from functools import lru_cache
+from itertools import chain, repeat
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import AlphabetMismatchError, InternalError, ResourceExceeded, TraceError
@@ -314,10 +315,12 @@ def _reduce_tagged(alphabet: DoubledAlphabet, codes: Sequence[int]):
 
 def _is_reduced(alphabet: DoubledAlphabet, codes: Sequence[int]) -> bool:
     """Whether ``codes`` is reduced: no letter's first dependent successor is its inverse."""
-    dep_mask = alphabet.dep_mask
+    dep_mask, n = alphabet.dep_mask, len(codes)
+    # at most one letter per column scans past any position: O(n |columns|)
     for i, c in enumerate(codes):
         mask = dep_mask[c]
-        for d in islice(codes, i + 1, None):
+        for j in range(i + 1, n):
+            d = codes[j]
             if mask >> d & 1:
                 if d == c ^ 1:
                     return False
@@ -449,6 +452,10 @@ class CoxeterImage:
                           [c * inverse % prime for c in combination]))
             vectors.append(x)
             x = self.apply(codes, list(x))
+
+
+# ``CoxeterImage(alphabet)``, built once while its callers stay on one alphabet
+_image_of = lru_cache(maxsize=1)(CoxeterImage)
 
 
 def _power_mod(k: int, relation: Sequence[int]) -> List[int]:

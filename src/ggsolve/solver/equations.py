@@ -16,11 +16,11 @@ from ..groups import (
     _VERIFY_MULT_LIMIT,
     BlockProduct,
     ConjugatePower,
-    CoxeterImage,
     DoubledAlphabet,
     GroupElement,
     SignedPile,
     _conjugate_power,
+    _image_of,
     _is_reduced,
     cyclic_reduce,
     free_reduce,
@@ -146,7 +146,7 @@ def _check_on_image(e: ExponentEquation, sigma: Assignment, value: GroupElement)
     start vector (items that denote 1) is a missed cancellation.  Unequal
     images prove a fault; equal ones are evidence, not an answer.
     """
-    image = CoxeterImage(e.alphabet)
+    image = _image_of(e.alphabet)
     v = list(image.start)
     for item in reversed(e.items):
         if isinstance(item, Power):

@@ -35,10 +35,10 @@ from typing import List, Sequence, Tuple
 
 from ..errors import InternalError
 from ..groups import (
-    CoxeterImage,
     DoubledAlphabet,
     GroupElement,
     SignedPile,
+    _image_of,
     _is_reduced,
     identity,
     invert_codes,
@@ -143,30 +143,29 @@ def _solve_one_power(
 
     u^x is irreducible, so x|u| is the reduced length of (v1 v0)^-1: one
     candidate, kept when v0 u^x v1 cancels completely.  An empty answer is
-    confirmed, or InternalError raised: a refused v0 u^x v1 must not map to
-    the start vector of the ``CoxeterImage`` (no code shared with the pile),
-    and the depiled v1 v0 must have ``count`` letters, pass ``_is_reduced``
-    and equal v1 v0 on the image.
+    confirmed on the ``CoxeterImage`` (no code shared with the pile), or
+    InternalError raised: the depiled v1 v0 must have ``count`` letters,
+    pass ``_is_reduced`` and have the image of v1 v0, and a refused
+    candidate must not map u^x v1 v0, a conjugate of v0 u^x v1, to the
+    start vector.
     """
     pile = _pushed(alphabet, v1, v0)
     length = pile.count
     x, rest = divmod(length, max(1, len(u)))
     if not rest and not _pushed(alphabet, v0, u * x, v1).count:
         return [x]
-    image = CoxeterImage(alphabet)
-    if not rest:
-        v = image.apply(v1, list(image.start))
-        image.apply(v0, image.apply_power(u, x, v))
-        if v == list(image.start):
-            raise InternalError("a refused exponent maps to 1 on the Coxeter image")
+    image = _image_of(alphabet)
+    start = list(image.start)
+    target = image.apply(v1, image.apply(v0, list(start)))
     word = pile.depile()
     if (
         len(word) != length
         or not _is_reduced(alphabet, word)
-        or image.apply(word, list(image.start))
-        != image.apply(v1, image.apply(v0, list(image.start)))
+        or image.apply(word, list(start)) != target
     ):
         raise InternalError("the length behind a refusal is not the reduced length of v1 v0")
+    if not rest and image.apply_power(u, x, target) == start:
+        raise InternalError("a refused exponent maps to 1 on the Coxeter image")
     return []
 
 

@@ -12,6 +12,7 @@ from ggsolve.groups import (
     CoxeterImage,
     DoubledAlphabet,
     _IMAGE_PRIME,
+    _is_reduced,
     _power_mod,
     cyclic_reduce,
     free_reduce,
@@ -104,6 +105,14 @@ class TestFreeReduce:
                         AC.independent(w[k], w[i]) for k in range(i + 1, j)
                     ):
                         pytest.fail(f"cancellable pair in {w}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_is_reduced_iff_nothing_cancels(self, data):
+        """The pile-free scan agrees with the pile on whether a word reduces."""
+        dbl = DoubledAlphabet(data.draw(alphabets(2, 5)))
+        word = data.draw(words(dbl, 10))
+        assert _is_reduced(dbl, dbl.encode(word)) == (len(free_reduce(dbl, word)) == len(word))
 
 
 class TestWordProblem:
