@@ -1,37 +1,30 @@
-"""NFAs with an I-diamond certificate; commutation-closure constructions.
+"""Closure automata of the two-power pipeline on letter codes; NFAs for the rest.
 
-The constructions follow the recognizable-trace-language toolkit: prefix
-automata for single traces, the tuple-state automaton for [u*]_I (connected
-u), the gated product for [L1 L2]_I, plain products for intersection, the
-length set of an automaton as arithmetic progressions, and Benois saturation
-for free groups.  I-diamond automata validate the certificate on
-construction.
+``Nfa`` is the generic automaton over letter names, with epsilon edges, for
+the transfer automata, ``build_ka`` and Benois saturation (free groups).
+The closure automata of [p u* s]_I run on letter codes and integer state ids:
 
-A prefix of a trace is a set of positions of its canonical word that is
-closed downward in the dependence order (heaps of pieces), so the prefix and
-star automata work on position bit masks, with no trace arithmetic.  Both
-memorize: all words reaching a state have the same letters (a completed-copy
-bit rides on every star state).  The gated product computes and checks that
-map, as letter bit masks, with ``memorized_masks``.
-
-The prefix and star automata are built whole.  The gated product
-(``GatedProduct``) is built on the fly: a pair of factor states gets its
-moves when they are first read, so [p u* s]_I, two nested gated products,
-expands only the pairs that ``intersect`` reaches from the initial pair.
+- ``CodeNfa``: ``out[i]`` maps a letter code to the ids state i reaches, state
+  0 initial; construction checks the structure, that it memorizes (the
+  letters reaching a state, as bit masks) and its I-diamond certificate.
+- ``prefix_nfa`` and ``star_nfa`` build one for a trace and for [u*]_I.  A
+  prefix of a trace is a set of positions of its canonical word closed
+  downward in the dependence order (heaps of pieces), so both work on
+  position bit masks, with no trace arithmetic.
+- ``PowerClosure``: [p u* s]_I as one three-way gated product on (prefix,
+  star, suffix) triples; a triple gets its moves when ``intersect`` first
+  reads it, so only the triples the intersection reaches are expanded.
+- ``intersect`` builds a ``Product`` of unlabelled successor sets, which
+  ``trim`` and ``unary_progressions`` (the length set as arithmetic
+  progressions) read directly; both also take an ``Nfa``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
-from .errors import (
-    AlphabetMismatchError,
-    CertificateError,
-    InternalError,
-    StructureError,
-    TraceError,
-)
+from .errors import AlphabetMismatchError, CertificateError, InternalError, StructureError
+from .errors import TraceError
 from .groups import DoubledAlphabet, free_reduce, inverse_letter
 from .traces import IndependenceAlphabet, Trace, is_connected
 
@@ -39,34 +32,12 @@ EPS = None  # epsilon edge label
 
 
 class Nfa:
-    """Immutable NFA over an independence alphabet, with an optional I-diamond certificate.
+    """Immutable NFA over an independence alphabet; ``transitions`` holds triples
+    (state, letter, state), ``letter`` None for an epsilon edge."""
 
-    ``transitions`` holds triples (state, letter, state); ``letter`` is None
-    for an epsilon edge.  ``i_diamond`` is validated unless ``validate`` is
-    False.
-    """
+    __slots__ = ("alphabet", "states", "transitions", "initial", "finals", "_out")
 
-    __slots__ = (
-        "alphabet",
-        "states",
-        "transitions",
-        "initial",
-        "finals",
-        "i_diamond",
-        "_out",
-    )
-
-    def __init__(
-        self,
-        alphabet: IndependenceAlphabet,
-        states: Sequence,
-        transitions: Iterable[tuple],
-        initial,
-        finals: Iterable,
-        *,
-        i_diamond: bool = False,
-        validate: bool = True,
-    ):
+    def __init__(self, alphabet, states, transitions, initial, finals):
         self.alphabet = alphabet
         self.states = tuple(states)
         state_set = set(self.states)
@@ -83,15 +54,8 @@ class Nfa:
         finals = frozenset(finals)
         if not finals <= state_set:
             raise StructureError("final states unknown")
-        self.transitions = trans
-        self.initial = initial
-        self.finals = finals
-        self.i_diamond = bool(i_diamond)
+        self.transitions, self.initial, self.finals = trans, initial, finals
         self._out = None
-        if validate and self.i_diamond:
-            self.validate_i_diamond()
-
-    # -- adjacency ---------------------------------------------------------
 
     def out(self, state) -> Dict:
         if self._out is None:
@@ -133,54 +97,17 @@ class Nfa:
                 return False
         return bool(current & self.finals)
 
-    def num_states(self) -> int:
-        return len(self.states)
+    def successors(self) -> Dict:
+        """State -> the set of states one edge (epsilon edges included) leads to."""
+        succ: Dict = {s: set() for s in self.states}
+        for p, _, q in self.transitions:
+            succ[p].add(q)
+        return succ
 
-    # -- certificate -------------------------------------------------------
-
-    def validate_i_diamond(self) -> None:
-        """Exhaustive pair check of the diamond property."""
-        if self.has_eps():
-            raise CertificateError("i_diamond automata must be epsilon-free")
-        indep = self.alphabet.independent
-        for p, a, q in self.transitions:
-            out_q = self.out(q)
-            for b, rs in out_q.items():
-                if b == a or not indep(a, b):
-                    continue
-                out_p_b = self.out(p).get(b, frozenset())
-                for r in rs:
-                    if not any(r in self.out(s).get(a, frozenset()) for s in out_p_b):
-                        raise CertificateError(
-                            f"diamond fails at ({p!r},{a}{b},{r!r})"
-                        )
-
-
-def memorized_masks(nfa: Nfa) -> Dict:
-    """State -> bit mask (by letter rank) of the letters of every word reaching it.
-
-    Breadth-first alphabet propagation from the initial state.  Raises
-    CertificateError unless ``nfa`` memorizes: every state is reachable and
-    all words reaching a state have the same letters.
-    """
-    bit = {a: 1 << i for i, a in enumerate(nfa.alphabet.letters)}
-    bit[EPS] = 0
-    masks = {nfa.initial: 0}
-    queue = deque([nfa.initial])
-    while queue:
-        s = queue.popleft()
-        for a, dests in nfa.out(s).items():
-            expected = masks[s] | bit[a]
-            for d in dests:
-                mask = masks.get(d)
-                if mask is None:
-                    masks[d] = expected
-                    queue.append(d)
-                elif mask != expected:
-                    raise CertificateError(f"state {d!r} reachable with distinct alphabets")
-    if len(masks) != len(nfa.states):
-        raise CertificateError("memorizing automata must have all states reachable")
-    return masks
+    def restrict(self, keep: set) -> "Nfa":
+        return useful_part(
+            self.alphabet, self.states, self.transitions, self.initial, self.finals, keep
+        )
 
 
 def reachable(starts: Iterable, adj: Dict) -> set:
@@ -202,33 +129,23 @@ def reachable(starts: Iterable, adj: Dict) -> set:
         nxt = adj.get(stack.pop(), ())
 
 
-def trim(nfa: Nfa) -> Nfa:
-    """Restrict to accessible and co-accessible states (language preserved).
-
-    The result declares no certificate.
-    """
-    fwd = {s: set() for s in nfa.states}
-    bwd = {s: set() for s in nfa.states}
-    for p, _, q in nfa.transitions:
-        fwd[p].add(q)
-        bwd[q].add(p)
-    keep = reachable([nfa.initial], fwd) & reachable(nfa.finals, bwd)
-    return useful_part(nfa.alphabet, nfa.states, nfa.transitions, nfa.initial, nfa.finals, keep)
+def trim(a):
+    """Restrict an ``Nfa`` or a ``Product`` to its accessible and co-accessible
+    states; the language (of a ``Product``, its path lengths) is preserved."""
+    succ = a.successors()
+    pred: Dict = {}
+    for p, dests in succ.items():
+        for q in dests:
+            pred.setdefault(q, []).append(p)
+    return a.restrict(reachable([a.initial], succ) & reachable(a.finals, pred))
 
 
-def useful_part(
-    alphabet: IndependenceAlphabet,
-    states: Iterable,
-    transitions: Iterable[tuple],
-    initial,
-    finals: Iterable,
-    keep: set,
-) -> Nfa:
+def useful_part(alphabet, states, transitions, initial, finals, keep: set) -> Nfa:
     """The automaton on ``keep``, the states on a path from ``initial`` to ``finals``.
 
     States keep the order of ``states``; only transitions with both ends in
     ``keep`` survive.  An empty language (``initial`` not in ``keep``) gives a
-    single dead initial state.  The result declares no certificate.
+    single dead initial state.
     """
     if initial not in keep:
         return Nfa(alphabet, [initial], [], initial, [])
@@ -241,7 +158,77 @@ def useful_part(
     )
 
 
-# -- constructions ----------------------------------------------------------
+# -- closure automata on letter codes ---------------------------------------
+
+
+class CodeNfa:
+    """Epsilon-free automaton on letter codes and integer state ids; state 0 is initial.
+
+    ``out[i]`` maps a letter code to the list of ids state i reaches on it;
+    ``keys[i]`` is the construction's name for state i.  The constructor
+    checks every id and code, computes ``masks[i]``, the letter bit mask of
+    every word reaching state i (CertificateError unless the automaton
+    memorizes and every state is reachable), and checks the I-diamond property.
+    """
+
+    __slots__ = ("alphabet", "keys", "out", "finals", "masks")
+
+    def __init__(self, alphabet: IndependenceAlphabet, keys: list, out: list, finals: Iterable):
+        n = len(out)
+        if not n or len(keys) != n:
+            raise StructureError("a code automaton needs one key per state, and state 0")
+        if not set().union(*out) <= set(range(len(alphabet.letters))):
+            raise StructureError("letter code not in alphabet")
+        ids = set(range(n))
+        if not {d for moves in out for dests in moves.values() for d in dests} <= ids:
+            raise StructureError("move to an unknown state")
+        self.finals = frozenset(finals)
+        if not self.finals <= ids:
+            raise StructureError("final states unknown")
+        self.alphabet, self.keys, self.out = alphabet, keys, out
+        self.masks = self._memorized()
+        self._check_diamond()
+
+    def num_states(self) -> int:
+        """The states built so far (for a ``PowerClosure``, those expanded)."""
+        return len(self.out)
+
+    def _memorized(self) -> List[int]:
+        """Per state, the letter mask every word reaching it has, propagated breadth first."""
+        out, keys = self.out, self.keys
+        masks = [-1] * len(out)
+        masks[0] = 0
+        order = [0]
+        for p in order:  # grows while it is read
+            here = masks[p]
+            for code, dests in out[p].items():
+                expected = here | 1 << code
+                for d in dests:
+                    if masks[d] < 0:
+                        masks[d] = expected
+                        order.append(d)
+                    elif masks[d] != expected:
+                        raise CertificateError(f"state {keys[d]!r} reached with distinct alphabets")
+        if len(order) != len(out):
+            raise CertificateError("memorizing automata must have all states reachable")
+        return masks
+
+    def _check_diamond(self) -> None:
+        """p -a-> q -b-> r with a I b has some p -b-> s -a-> r."""
+        out, dep_mask = self.out, self.alphabet.dep_mask
+        for p, moves in enumerate(out):
+            for a, qs in moves.items():
+                dep = dep_mask[a]  # a itself included
+                for q in qs:
+                    for b, rs in out[q].items():
+                        if dep >> b & 1:
+                            continue
+                        via = moves.get(b, ())
+                        for r in rs:
+                            if not any(r in out[s].get(a, ()) for s in via):
+                                ab = self.alphabet.letters[a] + self.alphabet.letters[b]
+                                where = f"{self.keys[p]!r},{ab},{self.keys[r]!r}"
+                                raise CertificateError(f"diamond fails at ({where})")
 
 
 def _order(t: Trace) -> Tuple[tuple, Tuple[int, ...]]:
@@ -251,8 +238,7 @@ def _order(t: Trace) -> Tuple[tuple, Tuple[int, ...]]:
     dependent (equal letters included).  The prefixes of ``t`` are exactly
     the position masks closed under ``below``: a trace's heap of pieces.
     """
-    codes = t.codes
-    dep_mask = t.alphabet.dep_mask
+    codes, dep_mask = t.codes, t.alphabet.dep_mask
     below = []
     seen = [0] * len(dep_mask)  # per letter code, the mask of its positions so far
     for k, code in enumerate(codes):
@@ -270,40 +256,42 @@ def _enabled(mask: int, below: Tuple[int, ...]) -> List[int]:
     return [k for k, b in enumerate(below) if not (mask >> k & 1 or b & ~mask)]
 
 
-def prefix_nfa(t: Trace) -> Nfa:
+def prefix_nfa(t: Trace) -> CodeNfa:
     """Automaton accepting exactly the linearizations of ``t``.
 
-    States are the prefixes of ``t`` (rho(t) many), as downward-closed
+    States are the prefixes of ``t`` (rho(t) many), keyed by downward-closed
     position masks; memorizing (a prefix's letters are those of its
-    positions); I-diamond.
+    positions); I-diamond.  It is deterministic: two enabled positions are
+    independent, so they hold distinct letters.
     """
     codes, below = _order(t)
-    letters = t.alphabet.letters
-    full = (1 << len(codes)) - 1
-    states = [0]
-    seen = {0}
-    transitions = []
-    for mask in states:  # grows while it is read
+    keys = [0]
+    ids = {0: 0}
+    out = []
+    for mask in keys:  # grows while it is read
+        moves = {}
         for k in _enabled(mask, below):
             nxt = mask | 1 << k
-            if nxt not in seen:
-                seen.add(nxt)
-                states.append(nxt)
-            transitions.append((mask, letters[codes[k]], nxt))
-    return Nfa(t.alphabet, states, transitions, 0, [full], i_diamond=True)
+            i = ids.get(nxt)
+            if i is None:
+                i = ids[nxt] = len(keys)
+                keys.append(nxt)
+            moves[codes[k]] = [i]
+        out.append(moves)
+    return CodeNfa(t.alphabet, keys, out, [ids[(1 << len(codes)) - 1]])
 
 
-def star_nfa(u: Trace) -> Nfa:
+def star_nfa(u: Trace) -> CodeNfa:
     """Automaton for [u*]_I per the tuple-state construction (u connected, nonempty).
 
-    A state is a pair (tuple, bit).  The tuple (u_1,...,u_c) holds nonempty
-    proper prefixes of u, as position masks, with v_i I u_j for i < j where
-    u = u_i v_i; the bit records whether a full copy of u has been completed.
-    A letter starts a piece or extends one; completing the first piece drops
-    it and sets the bit.  (That the letter is independent of the pieces
-    after it follows from v_i I u_j.)  Memorizing: the letters reaching a
-    state are those of its pieces, and all of u's once the bit is set;
-    I-diamond.
+    A state is keyed by a pair (tuple, bit).  The tuple (u_1,...,u_c) holds
+    nonempty proper prefixes of u, as position masks, with v_i I u_j for
+    i < j where u = u_i v_i; the bit records whether a full copy of u has
+    been completed.  A letter starts a piece or extends one; completing the
+    first piece drops it and sets the bit.  (That the letter is independent
+    of the pieces after it follows from v_i I u_j.)  Memorizing: the letters
+    reaching a state are those of its pieces, and all of u's once the bit is
+    set; I-diamond.
     """
     alphabet = u.alphabet
     if u.is_empty():
@@ -311,9 +299,7 @@ def star_nfa(u: Trace) -> Nfa:
     if not is_connected(u):
         raise TraceError("star_nfa requires a connected trace")
     codes, below = _order(u)
-    letters = alphabet.letters
-    n = len(codes)
-    full = (1 << n) - 1
+    n, full = len(codes), (1 << len(codes)) - 1
     own = [1 << c for c in codes]
     dep = [alphabet.dep_mask[c] for c in codes]
 
@@ -325,155 +311,189 @@ def star_nfa(u: Trace) -> Nfa:
                 out |= per[k]
         return out
 
-    def valid(tup: tuple) -> bool:
-        """v_i I u_j for i < j: each piece's rest is independent of the later pieces."""
-        return all(
-            not spread(full & ~tup[i], dep) & spread(tup[j], own)
-            for i in range(len(tup))
-            for j in range(i + 1, len(tup))
-        )
+    pieces: Dict[int, tuple] = {}
+
+    def piece(mask: int) -> tuple:
+        """The letters at ``mask``'s positions, those dependent on the rest of u,
+        and the positions that can extend it."""
+        if mask not in pieces:
+            pieces[mask] = spread(mask, own), spread(full & ~mask, dep), _enabled(mask, below)
+        return pieces[mask]
+
+    def valid_at(tup: tuple, i: int) -> bool:
+        """v_h I u_j for the pairs h < j of ``tup`` that involve piece i (the
+        only pairs a move changes)."""
+        letters_i, rest_i, _ = piece(tup[i])
+        for h, t in enumerate(tup):
+            if h < i and piece(t)[1] & letters_i or h > i and rest_i & piece(t)[0]:
+                return False
+        return True
 
     def moves(tup: tuple) -> list:
-        """(letter, next tuple, completes a copy) for every move out of ``tup``."""
+        """(letter code, next tuple, completes a copy) for every move out of ``tup``."""
         out = []
         slots = [(i, 0, tup[i:]) for i in range(len(tup) + 1)]  # start a piece at slot i
         slots += [(i, tup[i], tup[i + 1 :]) for i in range(len(tup))]  # extend piece i
-        for i, piece, rest in slots:
-            for k in _enabled(piece, below):
-                grown = piece | 1 << k
+        for i, mask, rest in slots:
+            for k in piece(mask)[2]:
+                grown = mask | 1 << k
                 if grown != full:
                     nxt = tup[:i] + (grown,) + rest
-                    if valid(nxt):
-                        out.append((letters[codes[k]], nxt, False))
+                    if valid_at(nxt, i):
+                        out.append((codes[k], nxt, False))
                 elif i == 0:
-                    out.append((letters[codes[k]], rest, True))
+                    out.append((codes[k], rest, True))
         return out
 
-    start = ((), 0)
-    states = [start]
-    seen = {start}
-    transitions = []
+    keys = [((), 0)]
+    ids = {keys[0]: 0}
+    out = []
     moves_of: Dict[tuple, list] = {}
-    for state in states:  # grows while it is read
-        tup, done = state
+    for tup, done in keys:  # grows while it is read
         if tup not in moves_of:
             moves_of[tup] = moves(tup)
-        for a, nxt, completes in moves_of[tup]:
+        here: Dict[int, list] = {}
+        for code, nxt, completes in moves_of[tup]:
             target = (nxt, 1 if completes else done)
-            if target not in seen:
-                seen.add(target)
-                states.append(target)
-            transitions.append((state, a, target))
-    finals = [s for s in (((), 0), ((), 1)) if s in seen]
-    return Nfa(alphabet, states, transitions, start, finals, i_diamond=True)
+            i = ids.get(target)
+            if i is None:
+                i = ids[target] = len(keys)
+                keys.append(target)
+            dests = here.setdefault(code, [])
+            if i not in dests:
+                dests.append(i)
+        out.append(here)
+    finals = [ids[s] for s in (((), 0), ((), 1)) if s in ids]
+    return CodeNfa(alphabet, keys, out, finals)
 
 
-class GatedProduct(Nfa):
-    """I-diamond automaton for [L(left) L(right)]_I on pairs (p1, p2), built on the fly.
+class _GatedMoves(dict):
+    """State id -> moves of the three-way gated product, computed when first read."""
 
-    The gated product: a move of ``left`` is taken when its letter is
-    independent of every letter the current ``right`` state memorizes, one
-    bit-mask test; the moves of ``right`` are taken unchanged.  ``right``
-    must memorize (``memorized_masks`` checks it here).  ``out`` computes a
-    state's moves the first time it is read and keeps them, so a reader that
-    follows moves from the initial state, as ``intersect`` does, expands only
-    the states it reaches.  ``states`` and ``transitions`` expand every
-    reachable state; ``num_states`` counts the states expanded so far.
-    """
+    __slots__ = ("factors",)
 
-    __slots__ = ("left", "right", "_gates")
-
-    def __init__(self, left: Nfa, right: Nfa):
-        if left.alphabet != right.alphabet:
-            raise AlphabetMismatchError("gated product over mixed alphabets")
-        if not left.i_diamond or not right.i_diamond:
-            raise CertificateError("gated product needs I-diamond inputs")
-        self._gates = memorized_masks(right)
-        self.left = left
-        self.right = right
-        self.alphabet = left.alphabet
-        self.initial = (left.initial, right.initial)
-        self.finals = frozenset((f1, f2) for f1 in left.finals for f2 in right.finals)
-        self.i_diamond = True  # the diamond property holds by construction
-        self._out = {}
-
-    def out(self, state) -> Dict:
-        moves = self._out.get(state)
-        if moves is None:
-            p1, p2 = state
-            gate = self._gates[p2]
-            dep_mask, rank = self.alphabet.dep_mask, self.alphabet.rank
-            built: Dict = {}
-            for a, dests in self.left.out(p1).items():
-                if dep_mask[rank(a)] & gate == 0:
-                    built[a] = {(q1, p2) for q1 in dests}
-            for a, dests in self.right.out(p2).items():
-                built.setdefault(a, set()).update((p1, q2) for q2 in dests)
-            moves = self._out[state] = {a: frozenset(d) for a, d in built.items()}
+    def __missing__(self, x: int) -> Dict[int, List[int]]:
+        prefix, star, suffix = self.factors
+        dep_mask, n_star, n_suffix = prefix.alphabet.dep_mask, len(star.out), len(suffix.out)
+        ij, k = divmod(x, n_suffix)
+        i, j = divmod(ij, n_star)
+        gate = suffix.masks[k]
+        moves = {a: [ij * n_suffix + d for d in dests] for a, dests in suffix.out[k].items()}
+        for a, dests in star.out[j].items():
+            if not dep_mask[a] & gate:
+                moves.setdefault(a, []).extend((i * n_star + d) * n_suffix + k for d in dests)
+        gate |= star.masks[j]
+        for a, dests in prefix.out[i].items():
+            if not dep_mask[a] & gate:
+                moves.setdefault(a, []).extend((d * n_star + j) * n_suffix + k for d in dests)
+        self[x] = moves
         return moves
 
-    def has_eps(self) -> bool:
-        return self.left.has_eps() or self.right.has_eps()
 
-    def num_states(self) -> int:
-        return len(self._out)
+class PowerClosure(CodeNfa):
+    """[p u* s]_I as one three-way gated product, built on the fly.
 
-    @property
-    def states(self) -> tuple:
-        """Every state reachable from the initial one, breadth first; expands them all."""
-        order = [self.initial]
-        seen = {self.initial}
-        for state in order:  # grows while it is read
-            for dests in self.out(state).values():
-                for d in dests:
-                    if d not in seen:
-                        seen.add(d)
-                        order.append(d)
-        return tuple(order)
+    A state is a triple (i, j, k) of prefix, star and suffix states, with id
+    (i * n_star + j) * n_suffix + k; the initial triple has id 0.  A suffix
+    move is always taken, a star move when its letter is independent of
+    every letter the suffix state memorizes, and a prefix move when its
+    letter is independent of every letter the star and suffix states
+    memorize, each one bit-mask test on the factors' ``masks``: the gated
+    product [[L(p) L(u*)]_I L(s)]_I, I-diamond by construction.  ``out``
+    computes a triple's moves when first read and keeps them, so ``intersect``
+    expands only the triples it reaches from the initial one.
+    """
 
-    @property
-    def transitions(self) -> FrozenSet:
-        """Every move out of a reachable state; expands them all."""
-        return frozenset(
-            (p, a, q) for p in self.states for a, dests in self.out(p).items() for q in dests
+    __slots__ = ("factors",)
+
+    # no CodeNfa.__init__: the diamond holds by construction, and no state exists yet
+    def __init__(self, prefix: CodeNfa, star: CodeNfa, suffix: CodeNfa):
+        if not prefix.alphabet == star.alphabet == suffix.alphabet:
+            raise AlphabetMismatchError("gated product over mixed alphabets")
+        n_star, n_suffix = len(star.out), len(suffix.out)
+        self.alphabet, self.factors = prefix.alphabet, (prefix, star, suffix)
+        self.out = _GatedMoves()
+        self.out.factors = self.factors
+        self.finals = frozenset(
+            (i * n_star + j) * n_suffix + k
+            for i in prefix.finals
+            for j in star.finals
+            for k in suffix.finals
         )
 
 
-def power_closure_nfa(p: Trace, u: Trace, s: Trace) -> GatedProduct:
-    """Automaton for [p u* s]_I: prefix automaton, gated star, gated suffix.
+def power_closure_nfa(p: Trace, u: Trace, s: Trace) -> PowerClosure:
+    """Automaton for [p u* s]_I: the prefix, star and suffix automata, built whole
+    and checked, under one gated product built on the fly."""
+    return PowerClosure(prefix_nfa(p), star_nfa(u), prefix_nfa(s))
 
-    The prefix and star automata are built whole and validated; the two
-    gated products are built on the fly.
+
+class Product:
+    """What ``intersect`` builds, without labels; id 0 is the initial pair.
+
+    ``pairs[i]`` is the pair of factor states id i stands for, ``succ[i]``
+    the set of ids it reaches in one move and ``finals`` the ids of the
+    pairs final in both factors.
     """
-    return GatedProduct(GatedProduct(prefix_nfa(p), star_nfa(u)), prefix_nfa(s))
+
+    __slots__ = ("pairs", "succ", "finals")
+    initial = 0
+
+    def __init__(self, pairs: list, succ: list, finals: Iterable[int]):
+        self.pairs, self.succ, self.finals = pairs, succ, frozenset(finals)
+
+    def num_states(self) -> int:
+        return len(self.succ)
+
+    def has_eps(self) -> bool:
+        return False
+
+    def successors(self) -> Dict[int, set]:
+        return dict(enumerate(self.succ))
+
+    def restrict(self, keep: set) -> "Product":
+        """The product on the ids in ``keep``, renumbered in order; a single dead
+        initial state when 0 is not among them."""
+        if len(keep) == len(self.succ):
+            return self
+        if 0 not in keep:
+            return Product(self.pairs[:1], [set()], [])
+        kept = sorted(keep)
+        new = {old: i for i, old in enumerate(kept)}
+        succ = [{new[q] for q in self.succ[old] if q in new} for old in kept]
+        finals = [new[f] for f in self.finals if f in new]
+        return Product([self.pairs[old] for old in kept], succ, finals)
 
 
-def intersect(a: Nfa, b: Nfa) -> Nfa:
+def intersect(a: CodeNfa, b: CodeNfa) -> Product:
     """Product automaton on the pairs reachable from the pair of initial states.
 
-    The pairs are built on the fly, breadth first; inputs must be epsilon-free.
+    The pairs are built on the fly, breadth first, from the factors' ``out``
+    (so a ``PowerClosure`` expands only the triples some pair reaches).
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("intersect over mixed alphabets")
-    if a.has_eps() or b.has_eps():
-        raise StructureError("intersect requires epsilon-free automata")
-    start = (a.initial, b.initial)
-    states = [start]
-    seen = {start}
-    transitions = []
-    for pair in states:  # grows while it is read
-        out_b = b.out(pair[1])
-        for letter, dests_a in a.out(pair[0]).items():
-            dests_b = out_b.get(letter, ())
-            for pa in dests_a:
-                for qb in dests_b:
-                    nxt = (pa, qb)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        states.append(nxt)
-                    transitions.append((pair, letter, nxt))
-    finals = [(p, q) for (p, q) in states if p in a.finals and q in b.finals]
-    return Nfa(a.alphabet, states, transitions, start, finals)
+    out_a, out_b = a.out, b.out
+    pairs = [(0, 0)]
+    ids = {(0, 0): 0}
+    succ = []
+    for x, y in pairs:  # grows while it is read
+        moves_b = out_b[y]
+        nxt = set()
+        for code, dests_a in out_a[x].items():
+            dests_b = moves_b.get(code)
+            if dests_b:
+                for xa in dests_a:
+                    for yb in dests_b:
+                        i = ids.get((xa, yb))
+                        if i is None:
+                            i = ids[xa, yb] = len(pairs)
+                            pairs.append((xa, yb))
+                        nxt.add(i)
+        succ.append(nxt)
+    finals_a, finals_b = a.finals, b.finals
+    finals = [i for i, (x, y) in enumerate(pairs) if x in finals_a and y in finals_b]
+    return Product(pairs, succ, finals)
 
 
 class Progression:
@@ -484,15 +504,11 @@ class Progression:
     def __init__(self, offset: int, period: int):
         if offset < 0 or period < 0:
             raise ValueError("offset and period must be natural")
-        self.offset = offset
-        self.period = period
+        self.offset, self.period = offset, period
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Progression)
-            and self.offset == other.offset
-            and self.period == other.period
-        )
+        same = isinstance(other, Progression) and self.offset == other.offset
+        return same and self.period == other.period
 
     def __hash__(self):
         return hash((self.offset, self.period))
@@ -501,81 +517,64 @@ class Progression:
         return f"Progression({self.offset},{self.period})"
 
     def __contains__(self, n: int) -> bool:
-        if n < self.offset:
-            return False
         if self.period == 0:
             return n == self.offset
-        return (n - self.offset) % self.period == 0
+        return n >= self.offset and (n - self.offset) % self.period == 0
 
 
 def _covers(p: "Progression", q: "Progression") -> bool:
     """Every element of p lies in q."""
-    if p.period == 0:
-        return p.offset in q
-    if q.period == 0:
-        return False
-    return p.period % q.period == 0 and p.offset in q
+    return p.offset in q and (p.period == 0 or q.period != 0 and p.period % q.period == 0)
 
 
 def _normalize_progressions(progs: set) -> FrozenSet:
+    """Drop a progression another covers, or merge a singleton b - c with (b, c)
+    into (b - c, c), until neither applies."""
     progs = set(progs)
-    changed = True
-    while changed:
-        changed = False
-        for p in list(progs):
-            if any(q is not p and _covers(p, q) for q in progs):
-                progs.discard(p)
-                changed = True
-                break
-        if changed:
+    while True:
+        covered = [p for p in progs if any(q is not p and _covers(p, q) for q in progs)]
+        if covered:
+            progs.discard(covered[0])
             continue
-        for p in list(progs):
-            if p.period and p.offset >= p.period:
-                singleton = Progression(p.offset - p.period, 0)
-                if singleton in progs:
-                    progs.discard(singleton)
-                    progs.discard(p)
-                    progs.add(Progression(p.offset - p.period, p.period))
-                    changed = True
-                    break
-    return frozenset(progs)
+        for p in progs:
+            singleton = Progression(p.offset - p.period, 0) if p.offset >= p.period else None
+            if p.period and singleton in progs:
+                progs -= {p, singleton}
+                progs.add(Progression(p.offset - p.period, p.period))
+                break
+        else:
+            return frozenset(progs)
 
 
-def unary_progressions(u: Nfa) -> FrozenSet:
-    """Exact decomposition of the length set {|w| : w in L(u)} into progressions.
+def unary_progressions(a) -> FrozenSet:
+    """Exact decomposition of the length set {|w| : w in L(a)} into progressions.
 
-    Labels are ignored: the subset construction is iterated on the unary
-    NFA that ``u`` becomes when every letter is read as one.  The subset
+    ``a`` is an epsilon-free ``Nfa`` or a ``Product``; labels are ignored.
+    The subset construction is iterated on the successor sets: the subset
     sequence is a tail followed by a cycle; accepting tail positions become
     singletons and accepting cycle positions become progressions with the
     cycle length as period, then adjacent pieces are merged.  Exactness is
     self-checked against direct membership up to tail + 2*period.
     """
-    if u.has_eps():
+    if a.has_eps():
         raise StructureError("unary_progressions requires an epsilon-free automaton")
-    succ: Dict = {}
-    for p, _, q in u.transitions:
-        succ.setdefault(p, set()).add(q)
-    subset = frozenset([u.initial])
+    succ = a.successors()
+    subset = frozenset([a.initial])
     seen = {subset: 0}
     sequence = [subset]
     while True:
-        nxt = frozenset(q for s in sequence[-1] for q in succ.get(s, ()))
+        nxt = frozenset().union(*[succ[s] for s in sequence[-1]])
         if nxt in seen:
             tail = seen[nxt]
             period = len(sequence) - tail
             break
         seen[nxt] = len(sequence)
         sequence.append(nxt)
-    accepting = [bool(subset & u.finals) for subset in sequence]
-    progs = set()
-    for i in range(tail):
-        if accepting[i]:
-            progs.add(Progression(i, 0))
-    for i in range(tail, tail + period):
-        if accepting[i]:
-            progs.add(Progression(i, period))
-    progs = _normalize_progressions(progs)
+    finals = a.finals
+    accepting = [not finals.isdisjoint(subset) for subset in sequence]
+    progs = _normalize_progressions(
+        {Progression(i, period if i >= tail else 0) for i in range(tail + period) if accepting[i]}
+    )
     # self-check: the decomposition agrees with membership up to tail + 2*period
     for n in range(tail + 2 * period + 1):
         direct = accepting[n] if n < len(sequence) else accepting[tail + (n - tail) % period]

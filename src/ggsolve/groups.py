@@ -302,6 +302,14 @@ class BlockProduct:
         return self._pile().element()
 
 
+def _depile_counted(pile: Pile) -> tuple:
+    """``pile.depile()``, which must give ``pile.count`` letters, or InternalError."""
+    codes = pile.depile()
+    if len(codes) != pile.count:
+        raise InternalError("depiled word and pile count differ")
+    return codes
+
+
 def _reduce_tagged(alphabet: DoubledAlphabet, codes: Sequence[int]):
     """Free reduction via signed piling.
 
@@ -310,7 +318,7 @@ def _reduce_tagged(alphabet: DoubledAlphabet, codes: Sequence[int]):
     """
     pile = SignedPile(alphabet, track_pairs=True)
     pile.push(codes)
-    return pile.depile(), pile.pairs
+    return _depile_counted(pile), pile.pairs
 
 
 def _is_reduced(alphabet: DoubledAlphabet, codes: Sequence[int]) -> bool:
@@ -558,7 +566,7 @@ def cyclic_reduce(g: GroupElement) -> Tuple[GroupElement, GroupElement]:
                 break
         else:
             break
-    w = Trace._from_canonical(alphabet, pile.depile())
+    w = Trace._from_canonical(alphabet, _depile_counted(pile))
     p = Trace._from_canonical(alphabet, _canonical_word(alphabet, peeled))
     return GroupElement(p), GroupElement(w)
 

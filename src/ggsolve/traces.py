@@ -39,7 +39,6 @@ class IndependenceAlphabet:
         "letters",
         "independence",
         "_rank",
-        "_indep_matrix",
         "dep_mask",
         "_hash",
         "_col",
@@ -76,7 +75,6 @@ class IndependenceAlphabet:
             a, b = tuple(pair)
             i, j = rank[a], rank[b]
             indep[i][j] = indep[j][i] = True
-        self._indep_matrix = tuple(tuple(row) for row in indep)
         self.dep_mask = tuple(
             sum(1 << j for j in range(n) if not row[j]) for row in indep
         )
@@ -119,9 +117,6 @@ class IndependenceAlphabet:
         except KeyError:
             raise UnknownLetterError(letter, None) from None
 
-    def independent(self, a: str, b: str) -> bool:
-        return self._indep_matrix[self.rank(a)][self.rank(b)]
-
     def encode(self, word: Sequence[str]) -> tuple:
         """The codes of ``word``'s letters.
 
@@ -147,7 +142,7 @@ class IndependenceAlphabet:
             found = False
             for combo in itertools.combinations(range(n), size):
                 if all(
-                    self._indep_matrix[i][j] for i, j in itertools.combinations(combo, 2)
+                    not self.dep_mask[i] >> j & 1 for i, j in itertools.combinations(combo, 2)
                 ):
                     found = True
                     break
@@ -364,6 +359,27 @@ def right_quotient(t: Trace, s: Sequence[int]) -> Optional[Trace]:
     return Trace._from_canonical(t.alphabet, pile.depile())
 
 
+def _component(seed: int, present: int, dep_mask: Sequence[int]) -> int:
+    """The letters of ``present`` connected to the letter bits ``seed`` along ``dep_mask``."""
+    comp = frontier = seed
+    while frontier:
+        grown = 0
+        for c in range(frontier.bit_length()):
+            if frontier >> c & 1:
+                grown |= dep_mask[c]
+        frontier = grown & present & ~comp
+        comp |= frontier
+    return comp
+
+
+def _letters(t: Trace) -> int:
+    """The bit mask of the letter codes ``t`` uses."""
+    present = 0
+    for c in set(t.codes):
+        present |= 1 << c
+    return present
+
+
 def connected_components(t: Trace) -> list:
     """Projections of ``t`` onto the connected components of its dependence graph.
 
@@ -372,21 +388,11 @@ def connected_components(t: Trace) -> list:
     letter bit mask, grown from its least letter along ``dep_mask``.
     """
     alphabet = t.alphabet
-    dep_mask = alphabet.dep_mask
-    present = 0
-    for c in t.codes:
-        present |= 1 << c
+    present = _letters(t)
     out = []
     left = present
     while left:
-        comp = frontier = left & -left
-        while frontier:
-            grown = 0
-            for c in range(frontier.bit_length()):
-                if frontier >> c & 1:
-                    grown |= dep_mask[c]
-            frontier = grown & present & ~comp
-            comp |= frontier
+        comp = _component(left & -left, present, alphabet.dep_mask)
         left &= ~comp
         codes = tuple(c for c in t.codes if comp >> c & 1)
         out.append(Trace._from_canonical(alphabet, _canonical_word(alphabet, codes)))
@@ -394,5 +400,10 @@ def connected_components(t: Trace) -> list:
 
 
 def is_connected(t: Trace) -> bool:
-    """True iff ``t`` does not factor into two nonempty independent parts (and for the empty trace)."""
-    return len(connected_components(t)) <= 1
+    """True iff ``t`` does not factor into two nonempty independent parts (and for the empty trace).
+
+    Decided on the letter masks alone: the component of the least letter is
+    every letter of ``t``.
+    """
+    present = _letters(t)
+    return _component(present & -present, present, t.alphabet.dep_mask) == present

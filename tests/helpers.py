@@ -8,7 +8,7 @@ import random
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ggsolve.automata import Nfa, memorized_masks
+from ggsolve.automata import Nfa, PowerClosure, Product, trim, unary_progressions
 from ggsolve.errors import (
     AlphabetMismatchError,
     CertificateError,
@@ -39,7 +39,7 @@ from ggsolve.groups import (
     mult,
     power_nf,
 )
-from ggsolve.semilinear import SemilinearSet, diophantine_solve
+from ggsolve.semilinear import LinearSet, SemilinearSet, diophantine_solve
 from ggsolve.slp import Slp, expand_capped, val_length
 from ggsolve.solver.equations import (
     Assignment,
@@ -61,7 +61,7 @@ def equivalence_class(alphabet: IndependenceAlphabet, word) -> set:
     while queue:
         w = queue.popleft()
         for i in range(len(w) - 1):
-            if alphabet.independent(w[i], w[i + 1]):
+            if independent(alphabet, w[i], w[i + 1]):
                 nxt = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
                 if nxt not in seen:
                     seen.add(nxt)
@@ -84,7 +84,7 @@ def slow_free_reduce(alphabet: DoubledAlphabet, word, rng: random.Random) -> tup
             for j in range(i + 1, len(w)):
                 if w[j] != inverse_letter(w[i]):
                     continue
-                if all(alphabet.independent(w[k], w[i]) for k in range(i + 1, j)):
+                if all(independent(alphabet, w[k], w[i]) for k in range(i + 1, j)):
                     candidates.append((i, j))
         if not candidates:
             return tuple(w)
@@ -152,10 +152,15 @@ def power(t: Trace, k: int) -> Trace:
     return Trace._from_canonical(t.alphabet, _canonical_word(t.alphabet, t.codes * k))
 
 
+def independent(alphabet: IndependenceAlphabet, a: str, b: str) -> bool:
+    """Whether the letters ``a`` and ``b`` commute (read off ``dep_mask``)."""
+    return not alphabet.dep_mask[alphabet.rank(a)] >> alphabet.rank(b) & 1
+
+
 def independent_sets(alphabet: IndependenceAlphabet, letters_a, letters_b) -> bool:
     """Every letter of ``letters_a`` is independent of every letter of ``letters_b``."""
     lb = tuple(letters_b)
-    return all(alphabet.independent(a, b) for a in letters_a for b in lb)
+    return all(independent(alphabet, a, b) for a in letters_a for b in lb)
 
 
 def independent_of(t: Trace, other: Trace) -> bool:
@@ -207,8 +212,10 @@ def enumerate_accepted(nfa: Nfa, max_len: int, canonical_only: bool = False) -> 
 
     Walks the word tree with subset states, pruning dead branches; with
     ``canonical_only`` the walk additionally tracks the Anisimov-Knuth filter
-    state so only lexicographic normal forms are produced.
+    state so only lexicographic normal forms are produced.  A ``CodeNfa`` is
+    read through ``as_nfa``.
     """
+    nfa = as_nfa(nfa)
     alphabet = nfa.alphabet
     letters = alphabet.letters
     accepted = set()
@@ -222,14 +229,14 @@ def enumerate_accepted(nfa: Nfa, max_len: int, canonical_only: bool = False) -> 
     def violates(filter_state, letter):
         r = alphabet.rank(letter)
         for b in filter_state[r]:
-            if alphabet.rank(b) > r and alphabet.independent(b, letter):
+            if alphabet.rank(b) > r and independent(alphabet, b, letter):
                 return True
         return False
 
     def advance(filter_state, letter):
         out = []
         for i, a in enumerate(letters):
-            base = filter_state[i] if alphabet.independent(letter, a) else frozenset()
+            base = filter_state[i] if independent(alphabet, letter, a) else frozenset()
             out.append(base | {letter})
         return tuple(out)
 
@@ -533,7 +540,7 @@ def scanning_left_quotient(t: Trace, p: Trace) -> Optional[Trace]:
                 consumed[i] = True
                 ok = True
                 break
-            if not alphabet.independent(letter, target):
+            if not independent(alphabet, letter, target):
                 break
         if not ok:
             return None
@@ -558,7 +565,7 @@ def scanning_right_quotient(t: Trace, s: Trace) -> Optional[Trace]:
                 consumed[i] = True
                 ok = True
                 break
-            if not alphabet.independent(letter, target):
+            if not independent(alphabet, letter, target):
                 break
         if not ok:
             return None
@@ -772,7 +779,133 @@ def product_finite_ext_reduce(
 # Reference closure constructions on trace algebra: every prefix is a trace,
 # reached by trace products and checked by left quotients.  They pin the
 # state, transition and final counts of ggsolve.automata.prefix_nfa and
-# star_nfa, which work on position masks instead.
+# star_nfa, which work on position masks and letter codes instead.  Beside
+# them, the letter-name pipeline that ggsolve.automata replaced: certificates
+# checked on an Nfa, the materialized gated product ``concat_closure``, the
+# labelled ``nfa_intersect`` and ``reference_two_power_solutions``.
+
+
+def as_nfa(a) -> Nfa:
+    """A ``CodeNfa`` (a ``PowerClosure`` expanded whole) as a ``DiamondNfa`` on
+    letter names (the code automata have the property by construction or
+    check it); an Nfa as it is.
+
+    States keep their construction keys: a prefix's position mask, a star
+    state's (pieces, bit), and for a ``PowerClosure`` ((prefix key, star
+    key), suffix key), the state of the nested gated products.
+    """
+    if isinstance(a, Nfa):
+        return a
+    letters = a.alphabet.letters
+    order = [0]
+    seen = {0}
+    for x in order:  # grows while it is read; expands a PowerClosure
+        for dests in a.out[x].values():
+            for d in dests:
+                if d not in seen:
+                    seen.add(d)
+                    order.append(d)
+    if isinstance(a, PowerClosure):
+        prefix, star, suffix = a.factors
+        n_star, n_suffix = len(star.out), len(suffix.out)
+
+        def key(x):
+            ij, k = divmod(x, n_suffix)
+            i, j = divmod(ij, n_star)
+            return (prefix.keys[i], star.keys[j]), suffix.keys[k]
+
+    else:
+        key = a.keys.__getitem__
+    transitions = [
+        (key(x), letters[c], key(d)) for x in order for c, dests in a.out[x].items() for d in dests
+    ]
+    states = [key(x) for x in order]
+    return DiamondNfa(a.alphabet, states, transitions, key(0), map(key, a.finals), validate=False)
+
+
+def product_nfa(prod: Product, a, b) -> Nfa:
+    """The labelled automaton of ``intersect(a, b)``: an edge of ``prod`` from the
+    pair (x, y) to (x', y') carries every letter on which a moves x to x' and b
+    moves y to y'."""
+    letters = a.alphabet.letters
+    transitions = []
+    for i, (x, y) in enumerate(prod.pairs):
+        for j in prod.succ[i]:
+            xa, yb = prod.pairs[j]
+            for c, dests in a.out[x].items():
+                if xa in dests and yb in b.out[y].get(c, ()):
+                    transitions.append((i, letters[c], j))
+    return Nfa(a.alphabet, range(prod.num_states()), transitions, 0, prod.finals)
+
+
+class CodedNfa:
+    """An epsilon-free Nfa's moves on letter codes and state ids (the initial state
+    first), as ``intersect`` reads them; no certificate is asked for."""
+
+    def __init__(self, nfa: Nfa):
+        states = [nfa.initial] + [s for s in nfa.states if s != nfa.initial]
+        ids = {s: i for i, s in enumerate(states)}
+        self.alphabet = nfa.alphabet
+        self.out = [
+            {nfa.alphabet.rank(a): [ids[d] for d in dests] for a, dests in nfa.out(s).items()}
+            for s in states
+        ]
+        self.finals = frozenset(ids[f] for f in nfa.finals)
+
+
+class DiamondNfa(Nfa):
+    """An Nfa that declares the I-diamond property, checked on construction unless
+    ``validate`` is False (a construction that guarantees it)."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, validate: bool = True):
+        super().__init__(*args)
+        if validate:
+            self.validate_i_diamond()
+
+    def num_states(self) -> int:
+        return len(self.states)
+
+    def validate_i_diamond(self) -> None:
+        """Exhaustive pair check of the diamond property."""
+        if self.has_eps():
+            raise CertificateError("i_diamond automata must be epsilon-free")
+        for p, a, q in self.transitions:
+            for b, rs in self.out(q).items():
+                if b == a or not independent(self.alphabet, a, b):
+                    continue
+                out_p_b = self.out(p).get(b, frozenset())
+                for r in rs:
+                    if not any(r in self.out(s).get(a, frozenset()) for s in out_p_b):
+                        raise CertificateError(f"diamond fails at ({p!r},{a}{b},{r!r})")
+
+
+def memorized_masks(nfa: Nfa) -> Dict:
+    """State -> bit mask (by letter rank) of the letters of every word reaching it.
+
+    Breadth-first alphabet propagation from the initial state.  Raises
+    CertificateError unless ``nfa`` memorizes: every state is reachable and
+    all words reaching a state have the same letters.
+    """
+    bit = {a: 1 << i for i, a in enumerate(nfa.alphabet.letters)}
+    bit[None] = 0
+    masks = {nfa.initial: 0}
+    queue = deque([nfa.initial])
+    while queue:
+        s = queue.popleft()
+        for a, dests in nfa.out(s).items():
+            expected = masks[s] | bit[a]
+            for d in dests:
+                mask = masks.get(d)
+                if mask is None:
+                    masks[d] = expected
+                    queue.append(d)
+                elif mask != expected:
+                    raise CertificateError(f"state {d!r} reachable with distinct alphabets")
+    if len(masks) != len(nfa.states):
+        raise CertificateError("memorizing automata must have all states reachable")
+    return masks
 
 
 def reference_prefix_nfa(t: Trace) -> Nfa:
@@ -798,7 +931,7 @@ def reference_prefix_nfa(t: Trace) -> Nfa:
                 states.append(nkey)
                 queue.append(nkey)
             transitions.append((key, letter, nkey))
-    return Nfa(alphabet, states, transitions, start, [t.word], i_diamond=True)
+    return DiamondNfa(alphabet, states, transitions, start, [t.word])
 
 
 def _star_tuple_valid(u: Trace, tup: Tuple[Trace, ...]) -> bool:
@@ -903,21 +1036,23 @@ def reference_star_nfa(u: Trace) -> Nfa:
                 queue2.append(nstate)
             transitions.append(((key, bit), a, nstate))
     finals = [s for s in ((key_of(start_tup), 0), (key_of(start_tup), 1)) if s in reachable]
-    return Nfa(alphabet, list(reachable), transitions, start, finals, i_diamond=True)
+    return DiamondNfa(alphabet, list(reachable), transitions, start, finals)
 
 
-def concat_closure(a1: Nfa, a2: Nfa) -> Nfa:
+def concat_closure(a1, a2) -> Nfa:
     """I-diamond automaton for [L(a1) L(a2)]_I with exactly n1*n2 states.
 
-    The materialized gated product, the reference for
-    ``ggsolve.automata.GatedProduct``: every pair is a state, and a move of
+    The materialized gated product on letter names, the reference for
+    ``ggsolve.automata.PowerClosure``: every pair is a state, and a move of
     ``a1`` is gated on its letter being independent of every letter the
     current a2-state memorizes (``memorized_masks`` checks that ``a2``
-    memorizes), one bit-mask test.
+    memorizes), one bit-mask test.  The inputs are ``DiamondNfa`` or
+    ``CodeNfa``.
     """
+    a1, a2 = as_nfa(a1), as_nfa(a2)
     if a1.alphabet != a2.alphabet:
         raise AlphabetMismatchError("concat_closure over mixed alphabets")
-    if not a1.i_diamond or not a2.i_diamond:
+    if not isinstance(a1, DiamondNfa) or not isinstance(a2, DiamondNfa):
         raise CertificateError("concat_closure needs I-diamond inputs")
     alphabet = a1.alphabet
     gates = memorized_masks(a2)
@@ -936,12 +1071,54 @@ def concat_closure(a1: Nfa, a2: Nfa) -> Nfa:
                 for q2 in dests:
                     transitions.append(((p1, p2), a, (p1, q2)))
     finals = [(f1, f2) for f1 in a1.finals for f2 in a2.finals]
-    return Nfa(
-        alphabet,
-        states,
-        transitions,
-        (a1.initial, a2.initial),
-        finals,
-        i_diamond=True,
-        validate=False,  # diamond property holds by construction (gated product)
+    initial = (a1.initial, a2.initial)
+    # the diamond property holds by construction (gated product)
+    return DiamondNfa(alphabet, states, transitions, initial, finals, validate=False)
+
+
+def nfa_intersect(a: Nfa, b: Nfa) -> Nfa:
+    """Labelled product automaton on the pairs reachable from the pair of initial
+    states (epsilon-free inputs)."""
+    if a.alphabet != b.alphabet:
+        raise AlphabetMismatchError("intersect over mixed alphabets")
+    if a.has_eps() or b.has_eps():
+        raise StructureError("intersect requires epsilon-free automata")
+    start = (a.initial, b.initial)
+    states = [start]
+    seen = {start}
+    transitions = []
+    for pair in states:  # grows while it is read
+        out_b = b.out(pair[1])
+        for letter, dests_a in a.out(pair[0]).items():
+            for pa in dests_a:
+                for qb in out_b.get(letter, ()):
+                    nxt = (pa, qb)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        states.append(nxt)
+                    transitions.append((pair, letter, nxt))
+    finals = [(p, q) for (p, q) in states if p in a.finals and q in b.finals]
+    return Nfa(a.alphabet, states, transitions, start, finals)
+
+
+def reference_power_closure(p: Trace, u: Trace, s: Trace) -> Nfa:
+    """[p u* s]_I on letter names, from the trace-algebra references."""
+    return concat_closure(
+        concat_closure(reference_prefix_nfa(p), reference_star_nfa(u)), reference_prefix_nfa(s)
     )
+
+
+def reference_two_power_solutions(p, u, s, q, v, t) -> SemilinearSet:
+    """{(x,y) : p u^x s = q v^y t} through the letter-name pipeline: materialized
+    closures, labelled intersection, trim and progressions of the Nfa."""
+    left, right = reference_power_closure(p, u, s), reference_power_closure(q, v, t)
+    product = trim(nfa_intersect(left, right))
+    len_ps, len_qt = len(p) + len(s), len(q) + len(t)
+    components = []
+    for prog in sorted(unary_progressions(product), key=lambda pr: (pr.offset, pr.period)):
+        b, c = prog.offset, prog.period
+        if (b - len_ps) % len(u) or c % len(u) or (b - len_qt) % len(v) or c % len(v):
+            raise InternalError("divisibility violated")
+        base = ((b - len_ps) // len(u), (b - len_qt) // len(v))
+        components.append(LinearSet(base, [(c // len(u), c // len(v))] if c else []))
+    return SemilinearSet(2, components)

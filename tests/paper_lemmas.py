@@ -20,7 +20,7 @@ from ggsolve.errors import AlphabetMismatchError, InternalError, LimitsExceeded,
 from ggsolve.groups import GroupElement, invert_codes, invert_word, mult
 from ggsolve.traces import IndependenceAlphabet, Trace, left_quotient, right_quotient
 
-from helpers import independent_of, power
+from helpers import independent, independent_of, power
 
 
 # -- Levi's lemma ----------------------------------------------------------------
@@ -89,13 +89,13 @@ def _embed_parts(total_word: tuple, parts: Sequence[Trace], alphabet: Independen
                     # unconsumed dependent position may exist
                     blocked = False
                     for j in range(i):
-                        if not consumed[j] and not alphabet.independent(total_word[j], target):
+                        if not consumed[j] and not independent(alphabet, total_word[j], target):
                             blocked = True
                             break
                     if not blocked:
                         pos = i
                     break
-                if not alphabet.independent(total_word[i], target):
+                if not independent(alphabet, total_word[i], target):
                     break
             if pos is None:
                 return None

@@ -3,15 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggsolve.automata import (
     EPS,
-    GatedProduct,
+    CodeNfa,
     Nfa,
+    PowerClosure,
     Progression,
     benois_member,
     intersect,
-    memorized_masks,
     power_closure_nfa,
     prefix_nfa,
     reachable,
@@ -19,23 +20,39 @@ from ggsolve.automata import (
     trim,
     unary_progressions,
 )
-from ggsolve.errors import AlphabetMismatchError, CertificateError, StructureError, TraceError
+from ggsolve.errors import (
+    AlphabetMismatchError,
+    CertificateError,
+    InternalError,
+    StructureError,
+    TraceError,
+)
 from ggsolve.groups import DoubledAlphabet, free_reduce
+from ggsolve.semilinear import two_power_solutions
 from ggsolve.traces import IndependenceAlphabet, Trace, is_connected
 
 from helpers import (
+    CodedNfa,
+    DiamondNfa,
     all_alphabets,
+    as_nfa,
     canonical_traces_up_to,
     concat_closure,
     enumerate_accepted,
     equivalence_class,
+    memorized_masks,
+    nfa_intersect,
     power,
     prefix_count,
+    product_nfa,
     random_alphabet,
     random_word,
+    reference_power_closure,
     reference_prefix_nfa,
     reference_star_nfa,
+    reference_two_power_solutions,
 )
+from test_streaming import alphabets, words
 
 AC = IndependenceAlphabet("abc", [("a", "c")])
 AB_DEP = IndependenceAlphabet("ab")
@@ -74,9 +91,9 @@ class TestPrefixNfa:
             nfa = prefix_nfa(t)
             assert nfa.num_states() == prefix_count(t)
             assert language(nfa, len(t)) == equivalence_class(alphabet, t.word)
-            nfa.validate_i_diamond()
+            as_nfa(nfa).validate_i_diamond()
             # a prefix (a position mask) memorizes the letters at its positions
-            for state, letters in memorized_masks(nfa).items():
+            for state, letters in zip(nfa.keys, nfa.masks):
                 positions = [k for k in range(len(t)) if state >> k & 1]
                 assert letters == sum({1 << alphabet.rank(t.word[k]) for k in positions})
 
@@ -103,7 +120,7 @@ class TestStarNfa:
     def test_dependent_word(self):
         u = Trace(AB_DEP, "ab")
         nfa = star_nfa(u)
-        assert {len(s) for s in [nfa.states]}  # smoke
+        assert {len(s) for s in [nfa.keys]}  # smoke
         lang = language(nfa, 4)
         assert lang == {(), ("a", "b"), ("a", "b", "a", "b")}
         assert ("a",) not in lang and ("b", "a") not in lang
@@ -124,9 +141,9 @@ class TestStarNfa:
                 if u.is_empty() or not is_connected(u):
                     continue
                 nfa = star_nfa(u)
-                nfa.validate_i_diamond()
+                as_nfa(nfa).validate_i_diamond()
                 bits = [1 << alphabet.rank(a) for a in u.word]
-                for (pieces, done), letters in memorized_masks(nfa).items():
+                for (pieces, done), letters in zip(nfa.keys, nfa.masks):
                     covered = [k for k in range(len(u)) if done or any(p >> k & 1 for p in pieces)]
                     assert letters == sum(set(bits[k] for k in covered)), (u, pieces, done)
 
@@ -163,6 +180,7 @@ class TestAgainstTraceAlgebra:
 
     @staticmethod
     def shape(nfa):
+        nfa = as_nfa(nfa)
         alphas = sorted(memorized_masks(nfa).values())
         return nfa.num_states(), len(nfa.transitions), len(nfa.finals), alphas
 
@@ -218,8 +236,8 @@ class TestConcatClosure:
         """The right factor must memorize: state 1 reached by b and by c, or
         a state that nothing reaches, is refused."""
         a1 = prefix_nfa(Trace(AC, "a"))
-        two_alphabets = Nfa(AC, [0, 1], [(0, "b", 1), (0, "c", 1)], 0, [1], i_diamond=True)
-        unreachable = Nfa(AC, [0, 1, 2], [(0, "b", 1)], 0, [1], i_diamond=True)
+        two_alphabets = DiamondNfa(AC, [0, 1], [(0, "b", 1), (0, "c", 1)], 0, [1])
+        unreachable = DiamondNfa(AC, [0, 1, 2], [(0, "b", 1)], 0, [1])
         for a2 in (two_alphabets, unreachable):
             with pytest.raises(CertificateError):
                 concat_closure(a1, a2)
@@ -282,8 +300,8 @@ class TestPowerClosure:
             assert language(nfa, max_len) == oracle
 
 
-class TestGatedProduct:
-    """The on-the-fly gated product against the materialized ``concat_closure``."""
+class TestGatedClosure:
+    """The on-the-fly three-way gated product against the materialized ``concat_closure``."""
 
     def reference_power_closure(self, p, u, s):
         return concat_closure(concat_closure(prefix_nfa(p), star_nfa(u)), prefix_nfa(s))
@@ -312,10 +330,11 @@ class TestGatedProduct:
             lazy = [power_closure_nfa(p, u, s), power_closure_nfa(q, v, t)]
             refs = [self.reference_power_closure(p, u, s), self.reference_power_closure(q, v, t)]
             got = trim(intersect(*lazy))
-            want = trim(intersect(*refs))
+            want = trim(nfa_intersect(*refs))
             assert unary_progressions(got) == unary_progressions(want)
-            assert language(got, 6) == language(want, 6)
+            assert language(product_nfa(got, *lazy), 6) == language(want, 6)
             for nfa, ref in zip(lazy, refs):
+                nfa = as_nfa(nfa)
                 assert nfa.finals == ref.finals
                 for state in nfa.states:
                     assert nfa.out(state) == ref.out(state)
@@ -334,19 +353,87 @@ class TestGatedProduct:
             pairs = prefix_nfa(a).num_states() * star_nfa(b).num_states()
             assert 0 < nfa.num_states() < pairs * prefix_nfa(c).num_states()
 
+
+class TestCertificates:
+    """The code automata check their structure, memorization and diamond
+    property where they are made, and the length set checks itself; each
+    check raises, so it holds under ``python -O``."""
+
     def test_requires_memorizing(self):
-        """A right factor reached by b and by c at one state, or with a state that
-        nothing reaches, is refused where the product is made."""
-        a1 = prefix_nfa(Trace(AC, "a"))
-        two_alphabets = Nfa(AC, [0, 1], [(0, "b", 1), (0, "c", 1)], 0, [1], i_diamond=True)
-        unreachable = Nfa(AC, [0, 1, 2], [(0, "b", 1)], 0, [1], i_diamond=True)
-        for a2 in (two_alphabets, unreachable):
-            with pytest.raises(CertificateError):
-                GatedProduct(a1, a2)
+        """State 1 reached by b and by c, or a state that nothing reaches, is refused."""
+        with pytest.raises(CertificateError, match="distinct alphabets"):
+            CodeNfa(AC, [0, 1], [{1: [1], 2: [1]}, {}], [1])
+        with pytest.raises(CertificateError, match="reachable"):
+            CodeNfa(AC, [0, 1, 2], [{1: [1]}, {}, {}], [1])
+
+    def test_broken_diamond(self):
+        """a then c with a I c, and no c then a: the diamond fails."""
+        with pytest.raises(CertificateError, match="diamond fails"):
+            CodeNfa(AC, ["", "a", "ac"], [{0: [1]}, {2: [2]}, {}], [2])
+        CodeNfa(AC, ["", "a", "c", "ac"], [{0: [1], 2: [2]}, {2: [3]}, {0: [3]}, {}], [3])
+
+    def test_structure(self):
+        with pytest.raises(StructureError):
+            CodeNfa(AC, [0, 1], [{3: [1]}, {}], [1])  # no letter has code 3
+        with pytest.raises(StructureError):
+            CodeNfa(AC, [0, 1], [{0: [2]}, {}], [1])  # no state 2
+        with pytest.raises(StructureError):
+            CodeNfa(AC, [0, 1], [{0: [1]}, {}], [2])
+        with pytest.raises(StructureError):
+            CodeNfa(AC, [], [], [])
 
     def test_mixed_alphabets(self):
+        a, b = prefix_nfa(Trace(AC, "a")), prefix_nfa(Trace(AB_DEP, "a"))
         with pytest.raises(AlphabetMismatchError):
-            GatedProduct(prefix_nfa(Trace(AC, "a")), prefix_nfa(Trace(AB_DEP, "a")))
+            PowerClosure(a, star_nfa(Trace(AC, "a")), b)
+        with pytest.raises(AlphabetMismatchError):
+            intersect(a, b)
+
+    def test_progression_mismatch(self, monkeypatch):
+        import ggsolve.automata as automata
+
+        monkeypatch.setattr(automata, "_normalize_progressions", lambda progs: set())
+        product = intersect(star_nfa(Trace(AB_DEP, "a")), prefix_nfa(Trace(AB_DEP, "")))
+        with pytest.raises(InternalError, match="progression decomposition mismatch"):
+            unary_progressions(product)
+
+
+@st.composite
+def two_power_cases(draw):
+    """(p, u, s, q, v, t) over a 3-5-letter graph: connected bases of at most 5
+    letters, affixes of at most 6; in one case in three q v* t is p u* s."""
+    alphabet = draw(alphabets(3, 5))
+    base = words(alphabet, 5).map(lambda w: Trace(alphabet, w))
+    base = base.filter(lambda b: not b.is_empty() and is_connected(b))
+    affix = words(alphabet, 6).map(lambda w: Trace(alphabet, w))
+    p, u, s = draw(affix), draw(base), draw(affix)
+    if draw(st.integers(0, 2)) == 0:
+        return p, u, s, p, u, s
+    return p, u, s, draw(affix), draw(base), draw(affix)
+
+
+class TestAgainstLetterPipeline:
+    """The code pipeline against the letter-name one it replaced (``tests/helpers.py``):
+    materialized closures from the trace-algebra references, labelled
+    intersection, trim and progressions of an Nfa."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_power_cases())
+    def test_two_power_solutions(self, case):
+        assert two_power_solutions(*case) == reference_two_power_solutions(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(two_power_cases())
+    def test_closure_language(self, case):
+        p, u, s = case[:3]
+        got = language(power_closure_nfa(p, u, s), 7)
+        assert got == language(reference_power_closure(p, u, s), 7)
+
+
+def product_language(a, b, max_len):
+    """The words ``intersect(a, b)`` accepts up to ``max_len``, its edges labelled
+    from the factors."""
+    return language(product_nfa(intersect(a, b), a, b), max_len)
 
 
 class TestIntersect:
@@ -356,18 +443,18 @@ class TestIntersect:
         aa_star = concat_closure(
             prefix_nfa(Trace(AB_DEP, "")), star_nfa(Trace(AB_DEP, "aa"))
         )
-        prod = intersect(a, aa_star)
-        assert language(prod, 6) == {(), ("a",) * 2, ("a",) * 4, ("a",) * 6}
+        lang = product_language(a, CodedNfa(aa_star), 6)
+        assert lang == {(), ("a",) * 2, ("a",) * 4, ("a",) * 6}
 
     def test_empty_intersection(self):
         a = prefix_nfa(Trace(AB_DEP, "a"))
         b = prefix_nfa(Trace(AB_DEP, "b"))
-        assert language(intersect(a, b), 4) == set()
+        assert product_language(a, b, 4) == set()
 
     def test_epsilon_membership(self):
         a = prefix_nfa(Trace(AB_DEP, ""))
         b = star_nfa(Trace(AB_DEP, "a"))
-        assert language(intersect(a, b), 3) == {()}
+        assert product_language(a, b, 3) == {()}
 
     def test_state_count(self):
         """Only the pairs reachable from the initial pair are built: 2 of 2 * 3."""
@@ -391,12 +478,11 @@ class TestIntersect:
 
         for _ in range(200):
             a, b = random_nfa(), random_nfa()
-            prod = intersect(a, b)
-            assert language(prod, 5) == language(a, 5) & language(b, 5)
-            adj = {}
-            for p, _, q in prod.transitions:
-                adj.setdefault(p, set()).add(q)
-            assert reachable([prod.initial], adj) == set(prod.states)
+            coded = CodedNfa(a), CodedNfa(b)
+            prod = intersect(*coded)
+            assert product_language(*coded, 5) == language(a, 5) & language(b, 5)
+            adj = dict(enumerate(prod.succ))
+            assert reachable([prod.initial], adj) == set(range(prod.num_states()))
 
 
 class TestLengthAutomaton:
@@ -404,11 +490,11 @@ class TestLengthAutomaton:
 
     def test_single_word(self):
         nfa = prefix_nfa(Trace(AB_DEP, "ab"))
-        assert unary_progressions(nfa) == {Progression(2, 0)}
+        assert unary_progressions(as_nfa(nfa)) == {Progression(2, 0)}
 
     def test_even_lengths(self):
         star = star_nfa(Trace(AB_DEP, "ab"))
-        assert unary_progressions(star) == {Progression(0, 2)}
+        assert unary_progressions(as_nfa(star)) == {Progression(0, 2)}
 
     def test_rejects_eps(self):
         dbl = DoubledAlphabet(IndependenceAlphabet("a"))
@@ -449,13 +535,13 @@ class TestUnaryProgressions:
         assert unary_progressions(star) == {Progression(1, 2)}
 
     def test_singleton_zero(self):
-        assert unary_progressions(prefix_nfa(Trace(AB_DEP, ""))) == {Progression(0, 0)}
+        assert unary_progressions(as_nfa(prefix_nfa(Trace(AB_DEP, "")))) == {Progression(0, 0)}
 
     def test_union_two_periods(self):
         """(aa)* union (aaa)*: verified pointwise up to 24."""
         ab = AB_DEP
-        two = star_nfa(Trace(ab, "aa"))
-        three = star_nfa(Trace(ab, "aaa"))
+        two = as_nfa(star_nfa(Trace(ab, "aa")))
+        three = as_nfa(star_nfa(Trace(ab, "aaa")))
         # plain union automaton over the unary letter
         states = (
             ["init"]
@@ -575,6 +661,6 @@ class TestTrim:
                 ),
                 Trace(alphabet, ""),
             )
-            trimmed = trim(nfa)
-            assert trimmed.num_states() <= nfa.num_states()
+            trimmed = trim(as_nfa(nfa))
+            assert len(trimmed.states) <= nfa.num_states()
             assert language(trimmed, 5) == language(nfa, 5)

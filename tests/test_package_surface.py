@@ -25,8 +25,8 @@ SRC = TESTS.parent / "src" / "ggsolve"
 # Named from outside the package, with the reason.
 ALLOWED = {
     "_Parser.error": "argparse calls it on a usage error",
-    "Nfa.num_states": "benchmark/layers.py counts automaton states with it",
-    "GatedProduct.num_states": "benchmark/layers.py counts the closure states expanded with it",
+    "CodeNfa.num_states": "benchmark/layers.py counts the closure states expanded with it",
+    "Product.num_states": "benchmark/layers.py counts the intersection's states with it",
     "format_instance": "the writer half of the instance file format",
     "power_nf": "exported in ggsolve.__all__, and benchmark/layers.py re-binds it as a span",
 }

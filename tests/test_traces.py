@@ -30,6 +30,7 @@ from helpers import (
     slow_normal_form,
 )
 from paper_lemmas import levi_decompose
+from test_streaming import alphabets, words
 
 AC = IndependenceAlphabet("abc", [("a", "c")])
 FREE = IndependenceAlphabet("abc")
@@ -145,6 +146,15 @@ class TestConnectivity:
     def test_empty_is_connected(self):
         assert is_connected(empty_trace(AC))
         assert connected_components(empty_trace(AC)) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mask_connectivity_matches_components(self, data):
+        """``is_connected`` decides on the letter masks alone; on 2-6-letter graphs
+        it agrees with the number of component traces, the empty trace included."""
+        alphabet = data.draw(alphabets(2, 6))
+        for t in (Trace(alphabet, data.draw(words(alphabet, 8))), empty_trace(alphabet)):
+            assert is_connected(t) == (len(connected_components(t)) <= 1)
 
     def test_components_recompose(self):
         rng = random.Random(5)
